@@ -14,12 +14,13 @@ from .bitstream import (
     Bitstream,
     BitstreamError,
     BitstreamHeader,
+    CodecConfig,
     FramePayload,
     PredictorKind,
     parse,
     serialize,
 )
-from .codec import CodecConfig, EncodeResult, decode, encode
+from .codec import EncodeResult, decode, encode
 from .harness import (
     METHODS,
     MethodRow,

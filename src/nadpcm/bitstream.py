@@ -9,6 +9,10 @@ little-endian):
   step_max f64 | multiplier_count u8 | multipliers f64[] |
   init_scale f64 | lambda_init f64 | lambda_up f64 | lambda_down f64
 
+After sample_rate and true_sample_count the header is the `CodecConfig`
+the stream was encoded with; parse rebuilds it, so a header is valid
+exactly when that configuration is.
+
 Frame payloads follow as one continuous bit sequence, MSB-first within
 each byte: an optional hybrid flag bit, an optional byte-aligned block
 of forward predictor coefficients, then frame_len codes of `bits` bits
@@ -16,9 +20,18 @@ each (biased to unsigned by adding 2^(bits-1)). The final byte is
 zero-padded.
 """
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
+
+from .mlp import MASK64, TrainConfig
+from .quantizer import (
+    DEFAULT_STEP_INIT,
+    DEFAULT_STEP_MAX,
+    DEFAULT_STEP_MIN,
+    default_multipliers,
+)
 
 MAGIC = b"NADP"
 VERSION = 1
@@ -55,28 +68,72 @@ class BitstreamError(Exception):
 
 
 @dataclass(frozen=True)
+class CodecConfig:
+    """Everything the decoder needs to mirror the encoder; the stream header
+    carries it field by field. Construction is the one place a
+    configuration is validated."""
+
+    frame_len: int = 200
+    bits: int = 4
+    predictor_kind: PredictorKind = PredictorKind.LPC10
+    adaptation: Adaptation = Adaptation.BACKWARD
+    train: TrainConfig = field(default_factory=TrainConfig)
+    step_init: float = DEFAULT_STEP_INIT
+    step_min: float = DEFAULT_STEP_MIN
+    step_max: float = DEFAULT_STEP_MAX
+    multipliers: tuple = ()
+    seed: int = 0
+
+    def __post_init__(self):
+        if not 2 <= self.bits <= 5:
+            raise ValueError(f"bits must be in 2..5, got {self.bits}")
+        if self.frame_len < 1:
+            raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
+        needs_mlp = self.predictor_kind in (PredictorKind.MLP, PredictorKind.HYBRID)
+        if needs_mlp and self.frame_len < 11:
+            raise ValueError(
+                f"frame_len must be >= 11 for neural predictors, got {self.frame_len}"
+            )
+        if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
+            raise ValueError("hybrid coding is defined for backward adaptation only")
+        if not 0 < self.step_min <= self.step_init <= self.step_max < math.inf:
+            raise ValueError(
+                f"need 0 < step_min <= step_init <= step_max < inf, got "
+                f"{self.step_min}, {self.step_init}, {self.step_max}"
+            )
+        if not self.multipliers:
+            object.__setattr__(self, "multipliers", default_multipliers(self.bits))
+        object.__setattr__(self, "multipliers", tuple(self.multipliers))
+        if len(self.multipliers) != 2 ** (self.bits - 1):
+            raise ValueError(
+                f"{self.bits}-bit coding needs {2 ** (self.bits - 1)} multipliers, "
+                f"got {len(self.multipliers)}"
+            )
+        if not all(0 < m < math.inf for m in self.multipliers):
+            raise ValueError(f"multipliers must be finite and > 0, got {self.multipliers}")
+        object.__setattr__(self, "seed", self.seed & MASK64)
+
+    def payload_bit_rate(self, sample_rate: int) -> float:
+        """Payload bits/second: code bits plus the hybrid flag overhead.
+
+        Forward coefficient overhead is excluded; forward mode is the
+        unquantized reference configuration.
+        """
+        rate = float(self.bits * sample_rate)
+        if self.predictor_kind is PredictorKind.HYBRID:
+            rate += sample_rate / self.frame_len
+        return rate
+
+
+@dataclass(frozen=True)
 class BitstreamHeader:
     sample_rate: int
     true_sample_count: int
-    frame_len: int
-    bits: int
-    predictor_kind: PredictorKind
-    adaptation: Adaptation
-    epochs: int
-    restarts: int
-    seed: int
-    step_init: float
-    step_min: float
-    step_max: float
-    multipliers: tuple
-    init_scale: float
-    lambda_init: float
-    lambda_up: float
-    lambda_down: float
+    config: CodecConfig
 
     @property
     def frame_count(self) -> int:
-        return -(-self.true_sample_count // self.frame_len)
+        return -(-self.true_sample_count // self.config.frame_len)
 
 
 @dataclass(frozen=True)
@@ -100,7 +157,7 @@ class Bitstream:
                 total += 1
             if p.forward_coeffs is not None:
                 total += -total % 8 + 64 * len(p.forward_coeffs)
-            total += len(p.codes) * self.header.bits
+            total += len(p.codes) * self.header.config.bits
         return total
 
 
@@ -178,31 +235,30 @@ class BitReader:
 def serialize(bitstream: Bitstream) -> bytes:
     """Serialize header and payloads; inverse of parse up to final-byte padding."""
     h = bitstream.header
-    if not 2 <= h.bits <= 5:
-        raise ValueError(f"bits must be in 2..5, got {h.bits}")
+    c = h.config
+    t = c.train
     for name, value, limit in [
-        ("frame_len", h.frame_len, 0xFFFF),
-        ("epochs", h.epochs, 0xFF),
-        ("restarts", h.restarts, 0xFF),
-        ("multiplier count", len(h.multipliers), 0xFF),
+        ("frame_len", c.frame_len, 0xFFFF),
+        ("epochs", t.epochs, 0xFF),
+        ("restarts", t.restarts, 0xFF),
     ]:
-        if not 0 < value <= limit:
+        if value > limit:
             raise ValueError(f"{name} {value} not representable in header")
 
     out = bytearray()
     out += MAGIC
     out += struct.pack("<B", VERSION)
-    out += struct.pack("<IQH", h.sample_rate, h.true_sample_count, h.frame_len)
+    out += struct.pack("<IQH", h.sample_rate, h.true_sample_count, c.frame_len)
     out += struct.pack(
-        "<BBBBB", h.bits, int(h.predictor_kind), int(h.adaptation), h.epochs, h.restarts
+        "<BBBBB", c.bits, int(c.predictor_kind), int(c.adaptation), t.epochs, t.restarts
     )
-    out += struct.pack("<Q", h.seed)
-    out += struct.pack("<ddd", h.step_init, h.step_min, h.step_max)
-    out += struct.pack("<B", len(h.multipliers))
-    out += struct.pack(f"<{len(h.multipliers)}d", *h.multipliers)
-    out += struct.pack("<dddd", h.init_scale, h.lambda_init, h.lambda_up, h.lambda_down)
+    out += struct.pack("<Q", c.seed)
+    out += struct.pack("<ddd", c.step_init, c.step_min, c.step_max)
+    out += struct.pack("<B", len(c.multipliers))
+    out += struct.pack(f"<{len(c.multipliers)}d", *c.multipliers)
+    out += struct.pack("<dddd", t.init_scale, t.lambda_init, t.lambda_up, t.lambda_down)
 
-    bias = 1 << (h.bits - 1)
+    bias = 1 << (c.bits - 1)
     writer = BitWriter()
     for i, payload in enumerate(bitstream.payloads):
         if payload.hybrid_flag is not None:
@@ -211,13 +267,13 @@ def serialize(bitstream: Bitstream) -> bytes:
             writer.write_bytes(
                 struct.pack(f"<{len(payload.forward_coeffs)}d", *payload.forward_coeffs)
             )
-        if len(payload.codes) != h.frame_len:
-            raise ValueError(f"frame {i}: expected {h.frame_len} codes, got {len(payload.codes)}")
+        if len(payload.codes) != c.frame_len:
+            raise ValueError(f"frame {i}: expected {c.frame_len} codes, got {len(payload.codes)}")
         for code in payload.codes:
             u = code + bias
-            if not 0 <= u < (1 << h.bits):
-                raise ValueError(f"frame {i}: code {code} out of range for {h.bits} bits")
-            writer.write_bits(u, h.bits)
+            if not 0 <= u < (1 << c.bits):
+                raise ValueError(f"frame {i}: code {code} out of range for {c.bits} bits")
+            writer.write_bits(u, c.bits)
     out += writer.getvalue()
     return bytes(out)
 
@@ -242,49 +298,39 @@ def parse(data: bytes) -> Bitstream:
     (seed,), offset = _read_struct(data, offset, "<Q")
     (step_init, step_min, step_max), offset = _read_struct(data, offset, "<ddd")
     (mult_count,), offset = _read_struct(data, offset, "<B")
+    if mult_count == 0:
+        raise BitstreamError("multiplier count 0; the table is always transmitted")
     multipliers, offset = _read_struct(data, offset, f"<{mult_count}d")
     (init_scale, lambda_init, lambda_up, lambda_down), offset = _read_struct(
         data, offset, "<dddd"
     )
-
-    if not 2 <= bits <= 5:
-        raise BitstreamError(f"bits {bits} outside 2..5")
-    try:
-        kind = PredictorKind(kind_raw)
-        adaptation = Adaptation(adapt_raw)
-    except ValueError as exc:
-        raise BitstreamError(str(exc)) from None
-    if kind is PredictorKind.HYBRID and adaptation is Adaptation.FORWARD:
-        raise BitstreamError("hybrid streams are backward-adapted only")
-    if frame_len < 1:
-        raise BitstreamError("frame_len must be >= 1")
     if true_count < 1:
         raise BitstreamError("empty stream")
-    if len(multipliers) != 2 ** (bits - 1):
-        raise BitstreamError(
-            f"{bits}-bit stream needs {2 ** (bits - 1)} multipliers, got {len(multipliers)}"
+    try:
+        config = CodecConfig(
+            frame_len=frame_len,
+            bits=bits,
+            predictor_kind=PredictorKind(kind_raw),
+            adaptation=Adaptation(adapt_raw),
+            train=TrainConfig(
+                epochs=epochs,
+                restarts=restarts,
+                lambda_init=lambda_init,
+                lambda_up=lambda_up,
+                lambda_down=lambda_down,
+                init_scale=init_scale,
+            ),
+            step_init=step_init,
+            step_min=step_min,
+            step_max=step_max,
+            multipliers=multipliers,
+            seed=seed,
         )
+    except ValueError as exc:
+        raise BitstreamError(f"invalid header: {exc}") from None
+    header = BitstreamHeader(sample_rate, true_count, config)
 
-    header = BitstreamHeader(
-        sample_rate=sample_rate,
-        true_sample_count=true_count,
-        frame_len=frame_len,
-        bits=bits,
-        predictor_kind=kind,
-        adaptation=adaptation,
-        epochs=epochs,
-        restarts=restarts,
-        seed=seed,
-        step_init=step_init,
-        step_min=step_min,
-        step_max=step_max,
-        multipliers=tuple(multipliers),
-        init_scale=init_scale,
-        lambda_init=lambda_init,
-        lambda_up=lambda_up,
-        lambda_down=lambda_down,
-    )
-
+    kind = config.predictor_kind
     bias = 1 << (bits - 1)
     reader = BitReader(data[offset:])
     payloads = []
@@ -292,9 +338,11 @@ def parse(data: bytes) -> Bitstream:
         try:
             flag = reader.read_bits(1) if kind is PredictorKind.HYBRID else None
             coeffs = None
-            if adaptation is Adaptation.FORWARD:
+            if config.adaptation is Adaptation.FORWARD:
                 count = FORWARD_COEFF_COUNT[kind]
-                coeffs = tuple(struct.unpack(f"<{count}d", reader.read_bytes(8 * count)))
+                coeffs = struct.unpack(f"<{count}d", reader.read_bytes(8 * count))
+                if not all(map(math.isfinite, coeffs)):
+                    raise BitstreamError("non-finite forward coefficient")
             codes = tuple(reader.read_bits(bits) - bias for _ in range(frame_len))
         except BitstreamError as exc:
             raise BitstreamError(str(exc), frame_index=i) from None

@@ -10,18 +10,21 @@ import sys
 from pathlib import Path
 
 from . import audio, harness
-from .bitstream import Adaptation, BitstreamError, PredictorKind, parse, serialize
-from .codec import CodecConfig, decode, encode
+from .bitstream import (
+    Adaptation,
+    BitstreamError,
+    CodecConfig,
+    PredictorKind,
+    parse,
+    serialize,
+)
+from .codec import decode, encode
 from .metrics import segsnr
 from .mlp import TrainConfig
+from .quantizer import DEFAULT_MULTIPLIERS
 
-PREDICTORS = {
-    "lpc10": PredictorKind.LPC10,
-    "lpc25": PredictorKind.LPC25,
-    "mlp": PredictorKind.MLP,
-    "hybrid": PredictorKind.HYBRID,
-}
-MODES = {"backward": Adaptation.BACKWARD, "forward": Adaptation.FORWARD}
+PREDICTORS = {k.name.lower(): k for k in PredictorKind}
+MODES = {k.name.lower(): k for k in Adaptation}
 
 
 class CliError(Exception):
@@ -107,31 +110,39 @@ def _codec_config(args) -> CodecConfig:
         step_init=args.delta0,
         step_min=args.delta_min,
         step_max=args.delta_max,
-        multipliers=_parse_multipliers(args.multipliers),
+        multipliers=args.multipliers,
         seed=args.seed,
     )
 
 
 def _config_flags() -> _Parser:
+    c, t = CodecConfig, TrainConfig  # class attributes hold the field defaults
     p = _Parser(add_help=False)
-    p.add_argument("--bits", type=int, default=4, choices=(2, 3, 4, 5),
+    p.add_argument("--bits", type=int, default=c.bits, choices=tuple(DEFAULT_MULTIPLIERS),
                    help="quantizer bits per sample (2-5)")
-    p.add_argument("--frame-len", type=int, default=200, help="coding frame length in samples")
-    p.add_argument("--predictor", default="lpc10", choices=sorted(PREDICTORS),
-                   help="short-term predictor")
-    p.add_argument("--mode", default="backward", choices=sorted(MODES),
+    p.add_argument("--frame-len", type=int, default=c.frame_len,
+                   help="coding frame length in samples")
+    p.add_argument("--predictor", default=c.predictor_kind.name.lower(),
+                   choices=sorted(PREDICTORS), help="short-term predictor")
+    p.add_argument("--mode", default=c.adaptation.name.lower(), choices=sorted(MODES),
                    help="adaptation mode")
-    p.add_argument("--epochs", type=int, default=6, help="LM training epochs per fit")
-    p.add_argument("--restarts", type=int, default=4, help="multistart random initializations")
-    p.add_argument("--seed", type=int, default=0, help="base seed for neural predictor training")
-    p.add_argument("--delta0", type=float, default=0.02, help="initial quantizer step")
-    p.add_argument("--delta-min", type=float, default=2.0 ** -12, help="quantizer step floor")
-    p.add_argument("--delta-max", type=float, default=0.5, help="quantizer step ceiling")
-    p.add_argument("--multipliers", default="", help="comma-separated step multipliers")
-    p.add_argument("--lambda-init", type=float, default=0.01, help="initial LM damping")
-    p.add_argument("--lambda-up", type=float, default=10.0, help="damping factor on rejection")
-    p.add_argument("--lambda-down", type=float, default=0.1, help="damping factor on acceptance")
-    p.add_argument("--init-scale", type=float, default=0.5, help="weight init range half-width")
+    p.add_argument("--epochs", type=int, default=t.epochs, help="LM training epochs per fit")
+    p.add_argument("--restarts", type=int, default=t.restarts,
+                   help="multistart random initializations")
+    p.add_argument("--seed", type=int, default=c.seed,
+                   help="base seed for neural predictor training")
+    p.add_argument("--delta0", type=float, default=c.step_init, help="initial quantizer step")
+    p.add_argument("--delta-min", type=float, default=c.step_min, help="quantizer step floor")
+    p.add_argument("--delta-max", type=float, default=c.step_max, help="quantizer step ceiling")
+    p.add_argument("--multipliers", type=_parse_multipliers, default=c.multipliers,
+                   help="comma-separated step multipliers")
+    p.add_argument("--lambda-init", type=float, default=t.lambda_init, help="initial LM damping")
+    p.add_argument("--lambda-up", type=float, default=t.lambda_up,
+                   help="damping factor on rejection")
+    p.add_argument("--lambda-down", type=float, default=t.lambda_down,
+                   help="damping factor on acceptance")
+    p.add_argument("--init-scale", type=float, default=t.init_scale,
+                   help="weight init range half-width")
     return p
 
 
@@ -223,7 +234,7 @@ def cmd_decode(args) -> int:
     print(f"decoded: {len(signal)} samples at {signal.sample_rate} Hz")
     if args.reference:
         reference = _read_signal(args.reference, None, signal.sample_rate)
-        segment_len = args.segment_len if args.segment_len else bitstream.header.frame_len
+        segment_len = args.segment_len if args.segment_len else bitstream.header.config.frame_len
         report = segsnr(reference, signal, segment_len)
         print(f"segsnr: {report.mean_db:.2f} dB over {report.segments_used} segments")
         if args.csv:

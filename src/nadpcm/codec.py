@@ -13,7 +13,7 @@ Reconstructed history is continuous across frame boundaries; predictor
 training sets are not.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +24,13 @@ from .bitstream import (
     Bitstream,
     BitstreamError,
     BitstreamHeader,
+    CodecConfig,
     FORWARD_COEFF_COUNT,
     FramePayload,
     PredictorKind,
 )
-from .mlp import MASK64, Mlp, TrainConfig, multistart_fit
-from .quantizer import (
-    AdaptiveQuantizer,
-    DEFAULT_STEP_INIT,
-    DEFAULT_STEP_MAX,
-    DEFAULT_STEP_MIN,
-    default_multipliers,
-)
+from .mlp import MASK64, Mlp, multistart_fit
+from .quantizer import AdaptiveQuantizer
 
 HISTORY_LEN = 25  # covers the largest predictor order
 
@@ -50,53 +45,6 @@ class ZeroPredictor:
 
 
 ZERO = ZeroPredictor()
-
-
-@dataclass(frozen=True)
-class CodecConfig:
-    frame_len: int = 200
-    bits: int = 4
-    predictor_kind: PredictorKind = PredictorKind.LPC10
-    adaptation: Adaptation = Adaptation.BACKWARD
-    train: TrainConfig = field(default_factory=TrainConfig)
-    step_init: float = DEFAULT_STEP_INIT
-    step_min: float = DEFAULT_STEP_MIN
-    step_max: float = DEFAULT_STEP_MAX
-    multipliers: tuple = ()
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 2 <= self.bits <= 5:
-            raise ValueError(f"bits must be in 2..5, got {self.bits}")
-        if self.frame_len < 1:
-            raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
-        needs_mlp = self.predictor_kind in (PredictorKind.MLP, PredictorKind.HYBRID)
-        if needs_mlp and self.frame_len < 11:
-            raise ValueError(
-                f"frame_len must be >= 11 for neural predictors, got {self.frame_len}"
-            )
-        if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
-            raise ValueError("hybrid coding is defined for backward adaptation only")
-        if not 0 < self.step_min <= self.step_init <= self.step_max:
-            raise ValueError(
-                f"need 0 < step_min <= step_init <= step_max, got "
-                f"{self.step_min}, {self.step_init}, {self.step_max}"
-            )
-        if not self.multipliers:
-            object.__setattr__(self, "multipliers", default_multipliers(self.bits))
-        object.__setattr__(self, "multipliers", tuple(self.multipliers))
-        object.__setattr__(self, "seed", self.seed & MASK64)
-
-    def payload_bit_rate(self, sample_rate: int) -> float:
-        """Payload bits/second: code bits plus the hybrid flag overhead.
-
-        Forward coefficient overhead is excluded; forward mode is the
-        unquantized reference configuration.
-        """
-        rate = float(self.bits * sample_rate)
-        if self.predictor_kind is PredictorKind.HYBRID:
-            rate += sample_rate / self.frame_len
-        return rate
 
 
 @dataclass(frozen=True)
@@ -119,18 +67,30 @@ def initial_state(config: CodecConfig) -> CodecState:
     return CodecState(history=(0.0,) * HISTORY_LEN, quantizer=quantizer, frame_index=0)
 
 
-def fit_backward(prev_decoded, kind: PredictorKind, config: CodecConfig, frame_index: int):
-    """Refit a predictor from the previous decoded frame (decoder-reproducible)."""
+def fit_backward(samples, kind: PredictorKind, config: CodecConfig, frame_index: int):
+    """Fit a predictor on one frame of samples: the previous decoded frame in
+    backward mode (decoder-reproducible), the current original frame in
+    forward mode (coefficients transmitted)."""
     if kind in LPC_ORDER:
-        return lpc.fit(prev_decoded, LPC_ORDER[kind])
+        return lpc.fit(samples, LPC_ORDER[kind])
     if kind is PredictorKind.MLP:
-        return multistart_fit(prev_decoded, config.train, (config.seed ^ frame_index) & MASK64)
+        return multistart_fit(samples, config.train, (config.seed ^ frame_index) & MASK64)
     raise ValueError(f"cannot fit predictor kind {kind}")
 
 
-def fit_forward(current_frame, kind: PredictorKind, config: CodecConfig, frame_index: int):
-    """Fit a predictor on the current original frame (coefficients transmitted)."""
-    return fit_backward(current_frame, kind, config, frame_index)
+def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, flag=None):
+    """Backward predictor of a frame, the one rule encoder and decoder share.
+
+    Frame 0 has no decoded history and uses ZERO. Later frames refit from
+    the previous reconstructed frame; in hybrid mode `flag` picks the
+    branch, 0 for LPC-10 and 1 for the MLP.
+    """
+    if frame_index == 0:
+        return ZERO
+    kind = config.predictor_kind
+    if kind is PredictorKind.HYBRID:
+        kind = PredictorKind.MLP if flag else PredictorKind.LPC10
+    return fit_backward(prev_recon, kind, config, frame_index)
 
 
 def forward_coeff_vector(predictor, kind: PredictorKind) -> tuple:
@@ -222,72 +182,52 @@ class EncodeResult:
     frame_stats: tuple
 
 
-def _header_for(signal: Signal, config: CodecConfig) -> BitstreamHeader:
-    return BitstreamHeader(
-        sample_rate=signal.sample_rate,
-        true_sample_count=len(signal),
-        frame_len=config.frame_len,
-        bits=config.bits,
-        predictor_kind=config.predictor_kind,
-        adaptation=config.adaptation,
-        epochs=config.train.epochs,
-        restarts=config.train.restarts,
-        seed=config.seed,
-        step_init=config.step_init,
-        step_min=config.step_min,
-        step_max=config.step_max,
-        multipliers=config.multipliers,
-        init_scale=config.train.init_scale,
-        lambda_init=config.train.lambda_init,
-        lambda_up=config.train.lambda_up,
-        lambda_down=config.train.lambda_down,
-    )
-
-
 def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
     """Encode a signal; returns the bitstream plus the encoder's own
     reconstruction (what a tracking decoder will reproduce exactly)."""
     if len(signal) == 0:
         raise ValueError("cannot encode an empty signal")
+    non_finite = np.flatnonzero(~np.isfinite(signal.samples))
+    if non_finite.size:
+        i = non_finite[0]
+        raise ValueError(f"sample {i} is not finite ({signal.samples[i]})")
     frames, _ = split_frames(signal.samples, config.frame_len)
     kind = config.predictor_kind
+    hybrid = kind is PredictorKind.HYBRID
 
     state = initial_state(config)
     prev_recon = None
     payloads = []
     stats = []
     recon_parts = []
-    for idx in range(len(frames)):
-        frame = frames[idx]
-        if kind is PredictorKind.HYBRID:
-            if idx == 0:
-                codes, state, recon, sse = encode_frame(state, frame, ZERO)
-                flag, branches = 0, None
-            else:
-                linear = fit_backward(prev_recon, PredictorKind.LPC10, config, idx)
-                neural = fit_backward(prev_recon, PredictorKind.MLP, config, idx)
-                flag, codes, state, recon, branches = encode_frame_hybrid(
-                    state, frame, linear, neural
-                )
-                sse = branches[flag]
-            payloads.append(FramePayload(codes=tuple(codes), hybrid_flag=flag))
-            stats.append(FrameStat(sse=sse, hybrid_flag=flag, branch_sses=branches))
-        elif config.adaptation is Adaptation.BACKWARD:
-            predictor = ZERO if idx == 0 else fit_backward(prev_recon, kind, config, idx)
+    for idx, frame in enumerate(frames):
+        if config.adaptation is Adaptation.FORWARD:
+            predictor = fit_backward(frame, kind, config, idx)
             codes, state, recon, sse = encode_frame(state, frame, predictor)
-            payloads.append(FramePayload(codes=tuple(codes)))
-            stats.append(FrameStat(sse=sse))
-        else:
-            predictor = fit_forward(frame, kind, config, idx)
             coeffs = forward_coeff_vector(predictor, kind)
-            codes, state, recon, sse = encode_frame(state, frame, predictor)
             payloads.append(FramePayload(codes=tuple(codes), forward_coeffs=coeffs))
             stats.append(FrameStat(sse=sse))
+        elif hybrid and idx > 0:
+            flag, codes, state, recon, branches = encode_frame_hybrid(
+                state,
+                frame,
+                frame_predictor(config, idx, prev_recon, 0),
+                frame_predictor(config, idx, prev_recon, 1),
+            )
+            payloads.append(FramePayload(codes=tuple(codes), hybrid_flag=flag))
+            stats.append(FrameStat(sse=branches[flag], hybrid_flag=flag, branch_sses=branches))
+        else:
+            predictor = frame_predictor(config, idx, prev_recon)
+            codes, state, recon, sse = encode_frame(state, frame, predictor)
+            flag = 0 if hybrid else None
+            payloads.append(FramePayload(codes=tuple(codes), hybrid_flag=flag))
+            stats.append(FrameStat(sse=sse, hybrid_flag=flag))
         prev_recon = recon
         recon_parts.append(recon)
 
     reconstruction = np.concatenate(recon_parts)[: len(signal)]
-    bitstream = Bitstream(header=_header_for(signal, config), payloads=tuple(payloads))
+    header = BitstreamHeader(signal.sample_rate, len(signal), config)
+    bitstream = Bitstream(header=header, payloads=tuple(payloads))
     return EncodeResult(
         bitstream=bitstream,
         reconstruction=Signal(reconstruction, signal.sample_rate),
@@ -295,38 +235,12 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
     )
 
 
-def config_from_header(header: BitstreamHeader) -> CodecConfig:
-    """The encoding configuration a bitstream header describes."""
-    return CodecConfig(
-        frame_len=header.frame_len,
-        bits=header.bits,
-        predictor_kind=header.predictor_kind,
-        adaptation=header.adaptation,
-        train=TrainConfig(
-            epochs=header.epochs,
-            restarts=header.restarts,
-            lambda_init=header.lambda_init,
-            lambda_up=header.lambda_up,
-            lambda_down=header.lambda_down,
-            init_scale=header.init_scale,
-        ),
-        step_init=header.step_init,
-        step_min=header.step_min,
-        step_max=header.step_max,
-        multipliers=header.multipliers,
-        seed=header.seed,
-    )
-
-
 def decode(bitstream: Bitstream) -> Signal:
     """Reconstruct the signal, re-deriving backward predictors from the
     decoder's own output frame by frame."""
     header = bitstream.header
-    kind = header.predictor_kind
-    try:
-        config = config_from_header(header)
-    except ValueError as exc:
-        raise BitstreamError(f"invalid header: {exc}") from None
+    config = header.config
+    kind = config.predictor_kind
     if len(bitstream.payloads) != header.frame_count:
         raise BitstreamError(
             f"expected {header.frame_count} frames, got {len(bitstream.payloads)}"
@@ -337,21 +251,14 @@ def decode(bitstream: Bitstream) -> Signal:
     parts = []
     for idx, payload in enumerate(bitstream.payloads):
         try:
-            if kind is PredictorKind.HYBRID:
-                if payload.hybrid_flag is None:
-                    raise ValueError("hybrid stream frame lacks its flag bit")
-                if idx == 0:
-                    predictor = ZERO
-                elif payload.hybrid_flag == 0:
-                    predictor = fit_backward(prev_recon, PredictorKind.LPC10, config, idx)
-                else:
-                    predictor = fit_backward(prev_recon, PredictorKind.MLP, config, idx)
-            elif config.adaptation is Adaptation.BACKWARD:
-                predictor = ZERO if idx == 0 else fit_backward(prev_recon, kind, config, idx)
-            else:
+            if config.adaptation is Adaptation.FORWARD:
                 if payload.forward_coeffs is None:
                     raise ValueError("forward stream frame lacks coefficients")
                 predictor = predictor_from_coeffs(kind, payload.forward_coeffs)
+            else:
+                if kind is PredictorKind.HYBRID and payload.hybrid_flag is None:
+                    raise ValueError("hybrid stream frame lacks its flag bit")
+                predictor = frame_predictor(config, idx, prev_recon, payload.hybrid_flag)
             recon, state = decode_frame(state, payload.codes, predictor)
         except ValueError as exc:
             raise BitstreamError(str(exc), frame_index=idx) from None

@@ -255,7 +255,7 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
 
 def predictor_usage(bitstream: Bitstream):
     """Percentage of frames coded by each hybrid branch: (pct_mlp, pct_lpc)."""
-    if bitstream.header.predictor_kind is not PredictorKind.HYBRID:
+    if bitstream.header.config.predictor_kind is not PredictorKind.HYBRID:
         raise ValueError("predictor usage is defined for hybrid bitstreams only")
     flags = [p.hybrid_flag for p in bitstream.payloads]
     n = len(flags)

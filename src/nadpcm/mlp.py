@@ -12,6 +12,7 @@ weights, output bias.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.lambda_init <= 0:
-            raise ValueError(f"lambda_init must be > 0, got {self.lambda_init}")
+        for name in ("lambda_init", "lambda_up", "lambda_down", "init_scale"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -287,5 +287,5 @@ def test_c11_throughput(capsys, speech_like):
     started = time.monotonic()
     encode(speech_like, config)
     elapsed = time.monotonic() - started
-    _check(capsys, 11, "neural encode runs faster than 10x real time",
+    _check(capsys, 11, "neural encode runs no slower than 10x real time",
            elapsed < 10.0, f"{elapsed:.2f}s for 1s of audio")

@@ -1,5 +1,7 @@
 """Bitstream serialization: header fields, bit packing, validation."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,42 +12,34 @@ from nadpcm.bitstream import (
     BitstreamHeader,
     BitReader,
     BitWriter,
+    CodecConfig,
     FramePayload,
     PredictorKind,
     parse,
     serialize,
 )
+from nadpcm.mlp import TrainConfig
 from nadpcm.quantizer import DEFAULT_MULTIPLIERS
 
+TRAIN_FIELDS = ("epochs", "restarts", "init_scale", "lambda_init", "lambda_up", "lambda_down")
 
-def make_header(**overrides):
-    fields = dict(
-        sample_rate=8000,
-        true_sample_count=400,
-        frame_len=200,
-        bits=4,
-        predictor_kind=PredictorKind.LPC10,
-        adaptation=Adaptation.BACKWARD,
-        epochs=6,
-        restarts=4,
-        seed=1234567890123456789,
-        step_init=0.02,
-        step_min=2.0 ** -12,
-        step_max=0.5,
-        multipliers=DEFAULT_MULTIPLIERS[4],
-        init_scale=0.5,
-        lambda_init=0.01,
-        lambda_up=10.0,
-        lambda_down=0.1,
-    )
-    fields.update(overrides)
-    if "multipliers" not in overrides and "bits" in overrides:
-        fields["multipliers"] = DEFAULT_MULTIPLIERS[overrides["bits"]]
-    return BitstreamHeader(**fields)
+
+def make_header(sample_rate=8000, true_sample_count=400, seed=1234567890123456789,
+                **overrides):
+    """Header over a default CodecConfig; TrainConfig fields may be given flat."""
+    train = TrainConfig(**{k: overrides.pop(k) for k in TRAIN_FIELDS if k in overrides})
+    config = CodecConfig(seed=seed, train=train, **overrides)
+    return BitstreamHeader(sample_rate, true_sample_count, config)
+
+
+def serialized(header):
+    """Wire bytes of a stream of all-zero codes under this header."""
+    payload = FramePayload(codes=codes_for(header))
+    return serialize(Bitstream(header, (payload,) * header.frame_count))
 
 
 def codes_for(header, value=0):
-    return tuple([value] * header.frame_len)
+    return tuple([value] * header.config.frame_len)
 
 
 class TestBitPacking:
@@ -222,9 +216,36 @@ class TestValidation:
         with pytest.raises(BitstreamError):
             parse(bytes(data))
 
+    def test_parse_rejects_non_finite_header_reals(self):
+        # step_init, step_min, step_max, then after the count byte the eight
+        # 4-bit multipliers, init_scale and the three damping reals
+        base = serialized(make_header(bits=4))
+        offsets = [32, 40, 48] + [57 + 8 * k for k in range(8 + 4)]
+        for offset in offsets:
+            for bad in (float("nan"), float("inf")):
+                data = bytearray(base)
+                data[offset : offset + 8] = struct.pack("<d", bad)
+                with pytest.raises(BitstreamError, match="invalid header"):
+                    parse(bytes(data))
+
+    def test_parse_rejects_non_finite_forward_coefficient(self):
+        header = make_header(adaptation=Adaptation.FORWARD, true_sample_count=600)
+        good = (0.5,) + (0.0,) * 9
+        payloads = tuple(
+            FramePayload(codes=codes_for(header), forward_coeffs=coeffs)
+            for coeffs in (good, (0.5, float("inf")) + (0.0,) * 8, good)
+        )
+        with pytest.raises(BitstreamError, match="non-finite") as info:
+            parse(serialize(Bitstream(header, payloads)))
+        assert info.value.frame_index == 1
+
     def test_parse_rejects_wrong_multiplier_count(self):
-        header = make_header(bits=5, multipliers=DEFAULT_MULTIPLIERS[4])
-        with pytest.raises((BitstreamError, ValueError)):
-            parse(serialize(Bitstream(
-                header, tuple(FramePayload(codes=codes_for(header))
-                              for _ in range(header.frame_count)))))
+        # a config with the wrong count cannot be built, so forge the count
+        # byte of a 4-bit stream (8 multipliers); 0 would mean "default table"
+        data = bytearray(serialized(make_header(bits=4)))
+        count_offset = 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24
+        assert data[count_offset] == 8
+        for count in (4, 0):
+            data[count_offset] = count
+            with pytest.raises(BitstreamError, match="multiplier"):
+                parse(bytes(data))

@@ -81,7 +81,7 @@ class TestEncode:
                          "--bits", "2", "--multipliers", "0.85,1.7")
         assert code == 0
         header = parse((tmp_path / "o.nad").read_bytes()).header
-        assert header.multipliers == (0.85, 1.7)
+        assert header.config.multipliers == (0.85, 1.7)
 
 
 class TestDecode:

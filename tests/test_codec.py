@@ -15,12 +15,10 @@ from nadpcm import (
 )
 from nadpcm.codec import (
     ZERO,
-    config_from_header,
     decode_frame,
     encode_frame,
     encode_frame_hybrid,
     fit_backward,
-    fit_forward,
     forward_coeff_vector,
     initial_state,
     predictor_from_coeffs,
@@ -134,8 +132,18 @@ class TestCodecConfig:
         assert CodecConfig(bits=3).multipliers == (0.9, 0.9, 1.25, 1.75)
 
     def test_step_bounds_validated(self):
-        with pytest.raises(ValueError):
-            CodecConfig(step_init=0.6, step_max=0.5)
+        nan, inf = float("nan"), float("inf")
+        for steps in [dict(step_init=0.6, step_max=0.5), dict(step_max=inf),
+                      dict(step_init=inf, step_max=inf), dict(step_min=nan),
+                      dict(step_init=nan), dict(step_max=nan)]:
+            with pytest.raises(ValueError):
+                CodecConfig(**steps)
+
+    def test_multipliers_validated(self):
+        for table in [(0.8,), (0.8, 1.6, 2.0), (0.0, 1.6), (-0.8, 1.6),
+                      (float("nan"), 1.6), (0.8, float("inf"))]:
+            with pytest.raises(ValueError, match="multipliers"):
+                CodecConfig(bits=2, multipliers=table)
 
     def test_payload_bit_rate(self):
         assert CodecConfig(bits=2).payload_bit_rate(8000) == 16000
@@ -152,7 +160,7 @@ class TestForwardMode:
         back = parse(serialize(result.bitstream))
         frames = np.reshape(ar_signal.samples[:2000], (10, 200))
         for k, payload in enumerate(back.payloads):
-            fitted = fit_forward(frames[k], PredictorKind.LPC10, config, k)
+            fitted = fit_backward(frames[k], PredictorKind.LPC10, config, k)
             expected = forward_coeff_vector(fitted, PredictorKind.LPC10)
             assert payload.forward_coeffs == expected
 
@@ -225,6 +233,14 @@ class TestEncodeDecode:
         decoded = decode(result.bitstream)
         assert len(decoded) == 450
 
+    def test_non_finite_input_rejected(self):
+        from nadpcm import Signal
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            samples = np.zeros(300)
+            samples[217] = bad
+            with pytest.raises(ValueError, match="sample 217 is not finite"):
+                encode(Signal(samples, 8000), CodecConfig())
+
     def test_empty_signal_rejected(self):
         from nadpcm import Signal
         with pytest.raises(ValueError):
@@ -243,5 +259,5 @@ class TestEncodeDecode:
         config = CodecConfig(bits=3, frame_len=150, seed=42,
                              predictor_kind=PredictorKind.LPC25)
         result = encode(ar_signal, config)
-        back = config_from_header(result.bitstream.header)
+        back = parse(serialize(result.bitstream)).header.config
         assert back == config

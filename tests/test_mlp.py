@@ -324,5 +324,7 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(restarts=0)
-        with pytest.raises(ValueError):
-            TrainConfig(lambda_init=0.0)
+        for name in ("lambda_init", "lambda_up", "lambda_down", "init_scale"):
+            for value in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    TrainConfig(**{name: value})
