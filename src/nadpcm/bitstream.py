@@ -30,7 +30,7 @@ from .quantizer import (
     DEFAULT_STEP_INIT,
     DEFAULT_STEP_MAX,
     DEFAULT_STEP_MIN,
-    default_multipliers,
+    check_params,
 )
 
 MAGIC = b"NADP"
@@ -85,8 +85,8 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 5:
-            raise ValueError(f"bits must be in 2..5, got {self.bits}")
+        object.__setattr__(self, "multipliers", check_params(
+            self.bits, self.step_init, self.step_min, self.step_max, self.multipliers))
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
         needs_mlp = self.predictor_kind in (PredictorKind.MLP, PredictorKind.HYBRID)
@@ -96,21 +96,6 @@ class CodecConfig:
             )
         if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
             raise ValueError("hybrid coding is defined for backward adaptation only")
-        if not 0 < self.step_min <= self.step_init <= self.step_max < math.inf:
-            raise ValueError(
-                f"need 0 < step_min <= step_init <= step_max < inf, got "
-                f"{self.step_min}, {self.step_init}, {self.step_max}"
-            )
-        if not self.multipliers:
-            object.__setattr__(self, "multipliers", default_multipliers(self.bits))
-        object.__setattr__(self, "multipliers", tuple(self.multipliers))
-        if len(self.multipliers) != 2 ** (self.bits - 1):
-            raise ValueError(
-                f"{self.bits}-bit coding needs {2 ** (self.bits - 1)} multipliers, "
-                f"got {len(self.multipliers)}"
-            )
-        if not all(0 < m < math.inf for m in self.multipliers):
-            raise ValueError(f"multipliers must be finite and > 0, got {self.multipliers}")
         object.__setattr__(self, "seed", self.seed & MASK64)
 
     def payload_bit_rate(self, sample_rate: int) -> float:
@@ -306,6 +291,8 @@ def parse(data: bytes) -> Bitstream:
     )
     if true_count < 1:
         raise BitstreamError("empty stream")
+    if sample_rate < 1:
+        raise BitstreamError(f"sample_rate must be >= 1, got {sample_rate}")
     try:
         config = CodecConfig(
             frame_len=frame_len,

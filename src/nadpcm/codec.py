@@ -1,18 +1,20 @@
 """Closed-loop ADPCM encoder/decoder with per-frame predictor refitting.
 
 Per sample: predict from reconstructed history, quantize the residual,
-reconstruct, adapt the quantizer step. Predictors are refitted once per
-frame, either from the previous decoded frame (backward: the decoder
-re-derives them from its own output, nothing is transmitted) or from the
-current original frame (forward: coefficients travel in the payload).
-The hybrid mode runs a linear and a neural branch from the same state
-snapshot, commits whichever reconstructs the frame with smaller squared
-error, and spends one flag bit per frame to tell the decoder.
+reconstruct, adapt the quantizer step. One loop does this for both sides;
+the decoder runs it on the received codes. Predictors are refitted once
+per frame, either from the previous decoded frame (backward: the decoder
+re-derives them, nothing is transmitted) or from the current original
+frame (forward: coefficients travel in the payload). The hybrid mode runs
+a linear and a neural branch from the same state, commits whichever
+reconstructs the frame with smaller squared error, and spends one flag
+bit per frame to tell the decoder.
 
 Reconstructed history is continuous across frame boundaries; predictor
 training sets are not.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,46 +27,31 @@ from .bitstream import (
     BitstreamError,
     BitstreamHeader,
     CodecConfig,
-    FORWARD_COEFF_COUNT,
     FramePayload,
     PredictorKind,
 )
 from .mlp import MASK64, Mlp, multistart_fit
-from .quantizer import AdaptiveQuantizer
+from .quantizer import code_range, dequantize, next_step, quantize
 
 HISTORY_LEN = 25  # covers the largest predictor order
 
 LPC_ORDER = {PredictorKind.LPC10: 10, PredictorKind.LPC25: 25}
 
-
-class ZeroPredictor:
-    """Predicts 0.0 regardless of history; the frame-0 backward bootstrap."""
-
-    def predict(self, history) -> float:
-        return 0.0
-
-
-ZERO = ZeroPredictor()
+ZERO = lpc.LpcModel.zero(0)  # predicts 0.0; the frame-0 backward bootstrap
 
 
 @dataclass(frozen=True)
 class CodecState:
-    """Reconstruction history (newest last), quantizer state, frame counter."""
+    """Loop state between frames: history (newest last), step, frame index, config."""
 
     history: tuple
-    quantizer: AdaptiveQuantizer
-    frame_index: int = 0
+    step: float
+    frame_index: int
+    config: CodecConfig
 
 
 def initial_state(config: CodecConfig) -> CodecState:
-    quantizer = AdaptiveQuantizer(
-        bits=config.bits,
-        step=config.step_init,
-        step_min=config.step_min,
-        step_max=config.step_max,
-        multipliers=config.multipliers,
-    )
-    return CodecState(history=(0.0,) * HISTORY_LEN, quantizer=quantizer, frame_index=0)
+    return CodecState((0.0,) * HISTORY_LEN, config.step_init, 0, config)
 
 
 def fit_backward(samples, kind: PredictorKind, config: CodecConfig, frame_index: int):
@@ -104,53 +91,52 @@ def forward_coeff_vector(predictor, kind: PredictorKind) -> tuple:
 
 def predictor_from_coeffs(kind: PredictorKind, coeffs):
     """Rebuild the predictor a forward-mode payload describes."""
-    expected = FORWARD_COEFF_COUNT[kind]
-    if len(coeffs) != expected:
-        raise ValueError(f"kind {kind.name} needs {expected} coefficients, got {len(coeffs)}")
     if kind in LPC_ORDER:
-        return lpc.LpcModel.from_coeffs(coeffs)
+        return lpc.LpcModel(LPC_ORDER[kind], coeffs, np.zeros(LPC_ORDER[kind]))
     return Mlp.from_vector(np.asarray(coeffs, dtype=np.float64))
 
 
-def encode_frame(state: CodecState, frame, predictor):
-    """Run the closed loop over one frame.
-
-    Returns (codes, new_state, reconstruction, sse) where sse is the
-    frame's total squared reconstruction error.
-    """
+def _closed_loop(state: CodecState, frame, predictor, codes=None):
+    """Run the closed loop over one frame: quantize `frame`, or follow the
+    received `codes` when given. Returns (codes, new_state, reconstruction,
+    sse), sse being 0.0 when following codes. A non-finite prediction
+    raises ValueError naming the sample."""
+    config = state.config
+    bits, multipliers = config.bits, config.multipliers
+    step_min, step_max = config.step_min, config.step_max
+    step = state.step
     hist = list(state.history)
-    q = state.quantizer
-    codes = []
-    recon = np.empty(len(frame), dtype=np.float64)
-    sse = 0.0
-    for n, x in enumerate(frame):
+    received = codes is not None
+    inputs = codes if received else np.asarray(frame, dtype=np.float64).tolist()
+    out, recon, sse = codes if received else [], [], 0.0
+    for n, x in enumerate(inputs):
         p = predictor.predict(hist)
-        c = q.quantize(x - p)
-        xr = p + q.dequantize(c)
-        q = q.adapt(c)
+        if not -math.inf < p < math.inf:
+            sample = state.frame_index * config.frame_len + n
+            raise ValueError(f"prediction {p} for sample {sample} is not finite")
+        c = x if received else quantize(x - p, step, bits)
+        xr = p + dequantize(c, step)
+        step = next_step(step, c, multipliers, step_min, step_max)
         hist.append(xr)
         del hist[0]
-        codes.append(c)
-        recon[n] = xr
-        d = x - xr
-        sse += d * d
-    new_state = CodecState(tuple(hist), q, state.frame_index + 1)
-    return codes, new_state, recon, float(sse)
+        recon.append(xr)
+        if not received:
+            out.append(c)
+            d = x - xr
+            sse += d * d
+    new_state = CodecState(tuple(hist), step, state.frame_index + 1, config)
+    return out, new_state, np.array(recon, dtype=np.float64), float(sse)
+
+
+def encode_frame(state: CodecState, frame, predictor):
+    """Quantize one frame; returns (codes, new_state, reconstruction, sse)."""
+    return _closed_loop(state, frame, predictor)
 
 
 def decode_frame(state: CodecState, codes, predictor):
-    """Mirror of encode_frame driven by received codes."""
-    hist = list(state.history)
-    q = state.quantizer
-    recon = np.empty(len(codes), dtype=np.float64)
-    for n, c in enumerate(codes):
-        p = predictor.predict(hist)
-        xr = p + q.dequantize(c)
-        q = q.adapt(c)
-        hist.append(xr)
-        del hist[0]
-        recon[n] = xr
-    return recon, CodecState(tuple(hist), q, state.frame_index + 1)
+    """Reconstruct one frame from received codes; returns (recon, new_state)."""
+    _, new_state, recon, _ = _closed_loop(state, None, predictor, codes)
+    return recon, new_state
 
 
 def encode_frame_hybrid(state: CodecState, frame, linear_predictor, neural_predictor):
@@ -201,27 +187,22 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
     stats = []
     recon_parts = []
     for idx, frame in enumerate(frames):
-        if config.adaptation is Adaptation.FORWARD:
-            predictor = fit_backward(frame, kind, config, idx)
-            codes, state, recon, sse = encode_frame(state, frame, predictor)
-            coeffs = forward_coeff_vector(predictor, kind)
-            payloads.append(FramePayload(codes=tuple(codes), forward_coeffs=coeffs))
-            stats.append(FrameStat(sse=sse))
-        elif hybrid and idx > 0:
+        flag = coeffs = branches = None
+        if hybrid and idx > 0:
             flag, codes, state, recon, branches = encode_frame_hybrid(
-                state,
-                frame,
-                frame_predictor(config, idx, prev_recon, 0),
-                frame_predictor(config, idx, prev_recon, 1),
-            )
-            payloads.append(FramePayload(codes=tuple(codes), hybrid_flag=flag))
-            stats.append(FrameStat(sse=branches[flag], hybrid_flag=flag, branch_sses=branches))
+                state, frame, frame_predictor(config, idx, prev_recon, 0),
+                frame_predictor(config, idx, prev_recon, 1))
+            sse = branches[flag]
         else:
-            predictor = frame_predictor(config, idx, prev_recon)
+            if config.adaptation is Adaptation.FORWARD:
+                predictor = fit_backward(frame, kind, config, idx)
+                coeffs = forward_coeff_vector(predictor, kind)
+            else:
+                predictor = frame_predictor(config, idx, prev_recon)
+                flag = 0 if hybrid else None
             codes, state, recon, sse = encode_frame(state, frame, predictor)
-            flag = 0 if hybrid else None
-            payloads.append(FramePayload(codes=tuple(codes), hybrid_flag=flag))
-            stats.append(FrameStat(sse=sse, hybrid_flag=flag))
+        payloads.append(FramePayload(tuple(codes), hybrid_flag=flag, forward_coeffs=coeffs))
+        stats.append(FrameStat(sse=sse, hybrid_flag=flag, branch_sses=branches))
         prev_recon = recon
         recon_parts.append(recon)
 
@@ -246,11 +227,18 @@ def decode(bitstream: Bitstream) -> Signal:
             f"expected {header.frame_count} frames, got {len(bitstream.payloads)}"
         )
 
+    code_min, code_max = code_range(config.bits)
     state = initial_state(config)
     prev_recon = None
     parts = []
     for idx, payload in enumerate(bitstream.payloads):
         try:
+            codes = payload.codes
+            if len(codes) != config.frame_len:
+                raise ValueError(f"expected {config.frame_len} codes, got {len(codes)}")
+            bad = [c for c in codes if not code_min <= c <= code_max]
+            if bad:
+                raise ValueError(f"code {bad[0]} outside [{code_min}, {code_max}]")
             if config.adaptation is Adaptation.FORWARD:
                 if payload.forward_coeffs is None:
                     raise ValueError("forward stream frame lacks coefficients")
@@ -259,7 +247,7 @@ def decode(bitstream: Bitstream) -> Signal:
                 if kind is PredictorKind.HYBRID and payload.hybrid_flag is None:
                     raise ValueError("hybrid stream frame lacks its flag bit")
                 predictor = frame_predictor(config, idx, prev_recon, payload.hybrid_flag)
-            recon, state = decode_frame(state, payload.codes, predictor)
+            recon, state = decode_frame(state, codes, predictor)
         except ValueError as exc:
             raise BitstreamError(str(exc), frame_index=idx) from None
         prev_recon = recon

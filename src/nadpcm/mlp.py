@@ -119,9 +119,7 @@ class Mlp:
         """Predict the next sample from reconstructed history, newest last."""
         if len(history) < N_INPUTS:
             raise ValueError(f"history of {len(history)} too short for {N_INPUTS} inputs")
-        x = np.array(history[-1 : -N_INPUTS - 1 : -1], dtype=np.float64)
-        h = expit(self.w_in @ x + self.b_hid)
-        return float(self.w_out @ h + self.b_out)
+        return self.forward(history[-1 : -N_INPUTS - 1 : -1])
 
 
 def init_mlp(rng: SplitMix64, scale: float) -> Mlp:

@@ -1,10 +1,10 @@
 """Adaptive uniform midrise quantizer for the prediction residual.
 
-The step size is multiplied after every sample by a factor indexed by
-the magnitude rank of the emitted code (small residual codes shrink the
-step, overload codes grow it) and clamped to [step_min, step_max].
-Encoder and decoder apply the identical rule, so feeding the decoder the
-encoder's code sequence reproduces the step trajectory exactly.
+After every sample the step is multiplied by a factor indexed by the
+magnitude rank of the emitted code (small codes shrink it, overload codes
+grow it) and clamped to [step_min, step_max]: Jayant's one-word-memory
+rule. The rule lives in `quantize`, `dequantize` and `next_step`, plain
+functions of numbers that the codec loop and `AdaptiveQuantizer` share.
 """
 
 import math
@@ -30,9 +30,63 @@ def default_multipliers(bits: int) -> tuple:
     return DEFAULT_MULTIPLIERS[bits]
 
 
+def check_params(bits: int, step: float, step_min: float, step_max: float, multipliers) -> tuple:
+    """Validate quantizer parameters; return the multiplier table (default if empty)."""
+    if not 2 <= bits <= 5:
+        raise ValueError(f"bits must be in 2..5, got {bits}")
+    if not 0 < step_min <= step <= step_max < math.inf:
+        raise ValueError(f"need 0 < step_min <= step <= step_max < inf, got "
+                         f"{step_min}, {step}, {step_max}")
+    multipliers = tuple(multipliers) or DEFAULT_MULTIPLIERS[bits]
+    if len(multipliers) != 2 ** (bits - 1):
+        raise ValueError(f"{bits}-bit coding needs {2 ** (bits - 1)} multipliers, "
+                         f"got {len(multipliers)}")
+    if not all(0 < m < math.inf for m in multipliers):
+        raise ValueError(f"multipliers must be finite and > 0, got {multipliers}")
+    return multipliers
+
+
+def code_range(bits: int) -> tuple:
+    """(code_min, code_max) of the bits-bit midrise quantizer."""
+    half = 1 << (bits - 1)
+    return -half, half - 1
+
+
+def quantize(e: float, step: float, bits: int) -> int:
+    """Midrise code for residual e: floor(e/step) clamped to the code range.
+    A cell boundary goes to the upper cell; an infinite ratio clamps."""
+    half = 1 << (bits - 1)
+    level = e / step
+    if level < -half:
+        return -half
+    if level >= half:
+        return half - 1
+    return math.floor(level)
+
+
+def dequantize(code: int, step: float) -> float:
+    """Cell midpoint (code + 0.5) * step."""
+    return (code + 0.5) * step
+
+
+def magnitude_rank(code: int) -> int:
+    """Multiplier index: 0 for the innermost cells up to 2^(bits-1)-1."""
+    return code if code >= 0 else -code - 1
+
+
+def next_step(step: float, code: int, multipliers, step_min: float, step_max: float) -> float:
+    """Step after `code`: times its magnitude rank's multiplier, clamped."""
+    step = step * multipliers[magnitude_rank(code)]
+    if step < step_min:
+        return step_min
+    if step > step_max:
+        return step_max
+    return step
+
+
 @dataclass(frozen=True)
 class AdaptiveQuantizer:
-    """Nq-bit midrise quantizer state; operations return new states."""
+    """Nq-bit quantizer state over the rule functions; `adapt` returns a new state."""
 
     bits: int
     step: float
@@ -41,56 +95,28 @@ class AdaptiveQuantizer:
     multipliers: tuple = ()
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 5:
-            raise ValueError(f"bits must be in 2..5, got {self.bits}")
-        if not self.multipliers:
-            object.__setattr__(self, "multipliers", default_multipliers(self.bits))
-        object.__setattr__(self, "multipliers", tuple(self.multipliers))
-        if len(self.multipliers) != 2 ** (self.bits - 1):
-            raise ValueError(
-                f"need {2 ** (self.bits - 1)} multipliers for {self.bits} bits, "
-                f"got {len(self.multipliers)}"
-            )
-        if any(m <= 0 for m in self.multipliers):
-            raise ValueError("multipliers must be positive")
-        if not self.step_min <= self.step <= self.step_max:
-            raise ValueError(
-                f"step {self.step} outside [{self.step_min}, {self.step_max}]"
-            )
+        object.__setattr__(self, "multipliers", check_params(
+            self.bits, self.step, self.step_min, self.step_max, self.multipliers))
 
     @property
     def code_min(self) -> int:
-        return -(2 ** (self.bits - 1))
+        return code_range(self.bits)[0]
 
     @property
     def code_max(self) -> int:
-        return 2 ** (self.bits - 1) - 1
+        return code_range(self.bits)[1]
 
     def quantize(self, e: float) -> int:
-        """Midrise code for residual e: floor(e/step) clamped to the code range.
-
-        A value exactly on a cell boundary goes to the upper cell (floor
-        convention), which keeps tie-breaking deterministic.
-        """
-        level = math.floor(e / self.step)
-        if level < self.code_min:
-            return self.code_min
-        if level > self.code_max:
-            return self.code_max
-        return level
+        return quantize(e, self.step, self.bits)
 
     def dequantize(self, code: int) -> float:
-        """Cell midpoint (code + 0.5) * step."""
         if not self.code_min <= code <= self.code_max:
             raise ValueError(f"code {code} outside [{self.code_min}, {self.code_max}]")
-        return (code + 0.5) * self.step
+        return dequantize(code, self.step)
 
-    def magnitude_rank(self, code: int) -> int:
-        """Multiplier index: 0 for the innermost cells up to 2^(bits-1)-1."""
-        return code if code >= 0 else -code - 1
+    magnitude_rank = staticmethod(magnitude_rank)
 
     def adapt(self, code: int) -> "AdaptiveQuantizer":
         """Next state with the step multiplied and clamped; all else unchanged."""
-        step = self.step * self.multipliers[self.magnitude_rank(code)]
-        step = min(max(step, self.step_min), self.step_max)
+        step = next_step(self.step, code, self.multipliers, self.step_min, self.step_max)
         return replace(self, step=step)

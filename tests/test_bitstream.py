@@ -249,3 +249,10 @@ class TestValidation:
             data[count_offset] = count
             with pytest.raises(BitstreamError, match="multiplier"):
                 parse(bytes(data))
+
+    def test_parse_rejects_zero_sample_rate(self):
+        data = bytearray(serialized(make_header()))
+        assert struct.unpack_from("<I", data, 5) == (8000,)
+        struct.pack_into("<I", data, 5, 0)
+        with pytest.raises(BitstreamError, match="sample_rate"):
+            parse(bytes(data))

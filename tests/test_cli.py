@@ -117,6 +117,17 @@ class TestDecode:
         assert code == 3
         assert stderr.startswith("error:")
 
+    def test_zero_sample_rate_is_malformed(self, capsys, tmp_path, pcm_file):
+        stream = tmp_path / "s.nad"
+        run(capsys, "encode", "--in", pcm_file, "--out", str(stream))
+        data = bytearray(stream.read_bytes())
+        data[5:9] = bytes(4)  # sample_rate u32
+        stream.write_bytes(bytes(data))
+        code, _, stderr = run(capsys, "decode", "--in", str(stream),
+                              "--out", str(tmp_path / "r.pcm"))
+        assert code == 3
+        assert "sample_rate" in stderr
+
     def test_wav_round_trip(self, capsys, tmp_path, wav_file, ar_signal):
         stream = str(tmp_path / "s.nad")
         run(capsys, "encode", "--in", wav_file, "--out", stream)

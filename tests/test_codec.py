@@ -1,12 +1,18 @@
 """Closed-loop codec: frame coding, adaptation modes, hybrid switching."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from nadpcm import (
     Adaptation,
+    Bitstream,
+    BitstreamError,
     CodecConfig,
+    FramePayload,
     PredictorKind,
+    Signal,
     TrainConfig,
     decode,
     encode,
@@ -45,7 +51,7 @@ class TestEncodeFrame:
         assert codes == [0, -2, 1, 0]
         np.testing.assert_allclose(recon, [0.05, -0.12, 0.192, 0.1024], rtol=1e-12)
         assert sse == pytest.approx(0.02214976, rel=1e-10)
-        assert state.quantizer.step == pytest.approx(0.16384, rel=1e-12)
+        assert state.step == pytest.approx(0.16384, rel=1e-12)
 
     def test_decode_frame_mirrors_encode(self):
         config = hand_trace_config()
@@ -55,14 +61,14 @@ class TestEncodeFrame:
         dec_recon, dec_state = decode_frame(state0, codes, ZERO)
         np.testing.assert_array_equal(dec_recon, enc_recon)
         assert dec_state.history == enc_state.history
-        assert dec_state.quantizer.step == enc_state.quantizer.step
+        assert dec_state.step == enc_state.step
 
     def test_zero_frame_decays_step(self):
         config = CodecConfig(frame_len=200, bits=4)
         codes, state, recon, _ = encode_frame(
             initial_state(config), np.zeros(200), ZERO)
         assert set(codes) == {0}
-        assert state.quantizer.step == config.step_min
+        assert state.step == config.step_min
         assert np.max(np.abs(recon)) <= config.step_init / 2
 
     def test_granular_error_bound_with_good_predictor(self):
@@ -261,3 +267,70 @@ class TestEncodeDecode:
         result = encode(ar_signal, config)
         back = parse(serialize(result.bitstream)).header.config
         assert back == config
+
+
+def forged(data, offset, value):
+    """Stream bytes with the f64 at `offset` replaced."""
+    data = bytearray(data)
+    struct.pack_into("<d", data, offset, value)
+    return bytes(data)
+
+
+class TestUntrustedStreams:
+    """A stream that parses must decode to finite samples or raise
+    BitstreamError naming the frame."""
+
+    # header bytes before the multipliers, and the f64 count after them:
+    # init_scale and three damping reals
+    MULTIPLIERS_OFFSET = 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24 + 1
+    TRAIN_REALS = 4
+
+    def encoded(self, signal, n=2000, **fields):
+        head = Signal(signal.samples[:n], signal.sample_rate)
+        return encode(head, CodecConfig(**fields)).bitstream
+
+    def test_huge_forward_coefficient(self, ar_signal):
+        bitstream = self.encoded(ar_signal, adaptation=Adaptation.FORWARD)
+        data = serialize(bitstream)
+        # frame 0's coefficient block follows the byte-aligned header
+        first_coeff = self.MULTIPLIERS_OFFSET + 8 * (8 + self.TRAIN_REALS)
+        assert struct.unpack_from("<d", data, first_coeff)[0] == \
+            bitstream.payloads[0].forward_coeffs[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BitstreamError, match="not finite") as info:
+                decode(parse(forged(data, first_coeff, 1e300)))
+        assert info.value.frame_index == 0
+
+    def test_huge_init_scale(self, ar_signal):
+        train = TrainConfig(epochs=2, restarts=2)
+        data = serialize(self.encoded(ar_signal, 600, predictor_kind=PredictorKind.MLP,
+                                      train=train))
+        init_scale = self.MULTIPLIERS_OFFSET + 8 * 8
+        assert struct.unpack_from("<d", data, init_scale)[0] == train.init_scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BitstreamError, match="not finite") as info:
+                decode(parse(forged(data, init_scale, 1e300)))
+        assert info.value.frame_index >= 1  # frame 0 uses the zero predictor
+
+    def test_encoder_names_non_finite_prediction(self, ar_signal):
+        config = CodecConfig(predictor_kind=PredictorKind.MLP,
+                             train=TrainConfig(epochs=2, restarts=2, init_scale=1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"prediction .* for sample \d+ is not finite"):
+                encode(Signal(ar_signal.samples[:600], ar_signal.sample_rate), config)
+
+    def test_payload_with_short_frame(self, ar_signal):
+        bitstream = self.encoded(ar_signal, 1000)
+        payloads = list(bitstream.payloads)
+        payloads[1] = FramePayload(codes=payloads[1].codes[:50])
+        with pytest.raises(BitstreamError, match="expected 200 codes, got 50") as info:
+            decode(Bitstream(bitstream.header, tuple(payloads)))
+        assert info.value.frame_index == 1
+
+    def test_payload_with_out_of_range_code(self, ar_signal):
+        bitstream = self.encoded(ar_signal, 1000)
+        payloads = list(bitstream.payloads)
+        payloads[1] = FramePayload(codes=(99,) + payloads[1].codes[1:])
+        with pytest.raises(BitstreamError, match=r"code 99 outside \[-8, 7\]") as info:
+            decode(Bitstream(bitstream.header, tuple(payloads)))
+        assert info.value.frame_index == 1
