@@ -13,17 +13,21 @@ After sample_rate and true_sample_count the header is the `CodecConfig`
 the stream was encoded with; parse rebuilds it, so a header is valid
 exactly when that configuration is.
 
-Frame payloads follow as one continuous bit sequence, MSB-first within
-each byte: an optional hybrid flag bit, an optional byte-aligned block
-of forward predictor coefficients, then frame_len codes of `bits` bits
-each (biased to unsigned by adding 2^(bits-1)). The final byte is
-zero-padded.
+Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
+MSB-first within each byte: the hybrid flag bit (hybrid only), 64 bits
+per forward predictor coefficient (forward only, the f64 bytes as
+above), then frame_len codes of `bits` bits each (biased to unsigned by
+adding 2^(bits-1)). Forward rows are zero-padded to a whole byte, so
+each frame's coefficients start on a byte boundary; other rows follow
+each other without padding. The rows are packed back to back and the
+final byte is zero-padded.
 """
 
-import math
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+import numpy as np
 
 from .mlp import MASK64, TrainConfig
 from .quantizer import (
@@ -104,10 +108,8 @@ class CodecConfig:
         Forward coefficient overhead is excluded; forward mode is the
         unquantized reference configuration.
         """
-        rate = float(self.bits * sample_rate)
-        if self.predictor_kind is PredictorKind.HYBRID:
-            rate += sample_rate / self.frame_len
-        return rate
+        flag_bits, _, codes, _ = frame_row(self)
+        return (flag_bits + codes.stop - codes.start) * sample_rate / self.frame_len
 
 
 @dataclass(frozen=True)
@@ -133,88 +135,18 @@ class Bitstream:
     header: BitstreamHeader
     payloads: tuple
 
-    @property
-    def payload_bits(self) -> int:
-        """Exact payload size in bits before final byte padding."""
-        total = 0
-        for p in self.payloads:
-            if p.hybrid_flag is not None:
-                total += 1
-            if p.forward_coeffs is not None:
-                total += -total % 8 + 64 * len(p.forward_coeffs)
-            total += len(p.codes) * self.header.config.bits
-        return total
 
-
-class BitWriter:
-    """MSB-first bit packer."""
-
-    def __init__(self):
-        self._buf = bytearray()
-        self._cur = 0
-        self._ncur = 0
-
-    def write_bits(self, value: int, n: int) -> None:
-        for shift in range(n - 1, -1, -1):
-            self._cur = (self._cur << 1) | ((value >> shift) & 1)
-            self._ncur += 1
-            if self._ncur == 8:
-                self._buf.append(self._cur)
-                self._cur = 0
-                self._ncur = 0
-
-    def align(self) -> None:
-        if self._ncur:
-            self._buf.append(self._cur << (8 - self._ncur))
-            self._cur = 0
-            self._ncur = 0
-
-    def write_bytes(self, data: bytes) -> None:
-        self.align()
-        self._buf.extend(data)
-
-    def getvalue(self) -> bytes:
-        self.align()
-        return bytes(self._buf)
-
-
-class BitReader:
-    """MSB-first bit unpacker over a byte buffer."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0      # byte index
-        self._bit = 0      # bits consumed within current byte
-
-    def read_bits(self, n: int) -> int:
-        value = 0
-        for _ in range(n):
-            if self._pos >= len(self._data):
-                raise BitstreamError("payload truncated")
-            byte = self._data[self._pos]
-            value = (value << 1) | ((byte >> (7 - self._bit)) & 1)
-            self._bit += 1
-            if self._bit == 8:
-                self._bit = 0
-                self._pos += 1
-        return value
-
-    def align(self) -> None:
-        if self._bit:
-            self._bit = 0
-            self._pos += 1
-
-    def read_bytes(self, n: int) -> bytes:
-        self.align()
-        if self._pos + n > len(self._data):
-            raise BitstreamError("payload truncated")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def whole_bytes_left(self) -> int:
-        used = self._pos + (1 if self._bit else 0)
-        return len(self._data) - used
+def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:
+    """The one frame row layout of the module docstring, as (flag bits,
+    forward coefficient count, code columns, row bits); the coefficients
+    fill the columns between the flag and the codes."""
+    flag_bits = int(config.predictor_kind is PredictorKind.HYBRID)
+    forward = config.adaptation is Adaptation.FORWARD
+    count = FORWARD_COEFF_COUNT[config.predictor_kind] if forward else 0
+    start = flag_bits + 64 * count
+    codes = slice(start, start + config.frame_len * config.bits)
+    row_bits = codes.stop + (-codes.stop % 8 if count else 0)
+    return flag_bits, count, codes, row_bits
 
 
 def serialize(bitstream: Bitstream) -> bytes:
@@ -229,6 +161,19 @@ def serialize(bitstream: Bitstream) -> bytes:
     ]:
         if value > limit:
             raise ValueError(f"{name} {value} not representable in header")
+    payloads = bitstream.payloads
+    if len(payloads) != h.frame_count:
+        raise ValueError(f"{len(payloads)} payloads for a {h.frame_count}-frame header")
+    flag_bits, count, code_cols, row_bits = frame_row(c)
+    for i, p in enumerate(payloads):
+        if p.hybrid_flag not in ((0, 1) if flag_bits else (None,)):
+            need = "0 or 1" if flag_bits else "None"
+            raise ValueError(f"frame {i}: hybrid_flag must be {need}, got {p.hybrid_flag!r}")
+        n_coeffs = None if p.forward_coeffs is None else len(p.forward_coeffs)
+        if n_coeffs != (count or None):
+            raise ValueError(f"frame {i}: expected {count or 'no'} forward_coeffs, got {n_coeffs}")
+        if len(p.codes) != c.frame_len:
+            raise ValueError(f"frame {i}: expected {c.frame_len} codes, got {len(p.codes)}")
 
     out = bytearray()
     out += MAGIC
@@ -243,23 +188,24 @@ def serialize(bitstream: Bitstream) -> bytes:
     out += struct.pack(f"<{len(c.multipliers)}d", *c.multipliers)
     out += struct.pack("<dddd", t.init_scale, t.lambda_init, t.lambda_up, t.lambda_down)
 
-    bias = 1 << (c.bits - 1)
-    writer = BitWriter()
-    for i, payload in enumerate(bitstream.payloads):
-        if payload.hybrid_flag is not None:
-            writer.write_bits(payload.hybrid_flag & 1, 1)
-        if payload.forward_coeffs is not None:
-            writer.write_bytes(
-                struct.pack(f"<{len(payload.forward_coeffs)}d", *payload.forward_coeffs)
-            )
-        if len(payload.codes) != c.frame_len:
-            raise ValueError(f"frame {i}: expected {c.frame_len} codes, got {len(payload.codes)}")
-        for code in payload.codes:
-            u = code + bias
-            if not 0 <= u < (1 << c.bits):
-                raise ValueError(f"frame {i}: code {code} out of range for {c.bits} bits")
-            writer.write_bits(u, c.bits)
-    out += writer.getvalue()
+    frames = len(payloads)
+    codes = np.array([p.codes for p in payloads]).reshape(frames, c.frame_len)
+    if codes.size and codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, got {codes.dtype}")
+    u = codes + (1 << (c.bits - 1))
+    bad = np.argwhere((u < 0) | (u >= 1 << c.bits))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"frame {i}: code {codes[i, j]} out of range for {c.bits} bits")
+    rows = np.zeros((frames, row_bits), dtype=np.uint8)
+    if flag_bits:
+        rows[:, 0] = [p.hybrid_flag for p in payloads]
+    if count:
+        coeffs = np.array([p.forward_coeffs for p in payloads], dtype="<f8")
+        rows[:, flag_bits : code_cols.start] = np.unpackbits(
+            coeffs.view(np.uint8).reshape(frames, 8 * count), axis=1)
+    rows[:, code_cols] = ((u[..., None] >> np.arange(c.bits - 1, -1, -1)) & 1).reshape(frames, -1)
+    out += np.packbits(rows).tobytes()
     return bytes(out)
 
 
@@ -317,24 +263,28 @@ def parse(data: bytes) -> Bitstream:
         raise BitstreamError(f"invalid header: {exc}") from None
     header = BitstreamHeader(sample_rate, true_count, config)
 
-    kind = config.predictor_kind
-    bias = 1 << (bits - 1)
-    reader = BitReader(data[offset:])
-    payloads = []
-    for i in range(header.frame_count):
-        try:
-            flag = reader.read_bits(1) if kind is PredictorKind.HYBRID else None
-            coeffs = None
-            if config.adaptation is Adaptation.FORWARD:
-                count = FORWARD_COEFF_COUNT[kind]
-                coeffs = struct.unpack(f"<{count}d", reader.read_bytes(8 * count))
-                if not all(map(math.isfinite, coeffs)):
-                    raise BitstreamError("non-finite forward coefficient")
-            codes = tuple(reader.read_bits(bits) - bias for _ in range(frame_len))
-        except BitstreamError as exc:
-            raise BitstreamError(str(exc), frame_index=i) from None
-        payloads.append(FramePayload(codes=codes, hybrid_flag=flag, forward_coeffs=coeffs))
+    frames = header.frame_count
+    flag_bits, count, code_cols, row_bits = frame_row(config)
+    payload = np.frombuffer(data, dtype=np.uint8, offset=offset)
+    complete = min(frames, len(payload) * 8 // row_bits)
+    rows = np.unpackbits(payload, count=complete * row_bits).reshape(complete, row_bits)
+    coeffs = [None] * complete
+    if count:
+        block = np.packbits(rows[:, flag_bits : code_cols.start], axis=1).view("<f8")
+        bad = ~np.isfinite(block).all(axis=1)
+        if bad.any():
+            raise BitstreamError("non-finite forward coefficient", frame_index=int(bad.argmax()))
+        coeffs = [tuple(c) for c in block.tolist()]
+    if complete < frames:
+        raise BitstreamError("payload truncated", frame_index=complete)
+    trailing = len(payload) - (frames * row_bits + 7) // 8
+    if trailing > 0:
+        raise BitstreamError(f"{trailing} unexpected trailing bytes")
 
-    if reader.whole_bytes_left() > 0:
-        raise BitstreamError(f"{reader.whole_bytes_left()} unexpected trailing bytes")
-    return Bitstream(header=header, payloads=tuple(payloads))
+    weights = 1 << np.arange(bits - 1, -1, -1)
+    codes = rows[:, code_cols].reshape(frames, frame_len, bits) @ weights - (1 << (bits - 1))
+    flags = rows[:, 0].tolist() if flag_bits else [None] * frames
+    return Bitstream(header=header, payloads=tuple(
+        FramePayload(codes=tuple(row), hybrid_flag=flag, forward_coeffs=coeff)
+        for row, flag, coeff in zip(codes.tolist(), flags, coeffs)
+    ))

@@ -47,12 +47,6 @@ class LpcModel:
     def zero(cls, order: int) -> "LpcModel":
         return cls(order, np.zeros(order), np.zeros(order))
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "LpcModel":
-        """Rebuild a predictor from transmitted coefficients (no reflection data)."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        return cls(len(coeffs), coeffs, np.zeros(len(coeffs)))
-
 
 def autocorrelation(frame, order: int) -> np.ndarray:
     """Biased autocorrelation r[0..order] of a frame.

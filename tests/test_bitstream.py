@@ -1,5 +1,6 @@
 """Bitstream serialization: header fields, bit packing, validation."""
 
+import math
 import struct
 
 import numpy as np
@@ -10,8 +11,6 @@ from nadpcm.bitstream import (
     Bitstream,
     BitstreamError,
     BitstreamHeader,
-    BitReader,
-    BitWriter,
     CodecConfig,
     FramePayload,
     PredictorKind,
@@ -42,45 +41,6 @@ def codes_for(header, value=0):
     return tuple([value] * header.config.frame_len)
 
 
-class TestBitPacking:
-    def test_writer_msb_first(self):
-        w = BitWriter()
-        w.write_bits(0b101, 3)
-        w.write_bits(0b00011, 5)
-        assert w.getvalue() == bytes([0b10100011])
-
-    def test_final_byte_zero_padded(self):
-        w = BitWriter()
-        w.write_bits(0b11, 2)
-        assert w.getvalue() == bytes([0b11000000])
-
-    def test_reader_inverts_writer(self):
-        rng = np.random.default_rng(0)
-        w = BitWriter()
-        fields = [(int(rng.integers(0, 2 ** n)), n) for n in rng.integers(1, 17, 50)]
-        for value, n in fields:
-            w.write_bits(value, int(n))
-        r = BitReader(w.getvalue())
-        for value, n in fields:
-            assert r.read_bits(int(n)) == value
-
-    def test_reader_truncation(self):
-        r = BitReader(b"\xff")
-        r.read_bits(8)
-        with pytest.raises(BitstreamError):
-            r.read_bits(1)
-
-    def test_byte_alignment(self):
-        w = BitWriter()
-        w.write_bits(1, 1)
-        w.write_bytes(b"\xaa")
-        data = w.getvalue()
-        assert data == bytes([0b10000000, 0xAA])
-        r = BitReader(data)
-        assert r.read_bits(1) == 1
-        assert r.read_bytes(1) == b"\xaa"
-
-
 class TestHeaderRoundTrip:
     def test_all_fields_survive(self):
         header = make_header(bits=5, predictor_kind=PredictorKind.MLP,
@@ -101,6 +61,21 @@ class TestHeaderRoundTrip:
 
 
 class TestPayloadRoundTrip:
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5])
+    @pytest.mark.parametrize("frame_len", [200, 201])
+    def test_codes_round_trip_every_depth(self, bits, frame_len):
+        # every code value at every depth, with rows that end mid-byte
+        header = make_header(bits=bits, true_sample_count=3 * frame_len,
+                             frame_len=frame_len, multipliers=DEFAULT_MULTIPLIERS[bits])
+        rng = np.random.default_rng(bits)
+        half = 1 << (bits - 1)
+        payloads = tuple(
+            FramePayload(codes=tuple(int(c) for c in rng.integers(-half, half, frame_len)))
+            for _ in range(3)
+        )
+        back = parse(serialize(Bitstream(header, payloads)))
+        assert back.payloads == payloads
+
     def test_backward_codes_only(self):
         header = make_header(bits=3, true_sample_count=600, frame_len=200)
         rng = np.random.default_rng(1)
@@ -138,28 +113,53 @@ class TestPayloadRoundTrip:
         data = serialize(stream)
         # biased codes 0,1,2,3 at 2 bits each, MSB-first: 00 01 10 11
         assert data[-1] == 0b00011011
+        # three codes end mid-byte; the rest of the final byte is zero
+        header = make_header(bits=2, true_sample_count=3, frame_len=3,
+                             multipliers=DEFAULT_MULTIPLIERS[2])
+        data = serialize(Bitstream(header, (FramePayload(codes=(-2, 1, 0)),)))
+        assert data[-1] == 0b00111000
+
+    def test_forward_rows_byte_aligned(self):
+        # 9 code bits per frame: each frame's coefficients start on a byte
+        header = make_header(adaptation=Adaptation.FORWARD, bits=3, frame_len=3,
+                             true_sample_count=6, multipliers=DEFAULT_MULTIPLIERS[3])
+        c1 = tuple(float(k) for k in range(10))
+        c2 = tuple(-0.5 * k for k in range(10))
+        stream = Bitstream(header, (
+            FramePayload(codes=(-4, 3, 0), forward_coeffs=c1),
+            FramePayload(codes=(1, -1, 2), forward_coeffs=c2),
+        ))
+        data = serialize(stream)
+        # biased codes 0,7,4 -> 000 111 100 and 5,3,6 -> 101 011 110
+        payload = (struct.pack("<10d", *c1) + bytes([0x1E, 0x00])
+                   + struct.pack("<10d", *c2) + bytes([0xAF, 0x00]))
+        assert len(payload) == 164
+        assert data[-164:] == payload
+        assert parse(data) == stream
 
 
 class TestBitAccounting:
     # magic, version, rate, count, frame_len, five u8 fields, seed,
-    # three step reals, multiplier count, four multipliers, four train reals
-    HEADER_BYTES = 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24 + 1 + 32 + 32
+    # three step reals, multiplier count, four train reals, then one
+    # multiplier per magnitude: 2^(bits-1) of them
+    @staticmethod
+    def header_bytes(bits):
+        return 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24 + 1 + 32 + 8 * (1 << (bits - 1))
 
     def test_hybrid_three_frames(self):
         header = make_header(predictor_kind=PredictorKind.HYBRID, bits=3,
                              true_sample_count=600, frame_len=200)
         payloads = tuple(FramePayload(codes=codes_for(header), hybrid_flag=0)
                          for _ in range(3))
-        stream = Bitstream(header, payloads)
-        assert stream.payload_bits == 3 * (1 + 200 * 3)
-        # on the wire: header plus the padded payload, nothing else
-        expected_payload_bytes = -(-stream.payload_bits // 8)
-        assert len(serialize(stream)) == self.HEADER_BYTES + expected_payload_bytes
+        # header, then one flag bit and 600 code bits per frame, padded once
+        expected = self.header_bytes(3) + math.ceil(3 * (1 + 200 * 3) / 8)
+        assert len(serialize(Bitstream(header, payloads))) == expected
 
     def test_backward_codes_accounting(self):
         header = make_header(bits=5, true_sample_count=400, frame_len=200)
         payloads = tuple(FramePayload(codes=codes_for(header)) for _ in range(2))
-        assert Bitstream(header, payloads).payload_bits == 2 * 200 * 5
+        expected = self.header_bytes(5) + 2 * 200 * 5 // 8
+        assert len(serialize(Bitstream(header, payloads))) == expected
 
 
 class TestValidation:
@@ -180,17 +180,44 @@ class TestValidation:
         header = make_header(bits=4, true_sample_count=600, frame_len=200)
         data = serialize(Bitstream(
             header, tuple(FramePayload(codes=codes_for(header)) for _ in range(3))))
-        with pytest.raises(BitstreamError) as info:
+        with pytest.raises(BitstreamError, match="payload truncated") as info:
             parse(data[:-30])
-        assert info.value.frame_index is not None
-        assert "frame" in str(info.value)
+        assert info.value.frame_index == 2
+        assert str(info.value).startswith("frame 2:")
+
+    @pytest.mark.parametrize("cut, frame_index", [(1, 2), (180, 2), (190, 1), (330, 1)])
+    def test_truncated_forward_stream_names_frame(self, cut, frame_index):
+        # 180-byte rows: 80 coefficient bytes then 100 code bytes; a cut of
+        # 330 leaves frame 1 with part of its coefficients, 190 with part
+        # of its codes
+        header = make_header(adaptation=Adaptation.FORWARD, bits=4,
+                             true_sample_count=600, frame_len=200)
+        payloads = tuple(FramePayload(codes=codes_for(header), forward_coeffs=(0.5,) * 10)
+                         for _ in range(3))
+        data = serialize(Bitstream(header, payloads))
+        with pytest.raises(BitstreamError, match="payload truncated") as info:
+            parse(data[:-cut])
+        assert info.value.frame_index == frame_index
+
+    @pytest.mark.parametrize("cut, frame_index", [(75, 2), (76, 1)])
+    def test_truncated_hybrid_stream_names_frame(self, cut, frame_index):
+        # 601-bit rows, 226 payload bytes: 150 bytes (1200 bits) end two
+        # bits short of frame 1, 151 bytes (1208 bits) hold it
+        header = make_header(predictor_kind=PredictorKind.HYBRID, bits=3,
+                             true_sample_count=600, frame_len=200)
+        payloads = tuple(FramePayload(codes=codes_for(header), hybrid_flag=1)
+                         for _ in range(3))
+        data = serialize(Bitstream(header, payloads))
+        with pytest.raises(BitstreamError, match="payload truncated") as info:
+            parse(data[:-cut])
+        assert info.value.frame_index == frame_index
 
     def test_trailing_garbage_rejected(self):
         header = make_header()
         data = serialize(Bitstream(
             header, tuple(FramePayload(codes=codes_for(header))
                           for _ in range(header.frame_count))))
-        with pytest.raises(BitstreamError):
+        with pytest.raises(BitstreamError, match="^2 unexpected trailing bytes$"):
             parse(data + b"\x00\x00")
 
     def test_serialize_rejects_out_of_range_code(self):
@@ -198,12 +225,54 @@ class TestValidation:
                              multipliers=DEFAULT_MULTIPLIERS[2])
         with pytest.raises(ValueError):
             serialize(Bitstream(header, (FramePayload(codes=(0, 0, 0, 2)),)))
+        # a fractional code is not truncated into range
+        with pytest.raises(ValueError, match="integers"):
+            serialize(Bitstream(header, (FramePayload(codes=(0, 0, 0, 0.5)),)))
 
     def test_serialize_rejects_wrong_code_count(self):
         header = make_header()
         with pytest.raises(ValueError):
             serialize(Bitstream(header, (FramePayload(codes=(0,) * 3),
                                          FramePayload(codes=codes_for(header)))))
+
+    @pytest.mark.parametrize("kind, adaptation, payload, match", [
+        pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {},
+                     "frame 1:.*hybrid_flag", id="hybrid-without-flag"),
+        pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {"hybrid_flag": 2},
+                     "frame 1:.*hybrid_flag", id="hybrid-flag-2"),
+        pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD, {"hybrid_flag": 0},
+                     "frame 1:.*hybrid_flag", id="backward-with-flag"),
+        pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD,
+                     {"forward_coeffs": (0.0,) * 10}, "frame 1:.*forward_coeffs",
+                     id="backward-with-coeffs"),
+        pytest.param(PredictorKind.LPC10, Adaptation.FORWARD, {},
+                     "frame 1:.*forward_coeffs", id="forward-without-coeffs"),
+        pytest.param(PredictorKind.LPC10, Adaptation.FORWARD,
+                     {"forward_coeffs": (0.0,) * 3}, "frame 1:.*forward_coeffs",
+                     id="forward-3-coeffs"),
+        pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD, None,
+                     "2 payloads for a 3-frame header", id="2-payloads"),
+        pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD, "extra",
+                     "4 payloads for a 3-frame header", id="4-payloads"),
+    ])
+    def test_serialize_rejects_payload_header_mismatch(self, kind, adaptation, payload, match):
+        # frames 0 and 2 are valid; frame 1 is `payload`, missing, or followed by a 4th
+        header = make_header(predictor_kind=kind, adaptation=adaptation,
+                             true_sample_count=600, frame_len=200)
+        good = FramePayload(
+            codes=codes_for(header),
+            hybrid_flag=0 if kind is PredictorKind.HYBRID else None,
+            forward_coeffs=(0.0,) * 10 if adaptation is Adaptation.FORWARD else None,
+        )
+        if payload is None:
+            payloads = (good, good)
+        elif payload == "extra":
+            payloads = (good,) * 4
+        else:
+            fields = {"hybrid_flag": None, "forward_coeffs": None, **payload}
+            payloads = (good, FramePayload(codes=codes_for(header), **fields), good)
+        with pytest.raises(ValueError, match=match):
+            serialize(Bitstream(header, payloads))
 
     def test_parse_rejects_hybrid_forward(self):
         # forge kind=HYBRID adaptation=FORWARD directly in the header bytes

@@ -6,9 +6,12 @@ and of the decoded float64 samples. A change that alters either digest
 changes the codec's output; if that is intended, regenerate the table
 with `PYTHONPATH=src python tests/test_golden.py` and record why.
 
-MLP fitting runs through numpy/LAPACK, so the MLP and hybrid digests
-hold for the build they were generated with (numpy 2.4 on OpenBLAS
-0.3.31, x86-64); another BLAS/LAPACK may change their last bits.
+Every digest, LPC included, holds only for the OpenBLAS kernel and the
+libm code path it was generated with (numpy 2.4 on OpenBLAS 0.3.31 with
+its SkylakeX kernel, x86-64): `lpc.autocorrelation` uses `np.dot`, the
+MLP fit uses BLAS/LAPACK, and the sigmoid uses libm `exp`. Under
+`OPENBLAS_CORETYPE=Haswell` all 14 cases fail. ROADMAP open item 1
+(portable bit-exactness) is the fix.
 """
 
 import hashlib

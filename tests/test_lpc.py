@@ -66,12 +66,12 @@ class TestLevinson:
 
 class TestPredict:
     def test_newest_last_convention(self):
-        model = LpcModel.from_coeffs([0.5, 0.25])
+        model = LpcModel(2, [0.5, 0.25], np.zeros(2))
         history = np.array([0.1, 0.4, 0.8])  # newest is 0.8
         assert model.predict(history) == pytest.approx(0.5 * 0.8 + 0.25 * 0.4)
 
     def test_short_history_rejected(self):
-        model = LpcModel.from_coeffs([0.5, 0.25])
+        model = LpcModel(2, [0.5, 0.25], np.zeros(2))
         with pytest.raises(ValueError):
             model.predict(np.array([1.0]))
 
