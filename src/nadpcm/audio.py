@@ -84,9 +84,8 @@ def write_wav(path_or_file, signal: Signal) -> None:
 def split_frames(samples, frame_len: int):
     """Split samples into consecutive non-overlapping frames.
 
-    The final partial frame is zero-padded to frame_len. Returns
-    (frames, true_lengths) where frames is an (n, frame_len) float64
-    array and true_lengths[i] is the count of real samples in frame i.
+    The final partial frame is zero-padded to frame_len. Returns an
+    (n, frame_len) float64 array.
     """
     if frame_len < 1:
         raise ValueError(f"frame_len must be >= 1, got {frame_len}")
@@ -97,7 +96,4 @@ def split_frames(samples, frame_len: int):
     n_frames = -(-n // frame_len)
     padded = np.zeros(n_frames * frame_len, dtype=np.float64)
     padded[:n] = samples
-    frames = padded.reshape(n_frames, frame_len)
-    true_lengths = np.full(n_frames, frame_len, dtype=np.int64)
-    true_lengths[-1] = n - (n_frames - 1) * frame_len
-    return frames, true_lengths
+    return padded.reshape(n_frames, frame_len)

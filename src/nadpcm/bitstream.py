@@ -20,7 +20,11 @@ above), then frame_len codes of `bits` bits each (biased to unsigned by
 adding 2^(bits-1)). Forward rows are zero-padded to a whole byte, so
 each frame's coefficients start on a byte boundary; other rows follow
 each other without padding. The rows are packed back to back and the
-final byte is zero-padded.
+final byte is zero-padded. Padding bits must be zero; parse rejects a
+stream with a nonzero one, so each stream has exactly one encoding.
+
+A `Bitstream` checks its payloads against its header when it is built,
+so serialize and the decoder only ever see consistent frames.
 """
 
 import struct
@@ -29,12 +33,13 @@ from enum import IntEnum
 
 import numpy as np
 
-from .mlp import MASK64, TrainConfig
+from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TrainConfig
 from .quantizer import (
     DEFAULT_STEP_INIT,
     DEFAULT_STEP_MAX,
     DEFAULT_STEP_MIN,
     check_params,
+    code_range,
 )
 
 MAGIC = b"NADP"
@@ -53,15 +58,16 @@ class Adaptation(IntEnum):
     FORWARD = 1
 
 
-# Coefficient count transmitted per frame in forward mode.
+# Coefficient count transmitted per frame in forward mode; for the LPC
+# kinds it is also the predictor order.
 FORWARD_COEFF_COUNT = {
     PredictorKind.LPC10: 10,
     PredictorKind.LPC25: 25,
-    PredictorKind.MLP: 25,
+    PredictorKind.MLP: N_PARAMS,
 }
 
 
-class BitstreamError(Exception):
+class BitstreamError(ValueError):
     """Structurally invalid bitstream; frame_index is set when known."""
 
     def __init__(self, message, frame_index=None):
@@ -94,10 +100,9 @@ class CodecConfig:
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
         needs_mlp = self.predictor_kind in (PredictorKind.MLP, PredictorKind.HYBRID)
-        if needs_mlp and self.frame_len < 11:
-            raise ValueError(
-                f"frame_len must be >= 11 for neural predictors, got {self.frame_len}"
-            )
+        if needs_mlp and self.frame_len < MIN_FRAME_LEN:
+            raise ValueError(f"frame_len must be >= {MIN_FRAME_LEN} for neural predictors, "
+                             f"got {self.frame_len}")
         if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
             raise ValueError("hybrid coding is defined for backward adaptation only")
         object.__setattr__(self, "seed", self.seed & MASK64)
@@ -132,8 +137,37 @@ class FramePayload:
 
 @dataclass(frozen=True)
 class Bitstream:
+    """A header and one payload per frame; construction checks that every
+    payload has the shape the header's `frame_row` gives it and raises
+    BitstreamError, naming the frame, where one does not."""
+
     header: BitstreamHeader
     payloads: tuple
+
+    def __post_init__(self):
+        payloads, frames = self.payloads, self.header.frame_count
+        if not frames:
+            raise BitstreamError("bitstream holds no frames")
+        if len(payloads) != frames:
+            raise BitstreamError(f"{len(payloads)} payloads for a {frames}-frame header")
+        config = self.header.config
+        flag_bits, count, _, _ = frame_row(config)
+        code_min, code_max = code_range(config.bits)
+        for i, p in enumerate(payloads):
+            if p.hybrid_flag not in ((0, 1) if flag_bits else (None,)):
+                need = "0 or 1" if flag_bits else "None"
+                raise BitstreamError(f"hybrid_flag must be {need}, got {p.hybrid_flag!r}", i)
+            n_coeffs = None if p.forward_coeffs is None else len(p.forward_coeffs)
+            if n_coeffs != (count or None):
+                raise BitstreamError(f"expected {count or 'no'} forward_coeffs, got {n_coeffs}", i)
+            if len(p.codes) != config.frame_len:
+                raise BitstreamError(
+                    f"expected {config.frame_len} codes, got {len(p.codes)}", i)
+            for c in p.codes:
+                if type(c) is not int and not isinstance(c, np.integer):
+                    raise BitstreamError(f"codes must be integers, got {c!r}", i)
+                if not code_min <= c <= code_max:
+                    raise BitstreamError(f"code {c} outside [{code_min}, {code_max}]", i)
 
 
 def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:
@@ -150,7 +184,7 @@ def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:
 
 
 def serialize(bitstream: Bitstream) -> bytes:
-    """Serialize header and payloads; inverse of parse up to final-byte padding."""
+    """Serialize header and payloads; the inverse of parse."""
     h = bitstream.header
     c = h.config
     t = c.train
@@ -162,18 +196,7 @@ def serialize(bitstream: Bitstream) -> bytes:
         if value > limit:
             raise ValueError(f"{name} {value} not representable in header")
     payloads = bitstream.payloads
-    if len(payloads) != h.frame_count:
-        raise ValueError(f"{len(payloads)} payloads for a {h.frame_count}-frame header")
     flag_bits, count, code_cols, row_bits = frame_row(c)
-    for i, p in enumerate(payloads):
-        if p.hybrid_flag not in ((0, 1) if flag_bits else (None,)):
-            need = "0 or 1" if flag_bits else "None"
-            raise ValueError(f"frame {i}: hybrid_flag must be {need}, got {p.hybrid_flag!r}")
-        n_coeffs = None if p.forward_coeffs is None else len(p.forward_coeffs)
-        if n_coeffs != (count or None):
-            raise ValueError(f"frame {i}: expected {count or 'no'} forward_coeffs, got {n_coeffs}")
-        if len(p.codes) != c.frame_len:
-            raise ValueError(f"frame {i}: expected {c.frame_len} codes, got {len(p.codes)}")
 
     out = bytearray()
     out += MAGIC
@@ -189,14 +212,7 @@ def serialize(bitstream: Bitstream) -> bytes:
     out += struct.pack("<dddd", t.init_scale, t.lambda_init, t.lambda_up, t.lambda_down)
 
     frames = len(payloads)
-    codes = np.array([p.codes for p in payloads]).reshape(frames, c.frame_len)
-    if codes.size and codes.dtype.kind not in "iu":
-        raise ValueError(f"codes must be integers, got {codes.dtype}")
-    u = codes + (1 << (c.bits - 1))
-    bad = np.argwhere((u < 0) | (u >= 1 << c.bits))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"frame {i}: code {codes[i, j]} out of range for {c.bits} bits")
+    u = np.array([p.codes for p in payloads]) + (1 << (c.bits - 1))
     rows = np.zeros((frames, row_bits), dtype=np.uint8)
     if flag_bits:
         rows[:, 0] = [p.hybrid_flag for p in payloads]
@@ -265,9 +281,9 @@ def parse(data: bytes) -> Bitstream:
 
     frames = header.frame_count
     flag_bits, count, code_cols, row_bits = frame_row(config)
-    payload = np.frombuffer(data, dtype=np.uint8, offset=offset)
-    complete = min(frames, len(payload) * 8 // row_bits)
-    rows = np.unpackbits(payload, count=complete * row_bits).reshape(complete, row_bits)
+    payload = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=offset))
+    complete = min(frames, len(payload) // row_bits)
+    rows = payload[: complete * row_bits].reshape(complete, row_bits)
     coeffs = [None] * complete
     if count:
         block = np.packbits(rows[:, flag_bits : code_cols.start], axis=1).view("<f8")
@@ -277,9 +293,14 @@ def parse(data: bytes) -> Bitstream:
         coeffs = [tuple(c) for c in block.tolist()]
     if complete < frames:
         raise BitstreamError("payload truncated", frame_index=complete)
-    trailing = len(payload) - (frames * row_bits + 7) // 8
+    trailing = (len(payload) - frames * row_bits) // 8
     if trailing > 0:
         raise BitstreamError(f"{trailing} unexpected trailing bytes")
+    padded = rows[:, code_cols.stop :].any(axis=1)
+    if padded.any():
+        raise BitstreamError("nonzero padding bits", frame_index=int(padded.argmax()))
+    if payload[frames * row_bits :].any():
+        raise BitstreamError("nonzero padding bits after the last frame")
 
     weights = 1 << np.arange(bits - 1, -1, -1)
     codes = rows[:, code_cols].reshape(frames, frame_len, bits) @ weights - (1 << (bits - 1))

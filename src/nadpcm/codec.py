@@ -2,26 +2,35 @@
 
 Per sample: predict from reconstructed history, quantize the residual,
 reconstruct, adapt the quantizer step. One loop does this for both sides;
-the decoder runs it on the received codes. Predictors are refitted once
-per frame, either from the previous decoded frame (backward: the decoder
-re-derives them, nothing is transmitted) or from the current original
-frame (forward: coefficients travel in the payload). The hybrid mode runs
-a linear and a neural branch from the same state, commits whichever
-reconstructs the frame with smaller squared error, and spends one flag
-bit per frame to tell the decoder.
+the decoder runs it on the received codes.
+
+One rule, `frame_predictor`, gives every frame's predictor from the
+config, the frame index, the previous reconstructed frame and the
+frame's payload, and encoder and decoder both call it, so they cannot
+drift. Forward frames rebuild the predictor from the coefficients in the
+payload (the encoder fits them on the current original frame). Backward
+frames refit on the previous reconstructed frame, which the decoder has
+too, and frame 0 uses the zero predictor. In hybrid mode the payload's
+flag bit picks the LPC-10 (0) or the neural (1) refit.
+
+The encoder lists the payloads it could send for a frame (two for a
+hybrid frame after frame 0, one otherwise), runs the loop from the same
+state with each payload's predictor, and commits the one with the
+smallest squared error, ties going to the first.
 
 Reconstructed history is continuous across frame boundaries; predictor
 training sets are not.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lpc
 from .audio import Signal, split_frames
 from .bitstream import (
+    FORWARD_COEFF_COUNT,
     Adaptation,
     Bitstream,
     BitstreamError,
@@ -31,11 +40,9 @@ from .bitstream import (
     PredictorKind,
 )
 from .mlp import MASK64, Mlp, multistart_fit
-from .quantizer import code_range, dequantize, next_step, quantize
+from .quantizer import dequantize, next_step, quantize
 
 HISTORY_LEN = 25  # covers the largest predictor order
-
-LPC_ORDER = {PredictorKind.LPC10: 10, PredictorKind.LPC25: 25}
 
 ZERO = lpc.LpcModel.zero(0)  # predicts 0.0; the frame-0 backward bootstrap
 
@@ -54,46 +61,48 @@ def initial_state(config: CodecConfig) -> CodecState:
     return CodecState((0.0,) * HISTORY_LEN, config.step_init, 0, config)
 
 
-def fit_backward(samples, kind: PredictorKind, config: CodecConfig, frame_index: int):
+def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index: int):
     """Fit a predictor on one frame of samples: the previous decoded frame in
     backward mode (decoder-reproducible), the current original frame in
     forward mode (coefficients transmitted)."""
-    if kind in LPC_ORDER:
-        return lpc.fit(samples, LPC_ORDER[kind])
     if kind is PredictorKind.MLP:
         return multistart_fit(samples, config.train, (config.seed ^ frame_index) & MASK64)
-    raise ValueError(f"cannot fit predictor kind {kind}")
+    return lpc.fit(samples, FORWARD_COEFF_COUNT[kind])
 
 
-def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, flag=None):
-    """Backward predictor of a frame, the one rule encoder and decoder share.
+def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, payload: FramePayload):
+    """Predictor of one frame, the one rule encoder and decoder share.
 
-    Frame 0 has no decoded history and uses ZERO. Later frames refit from
-    the previous reconstructed frame; in hybrid mode `flag` picks the
-    branch, 0 for LPC-10 and 1 for the MLP.
+    Forward frames rebuild it from `payload.forward_coeffs`. Backward
+    frame 0 has no decoded history and uses ZERO; later backward frames
+    refit on `prev_recon`, the previous reconstructed frame, and in
+    hybrid mode `payload.hybrid_flag` picks LPC-10 (0) or the MLP (1).
     """
+    kind = config.predictor_kind
+    if config.adaptation is Adaptation.FORWARD:
+        coeffs = payload.forward_coeffs
+        if kind is PredictorKind.MLP:
+            return Mlp.from_vector(coeffs)
+        return lpc.LpcModel(len(coeffs), coeffs, np.zeros(len(coeffs)))
     if frame_index == 0:
         return ZERO
-    kind = config.predictor_kind
     if kind is PredictorKind.HYBRID:
-        kind = PredictorKind.MLP if flag else PredictorKind.LPC10
-    return fit_backward(prev_recon, kind, config, frame_index)
+        kind = PredictorKind.MLP if payload.hybrid_flag else PredictorKind.LPC10
+    return fit_predictor(prev_recon, kind, config, frame_index)
 
 
-def forward_coeff_vector(predictor, kind: PredictorKind) -> tuple:
-    """Coefficients emitted verbatim into a forward-mode frame payload."""
-    if kind in LPC_ORDER:
-        return tuple(float(c) for c in predictor.coeffs)
-    if kind is PredictorKind.MLP:
-        return tuple(float(v) for v in predictor.to_vector())
-    raise ValueError(f"no coefficient layout for kind {kind}")
-
-
-def predictor_from_coeffs(kind: PredictorKind, coeffs):
-    """Rebuild the predictor a forward-mode payload describes."""
-    if kind in LPC_ORDER:
-        return lpc.LpcModel(LPC_ORDER[kind], coeffs, np.zeros(LPC_ORDER[kind]))
-    return Mlp.from_vector(np.asarray(coeffs, dtype=np.float64))
+def _candidate_payloads(config: CodecConfig, frame, frame_index: int) -> list:
+    """The payloads, codes still empty, the encoder may send for a frame:
+    the coefficients fitted on `frame` in forward mode, both hybrid flags
+    after frame 0, otherwise a bare payload."""
+    kind = config.predictor_kind
+    if config.adaptation is Adaptation.FORWARD:
+        fitted = fit_predictor(frame, kind, config, frame_index)
+        vector = fitted.to_vector() if kind is PredictorKind.MLP else fitted.coeffs
+        return [FramePayload((), forward_coeffs=tuple(vector.tolist()))]
+    if kind is PredictorKind.HYBRID:
+        return [FramePayload((), hybrid_flag=f) for f in ((0, 1) if frame_index else (0,))]
+    return [FramePayload(())]
 
 
 def _closed_loop(state: CodecState, frame, predictor, codes=None):
@@ -139,19 +148,6 @@ def decode_frame(state: CodecState, codes, predictor):
     return recon, new_state
 
 
-def encode_frame_hybrid(state: CodecState, frame, linear_predictor, neural_predictor):
-    """Try both predictor branches from the same state snapshot.
-
-    The branch with the smaller reconstruction SSE wins and its end state
-    is committed; ties go to the linear branch (flag 0).
-    """
-    codes_l, state_l, recon_l, sse_l = encode_frame(state, frame, linear_predictor)
-    codes_n, state_n, recon_n, sse_n = encode_frame(state, frame, neural_predictor)
-    if sse_n < sse_l:
-        return 1, codes_n, state_n, recon_n, (sse_l, sse_n)
-    return 0, codes_l, state_l, recon_l, (sse_l, sse_n)
-
-
 @dataclass(frozen=True)
 class FrameStat:
     """Per-frame encoder diagnostics."""
@@ -177,34 +173,22 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
     if non_finite.size:
         i = non_finite[0]
         raise ValueError(f"sample {i} is not finite ({signal.samples[i]})")
-    frames, _ = split_frames(signal.samples, config.frame_len)
-    kind = config.predictor_kind
-    hybrid = kind is PredictorKind.HYBRID
-
+    frames = split_frames(signal.samples, config.frame_len)
     state = initial_state(config)
     prev_recon = None
     payloads = []
     stats = []
     recon_parts = []
     for idx, frame in enumerate(frames):
-        flag = coeffs = branches = None
-        if hybrid and idx > 0:
-            flag, codes, state, recon, branches = encode_frame_hybrid(
-                state, frame, frame_predictor(config, idx, prev_recon, 0),
-                frame_predictor(config, idx, prev_recon, 1))
-            sse = branches[flag]
-        else:
-            if config.adaptation is Adaptation.FORWARD:
-                predictor = fit_backward(frame, kind, config, idx)
-                coeffs = forward_coeff_vector(predictor, kind)
-            else:
-                predictor = frame_predictor(config, idx, prev_recon)
-                flag = 0 if hybrid else None
-            codes, state, recon, sse = encode_frame(state, frame, predictor)
-        payloads.append(FramePayload(tuple(codes), hybrid_flag=flag, forward_coeffs=coeffs))
-        stats.append(FrameStat(sse=sse, hybrid_flag=flag, branch_sses=branches))
-        prev_recon = recon
-        recon_parts.append(recon)
+        tried = []
+        for payload in _candidate_payloads(config, frame, idx):
+            predictor = frame_predictor(config, idx, prev_recon, payload)
+            tried.append((payload, *encode_frame(state, frame, predictor)))
+        payload, codes, state, prev_recon, sse = min(tried, key=lambda t: t[4])
+        payloads.append(replace(payload, codes=tuple(codes)))
+        branches = tuple(t[4] for t in tried) if len(tried) > 1 else None
+        stats.append(FrameStat(sse=sse, hybrid_flag=payload.hybrid_flag, branch_sses=branches))
+        recon_parts.append(prev_recon)
 
     reconstruction = np.concatenate(recon_parts)[: len(signal)]
     header = BitstreamHeader(signal.sample_rate, len(signal), config)
@@ -217,43 +201,19 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
 
 
 def decode(bitstream: Bitstream) -> Signal:
-    """Reconstruct the signal, re-deriving backward predictors from the
-    decoder's own output frame by frame."""
+    """Reconstruct the signal, getting each frame's predictor from
+    `frame_predictor` as the encoder did."""
     header = bitstream.header
     config = header.config
-    kind = config.predictor_kind
-    if len(bitstream.payloads) != header.frame_count:
-        raise BitstreamError(
-            f"expected {header.frame_count} frames, got {len(bitstream.payloads)}"
-        )
-
-    code_min, code_max = code_range(config.bits)
     state = initial_state(config)
     prev_recon = None
     parts = []
     for idx, payload in enumerate(bitstream.payloads):
         try:
-            codes = payload.codes
-            if len(codes) != config.frame_len:
-                raise ValueError(f"expected {config.frame_len} codes, got {len(codes)}")
-            bad = [c for c in codes if not code_min <= c <= code_max]
-            if bad:
-                raise ValueError(f"code {bad[0]} outside [{code_min}, {code_max}]")
-            if config.adaptation is Adaptation.FORWARD:
-                if payload.forward_coeffs is None:
-                    raise ValueError("forward stream frame lacks coefficients")
-                predictor = predictor_from_coeffs(kind, payload.forward_coeffs)
-            else:
-                if kind is PredictorKind.HYBRID and payload.hybrid_flag is None:
-                    raise ValueError("hybrid stream frame lacks its flag bit")
-                predictor = frame_predictor(config, idx, prev_recon, payload.hybrid_flag)
-            recon, state = decode_frame(state, codes, predictor)
+            predictor = frame_predictor(config, idx, prev_recon, payload)
+            prev_recon, state = decode_frame(state, payload.codes, predictor)
         except ValueError as exc:
             raise BitstreamError(str(exc), frame_index=idx) from None
-        prev_recon = recon
-        parts.append(recon)
-
-    if not parts:
-        raise BitstreamError("bitstream holds no frames")
+        parts.append(prev_recon)
     samples = np.concatenate(parts)[: header.true_sample_count]
     return Signal(samples, header.sample_rate)

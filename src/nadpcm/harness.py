@@ -17,7 +17,7 @@ from .audio import Signal, split_frames
 from .bitstream import Adaptation, Bitstream, PredictorKind, parse, serialize
 from .codec import CodecConfig, encode, decode, encode_frame, initial_state
 from .metrics import mean_std, segsnr, segment_snr_db, z_score
-from .mlp import MASK64, SplitMix64, build_training_set, init_mlp, lm_iterations
+from .mlp import MASK64, MIN_FRAME_LEN, SplitMix64, build_training_set, init_mlp, lm_iterations
 
 SIGNIFICANCE_THRESHOLD = 2.5
 SEGSNR_WINDOW = 200  # metric window, independent of the coding frame length
@@ -31,10 +31,6 @@ METHODS = {
     "ADPCMB-MLP": (PredictorKind.MLP, Adaptation.BACKWARD),
     "ADPCMB-HYBRID": (PredictorKind.HYBRID, Adaptation.BACKWARD),
 }
-
-_NEEDS_MLP = {k for k, (kind, _) in METHODS.items()
-              if kind in (PredictorKind.MLP, PredictorKind.HYBRID)}
-
 
 @dataclass(frozen=True)
 class MethodRow:
@@ -153,7 +149,7 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, bits: int, max_epochs: in
     """
     base = base_config if base_config is not None else CodecConfig()
     config = configured(base, bits=bits)
-    frames, _ = split_frames(signal.samples, config.frame_len)
+    frames = split_frames(signal.samples, config.frame_len)
     if frame_pair_index + 1 >= len(frames):
         raise ValueError(
             f"signal has {len(frames)} frames; pair index {frame_pair_index} needs two"
@@ -190,7 +186,7 @@ def optimal_epoch_histogram(signal: Signal, bits: int, max_epochs: int,
     maximum on ties). Returns {epoch: percent of frames}.
     """
     config = configured(config, bits=bits)
-    frames, _ = split_frames(signal.samples, config.frame_len)
+    frames = split_frames(signal.samples, config.frame_len)
     if len(frames) < 2:
         raise ValueError("need at least two frames")
 
@@ -234,9 +230,10 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
         kind, adaptation = METHODS[method]
+        neural = kind in (PredictorKind.MLP, PredictorKind.HYBRID)
         for bits in bits_list:
             for length in lengths:
-                if length < 11 and method in _NEEDS_MLP:
+                if neural and length < MIN_FRAME_LEN:
                     skipped.append((method, bits, length, "frame too short for neural predictor"))
                     continue
                 config = configured(base, bits=bits, kind=kind, adaptation=adaptation,

@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 N_INPUTS = 10
 N_HIDDEN = 2
 N_PARAMS = N_INPUTS * N_HIDDEN + N_HIDDEN + N_HIDDEN + 1
+MIN_FRAME_LEN = N_INPUTS + 1  # shortest frame that yields a training pair
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -139,7 +140,7 @@ def build_training_set(frame):
     """
     frame = np.asarray(frame, dtype=np.float64)
     n = len(frame)
-    if n < N_INPUTS + 1:
+    if n < MIN_FRAME_LEN:
         log.debug("frame of %d samples too short for training pairs", n)
         return np.zeros((0, N_INPUTS)), np.zeros(0)
     count = n - N_INPUTS

@@ -31,7 +31,7 @@ from nadpcm import (
     z_score,
 )
 from nadpcm.audio import split_frames
-from nadpcm.codec import ZERO, encode_frame, fit_backward, initial_state
+from nadpcm.codec import ZERO, encode_frame, fit_predictor, initial_state
 from nadpcm.harness import epoch_sweep
 from nadpcm.lpc import autocorrelation, fit as lpc_fit, levinson
 from nadpcm.mlp import (
@@ -201,7 +201,7 @@ def test_c07_hybrid_dominance(capsys, corpus):
     config = CodecConfig(predictor_kind=PredictorKind.HYBRID)
     speech = corpus[0]
     result = encode(speech, config)
-    frames, _ = split_frames(speech.samples, config.frame_len)
+    frames = split_frames(speech.samples, config.frame_len)
     state = initial_state(config)
     prev = None
     frame_failures = 0
@@ -213,8 +213,8 @@ def test_c07_hybrid_dominance(capsys, corpus):
                 frame_failures += 1
             codes, state, prev, _ = encode_frame(state, frame, ZERO)
             continue
-        linear = fit_backward(prev, PredictorKind.LPC10, config, k)
-        neural = fit_backward(prev, PredictorKind.MLP, config, k)
+        linear = fit_predictor(prev, PredictorKind.LPC10, config, k)
+        neural = fit_predictor(prev, PredictorKind.MLP, config, k)
         _, _, _, sse_l = encode_frame(state, frame, linear)
         _, _, _, sse_n = encode_frame(state, frame, neural)
         committed = sse_n if payload.hybrid_flag else sse_l

@@ -220,6 +220,31 @@ class TestValidation:
         with pytest.raises(BitstreamError, match="^2 unexpected trailing bytes$"):
             parse(data + b"\x00\x00")
 
+    def test_parse_rejects_nonzero_final_padding(self):
+        # 6 code bits 001110 then two pad bits in the one payload byte
+        header = make_header(bits=2, true_sample_count=3, frame_len=3,
+                             multipliers=DEFAULT_MULTIPLIERS[2])
+        data = bytearray(serialize(Bitstream(header, (FramePayload(codes=(-2, 1, 0)),))))
+        assert data[-1] == 0x38
+        for forged in (0x39, 0x3A, 0x3B):
+            data[-1] = forged
+            with pytest.raises(BitstreamError, match="nonzero padding") as info:
+                parse(bytes(data))
+            assert info.value.frame_index is None
+
+    @pytest.mark.parametrize("offset, frame_index", [(-83, 0), (-1, 1)])
+    def test_parse_rejects_nonzero_forward_row_padding(self, offset, frame_index):
+        # 82-byte rows: 80 coefficient bytes, 9 code bits, 7 pad bits
+        header = make_header(adaptation=Adaptation.FORWARD, bits=3, frame_len=3,
+                             true_sample_count=6, multipliers=DEFAULT_MULTIPLIERS[3])
+        payload = FramePayload(codes=(0, 0, 1), forward_coeffs=(0.5,) * 10)
+        data = bytearray(serialize(Bitstream(header, (payload, payload))))
+        assert data[offset] == 0x80  # the last bit of code 1 (biased 101), then padding
+        data[offset] |= 0x01
+        with pytest.raises(BitstreamError, match="nonzero padding") as info:
+            parse(bytes(data))
+        assert info.value.frame_index == frame_index
+
     def test_serialize_rejects_out_of_range_code(self):
         header = make_header(bits=2, true_sample_count=4, frame_len=4,
                              multipliers=DEFAULT_MULTIPLIERS[2])

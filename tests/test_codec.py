@@ -9,11 +9,13 @@ from nadpcm import (
     Adaptation,
     Bitstream,
     BitstreamError,
+    BitstreamHeader,
     CodecConfig,
     FramePayload,
     PredictorKind,
     Signal,
     TrainConfig,
+    codec,
     decode,
     encode,
     parse,
@@ -23,11 +25,9 @@ from nadpcm.codec import (
     ZERO,
     decode_frame,
     encode_frame,
-    encode_frame_hybrid,
-    fit_backward,
-    forward_coeff_vector,
+    fit_predictor,
+    frame_predictor,
     initial_state,
-    predictor_from_coeffs,
 )
 
 
@@ -91,31 +91,35 @@ class TestEncodeFrame:
 class TestHybridFrame:
     def test_commits_smaller_sse_branch(self, speech_like):
         config = CodecConfig(predictor_kind=PredictorKind.HYBRID)
-        frames = speech_like.samples[:1000].reshape(5, 200)
+        signal = Signal(speech_like.samples[:1000], speech_like.sample_rate)
+        result = encode(signal, config)
+        frames = signal.samples.reshape(5, 200)
         state = initial_state(config)
         prev = None
         for k, frame in enumerate(frames):
-            if k == 0:
-                _, state, prev, _ = encode_frame(state, frame, ZERO)
-                continue
-            lp = fit_backward(prev, PredictorKind.LPC10, config, k)
-            nlp = fit_backward(prev, PredictorKind.MLP, config, k)
-            flag, codes, new_state, recon, (sse_l, sse_n) = encode_frame_hybrid(
-                state, frame, lp, nlp)
-            # re-simulate both branches: committed SSE must be the minimum
-            _, _, _, again_l = encode_frame(state, frame, lp)
-            _, _, _, again_n = encode_frame(state, frame, nlp)
-            assert again_l == sse_l and again_n == sse_n
-            assert (sse_n if flag else sse_l) == min(sse_l, sse_n)
-            state, prev = new_state, recon
+            payload, stat = result.bitstream.payloads[k], result.frame_stats[k]
+            if k > 0:
+                # re-simulate both branches from the same state
+                sses = tuple(
+                    encode_frame(state, frame, frame_predictor(
+                        config, k, prev, FramePayload((), hybrid_flag=flag)))[3]
+                    for flag in (0, 1))
+                assert stat.branch_sses == sses
+                assert payload.hybrid_flag == stat.hybrid_flag == int(np.argmin(sses))
+                assert stat.sse == min(sses)
+            codes, state, prev, _ = encode_frame(
+                state, frame, frame_predictor(config, k, prev, payload))
+            assert tuple(codes) == payload.codes
 
-    def test_tie_goes_to_linear(self):
-        config = hand_trace_config()
-        frame = np.array([0.05, -0.12, 0.30, 0.00])
-        state = initial_state(config)
-        flag, codes, _, _, sses = encode_frame_hybrid(state, frame, ZERO, ZERO)
-        assert sses[0] == sses[1]
-        assert flag == 0
+    def test_tie_goes_to_linear(self, monkeypatch):
+        monkeypatch.setattr(codec, "fit_predictor", lambda *args: ZERO)
+        config = CodecConfig(predictor_kind=PredictorKind.HYBRID, frame_len=20, bits=2)
+        signal = Signal(np.random.default_rng(6).uniform(-0.3, 0.3, 100), 8000)
+        result = encode(signal, config)
+        assert [p.hybrid_flag for p in result.bitstream.payloads] == [0] * 5
+        for stat in result.frame_stats[1:]:
+            sse_l, sse_n = stat.branch_sses
+            assert sse_l == sse_n == stat.sse
 
 
 class TestCodecConfig:
@@ -166,9 +170,8 @@ class TestForwardMode:
         back = parse(serialize(result.bitstream))
         frames = np.reshape(ar_signal.samples[:2000], (10, 200))
         for k, payload in enumerate(back.payloads):
-            fitted = fit_backward(frames[k], PredictorKind.LPC10, config, k)
-            expected = forward_coeff_vector(fitted, PredictorKind.LPC10)
-            assert payload.forward_coeffs == expected
+            fitted = fit_predictor(frames[k], PredictorKind.LPC10, config, k)
+            assert payload.forward_coeffs == tuple(fitted.coeffs.tolist())
 
     def test_frame0_fitted_not_zero(self, ar_signal):
         config = CodecConfig(predictor_kind=PredictorKind.LPC10,
@@ -177,11 +180,12 @@ class TestForwardMode:
         coeffs = result.bitstream.payloads[0].forward_coeffs
         assert any(c != 0.0 for c in coeffs)
 
-    def test_predictor_from_coeffs_round_trip(self):
+    def test_frame_predictor_rebuilds_forward_mlp(self):
         rng = np.random.default_rng(4)
         coeffs = tuple(rng.standard_normal(25))
-        net = predictor_from_coeffs(PredictorKind.MLP, coeffs)
-        assert forward_coeff_vector(net, PredictorKind.MLP) == coeffs
+        config = CodecConfig(predictor_kind=PredictorKind.MLP, adaptation=Adaptation.FORWARD)
+        net = frame_predictor(config, 3, None, FramePayload((), forward_coeffs=coeffs))
+        assert tuple(net.to_vector()) == coeffs
 
 
 class TestBackwardMode:
@@ -192,18 +196,18 @@ class TestBackwardMode:
         codes, _, _, _ = encode_frame(initial_state(config), frame0, ZERO)
         assert list(result.bitstream.payloads[0].codes) == codes
 
-    def test_fit_backward_deterministic(self, speech_like):
+    def test_fit_predictor_deterministic(self, speech_like):
         prev = speech_like.samples[:200]
         config = CodecConfig(predictor_kind=PredictorKind.MLP)
-        a = fit_backward(prev, PredictorKind.MLP, config, 3)
-        b = fit_backward(prev, PredictorKind.MLP, config, 3)
+        a = fit_predictor(prev, PredictorKind.MLP, config, 3)
+        b = fit_predictor(prev, PredictorKind.MLP, config, 3)
         np.testing.assert_array_equal(a.to_vector(), b.to_vector())
 
     def test_fit_seed_depends_on_frame_index(self, speech_like):
         prev = speech_like.samples[:200]
         config = CodecConfig(predictor_kind=PredictorKind.MLP)
-        a = fit_backward(prev, PredictorKind.MLP, config, 1)
-        b = fit_backward(prev, PredictorKind.MLP, config, 2)
+        a = fit_predictor(prev, PredictorKind.MLP, config, 1)
+        b = fit_predictor(prev, PredictorKind.MLP, config, 2)
         assert not np.array_equal(a.to_vector(), b.to_vector())
 
 
@@ -323,14 +327,34 @@ class TestUntrustedStreams:
         bitstream = self.encoded(ar_signal, 1000)
         payloads = list(bitstream.payloads)
         payloads[1] = FramePayload(codes=payloads[1].codes[:50])
-        with pytest.raises(BitstreamError, match="expected 200 codes, got 50") as info:
-            decode(Bitstream(bitstream.header, tuple(payloads)))
+        with pytest.raises(BitstreamError, match="^frame 1: expected 200 codes, got 50$") as info:
+            Bitstream(bitstream.header, tuple(payloads))
         assert info.value.frame_index == 1
 
     def test_payload_with_out_of_range_code(self, ar_signal):
         bitstream = self.encoded(ar_signal, 1000)
         payloads = list(bitstream.payloads)
         payloads[1] = FramePayload(codes=(99,) + payloads[1].codes[1:])
-        with pytest.raises(BitstreamError, match=r"code 99 outside \[-8, 7\]") as info:
-            decode(Bitstream(bitstream.header, tuple(payloads)))
+        with pytest.raises(BitstreamError, match=r"^frame 1: code 99 outside \[-8, 7\]$") as info:
+            Bitstream(bitstream.header, tuple(payloads))
         assert info.value.frame_index == 1
+
+    @pytest.mark.parametrize("kind, adaptation, match", [
+        (PredictorKind.HYBRID, Adaptation.BACKWARD, "hybrid_flag must be 0 or 1, got None"),
+        (PredictorKind.LPC10, Adaptation.FORWARD, "expected 10 forward_coeffs, got None"),
+    ])
+    def test_payload_missing_predictor_field(self, kind, adaptation, match):
+        config = CodecConfig(predictor_kind=kind, adaptation=adaptation)
+        header = BitstreamHeader(8000, 600, config)
+        good = FramePayload(
+            (0,) * 200,
+            hybrid_flag=0 if kind is PredictorKind.HYBRID else None,
+            forward_coeffs=(0.0,) * 10 if adaptation is Adaptation.FORWARD else None)
+        with pytest.raises(BitstreamError, match=f"^frame 1: {match}$") as info:
+            Bitstream(header, (good, FramePayload((0,) * 200), good))
+        assert info.value.frame_index == 1
+
+    def test_zero_frame_header(self):
+        with pytest.raises(BitstreamError, match="no frames") as info:
+            Bitstream(BitstreamHeader(8000, 0, CodecConfig()), ())
+        assert info.value.frame_index is None
