@@ -1,17 +1,13 @@
 """Self-describing codec bitstream: header plus bit-packed frame payloads.
 
-Layout (multi-byte integers little-endian, reals IEEE-754 binary64
-little-endian):
-
-  magic "NADP" | version=1 | sample_rate u32 | true_sample_count u64 |
-  frame_len u16 | bits u8 | predictor_kind u8 | adaptation u8 |
-  epochs u8 | restarts u8 | seed u64 | step_init f64 | step_min f64 |
-  step_max f64 | multiplier_count u8 | multipliers f64[] |
-  init_scale f64 | lambda_init f64 | lambda_up f64 | lambda_down f64
-
+The header is magic "NADP", a u8 version (1), then the fields of
+`HEADER_FIELDS` in table order, each little-endian with its struct code
+(reals are IEEE-754 binary64). serialize and parse both walk that table.
 After sample_rate and true_sample_count the header is the `CodecConfig`
-the stream was encoded with; parse rebuilds it, so a header is valid
-exactly when that configuration is.
+the stream was encoded with; parse rebuilds `TrainConfig`, `CodecConfig`
+and `BitstreamHeader` from it, so a header is valid exactly when those
+are. Their construction also refuses an integer field too large for its
+struct code, so nothing is coded that the header cannot carry.
 
 Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
 MSB-first within each byte: the hybrid flag bit (hybrid only), 64 bits
@@ -28,7 +24,7 @@ so serialize and the decoder only ever see consistent frames.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -45,12 +41,33 @@ from .quantizer import (
 MAGIC = b"NADP"
 VERSION = 1
 
+# The header after magic and version: (field, struct code) in wire order.
+# "multipliers" is the table's u8 count, then that many f64.
+HEADER_FIELDS = (
+    ("sample_rate", "I"), ("true_sample_count", "Q"),
+    ("frame_len", "H"), ("bits", "B"), ("predictor_kind", "B"), ("adaptation", "B"),
+    ("epochs", "B"), ("restarts", "B"), ("seed", "Q"),
+    ("step_init", "d"), ("step_min", "d"), ("step_max", "d"), ("multipliers", "B"),
+    ("init_scale", "d"), ("lambda_init", "d"), ("lambda_up", "d"), ("lambda_down", "d"),
+)
+
+
+def _check_representable(obj, *names):
+    """Raise ValueError for a named unsigned field too large for its header code."""
+    for name in names:
+        value = getattr(obj, name)
+        if value >= 256 ** struct.calcsize("<" + dict(HEADER_FIELDS)[name]):
+            raise ValueError(f"{name} {value} not representable in header")
+
 
 class PredictorKind(IntEnum):
     LPC10 = 0
     LPC25 = 1
     MLP = 2
     HYBRID = 3
+
+
+NEURAL_KINDS = (PredictorKind.MLP, PredictorKind.HYBRID)  # the kinds that fit the MLP
 
 
 class Adaptation(IntEnum):
@@ -95,12 +112,15 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "predictor_kind", PredictorKind(self.predictor_kind))
+        object.__setattr__(self, "adaptation", Adaptation(self.adaptation))
         object.__setattr__(self, "multipliers", check_params(
             self.bits, self.step_init, self.step_min, self.step_max, self.multipliers))
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
-        needs_mlp = self.predictor_kind in (PredictorKind.MLP, PredictorKind.HYBRID)
-        if needs_mlp and self.frame_len < MIN_FRAME_LEN:
+        _check_representable(self, "frame_len")
+        _check_representable(self.train, "epochs", "restarts")
+        if self.predictor_kind in NEURAL_KINDS and self.frame_len < MIN_FRAME_LEN:
             raise ValueError(f"frame_len must be >= {MIN_FRAME_LEN} for neural predictors, "
                              f"got {self.frame_len}")
         if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
@@ -122,6 +142,13 @@ class BitstreamHeader:
     sample_rate: int
     true_sample_count: int
     config: CodecConfig
+
+    def __post_init__(self):
+        if self.true_sample_count < 1:
+            raise ValueError("empty stream")
+        if self.sample_rate < 1:
+            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        _check_representable(self, "sample_rate", "true_sample_count")
 
     @property
     def frame_count(self) -> int:
@@ -146,8 +173,6 @@ class Bitstream:
 
     def __post_init__(self):
         payloads, frames = self.payloads, self.header.frame_count
-        if not frames:
-            raise BitstreamError("bitstream holds no frames")
         if len(payloads) != frames:
             raise BitstreamError(f"{len(payloads)} payloads for a {frames}-frame header")
         config = self.header.config
@@ -187,29 +212,17 @@ def serialize(bitstream: Bitstream) -> bytes:
     """Serialize header and payloads; the inverse of parse."""
     h = bitstream.header
     c = h.config
-    t = c.train
-    for name, value, limit in [
-        ("frame_len", c.frame_len, 0xFFFF),
-        ("epochs", t.epochs, 0xFF),
-        ("restarts", t.restarts, 0xFF),
-    ]:
-        if value > limit:
-            raise ValueError(f"{name} {value} not representable in header")
     payloads = bitstream.payloads
     flag_bits, count, code_cols, row_bits = frame_row(c)
 
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<B", VERSION)
-    out += struct.pack("<IQH", h.sample_rate, h.true_sample_count, c.frame_len)
-    out += struct.pack(
-        "<BBBBB", c.bits, int(c.predictor_kind), int(c.adaptation), t.epochs, t.restarts
-    )
-    out += struct.pack("<Q", c.seed)
-    out += struct.pack("<ddd", c.step_init, c.step_min, c.step_max)
-    out += struct.pack("<B", len(c.multipliers))
-    out += struct.pack(f"<{len(c.multipliers)}d", *c.multipliers)
-    out += struct.pack("<dddd", t.init_scale, t.lambda_init, t.lambda_up, t.lambda_down)
+    values = {**vars(c.train), **vars(c), **vars(h)}
+    out = bytearray(MAGIC + struct.pack("<B", VERSION))
+    for name, code in HEADER_FIELDS:
+        value = values[name]
+        if name == "multipliers":
+            out += struct.pack(f"<{code}{len(value)}d", len(value), *value)
+        else:
+            out += struct.pack("<" + code, value)
 
     frames = len(payloads)
     u = np.array([p.codes for p in payloads]) + (1 << (c.bits - 1))
@@ -240,45 +253,26 @@ def parse(data: bytes) -> Bitstream:
     (version,), offset = _read_struct(data, offset, "<B")
     if version != VERSION:
         raise BitstreamError(f"unsupported version {version}")
-    (sample_rate, true_count, frame_len), offset = _read_struct(data, offset, "<IQH")
-    (bits, kind_raw, adapt_raw, epochs, restarts), offset = _read_struct(data, offset, "<BBBBB")
-    (seed,), offset = _read_struct(data, offset, "<Q")
-    (step_init, step_min, step_max), offset = _read_struct(data, offset, "<ddd")
-    (mult_count,), offset = _read_struct(data, offset, "<B")
-    if mult_count == 0:
-        raise BitstreamError("multiplier count 0; the table is always transmitted")
-    multipliers, offset = _read_struct(data, offset, f"<{mult_count}d")
-    (init_scale, lambda_init, lambda_up, lambda_down), offset = _read_struct(
-        data, offset, "<dddd"
-    )
-    if true_count < 1:
-        raise BitstreamError("empty stream")
-    if sample_rate < 1:
-        raise BitstreamError(f"sample_rate must be >= 1, got {sample_rate}")
+    values = {}
+    for name, code in HEADER_FIELDS:
+        (value,), offset = _read_struct(data, offset, "<" + code)
+        if name == "multipliers":
+            if value == 0:
+                raise BitstreamError("multiplier count 0; the table is always transmitted")
+            value, offset = _read_struct(data, offset, f"<{value}d")
+        values[name] = value
+
+    def build(cls):
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
+
     try:
-        config = CodecConfig(
-            frame_len=frame_len,
-            bits=bits,
-            predictor_kind=PredictorKind(kind_raw),
-            adaptation=Adaptation(adapt_raw),
-            train=TrainConfig(
-                epochs=epochs,
-                restarts=restarts,
-                lambda_init=lambda_init,
-                lambda_up=lambda_up,
-                lambda_down=lambda_down,
-                init_scale=init_scale,
-            ),
-            step_init=step_init,
-            step_min=step_min,
-            step_max=step_max,
-            multipliers=multipliers,
-            seed=seed,
-        )
+        values["train"] = build(TrainConfig)
+        values["config"] = build(CodecConfig)
+        header = build(BitstreamHeader)
     except ValueError as exc:
         raise BitstreamError(f"invalid header: {exc}") from None
-    header = BitstreamHeader(sample_rate, true_count, config)
 
+    config = header.config
     frames = header.frame_count
     flag_bits, count, code_cols, row_bits = frame_row(config)
     payload = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=offset))
@@ -302,8 +296,9 @@ def parse(data: bytes) -> Bitstream:
     if payload[frames * row_bits :].any():
         raise BitstreamError("nonzero padding bits after the last frame")
 
+    bits = config.bits
     weights = 1 << np.arange(bits - 1, -1, -1)
-    codes = rows[:, code_cols].reshape(frames, frame_len, bits) @ weights - (1 << (bits - 1))
+    codes = rows[:, code_cols].reshape(frames, config.frame_len, bits) @ weights - (1 << (bits - 1))
     flags = rows[:, 0].tolist() if flag_bits else [None] * frames
     return Bitstream(header=header, payloads=tuple(
         FramePayload(codes=tuple(row), hybrid_flag=flag, forward_coeffs=coeff)

@@ -173,6 +173,7 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
     if non_finite.size:
         i = non_finite[0]
         raise ValueError(f"sample {i} is not finite ({signal.samples[i]})")
+    header = BitstreamHeader(signal.sample_rate, len(signal), config)
     frames = split_frames(signal.samples, config.frame_len)
     state = initial_state(config)
     prev_recon = None
@@ -191,7 +192,6 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
         recon_parts.append(prev_recon)
 
     reconstruction = np.concatenate(recon_parts)[: len(signal)]
-    header = BitstreamHeader(signal.sample_rate, len(signal), config)
     bitstream = Bitstream(header=header, payloads=tuple(payloads))
     return EncodeResult(
         bitstream=bitstream,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio import Signal, split_frames
-from .bitstream import Adaptation, Bitstream, PredictorKind, parse, serialize
+from .bitstream import NEURAL_KINDS, Adaptation, Bitstream, PredictorKind, parse, serialize
 from .codec import CodecConfig, encode, decode, encode_frame, initial_state
 from .metrics import mean_std, segsnr, segment_snr_db, z_score
 from .mlp import MASK64, MIN_FRAME_LEN, SplitMix64, build_training_set, init_mlp, lm_iterations
@@ -230,7 +230,7 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
         kind, adaptation = METHODS[method]
-        neural = kind in (PredictorKind.MLP, PredictorKind.HYBRID)
+        neural = kind in NEURAL_KINDS
         for bits in bits_list:
             for length in lengths:
                 if neural and length < MIN_FRAME_LEN:

@@ -55,6 +55,17 @@ class TestHeaderRoundTrip:
         back = parse(serialize(Bitstream(header, payloads)))
         assert back.header == header
 
+    def test_header_field_bounds(self):
+        # sample_rate is a u32 and true_sample_count a u64 in the header
+        config = CodecConfig()
+        assert BitstreamHeader(8000, 2**64 - 1, config).frame_count == -(-(2**64 - 1) // 200)
+        header = BitstreamHeader(2**32 - 1, 200, config)
+        assert parse(serialized(header)).header == header
+        with pytest.raises(ValueError, match="^sample_rate 4294967296 not representable"):
+            BitstreamHeader(2**32, 1, config)
+        with pytest.raises(ValueError, match="^true_sample_count 18446744073709551616 not"):
+            BitstreamHeader(8000, 2**64, config)
+
     def test_frame_count_is_ceil(self):
         assert make_header(true_sample_count=400, frame_len=200).frame_count == 2
         assert make_header(true_sample_count=401, frame_len=200).frame_count == 3
@@ -343,6 +354,44 @@ class TestValidation:
             data[count_offset] = count
             with pytest.raises(BitstreamError, match="multiplier"):
                 parse(bytes(data))
+
+    @pytest.mark.parametrize("kind, adaptation", [
+        (PredictorKind.LPC10, Adaptation.FORWARD),
+        (PredictorKind.HYBRID, Adaptation.BACKWARD),
+    ])
+    def test_every_header_prefix_rejected(self, kind, adaptation):
+        header = make_header(predictor_kind=kind, adaptation=adaptation, bits=3,
+                             multipliers=DEFAULT_MULTIPLIERS[3])
+        payload = FramePayload(
+            codes=codes_for(header),
+            hybrid_flag=0 if kind is PredictorKind.HYBRID else None,
+            forward_coeffs=(0.5,) * 10 if adaptation is Adaptation.FORWARD else None,
+        )
+        data = serialize(Bitstream(header, (payload,) * header.frame_count))
+        for n in range(TestBitAccounting.header_bytes(3)):
+            match = "^bad magic" if n < 4 else "^header truncated$"
+            with pytest.raises(BitstreamError, match=match) as info:
+                parse(data[:n])
+            assert info.value.frame_index is None
+
+    # byte offsets: sample_rate 5, true_sample_count 9, frame_len 17, then
+    # bits, predictor_kind, adaptation, epochs, restarts at 19..23
+    @pytest.mark.parametrize("code, offset, value, match", [
+        pytest.param("B", 20, 4, "invalid header", id="predictor_kind-4"),
+        pytest.param("B", 21, 2, "invalid header", id="adaptation-2"),
+        pytest.param("B", 19, 1, "invalid header", id="bits-1"),
+        pytest.param("B", 19, 6, "invalid header", id="bits-6"),
+        pytest.param("<H", 17, 0, "invalid header", id="frame_len-0"),
+        pytest.param("B", 22, 0, "invalid header", id="epochs-0"),
+        pytest.param("B", 23, 0, "invalid header", id="restarts-0"),
+        pytest.param("<Q", 9, 0, "empty stream", id="true_sample_count-0"),
+    ])
+    def test_parse_rejects_forged_header_field(self, code, offset, value, match):
+        data = bytearray(serialized(make_header()))
+        struct.pack_into(code, data, offset, value)
+        with pytest.raises(BitstreamError, match=match) as info:
+            parse(bytes(data))
+        assert info.value.frame_index is None
 
     def test_parse_rejects_zero_sample_rate(self):
         data = bytearray(serialized(make_header()))

@@ -55,6 +55,14 @@ class TestEncode:
         assert code == 1
         assert "--bits" in stderr and "7" in stderr
 
+    def test_sample_rate_beyond_header_refused(self, capsys, tmp_path, pcm_file):
+        out = tmp_path / "o.nad"
+        code, stdout, stderr = run(capsys, "encode", "--in", pcm_file, "--out", str(out),
+                                   "--sample-rate", str(2**32))
+        assert code == 1
+        assert stderr == "error: sample_rate 4294967296 not representable in header\n"
+        assert stdout == "" and not out.exists()
+
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "encode", "--in", str(tmp_path / "no.pcm"),
                               "--out", str(tmp_path / "o.nad"))

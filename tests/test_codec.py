@@ -138,6 +138,17 @@ class TestCodecConfig:
             CodecConfig(predictor_kind=PredictorKind.MLP, frame_len=10)
         CodecConfig(predictor_kind=PredictorKind.LPC10, frame_len=10)
 
+    def test_header_field_bounds(self):
+        # frame_len is a u16 and epochs/restarts are u8 in the header
+        assert CodecConfig(frame_len=0xFFFF).frame_len == 0xFFFF
+        with pytest.raises(ValueError, match="^frame_len 65536 not representable in header$"):
+            CodecConfig(frame_len=0x10000)
+        for name in ("epochs", "restarts"):
+            train = TrainConfig(**{name: 255})
+            assert CodecConfig(predictor_kind=PredictorKind.MLP, train=train).train == train
+            with pytest.raises(ValueError, match=f"^{name} 256 not representable in header$"):
+                CodecConfig(train=TrainConfig(**{name: 256}))
+
     def test_multipliers_default_to_table(self):
         assert CodecConfig(bits=3).multipliers == (0.9, 0.9, 1.25, 1.75)
 
@@ -242,6 +253,14 @@ class TestEncodeDecode:
         assert len(result.reconstruction) == 450
         decoded = decode(result.bitstream)
         assert len(decoded) == 450
+
+    def test_header_refused_before_coding(self, monkeypatch):
+        def no_coding(*args):
+            raise AssertionError("a frame was coded")
+
+        monkeypatch.setattr(codec, "encode_frame", no_coding)
+        with pytest.raises(ValueError, match="^sample_rate 4294967296 not representable"):
+            encode(Signal(np.zeros(300), 2**32), CodecConfig())
 
     def test_non_finite_input_rejected(self):
         from nadpcm import Signal
@@ -355,6 +374,8 @@ class TestUntrustedStreams:
         assert info.value.frame_index == 1
 
     def test_zero_frame_header(self):
-        with pytest.raises(BitstreamError, match="no frames") as info:
-            Bitstream(BitstreamHeader(8000, 0, CodecConfig()), ())
-        assert info.value.frame_index is None
+        # the header refuses to describe no samples, so no zero-frame
+        # Bitstream can be built; a config error, not a stream error
+        with pytest.raises(ValueError, match="^empty stream$") as info:
+            BitstreamHeader(8000, 0, CodecConfig())
+        assert not isinstance(info.value, BitstreamError)
