@@ -4,10 +4,10 @@ The header is magic "NADP", a u8 version (1), then the fields of
 `HEADER_FIELDS` in table order, each little-endian with its struct code
 (reals are IEEE-754 binary64). serialize and parse both walk that table.
 After sample_rate and true_sample_count the header is the `CodecConfig`
-the stream was encoded with; parse rebuilds `TrainConfig`, `CodecConfig`
-and `BitstreamHeader` from it, so a header is valid exactly when those
-are. Their construction also refuses an integer field too large for its
-struct code, so nothing is coded that the header cannot carry.
+the stream was encoded with; parse rebuilds `TrainConfig` and `CodecConfig`
+by field name (`config_from`), then `BitstreamHeader`, so a header is valid
+exactly when those are. Their construction also refuses a non-integer or
+too-large value in an integer field, so nothing the header cannot carry is coded.
 
 Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
 MSB-first within each byte: the hybrid flag bit (hybrid only), 64 bits
@@ -53,9 +53,12 @@ HEADER_FIELDS = (
 
 
 def _check_representable(obj, *names):
-    """Raise ValueError for a named unsigned field too large for its header code."""
+    """Raise ValueError for a named unsigned header field that is not an
+    integer or is too large for its header code."""
     for name in names:
         value = getattr(obj, name)
+        if type(value) is not int and not isinstance(value, np.integer):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value >= 256 ** struct.calcsize("<" + dict(HEADER_FIELDS)[name]):
             raise ValueError(f"{name} {value} not representable in header")
 
@@ -112,20 +115,21 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.seed) is int or isinstance(self.seed, np.integer):
+            object.__setattr__(self, "seed", int(self.seed) & MASK64)  # seeds wrap to 64 bits
+        _check_representable(self, "seed", "bits", "frame_len")
+        _check_representable(self.train, "epochs", "restarts")
         object.__setattr__(self, "predictor_kind", PredictorKind(self.predictor_kind))
         object.__setattr__(self, "adaptation", Adaptation(self.adaptation))
         object.__setattr__(self, "multipliers", check_params(
             self.bits, self.step_init, self.step_min, self.step_max, self.multipliers))
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
-        _check_representable(self, "frame_len")
-        _check_representable(self.train, "epochs", "restarts")
         if self.predictor_kind in NEURAL_KINDS and self.frame_len < MIN_FRAME_LEN:
             raise ValueError(f"frame_len must be >= {MIN_FRAME_LEN} for neural predictors, "
                              f"got {self.frame_len}")
         if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
             raise ValueError("hybrid coding is defined for backward adaptation only")
-        object.__setattr__(self, "seed", self.seed & MASK64)
 
     def payload_bit_rate(self, sample_rate: int) -> float:
         """Payload bits/second: code bits plus the hybrid flag overhead.
@@ -245,6 +249,16 @@ def _read_struct(data: bytes, offset: int, fmt: str):
     return struct.unpack_from(fmt, data, offset), offset + size
 
 
+def _build(cls, values):
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
+
+
+def config_from(values) -> CodecConfig:
+    """Build a CodecConfig and its TrainConfig by field name from one flat
+    mapping holding every field of both (a parsed header, CLI arguments)."""
+    return _build(CodecConfig, {**values, "train": _build(TrainConfig, values)})
+
+
 def parse(data: bytes) -> Bitstream:
     """Parse serialized bytes back into a Bitstream, validating structure."""
     if len(data) < 4 or data[:4] != MAGIC:
@@ -262,13 +276,8 @@ def parse(data: bytes) -> Bitstream:
             value, offset = _read_struct(data, offset, f"<{value}d")
         values[name] = value
 
-    def build(cls):
-        return cls(**{f.name: values[f.name] for f in fields(cls)})
-
     try:
-        values["train"] = build(TrainConfig)
-        values["config"] = build(CodecConfig)
-        header = build(BitstreamHeader)
+        header = _build(BitstreamHeader, {**values, "config": config_from(values)})
     except ValueError as exc:
         raise BitstreamError(f"invalid header: {exc}") from None
 

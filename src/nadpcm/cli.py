@@ -15,6 +15,7 @@ from .bitstream import (
     BitstreamError,
     CodecConfig,
     PredictorKind,
+    config_from,
     parse,
     serialize,
 )
@@ -85,34 +86,27 @@ def _parse_lengths(text):
 
 
 def _parse_methods(text):
-    methods = [part.strip() for part in text.split(",") if part.strip()]
-    for method in methods:
-        if method not in harness.METHODS:
-            raise CliError(f"unknown method {method!r}; choose from {', '.join(harness.METHODS)}")
-    return methods
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _int_at_least(minimum):
+    """argparse type: an integer no smaller than minimum."""
+    def parse_int(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse_int.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse_int
+
+
+_positive_int = _int_at_least(1)
 
 
 def _codec_config(args) -> CodecConfig:
-    train = TrainConfig(
-        epochs=args.epochs,
-        restarts=args.restarts,
-        lambda_init=args.lambda_init,
-        lambda_up=args.lambda_up,
-        lambda_down=args.lambda_down,
-        init_scale=args.init_scale,
-    )
-    return CodecConfig(
-        frame_len=args.frame_len,
-        bits=args.bits,
-        predictor_kind=PREDICTORS[args.predictor],
-        adaptation=MODES[args.mode],
-        train=train,
-        step_init=args.delta0,
-        step_min=args.delta_min,
-        step_max=args.delta_max,
-        multipliers=args.multipliers,
-        seed=args.seed,
-    )
+    """The config flags, bound to config fields by their dest names."""
+    return config_from({**vars(args), "predictor_kind": PREDICTORS[args.predictor_kind],
+                        "adaptation": MODES[args.adaptation]})
 
 
 def _config_flags() -> _Parser:
@@ -122,18 +116,21 @@ def _config_flags() -> _Parser:
                    help="quantizer bits per sample (2-5)")
     p.add_argument("--frame-len", type=int, default=c.frame_len,
                    help="coding frame length in samples")
-    p.add_argument("--predictor", default=c.predictor_kind.name.lower(),
+    p.add_argument("--predictor", dest="predictor_kind", default=c.predictor_kind.name.lower(),
                    choices=sorted(PREDICTORS), help="short-term predictor")
-    p.add_argument("--mode", default=c.adaptation.name.lower(), choices=sorted(MODES),
-                   help="adaptation mode")
+    p.add_argument("--mode", dest="adaptation", default=c.adaptation.name.lower(),
+                   choices=sorted(MODES), help="adaptation mode")
     p.add_argument("--epochs", type=int, default=t.epochs, help="LM training epochs per fit")
     p.add_argument("--restarts", type=int, default=t.restarts,
                    help="multistart random initializations")
     p.add_argument("--seed", type=int, default=c.seed,
                    help="base seed for neural predictor training")
-    p.add_argument("--delta0", type=float, default=c.step_init, help="initial quantizer step")
-    p.add_argument("--delta-min", type=float, default=c.step_min, help="quantizer step floor")
-    p.add_argument("--delta-max", type=float, default=c.step_max, help="quantizer step ceiling")
+    p.add_argument("--delta0", dest="step_init", type=float, default=c.step_init,
+                   help="initial quantizer step")
+    p.add_argument("--delta-min", dest="step_min", type=float, default=c.step_min,
+                   help="quantizer step floor")
+    p.add_argument("--delta-max", dest="step_max", type=float, default=c.step_max,
+                   help="quantizer step ceiling")
     p.add_argument("--multipliers", type=_parse_multipliers, default=c.multipliers,
                    help="comma-separated step multipliers")
     p.add_argument("--lambda-init", type=float, default=t.lambda_init, help="initial LM damping")
@@ -160,7 +157,7 @@ def build_parser() -> _Parser:
     enc = sub.add_parser("encode", parents=[_config_flags()], help="encode audio to a bitstream")
     enc.add_argument("--in", dest="infile", required=True, help="input audio path")
     enc.add_argument("--out", required=True, help="output bitstream path")
-    enc.add_argument("--segment-len", type=int, default=None,
+    enc.add_argument("--segment-len", type=_positive_int, default=None,
                      help="SEGSNR segment length (default: frame length)")
     _io_flags(enc)
     enc.set_defaults(func=cmd_encode)
@@ -170,7 +167,7 @@ def build_parser() -> _Parser:
     dec.add_argument("--out", required=True, help="output audio path")
     dec.add_argument("--reference", default=None, help="original audio for SEGSNR reporting")
     dec.add_argument("--csv", default=None, help="write per-segment SNR CSV here")
-    dec.add_argument("--segment-len", type=int, default=None,
+    dec.add_argument("--segment-len", type=_positive_int, default=None,
                      help="SEGSNR segment length (default: frame length from header)")
     _io_flags(dec)
     dec.set_defaults(func=cmd_decode)
@@ -182,7 +179,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--bits-list", default="2,3,4,5", help="comma list of quantizer depths")
     ev.add_argument("--methods", default=",".join(harness.METHODS),
                     help="comma list of method names")
-    ev.add_argument("--significance-n", type=int, default=None,
+    ev.add_argument("--significance-n", type=_positive_int, default=None,
                     help="sample count for the z-test (default: evaluated frames)")
     _io_flags(ev)
     ev.set_defaults(func=cmd_eval)
@@ -192,9 +189,9 @@ def build_parser() -> _Parser:
     sw.add_argument("--kind", required=True, choices=("epochs", "frame-length", "histogram"))
     sw.add_argument("--in", dest="infile", required=True, help="input audio path")
     sw.add_argument("--out", default=None, help="write the sweep CSV here")
-    sw.add_argument("--frame-pair-index", type=int, default=0,
+    sw.add_argument("--frame-pair-index", type=_int_at_least(0), default=0,
                     help="first frame of the train/test pair (epochs sweep)")
-    sw.add_argument("--max-epochs", type=int, default=100,
+    sw.add_argument("--max-epochs", type=_positive_int, default=100,
                     help="epoch range for epochs/histogram sweeps")
     sw.add_argument("--restart-seed", type=int, default=0,
                     help="initialization seed for the epochs sweep")
@@ -221,8 +218,7 @@ def cmd_encode(args) -> int:
     rate = config.payload_bit_rate(signal.sample_rate)
     print(f"frames: {len(result.bitstream.payloads)}")
     print(f"bit rate: {rate / 1000.0:.2f} kbps")
-    segment_len = args.segment_len if args.segment_len else config.frame_len
-    report = segsnr(signal, result.reconstruction, segment_len)
+    report = segsnr(signal, result.reconstruction, args.segment_len or config.frame_len)
     print(f"segsnr: {report.mean_db:.2f} dB over {report.segments_used} segments")
     return 0
 
@@ -234,7 +230,7 @@ def cmd_decode(args) -> int:
     print(f"decoded: {len(signal)} samples at {signal.sample_rate} Hz")
     if args.reference:
         reference = _read_signal(args.reference, None, signal.sample_rate)
-        segment_len = args.segment_len if args.segment_len else bitstream.header.config.frame_len
+        segment_len = args.segment_len or bitstream.header.config.frame_len
         report = segsnr(reference, signal, segment_len)
         print(f"segsnr: {report.mean_db:.2f} dB over {report.segments_used} segments")
         if args.csv:
@@ -255,8 +251,7 @@ def cmd_eval(args) -> int:
         group = [r for r in rows if r.bits == bits]
         if len(group) < 2:
             continue
-        n = args.significance_n if args.significance_n else max(
-            1, min(r.frames_evaluated for r in group))
+        n = args.significance_n or max(1, min(r.frames_evaluated for r in group))
         for pair in harness.significance_matrix(group, n):
             if pair.method_a == pair.method_b:
                 continue
@@ -270,8 +265,8 @@ def cmd_sweep(args) -> int:
     signal = _read_signal(args.infile, args.format, args.sample_rate)
     config = _codec_config(args)
     if args.kind == "epochs":
-        curve = harness.epoch_sweep(signal, args.frame_pair_index, args.bits,
-                                    args.max_epochs, args.restart_seed, config)
+        curve = harness.epoch_sweep(signal, args.frame_pair_index, args.max_epochs,
+                                    args.restart_seed, config)
         table = harness.export_csv(
             ["epoch", "train_db", "test_db"],
             zip(curve.x_values, curve.y_train_db, curve.y_test_db),
@@ -291,7 +286,7 @@ def cmd_sweep(args) -> int:
         for method, bits, length, reason in skipped:
             print(f"skipped {method} Nq={bits} frame_len={length}: {reason}")
     else:
-        hist = harness.optimal_epoch_histogram(signal, args.bits, args.max_epochs, config)
+        hist = harness.optimal_epoch_histogram(signal, args.max_epochs, config)
         table = harness.export_csv(["epoch", "percent"], sorted(hist.items()))
         expanded = [epoch for epoch, pct in hist.items() for _ in range(round(pct * 100))]
         print(f"median optimal epoch: {statistics.median(expanded):g}")

@@ -61,19 +61,24 @@ class SweepCurve:
             raise ValueError("x_values must be strictly increasing")
 
 
-def configured(base: CodecConfig, bits=None, kind=None, adaptation=None, frame_len=None):
-    """Variant of a config; changing bits re-defaults the multiplier table."""
-    changes = {}
-    if bits is not None and bits != base.bits:
-        changes["bits"] = bits
-        changes["multipliers"] = ()
-    if kind is not None:
-        changes["predictor_kind"] = kind
-    if adaptation is not None:
-        changes["adaptation"] = adaptation
+def _method(method: str):
+    """(predictor kind, adaptation) of a method; the one METHODS lookup."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    return METHODS[method]
+
+
+def method_config(base: CodecConfig, method: str, bits: int, frame_len=None) -> CodecConfig:
+    """The config that codes `method` at `bits` (and `frame_len`, if given)
+    with base's other fields; a bit depth other than base's re-defaults the
+    multiplier table."""
+    kind, adaptation = _method(method)
+    changes = {"predictor_kind": kind, "adaptation": adaptation}
+    if bits != base.bits:
+        changes.update(bits=bits, multipliers=())
     if frame_len is not None:
         changes["frame_len"] = frame_len
-    return replace(base, **changes) if changes else base
+    return replace(base, **changes)
 
 
 def _roundtrip(signal: Signal, config: CodecConfig) -> Signal:
@@ -92,26 +97,22 @@ def evaluate_methods(corpus, bits_list, methods, base_config: CodecConfig):
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must be non-empty")
+    runs = [(m, b, method_config(base_config, m, b)) for m in methods for b in bits_list]
     rows = []
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-        kind, adaptation = METHODS[method]
-        for bits in bits_list:
-            config = configured(base_config, bits=bits, kind=kind, adaptation=adaptation)
-            pooled = []
-            for index, signal in enumerate(corpus):
-                try:
-                    decoded = _roundtrip(signal, config)
-                except Exception as exc:
-                    raise RuntimeError(f"{method} Nq={bits} failed on corpus[{index}]: {exc}") from exc
-                report = segsnr(signal, decoded, config.frame_len)
-                pooled.extend(report.per_segment_db)
-            if pooled:
-                mean_db, std_db = mean_std(pooled)
-            else:
-                mean_db = std_db = float("nan")
-            rows.append(MethodRow(method, bits, mean_db, std_db, len(pooled)))
+    for method, bits, config in runs:
+        pooled = []
+        for index, signal in enumerate(corpus):
+            try:
+                decoded = _roundtrip(signal, config)
+            except Exception as exc:
+                raise RuntimeError(f"{method} Nq={bits} failed on corpus[{index}]: {exc}") from exc
+            report = segsnr(signal, decoded, config.frame_len)
+            pooled.extend(report.per_segment_db)
+        if pooled:
+            mean_db, std_db = mean_std(pooled)
+        else:
+            mean_db = std_db = float("nan")
+        rows.append(MethodRow(method, bits, mean_db, std_db, len(pooled)))
     return rows
 
 
@@ -137,7 +138,7 @@ def closed_loop_frame_snr(frame, predictor, config: CodecConfig):
     return segment_snr_db(frame, frame - recon)
 
 
-def epoch_sweep(signal: Signal, frame_pair_index: int, bits: int, max_epochs: int,
+def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
                 restart_seed: int, base_config: CodecConfig | None = None) -> SweepCurve:
     """Trace SEGSNR against training epochs for one frame pair.
 
@@ -147,13 +148,11 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, bits: int, max_epochs: in
     (backward-style). Overtraining shows up as the test curve peaking
     early and then declining.
     """
-    base = base_config if base_config is not None else CodecConfig()
-    config = configured(base, bits=bits)
+    config = base_config if base_config is not None else CodecConfig()
     frames = split_frames(signal.samples, config.frame_len)
-    if frame_pair_index + 1 >= len(frames):
-        raise ValueError(
-            f"signal has {len(frames)} frames; pair index {frame_pair_index} needs two"
-        )
+    if not 0 <= frame_pair_index < len(frames) - 1:
+        raise ValueError(f"signal has {len(frames)} frames; pair index {frame_pair_index} "
+                         f"is not in 0..{len(frames) - 2}")
     train_frame = frames[frame_pair_index]
     test_frame = frames[frame_pair_index + 1]
     if np.dot(train_frame, train_frame) < 1e-12 or np.dot(test_frame, test_frame) < 1e-12:
@@ -176,8 +175,7 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, bits: int, max_epochs: in
     )
 
 
-def optimal_epoch_histogram(signal: Signal, bits: int, max_epochs: int,
-                            config: CodecConfig):
+def optimal_epoch_histogram(signal: Signal, max_epochs: int, config: CodecConfig):
     """Distribution of the per-frame optimal epoch count.
 
     For each consecutive frame pair, one net (seeded from the config seed
@@ -185,7 +183,6 @@ def optimal_epoch_histogram(signal: Signal, bits: int, max_epochs: int,
     the epoch count maximizing closed-loop SNR on the next frame (first
     maximum on ties). Returns {epoch: percent of frames}.
     """
-    config = configured(config, bits=bits)
     frames = split_frames(signal.samples, config.frame_len)
     if len(frames) < 2:
         raise ValueError("need at least two frames")
@@ -224,29 +221,27 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
     (method, bits, length, reason) tuples.
     """
     base = base_config if base_config is not None else CodecConfig()
-    records = []
+    runs = []
     skipped = []
     for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-        kind, adaptation = METHODS[method]
-        neural = kind in NEURAL_KINDS
+        neural = _method(method)[0] in NEURAL_KINDS
         for bits in bits_list:
             for length in lengths:
                 if neural and length < MIN_FRAME_LEN:
                     skipped.append((method, bits, length, "frame too short for neural predictor"))
-                    continue
-                config = configured(base, bits=bits, kind=kind, adaptation=adaptation,
-                                    frame_len=length)
-                decoded = _roundtrip(signal, config)
-                report = segsnr(signal, decoded, SEGSNR_WINDOW)
-                records.append({
-                    "method": method,
-                    "bits": bits,
-                    "frame_len": length,
-                    "segsnr_mean": report.mean_db,
-                    "segments": report.segments_used,
-                })
+                else:
+                    runs.append((method, bits, length, method_config(base, method, bits, length)))
+    records = []
+    for method, bits, length, config in runs:
+        decoded = _roundtrip(signal, config)
+        report = segsnr(signal, decoded, SEGSNR_WINDOW)
+        records.append({
+            "method": method,
+            "bits": bits,
+            "frame_len": length,
+            "segsnr_mean": report.mean_db,
+            "segments": report.segments_used,
+        })
     return records, skipped
 
 

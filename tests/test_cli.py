@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nadpcm import Signal, parse, save_pcm16, write_wav
+from nadpcm import (
+    Adaptation,
+    CodecConfig,
+    PredictorKind,
+    Signal,
+    TrainConfig,
+    parse,
+    save_pcm16,
+    write_wav,
+)
 from nadpcm.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -30,6 +39,58 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Every config flag with a non-default value, and the config it must give.
+CONFIG_FLAGS = [
+    (["--bits", "3"], CodecConfig(bits=3)),
+    (["--frame-len", "100"], CodecConfig(frame_len=100)),
+    (["--predictor", "lpc25"], CodecConfig(predictor_kind=PredictorKind.LPC25)),
+    (["--mode", "forward"], CodecConfig(adaptation=Adaptation.FORWARD)),
+    (["--epochs", "3"], CodecConfig(train=TrainConfig(epochs=3))),
+    (["--restarts", "2"], CodecConfig(train=TrainConfig(restarts=2))),
+    (["--seed", "12345"], CodecConfig(seed=12345)),
+    (["--delta0", "0.03"], CodecConfig(step_init=0.03)),
+    (["--delta-min", "0.001"], CodecConfig(step_min=0.001)),
+    (["--delta-max", "0.4"], CodecConfig(step_max=0.4)),
+    (["--multipliers", "0.8,0.85,0.9,0.95,1.2,1.6,2.0,2.4"],
+     CodecConfig(multipliers=(0.8, 0.85, 0.9, 0.95, 1.2, 1.6, 2.0, 2.4))),
+    (["--lambda-init", "0.02"], CodecConfig(train=TrainConfig(lambda_init=0.02))),
+    (["--lambda-up", "5"], CodecConfig(train=TrainConfig(lambda_up=5.0))),
+    (["--lambda-down", "0.2"], CodecConfig(train=TrainConfig(lambda_down=0.2))),
+    (["--init-scale", "0.25"], CodecConfig(train=TrainConfig(init_scale=0.25))),
+    ([], CodecConfig()),
+]
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("flags, expected", CONFIG_FLAGS,
+                             ids=[" ".join(f[:1]) or "none" for f, _ in CONFIG_FLAGS])
+    def test_flag_sets_its_config_field(self, capsys, tmp_path, pcm_file, flags, expected):
+        out = tmp_path / "o.nad"
+        code, _, _ = run(capsys, "encode", "--in", pcm_file, "--out", str(out), *flags)
+        assert code == 0
+        assert parse(out.read_bytes()).header.config == expected
+
+
+@pytest.mark.parametrize("argv", [
+    "encode --segment-len 0",
+    "encode --segment-len -3",
+    "decode --segment-len 0",
+    "eval --significance-n 0",
+    "eval --significance-n -1",
+    "sweep --kind epochs --max-epochs 0",
+    "sweep --kind histogram --max-epochs -2",
+    "sweep --kind epochs --frame-pair-index -1",
+    "sweep --kind epochs --frame-pair-index -12",
+])
+def test_bad_count_refused_before_any_work(capsys, tmp_path, pcm_file, argv):
+    command, *flags = argv.split()
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, command, "--in", pcm_file, "--out", str(out), *flags)
+    assert code == 1
+    assert stderr.startswith(f"error: argument {flags[-2]}: must be >= ")
+    assert stdout == "" and not out.exists()
 
 
 class TestEncode:
@@ -161,10 +222,13 @@ class TestEval:
         assert out_csv.read_text().splitlines()[0] == (
             "method,bits,segsnr_mean,segsnr_std,frames")
 
-    def test_unknown_method(self, capsys, pcm_file):
-        code, _, stderr = run(capsys, "eval", "--in", pcm_file,
-                              "--methods", "ADPCM-NOPE")
-        assert code == 1 and "unknown method" in stderr
+    def test_unknown_method(self, capsys, tmp_path, pcm_file):
+        out = tmp_path / "table.csv"
+        code, stdout, stderr = run(capsys, "eval", "--in", pcm_file, "--out", str(out),
+                                   "--methods", "ADPCMB-LPC-10,ADPCM-NOPE")
+        assert code == 1
+        assert stderr.startswith("error: unknown method 'ADPCM-NOPE'")
+        assert stdout == "" and not out.exists()
 
 
 class TestSweep:

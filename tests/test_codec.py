@@ -149,6 +149,28 @@ class TestCodecConfig:
             with pytest.raises(ValueError, match=f"^{name} 256 not representable in header$"):
                 CodecConfig(train=TrainConfig(**{name: 256}))
 
+    @pytest.mark.parametrize("name, build", [
+        ("frame_len", lambda: CodecConfig(frame_len=200.5)),
+        ("bits", lambda: CodecConfig(bits=4.0)),
+        ("seed", lambda: CodecConfig(seed=1.5)),
+        ("epochs", lambda: CodecConfig(train=TrainConfig(epochs=2.5))),
+        ("restarts", lambda: CodecConfig(train=TrainConfig(restarts=3.0))),
+        ("sample_rate", lambda: BitstreamHeader(8000.5, 400, CodecConfig())),
+        ("true_sample_count", lambda: BitstreamHeader(8000, 400.0, CodecConfig())),
+    ])
+    def test_header_integers_must_be_integers(self, name, build):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        config = CodecConfig(frame_len=np.int64(200), bits=np.int64(4), seed=np.int64(-1),
+                             train=TrainConfig(epochs=np.int64(3), restarts=np.uint8(2)))
+        assert config == CodecConfig(frame_len=200, bits=4, seed=2**64 - 1,
+                                     train=TrainConfig(epochs=3, restarts=2))
+        header = BitstreamHeader(np.int64(8000), np.int64(400), config)
+        bitstream = encode(Signal(np.zeros(400), header.sample_rate), config).bitstream
+        assert parse(serialize(bitstream)).header == header
+
     def test_multipliers_default_to_table(self):
         assert CodecConfig(bits=3).multipliers == (0.9, 0.9, 1.25, 1.75)
 
@@ -261,6 +283,14 @@ class TestEncodeDecode:
         monkeypatch.setattr(codec, "encode_frame", no_coding)
         with pytest.raises(ValueError, match="^sample_rate 4294967296 not representable"):
             encode(Signal(np.zeros(300), 2**32), CodecConfig())
+
+    def test_non_integer_sample_rate_refused_before_coding(self, monkeypatch):
+        def no_coding(*args):
+            raise AssertionError("a frame was coded")
+
+        monkeypatch.setattr(codec, "encode_frame", no_coding)
+        with pytest.raises(ValueError, match="^sample_rate must be an integer, got 8000.5$"):
+            encode(Signal(np.zeros(400), 8000.5), CodecConfig())
 
     def test_non_finite_input_rejected(self):
         from nadpcm import Signal

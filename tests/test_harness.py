@@ -22,10 +22,11 @@ from nadpcm import (
     segsnr,
     significance_matrix,
 )
+from nadpcm import harness
 from nadpcm.harness import (
     SEGSNR_WINDOW,
     closed_loop_frame_snr,
-    configured,
+    method_config,
     method_rows_csv,
     segsnr_report_csv,
 )
@@ -43,17 +44,32 @@ class TestMethods:
         # hybrid exists only in backward form
         assert "ADPCMF-HYBRID" not in METHODS
 
-    def test_configured_redefaults_multipliers_on_bit_change(self):
-        base = CodecConfig(bits=2)
-        assert configured(base, bits=4).multipliers == CodecConfig(bits=4).multipliers
-        assert configured(base, bits=2) is base
+    def test_method_config_redefaults_multipliers_on_bit_change(self):
+        base = CodecConfig(bits=2, multipliers=(0.8, 1.7))
+        assert method_config(base, "ADPCMB-LPC-10", 4).multipliers == CodecConfig(bits=4).multipliers
+        assert method_config(base, "ADPCMB-LPC-10", 2) == base  # same bits keeps the table
 
-    def test_configured_overrides(self):
+    def test_method_config_overrides(self):
         base = CodecConfig()
-        out = configured(base, kind=PredictorKind.MLP, adaptation=Adaptation.FORWARD,
-                         frame_len=50)
-        assert (out.predictor_kind, out.adaptation, out.frame_len) == (
-            PredictorKind.MLP, Adaptation.FORWARD, 50)
+        out = method_config(base, "ADPCMF-MLP", 3, frame_len=50)
+        assert (out.predictor_kind, out.adaptation, out.bits, out.frame_len) == (
+            PredictorKind.MLP, Adaptation.FORWARD, 3, 50)
+
+    def test_method_config_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown method 'ADPCM-NOPE'"):
+            method_config(CodecConfig(), "ADPCM-NOPE", 4)
+
+    @pytest.mark.parametrize("sweep", [
+        lambda signal, methods: evaluate_methods([signal], [3], methods, CodecConfig()),
+        lambda signal, methods: frame_length_sweep(signal, [200], [3], methods, CodecConfig()),
+    ], ids=["evaluate_methods", "frame_length_sweep"])
+    def test_method_list_checked_before_coding(self, monkeypatch, ar_signal, sweep):
+        def no_coding(*args):
+            raise AssertionError("a signal was coded")
+
+        monkeypatch.setattr(harness, "encode", no_coding)
+        with pytest.raises(ValueError, match="^unknown method 'ADPCM-NOPE'"):
+            sweep(ar_signal, ["ADPCMB-LPC-10", "ADPCM-NOPE"])
 
 
 class TestEvaluateMethods:
@@ -122,25 +138,26 @@ class TestSignificance:
 
 class TestEpochSweep:
     def test_curve_shape(self, ar_signal):
-        curve = epoch_sweep(ar_signal, 0, 3, 5, restart_seed=7)
+        curve = epoch_sweep(ar_signal, 0, 5, restart_seed=7, base_config=CodecConfig(bits=3))
         assert isinstance(curve, SweepCurve)
         assert curve.x_values == (1, 2, 3, 4, 5)
         assert len(curve.y_train_db) == 5 and len(curve.y_test_db) == 5
         assert all(np.isfinite(v) for v in curve.y_train_db + curve.y_test_db)
 
     def test_deterministic(self, ar_signal):
-        a = epoch_sweep(ar_signal, 2, 3, 4, restart_seed=9)
-        b = epoch_sweep(ar_signal, 2, 3, 4, restart_seed=9)
+        a = epoch_sweep(ar_signal, 2, 4, restart_seed=9, base_config=CodecConfig(bits=3))
+        b = epoch_sweep(ar_signal, 2, 4, restart_seed=9, base_config=CodecConfig(bits=3))
         assert a == b
 
     def test_pair_out_of_range(self, ar_signal):
-        with pytest.raises(ValueError, match="pair index"):
-            epoch_sweep(ar_signal, 9, 3, 4, restart_seed=0)  # frame 10 missing
+        for index in (9, 10, -1, -12):  # 10 frames: pairs start at 0..8
+            with pytest.raises(ValueError, match=f"pair index {index} "):
+                epoch_sweep(ar_signal, index, 4, restart_seed=0, base_config=CodecConfig(bits=3))
 
     def test_silent_pair_rejected(self):
         silent = Signal(np.zeros(800), 8000)
         with pytest.raises(ValueError, match="silence"):
-            epoch_sweep(silent, 0, 3, 4, restart_seed=0)
+            epoch_sweep(silent, 0, 4, restart_seed=0, base_config=CodecConfig(bits=3))
 
     def test_strictly_increasing_x_enforced(self):
         with pytest.raises(ValueError):
@@ -150,19 +167,19 @@ class TestEpochSweep:
 class TestOptimalEpochHistogram:
     def test_percentages_sum_to_100(self, ar_signal):
         short = Signal(ar_signal.samples[:600], ar_signal.sample_rate)
-        hist = optimal_epoch_histogram(short, 3, 4, CodecConfig())
+        hist = optimal_epoch_histogram(short, 4, CodecConfig(bits=3))
         assert sum(hist.values()) == pytest.approx(100.0)
         assert all(1 <= epoch <= 4 for epoch in hist)
 
     def test_single_pair_is_degenerate(self, ar_signal):
         short = Signal(ar_signal.samples[:400], ar_signal.sample_rate)
-        hist = optimal_epoch_histogram(short, 3, 3, CodecConfig())
+        hist = optimal_epoch_histogram(short, 3, CodecConfig(bits=3))
         assert len(hist) == 1 and list(hist.values()) == [100.0]
 
     def test_too_few_frames_rejected(self, ar_signal):
         short = Signal(ar_signal.samples[:200], ar_signal.sample_rate)
         with pytest.raises(ValueError):
-            optimal_epoch_histogram(short, 3, 3, CodecConfig())
+            optimal_epoch_histogram(short, 3, CodecConfig(bits=3))
 
 
 class TestFrameLengthSweep:
