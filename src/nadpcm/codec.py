@@ -39,7 +39,7 @@ from .bitstream import (
     FramePayload,
     PredictorKind,
 )
-from .mlp import MASK64, Mlp, multistart_fit
+from .mlp import Mlp, multistart_fit
 from .quantizer import dequantize, next_step, quantize
 
 HISTORY_LEN = 25  # covers the largest predictor order
@@ -66,7 +66,7 @@ def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index
     backward mode (decoder-reproducible), the current original frame in
     forward mode (coefficients transmitted)."""
     if kind is PredictorKind.MLP:
-        return multistart_fit(samples, config.train, (config.seed ^ frame_index) & MASK64)
+        return multistart_fit(samples, config.train, config.seed ^ frame_index)
     return lpc.fit(samples, FORWARD_COEFF_COUNT[kind])
 
 
@@ -82,7 +82,7 @@ def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, payload: 
     if config.adaptation is Adaptation.FORWARD:
         coeffs = payload.forward_coeffs
         if kind is PredictorKind.MLP:
-            return Mlp.from_vector(coeffs)
+            return Mlp(coeffs)
         return lpc.LpcModel(len(coeffs), coeffs, np.zeros(len(coeffs)))
     if frame_index == 0:
         return ZERO
@@ -98,7 +98,7 @@ def _candidate_payloads(config: CodecConfig, frame, frame_index: int) -> list:
     kind = config.predictor_kind
     if config.adaptation is Adaptation.FORWARD:
         fitted = fit_predictor(frame, kind, config, frame_index)
-        vector = fitted.to_vector() if kind is PredictorKind.MLP else fitted.coeffs
+        vector = fitted.theta if kind is PredictorKind.MLP else fitted.coeffs
         return [FramePayload((), forward_coeffs=tuple(vector.tolist()))]
     if kind is PredictorKind.HYBRID:
         return [FramePayload((), hybrid_flag=f) for f in ((0, 1) if frame_index else (0,))]

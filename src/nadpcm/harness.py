@@ -16,8 +16,8 @@ import numpy as np
 from .audio import Signal, split_frames
 from .bitstream import NEURAL_KINDS, Adaptation, Bitstream, PredictorKind, parse, serialize
 from .codec import CodecConfig, encode, decode, encode_frame, initial_state
-from .metrics import mean_std, segsnr, segment_snr_db, z_score
-from .mlp import MASK64, MIN_FRAME_LEN, SplitMix64, build_training_set, init_mlp, lm_iterations
+from .metrics import SILENCE_ENERGY_FLOOR, mean_std, segsnr, segment_snr_db, z_score
+from .mlp import MIN_FRAME_LEN, lm_iterations
 
 SIGNIFICANCE_THRESHOLD = 2.5
 SEGSNR_WINDOW = 200  # metric window, independent of the coding frame length
@@ -61,6 +61,13 @@ class SweepCurve:
             raise ValueError("x_values must be strictly increasing")
 
 
+def _require_nonempty(**sequences):
+    """Raise ValueError naming the first empty sequence."""
+    for name, values in sequences.items():
+        if len(values) == 0:
+            raise ValueError(f"{name} must be non-empty")
+
+
 def _method(method: str):
     """(predictor kind, adaptation) of a method; the one METHODS lookup."""
     if method not in METHODS:
@@ -95,8 +102,7 @@ def evaluate_methods(corpus, bits_list, methods, base_config: CodecConfig):
     carry NaN means and zero frames.
     """
     corpus = list(corpus)
-    if not corpus:
-        raise ValueError("corpus must be non-empty")
+    _require_nonempty(corpus=corpus, methods=methods, bits_list=bits_list)
     runs = [(m, b, method_config(base_config, m, b)) for m in methods for b in bits_list]
     rows = []
     for method, bits, config in runs:
@@ -155,17 +161,14 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
                          f"is not in 0..{len(frames) - 2}")
     train_frame = frames[frame_pair_index]
     test_frame = frames[frame_pair_index + 1]
-    if np.dot(train_frame, train_frame) < 1e-12 or np.dot(test_frame, test_frame) < 1e-12:
+    if any(np.dot(f, f) < SILENCE_ENERGY_FLOOR for f in (train_frame, test_frame)):
         raise ValueError(f"frame pair {frame_pair_index} contains silence; pick another")
-
-    x, t = build_training_set(train_frame)
-    if len(t) == 0:
+    if len(train_frame) < MIN_FRAME_LEN:
         raise ValueError("training frame too short to form prediction pairs")
-    net = init_mlp(SplitMix64(restart_seed & MASK64), config.train.init_scale)
 
     y_train = []
     y_test = []
-    for net, _ in lm_iterations(net, x, t, config.train, max_epochs):
+    for net, _ in lm_iterations(train_frame, restart_seed, config.train, max_epochs):
         y_train.append(closed_loop_frame_snr(train_frame, net, config))
         y_test.append(closed_loop_frame_snr(test_frame, net, config))
     return SweepCurve(
@@ -190,13 +193,9 @@ def optimal_epoch_histogram(signal: Signal, max_epochs: int, config: CodecConfig
     counts = {}
     total = 0
     for k in range(len(frames) - 1):
-        x, t = build_training_set(frames[k])
-        if len(t) == 0:
-            continue
-        net = init_mlp(SplitMix64((config.seed ^ k) & MASK64), config.train.init_scale)
-        best_epoch = None
-        best_snr = None
-        for epoch, (net, _) in enumerate(lm_iterations(net, x, t, config.train, max_epochs), 1):
+        best_epoch = best_snr = None
+        run = lm_iterations(frames[k], config.seed ^ k, config.train, max_epochs)
+        for epoch, (net, _) in enumerate(run, 1):
             snr = closed_loop_frame_snr(frames[k + 1], net, config)
             if snr is None:
                 continue
@@ -220,6 +219,7 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
     those methods; skips are returned alongside the records as
     (method, bits, length, reason) tuples.
     """
+    _require_nonempty(lengths=lengths, bits_list=bits_list, methods=methods)
     base = base_config if base_config is not None else CodecConfig()
     runs = []
     skipped = []

@@ -6,9 +6,10 @@ seeds: the same frame, config and seed always reproduce the same trained
 weights, which is what lets a decoder re-derive the encoder's predictor
 from decoded samples alone.
 
-Parameter vector ordering is normative for seeding and serialization:
-input weights row-major (hidden unit 0 then 1), hidden biases, output
-weights, output bias.
+The parameter vector is the model: `Mlp` holds the 25 parameters as one
+array, `theta`, in the order that is normative for seeding and
+serialization: input weights row-major (hidden unit 0 then 1), hidden
+biases, output weights, output bias.
 """
 
 import logging
@@ -62,10 +63,12 @@ class TrainConfig:
     init_scale: float = 0.5
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        for name in ("epochs", "restarts"):
+            value = getattr(self, name)
+            if type(value) is not int and not isinstance(value, np.integer):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         for name in ("lambda_init", "lambda_up", "lambda_down", "init_scale"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -74,36 +77,30 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Mlp:
-    """10x2x1 perceptron: sigmoid hidden layer, linear output."""
+    """10x2x1 perceptron: sigmoid hidden layer, linear output.
 
-    w_in: np.ndarray   # (2, 10)
-    b_hid: np.ndarray  # (2,)
-    w_out: np.ndarray  # (2,)
-    b_out: float
+    `theta` holds the 25 parameters in the normative order and is the
+    whole model; `w_in` (2, 10), `b_hid` (2,) and `w_out` (2,) are
+    read-only views of it, and `b_out` is its last entry as a float.
+    """
+
+    theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w_in", np.asarray(self.w_in, dtype=np.float64))
-        object.__setattr__(self, "b_hid", np.asarray(self.b_hid, dtype=np.float64))
-        object.__setattr__(self, "w_out", np.asarray(self.w_out, dtype=np.float64))
-        if self.w_in.shape != (N_HIDDEN, N_INPUTS):
-            raise ValueError(f"w_in must be {(N_HIDDEN, N_INPUTS)}, got {self.w_in.shape}")
+        theta = np.array(self.theta, dtype=np.float64)
+        if theta.shape != (N_PARAMS,):
+            raise ValueError(f"need {N_PARAMS} parameters, got {theta.shape}")
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "w_in", theta[:20].reshape(N_HIDDEN, N_INPUTS))
+        object.__setattr__(self, "b_hid", theta[20:22])
+        object.__setattr__(self, "w_out", theta[22:24])
+        object.__setattr__(self, "b_out", float(theta[24]))
 
     @classmethod
     def zero(cls) -> "Mlp":
         """All-zero net; predicts 0.0 for any input (zero output weights)."""
-        return cls(np.zeros((N_HIDDEN, N_INPUTS)), np.zeros(N_HIDDEN), np.zeros(N_HIDDEN), 0.0)
-
-    def to_vector(self) -> np.ndarray:
-        """All 25 parameters in the normative order."""
-        return np.concatenate([self.w_in.ravel(), self.b_hid, self.w_out, [self.b_out]])
-
-    @classmethod
-    def from_vector(cls, theta) -> "Mlp":
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (N_PARAMS,):
-            raise ValueError(f"need {N_PARAMS} parameters, got {theta.shape}")
-        w_in = theta[:20].reshape(N_HIDDEN, N_INPUTS).copy()
-        return cls(w_in, theta[20:22].copy(), theta[22:24].copy(), float(theta[24]))
+        return cls(np.zeros(N_PARAMS))
 
     def forward(self, inputs) -> float:
         """Output for one input vector of the 10 most recent samples, newest first."""
@@ -111,10 +108,10 @@ class Mlp:
         h = expit(self.w_in @ x + self.b_hid)
         return float(self.w_out @ h + self.b_out)
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Outputs for an (N, 10) input matrix."""
+    def forward_batch(self, x: np.ndarray):
+        """Hidden activations (N, 2) and outputs (N,) for an (N, 10) input matrix."""
         h = expit(x @ self.w_in.T + self.b_hid)
-        return h @ self.w_out + self.b_out
+        return h, h @ self.w_out + self.b_out
 
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last."""
@@ -127,8 +124,7 @@ def init_mlp(rng: SplitMix64, scale: float) -> Mlp:
     """Draw all 25 parameters uniformly in [-scale, scale), in normative order."""
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    theta = np.array([rng.uniform(-scale, scale) for _ in range(N_PARAMS)])
-    return Mlp.from_vector(theta)
+    return Mlp([rng.uniform(-scale, scale) for _ in range(N_PARAMS)])
 
 
 def build_training_set(frame):
@@ -157,14 +153,10 @@ def residual_jacobian(mlp: Mlp, x: np.ndarray, t: np.ndarray):
     Columns follow the normative parameter order. Hidden derivatives use
     the logistic identity sigma' = sigma (1 - sigma).
     """
-    z = x @ mlp.w_in.T + mlp.b_hid           # (N, 2)
-    h = expit(z)
-    y = h @ mlp.w_out + mlp.b_out
+    h, y = mlp.forward_batch(x)              # (N, 2), (N,)
     r = t - y
-    n = len(t)
-
     dy_dz = h * (1.0 - h) * mlp.w_out        # (N, 2)
-    jac = np.empty((n, N_PARAMS))
+    jac = np.empty((len(t), N_PARAMS))
     # input weights, row-major over hidden units
     for j in range(N_HIDDEN):
         jac[:, j * N_INPUTS : (j + 1) * N_INPUTS] = dy_dz[:, j : j + 1] * x
@@ -173,11 +165,6 @@ def residual_jacobian(mlp: Mlp, x: np.ndarray, t: np.ndarray):
     jac[:, 24] = 1.0                         # output bias
     np.negative(jac, out=jac)                # d r / d theta = -(d y / d theta)
     return jac, r
-
-
-def sse(mlp: Mlp, x: np.ndarray, t: np.ndarray) -> float:
-    r = t - mlp.forward_batch(x)
-    return float(r @ r)
 
 
 def lm_epoch(mlp: Mlp, x: np.ndarray, t: np.ndarray, lam: float, config: TrainConfig):
@@ -195,38 +182,32 @@ def lm_epoch(mlp: Mlp, x: np.ndarray, t: np.ndarray, lam: float, config: TrainCo
     try:
         delta = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
-        return mlp, lam * config.lambda_up, sse0, False
-    if not np.all(np.isfinite(delta)):
-        return mlp, lam * config.lambda_up, sse0, False
-    # r decreases along -(J^T J + lam I)^-1 J^T r since jac is d r/d theta.
-    candidate = Mlp.from_vector(mlp.to_vector() - delta)
-    sse1 = sse(candidate, x, t)
-    if sse1 < sse0:
-        return candidate, lam * config.lambda_down, sse1, True
+        delta = None
+    if delta is not None and np.all(np.isfinite(delta)):
+        # r decreases along -(J^T J + lam I)^-1 J^T r since jac is d r/d theta.
+        candidate = Mlp(mlp.theta - delta)
+        r1 = t - candidate.forward_batch(x)[1]
+        sse1 = float(r1 @ r1)
+        if sse1 < sse0:
+            return candidate, lam * config.lambda_down, sse1, True
     return mlp, lam * config.lambda_up, sse0, False
 
 
-def lm_iterations(mlp: Mlp, x: np.ndarray, t: np.ndarray, config: TrainConfig, max_epochs: int):
-    """Yield (mlp, sse) after each of max_epochs LM iterations, threading lambda."""
+def lm_iterations(frame, seed: int, config: TrainConfig, epochs: int):
+    """Train one net on `frame`'s prediction pairs, drawn from `seed`.
+
+    Yields (mlp, sse) after each of `epochs` LM iterations, threading
+    lambda. Rejected steps count as epochs, so the SSE sequence is
+    non-increasing. A frame shorter than MIN_FRAME_LEN yields nothing.
+    """
+    x, t = build_training_set(frame)
+    if len(t) == 0:
+        return
+    mlp = init_mlp(SplitMix64(seed), config.init_scale)
     lam = config.lambda_init
-    for _ in range(max_epochs):
+    for _ in range(epochs):
         mlp, lam, err, _ = lm_epoch(mlp, x, t, lam, config)
         yield mlp, err
-
-
-def train(mlp: Mlp, x: np.ndarray, t: np.ndarray, config: TrainConfig):
-    """Run exactly config.epochs LM iterations; returns (mlp, final sse).
-
-    Rejected steps count as epochs, so the per-epoch SSE sequence is
-    non-increasing. An empty training set returns the net unchanged.
-    """
-    if len(t) == 0:
-        log.debug("empty training set; returning net unchanged")
-        return mlp, 0.0
-    err = 0.0
-    for mlp, err in lm_iterations(mlp, x, t, config, config.epochs):
-        pass
-    return mlp, err
 
 
 def restart_seed(seed: int, restart_index: int) -> int:
@@ -237,20 +218,14 @@ def restart_seed(seed: int, restart_index: int) -> int:
 def multistart_fit(frame, config: TrainConfig, seed: int) -> Mlp:
     """Train from several seeded random initializations and keep the best.
 
-    The winner is the restart with the lowest final SSE on the training
-    frame (ties break to the lowest restart index). Frames too short to
-    form training pairs yield the zero-output net.
+    Each restart runs config.epochs LM iterations; the winner is the
+    restart with the lowest final SSE on the training frame (ties break
+    to the lowest restart index). Frames too short to form training
+    pairs yield the zero-output net.
     """
-    x, t = build_training_set(frame)
-    if len(t) == 0:
+    if len(frame) < MIN_FRAME_LEN:
         log.debug("multistart on short frame (%d samples): zero predictor", len(frame))
         return Mlp.zero()
-    best = None
-    best_sse = None
-    for i in range(config.restarts):
-        rng = SplitMix64(restart_seed(seed, i))
-        net = init_mlp(rng, config.init_scale)
-        net, err = train(net, x, t, config)
-        if best_sse is None or err < best_sse:
-            best, best_sse = net, err
-    return best
+    finals = [list(lm_iterations(frame, restart_seed(seed, i), config, config.epochs))[-1]
+              for i in range(config.restarts)]
+    return min(finals, key=lambda final: final[1])[0]

@@ -36,9 +36,6 @@ from nadpcm.harness import epoch_sweep
 from nadpcm.lpc import autocorrelation, fit as lpc_fit, levinson
 from nadpcm.mlp import (
     Mlp,
-    SplitMix64,
-    build_training_set,
-    init_mlp,
     lm_iterations,
     multistart_fit,
     residual_jacobian,
@@ -113,7 +110,7 @@ def test_c03_jacobian_check(capsys):
     violations = 0
     for _ in range(100):
         theta = rng.uniform(-1.0, 1.0, 25)
-        net = Mlp.from_vector(theta)
+        net = Mlp(theta)
         x = rng.uniform(-1.0, 1.0, (3, 10))
         t = rng.uniform(-1.0, 1.0, 3)
         analytic, _ = residual_jacobian(net, x, t)
@@ -121,8 +118,8 @@ def test_c03_jacobian_check(capsys):
         for p in range(25):
             bump = np.zeros(25)
             bump[p] = step
-            r_plus = t - Mlp.from_vector(theta + bump).forward_batch(x)
-            r_minus = t - Mlp.from_vector(theta - bump).forward_batch(x)
+            r_plus = t - Mlp(theta + bump).forward_batch(x)[1]
+            r_minus = t - Mlp(theta - bump).forward_batch(x)[1]
             fd[:, p] = (r_plus - r_minus) / (2.0 * step)
         mask = np.abs(fd) > 1e-8
         rel = np.abs(analytic[mask] - fd[mask]) / np.abs(fd[mask])
@@ -139,9 +136,7 @@ def test_c04_lm_monotonicity(capsys):
     for k in range(50):
         frame = lfilter([1.0], [1.0, -1.2, 0.5], rng.standard_normal(200))
         frame *= 0.4 / np.max(np.abs(frame))
-        x, t = build_training_set(frame)
-        net = init_mlp(SplitMix64(k), 0.5)
-        errs = [err for _, err in lm_iterations(net, x, t, TrainConfig(), 30)]
+        errs = [err for _, err in lm_iterations(frame, k, TrainConfig(init_scale=0.5), 30)]
         for a, b in zip(errs, errs[1:]):
             if b > a:
                 violations += 1

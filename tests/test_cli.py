@@ -230,6 +230,14 @@ class TestEval:
         assert stderr.startswith("error: unknown method 'ADPCM-NOPE'")
         assert stdout == "" and not out.exists()
 
+    def test_empty_method_list(self, capsys, tmp_path, pcm_file):
+        out = tmp_path / "table.csv"
+        code, stdout, stderr = run(capsys, "eval", "--in", pcm_file, "--out", str(out),
+                                   "--methods", ",")
+        assert code == 1
+        assert stderr == "error: methods must be non-empty\n"
+        assert stdout == "" and not out.exists()
+
 
 class TestSweep:
     def test_epochs_kind(self, capsys, tmp_path, pcm_file):
@@ -253,6 +261,14 @@ class TestSweep:
         assert code == 0
         assert "skipped ADPCMB-MLP Nq=3 frame_len=8" in stdout
         assert "method,bits,frame_len,segsnr_mean,segments" in stdout
+
+    def test_frame_length_kind_empty_method_list(self, capsys, tmp_path, pcm_file):
+        out = tmp_path / "sweep.csv"
+        code, stdout, stderr = run(capsys, "sweep", "--kind", "frame-length", "--in", pcm_file,
+                                   "--methods", ",", "--out", str(out))
+        assert code == 1
+        assert stderr == "error: methods must be non-empty\n"
+        assert stdout == "" and not out.exists()
 
     def test_histogram_kind(self, capsys, tmp_path, ar_signal):
         short = tmp_path / "short.pcm"

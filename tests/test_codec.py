@@ -218,7 +218,7 @@ class TestForwardMode:
         coeffs = tuple(rng.standard_normal(25))
         config = CodecConfig(predictor_kind=PredictorKind.MLP, adaptation=Adaptation.FORWARD)
         net = frame_predictor(config, 3, None, FramePayload((), forward_coeffs=coeffs))
-        assert tuple(net.to_vector()) == coeffs
+        assert tuple(net.theta) == coeffs
 
 
 class TestBackwardMode:
@@ -234,14 +234,14 @@ class TestBackwardMode:
         config = CodecConfig(predictor_kind=PredictorKind.MLP)
         a = fit_predictor(prev, PredictorKind.MLP, config, 3)
         b = fit_predictor(prev, PredictorKind.MLP, config, 3)
-        np.testing.assert_array_equal(a.to_vector(), b.to_vector())
+        np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_fit_seed_depends_on_frame_index(self, speech_like):
         prev = speech_like.samples[:200]
         config = CodecConfig(predictor_kind=PredictorKind.MLP)
         a = fit_predictor(prev, PredictorKind.MLP, config, 1)
         b = fit_predictor(prev, PredictorKind.MLP, config, 2)
-        assert not np.array_equal(a.to_vector(), b.to_vector())
+        assert not np.array_equal(a.theta, b.theta)
 
 
 class TestEncodeDecode:

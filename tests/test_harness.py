@@ -30,6 +30,7 @@ from nadpcm.harness import (
     method_rows_csv,
     segsnr_report_csv,
 )
+from nadpcm.metrics import SILENCE_ENERGY_FLOOR
 
 
 FAST_TRAIN = TrainConfig(epochs=2, restarts=2)
@@ -71,6 +72,21 @@ class TestMethods:
         with pytest.raises(ValueError, match="^unknown method 'ADPCM-NOPE'"):
             sweep(ar_signal, ["ADPCMB-LPC-10", "ADPCM-NOPE"])
 
+    @pytest.mark.parametrize("name, sweep", [
+        ("methods", lambda s: evaluate_methods([s], [3], [], CodecConfig())),
+        ("bits_list", lambda s: evaluate_methods([s], [], ["ADPCMB-LPC-10"], CodecConfig())),
+        ("methods", lambda s: frame_length_sweep(s, [200], [3], [], CodecConfig())),
+        ("bits_list", lambda s: frame_length_sweep(s, [200], [], ["ADPCMB-LPC-10"])),
+        ("lengths", lambda s: frame_length_sweep(s, [], [3], ["ADPCMB-LPC-10"])),
+    ], ids=["eval-methods", "eval-bits", "sweep-methods", "sweep-bits", "sweep-lengths"])
+    def test_empty_list_refused_before_coding(self, monkeypatch, ar_signal, name, sweep):
+        def no_coding(*args):
+            raise AssertionError("a signal was coded")
+
+        monkeypatch.setattr(harness, "encode", no_coding)
+        with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
+            sweep(ar_signal)
+
 
 class TestEvaluateMethods:
     def test_row_schema_and_pooling(self, ar_signal):
@@ -101,7 +117,7 @@ class TestEvaluateMethods:
             evaluate_methods([ar_signal], [3], ["ADPCM-NOPE"], CodecConfig())
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^corpus must be non-empty$"):
             evaluate_methods([], [3], ["ADPCMB-LPC-10"], CodecConfig())
 
 
@@ -154,10 +170,18 @@ class TestEpochSweep:
             with pytest.raises(ValueError, match=f"pair index {index} "):
                 epoch_sweep(ar_signal, index, 4, restart_seed=0, base_config=CodecConfig(bits=3))
 
-    def test_silent_pair_rejected(self):
+    def test_silent_pair_rejected(self, ar_signal):
         silent = Signal(np.zeros(800), 8000)
         with pytest.raises(ValueError, match="silence"):
             epoch_sweep(silent, 0, 4, restart_seed=0, base_config=CodecConfig(bits=3))
+        # either frame of the pair below the SEGSNR silence floor is enough
+        for quiet in (0, 1):
+            samples = ar_signal.samples[:400].copy()
+            samples[quiet * 200 : (quiet + 1) * 200] = 0.0
+            samples[quiet * 200] = 0.9 * np.sqrt(SILENCE_ENERGY_FLOOR)
+            with pytest.raises(ValueError, match="silence"):
+                epoch_sweep(Signal(samples, 8000), 0, 4, restart_seed=0,
+                            base_config=CodecConfig(bits=3))
 
     def test_strictly_increasing_x_enforced(self):
         with pytest.raises(ValueError):
@@ -170,6 +194,16 @@ class TestOptimalEpochHistogram:
         hist = optimal_epoch_histogram(short, 4, CodecConfig(bits=3))
         assert sum(hist.values()) == pytest.approx(100.0)
         assert all(1 <= epoch <= 4 for epoch in hist)
+
+    def test_each_pair_trains_the_net_seeded_by_its_index(self, ar_signal):
+        signal = Signal(ar_signal.samples[:1000], ar_signal.sample_rate)
+        config = CodecConfig(bits=3, seed=5)
+        expected = {}
+        for k in range(4):
+            curve = epoch_sweep(signal, k, 6, restart_seed=config.seed ^ k, base_config=config)
+            best = curve.x_values[int(np.argmax(curve.y_test_db))]
+            expected[best] = expected.get(best, 0.0) + 25.0
+        assert optimal_epoch_histogram(signal, 6, config) == dict(sorted(expected.items()))
 
     def test_single_pair_is_degenerate(self, ar_signal):
         short = Signal(ar_signal.samples[:400], ar_signal.sample_rate)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from nadpcm import mlp as mlp_module
 from nadpcm.mlp import (
     GOLDEN_GAMMA,
     MASK64,
@@ -18,8 +19,6 @@ from nadpcm.mlp import (
     multistart_fit,
     residual_jacobian,
     restart_seed,
-    sse,
-    train,
 )
 
 
@@ -32,6 +31,23 @@ def reference_splitmix64(seed):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         yield z ^ (z >> 31)
+
+
+def batch_sse(net, x, t):
+    r = t - net.forward_batch(x)[1]
+    return float(r @ r)
+
+
+def reference_run(frame, seed, config, epochs):
+    """(net, sse) after each LM epoch, chained by hand from init_mlp and
+    lm_epoch as an oracle for lm_iterations and multistart_fit."""
+    x, t = build_training_set(frame)
+    net, lam = init_mlp(SplitMix64(seed), config.init_scale), config.lambda_init
+    steps = []
+    for _ in range(epochs):
+        net, lam, err, _ = lm_epoch(net, x, t, lam, config)
+        steps.append((net, err))
+    return steps
 
 
 class TestSplitMix64:
@@ -74,7 +90,8 @@ class TestMlpStructure:
     def test_vector_order_is_normative(self):
         # w_in row-major (hidden 0 then hidden 1), b_hid, w_out, b_out
         theta = np.arange(25, dtype=np.float64)
-        net = Mlp.from_vector(theta)
+        net = Mlp(theta)
+        np.testing.assert_array_equal(net.theta, theta)
         np.testing.assert_array_equal(net.w_in[0], np.arange(10))
         np.testing.assert_array_equal(net.w_in[1], np.arange(10, 20))
         np.testing.assert_array_equal(net.b_hid, [20, 21])
@@ -84,13 +101,29 @@ class TestMlpStructure:
     def test_vector_round_trip(self):
         rng = SplitMix64(3)
         net = init_mlp(rng, 0.5)
-        np.testing.assert_array_equal(Mlp.from_vector(net.to_vector()).to_vector(),
-                                      net.to_vector())
+        np.testing.assert_array_equal(Mlp(net.theta).theta, net.theta)
+        assert Mlp(net.theta.tolist()).theta.dtype == np.float64
+
+    def test_net_unchanged_when_input_array_mutated(self):
+        theta = np.linspace(-0.5, 0.5, 25)
+        net = Mlp(theta)
+        before = net.forward(np.ones(10))
+        theta[:] = 7.0
+        np.testing.assert_array_equal(net.theta, np.linspace(-0.5, 0.5, 25))
+        assert net.w_in[0, 0] == -0.5
+        assert net.forward(np.ones(10)) == before
+        with pytest.raises(ValueError):
+            net.theta[0] = 7.0  # the parameters are read-only
+
+    @pytest.mark.parametrize("shape", [(24,), (26,), (5, 5), ()])
+    def test_wrong_parameter_count_refused(self, shape):
+        with pytest.raises(ValueError, match="need 25 parameters"):
+            Mlp(np.zeros(shape))
 
     def test_init_range_and_draw_count(self):
         rng = SplitMix64(4)
         net = init_mlp(rng, 0.5)
-        theta = net.to_vector()
+        theta = net.theta
         assert np.all((theta >= -0.5) & (theta < 0.5))
         # exactly 25 draws consumed: the 26th matches a fresh skip-25 stream
         fresh = SplitMix64(4)
@@ -105,8 +138,7 @@ class TestForward:
         assert net.forward(np.zeros(10)) == 0.0
 
     def test_unit_output_weights_on_zero_net(self):
-        net = Mlp.zero()
-        net = Mlp(w_in=net.w_in, b_hid=net.b_hid, w_out=np.ones(2), b_out=0.0)
+        net = Mlp(np.r_[np.zeros(22), 1.0, 1.0, 0.0])
         assert net.forward(np.zeros(10)) == pytest.approx(1.0)  # sigma(0) twice
 
     def test_matches_hand_formula(self):
@@ -128,7 +160,8 @@ class TestForward:
         rng = SplitMix64(12)
         net = init_mlp(rng, 0.5)
         x = np.array([np.linspace(-0.2, 0.2, 10), np.linspace(0.3, -0.1, 10)])
-        batch = net.forward_batch(x)
+        h, batch = net.forward_batch(x)
+        np.testing.assert_allclose(h, expit(x @ net.w_in.T + net.b_hid), rtol=1e-15)
         assert batch[0] == pytest.approx(net.forward(x[0]), rel=1e-15)
         assert batch[1] == pytest.approx(net.forward(x[1]), rel=1e-15)
 
@@ -175,7 +208,7 @@ class TestJacobian:
         net = init_mlp(rng, 0.5)
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
         _, r = residual_jacobian(net, x, t)
-        np.testing.assert_allclose(r, t - net.forward_batch(x), rtol=1e-15)
+        np.testing.assert_allclose(r, t - net.forward_batch(x)[1], rtol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = SplitMix64(10)
@@ -186,14 +219,14 @@ class TestJacobian:
                           for _ in range(3)])
             t = np.array([rng.uniform(-0.8, 0.8) for _ in range(3)])
             jac, _ = residual_jacobian(net, x, t)
-            theta = net.to_vector()
+            theta = net.theta
             for p in range(25):
                 up, dn = theta.copy(), theta.copy()
                 up[p] += step
                 dn[p] -= step
                 fd = (
-                    (t - Mlp.from_vector(up).forward_batch(x))
-                    - (t - Mlp.from_vector(dn).forward_batch(x))
+                    (t - Mlp(up).forward_batch(x)[1])
+                    - (t - Mlp(dn).forward_batch(x)[1])
                 ) / (2 * step)
                 mask = np.abs(fd) > 1e-8
                 np.testing.assert_allclose(jac[:, p][mask], fd[mask], rtol=1e-4)
@@ -204,7 +237,7 @@ class TestLevenbergMarquardt:
         rng = SplitMix64(11)
         net = init_mlp(rng, 0.5)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
-        before = sse(net, x, t)
+        before = batch_sse(net, x, t)
         net2, lam2, after, accepted = lm_epoch(net, x, t, 0.01, TrainConfig())
         if accepted:
             assert after < before
@@ -222,7 +255,23 @@ class TestLevenbergMarquardt:
             net, _, _, _ = lm_epoch(net, x, t, 1e-3, TrainConfig())
         net2, _, _, accepted = lm_epoch(net, x, t, 1e12, TrainConfig())
         if not accepted:
-            np.testing.assert_array_equal(net2.to_vector(), net.to_vector())
+            np.testing.assert_array_equal(net2.theta, net.theta)
+
+    @pytest.mark.parametrize("solve", ["singular", "non-finite"])
+    def test_unusable_step_rejected(self, monkeypatch, solve):
+        def bad_solve(lhs, rhs):
+            if solve == "singular":
+                raise np.linalg.LinAlgError("singular matrix")
+            return np.full(len(rhs), np.inf)
+
+        net = init_mlp(SplitMix64(20), 0.5)
+        x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
+        before = batch_sse(net, x, t)
+        monkeypatch.setattr(np.linalg, "solve", bad_solve)
+        net2, lam2, err, accepted = lm_epoch(net, x, t, 0.01, TrainConfig())
+        assert net2 is net and not accepted
+        assert lam2 == pytest.approx(0.1)
+        assert err == before
 
     def test_zero_start_linear_subproblem_reaches_optimum(self):
         # from the zero net only w_out/b_out columns are active, so one
@@ -237,39 +286,37 @@ class TestLevenbergMarquardt:
         assert err == pytest.approx(optimum, abs=1e-8)
 
     def test_sse_nonincreasing_across_epochs(self):
-        rng = SplitMix64(15)
         x_sig = np.sin(np.linspace(0, 12, 120)) * 0.4
-        x, t = build_training_set(x_sig)
-        net = init_mlp(rng, 0.5)
-        errs = [err for _, err in lm_iterations(net, x, t, TrainConfig(), 30)]
+        errs = [err for _, err in lm_iterations(x_sig, 15, TrainConfig(init_scale=0.5), 30)]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
-    def test_train_runs_exact_epoch_count(self):
-        rng = SplitMix64(16)
+    def test_iterations_chain_lm_epochs_from_seeded_net(self):
         x_sig = np.sin(np.linspace(0, 12, 80)) * 0.4
-        x, t = build_training_set(x_sig)
-        net0 = init_mlp(rng, 0.5)
-        net_a, err_a = train(net0, x, t, TrainConfig(epochs=6))
-        steps = list(lm_iterations(net0, x, t, TrainConfig(epochs=6), 6))
-        np.testing.assert_array_equal(net_a.to_vector(), steps[-1][0].to_vector())
-        assert err_a == steps[-1][1]
+        config = TrainConfig(lambda_init=0.02, init_scale=0.3)
+        steps = list(lm_iterations(x_sig, 16, config, 6))
+        expected = reference_run(x_sig, 16, config, 6)
+        assert len(steps) == 6
+        for (net, err), (ref_net, ref_err) in zip(steps, expected):
+            np.testing.assert_array_equal(net.theta, ref_net.theta)
+            assert err == ref_err
 
     def test_learns_realizable_teacher(self):
         teacher_rng = SplitMix64(17)
         teacher = init_mlp(teacher_rng, 1.0)
         rng = np.random.default_rng(18)
         x = rng.uniform(-0.8, 0.8, size=(60, 10))
-        t = teacher.forward_batch(x)
+        t = teacher.forward_batch(x)[1]
         student = init_mlp(SplitMix64(19), 0.5)
-        initial = sse(student, x, t)
-        trained, final = train(student, x, t, TrainConfig(epochs=60))
+        initial = batch_sse(student, x, t)
+        lam = TrainConfig().lambda_init
+        for _ in range(60):
+            student, lam, final, _ = lm_epoch(student, x, t, lam, TrainConfig())
         assert final < 0.05 * initial
 
-    def test_empty_training_set_returns_unchanged(self):
-        net = Mlp.zero()
-        out, err = train(net, np.empty((0, 10)), np.empty(0), TrainConfig())
-        assert err == 0.0
-        np.testing.assert_array_equal(out.to_vector(), net.to_vector())
+    def test_short_frame_yields_nothing(self):
+        for length, count in ((0, 0), (10, 0), (11, 3)):
+            frame = np.linspace(-0.3, 0.3, length)
+            assert len(list(lm_iterations(frame, 0, TrainConfig(), 3))) == count
 
 
 class TestMultistart:
@@ -283,33 +330,43 @@ class TestMultistart:
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
         a = multistart_fit(frame, TrainConfig(), 77)
         b = multistart_fit(frame, TrainConfig(), 77)
-        np.testing.assert_array_equal(a.to_vector(), b.to_vector())
+        np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_selects_lowest_sse_restart(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
         x, t = build_training_set(frame)
         config = TrainConfig()
         best = multistart_fit(frame, config, 21)
-        finals = []
-        for i in range(config.restarts):
-            net = init_mlp(SplitMix64(restart_seed(21, i)), config.init_scale)
-            _, err = train(net, x, t, config)
-            finals.append(err)
-        assert sse(best, x, t) == pytest.approx(min(finals), rel=1e-12)
+        finals = [reference_run(frame, restart_seed(21, i), config, config.epochs)[-1]
+                  for i in range(config.restarts)]
+        winner = int(np.argmin([err for _, err in finals]))
+        np.testing.assert_array_equal(best.theta, finals[winner][0].theta)
+        assert batch_sse(best, x, t) == pytest.approx(finals[winner][1], rel=1e-12)
 
-    def test_single_restart_equals_plain_train(self):
+    def test_single_restart_equals_one_run(self):
         frame = np.sin(np.linspace(0, 12, 150)) * 0.4
-        x, t = build_training_set(frame)
         config = TrainConfig(restarts=1)
         via_multi = multistart_fit(frame, config, 33)
-        net = init_mlp(SplitMix64(restart_seed(33, 0)), config.init_scale)
-        via_train, _ = train(net, x, t, config)
-        np.testing.assert_array_equal(via_multi.to_vector(), via_train.to_vector())
+        via_run, _ = reference_run(frame, restart_seed(33, 0), config, config.epochs)[-1]
+        np.testing.assert_array_equal(via_multi.theta, via_run.theta)
+
+    def test_tie_goes_to_lowest_restart(self, monkeypatch):
+        frame = np.zeros(50)
+        nets = {restart_seed(5, i): Mlp(np.full(25, float(i))) for i in range(4)}
+        final_sse = dict(zip(nets, (2.0, 1.0, 1.0, 3.0)))
+
+        def fake_run(frame, seed, config, epochs):
+            yield Mlp.zero(), 9.0
+            yield nets[seed], final_sse[seed]
+
+        monkeypatch.setattr(mlp_module, "lm_iterations", fake_run)
+        best = multistart_fit(frame, TrainConfig(), 5)
+        np.testing.assert_array_equal(best.theta, np.full(25, 1.0))
 
     def test_short_frame_zero_predictor(self):
         net = multistart_fit(np.zeros(5), TrainConfig(), 0)
         assert net.forward(np.zeros(10)) == 0.0
-        np.testing.assert_array_equal(net.to_vector(), Mlp.zero().to_vector())
+        np.testing.assert_array_equal(net.theta, np.zeros(25))
 
 
 class TestTrainConfig:
@@ -328,3 +385,13 @@ class TestTrainConfig:
             for value in (0.0, -1.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError, match=name):
                     TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["epochs", "restarts"])
+    @pytest.mark.parametrize("value", [2.5, True, 3.0, "3"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["epochs", "restarts"])
+    def test_numpy_integer_counts_accepted(self, name):
+        assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
