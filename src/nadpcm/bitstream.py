@@ -29,7 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TrainConfig
+from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TrainConfig, as_float
 from .quantizer import (
     DEFAULT_STEP_INIT,
     DEFAULT_STEP_MAX,
@@ -54,13 +54,14 @@ HEADER_FIELDS = (
 
 def _check_representable(obj, *names):
     """Raise ValueError for a named unsigned header field that is not an
-    integer or is too large for its header code."""
+    integer or is too large for its header code; store it as a Python int."""
     for name in names:
         value = getattr(obj, name)
         if type(value) is not int and not isinstance(value, np.integer):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value >= 256 ** struct.calcsize("<" + dict(HEADER_FIELDS)[name]):
             raise ValueError(f"{name} {value} not representable in header")
+        object.__setattr__(obj, name, int(value))
 
 
 class PredictorKind(IntEnum):
@@ -121,8 +122,11 @@ class CodecConfig:
         _check_representable(self.train, "epochs", "restarts")
         object.__setattr__(self, "predictor_kind", PredictorKind(self.predictor_kind))
         object.__setattr__(self, "adaptation", Adaptation(self.adaptation))
+        for name in ("step_init", "step_min", "step_max"):
+            object.__setattr__(self, name, as_float(getattr(self, name)))
         object.__setattr__(self, "multipliers", check_params(
-            self.bits, self.step_init, self.step_min, self.step_max, self.multipliers))
+            self.bits, self.step_init, self.step_min, self.step_max,
+            map(as_float, self.multipliers)))
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.predictor_kind in NEURAL_KINDS and self.frame_len < MIN_FRAME_LEN:

@@ -4,6 +4,15 @@ The predictor form is x_hat(n) = sum_i a_i * x(n - i), i = 1..order,
 with coefficients solved from the Toeplitz normal equations by the
 Levinson-Durbin recursion. Frames are used as-is (rectangular window,
 biased autocorrelation estimate).
+
+`LpcModel.predict` runs once per sample in the codec's closed loop, and its
+arithmetic is normative: starting from 0.0 it adds a_i * x(n - i) for
+i = 1, 2, ..., order, newest history sample first, one multiply and one
+add per tap, uncompensated, on Python floats. Plain binary64 operations in
+a fixed order give the same bits on every host; `math.fsum`, `np.dot` and
+Python 3.12's compensated `sum()` can give other bits. The taps are cached
+as Python floats so that no numpy scalar enters the loop, and `levinson`
+runs its recursion on Python floats as well.
 """
 
 from dataclasses import dataclass
@@ -33,14 +42,16 @@ class LpcModel:
         object.__setattr__(self, "reflection", np.asarray(self.reflection, dtype=np.float64))
         if len(self.coeffs) != self.order:
             raise ValueError(f"need {self.order} coefficients, got {len(self.coeffs)}")
+        object.__setattr__(self, "_taps", tuple(self.coeffs.tolist()))
 
     def predict(self, history) -> float:
-        """Predict the next sample from reconstructed history, newest last."""
+        """Predict the next sample from reconstructed history, newest last,
+        in the module docstring's order."""
         if len(history) < self.order:
             raise ValueError(f"history of {len(history)} too short for order {self.order}")
         acc = 0.0
-        for i in range(self.order):
-            acc += self.coeffs[i] * history[-1 - i]
+        for a, x in zip(self._taps, reversed(history)):
+            acc += a * x
         return acc
 
     @classmethod
@@ -71,22 +82,22 @@ def levinson(r) -> LpcModel:
     keep the synthesis filter stable; a non-positive error power halts
     the recursion with the remaining coefficients at zero.
     """
-    r = np.asarray(r, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64).tolist()
     order = len(r) - 1
     if order < 1:
         raise ValueError("need at least r[0] and r[1]")
     if r[0] < ZERO_ENERGY_FLOOR:
         return LpcModel.zero(order)
 
-    a = np.zeros(order)
-    refl = np.zeros(order)
-    err = float(r[0])
+    a = [0.0] * order
+    refl = [0.0] * order
+    err = r[0]
     halted = False
     for m in range(1, order + 1):
         if err <= 0.0:
             halted = True
             break
-        acc = float(r[m])
+        acc = r[m]
         for j in range(1, m):
             acc -= a[j - 1] * r[m - j]
         k = acc / err
@@ -95,7 +106,7 @@ def levinson(r) -> LpcModel:
         elif k < -REFLECTION_CLAMP:
             k = -REFLECTION_CLAMP
         refl[m - 1] = k
-        prev = a[: m - 1].copy()
+        prev = a[: m - 1]
         for j in range(1, m):
             a[j - 1] = prev[j - 1] - k * prev[m - 1 - j]
         a[m - 1] = k

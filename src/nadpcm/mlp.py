@@ -14,6 +14,8 @@ biases, output weights, output bias.
 
 import logging
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +32,20 @@ MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
+def as_float(value):
+    """A real number as a Python float, anything else unchanged for the
+    config checks to refuse. Real config fields are stored this way: the
+    header carries them as binary64, while a numpy scalar left in place
+    would compute in its own precision (float32 stays float32) in the
+    coding loop and the fit."""
+    return float(value) if isinstance(value, numbers.Real) else value
+
+
 class SplitMix64:
     """SplitMix64 generator; the full sequence is determined by the seed."""
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self.state = operator.index(seed) & MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN_GAMMA) & MASK64
@@ -69,8 +80,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
         for name in ("lambda_init", "lambda_up", "lambda_down", "init_scale"):
-            value = getattr(self, name)
+            value = as_float(getattr(self, name))
+            object.__setattr__(self, name, value)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 

@@ -29,6 +29,7 @@ from nadpcm.codec import (
     frame_predictor,
     initial_state,
 )
+from nadpcm.quantizer import DEFAULT_MULTIPLIERS
 
 
 def hand_trace_config():
@@ -171,6 +172,19 @@ class TestCodecConfig:
         bitstream = encode(Signal(np.zeros(400), header.sample_rate), config).bitstream
         assert parse(serialize(bitstream)).header == header
 
+    def test_numpy_reals_stored_as_float(self):
+        config = CodecConfig(step_init=np.float64(0.02))
+        assert config == CodecConfig() and type(config.step_init) is float
+        config = CodecConfig(step_min=np.float32(0.001), step_max=np.float16(0.5),
+                             multipliers=np.array(DEFAULT_MULTIPLIERS[4], dtype=np.float32))
+        values = [config.step_min, config.step_max, *config.multipliers]
+        assert all(type(v) is float for v in values)
+        assert config.step_min == float(np.float32(0.001))
+
+    def test_non_numeric_reals_still_refused(self):
+        with pytest.raises(TypeError):
+            CodecConfig(step_init="0.02")
+
     def test_multipliers_default_to_table(self):
         assert CodecConfig(bits=3).multipliers == (0.9, 0.9, 1.25, 1.75)
 
@@ -220,6 +234,15 @@ class TestForwardMode:
         net = frame_predictor(config, 3, None, FramePayload((), forward_coeffs=coeffs))
         assert tuple(net.theta) == coeffs
 
+    def test_frame_predictor_forward_lpc_sum_order(self):
+        """A rebuilt forward LPC model keeps predict's normative order:
+        newest first, uncompensated (see test_lpc)."""
+        config = CodecConfig(predictor_kind=PredictorKind.LPC10, adaptation=Adaptation.FORWARD)
+        payload = FramePayload((), forward_coeffs=(1.0, 1.0, 1.0) + (0.0,) * 7)
+        model = frame_predictor(config, 0, None, payload)
+        assert model.predict([0.0] * 7 + [-1e16, 1.0, 1e16]) == 0.0
+        assert model.predict([0.0] * 7 + [1.0, -1e16, 1e16]) == 1.0
+
 
 class TestBackwardMode:
     def test_frame0_uses_zero_predictor(self, ar_signal):
@@ -242,6 +265,82 @@ class TestBackwardMode:
         a = fit_predictor(prev, PredictorKind.MLP, config, 1)
         b = fit_predictor(prev, PredictorKind.MLP, config, 2)
         assert not np.array_equal(a.theta, b.theta)
+
+
+class Recording:
+    """A predictor wrapper that records the types of what `predict` sees
+    and returns."""
+
+    def __init__(self, inner):
+        self.inner, self.types = inner, set()
+
+    def predict(self, history):
+        p = self.inner.predict(history)
+        self.types.update(map(type, history))
+        self.types.add(type(p))
+        return p
+
+
+def numpy_scalar_config():
+    return CodecConfig(
+        frame_len=np.int64(100), bits=np.int64(4), seed=np.uint64(3),
+        step_init=np.float32(0.02), step_min=np.float32(0.0003), step_max=np.float32(0.45),
+        multipliers=np.array(DEFAULT_MULTIPLIERS[4], dtype=np.float32),
+        train=TrainConfig(epochs=np.int64(2), restarts=np.int64(2),
+                          lambda_init=np.float32(0.01), lambda_up=np.float32(9.5),
+                          lambda_down=np.float32(0.15), init_scale=np.float32(0.3)))
+
+
+class TestLoopScalarTypes:
+    """The closed loop runs on Python floats only: a numpy scalar in the
+    history or the step would turn every later add and multiply into a
+    numpy scalar operation (and a float32 one would change the output)."""
+
+    @pytest.mark.parametrize("kind", [None, PredictorKind.LPC10, PredictorKind.LPC25,
+                                      PredictorKind.MLP], ids=["zero", "lpc10", "lpc25", "mlp"])
+    @pytest.mark.parametrize("numpy_config", [False, True])
+    def test_predictions_history_and_step_are_floats(self, speech_like, kind, numpy_config):
+        config = numpy_scalar_config() if numpy_config else CodecConfig(frame_len=100)
+        fit_on, frame = speech_like.samples[:100], speech_like.samples[100:200]
+        predictor = Recording(ZERO if kind is None else fit_predictor(fit_on, kind, config, 7))
+        state = initial_state(config)
+        codes, enc_state, _, _ = codec._closed_loop(state, frame.astype(np.float32), predictor)
+        _, dec_state, _, _ = codec._closed_loop(state, None, predictor, codes)
+        assert predictor.types == {float}
+        for new_state in (enc_state, dec_state):
+            assert {type(v) for v in new_state.history} == {float}
+            assert type(new_state.step) is float
+
+
+class TestNumpyRealConfig:
+    """Real header fields given as numpy float32: the encoder must code
+    with the binary64 value the header carries, so decode reproduces its
+    reconstruction bit for bit."""
+
+    TRAIN_REALS = {
+        "init_scale": np.float32(0.3),
+        "lambda_init": np.float32(0.01),
+        "lambda_up": np.float32(9.5),
+        "lambda_down": np.float32(0.15),
+    }
+    QUANTIZER_REALS = {
+        "step_init": np.float32(0.02),
+        "step_min": np.float32(0.012),  # near step_init, so the step clamps often
+        "step_max": np.float32(0.021),
+        "multipliers": np.array(DEFAULT_MULTIPLIERS[4], dtype=np.float32),
+    }
+
+    @pytest.mark.parametrize("field", [*QUANTIZER_REALS, *TRAIN_REALS])
+    def test_decode_matches_encoder(self, speech_like, field):
+        if field in self.TRAIN_REALS:  # four epochs: enough for rejected LM steps
+            train = TrainConfig(epochs=4, restarts=2, **{field: self.TRAIN_REALS[field]})
+            config = CodecConfig(frame_len=100, predictor_kind=PredictorKind.MLP, train=train)
+        else:
+            config = CodecConfig(frame_len=100, **{field: self.QUANTIZER_REALS[field]})
+        signal = Signal(speech_like.samples[:600], speech_like.sample_rate)
+        result = encode(signal, config)
+        decoded = decode(parse(serialize(result.bitstream)))
+        np.testing.assert_array_equal(decoded.samples, result.reconstruction.samples)
 
 
 class TestEncodeDecode:

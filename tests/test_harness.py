@@ -165,6 +165,11 @@ class TestEpochSweep:
         b = epoch_sweep(ar_signal, 2, 4, restart_seed=9, base_config=CodecConfig(bits=3))
         assert a == b
 
+    def test_numpy_integer_seed(self, ar_signal):
+        a = epoch_sweep(ar_signal, 3, 2, restart_seed=np.int64(5), base_config=CodecConfig(bits=3))
+        b = epoch_sweep(ar_signal, 3, 2, restart_seed=5, base_config=CodecConfig(bits=3))
+        assert a == b
+
     def test_pair_out_of_range(self, ar_signal):
         for index in (9, 10, -1, -12):  # 10 frames: pairs start at 0..8
             with pytest.raises(ValueError, match=f"pair index {index} "):

@@ -79,6 +79,22 @@ class TestPredict:
         model = LpcModel.zero(10)
         assert model.predict(np.arange(10, dtype=float)) == 0.0
 
+    def test_summation_newest_first_uncompensated(self):
+        """The normative order: newest sample first, plain float adds.
+
+        1e16 + 1.0 rounds back to 1e16, so the first history sums to 0.0
+        where a compensated sum (math.fsum, Python 3.12's sum()) gives the
+        exact 1.0; the second gives 1.0 newest first but 0.0 oldest first.
+        """
+        model = LpcModel(3, [1.0, 1.0, 1.0], np.zeros(3))
+        assert model.predict([-1e16, 1.0, 1e16]) == 0.0
+        assert model.predict([1.0, -1e16, 1e16]) == 1.0
+
+    def test_fitted_model_predicts_python_float(self, speech_like):
+        model = fit(speech_like.samples[:200], 10)
+        assert type(model.predict([0.1] * 10)) is float
+        assert isinstance(model.coeffs, np.ndarray) and isinstance(model.reflection, np.ndarray)
+
 
 class TestFit:
     def test_recovers_ar2_coefficients(self):

@@ -1,5 +1,7 @@
 """SplitMix64 PRNG, the 10-2-1 net, and Levenberg-Marquardt training."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -69,6 +71,20 @@ class TestSplitMix64:
 
     def test_seed_masked_to_64_bits(self):
         assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
+    def test_numpy_integer_seed(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rng = SplitMix64(seed)
+            draws = [rng.next_u64() for _ in range(8)]
+        ref = SplitMix64(5)
+        assert draws == [ref.next_u64() for _ in range(8)]
+
+    @pytest.mark.parametrize("seed", [5.0, "5"])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(TypeError):
+            SplitMix64(seed)
 
     def test_uniform_range_and_mean(self):
         rng = SplitMix64(7)
@@ -313,6 +329,12 @@ class TestLevenbergMarquardt:
             student, lam, final, _ = lm_epoch(student, x, t, lam, TrainConfig())
         assert final < 0.05 * initial
 
+    def test_numpy_integer_seed(self, ar_signal):
+        frame = ar_signal.samples[:200]
+        runs = [[err for _, err in lm_iterations(frame, seed, TrainConfig(), 3)]
+                for seed in (np.int64(5), 5)]
+        assert runs[0] == runs[1]
+
     def test_short_frame_yields_nothing(self):
         for length, count in ((0, 0), (10, 0), (11, 3)):
             frame = np.linspace(-0.3, 0.3, length)
@@ -394,4 +416,15 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("name", ["epochs", "restarts"])
     def test_numpy_integer_counts_accepted(self, name):
-        assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
+        value = getattr(TrainConfig(**{name: np.int64(3)}), name)
+        assert value == 3 and type(value) is int
+
+    @pytest.mark.parametrize("name", ["lambda_init", "lambda_up", "lambda_down", "init_scale"])
+    def test_numpy_reals_stored_as_float(self, name):
+        value = getattr(TrainConfig(**{name: np.float32(0.3)}), name)
+        assert value == float(np.float32(0.3)) and type(value) is float
+        assert TrainConfig(**{name: np.float64(0.3)}) == TrainConfig(**{name: 0.3})
+
+    def test_non_numeric_reals_still_refused(self):
+        with pytest.raises(TypeError):
+            TrainConfig(lambda_init="0.01")
