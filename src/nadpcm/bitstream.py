@@ -24,7 +24,7 @@ so serialize and the decoder only ever see consistent frames.
 """
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 
 import numpy as np
@@ -174,7 +174,9 @@ class FramePayload:
 class Bitstream:
     """A header and one payload per frame; construction checks that every
     payload has the shape the header's `frame_row` gives it and raises
-    BitstreamError, naming the frame, where one does not."""
+    BitstreamError, naming the frame, where one does not. Codes are stored
+    as Python ints: a numpy integer code would put numpy scalars into the
+    decoder's coding loop."""
 
     header: BitstreamHeader
     payloads: tuple
@@ -201,6 +203,8 @@ class Bitstream:
                     raise BitstreamError(f"codes must be integers, got {c!r}", i)
                 if not code_min <= c <= code_max:
                     raise BitstreamError(f"code {c} outside [{code_min}, {code_max}]", i)
+        object.__setattr__(self, "payloads", tuple(
+            replace(p, codes=tuple(map(int, p.codes))) for p in payloads))
 
 
 def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:

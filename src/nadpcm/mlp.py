@@ -10,6 +10,18 @@ The parameter vector is the model: `Mlp` holds the 25 parameters as one
 array, `theta`, in the order that is normative for seeding and
 serialization: input weights row-major (hidden unit 0 then 1), hidden
 biases, output weights, output bias.
+
+Training runs on a stack of nets. The R restarts of one fit are an
+(R, 25) array, one parameter vector per row, trained together by one
+Levenberg-Marquardt loop. For N training pairs, `residual_jacobian` gives
+the (R, N, 25) Jacobians and (R, N) residuals, and `lm_epoch` takes the
+stack with an (R,) damping vector and returns (theta', lambda', sse,
+accepted): the (R, 25) stack after the step, the (R,) damping after it,
+each row's (R,) SSE at its returned parameters, and the number of rows
+whose step was accepted, as an int. Accept/reject and the damping update
+are decided per row. Every row gets the same IEEE operations, in the
+same order, as it would in a stack of one, so a row's result does not
+depend on the rows beside it; `lm_iterations` is that stack of one.
 """
 
 import logging
@@ -27,6 +39,9 @@ N_INPUTS = 10
 N_HIDDEN = 2
 N_PARAMS = N_INPUTS * N_HIDDEN + N_HIDDEN + N_HIDDEN + 1
 MIN_FRAME_LEN = N_INPUTS + 1  # shortest frame that yields a training pair
+
+_EYE = np.eye(N_PARAMS)
+_EYE.flags.writeable = False
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -123,8 +138,7 @@ class Mlp:
 
     def forward_batch(self, x: np.ndarray):
         """Hidden activations (N, 2) and outputs (N,) for an (N, 10) input matrix."""
-        h = expit(x @ self.w_in.T + self.b_hid)
-        return h, h @ self.w_out + self.b_out
+        return forward_batch(self.theta, x)
 
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last."""
@@ -160,67 +174,122 @@ def build_training_set(frame):
     return x, t
 
 
-def residual_jacobian(mlp: Mlp, x: np.ndarray, t: np.ndarray):
-    """Residuals r = t - y and their analytic Jacobian dr/dtheta.
+def forward_batch(theta: np.ndarray, x: np.ndarray):
+    """Hidden activations (..., N, 2) and outputs (..., N) of one net (25,)
+    or a stack of nets (R, 25) on an (N, 10) input matrix.
+
+    This is the one batch forward pass, for `Mlp.forward_batch` and for
+    the stacked fit alike.
+    """
+    w_in = theta[..., :20].reshape(theta.shape[:-1] + (N_HIDDEN, N_INPUTS))
+    h = expit(x @ w_in.swapaxes(-1, -2) + theta[..., None, 20:22])
+    return h, (h @ theta[..., 22:24, None])[..., 0] + theta[..., 24:25]
+
+
+def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray):
+    """Jacobians dr/dtheta (R, N, 25) and residuals r = t - y (R, N) of a
+    stack of nets (R, 25).
 
     Columns follow the normative parameter order. Hidden derivatives use
     the logistic identity sigma' = sigma (1 - sigma).
     """
-    h, y = mlp.forward_batch(x)              # (N, 2), (N,)
+    h, y = forward_batch(theta, x)                  # (R, N, 2), (R, N)
     r = t - y
-    dy_dz = h * (1.0 - h) * mlp.w_out        # (N, 2)
-    jac = np.empty((len(t), N_PARAMS))
+    dy_dz = h * (1.0 - h) * theta[:, None, 22:24]   # (R, N, 2)
+    jac = np.empty(r.shape + (N_PARAMS,))
     # input weights, row-major over hidden units
     for j in range(N_HIDDEN):
-        jac[:, j * N_INPUTS : (j + 1) * N_INPUTS] = dy_dz[:, j : j + 1] * x
-    jac[:, 20:22] = dy_dz                    # hidden biases
-    jac[:, 22:24] = h                        # output weights
-    jac[:, 24] = 1.0                         # output bias
-    np.negative(jac, out=jac)                # d r / d theta = -(d y / d theta)
+        jac[..., j * N_INPUTS : (j + 1) * N_INPUTS] = dy_dz[..., j : j + 1] * x
+    jac[..., 20:22] = dy_dz                         # hidden biases
+    jac[..., 22:24] = h                             # output weights
+    jac[..., 24] = 1.0                              # output bias
+    np.negative(jac, out=jac)                       # d r / d theta = -(d y / d theta)
     return jac, r
 
 
-def lm_epoch(mlp: Mlp, x: np.ndarray, t: np.ndarray, lam: float, config: TrainConfig):
-    """One full-batch Levenberg-Marquardt iteration with accept/reject damping.
+def _row_sse(r: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of an (R, N) residual stack."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
-    Returns (mlp', lambda', sse_of_returned_params, accepted). A rejected
-    or singular step leaves the parameters unchanged and raises lambda.
+
+def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each system of a stack; a singular system's solution is NaN.
+
+    numpy refuses the whole stack when one matrix is singular, so only
+    then is each matrix solved on its own.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    jac, r = residual_jacobian(mlp, x, t)
-    sse0 = float(r @ r)
-    lhs = jac.T @ jac + lam * np.eye(N_PARAMS)
-    rhs = jac.T @ r
     try:
-        delta = np.linalg.solve(lhs, rhs)
+        return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
-        delta = None
-    if delta is not None and np.all(np.isfinite(delta)):
-        # r decreases along -(J^T J + lam I)^-1 J^T r since jac is d r/d theta.
-        candidate = Mlp(mlp.theta - delta)
-        r1 = t - candidate.forward_batch(x)[1]
-        sse1 = float(r1 @ r1)
-        if sse1 < sse0:
-            return candidate, lam * config.lambda_down, sse1, True
-    return mlp, lam * config.lambda_up, sse0, False
+        pass
+    delta = np.full(rhs.shape, np.nan)
+    for i in range(len(lhs)):
+        try:
+            delta[i] = np.linalg.solve(lhs[i], rhs[i])
+        except np.linalg.LinAlgError:
+            log.debug("singular LM system in row %d: step rejected", i)
+    return delta
 
 
-def lm_iterations(frame, seed: int, config: TrainConfig, epochs: int):
-    """Train one net on `frame`'s prediction pairs, drawn from `seed`.
+def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
+             config: TrainConfig):
+    """One full-batch Levenberg-Marquardt iteration with accept/reject
+    damping for each net of a stack (R, 25), with its damping lam (R,).
 
-    Yields (mlp, sse) after each of `epochs` LM iterations, threading
-    lambda. Rejected steps count as epochs, so the SSE sequence is
-    non-increasing. A frame shorter than MIN_FRAME_LEN yields nothing.
+    Returns (theta', lam', sse, accepted): the stack after the step, the
+    damping after it, each row's SSE at its returned parameters, and the
+    number of accepted steps as an int. A rejected, singular or
+    non-finite step leaves that row's parameters unchanged and raises
+    its lambda; an accepted one lowers it.
+    """
+    if not (lam > 0).all():
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    jac, r = residual_jacobian(theta, x, t)
+    jac_t = jac.transpose(0, 2, 1)
+    sse0 = _row_sse(r)
+    lhs = jac_t @ jac + lam[:, None, None] * _EYE
+    rhs = jac_t @ r[:, :, None]
+    delta = _solve_each(lhs, rhs)[..., 0]
+    usable = np.isfinite(delta).all(axis=1)
+    # r decreases along -(J^T J + lam I)^-1 J^T r since jac is d r/d theta;
+    # an unusable row is scored at its own parameters and then rejected.
+    candidate = theta - np.where(usable[:, None], delta, 0.0)
+    sse1 = _row_sse(t - forward_batch(candidate, x)[1])
+    accept = usable & (sse1 < sse0)
+    return (np.where(accept[:, None], candidate, theta),
+            np.where(accept, lam * config.lambda_down, lam * config.lambda_up),
+            np.where(accept, sse1, sse0),
+            int(np.count_nonzero(accept)))
+
+
+def lm_stack_iterations(frame, seeds, config: TrainConfig, epochs: int):
+    """Train one net per seed on `frame`'s prediction pairs, as one stack.
+
+    Yields (theta, lam, sse) after each of `epochs` stacked LM
+    iterations: the (R, 25) parameters, the (R,) damping and the (R,)
+    SSEs, row i drawn from seeds[i]. Rejected steps count as epochs, so
+    each row's SSE sequence is non-increasing. A frame shorter than
+    MIN_FRAME_LEN yields nothing.
     """
     x, t = build_training_set(frame)
     if len(t) == 0:
         return
-    mlp = init_mlp(SplitMix64(seed), config.init_scale)
-    lam = config.lambda_init
+    theta = np.stack([init_mlp(SplitMix64(seed), config.init_scale).theta for seed in seeds])
+    lam = np.full(len(seeds), config.lambda_init)
     for _ in range(epochs):
-        mlp, lam, err, _ = lm_epoch(mlp, x, t, lam, config)
-        yield mlp, err
+        theta, lam, sse, _ = lm_epoch(theta, x, t, lam, config)
+        yield theta, lam, sse
+
+
+def lm_iterations(frame, seed: int, config: TrainConfig, epochs: int):
+    """Train one net on `frame`'s prediction pairs, drawn from `seed`: the
+    stack of one of `lm_stack_iterations`.
+
+    Yields (mlp, sse) after each of `epochs` LM iterations. A frame
+    shorter than MIN_FRAME_LEN yields nothing.
+    """
+    for theta, _, sse in lm_stack_iterations(frame, [seed], config, epochs):
+        yield Mlp(theta[0]), float(sse[0])
 
 
 def restart_seed(seed: int, restart_index: int) -> int:
@@ -231,14 +300,16 @@ def restart_seed(seed: int, restart_index: int) -> int:
 def multistart_fit(frame, config: TrainConfig, seed: int) -> Mlp:
     """Train from several seeded random initializations and keep the best.
 
-    Each restart runs config.epochs LM iterations; the winner is the
-    restart with the lowest final SSE on the training frame (ties break
-    to the lowest restart index). Frames too short to form training
-    pairs yield the zero-output net.
+    The config.restarts restarts run config.epochs LM iterations as one
+    stack; the winner is the restart with the lowest final SSE on the
+    training frame (ties break to the lowest restart index). Frames too
+    short to form training pairs yield the zero-output net.
     """
     if len(frame) < MIN_FRAME_LEN:
         log.debug("multistart on short frame (%d samples): zero predictor", len(frame))
         return Mlp.zero()
-    finals = [list(lm_iterations(frame, restart_seed(seed, i), config, config.epochs))[-1]
-              for i in range(config.restarts)]
-    return min(finals, key=lambda final: final[1])[0]
+    seeds = [restart_seed(seed, i) for i in range(config.restarts)]
+    for theta, _, sse in lm_stack_iterations(frame, seeds, config, config.epochs):
+        pass
+    finals = sse.tolist()
+    return Mlp(theta[min(range(len(finals)), key=finals.__getitem__)])

@@ -1,6 +1,7 @@
 """Closed-loop codec: frame coding, adaptation modes, hybrid switching."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,6 +311,33 @@ class TestLoopScalarTypes:
         for new_state in (enc_state, dec_state):
             assert {type(v) for v in new_state.history} == {float}
             assert type(new_state.step) is float
+
+
+    @pytest.mark.parametrize("kind", [PredictorKind.LPC10, PredictorKind.MLP],
+                             ids=["lpc10", "mlp"])
+    def test_numpy_integer_codes_decode_on_floats(self, monkeypatch, speech_like, kind):
+        # a library-built Bitstream may carry numpy integer codes; parse gives ints
+        config = CodecConfig(frame_len=100, predictor_kind=kind)
+        result = encode(Signal(speech_like.samples[:400], speech_like.sample_rate), config)
+        stream = result.bitstream
+        numpy_stream = Bitstream(stream.header, tuple(
+            replace(p, codes=tuple(np.int64(c) for c in p.codes)) for p in stream.payloads))
+        assert {type(c) for p in numpy_stream.payloads for c in p.codes} == {int}
+        assert numpy_stream == stream
+        states = []
+
+        def recording(state, codes, predictor, decode_frame=codec.decode_frame):
+            recon, new_state = decode_frame(state, codes, predictor)
+            states.append(new_state)
+            return recon, new_state
+
+        monkeypatch.setattr(codec, "decode_frame", recording)
+        decoded = decode(numpy_stream)
+        np.testing.assert_array_equal(decoded.samples, result.reconstruction.samples)
+        assert len(states) == len(stream.payloads)
+        for state in states:
+            assert {type(v) for v in state.history} == {float}
+            assert type(state.step) is float
 
 
 class TestNumpyRealConfig:

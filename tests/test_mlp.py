@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from nadpcm import mlp as mlp_module
@@ -18,6 +20,7 @@ from nadpcm.mlp import (
     init_mlp,
     lm_epoch,
     lm_iterations,
+    lm_stack_iterations,
     multistart_fit,
     residual_jacobian,
     restart_seed,
@@ -42,14 +45,21 @@ def batch_sse(net, x, t):
 
 def reference_run(frame, seed, config, epochs):
     """(net, sse) after each LM epoch, chained by hand from init_mlp and
-    lm_epoch as an oracle for lm_iterations and multistart_fit."""
+    lm_epoch on a stack of one net, as an oracle for lm_iterations and
+    multistart_fit."""
     x, t = build_training_set(frame)
-    net, lam = init_mlp(SplitMix64(seed), config.init_scale), config.lambda_init
+    theta = init_mlp(SplitMix64(seed), config.init_scale).theta[None]
+    lam = np.array([config.lambda_init])
     steps = []
     for _ in range(epochs):
-        net, lam, err, _ = lm_epoch(net, x, t, lam, config)
-        steps.append((net, err))
+        theta, lam, err, _ = lm_epoch(theta, x, t, lam, config)
+        steps.append((Mlp(theta[0]), float(err[0])))
     return steps
+
+
+def seeded_stack(*seeds, scale=0.5):
+    """(len(seeds), 25) parameter stack, row i drawn from seeds[i]."""
+    return np.stack([init_mlp(SplitMix64(seed), scale).theta for seed in seeds])
 
 
 class TestSplitMix64:
@@ -210,21 +220,22 @@ class TestJacobian:
         rng = SplitMix64(8)
         net = init_mlp(rng, 0.5)
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
-        jac, r = residual_jacobian(net, x, t)
-        np.testing.assert_array_equal(jac[:, 24], -np.ones(len(t)))
+        jac, r = residual_jacobian(net.theta[None], x, t)
+        assert jac.shape == (1, len(t), 25) and r.shape == (1, len(t))
+        np.testing.assert_array_equal(jac[0, :, 24], -np.ones(len(t)))
 
     def test_zero_net_output_weight_columns(self):
         net = Mlp.zero()
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
-        jac, _ = residual_jacobian(net, x, t)
-        np.testing.assert_allclose(jac[:, 22:24], -0.5, rtol=1e-15)
+        jac, _ = residual_jacobian(net.theta[None], x, t)
+        np.testing.assert_allclose(jac[0, :, 22:24], -0.5, rtol=1e-15)
 
     def test_residual_definition(self):
         rng = SplitMix64(9)
         net = init_mlp(rng, 0.5)
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
-        _, r = residual_jacobian(net, x, t)
-        np.testing.assert_allclose(r, t - net.forward_batch(x)[1], rtol=1e-15)
+        _, r = residual_jacobian(net.theta[None], x, t)
+        np.testing.assert_allclose(r[0], t - net.forward_batch(x)[1], rtol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = SplitMix64(10)
@@ -234,7 +245,7 @@ class TestJacobian:
             x = np.array([[rng.uniform(-0.8, 0.8) for _ in range(10)]
                           for _ in range(3)])
             t = np.array([rng.uniform(-0.8, 0.8) for _ in range(3)])
-            jac, _ = residual_jacobian(net, x, t)
+            jac = residual_jacobian(net.theta[None], x, t)[0][0]
             theta = net.theta
             for p in range(25):
                 up, dn = theta.copy(), theta.copy()
@@ -248,46 +259,86 @@ class TestJacobian:
                 np.testing.assert_allclose(jac[:, p][mask], fd[mask], rtol=1e-4)
 
 
+    def test_stack_rows_match_single_nets(self):
+        thetas = seeded_stack(21, 22, 23)
+        x, t = build_training_set(np.sin(np.linspace(0, 6, 40)) * 0.4)
+        jac, r = residual_jacobian(thetas, x, t)
+        for i, theta in enumerate(thetas):
+            one_jac, one_r = residual_jacobian(theta[None], x, t)
+            np.testing.assert_array_equal(jac[i], one_jac[0])
+            np.testing.assert_array_equal(r[i], one_r[0])
+
+
 class TestLevenbergMarquardt:
     def test_accepted_step_reduces_sse(self):
-        rng = SplitMix64(11)
-        net = init_mlp(rng, 0.5)
+        thetas = seeded_stack(11, 12, 13, 14)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
-        before = batch_sse(net, x, t)
-        net2, lam2, after, accepted = lm_epoch(net, x, t, 0.01, TrainConfig())
-        if accepted:
-            assert after < before
-            assert lam2 == pytest.approx(0.001)
-        else:
-            assert after == before
-            assert lam2 == pytest.approx(0.1)
+        before = [batch_sse(Mlp(theta), x, t) for theta in thetas]
+        thetas2, lam2, after, accepted = lm_epoch(thetas, x, t, np.full(4, 0.01), TrainConfig())
+        assert type(accepted) is int
+        assert accepted == sum(lam < 0.01 for lam in lam2) >= 1
+        for theta, theta2, lam, b, a in zip(thetas, thetas2, lam2, before, after):
+            if lam < 0.01:
+                assert a < b
+                assert lam == pytest.approx(0.001)
+            else:
+                assert a == b
+                assert lam == pytest.approx(0.1)
+                np.testing.assert_array_equal(theta2, theta)
 
     def test_rejected_step_keeps_parameters(self):
-        rng = SplitMix64(13)
-        net = init_mlp(rng, 0.5)
+        thetas = seeded_stack(13)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         # huge lambda forces a tiny step; near a minimum it cannot improve
         for _ in range(200):
-            net, _, _, _ = lm_epoch(net, x, t, 1e-3, TrainConfig())
-        net2, _, _, accepted = lm_epoch(net, x, t, 1e12, TrainConfig())
+            thetas, _, _, _ = lm_epoch(thetas, x, t, np.array([1e-3]), TrainConfig())
+        thetas2, _, _, accepted = lm_epoch(thetas, x, t, np.array([1e12]), TrainConfig())
         if not accepted:
-            np.testing.assert_array_equal(net2.theta, net.theta)
+            np.testing.assert_array_equal(thetas2, thetas)
 
     @pytest.mark.parametrize("solve", ["singular", "non-finite"])
     def test_unusable_step_rejected(self, monkeypatch, solve):
         def bad_solve(lhs, rhs):
             if solve == "singular":
                 raise np.linalg.LinAlgError("singular matrix")
-            return np.full(len(rhs), np.inf)
+            return np.full(np.shape(rhs), np.inf)
 
-        net = init_mlp(SplitMix64(20), 0.5)
+        thetas = seeded_stack(20, 21)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
-        before = batch_sse(net, x, t)
+        before = [batch_sse(Mlp(theta), x, t) for theta in thetas]
         monkeypatch.setattr(np.linalg, "solve", bad_solve)
-        net2, lam2, err, accepted = lm_epoch(net, x, t, 0.01, TrainConfig())
-        assert net2 is net and not accepted
-        assert lam2 == pytest.approx(0.1)
-        assert err == before
+        thetas2, lam2, err, accepted = lm_epoch(thetas, x, t, np.full(2, 0.01), TrainConfig())
+        np.testing.assert_array_equal(thetas2, thetas)
+        assert accepted == 0
+        np.testing.assert_allclose(lam2, 0.1)
+        assert err.tolist() == before
+
+    def test_singular_row_rejected_alone(self, monkeypatch):
+        # numpy refuses a whole stack for one singular matrix; the fallback
+        # solves each matrix on its own, so only that row is rejected
+        thetas = seeded_stack(30, 31, 32, 33)
+        x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
+        lam = np.full(4, 1.0)
+        expected = lm_epoch(thetas, x, t, lam, TrainConfig())
+        assert expected[3] == 4
+        real_solve = np.linalg.solve
+        calls = []
+
+        def solve_row_1_singular(lhs, rhs):
+            calls.append(np.ndim(lhs))
+            if np.ndim(lhs) == 3 or len(calls) == 3:  # the stack, then row 1
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_solve(lhs, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_row_1_singular)
+        thetas2, lam2, err, accepted = lm_epoch(thetas, x, t, lam, TrainConfig())
+        assert calls == [3, 2, 2, 2, 2] and accepted == 3
+        np.testing.assert_array_equal(thetas2[1], thetas[1])
+        assert lam2[1] == pytest.approx(10.0)
+        assert err[1] == batch_sse(Mlp(thetas[1]), x, t)
+        for i in (0, 2, 3):
+            np.testing.assert_array_equal(thetas2[i], expected[0][i])
+            assert lam2[i] == expected[1][i] and err[i] == expected[2][i]
 
     def test_zero_start_linear_subproblem_reaches_optimum(self):
         # from the zero net only w_out/b_out columns are active, so one
@@ -296,10 +347,16 @@ class TestLevenbergMarquardt:
         rng = np.random.default_rng(14)
         x = rng.uniform(-0.5, 0.5, size=(40, 10))
         t = rng.uniform(-0.5, 0.5, size=40)
-        net, _, err, accepted = lm_epoch(Mlp.zero(), x, t, 1e-12, TrainConfig())
-        assert accepted
+        _, _, err, accepted = lm_epoch(np.zeros((1, 25)), x, t, np.array([1e-12]), TrainConfig())
+        assert accepted == 1
         optimum = float(np.sum((t - t.mean()) ** 2))
-        assert err == pytest.approx(optimum, abs=1e-8)
+        assert err[0] == pytest.approx(optimum, abs=1e-8)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    def test_nonpositive_lambda_refused(self, lam):
+        x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
+        with pytest.raises(ValueError, match="lambda must be > 0"):
+            lm_epoch(seeded_stack(1, 2), x, t, np.array([0.01, lam]), TrainConfig())
 
     def test_sse_nonincreasing_across_epochs(self):
         x_sig = np.sin(np.linspace(0, 12, 120)) * 0.4
@@ -322,12 +379,12 @@ class TestLevenbergMarquardt:
         rng = np.random.default_rng(18)
         x = rng.uniform(-0.8, 0.8, size=(60, 10))
         t = teacher.forward_batch(x)[1]
-        student = init_mlp(SplitMix64(19), 0.5)
-        initial = batch_sse(student, x, t)
-        lam = TrainConfig().lambda_init
+        students = seeded_stack(19)
+        initial = batch_sse(Mlp(students[0]), x, t)
+        lam = np.array([TrainConfig().lambda_init])
         for _ in range(60):
-            student, lam, final, _ = lm_epoch(student, x, t, lam, TrainConfig())
-        assert final < 0.05 * initial
+            students, lam, final, _ = lm_epoch(students, x, t, lam, TrainConfig())
+        assert final[0] < 0.05 * initial
 
     def test_numpy_integer_seed(self, ar_signal):
         frame = ar_signal.samples[:200]
@@ -372,23 +429,80 @@ class TestMultistart:
         via_run, _ = reference_run(frame, restart_seed(33, 0), config, config.epochs)[-1]
         np.testing.assert_array_equal(via_multi.theta, via_run.theta)
 
-    def test_tie_goes_to_lowest_restart(self, monkeypatch):
+    @pytest.mark.parametrize("final_sse, winner", [
+        ((2.0, 1.0, 1.0, 3.0), 1),           # a tie goes to the lowest restart
+        ((2.0, 1.0, float("nan"), 1.0), 1),  # NaN never wins over an earlier restart
+    ])
+    def test_tie_goes_to_lowest_restart(self, monkeypatch, final_sse, winner):
         frame = np.zeros(50)
-        nets = {restart_seed(5, i): Mlp(np.full(25, float(i))) for i in range(4)}
-        final_sse = dict(zip(nets, (2.0, 1.0, 1.0, 3.0)))
+        stack = np.repeat(np.arange(4.0)[:, None], 25, axis=1)  # row i is all i
+        epoch_sse = [(0.5, 9.0, 9.0, 9.0), final_sse]  # only the last epoch counts
 
-        def fake_run(frame, seed, config, epochs):
-            yield Mlp.zero(), 9.0
-            yield nets[seed], final_sse[seed]
+        def fake_epoch(theta, x, t, lam, config):
+            return stack, lam, np.array(epoch_sse.pop(0)), 0
 
-        monkeypatch.setattr(mlp_module, "lm_iterations", fake_run)
-        best = multistart_fit(frame, TrainConfig(), 5)
-        np.testing.assert_array_equal(best.theta, np.full(25, 1.0))
+        monkeypatch.setattr(mlp_module, "lm_epoch", fake_epoch)
+        best = multistart_fit(frame, TrainConfig(epochs=2), 5)
+        assert not epoch_sse
+        np.testing.assert_array_equal(best.theta, np.full(25, float(winner)))
 
     def test_short_frame_zero_predictor(self):
         net = multistart_fit(np.zeros(5), TrainConfig(), 0)
         assert net.forward(np.zeros(10)) == 0.0
         np.testing.assert_array_equal(net.theta, np.zeros(25))
+
+
+class TestStackedRun:
+    """Restarts stay independent: a row of a stacked run is that seed's
+    solo run, epoch by epoch and bit for bit."""
+
+    @staticmethod
+    def assert_rows_match_solo_runs(frame, seeds, config, epochs):
+        stacked = list(lm_stack_iterations(frame, seeds, config, epochs))
+        for i, seed in enumerate(seeds):
+            solo = list(lm_stack_iterations(frame, [seed], config, epochs))
+            nets = list(lm_iterations(frame, seed, config, epochs))
+            assert len(stacked) == len(solo) == len(nets)
+            for (theta, lam, sse), (theta1, lam1, sse1), (net, err) in zip(stacked, solo, nets):
+                np.testing.assert_array_equal(theta[i], theta1[0])
+                np.testing.assert_array_equal(theta[i], net.theta)
+                assert lam[i] == lam1[0]
+                assert sse[i] == sse1[0] == err
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(
+        frame=arrays(np.float64, st.integers(11, 120),
+                     elements=st.floats(-0.9, 0.9, allow_nan=False, width=64)),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        epochs=st.integers(1, 6),
+        lambda_init=st.sampled_from([1e-6, 0.01, 3.0]),
+    )
+    def test_rows_equal_solo_runs(self, frame, seeds, epochs, lambda_init):
+        config = TrainConfig(lambda_init=lambda_init)
+        self.assert_rows_match_solo_runs(frame, seeds, config, epochs)
+
+    def test_rows_equal_solo_runs_through_per_matrix_solve(self, monkeypatch, speech_like):
+        frame = speech_like.samples[2000:2200]
+        seeds = [restart_seed(9, i) for i in range(5)]
+        config = TrainConfig()
+        unpatched = list(lm_stack_iterations(frame, seeds, config, 6))
+        real_solve = np.linalg.solve
+
+        def refuse_stacks(lhs, rhs):
+            if np.ndim(lhs) == 3:
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_solve(lhs, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", refuse_stacks)
+        patched = list(lm_stack_iterations(frame, seeds, config, 6))
+        for (theta, lam, sse), (theta_p, lam_p, sse_p) in zip(unpatched, patched):
+            np.testing.assert_array_equal(theta_p, theta)
+            np.testing.assert_array_equal(lam_p, lam)
+            np.testing.assert_array_equal(sse_p, sse)
+        self.assert_rows_match_solo_runs(frame, seeds, config, 6)
+
+    def test_short_frame_yields_nothing(self):
+        assert list(lm_stack_iterations(np.zeros(10), [1, 2], TrainConfig(), 3)) == []
 
 
 class TestTrainConfig:
