@@ -188,6 +188,7 @@ class Bitstream:
         config = self.header.config
         flag_bits, count, _, _ = frame_row(config)
         code_min, code_max = code_range(config.bits)
+        int_payloads = list(payloads)
         for i, p in enumerate(payloads):
             if p.hybrid_flag not in ((0, 1) if flag_bits else (None,)):
                 need = "0 or 1" if flag_bits else "None"
@@ -198,13 +199,17 @@ class Bitstream:
             if len(p.codes) != config.frame_len:
                 raise BitstreamError(
                     f"expected {config.frame_len} codes, got {len(p.codes)}", i)
+            numpy_codes = False
             for c in p.codes:
-                if type(c) is not int and not isinstance(c, np.integer):
-                    raise BitstreamError(f"codes must be integers, got {c!r}", i)
+                if type(c) is not int:
+                    if not isinstance(c, np.integer):
+                        raise BitstreamError(f"codes must be integers, got {c!r}", i)
+                    numpy_codes = True
                 if not code_min <= c <= code_max:
                     raise BitstreamError(f"code {c} outside [{code_min}, {code_max}]", i)
-        object.__setattr__(self, "payloads", tuple(
-            replace(p, codes=tuple(map(int, p.codes))) for p in payloads))
+            if numpy_codes:
+                int_payloads[i] = replace(p, codes=tuple(map(int, p.codes)))
+        object.__setattr__(self, "payloads", tuple(int_payloads))
 
 
 def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:

@@ -19,9 +19,10 @@ stack with an (R,) damping vector and returns (theta', lambda', sse,
 accepted): the (R, 25) stack after the step, the (R,) damping after it,
 each row's (R,) SSE at its returned parameters, and the number of rows
 whose step was accepted, as an int. Accept/reject and the damping update
-are decided per row. Every row gets the same IEEE operations, in the
-same order, as it would in a stack of one, so a row's result does not
-depend on the rows beside it; `lm_iterations` is that stack of one.
+are decided per row. numpy runs the matrix products and the solve slice
+by slice, so every row gets the same IEEE operations, in the same order,
+as it would in a stack of one: a row's result does not depend on the rows
+beside it, and `lm_iterations` is that stack of one.
 """
 
 import logging

@@ -429,22 +429,29 @@ class TestMultistart:
         via_run, _ = reference_run(frame, restart_seed(33, 0), config, config.epochs)[-1]
         np.testing.assert_array_equal(via_multi.theta, via_run.theta)
 
-    @pytest.mark.parametrize("final_sse, winner", [
-        ((2.0, 1.0, 1.0, 3.0), 1),           # a tie goes to the lowest restart
-        ((2.0, 1.0, float("nan"), 1.0), 1),  # NaN never wins over an earlier restart
-    ])
-    def test_tie_goes_to_lowest_restart(self, monkeypatch, final_sse, winner):
-        frame = np.zeros(50)
-        stack = np.repeat(np.arange(4.0)[:, None], 25, axis=1)  # row i is all i
-        epoch_sse = [(0.5, 9.0, 9.0, 9.0), final_sse]  # only the last epoch counts
+    @staticmethod
+    def fit_with_final_sse(monkeypatch, final_sse):
+        """multistart_fit over a faked LM whose row i is all i; the first of
+        two epochs would pick row 0, so only the last epoch may count."""
+        stack = np.repeat(np.arange(4.0)[:, None], 25, axis=1)
+        epoch_sse = [(0.5, 9.0, 9.0, 9.0), final_sse]
 
         def fake_epoch(theta, x, t, lam, config):
             return stack, lam, np.array(epoch_sse.pop(0)), 0
 
         monkeypatch.setattr(mlp_module, "lm_epoch", fake_epoch)
-        best = multistart_fit(frame, TrainConfig(epochs=2), 5)
+        best = multistart_fit(np.zeros(50), TrainConfig(epochs=2), 5)
         assert not epoch_sse
-        np.testing.assert_array_equal(best.theta, np.full(25, float(winner)))
+        return best.theta
+
+    def test_tie_goes_to_lowest_restart(self, monkeypatch):
+        theta = self.fit_with_final_sse(monkeypatch, (2.0, 1.0, 1.0, 3.0))
+        np.testing.assert_array_equal(theta, np.full(25, 1.0))
+
+    def test_nan_sse_does_not_beat_an_earlier_restart(self, monkeypatch):
+        # min over Python floats keeps restart 1; np.argmin would pick the NaN
+        theta = self.fit_with_final_sse(monkeypatch, (2.0, 1.0, float("nan"), 1.0))
+        np.testing.assert_array_equal(theta, np.full(25, 1.0))
 
     def test_short_frame_zero_predictor(self):
         net = multistart_fit(np.zeros(5), TrainConfig(), 0)
