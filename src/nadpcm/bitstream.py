@@ -1,6 +1,6 @@
 """Self-describing codec bitstream: header plus bit-packed frame payloads.
 
-The header is magic "NADP", a u8 version (1), then the fields of
+The header is magic "NADP", a u8 version (2), then the fields of
 `HEADER_FIELDS` in table order, each little-endian with its struct code
 (reals are IEEE-754 binary64). serialize and parse both walk that table.
 After sample_rate and true_sample_count the header is the `CodecConfig`
@@ -10,14 +10,24 @@ exactly when those are. Their construction also refuses a non-integer or
 too-large value in an integer field, so nothing the header cannot carry is coded.
 
 Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
-MSB-first within each byte: the hybrid flag bit (hybrid only), 64 bits
-per forward predictor coefficient (forward only, the f64 bytes as
-above), then frame_len codes of `bits` bits each (biased to unsigned by
-adding 2^(bits-1)). Forward rows are zero-padded to a whole byte, so
-each frame's coefficients start on a byte boundary; other rows follow
-each other without padding. The rows are packed back to back and the
-final byte is zero-padded. Padding bits must be zero; parse rejects a
-stream with a nonzero one, so each stream has exactly one encoding.
+MSB-first within each byte: the candidate field (backward MLP and hybrid
+only), 64 bits per forward predictor coefficient (forward only, the f64
+bytes as above), then frame_len codes of `bits` bits each (biased to
+unsigned by adding 2^(bits-1)). The candidate field names the predictor
+the encoder chose among the frame's candidates (`candidate_count`),
+MSB-first in the fewest bits that hold every index: for backward MLP
+the winning restart of R = restarts, in ceil(log2 R) bits (none when
+R = 1); for hybrid 0 for LPC-10 or i + 1 for restart i, in
+ceil(log2(R + 1)) bits. Backward frame 0 always uses the zero predictor
+and carries candidate 0. The decoder refits only the named restart, so
+its work per frame is epochs x (frame_len - 10) training pairs whatever
+`restarts` is. Forward rows are zero-padded to a whole byte, so each
+frame's coefficients start on a byte boundary; other rows follow each
+other without padding. The rows are packed back to back and the final
+byte is zero-padded. Padding bits must be zero and a candidate must be
+in range; parse rejects a stream otherwise, so each stream has exactly
+one encoding. Version 1 streams, which sent one hybrid flag bit and no
+restart index, are refused.
 
 A `Bitstream` checks its payloads against its header when it is built,
 so serialize and the decoder only ever see consistent frames.
@@ -39,7 +49,7 @@ from .quantizer import (
 )
 
 MAGIC = b"NADP"
-VERSION = 1
+VERSION = 2
 
 # The header after magic and version: (field, struct code) in wire order.
 # "multipliers" is the table's u8 count, then that many f64.
@@ -136,13 +146,13 @@ class CodecConfig:
             raise ValueError("hybrid coding is defined for backward adaptation only")
 
     def payload_bit_rate(self, sample_rate: int) -> float:
-        """Payload bits/second: code bits plus the hybrid flag overhead.
+        """Payload bits/second: code bits plus the candidate field.
 
         Forward coefficient overhead is excluded; forward mode is the
         unquantized reference configuration.
         """
-        flag_bits, _, codes, _ = frame_row(self)
-        return (flag_bits + codes.stop - codes.start) * sample_rate / self.frame_len
+        candidate_bits, _, codes, _ = frame_row(self)
+        return (candidate_bits + codes.stop - codes.start) * sample_rate / self.frame_len
 
 
 @dataclass(frozen=True)
@@ -166,7 +176,7 @@ class BitstreamHeader:
 @dataclass(frozen=True)
 class FramePayload:
     codes: tuple
-    hybrid_flag: int | None = None
+    candidate: int | None = None
     forward_coeffs: tuple | None = None
 
 
@@ -186,43 +196,74 @@ class Bitstream:
         if len(payloads) != frames:
             raise BitstreamError(f"{len(payloads)} payloads for a {frames}-frame header")
         config = self.header.config
-        flag_bits, count, _, _ = frame_row(config)
+        candidates = candidate_count(config)
+        _, count, _, _ = frame_row(config)
         code_min, code_max = code_range(config.bits)
         int_payloads = list(payloads)
         for i, p in enumerate(payloads):
-            if p.hybrid_flag not in ((0, 1) if flag_bits else (None,)):
-                need = "0 or 1" if flag_bits else "None"
-                raise BitstreamError(f"hybrid_flag must be {need}, got {p.hybrid_flag!r}", i)
+            numpy_ints = _check_candidate(p.candidate, candidates, i)
             n_coeffs = None if p.forward_coeffs is None else len(p.forward_coeffs)
             if n_coeffs != (count or None):
                 raise BitstreamError(f"expected {count or 'no'} forward_coeffs, got {n_coeffs}", i)
             if len(p.codes) != config.frame_len:
                 raise BitstreamError(
                     f"expected {config.frame_len} codes, got {len(p.codes)}", i)
-            numpy_codes = False
             for c in p.codes:
                 if type(c) is not int:
                     if not isinstance(c, np.integer):
                         raise BitstreamError(f"codes must be integers, got {c!r}", i)
-                    numpy_codes = True
+                    numpy_ints = True
                 if not code_min <= c <= code_max:
                     raise BitstreamError(f"code {c} outside [{code_min}, {code_max}]", i)
-            if numpy_codes:
-                int_payloads[i] = replace(p, codes=tuple(map(int, p.codes)))
+            if numpy_ints:
+                int_payloads[i] = replace(p, codes=tuple(map(int, p.codes)), candidate=(
+                    None if p.candidate is None else int(p.candidate)))
         object.__setattr__(self, "payloads", tuple(int_payloads))
 
 
+def _check_candidate(candidate, candidates: int, frame_index: int) -> bool:
+    """Raise BitstreamError unless `candidate` suits a frame of a config
+    with `candidates` candidates: None when there are none, else an
+    integer below that count, and 0 on frame 0. True for a numpy integer."""
+    if not candidates:
+        if candidate is not None:
+            raise BitstreamError(f"candidate must be None, got {candidate!r}", frame_index)
+        return False
+    if type(candidate) is not int and not isinstance(candidate, np.integer):
+        raise BitstreamError(f"candidate must be an integer, got {candidate!r}", frame_index)
+    if not 0 <= candidate < candidates:
+        raise BitstreamError(f"candidate {candidate} outside [0, {candidates - 1}]", frame_index)
+    if frame_index == 0 and candidate:
+        raise BitstreamError(f"candidate {candidate} on frame 0, which has only candidate 0",
+                             frame_index)
+    return type(candidate) is not int
+
+
+def candidate_count(config: CodecConfig) -> int:
+    """Number of predictors a backward frame's candidate field chooses
+    among: R = restarts for MLP, R + 1 for hybrid (LPC-10, then each
+    restart), 0 for the kinds that send no candidate."""
+    if config.adaptation is Adaptation.FORWARD or config.predictor_kind not in NEURAL_KINDS:
+        return 0
+    return config.train.restarts + (config.predictor_kind is PredictorKind.HYBRID)
+
+
 def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:
-    """The one frame row layout of the module docstring, as (flag bits,
-    forward coefficient count, code columns, row bits); the coefficients
-    fill the columns between the flag and the codes."""
-    flag_bits = int(config.predictor_kind is PredictorKind.HYBRID)
+    """The one frame row layout of the module docstring, as (candidate
+    bits, forward coefficient count, code columns, row bits); the
+    coefficients fill the columns between the candidate and the codes."""
+    candidate_bits = max(candidate_count(config) - 1, 0).bit_length()  # ceil(log2 count)
     forward = config.adaptation is Adaptation.FORWARD
     count = FORWARD_COEFF_COUNT[config.predictor_kind] if forward else 0
-    start = flag_bits + 64 * count
+    start = candidate_bits + 64 * count
     codes = slice(start, start + config.frame_len * config.bits)
     row_bits = codes.stop + (-codes.stop % 8 if count else 0)
-    return flag_bits, count, codes, row_bits
+    return candidate_bits, count, codes, row_bits
+
+
+def _msb_first(values: np.ndarray, width: int) -> np.ndarray:
+    """The bits of each unsigned value, MSB first: (..., width) from (...)."""
+    return (values[..., None] >> np.arange(width - 1, -1, -1)) & 1
 
 
 def serialize(bitstream: Bitstream) -> bytes:
@@ -230,7 +271,7 @@ def serialize(bitstream: Bitstream) -> bytes:
     h = bitstream.header
     c = h.config
     payloads = bitstream.payloads
-    flag_bits, count, code_cols, row_bits = frame_row(c)
+    candidate_bits, count, code_cols, row_bits = frame_row(c)
 
     values = {**vars(c.train), **vars(c), **vars(h)}
     out = bytearray(MAGIC + struct.pack("<B", VERSION))
@@ -244,13 +285,14 @@ def serialize(bitstream: Bitstream) -> bytes:
     frames = len(payloads)
     u = np.array([p.codes for p in payloads]) + (1 << (c.bits - 1))
     rows = np.zeros((frames, row_bits), dtype=np.uint8)
-    if flag_bits:
-        rows[:, 0] = [p.hybrid_flag for p in payloads]
+    if candidate_bits:
+        rows[:, :candidate_bits] = _msb_first(
+            np.array([p.candidate for p in payloads]), candidate_bits)
     if count:
         coeffs = np.array([p.forward_coeffs for p in payloads], dtype="<f8")
-        rows[:, flag_bits : code_cols.start] = np.unpackbits(
+        rows[:, candidate_bits : code_cols.start] = np.unpackbits(
             coeffs.view(np.uint8).reshape(frames, 8 * count), axis=1)
-    rows[:, code_cols] = ((u[..., None] >> np.arange(c.bits - 1, -1, -1)) & 1).reshape(frames, -1)
+    rows[:, code_cols] = _msb_first(u, c.bits).reshape(frames, -1)
     out += np.packbits(rows).tobytes()
     return bytes(out)
 
@@ -296,13 +338,13 @@ def parse(data: bytes) -> Bitstream:
 
     config = header.config
     frames = header.frame_count
-    flag_bits, count, code_cols, row_bits = frame_row(config)
+    candidate_bits, count, code_cols, row_bits = frame_row(config)
     payload = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=offset))
     complete = min(frames, len(payload) // row_bits)
     rows = payload[: complete * row_bits].reshape(complete, row_bits)
     coeffs = [None] * complete
     if count:
-        block = np.packbits(rows[:, flag_bits : code_cols.start], axis=1).view("<f8")
+        block = np.packbits(rows[:, candidate_bits : code_cols.start], axis=1).view("<f8")
         bad = ~np.isfinite(block).all(axis=1)
         if bad.any():
             raise BitstreamError("non-finite forward coefficient", frame_index=int(bad.argmax()))
@@ -319,10 +361,17 @@ def parse(data: bytes) -> Bitstream:
         raise BitstreamError("nonzero padding bits after the last frame")
 
     bits = config.bits
-    weights = 1 << np.arange(bits - 1, -1, -1)
-    codes = rows[:, code_cols].reshape(frames, config.frame_len, bits) @ weights - (1 << (bits - 1))
-    flags = rows[:, 0].tolist() if flag_bits else [None] * frames
+    codes = _from_msb_first(rows[:, code_cols].reshape(frames, config.frame_len, bits))
+    codes -= 1 << (bits - 1)
+    candidates = [None] * frames
+    if candidate_count(config):
+        candidates = _from_msb_first(rows[:, :candidate_bits]).tolist()
     return Bitstream(header=header, payloads=tuple(
-        FramePayload(codes=tuple(row), hybrid_flag=flag, forward_coeffs=coeff)
-        for row, flag, coeff in zip(codes.tolist(), flags, coeffs)
+        FramePayload(codes=tuple(row), candidate=candidate, forward_coeffs=coeff)
+        for row, candidate, coeff in zip(codes.tolist(), candidates, coeffs)
     ))
+
+
+def _from_msb_first(bits: np.ndarray) -> np.ndarray:
+    """The unsigned values of MSB-first bit groups: (...) from (..., width)."""
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))

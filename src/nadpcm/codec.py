@@ -10,13 +10,17 @@ frame's payload, and encoder and decoder both call it, so they cannot
 drift. Forward frames rebuild the predictor from the coefficients in the
 payload (the encoder fits them on the current original frame). Backward
 frames refit on the previous reconstructed frame, which the decoder has
-too, and frame 0 uses the zero predictor. In hybrid mode the payload's
-flag bit picks the LPC-10 (0) or the neural (1) refit.
+too, and frame 0 uses the zero predictor. In backward MLP and hybrid
+mode the payload's candidate names the refit: the MLP restart i (hybrid:
+0 for LPC-10, i + 1 for restart i), which the decoder fits alone.
 
-The encoder lists the payloads it could send for a frame (two for a
-hybrid frame after frame 0, one otherwise), runs the loop from the same
-state with each payload's predictor, and commits the one with the
-smallest squared error, ties going to the first.
+The encoder lists the payloads it could send for a frame with their
+predictors (two for a hybrid frame after frame 0, one otherwise), runs
+the loop from the same state with each, and commits the one with the
+smallest squared error, ties going to the first. Its MLP candidate is the
+restart with the lowest training SSE of one `multistart_fit` over all
+restarts, and its payload names that restart, so the encoder codes with
+the net it fitted and the decoder's one-restart refit reproduces it.
 
 Reconstructed history is continuous across frame boundaries; predictor
 training sets are not.
@@ -31,6 +35,7 @@ from . import lpc
 from .audio import Signal, split_frames
 from .bitstream import (
     FORWARD_COEFF_COUNT,
+    NEURAL_KINDS,
     Adaptation,
     Bitstream,
     BitstreamError,
@@ -39,7 +44,7 @@ from .bitstream import (
     FramePayload,
     PredictorKind,
 )
-from .mlp import Mlp, multistart_fit
+from .mlp import Mlp, multistart_fit, restart_seed
 from .quantizer import dequantize, next_step, quantize
 
 HISTORY_LEN = 25  # covers the largest predictor order
@@ -75,8 +80,11 @@ def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, payload: 
 
     Forward frames rebuild it from `payload.forward_coeffs`. Backward
     frame 0 has no decoded history and uses ZERO; later backward frames
-    refit on `prev_recon`, the previous reconstructed frame, and in
-    hybrid mode `payload.hybrid_flag` picks LPC-10 (0) or the MLP (1).
+    refit on `prev_recon`, the previous reconstructed frame. In backward
+    MLP mode `payload.candidate` is the restart to fit; in hybrid mode 0
+    picks LPC-10 and i + 1 the MLP restart i. Only that restart is
+    trained, from its own seed, which gives the same net as that restart
+    of the encoder's `multistart_fit`.
     """
     kind = config.predictor_kind
     if config.adaptation is Adaptation.FORWARD:
@@ -86,23 +94,41 @@ def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, payload: 
         return lpc.LpcModel(len(coeffs), coeffs, np.zeros(len(coeffs)))
     if frame_index == 0:
         return ZERO
+    restart = payload.candidate
     if kind is PredictorKind.HYBRID:
-        kind = PredictorKind.MLP if payload.hybrid_flag else PredictorKind.LPC10
-    return fit_predictor(prev_recon, kind, config, frame_index)
+        if not restart:
+            return fit_predictor(prev_recon, PredictorKind.LPC10, config, frame_index)
+        restart -= 1
+    elif kind is not PredictorKind.MLP:
+        return fit_predictor(prev_recon, kind, config, frame_index)
+    net = multistart_fit(prev_recon, replace(config.train, restarts=1),
+                         restart_seed(config.seed ^ frame_index, restart))
+    return replace(net, restart=restart)
 
 
-def _candidate_payloads(config: CodecConfig, frame, frame_index: int) -> list:
-    """The payloads, codes still empty, the encoder may send for a frame:
-    the coefficients fitted on `frame` in forward mode, both hybrid flags
-    after frame 0, otherwise a bare payload."""
+def _candidates(config: CodecConfig, frame, frame_index: int, prev_recon) -> list:
+    """The (payload, predictor) pairs, codes still empty, the encoder may
+    send for a frame: the coefficients fitted on `frame` in forward mode;
+    after frame 0 of a backward MLP or hybrid stream, the `multistart_fit`
+    winner named by its restart, after LPC-10 in hybrid mode; otherwise
+    one payload with candidate 0, or none. The winner is coded with the
+    net already fitted, which is the one `frame_predictor` rebuilds."""
     kind = config.predictor_kind
     if config.adaptation is Adaptation.FORWARD:
         fitted = fit_predictor(frame, kind, config, frame_index)
         vector = fitted.theta if kind is PredictorKind.MLP else fitted.coeffs
-        return [FramePayload((), forward_coeffs=tuple(vector.tolist()))]
-    if kind is PredictorKind.HYBRID:
-        return [FramePayload((), hybrid_flag=f) for f in ((0, 1) if frame_index else (0,))]
-    return [FramePayload(())]
+        payload = FramePayload((), forward_coeffs=tuple(vector.tolist()))
+    elif frame_index and kind in NEURAL_KINDS:
+        net = fit_predictor(prev_recon, PredictorKind.MLP, config, frame_index)
+        hybrid = int(kind is PredictorKind.HYBRID)
+        neural = (FramePayload((), candidate=net.restart + hybrid), net)
+        if not hybrid:
+            return [neural]
+        linear = FramePayload((), candidate=0)
+        return [(linear, frame_predictor(config, frame_index, prev_recon, linear)), neural]
+    else:
+        payload = FramePayload((), candidate=0 if kind in NEURAL_KINDS else None)
+    return [(payload, frame_predictor(config, frame_index, prev_recon, payload))]
 
 
 def _closed_loop(state: CodecState, frame, predictor, codes=None):
@@ -153,7 +179,7 @@ class FrameStat:
     """Per-frame encoder diagnostics."""
 
     sse: float
-    hybrid_flag: int | None = None
+    candidate: int | None = None
     branch_sses: tuple | None = None  # (linear, neural) when hybrid
 
 
@@ -181,14 +207,12 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
     stats = []
     recon_parts = []
     for idx, frame in enumerate(frames):
-        tried = []
-        for payload in _candidate_payloads(config, frame, idx):
-            predictor = frame_predictor(config, idx, prev_recon, payload)
-            tried.append((payload, *encode_frame(state, frame, predictor)))
+        tried = [(payload, *encode_frame(state, frame, predictor))
+                 for payload, predictor in _candidates(config, frame, idx, prev_recon)]
         payload, codes, state, prev_recon, sse = min(tried, key=lambda t: t[4])
         payloads.append(replace(payload, codes=tuple(codes)))
         branches = tuple(t[4] for t in tried) if len(tried) > 1 else None
-        stats.append(FrameStat(sse=sse, hybrid_flag=payload.hybrid_flag, branch_sses=branches))
+        stats.append(FrameStat(sse=sse, candidate=payload.candidate, branch_sses=branches))
         recon_parts.append(prev_recon)
 
     reconstruction = np.concatenate(recon_parts)[: len(signal)]
@@ -202,7 +226,12 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
 
 def decode(bitstream: Bitstream) -> Signal:
     """Reconstruct the signal, getting each frame's predictor from
-    `frame_predictor` as the encoder did."""
+    `frame_predictor` as the encoder did.
+
+    A backward MLP or hybrid frame trains only the restart its candidate
+    names, so decode work per frame is epochs x (frame_len - 10) training
+    pairs, whatever `restarts` is.
+    """
     header = bitstream.header
     config = header.config
     state = initial_state(config)

@@ -246,12 +246,12 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
 
 
 def predictor_usage(bitstream: Bitstream):
-    """Percentage of frames coded by each hybrid branch: (pct_mlp, pct_lpc)."""
+    """Percentage of frames coded by each hybrid branch: (pct_mlp, pct_lpc);
+    a frame whose candidate names an MLP restart counts as MLP."""
     if bitstream.header.config.predictor_kind is not PredictorKind.HYBRID:
         raise ValueError("predictor usage is defined for hybrid bitstreams only")
-    flags = [p.hybrid_flag for p in bitstream.payloads]
-    n = len(flags)
-    mlp_frames = sum(flags)
+    n = len(bitstream.payloads)
+    mlp_frames = sum(1 for p in bitstream.payloads if p.candidate)
     return 100.0 * mlp_frames / n, 100.0 * (n - mlp_frames) / n
 
 

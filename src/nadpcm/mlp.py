@@ -111,9 +111,12 @@ class Mlp:
     `theta` holds the 25 parameters in the normative order and is the
     whole model; `w_in` (2, 10), `b_hid` (2,) and `w_out` (2,) are
     read-only views of it, and `b_out` is its last entry as a float.
+    `restart` is not a parameter: it records which restart of a
+    `multistart_fit` the net is, so the encoder can send that index.
     """
 
     theta: np.ndarray
+    restart: int = 0
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=np.float64)
@@ -303,7 +306,10 @@ def multistart_fit(frame, config: TrainConfig, seed: int) -> Mlp:
 
     The config.restarts restarts run config.epochs LM iterations as one
     stack; the winner is the restart with the lowest final SSE on the
-    training frame (ties break to the lowest restart index). Frames too
+    training frame (ties break to the lowest restart index), and its
+    index is the returned net's `restart`. Restart i is seeded
+    `restart_seed(seed, i)` and its row does not depend on the others, so
+    a fit with `restarts=1` from that seed gives the same net. Frames too
     short to form training pairs yield the zero-output net.
     """
     if len(frame) < MIN_FRAME_LEN:
@@ -313,4 +319,5 @@ def multistart_fit(frame, config: TrainConfig, seed: int) -> Mlp:
     for theta, _, sse in lm_stack_iterations(frame, seeds, config, config.epochs):
         pass
     finals = sse.tolist()
-    return Mlp(theta[min(range(len(finals)), key=finals.__getitem__)])
+    best = min(range(len(finals)), key=finals.__getitem__)
+    return Mlp(theta[best], best)

@@ -199,7 +199,7 @@ def test_c07_hybrid_dominance(capsys, corpus):
         payload = result.bitstream.payloads[k]
         stat = result.frame_stats[k]
         if k == 0:
-            if payload.hybrid_flag != 0:
+            if payload.candidate != 0:
                 frame_failures += 1
             codes, state, prev, _ = encode_frame(state, frame, ZERO)
             continue
@@ -207,12 +207,12 @@ def test_c07_hybrid_dominance(capsys, corpus):
         neural = fit_predictor(prev, PredictorKind.MLP, config, k)
         _, _, _, sse_l = encode_frame(state, frame, linear)
         _, _, _, sse_n = encode_frame(state, frame, neural)
-        committed = sse_n if payload.hybrid_flag else sse_l
-        expected_flag = 1 if sse_n < sse_l else 0  # ties stay linear
-        if (committed != min(sse_l, sse_n) or payload.hybrid_flag != expected_flag
+        committed = sse_n if payload.candidate else sse_l
+        expected = neural.restart + 1 if sse_n < sse_l else 0  # ties stay linear
+        if (committed != min(sse_l, sse_n) or payload.candidate != expected
                 or stat.branch_sses != (sse_l, sse_n) or stat.sse != committed):
             frame_failures += 1
-        chosen = neural if payload.hybrid_flag else linear
+        chosen = neural if payload.candidate else linear
         codes, state, prev, _ = encode_frame(state, frame, chosen)
         if list(codes) != list(payload.codes):
             frame_failures += 1

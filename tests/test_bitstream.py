@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nadpcm.bitstream import (
+    FORWARD_COEFF_COUNT,
     Adaptation,
     Bitstream,
     BitstreamError,
@@ -98,14 +99,15 @@ class TestPayloadRoundTrip:
         assert back.payloads == payloads
 
     def test_hybrid_flags_survive(self):
+        # hybrid candidates: 0 is LPC-10, i + 1 is restart i of 4
         header = make_header(predictor_kind=PredictorKind.HYBRID,
-                             true_sample_count=600, frame_len=200, bits=3)
+                             true_sample_count=800, frame_len=200, bits=3)
         payloads = tuple(
-            FramePayload(codes=codes_for(header), hybrid_flag=flag)
-            for flag in (0, 1, 1)
+            FramePayload(codes=codes_for(header), candidate=candidate)
+            for candidate in (0, 1, 4, 3)
         )
         back = parse(serialize(Bitstream(header, payloads)))
-        assert [p.hybrid_flag for p in back.payloads] == [0, 1, 1]
+        assert [p.candidate for p in back.payloads] == [0, 1, 4, 3]
 
     def test_forward_coefficients_bit_exact(self):
         header = make_header(adaptation=Adaptation.FORWARD,
@@ -160,10 +162,11 @@ class TestBitAccounting:
     def test_hybrid_three_frames(self):
         header = make_header(predictor_kind=PredictorKind.HYBRID, bits=3,
                              true_sample_count=600, frame_len=200)
-        payloads = tuple(FramePayload(codes=codes_for(header), hybrid_flag=0)
+        payloads = tuple(FramePayload(codes=codes_for(header), candidate=0)
                          for _ in range(3))
-        # header, then one flag bit and 600 code bits per frame, padded once
-        expected = self.header_bytes(3) + math.ceil(3 * (1 + 200 * 3) / 8)
+        # header, then 3 candidate bits (5 candidates at 4 restarts) and
+        # 600 code bits per frame, padded once
+        expected = self.header_bytes(3) + math.ceil(3 * (3 + 200 * 3) / 8)
         assert len(serialize(Bitstream(header, payloads))) == expected
 
     def test_backward_codes_accounting(self):
@@ -212,12 +215,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("cut, frame_index", [(75, 2), (76, 1)])
     def test_truncated_hybrid_stream_names_frame(self, cut, frame_index):
-        # 601-bit rows, 226 payload bytes: 150 bytes (1200 bits) end two
-        # bits short of frame 1, 151 bytes (1208 bits) hold it
+        # one restart, so a 1-bit candidate: 601-bit rows, 226 payload
+        # bytes: 150 bytes (1200 bits) end two bits short of frame 1, 151
+        # bytes (1208 bits) hold it
         header = make_header(predictor_kind=PredictorKind.HYBRID, bits=3,
-                             true_sample_count=600, frame_len=200)
-        payloads = tuple(FramePayload(codes=codes_for(header), hybrid_flag=1)
-                         for _ in range(3))
+                             true_sample_count=600, frame_len=200, restarts=1)
+        payloads = tuple(FramePayload(codes=codes_for(header), candidate=1 if k else 0)
+                         for k in range(3))
         data = serialize(Bitstream(header, payloads))
         with pytest.raises(BitstreamError, match="payload truncated") as info:
             parse(data[:-cut])
@@ -273,11 +277,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind, adaptation, payload, match", [
         pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {},
-                     "frame 1:.*hybrid_flag", id="hybrid-without-flag"),
-        pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {"hybrid_flag": 2},
-                     "frame 1:.*hybrid_flag", id="hybrid-flag-2"),
-        pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD, {"hybrid_flag": 0},
-                     "frame 1:.*hybrid_flag", id="backward-with-flag"),
+                     "frame 1:.*candidate", id="hybrid-without-flag"),
+        pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {"candidate": 2},
+                     "frame 1:.*candidate", id="hybrid-flag-2"),
+        pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD, {"candidate": 0},
+                     "frame 1:.*candidate", id="backward-with-flag"),
         pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD,
                      {"forward_coeffs": (0.0,) * 10}, "frame 1:.*forward_coeffs",
                      id="backward-with-coeffs"),
@@ -292,12 +296,13 @@ class TestValidation:
                      "4 payloads for a 3-frame header", id="4-payloads"),
     ])
     def test_serialize_rejects_payload_header_mismatch(self, kind, adaptation, payload, match):
-        # frames 0 and 2 are valid; frame 1 is `payload`, missing, or followed by a 4th
+        # frames 0 and 2 are valid; frame 1 is `payload`, missing, or
+        # followed by a 4th; one restart, so hybrid candidates are 0 and 1
         header = make_header(predictor_kind=kind, adaptation=adaptation,
-                             true_sample_count=600, frame_len=200)
+                             true_sample_count=600, frame_len=200, restarts=1)
         good = FramePayload(
             codes=codes_for(header),
-            hybrid_flag=0 if kind is PredictorKind.HYBRID else None,
+            candidate=0 if kind is PredictorKind.HYBRID else None,
             forward_coeffs=(0.0,) * 10 if adaptation is Adaptation.FORWARD else None,
         )
         if payload is None:
@@ -305,7 +310,7 @@ class TestValidation:
         elif payload == "extra":
             payloads = (good,) * 4
         else:
-            fields = {"hybrid_flag": None, "forward_coeffs": None, **payload}
+            fields = {"candidate": None, "forward_coeffs": None, **payload}
             payloads = (good, FramePayload(codes=codes_for(header), **fields), good)
         with pytest.raises(ValueError, match=match):
             serialize(Bitstream(header, payloads))
@@ -314,7 +319,7 @@ class TestValidation:
         # forge kind=HYBRID adaptation=FORWARD directly in the header bytes
         header = make_header(predictor_kind=PredictorKind.HYBRID)
         data = bytearray(serialize(Bitstream(
-            header, tuple(FramePayload(codes=codes_for(header), hybrid_flag=0)
+            header, tuple(FramePayload(codes=codes_for(header), candidate=0)
                           for _ in range(header.frame_count)))))
         adaptation_offset = 4 + 1 + 4 + 8 + 2 + 1 + 1  # through predictor_kind
         data[adaptation_offset] = 1
@@ -364,7 +369,7 @@ class TestValidation:
                              multipliers=DEFAULT_MULTIPLIERS[3])
         payload = FramePayload(
             codes=codes_for(header),
-            hybrid_flag=0 if kind is PredictorKind.HYBRID else None,
+            candidate=0 if kind is PredictorKind.HYBRID else None,
             forward_coeffs=(0.5,) * 10 if adaptation is Adaptation.FORWARD else None,
         )
         data = serialize(Bitstream(header, (payload,) * header.frame_count))
@@ -398,4 +403,116 @@ class TestValidation:
         assert struct.unpack_from("<I", data, 5) == (8000,)
         struct.pack_into("<I", data, 5, 0)
         with pytest.raises(BitstreamError, match="sample_rate"):
+            parse(bytes(data))
+
+
+class TestCandidateField:
+    """Backward MLP rows start with the winning restart in ceil(log2 R)
+    bits, hybrid rows with 0 (LPC-10) or restart + 1 in ceil(log2(R + 1))
+    bits; every other value, and a nonzero one on frame 0, is refused."""
+
+    @staticmethod
+    def header(kind, restarts, frames, frame_len=11, bits=2):
+        return make_header(predictor_kind=kind, restarts=restarts, bits=bits,
+                           true_sample_count=frames * frame_len, frame_len=frame_len,
+                           multipliers=DEFAULT_MULTIPLIERS[bits])
+
+    @staticmethod
+    def payloads(header, candidates):
+        return tuple(FramePayload(codes=codes_for(header), candidate=c) for c in candidates)
+
+    @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5, 8, 9, 255])
+    def test_every_candidate_round_trips_in_its_width(self, kind, restarts):
+        count = restarts + (kind is PredictorKind.HYBRID)
+        width = math.ceil(math.log2(count))
+        header = self.header(kind, restarts, count + 1)
+        stream = Bitstream(header, self.payloads(header, [0, *range(count)]))
+        data = serialize(stream)
+        assert len(data) == (TestBitAccounting.header_bytes(2)
+                             + math.ceil((count + 1) * (width + 11 * 2) / 8))
+        assert parse(data) == stream
+
+    def test_candidate_wire_format(self):
+        # hybrid at 4 restarts: 3 candidate bits, MSB first, then the codes
+        header = self.header(PredictorKind.HYBRID, 4, 2)
+        data = serialize(Bitstream(header, self.payloads(header, [0, 3])))
+        rows = "000" + "10" * 11 + "011" + "10" * 11  # code 0 biased to 0b10
+        rows += "0" * (-len(rows) % 8)
+        expected = bytes(int(rows[i : i + 8], 2) for i in range(0, len(rows), 8))
+        assert data[TestBitAccounting.header_bytes(2):] == expected
+
+    @pytest.mark.parametrize("kind, restarts, candidate, match", [
+        (PredictorKind.MLP, 4, 4, r"candidate 4 outside \[0, 3\]"),
+        (PredictorKind.MLP, 1, 1, r"candidate 1 outside \[0, 0\]"),
+        (PredictorKind.MLP, 4, -1, r"candidate -1 outside \[0, 3\]"),
+        (PredictorKind.HYBRID, 4, 5, r"candidate 5 outside \[0, 4\]"),
+        (PredictorKind.HYBRID, 1, 2, r"candidate 2 outside \[0, 1\]"),
+        (PredictorKind.MLP, 4, None, "candidate must be an integer, got None"),
+        (PredictorKind.HYBRID, 4, True, "candidate must be an integer, got True"),
+        (PredictorKind.HYBRID, 4, 1.0, "candidate must be an integer, got 1.0"),
+    ])
+    def test_out_of_range_candidate_names_frame(self, kind, restarts, candidate, match):
+        header = self.header(kind, restarts, 3)
+        with pytest.raises(BitstreamError, match=f"^frame 1: {match}$") as info:
+            Bitstream(header, self.payloads(header, [0, candidate, 0]))
+        assert info.value.frame_index == 1
+
+    @pytest.mark.parametrize("kind, adaptation", [
+        (PredictorKind.LPC10, Adaptation.BACKWARD), (PredictorKind.LPC25, Adaptation.BACKWARD),
+        (PredictorKind.LPC10, Adaptation.FORWARD), (PredictorKind.LPC25, Adaptation.FORWARD),
+        (PredictorKind.MLP, Adaptation.FORWARD),
+    ])
+    def test_kinds_without_candidates_refuse_one(self, kind, adaptation):
+        header = make_header(predictor_kind=kind, adaptation=adaptation,
+                             true_sample_count=200, frame_len=200)
+        forward = adaptation is Adaptation.FORWARD
+        coeffs = (0.0,) * FORWARD_COEFF_COUNT[kind] if forward else None
+        with pytest.raises(BitstreamError, match="^frame 0: candidate must be None, got 0$"):
+            Bitstream(header, (FramePayload(codes_for(header), 0, coeffs),))
+        payload = FramePayload(codes_for(header), None, coeffs)
+        assert parse(serialize(Bitstream(header, (payload,)))).payloads == (payload,)
+
+    @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
+    def test_nonzero_candidate_on_frame_0_refused(self, kind):
+        # frame 0 always uses the zero predictor, so candidate 1 there
+        # would be a second encoding of the same stream
+        header = self.header(kind, 4, 2)
+        with pytest.raises(BitstreamError,
+                           match="^frame 0: candidate 1 on frame 0, which has only "
+                                 "candidate 0$") as info:
+            Bitstream(header, self.payloads(header, [1, 1]))
+        assert info.value.frame_index == 0
+
+    @pytest.mark.parametrize("kind, frame, value, frame_index, match", [
+        (PredictorKind.HYBRID, 1, 5, 1, r"candidate 5 outside \[0, 4\]"),
+        (PredictorKind.HYBRID, 1, 6, 1, r"candidate 6 outside \[0, 4\]"),
+        (PredictorKind.HYBRID, 2, 7, 2, r"candidate 7 outside \[0, 4\]"),
+        (PredictorKind.HYBRID, 0, 1, 0, "candidate 1 on frame 0"),
+        (PredictorKind.MLP, 0, 3, 0, "candidate 3 on frame 0"),
+    ])
+    def test_parse_refuses_forged_candidate(self, kind, frame, value, frame_index, match):
+        header = self.header(kind, 4, 3)
+        data = bytearray(serialize(Bitstream(header, self.payloads(header, [0, 0, 0]))))
+        width = 3 if kind is PredictorKind.HYBRID else 2
+        start = 8 * TestBitAccounting.header_bytes(2) + frame * (width + 22)
+        for i in range(width):
+            if value >> (width - 1 - i) & 1:
+                data[(start + i) // 8] |= 0x80 >> ((start + i) % 8)
+        with pytest.raises(BitstreamError, match=f"^frame {frame_index}: {match}") as info:
+            parse(bytes(data))
+        assert info.value.frame_index == frame_index
+
+    def test_numpy_integer_candidate_stored_as_int(self):
+        header = self.header(PredictorKind.HYBRID, 4, 2)
+        stream = Bitstream(header, self.payloads(header, [np.int64(0), np.uint8(4)]))
+        assert [type(p.candidate) for p in stream.payloads] == [int, int]
+        assert [p.candidate for p in stream.payloads] == [0, 4]
+
+    def test_version_1_refused(self):
+        header = self.header(PredictorKind.HYBRID, 1, 2)
+        data = bytearray(serialize(Bitstream(header, self.payloads(header, [0, 1]))))
+        assert data[4] == 2
+        data[4] = 1
+        with pytest.raises(BitstreamError, match="^unsupported version 1$"):
             parse(bytes(data))

@@ -108,7 +108,8 @@ class TestEncode:
                               "--predictor", "hybrid", "--epochs", "2",
                               "--restarts", "2")
         assert code == 0
-        assert "bit rate: 32.04 kbps" in stdout
+        # 2 candidate bits per 200-sample frame (LPC-10 or one of 2 restarts)
+        assert "bit rate: 32.08 kbps" in stdout
 
     def test_bits_out_of_range(self, capsys, tmp_path, pcm_file):
         code, _, stderr = run(capsys, "encode", "--in", pcm_file,
@@ -185,6 +186,21 @@ class TestDecode:
                               "--out", str(tmp_path / "r.pcm"))
         assert code == 3
         assert stderr.startswith("error:")
+
+    def test_version_1_stream_refused(self, capsys, tmp_path, pcm_file):
+        # version 1 sent a hybrid flag bit where version 2 sends a candidate
+        stream = tmp_path / "s.nad"
+        run(capsys, "encode", "--in", pcm_file, "--out", str(stream), "--predictor", "hybrid",
+            "--epochs", "2", "--restarts", "1")
+        data = bytearray(stream.read_bytes())
+        assert data[4] == 2
+        data[4] = 1
+        stream.write_bytes(bytes(data))
+        out = tmp_path / "r.pcm"
+        code, stdout, stderr = run(capsys, "decode", "--in", str(stream), "--out", str(out))
+        assert code == 3
+        assert stderr == "error: unsupported version 1\n"
+        assert stdout == "" and not out.exists()
 
     def test_zero_sample_rate_is_malformed(self, capsys, tmp_path, pcm_file):
         stream = tmp_path / "s.nad"
@@ -298,6 +314,16 @@ class TestUsage:
         pcts = [float(l.split()[1].rstrip("%")) for l in stdout.splitlines()
                 if l.startswith(("mlp:", "lpc:"))]
         assert sum(pcts) == pytest.approx(100.0, abs=0.2)
+
+    def test_percentages_count_every_restart_as_mlp(self, capsys, tmp_path, pcm_file):
+        # the same figures as with the one-bit hybrid flag of version 1
+        stream = str(tmp_path / "h.nad")
+        run(capsys, "encode", "--in", pcm_file, "--out", stream,
+            "--predictor", "hybrid", "--epochs", "2", "--restarts", "2")
+        assert {p.candidate for p in parse(Path(stream).read_bytes()).payloads} == {0, 1, 2}
+        code, stdout, _ = run(capsys, "usage", "--in", stream)
+        assert code == 0
+        assert stdout == "frames: 10\nmlp: 20.0%\nlpc: 80.0%\n"
 
     def test_non_hybrid_stream_rejected(self, capsys, tmp_path, pcm_file):
         stream = str(tmp_path / "l.nad")

@@ -19,6 +19,7 @@ from nadpcm import (
     codec,
     decode,
     encode,
+    mlp,
     parse,
     serialize,
 )
@@ -30,6 +31,7 @@ from nadpcm.codec import (
     frame_predictor,
     initial_state,
 )
+from nadpcm.mlp import Mlp, multistart_fit, restart_seed
 from nadpcm.quantizer import DEFAULT_MULTIPLIERS
 
 
@@ -101,24 +103,27 @@ class TestHybridFrame:
         for k, frame in enumerate(frames):
             payload, stat = result.bitstream.payloads[k], result.frame_stats[k]
             if k > 0:
-                # re-simulate both branches from the same state
+                # re-simulate both branches from the same state, the neural
+                # one as the restart that wins the multistart fit
+                neural = multistart_fit(prev, config.train, config.seed ^ k).restart + 1
                 sses = tuple(
                     encode_frame(state, frame, frame_predictor(
-                        config, k, prev, FramePayload((), hybrid_flag=flag)))[3]
-                    for flag in (0, 1))
+                        config, k, prev, FramePayload((), candidate=candidate)))[3]
+                    for candidate in (0, neural))
                 assert stat.branch_sses == sses
-                assert payload.hybrid_flag == stat.hybrid_flag == int(np.argmin(sses))
+                expected = (0, neural)[int(np.argmin(sses))]
+                assert payload.candidate == stat.candidate == expected
                 assert stat.sse == min(sses)
             codes, state, prev, _ = encode_frame(
                 state, frame, frame_predictor(config, k, prev, payload))
             assert tuple(codes) == payload.codes
 
     def test_tie_goes_to_linear(self, monkeypatch):
-        monkeypatch.setattr(codec, "fit_predictor", lambda *args: ZERO)
+        monkeypatch.setattr(codec, "fit_predictor", lambda *args: Mlp.zero())
         config = CodecConfig(predictor_kind=PredictorKind.HYBRID, frame_len=20, bits=2)
         signal = Signal(np.random.default_rng(6).uniform(-0.3, 0.3, 100), 8000)
         result = encode(signal, config)
-        assert [p.hybrid_flag for p in result.bitstream.payloads] == [0] * 5
+        assert [p.candidate for p in result.bitstream.payloads] == [0] * 5
         for stat in result.frame_stats[1:]:
             sse_l, sse_n = stat.branch_sses
             assert sse_l == sse_n == stat.sse
@@ -206,8 +211,18 @@ class TestCodecConfig:
     def test_payload_bit_rate(self):
         assert CodecConfig(bits=2).payload_bit_rate(8000) == 16000
         assert CodecConfig(bits=5).payload_bit_rate(8000) == 40000
+        # the candidate field: ceil(log2 5) = 3 bits per 200-sample frame
+        # for the hybrid at 4 restarts, 1 bit at 1 restart
         hybrid = CodecConfig(bits=4, predictor_kind=PredictorKind.HYBRID)
-        assert hybrid.payload_bit_rate(8000) == pytest.approx(32040.0)
+        assert hybrid.payload_bit_rate(8000) == pytest.approx(32120.0)
+        one = replace(hybrid, train=TrainConfig(restarts=1))
+        assert one.payload_bit_rate(8000) == pytest.approx(32040.0)
+        # backward MLP: ceil(log2 R) bits, none at 1 restart; forward sends none
+        for restarts, rate in ((1, 32000.0), (2, 32040.0), (4, 32080.0), (5, 32120.0)):
+            mlp = CodecConfig(bits=4, predictor_kind=PredictorKind.MLP,
+                              train=TrainConfig(restarts=restarts))
+            assert mlp.payload_bit_rate(8000) == pytest.approx(rate)
+            assert replace(mlp, adaptation=Adaptation.FORWARD).payload_bit_rate(8000) == 32000
 
 
 class TestForwardMode:
@@ -266,6 +281,70 @@ class TestBackwardMode:
         a = fit_predictor(prev, PredictorKind.MLP, config, 1)
         b = fit_predictor(prev, PredictorKind.MLP, config, 2)
         assert not np.array_equal(a.theta, b.theta)
+
+
+class TestCandidate:
+    """Backward MLP and hybrid frames name the encoder's winning restart;
+    the decoder fits only that one."""
+
+    @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
+    def test_candidate_names_the_winning_restart(self, speech_like, kind):
+        config = CodecConfig(predictor_kind=kind, bits=3)
+        signal = Signal(speech_like.samples[:2000], speech_like.sample_rate)
+        result = encode(signal, config)
+        offset = int(kind is PredictorKind.HYBRID)
+        prev = None
+        restarts = set()
+        for k, (payload, stat) in enumerate(zip(result.bitstream.payloads, result.frame_stats)):
+            assert stat.candidate == payload.candidate
+            if k == 0:
+                assert payload.candidate == 0
+            elif payload.candidate or not offset:
+                winner = multistart_fit(prev, config.train, config.seed ^ k)
+                assert payload.candidate == winner.restart + offset
+                rebuilt = frame_predictor(config, k, prev, payload)
+                assert rebuilt.theta.tobytes() == winner.theta.tobytes()
+                assert rebuilt.restart == winner.restart
+                restarts.add(winner.restart)
+            prev = result.reconstruction.samples[k * 200 : (k + 1) * 200]
+        assert len(restarts) > 1  # the frames do not all pick restart 0
+        np.testing.assert_array_equal(decode(result.bitstream).samples,
+                                      result.reconstruction.samples)
+
+    @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
+    def test_encoder_fits_all_restarts_once_decoder_one(self, monkeypatch, speech_like, kind):
+        rows = []
+        lm_epoch = mlp.lm_epoch
+
+        def recording(theta, *args):
+            rows.append(len(theta))
+            return lm_epoch(theta, *args)
+
+        monkeypatch.setattr(mlp, "lm_epoch", recording)
+        config = CodecConfig(predictor_kind=kind, train=TrainConfig(epochs=3, restarts=5))
+        signal = Signal(speech_like.samples[:1000], speech_like.sample_rate)
+        result = encode(signal, config)
+        # one 5-row stack per frame after frame 0, never a refit
+        assert rows == [5] * (4 * 3)
+        rows.clear()
+        np.testing.assert_array_equal(decode(result.bitstream).samples,
+                                      result.reconstruction.samples)
+        neural = sum(1 for p in result.bitstream.payloads[1:]
+                     if p.candidate or kind is PredictorKind.MLP)
+        assert neural > 0
+        assert rows == [1] * (neural * 3)
+
+    def test_payload_picks_the_branch_and_restart(self, speech_like):
+        config = CodecConfig(predictor_kind=PredictorKind.HYBRID)
+        prev = speech_like.samples[:200]
+        linear = frame_predictor(config, 3, prev, FramePayload((), candidate=0))
+        assert linear.coeffs.tolist() == fit_predictor(
+            prev, PredictorKind.LPC10, config, 3).coeffs.tolist()
+        for i in range(config.train.restarts):
+            net = frame_predictor(config, 3, prev, FramePayload((), candidate=i + 1))
+            alone = multistart_fit(prev, replace(config.train, restarts=1),
+                                   restart_seed(config.seed ^ 3, i))
+            assert net.theta.tobytes() == alone.theta.tobytes() and net.restart == i
 
 
 class Recording:
@@ -437,7 +516,7 @@ class TestEncodeDecode:
                              train=TrainConfig(epochs=2, restarts=2))
         result = encode(ar_signal, config)
         assert len(result.frame_stats) == 10
-        assert result.frame_stats[0].hybrid_flag == 0  # bootstrap frame
+        assert result.frame_stats[0].candidate == 0  # bootstrap frame
         for stat in result.frame_stats[1:]:
             assert stat.branch_sses is not None
 
@@ -516,7 +595,7 @@ class TestUntrustedStreams:
         assert info.value.frame_index == 1
 
     @pytest.mark.parametrize("kind, adaptation, match", [
-        (PredictorKind.HYBRID, Adaptation.BACKWARD, "hybrid_flag must be 0 or 1, got None"),
+        (PredictorKind.HYBRID, Adaptation.BACKWARD, "candidate must be an integer, got None"),
         (PredictorKind.LPC10, Adaptation.FORWARD, "expected 10 forward_coeffs, got None"),
     ])
     def test_payload_missing_predictor_field(self, kind, adaptation, match):
@@ -524,7 +603,7 @@ class TestUntrustedStreams:
         header = BitstreamHeader(8000, 600, config)
         good = FramePayload(
             (0,) * 200,
-            hybrid_flag=0 if kind is PredictorKind.HYBRID else None,
+            candidate=0 if kind is PredictorKind.HYBRID else None,
             forward_coeffs=(0.0,) * 10 if adaptation is Adaptation.FORWARD else None)
         with pytest.raises(BitstreamError, match=f"^frame 1: {match}$") as info:
             Bitstream(header, (good, FramePayload((0,) * 200), good))

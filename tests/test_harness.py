@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import formant_utterance
+
 from nadpcm import (
     Adaptation,
     CodecConfig,
@@ -244,8 +246,16 @@ class TestPredictorUsage:
         result = encode(ar_signal, config)
         pct_mlp, pct_lpc = predictor_usage(result.bitstream)
         assert pct_mlp + pct_lpc == pytest.approx(100.0)
-        flags = [p.hybrid_flag for p in result.bitstream.payloads]
-        assert pct_mlp == pytest.approx(100.0 * sum(flags) / len(flags))
+        neural = [p.candidate > 0 for p in result.bitstream.payloads]
+        assert pct_mlp == pytest.approx(100.0 * sum(neural) / len(neural))
+
+    @pytest.mark.parametrize("bits, expected", [(2, (29.0, 71.0)), (5, (43.0, 57.0))])
+    def test_percentages_count_every_restart_as_mlp(self, bits, expected):
+        # the same figures as with the one-bit hybrid flag of version 1
+        config = CodecConfig(bits=bits, frame_len=40, predictor_kind=PredictorKind.HYBRID)
+        result = encode(formant_utterance(29, 4000), config)
+        assert len({p.candidate for p in result.bitstream.payloads}) > 2
+        assert predictor_usage(result.bitstream) == expected
 
     def test_non_hybrid_rejected(self, ar_signal):
         result = encode(ar_signal, CodecConfig())
