@@ -184,9 +184,9 @@ class FramePayload:
 class Bitstream:
     """A header and one payload per frame; construction checks that every
     payload has the shape the header's `frame_row` gives it and raises
-    BitstreamError, naming the frame, where one does not. Codes are stored
-    as Python ints: a numpy integer code would put numpy scalars into the
-    decoder's coding loop."""
+    BitstreamError, naming the frame, where one does not. Codes and
+    candidates are stored as Python ints: a numpy integer code would put
+    numpy scalars into the decoder's coding loop."""
 
     header: BitstreamHeader
     payloads: tuple
@@ -201,7 +201,8 @@ class Bitstream:
         code_min, code_max = code_range(config.bits)
         int_payloads = list(payloads)
         for i, p in enumerate(payloads):
-            numpy_ints = _check_candidate(p.candidate, candidates, i)
+            _check_candidate(p.candidate, candidates, i)
+            numpy_ints = isinstance(p.candidate, np.integer)
             n_coeffs = None if p.forward_coeffs is None else len(p.forward_coeffs)
             if n_coeffs != (count or None):
                 raise BitstreamError(f"expected {count or 'no'} forward_coeffs, got {n_coeffs}", i)
@@ -221,14 +222,14 @@ class Bitstream:
         object.__setattr__(self, "payloads", tuple(int_payloads))
 
 
-def _check_candidate(candidate, candidates: int, frame_index: int) -> bool:
+def _check_candidate(candidate, candidates: int, frame_index: int):
     """Raise BitstreamError unless `candidate` suits a frame of a config
     with `candidates` candidates: None when there are none, else an
-    integer below that count, and 0 on frame 0. True for a numpy integer."""
+    integer below that count, and 0 on frame 0."""
     if not candidates:
         if candidate is not None:
             raise BitstreamError(f"candidate must be None, got {candidate!r}", frame_index)
-        return False
+        return
     if type(candidate) is not int and not isinstance(candidate, np.integer):
         raise BitstreamError(f"candidate must be an integer, got {candidate!r}", frame_index)
     if not 0 <= candidate < candidates:
@@ -236,7 +237,6 @@ def _check_candidate(candidate, candidates: int, frame_index: int) -> bool:
     if frame_index == 0 and candidate:
         raise BitstreamError(f"candidate {candidate} on frame 0, which has only candidate 0",
                              frame_index)
-    return type(candidate) is not int
 
 
 def candidate_count(config: CodecConfig) -> int:
