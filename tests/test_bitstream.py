@@ -508,11 +508,3 @@ class TestCandidateField:
         stream = Bitstream(header, self.payloads(header, [np.int64(0), np.uint8(4)]))
         assert [type(p.candidate) for p in stream.payloads] == [int, int]
         assert [p.candidate for p in stream.payloads] == [0, 4]
-
-    def test_version_1_refused(self):
-        header = self.header(PredictorKind.HYBRID, 1, 2)
-        data = bytearray(serialize(Bitstream(header, self.payloads(header, [0, 1]))))
-        assert data[4] == 2
-        data[4] = 1
-        with pytest.raises(BitstreamError, match="^unsupported version 1$"):
-            parse(bytes(data))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import formant_utterance
-
 from nadpcm import (
     Adaptation,
     CodecConfig,
