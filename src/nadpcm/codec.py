@@ -144,8 +144,9 @@ def _closed_loop(state: CodecState, frame, predictor, codes=None):
     received = codes is not None
     inputs = codes if received else np.asarray(frame, dtype=np.float64).tolist()
     out, recon, sse = codes if received else [], [], 0.0
+    predict = predictor.predict
     for n, x in enumerate(inputs):
-        p = predictor.predict(hist)
+        p = predict(hist)
         if not -math.inf < p < math.inf:
             sample = state.frame_index * config.frame_len + n
             raise ValueError(f"prediction {p} for sample {sample} is not finite")

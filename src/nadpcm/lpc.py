@@ -29,7 +29,9 @@ class LpcModel:
 
     `reflection` holds the recursion's reflection coefficients (zeros for
     stages that never ran); `halted` marks a recursion cut short by a
-    non-positive prediction-error power.
+    non-positive prediction-error power. Two models are equal, and hash
+    alike, when their order, `halted` flag and the bytes of their
+    coefficients and reflection coefficients are.
     """
 
     order: int
@@ -43,6 +45,18 @@ class LpcModel:
         if len(self.coeffs) != self.order:
             raise ValueError(f"need {self.order} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "_taps", tuple(self.coeffs.tolist()))
+
+    def _key(self) -> tuple:
+        return (self.order, self.coeffs.tobytes(), self.reflection.shape,
+                self.reflection.tobytes(), bool(self.halted))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last,

@@ -23,6 +23,21 @@ are decided per row. numpy runs the matrix products and the solve slice
 by slice, so every row gets the same IEEE operations, in the same order,
 as it would in a stack of one: a row's result does not depend on the rows
 beside it, and `lm_iterations` is that stack of one.
+
+Consecutive epochs share work through a carry, a dict that `lm_epoch`
+fills and its next call on the same stack reads; like Madsen, Nielsen
+and Tingleff (2004), Alg. 3.16, it forms J^T J and J^T r only after an
+accepted step. A rejected row keeps its parameters, so its J^T J, J^T r
+and SSE are reused; an accepted row's new parameters were just scored
+by a forward pass, which the next call turns into its Jacobian instead
+of running the pass again. `lm_stack_iterations` threads one carry
+through its epochs, so the last epoch builds no Jacobian. The carry
+changes no bit: every BLAS and LAPACK call keeps its per-row operand
+shapes, and a carried epoch equals a cold one (`carry=None`).
+
+The fitted nets are what the codec's closed loop evaluates once per
+sample, so `Mlp.forward` keeps to its two BLAS calls (a gemv and a dot)
+with as little around them as it can, and returns a Python float.
 """
 
 import logging
@@ -46,6 +61,10 @@ _EYE.flags.writeable = False
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+_U64_GAMMA, _U64_MIX1, _U64_MIX2 = np.uint64(GOLDEN_GAMMA), np.uint64(MIX1), np.uint64(MIX2)
+_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def as_float(value):
@@ -66,8 +85,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN_GAMMA) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
         return z ^ (z >> 31)
 
     def uniform(self, lo: float, hi: float) -> float:
@@ -76,6 +95,28 @@ class SplitMix64:
             raise ValueError(f"need lo < hi, got [{lo}, {hi})")
         frac = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * frac
+
+    def uniforms(self, lo: float, hi: float, n: int) -> np.ndarray:
+        """The next n `uniform(lo, hi)` draws as an array: the same outputs,
+        computed in uint64 arithmetic (which wraps mod 2**64), and the same
+        float operations on them."""
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi})")
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U64_GAMMA
+        z += np.uint64(self.state)
+        self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
+        z ^= z >> _U64_30
+        z *= _U64_MIX1
+        z ^= z >> _U64_27
+        z *= _U64_MIX2
+        z ^= z >> _U64_31
+        z >>= _U64_11
+        value = z.astype(np.float64)
+        value *= 2.0**-53   # exact: the top 53 bits as a fraction in [0, 1)
+        value *= hi - lo
+        value += lo
+        return value
 
 
 @dataclass(frozen=True)
@@ -113,6 +154,8 @@ class Mlp:
     read-only views of it, and `b_out` is its last entry as a float.
     `restart` is not a parameter: it records which restart of a
     `multistart_fit` the net is, so the encoder can send that index.
+    Two nets are equal, and hash alike, when their `theta` bytes and
+    `restart` are.
     """
 
     theta: np.ndarray
@@ -134,11 +177,22 @@ class Mlp:
         """All-zero net; predicts 0.0 for any input (zero output weights)."""
         return cls(np.zeros(N_PARAMS))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.restart == other.restart and self.theta.tobytes() == other.theta.tobytes()
+
+    def __hash__(self):
+        return hash((self.theta.tobytes(), self.restart))
+
     def forward(self, inputs) -> float:
-        """Output for one input vector of the 10 most recent samples, newest first."""
-        x = np.asarray(inputs, dtype=np.float64)
-        h = expit(self.w_in @ x + self.b_hid)
-        return float(self.w_out @ h + self.b_out)
+        """Output for one input vector of the 10 most recent samples, newest
+        first, as a Python float. One gemv and one dot, as few wrappers as
+        possible: this runs once per sample."""
+        z = self.w_in.dot(inputs)
+        z += self.b_hid
+        expit(z, out=z)
+        return float(self.w_out.dot(z)) + self.b_out
 
     def forward_batch(self, x: np.ndarray):
         """Hidden activations (N, 2) and outputs (N,) for an (N, 10) input matrix."""
@@ -155,7 +209,7 @@ def init_mlp(rng: SplitMix64, scale: float) -> Mlp:
     """Draw all 25 parameters uniformly in [-scale, scale), in normative order."""
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    return Mlp([rng.uniform(-scale, scale) for _ in range(N_PARAMS)])
+    return Mlp(rng.uniforms(-scale, scale, N_PARAMS))
 
 
 def build_training_set(frame):
@@ -190,14 +244,15 @@ def forward_batch(theta: np.ndarray, x: np.ndarray):
     return h, (h @ theta[..., 22:24, None])[..., 0] + theta[..., 24:25]
 
 
-def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray):
+def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray, forward=None):
     """Jacobians dr/dtheta (R, N, 25) and residuals r = t - y (R, N) of a
     stack of nets (R, 25).
 
     Columns follow the normative parameter order. Hidden derivatives use
-    the logistic identity sigma' = sigma (1 - sigma).
+    the logistic identity sigma' = sigma (1 - sigma). `forward`, when
+    given, is `forward_batch(theta, x)` already computed.
     """
-    h, y = forward_batch(theta, x)                  # (R, N, 2), (R, N)
+    h, y = forward_batch(theta, x) if forward is None else forward  # (R, N, 2), (R, N)
     r = t - y
     dy_dz = h * (1.0 - h) * theta[:, None, 22:24]   # (R, N, 2)
     jac = np.empty(r.shape + (N_PARAMS,))
@@ -214,6 +269,12 @@ def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray):
 def _row_sse(r: np.ndarray) -> np.ndarray:
     """Sum of squares of each row of an (R, N) residual stack."""
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def _normal_equations(jac: np.ndarray, r: np.ndarray):
+    """J^T J (R, 25, 25) and J^T r (R, 25, 1) of a Jacobian and residual stack."""
+    jac_t = jac.transpose(0, 2, 1)
+    return jac_t @ jac, jac_t @ r[:, :, None]
 
 
 def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -236,7 +297,7 @@ def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
-             config: TrainConfig):
+             config: TrainConfig, carry=None):
     """One full-batch Levenberg-Marquardt iteration with accept/reject
     damping for each net of a stack (R, 25), with its damping lam (R,).
 
@@ -245,25 +306,51 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
     number of accepted steps as an int. A rejected, singular or
     non-finite step leaves that row's parameters unchanged and raises
     its lambda; an accepted one lowers it.
+
+    `carry` is None, or a dict that this call fills for the next call on
+    the stack it returns (an empty dict starts cold, like None). It holds
+    each row's J^T J, J^T r and SSE at its current parameters ("jtj",
+    "jtr", "sse"), except that for the rows whose step was accepted
+    ("moved") it holds only the scoring forward pass of the new
+    parameters ("forward"); the next call builds their normal equations
+    from it. A rejected row's entries are reused as they are. The results
+    are the same bits as a cold call's.
     """
     if not (lam > 0).all():
         raise ValueError(f"lambda must be > 0, got {lam}")
-    jac, r = residual_jacobian(theta, x, t)
-    jac_t = jac.transpose(0, 2, 1)
-    sse0 = _row_sse(r)
-    lhs = jac_t @ jac + lam[:, None, None] * _EYE
-    rhs = jac_t @ r[:, :, None]
-    delta = _solve_each(lhs, rhs)[..., 0]
+    if not carry:
+        jac, r = residual_jacobian(theta, x, t)
+        sse0 = _row_sse(r)
+        jtj, jtr = _normal_equations(jac, r)
+    else:
+        jtj, jtr, sse0, moved = carry["jtj"], carry["jtr"], carry["sse"], carry["moved"]
+        h, y = carry["forward"]
+        if moved.all():
+            jtj, jtr = _normal_equations(*residual_jacobian(theta, x, t, forward=(h, y)))
+        elif moved.any():
+            rows = np.flatnonzero(moved)
+            jac, r = residual_jacobian(theta[rows], x, t, forward=(h[rows], y[rows]))
+            jtj[rows], jtr[rows] = _normal_equations(jac, r)
+    delta = _solve_each(jtj + lam[:, None, None] * _EYE, jtr)[..., 0]
     usable = np.isfinite(delta).all(axis=1)
     # r decreases along -(J^T J + lam I)^-1 J^T r since jac is d r/d theta;
     # an unusable row is scored at its own parameters and then rejected.
     candidate = theta - np.where(usable[:, None], delta, 0.0)
-    sse1 = _row_sse(t - forward_batch(candidate, x)[1])
+    h, y = forward_batch(candidate, x)
+    sse1 = _row_sse(t - y)
     accept = usable & (sse1 < sse0)
-    return (np.where(accept[:, None], candidate, theta),
-            np.where(accept, lam * config.lambda_down, lam * config.lambda_up),
-            np.where(accept, sse1, sse0),
-            int(np.count_nonzero(accept)))
+    accepted = int(np.count_nonzero(accept))
+    if accepted == len(accept):
+        theta, lam, sse = candidate, lam * config.lambda_down, sse1
+    elif not accepted:
+        lam, sse = lam * config.lambda_up, sse0
+    else:
+        theta = np.where(accept[:, None], candidate, theta)
+        lam = np.where(accept, lam * config.lambda_down, lam * config.lambda_up)
+        sse = np.where(accept, sse1, sse0)
+    if carry is not None:
+        carry.update(jtj=jtj, jtr=jtr, sse=sse, moved=accept, forward=(h, y))
+    return theta, lam, sse, accepted
 
 
 def lm_stack_iterations(frame, seeds, config: TrainConfig, epochs: int):
@@ -280,8 +367,9 @@ def lm_stack_iterations(frame, seeds, config: TrainConfig, epochs: int):
         return
     theta = np.stack([init_mlp(SplitMix64(seed), config.init_scale).theta for seed in seeds])
     lam = np.full(len(seeds), config.lambda_init)
+    carry = {}
     for _ in range(epochs):
-        theta, lam, sse, _ = lm_epoch(theta, x, t, lam, config)
+        theta, lam, sse, _ = lm_epoch(theta, x, t, lam, config, carry)
         yield theta, lam, sse
 
 

@@ -96,6 +96,30 @@ class TestPredict:
         assert isinstance(model.coeffs, np.ndarray) and isinstance(model.reflection, np.ndarray)
 
 
+class TestEquality:
+    def test_equal_values_equal_models(self, speech_like):
+        assert LpcModel.zero(3) == LpcModel.zero(3)
+        assert hash(LpcModel.zero(3)) == hash(LpcModel.zero(3))
+        a, b = fit(speech_like.samples[:200], 10), fit(speech_like.samples[:200], 10)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert LpcModel(2, [0.5, 0.25], (0.1, 0.2)) == LpcModel(2, np.array([0.5, 0.25]),
+                                                                 [0.1, 0.2])
+        assert len({a, b, LpcModel.zero(3), LpcModel.zero(3), LpcModel.zero(10)}) == 3
+
+    def test_each_field_counts(self):
+        model = LpcModel(2, [0.5, 0.25], [0.1, 0.2])
+        assert model != LpcModel.zero(2) and LpcModel.zero(2) != LpcModel.zero(3)
+        assert model != LpcModel(2, [0.5, np.nextafter(0.25, 1.0)], [0.1, 0.2])
+        assert model != LpcModel(2, [0.5, 0.25], [0.1, 0.3])
+        assert model != LpcModel(2, [0.5, 0.25], [[0.1, 0.2]])  # same bytes, other shape
+        assert model != LpcModel(2, [0.5, 0.25], [0.1, 0.2], halted=True)
+        assert LpcModel.zero(1) != LpcModel(1, [-0.0], [0.0])  # the bytes of -0.0 differ
+
+    def test_other_types_are_not_equal(self):
+        assert LpcModel.zero(0) != () and LpcModel.zero(2) != None  # noqa: E711
+        assert (LpcModel.zero(1) == 0) is False
+
+
 class TestFit:
     def test_recovers_ar2_coefficients(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 """SplitMix64 PRNG, the 10-2-1 net, and Levenberg-Marquardt training."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
+from conftest import formant_utterance, linear_ar, nonlinear_ar
 from nadpcm import mlp as mlp_module
+from nadpcm.audio import split_frames
 from nadpcm.mlp import (
     GOLDEN_GAMMA,
     MASK64,
@@ -108,6 +111,35 @@ class TestSplitMix64:
             v = rng.uniform(0.25, 0.25 + 1e-9)
             assert 0.25 <= v < 0.25 + 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -1, np.int64(5), np.uint64(2**63)],
+                             ids=["0", "1", "2**64-1", "-1", "int64(5)", "uint64(2**63)"])
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 0.5), (0.0, 1.0), (-3.0, 7.25),
+                                        (0.25, 0.25 + 1e-9)])
+    def test_block_draw_equals_scalar_draws(self, seed, lo, hi):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # uint64 wraparound must not warn
+            values = block.uniforms(lo, hi, N_PARAMS)
+        expected = [scalar.uniform(lo, hi) for _ in range(N_PARAMS)]
+        assert values.dtype == np.float64 and values.shape == (N_PARAMS,)
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert type(block.state) is int and block.state == scalar.state
+        assert block.next_u64() == scalar.next_u64()
+
+    def test_block_draws_continue_the_stream(self):
+        block, scalar = SplitMix64(9), SplitMix64(9)
+        drawn = [*block.uniforms(-1.0, 1.0, 1), *block.uniforms(-1.0, 1.0, 0),
+                 *block.uniforms(-1.0, 1.0, 7), block.uniform(-1.0, 1.0)]
+        assert drawn == [scalar.uniform(-1.0, 1.0) for _ in range(9)]
+        assert block.state == scalar.state
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (0.0, float("nan"))])
+    def test_block_draw_refuses_empty_interval(self, lo, hi):
+        rng = SplitMix64(3)
+        with pytest.raises(ValueError, match="need lo < hi"):
+            rng.uniforms(lo, hi, 4)
+        assert rng.state == 3
+
 
 class TestMlpStructure:
     def test_parameter_count(self):
@@ -158,6 +190,28 @@ class TestMlpStructure:
         assert rng.next_u64() == fresh.next_u64()
 
 
+class TestMlpEquality:
+    def test_equal_parameters_equal_nets(self):
+        net = init_mlp(SplitMix64(3), 0.5)
+        same = Mlp(net.theta.tolist())
+        assert Mlp.zero() == Mlp.zero() and hash(Mlp.zero()) == hash(Mlp.zero())
+        assert net == same and hash(net) == hash(same)
+        assert len({net, same, Mlp.zero()}) == 2
+
+    def test_any_bit_or_restart_differs(self):
+        net = init_mlp(SplitMix64(3), 0.5)
+        theta = net.theta.copy()
+        theta[24] = np.nextafter(theta[24], np.inf)
+        assert net != Mlp(theta)
+        assert net != replace(net, restart=1)
+        assert Mlp.zero() != Mlp(-np.zeros(N_PARAMS))  # the bytes of -0.0 differ
+
+    def test_other_types_are_not_equal(self):
+        net = Mlp.zero()
+        assert net != net.theta.tobytes() and net != None  # noqa: E711
+        assert (net == 0) is False
+
+
 class TestForward:
     def test_zero_net_outputs_zero(self):
         net = Mlp.zero()
@@ -181,6 +235,23 @@ class TestForward:
         history = np.linspace(-0.3, 0.3, 25)  # newest stored last
         expected = net.forward(history[-1:-11:-1])
         assert net.predict(history) == expected
+
+    @pytest.mark.parametrize("history", [
+        list(np.linspace(-0.3, 0.3, 25)),
+        np.linspace(-0.3, 0.3, 25),
+        np.linspace(-0.3, 0.3, 25).astype(np.float32),
+        tuple(np.linspace(-0.3, 0.3, 25).tolist()),
+    ], ids=["list", "float64", "float32", "tuple"])
+    def test_predict_returns_python_float(self, history):
+        # the closed loop feeds predictions back into its history; a numpy
+        # scalar there makes every later loop operation a numpy one
+        net = init_mlp(SplitMix64(6), 0.5)
+        newest_first = np.asarray(history, dtype=np.float64)[-1:-11:-1]
+        w_in, b_hid, w_out = net.w_in, net.b_hid, net.w_out
+        expected = float(w_out @ expit(w_in @ newest_first + b_hid) + net.b_out)
+        p = net.predict(history)
+        assert type(p) is float and type(net.forward(newest_first)) is float
+        assert p == expected
 
     def test_forward_batch_matches_scalar(self):
         rng = SplitMix64(12)
@@ -436,7 +507,7 @@ class TestMultistart:
         stack = np.repeat(np.arange(4.0)[:, None], 25, axis=1)
         epoch_sse = [(0.5, 9.0, 9.0, 9.0), final_sse]
 
-        def fake_epoch(theta, x, t, lam, config):
+        def fake_epoch(theta, x, t, lam, config, carry=None):
             return stack, lam, np.array(epoch_sse.pop(0)), 0
 
         monkeypatch.setattr(mlp_module, "lm_epoch", fake_epoch)
@@ -510,6 +581,132 @@ class TestStackedRun:
 
     def test_short_frame_yields_nothing(self):
         assert list(lm_stack_iterations(np.zeros(10), [1, 2], TrainConfig(), 3)) == []
+
+
+def digest_frames():
+    """(frame, k): frames 1 and the middle one of three `test_fit_digest`
+    corpus signals, at its frame lengths 13, 40 and 200."""
+    signals = [formant_utterance(11, 8000), linear_ar(5, 2000), nonlinear_ar(31, 3000)]
+    for frame_len in (13, 40, 200):
+        for signal in signals:
+            frames = split_frames(signal.samples, frame_len)
+            for k in (1, len(frames) // 2):
+                yield frames[k], k
+
+
+class TestCarriedLm:
+    """`lm_epoch` with a carry equals a chain of cold `lm_epoch` calls, bit
+    for bit and epoch by epoch, in theta, lambda, SSE and the accepted
+    count; the carry only removes work."""
+
+    @staticmethod
+    def chain(theta, lam, x, t, config, epochs, carry):
+        steps = []
+        for _ in range(epochs):
+            theta, lam, sse, accepted = lm_epoch(theta, x, t, lam, config, carry)
+            steps.append((theta.tobytes(), lam.tobytes(), sse.tobytes(), accepted))
+        return steps
+
+    @classmethod
+    def assert_carry_matches_cold(cls, theta, lam, x, t, config, epochs):
+        cold = cls.chain(theta, lam, x, t, config, epochs, None)
+        carried = cls.chain(theta, lam, x, t, config, epochs, {})
+        assert carried == cold
+        return [accepted for *_, accepted in cold]
+
+    @staticmethod
+    def jacobian_rows(monkeypatch):
+        """Record the row count of every `residual_jacobian` call."""
+        rows = []
+        real = mlp_module.residual_jacobian
+
+        def counting(theta, x, t, forward=None):
+            rows.append(len(theta))
+            return real(theta, x, t, forward)
+
+        monkeypatch.setattr(mlp_module, "residual_jacobian", counting)
+        return rows
+
+    @pytest.mark.parametrize("restarts", [1, 4, 7])
+    def test_carry_equals_cold_chain(self, monkeypatch, restarts):
+        config = TrainConfig(restarts=restarts, epochs=9)
+        rows = self.jacobian_rows(monkeypatch)
+        partial = 0
+        for frame, k in digest_frames():
+            seeds = [restart_seed(k, i) for i in range(restarts)]
+            x, t = build_training_set(frame)
+            start, lam = seeded_stack(*seeds), np.full(restarts, config.lambda_init)
+            rows.clear()
+            accepted = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
+            cold_rows, carried_rows = rows[:config.epochs], rows[config.epochs:]
+            # a cold chain builds every row each epoch; the carry builds all
+            # rows once, then only the rows that moved, never after the last
+            assert cold_rows == [restarts] * config.epochs
+            assert carried_rows == [restarts] + [n for n in accepted[:-1] if n]
+            partial += sum(0 < n < restarts for n in accepted[:-1])
+            # lm_stack_iterations threads the same carry
+            stacked = [(theta.tobytes(), lam.tobytes(), sse.tobytes())
+                       for theta, lam, sse in lm_stack_iterations(frame, seeds, config,
+                                                                  config.epochs)]
+            cold = self.chain(start, np.full(restarts, config.lambda_init), x, t, config,
+                              config.epochs, None)
+            assert stacked == [step[:3] for step in cold]
+        assert partial > 0 or restarts == 1  # mixed accept/reject rows were rebuilt
+
+    @pytest.mark.parametrize("failure", ["singular", "non-finite"])
+    def test_carry_equals_cold_chain_with_an_unusable_row(self, monkeypatch, failure):
+        # row 2 starts with a huge lambda, and the patched solve makes its
+        # system singular (numpy then refuses the whole stack, and
+        # `_solve_each` solves each matrix alone) or its step non-finite;
+        # it is rejected every epoch while the other rows move
+        real_solve = np.linalg.solve
+        calls = []
+
+        def solve(lhs, rhs):
+            marked = lhs[..., 0, 0] > 1e20
+            calls.append((np.ndim(lhs), bool(np.any(marked))))
+            if failure == "singular":
+                if np.any(marked):
+                    raise np.linalg.LinAlgError("singular matrix")
+                return real_solve(lhs, rhs)
+            delta = real_solve(lhs, rhs)
+            delta[marked] = np.inf
+            return delta
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        rows = self.jacobian_rows(monkeypatch)
+        config = TrainConfig(epochs=8)
+        for frame, k in digest_frames():
+            if len(frame) == 13:
+                continue
+            x, t = build_training_set(frame)
+            start = seeded_stack(*[restart_seed(k, i) for i in range(4)])
+            lam = np.array([0.01, 0.01, 1e30, 0.01])
+            rows.clear()
+            accepted = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
+            assert max(accepted) <= 3
+            assert any(0 < n < 4 for n in accepted[:-1])
+            assert all(n < 4 for n in rows[config.epochs + 1:])  # partial rebuilds only
+            theta, lam_out, *_ = lm_epoch(start, x, t, lam, config, {})
+            np.testing.assert_array_equal(theta[2], start[2])
+            assert lam_out[2] == 1e31
+        if failure == "singular":
+            assert (2, True) in calls and (3, True) in calls  # the per-matrix fallback ran
+
+    def test_epoch_after_an_all_rejected_one_builds_no_jacobian(self, monkeypatch):
+        x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
+        config, carry = TrainConfig(), {}
+        theta, lam, _, _ = lm_epoch(seeded_stack(13, 14), x, t, np.full(2, 0.01), config, carry)
+        with monkeypatch.context() as patch:  # every step non-finite: all rejected
+            patch.setattr(np.linalg, "solve", lambda lhs, rhs: np.full(np.shape(rhs), np.inf))
+            theta, lam, _, accepted = lm_epoch(theta, x, t, lam, config, carry)
+        assert accepted == 0
+        rows = self.jacobian_rows(monkeypatch)
+        carried = lm_epoch(theta, x, t, lam, config, carry)
+        assert rows == []
+        cold = lm_epoch(theta, x, t, lam, config)
+        for got, want in zip(carried, cold):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrainConfig:
