@@ -63,8 +63,6 @@ MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
-_U64_GAMMA, _U64_MIX1, _U64_MIX2 = np.uint64(GOLDEN_GAMMA), np.uint64(MIX1), np.uint64(MIX2)
-_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def as_float(value):
@@ -103,15 +101,15 @@ class SplitMix64:
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi})")
         z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= _U64_GAMMA
+        z *= GOLDEN_GAMMA
         z += np.uint64(self.state)
         self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
-        z ^= z >> _U64_30
-        z *= _U64_MIX1
-        z ^= z >> _U64_27
-        z *= _U64_MIX2
-        z ^= z >> _U64_31
-        z >>= _U64_11
+        z ^= z >> 30
+        z *= MIX1
+        z ^= z >> 27
+        z *= MIX2
+        z ^= z >> 31
+        z >>= 11
         value = z.astype(np.float64)
         value *= 2.0**-53   # exact: the top 53 bits as a fraction in [0, 1)
         value *= hi - lo

@@ -612,7 +612,7 @@ class TestCarriedLm:
         cold = cls.chain(theta, lam, x, t, config, epochs, None)
         carried = cls.chain(theta, lam, x, t, config, epochs, {})
         assert carried == cold
-        return [accepted for *_, accepted in cold]
+        return cold
 
     @staticmethod
     def jacobian_rows(monkeypatch):
@@ -637,7 +637,8 @@ class TestCarriedLm:
             x, t = build_training_set(frame)
             start, lam = seeded_stack(*seeds), np.full(restarts, config.lambda_init)
             rows.clear()
-            accepted = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
+            cold = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
+            accepted = [step[3] for step in cold]
             cold_rows, carried_rows = rows[:config.epochs], rows[config.epochs:]
             # a cold chain builds every row each epoch; the carry builds all
             # rows once, then only the rows that moved, never after the last
@@ -648,8 +649,6 @@ class TestCarriedLm:
             stacked = [(theta.tobytes(), lam.tobytes(), sse.tobytes())
                        for theta, lam, sse in lm_stack_iterations(frame, seeds, config,
                                                                   config.epochs)]
-            cold = self.chain(start, np.full(restarts, config.lambda_init), x, t, config,
-                              config.epochs, None)
             assert stacked == [step[:3] for step in cold]
         assert partial > 0 or restarts == 1  # mixed accept/reject rows were rebuilt
 
@@ -683,7 +682,8 @@ class TestCarriedLm:
             start = seeded_stack(*[restart_seed(k, i) for i in range(4)])
             lam = np.array([0.01, 0.01, 1e30, 0.01])
             rows.clear()
-            accepted = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
+            cold = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
+            accepted = [step[3] for step in cold]
             assert max(accepted) <= 3
             assert any(0 < n < 4 for n in accepted[:-1])
             assert all(n < 4 for n in rows[config.epochs + 1:])  # partial rebuilds only
