@@ -37,13 +37,11 @@ from .harness import (
 from .lpc import LpcModel
 from .metrics import SegsnrReport, mean_std, segsnr, z_score
 from .mlp import Mlp, SplitMix64, TrainConfig, multistart_fit
-from .quantizer import AdaptiveQuantizer, default_multipliers
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adaptation",
-    "AdaptiveQuantizer",
     "Bitstream",
     "BitstreamError",
     "BitstreamHeader",
@@ -61,7 +59,6 @@ __all__ = [
     "SweepCurve",
     "TrainConfig",
     "decode",
-    "default_multipliers",
     "encode",
     "epoch_sweep",
     "evaluate_methods",

@@ -192,10 +192,6 @@ class Mlp:
         expit(z, out=z)
         return float(self.w_out.dot(z)) + self.b_out
 
-    def forward_batch(self, x: np.ndarray):
-        """Hidden activations (N, 2) and outputs (N,) for an (N, 10) input matrix."""
-        return forward_batch(self.theta, x)
-
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last."""
         if len(history) < N_INPUTS:
@@ -234,8 +230,8 @@ def forward_batch(theta: np.ndarray, x: np.ndarray):
     """Hidden activations (..., N, 2) and outputs (..., N) of one net (25,)
     or a stack of nets (R, 25) on an (N, 10) input matrix.
 
-    This is the one batch forward pass, for `Mlp.forward_batch` and for
-    the stacked fit alike.
+    This is the one batch forward pass, for a single net and for the
+    stacked fit alike.
     """
     w_in = theta[..., :20].reshape(theta.shape[:-1] + (N_HIDDEN, N_INPUTS))
     h = expit(x @ w_in.swapaxes(-1, -2) + theta[..., None, 20:22])

@@ -3,8 +3,9 @@
 After every sample the step is multiplied by a factor indexed by the
 magnitude rank of the emitted code (small codes shrink it, overload codes
 grow it) and clamped to [step_min, step_max]: Jayant's one-word-memory
-rule. The rule lives in `quantize`, `dequantize` and `next_step`, plain
-functions of numbers that the codec loop and `AdaptiveQuantizer` share.
+rule. `quantize`, `dequantize` and `next_step` are the quantizer, the
+functions the codec loop calls; `CodecConfig` holds their parameters.
+`AdaptiveQuantizer` is only a benchmark shim over them.
 """
 
 import math
@@ -22,12 +23,6 @@ DEFAULT_MULTIPLIERS = {
 DEFAULT_STEP_INIT = 0.02
 DEFAULT_STEP_MIN = 2.0**-12
 DEFAULT_STEP_MAX = 0.5
-
-
-def default_multipliers(bits: int) -> tuple:
-    if bits not in DEFAULT_MULTIPLIERS:
-        raise ValueError(f"bits must be in 2..5, got {bits}")
-    return DEFAULT_MULTIPLIERS[bits]
 
 
 def check_params(bits: int, step: float, step_min: float, step_max: float, multipliers) -> tuple:
@@ -69,14 +64,11 @@ def dequantize(code: int, step: float) -> float:
     return (code + 0.5) * step
 
 
-def magnitude_rank(code: int) -> int:
-    """Multiplier index: 0 for the innermost cells up to 2^(bits-1)-1."""
-    return code if code >= 0 else -code - 1
-
-
 def next_step(step: float, code: int, multipliers, step_min: float, step_max: float) -> float:
-    """Step after `code`: times its magnitude rank's multiplier, clamped."""
-    step = step * multipliers[magnitude_rank(code)]
+    """Step after `code`: times the multiplier of the code's magnitude rank,
+    clamped to [step_min, step_max]. The rank runs from 0 for the innermost
+    cells (codes 0 and -1) to 2^(bits-1)-1 for the overload cells."""
+    step = step * multipliers[code if code >= 0 else -code - 1]
     if step < step_min:
         return step_min
     if step > step_max:
@@ -86,35 +78,27 @@ def next_step(step: float, code: int, multipliers, step_min: float, step_max: fl
 
 @dataclass(frozen=True)
 class AdaptiveQuantizer:
-    """Nq-bit quantizer state over the rule functions; `adapt` returns a new state."""
+    """Benchmark shim over the rule functions, kept only for the import in
+    `perfbench/tracing.py`; the benchmark change in ROADMAP item 4 deletes it."""
 
     bits: int
     step: float
-    step_min: float = DEFAULT_STEP_MIN
-    step_max: float = DEFAULT_STEP_MAX
-    multipliers: tuple = ()
+    step_min: float
+    step_max: float
+    multipliers: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "multipliers", check_params(
             self.bits, self.step, self.step_min, self.step_max, self.multipliers))
 
-    @property
-    def code_min(self) -> int:
-        return code_range(self.bits)[0]
-
-    @property
-    def code_max(self) -> int:
-        return code_range(self.bits)[1]
-
     def quantize(self, e: float) -> int:
         return quantize(e, self.step, self.bits)
 
     def dequantize(self, code: int) -> float:
-        if not self.code_min <= code <= self.code_max:
-            raise ValueError(f"code {code} outside [{self.code_min}, {self.code_max}]")
+        code_min, code_max = code_range(self.bits)
+        if not code_min <= code <= code_max:
+            raise ValueError(f"code {code} outside [{code_min}, {code_max}]")
         return dequantize(code, self.step)
-
-    magnitude_rank = staticmethod(magnitude_rank)
 
     def adapt(self, code: int) -> "AdaptiveQuantizer":
         """Next state with the step multiplied and clamped; all else unchanged."""

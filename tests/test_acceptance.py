@@ -41,7 +41,7 @@ from nadpcm.mlp import (
     residual_jacobian,
     restart_seed,
 )
-from nadpcm.quantizer import AdaptiveQuantizer
+from nadpcm.quantizer import code_range, dequantize, next_step, quantize
 
 
 def _check(capsys, index: int, label: str, ok: bool, detail: str = "") -> None:
@@ -141,33 +141,37 @@ def test_c04_lm_monotonicity(capsys):
 
 
 def test_c05_quantizer_fuzz(capsys):
-    """Million-sample fuzz: step bounds, granular error, zero-input decay."""
+    """Million-sample fuzz of the loop's rule functions: step bounds,
+    granular error, zero-input decay."""
     rng = np.random.default_rng(2024)
     step_violations = 0
     granular_violations = 0
     for chunk in range(20):
         bits = 2 + chunk % 4
-        q = AdaptiveQuantizer(bits=bits, step=float(rng.uniform(2.0**-12, 0.5)))
+        config = CodecConfig(bits=bits, step_init=float(rng.uniform(2.0**-12, 0.5)))
+        multipliers, step_min, step_max = config.multipliers, config.step_min, config.step_max
+        code_min, code_max = code_range(bits)
+        step = config.step_init
         scales = np.exp(rng.uniform(np.log(1e-4), np.log(1.0), 50_000))
         residuals = rng.standard_normal(50_000) * scales
-        for e in residuals:
-            code = q.quantize(e)
-            lo = q.code_min * q.step
-            hi = (q.code_max + 1) * q.step
-            if lo <= e < hi:  # non-overload region
-                if abs(e - q.dequantize(code)) > q.step / 2 + 1e-15:
+        for e in residuals.tolist():
+            code = quantize(e, step, bits)
+            if code_min * step <= e < (code_max + 1) * step:  # non-overload region
+                if abs(e - dequantize(code, step)) > step / 2 + 1e-15:
                     granular_violations += 1
-            q = q.adapt(code)
-            if not q.step_min <= q.step <= q.step_max:
+            step = next_step(step, code, multipliers, step_min, step_max)
+            if not step_min <= step <= step_max:
                 step_violations += 1
     decay_ok = True
     for bits in (2, 3, 4, 5):
-        q = AdaptiveQuantizer(bits=bits, step=0.5)
+        config = CodecConfig(bits=bits, step_init=0.5)
+        step = config.step_init
         for _ in range(10 * 200):  # ten frames of silence
-            q = q.adapt(q.quantize(0.0))
-            if q.step == q.step_min:
+            step = next_step(step, quantize(0.0, step, bits), config.multipliers,
+                             config.step_min, config.step_max)
+            if step == config.step_min:
                 break
-        decay_ok = decay_ok and q.step == q.step_min
+        decay_ok = decay_ok and step == config.step_min
     _check(capsys, 5, "quantizer bounds hold under fuzz",
            step_violations == 0 and granular_violations == 0 and decay_ok,
            f"1M samples, {step_violations} step / {granular_violations} granular "

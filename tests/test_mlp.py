@@ -20,6 +20,7 @@ from nadpcm.mlp import (
     SplitMix64,
     TrainConfig,
     build_training_set,
+    forward_batch,
     init_mlp,
     lm_epoch,
     lm_iterations,
@@ -42,7 +43,7 @@ def reference_splitmix64(seed):
 
 
 def batch_sse(net, x, t):
-    r = t - net.forward_batch(x)[1]
+    r = t - forward_batch(net.theta, x)[1]
     return float(r @ r)
 
 
@@ -257,7 +258,7 @@ class TestForward:
         rng = SplitMix64(12)
         net = init_mlp(rng, 0.5)
         x = np.array([np.linspace(-0.2, 0.2, 10), np.linspace(0.3, -0.1, 10)])
-        h, batch = net.forward_batch(x)
+        h, batch = forward_batch(net.theta, x)
         np.testing.assert_allclose(h, expit(x @ net.w_in.T + net.b_hid), rtol=1e-15)
         assert batch[0] == pytest.approx(net.forward(x[0]), rel=1e-15)
         assert batch[1] == pytest.approx(net.forward(x[1]), rel=1e-15)
@@ -306,7 +307,7 @@ class TestJacobian:
         net = init_mlp(rng, 0.5)
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
         _, r = residual_jacobian(net.theta[None], x, t)
-        np.testing.assert_allclose(r[0], t - net.forward_batch(x)[1], rtol=1e-15)
+        np.testing.assert_allclose(r[0], t - forward_batch(net.theta, x)[1], rtol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = SplitMix64(10)
@@ -323,8 +324,8 @@ class TestJacobian:
                 up[p] += step
                 dn[p] -= step
                 fd = (
-                    (t - Mlp(up).forward_batch(x)[1])
-                    - (t - Mlp(dn).forward_batch(x)[1])
+                    (t - forward_batch(up, x)[1])
+                    - (t - forward_batch(dn, x)[1])
                 ) / (2 * step)
                 mask = np.abs(fd) > 1e-8
                 np.testing.assert_allclose(jac[:, p][mask], fd[mask], rtol=1e-4)
@@ -449,7 +450,7 @@ class TestLevenbergMarquardt:
         teacher = init_mlp(teacher_rng, 1.0)
         rng = np.random.default_rng(18)
         x = rng.uniform(-0.8, 0.8, size=(60, 10))
-        t = teacher.forward_batch(x)[1]
+        t = forward_batch(teacher.theta, x)[1]
         students = seeded_stack(19)
         initial = batch_sse(Mlp(students[0]), x, t)
         lam = np.array([TrainConfig().lambda_init])

@@ -1,112 +1,156 @@
-"""Adaptive midrise quantizer with per-code step multipliers."""
+"""Adaptive midrise quantizer: the rule functions the codec loop calls."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nadpcm import AdaptiveQuantizer, default_multipliers
-from nadpcm.quantizer import DEFAULT_STEP_INIT, DEFAULT_STEP_MAX, DEFAULT_STEP_MIN
+from nadpcm import Bitstream, BitstreamError, BitstreamHeader, CodecConfig, FramePayload, encode
+from nadpcm.quantizer import (
+    DEFAULT_MULTIPLIERS,
+    DEFAULT_STEP_INIT,
+    DEFAULT_STEP_MAX,
+    DEFAULT_STEP_MIN,
+    check_params,
+    code_range,
+    dequantize,
+    next_step,
+    quantize,
+)
 
 
-def make(bits=2, step=0.1, step_min=0.01, step_max=0.5, multipliers=None):
+def check(bits=2, step=0.1, step_min=0.01, step_max=0.5, multipliers=None):
+    """check_params with the defaults the tests below share."""
     if multipliers is None:
-        multipliers = default_multipliers(bits)
-    return AdaptiveQuantizer(bits=bits, step=step, step_min=step_min,
-                             step_max=step_max, multipliers=multipliers)
+        multipliers = DEFAULT_MULTIPLIERS[bits]
+    return check_params(bits, step, step_min, step_max, multipliers)
 
 
 class TestQuantize:
     def test_known_codes_at_2_bits(self):
-        q = make()
-        assert q.quantize(0.05) == 0
-        assert q.quantize(-0.12) == -2
-        assert q.quantize(0.30) == 1  # clamped from floor(3.0) = 3
+        assert quantize(0.05, 0.1, 2) == 0
+        assert quantize(-0.12, 0.1, 2) == -2
+        assert quantize(0.30, 0.1, 2) == 1  # clamped from floor(3.0) = 3
 
     def test_midrise_has_no_zero_output(self):
-        q = make()
-        for code in range(-2, 2):
-            assert q.dequantize(code) != 0.0
+        lo, hi = code_range(2)
+        for code in range(lo, hi + 1):
+            assert dequantize(code, 0.1) != 0.0
 
     def test_dequantize_cell_midpoints(self):
-        q = make()
-        assert q.dequantize(0) == pytest.approx(0.05)
-        assert q.dequantize(-2) == pytest.approx(-0.15)
-        assert q.dequantize(1) == pytest.approx(0.15)
+        assert dequantize(0, 0.1) == pytest.approx(0.05)
+        assert dequantize(-2, 0.1) == pytest.approx(-0.15)
+        assert dequantize(1, 0.1) == pytest.approx(0.15)
 
     def test_dequantize_rejects_out_of_range(self):
-        q = make()
-        with pytest.raises(ValueError):
-            q.dequantize(2)
-        with pytest.raises(ValueError):
-            q.dequantize(-3)
+        # the decoder refuses a code outside the range before dequantizing it
+        assert code_range(2) == (-2, 1)
+        header = BitstreamHeader(8000, 1, CodecConfig(frame_len=1, bits=2))
+        for code in (-2, 1):
+            Bitstream(header, (FramePayload(codes=(code,)),))
+        for code in (2, -3):
+            with pytest.raises(BitstreamError, match=rf"code {code} outside \[-2, 1\]"):
+                Bitstream(header, (FramePayload(codes=(code,)),))
 
     def test_code_range_per_bits(self):
         for bits in (2, 3, 4, 5):
-            q = make(bits=bits)
             half = 2 ** (bits - 1)
-            assert q.quantize(1e9) == half - 1
-            assert q.quantize(-1e9) == -half
+            assert code_range(bits) == (-half, half - 1)
+            assert quantize(1e9, 0.1, bits) == half - 1
+            assert quantize(-1e9, 0.1, bits) == -half
+            assert quantize(half * 0.125, 0.125, bits) == half - 1  # top edge clamps
+            assert quantize(-half * 0.125, 0.125, bits) == -half
 
     def test_granular_error_bounded(self):
         rng = np.random.default_rng(6)
-        q = make(bits=4, step=0.02)
-        lo, hi = -8 * q.step, 8 * q.step
+        step = 0.02
+        lo, hi = -8 * step, 8 * step
         for e in rng.uniform(lo, hi - 1e-12, size=2000):
-            code = q.quantize(e)
-            assert abs(e - q.dequantize(code)) <= q.step / 2 + 1e-15
+            code = quantize(e, step, 4)
+            assert abs(e - dequantize(code, step)) <= step / 2 + 1e-15
 
 
 class TestAdapt:
     def test_magnitude_rank(self):
-        q = make(bits=3)
-        assert q.magnitude_rank(0) == 0
-        assert q.magnitude_rank(-1) == 0
-        assert q.magnitude_rank(3) == 3
-        assert q.magnitude_rank(-4) == 3
+        multipliers = (0.5, 0.6, 0.7, 0.8)  # 3 bits, one per rank
+        for code, m in ((0, 0.5), (-1, 0.5), (1, 0.6), (-2, 0.6),
+                        (2, 0.7), (-3, 0.7), (3, 0.8), (-4, 0.8)):
+            assert next_step(0.1, code, multipliers, 0.01, 0.5) == 0.1 * m
 
     def test_small_codes_shrink_step(self):
-        q = make(bits=2, step=0.1)
-        q2 = q.adapt(0)
-        assert q2.step == pytest.approx(0.08)  # multiplier 0.8
+        assert next_step(0.1, 0, DEFAULT_MULTIPLIERS[2], 0.01, 0.5) == pytest.approx(0.08)
 
     def test_large_codes_grow_step(self):
-        q = make(bits=2, step=0.1)
-        q2 = q.adapt(-2)
-        assert q2.step == pytest.approx(0.16)  # multiplier 1.6
+        assert next_step(0.1, -2, DEFAULT_MULTIPLIERS[2], 0.01, 0.5) == pytest.approx(0.16)
 
     def test_step_clamped_to_bounds(self):
-        q = make(bits=2, step=0.011)
-        assert q.adapt(0).step == 0.01
-        q = make(bits=2, step=0.4)
-        assert q.adapt(1).step == 0.5
-
-    def test_adapt_returns_new_instance(self):
-        q = make()
-        q2 = q.adapt(0)
-        assert q.step == 0.1 and q2 is not q
+        assert next_step(0.011, 0, DEFAULT_MULTIPLIERS[2], 0.01, 0.5) == 0.01
+        assert next_step(0.4, 1, DEFAULT_MULTIPLIERS[2], 0.01, 0.5) == 0.5
 
     def test_zero_input_decays_to_floor(self):
-        q = make(bits=4, step=DEFAULT_STEP_INIT, step_min=DEFAULT_STEP_MIN,
-                 step_max=DEFAULT_STEP_MAX)
+        step = DEFAULT_STEP_INIT
         for _ in range(200):
-            q = q.adapt(q.quantize(0.0))
-        assert q.step == DEFAULT_STEP_MIN
+            step = next_step(step, quantize(0.0, step, 4), DEFAULT_MULTIPLIERS[4],
+                             DEFAULT_STEP_MIN, DEFAULT_STEP_MAX)
+        assert step == DEFAULT_STEP_MIN
+
+
+@settings(derandomize=True, database=None)
+@given(bits=st.integers(2, 5), step=st.floats(DEFAULT_STEP_MIN, DEFAULT_STEP_MAX))
+def test_every_code_round_trips_and_scales_the_step(bits, step):
+    """The decoder and the benchmark's replay re-quantize a cell midpoint to
+    its own code, overload codes included; the next step is the rank's
+    multiplier times the step, clamped."""
+    config = CodecConfig(bits=bits)
+    lo, hi = code_range(bits)
+    for code in range(lo, hi + 1):
+        assert quantize(dequantize(code, step), step, bits) == code
+        rank = abs(2 * code + 1) // 2
+        expected = min(max(step * config.multipliers[rank], config.step_min), config.step_max)
+        assert next_step(step, code, config.multipliers, config.step_min,
+                         config.step_max) == expected
+
+
+def test_benchmark_shim_replays_the_rule_bit_for_bit(speech_like):
+    """perfbench times `AdaptiveQuantizer` over encoded streams' codes in
+    place of the loop's rule functions, so the two must agree exactly."""
+    from nadpcm.quantizer import AdaptiveQuantizer
+
+    for bits in (2, 3, 4, 5):
+        config = CodecConfig(bits=bits)
+        codes = [c for p in encode(speech_like, config).bitstream.payloads for c in p.codes]
+        q = AdaptiveQuantizer(bits=bits, step=config.step_init, step_min=config.step_min,
+                              step_max=config.step_max, multipliers=config.multipliers)
+        step = config.step_init
+        steps = set()
+        for c in codes:
+            assert q.step.hex() == step.hex()
+            x = dequantize(c, step)
+            assert q.quantize((c + 0.5) * q.step) == quantize(x, step, bits) == c
+            assert q.dequantize(c).hex() == x.hex()
+            before, q = q, q.adapt(c)
+            assert before.step == step and q is not before  # adapt returns a new state
+            step = next_step(step, c, config.multipliers, config.step_min, config.step_max)
+            steps.add(step)
+        assert q.step.hex() == step.hex()
+        assert len(codes) == len(speech_like.samples) and len(steps) > 100
 
 
 class TestMultiplierTables:
     def test_table_sizes(self):
         for bits in (2, 3, 4, 5):
-            assert len(default_multipliers(bits)) == 2 ** (bits - 1)
+            assert len(DEFAULT_MULTIPLIERS[bits]) == 2 ** (bits - 1)
+            assert CodecConfig(bits=bits).multipliers == DEFAULT_MULTIPLIERS[bits]
 
     def test_known_tables(self):
-        assert default_multipliers(2) == (0.8, 1.6)
-        assert default_multipliers(3) == (0.9, 0.9, 1.25, 1.75)
-        assert default_multipliers(4) == (0.9, 0.9, 0.9, 0.9, 1.2, 1.6, 2.0, 2.4)
-        assert default_multipliers(5)[:8] == (0.9,) * 8
-        assert default_multipliers(5)[8:] == (1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6)
+        assert DEFAULT_MULTIPLIERS[2] == (0.8, 1.6)
+        assert DEFAULT_MULTIPLIERS[3] == (0.9, 0.9, 1.25, 1.75)
+        assert DEFAULT_MULTIPLIERS[4] == (0.9, 0.9, 0.9, 0.9, 1.2, 1.6, 2.0, 2.4)
+        assert DEFAULT_MULTIPLIERS[5][:8] == (0.9,) * 8
+        assert DEFAULT_MULTIPLIERS[5][8:] == (1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6)
 
     def test_inner_shrink_outer_grow(self):
         for bits in (2, 3, 4, 5):
-            table = default_multipliers(bits)
+            table = DEFAULT_MULTIPLIERS[bits]
             assert table[0] < 1.0 < table[-1]
 
 
@@ -114,16 +158,24 @@ class TestValidation:
     def test_bits_out_of_range(self):
         for bits in (1, 6):
             with pytest.raises(ValueError):
-                make(bits=bits, multipliers=(0.9,) * 2 ** (bits - 1))
+                check(bits=bits, multipliers=(0.9,) * 2 ** (bits - 1))
+            with pytest.raises(ValueError):
+                CodecConfig(bits=bits, multipliers=(0.9,) * 2 ** (bits - 1))
 
     def test_wrong_multiplier_count(self):
         with pytest.raises(ValueError):
-            make(bits=3, multipliers=(0.8, 1.6))
+            check(bits=3, multipliers=(0.8, 1.6))
+        with pytest.raises(ValueError):
+            CodecConfig(bits=3, multipliers=(0.8, 1.6))
 
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
-            make(step=0.0)
+            check(step=0.0)
+        with pytest.raises(ValueError):
+            CodecConfig(step_init=0.0, step_min=0.01)
 
     def test_step_outside_bounds(self):
         with pytest.raises(ValueError):
-            make(step=0.6, step_max=0.5)
+            check(step=0.6, step_max=0.5)
+        with pytest.raises(ValueError):
+            CodecConfig(step_init=0.6, step_max=0.5)
