@@ -2,7 +2,10 @@
 
 Per sample: predict from reconstructed history, quantize the residual,
 reconstruct, adapt the quantizer step. One loop does this for both sides;
-the decoder runs it on the received codes.
+the decoder runs it on the received codes. A predictor takes part through
+its `predictions` generator, which yields the next prediction and is sent
+each reconstructed sample, so that it keeps the history in the form its
+arithmetic wants (`lpc` and `mlp` give each one's normative order).
 
 One rule, `frame_predictor`, gives every frame's predictor from the
 config, the frame index, the previous reconstructed frame and the
@@ -135,32 +138,38 @@ def _closed_loop(state: CodecState, frame, predictor, codes=None):
     """Run the closed loop over one frame: quantize `frame`, or follow the
     received `codes` when given. Returns (codes, new_state, reconstruction,
     sse), sse being 0.0 when following codes. A non-finite prediction
-    raises ValueError naming the sample."""
+    raises ValueError naming the sample.
+
+    The predictor's `predictions(history, n)` generator yields each
+    sample's prediction and is sent each reconstructed sample; it keeps
+    the frame's history in its own form and does the predictor's
+    normative arithmetic. The new state's history is the last HISTORY_LEN
+    samples of the old history and the reconstruction."""
     config = state.config
     bits, multipliers = config.bits, config.multipliers
     step_min, step_max = config.step_min, config.step_max
     step = state.step
-    hist = list(state.history)
     received = codes is not None
     inputs = codes if received else np.asarray(frame, dtype=np.float64).tolist()
     out, recon, sse = codes if received else [], [], 0.0
-    predict = predictor.predict
+    predictions = predictor.predictions(state.history, len(inputs))
+    p = next(predictions)
+    send = predictions.send
     for n, x in enumerate(inputs):
-        p = predict(hist)
         if not -math.inf < p < math.inf:
             sample = state.frame_index * config.frame_len + n
             raise ValueError(f"prediction {p} for sample {sample} is not finite")
         c = x if received else quantize(x - p, step, bits)
         xr = p + dequantize(c, step)
         step = next_step(step, c, multipliers, step_min, step_max)
-        hist.append(xr)
-        del hist[0]
         recon.append(xr)
         if not received:
             out.append(c)
             d = x - xr
             sse += d * d
-    new_state = CodecState(tuple(hist), step, state.frame_index + 1, config)
+        p = send(xr)
+    history = (*state.history, *recon)[-HISTORY_LEN:]
+    new_state = CodecState(history, step, state.frame_index + 1, config)
     return out, new_state, np.array(recon, dtype=np.float64), float(sse)
 
 

@@ -5,14 +5,15 @@ with coefficients solved from the Toeplitz normal equations by the
 Levinson-Durbin recursion. Frames are used as-is (rectangular window,
 biased autocorrelation estimate).
 
-`LpcModel.predict` runs once per sample in the codec's closed loop, and its
-arithmetic is normative: starting from 0.0 it adds a_i * x(n - i) for
-i = 1, 2, ..., order, newest history sample first, one multiply and one
-add per tap, uncompensated, on Python floats. Plain binary64 operations in
-a fixed order give the same bits on every host; `math.fsum`, `np.dot` and
-Python 3.12's compensated `sum()` can give other bits. The taps are cached
-as Python floats so that no numpy scalar enters the loop, and `levinson`
-runs its recursion on Python floats as well.
+`LpcModel.predictions` gives the codec's closed loop one prediction per
+sample, and its arithmetic is normative: starting from 0.0 it adds
+a_i * x(n - i) for i = 1, 2, ..., order, newest history sample first,
+one multiply and one add per tap, uncompensated, on Python floats. Plain
+binary64 operations in a fixed order give the same bits on every host;
+`math.fsum`, `np.dot` and Python 3.12's compensated `sum()` can give
+other bits. The taps are cached and the history is kept as Python floats
+so that no numpy scalar enters the loop, and `levinson` runs its
+recursion on Python floats as well.
 """
 
 from dataclasses import dataclass
@@ -58,15 +59,28 @@ class LpcModel:
     def __hash__(self):
         return hash(self._key())
 
-    def predict(self, history) -> float:
-        """Predict the next sample from reconstructed history, newest last,
-        in the module docstring's order."""
+    def predictions(self, history, n: int):
+        """Generator of the closed loop's predictions from reconstructed
+        `history`, newest last, and the n samples sent to it after it.
+
+        It yields the prediction of the sample after `history`, then, for
+        each of the n reconstructed samples sent, the prediction of the
+        sample after that one: n + 1 predictions, each summed in the module
+        docstring's order.
+        """
         if len(history) < self.order:
             raise ValueError(f"history of {len(history)} too short for order {self.order}")
-        acc = 0.0
-        for a, x in zip(self._taps, reversed(history)):
-            acc += a * x
-        return acc
+        taps = self._taps
+        window = [float(x) for x in history[len(history) - self.order :]]
+        for _ in range(n + 1):
+            acc = 0.0
+            for a, x in zip(taps, reversed(window)):
+                acc += a * x
+            window.append((yield acc))
+
+    def predict(self, history) -> float:
+        """Predict the next sample from reconstructed history, newest last."""
+        return next(self.predictions(history, 0))
 
     @classmethod
     def zero(cls, order: int) -> "LpcModel":

@@ -36,8 +36,15 @@ changes no bit: every BLAS and LAPACK call keeps its per-row operand
 shapes, and a carried epoch equals a cold one (`carry=None`).
 
 The fitted nets are what the codec's closed loop evaluates once per
-sample, so `Mlp.forward` keeps to its two BLAS calls (a gemv and a dot)
-with as little around them as it can, and returns a Python float.
+sample, through `Mlp.predictions`. It keeps the reconstructed samples
+newest first in one float64 buffer per frame, so each sample's inputs are
+a contiguous view of it, with no list-to-array conversion. It adds the
+hidden biases and takes the sigmoid 1 / (1 + exp(-a)) on Python floats,
+with `math.exp`, which gives the same bits as `scipy.special.expit`. The
+2x10 gemv and the length-2 output dot stay in BLAS, whose bits the golden
+vectors pin: this BLAS computes the dot as a fused multiply-add,
+fma(w1, h1, w0 * h0), which Python 3.11 has no operation for, and its
+gemv matches neither order of plain Python adds.
 """
 
 import logging
@@ -183,20 +190,40 @@ class Mlp:
     def __hash__(self):
         return hash((self.theta.tobytes(), self.restart))
 
-    def forward(self, inputs) -> float:
-        """Output for one input vector of the 10 most recent samples, newest
-        first, as a Python float. One gemv and one dot, as few wrappers as
-        possible: this runs once per sample."""
-        z = self.w_in.dot(inputs)
-        z += self.b_hid
-        expit(z, out=z)
-        return float(self.w_out.dot(z)) + self.b_out
+    def predictions(self, history, n: int):
+        """Generator of the closed loop's predictions from reconstructed
+        `history`, newest last, and the n samples sent to it after it.
+
+        It yields the prediction of the sample after `history`, then, for
+        each of the n reconstructed samples sent, the prediction of the
+        sample after that one: n + 1 predictions, each a Python float.
+        """
+        if len(history) < N_INPUTS:
+            raise ValueError(f"history of {len(history)} too short for {N_INPUTS} inputs")
+        # newest first: the sample sent after the prediction from
+        # rev[pos : pos + 10] goes to slot pos - 1; slot 0 is never read
+        rev = np.empty(n + 1 + N_INPUTS)
+        rev[n + 1 :] = history[-1 : -N_INPUTS - 1 : -1]
+        w_in, w_out, b_out = self.w_in, self.w_out, self.b_out
+        b0, b1 = self.b_hid.tolist()
+        h = np.empty(N_HIDDEN)
+        for pos in range(n + 1, 0, -1):
+            a0, a1 = w_in.dot(rev[pos : pos + N_INPUTS]).tolist()
+            h[0] = _sigmoid(a0 + b0)
+            h[1] = _sigmoid(a1 + b1)
+            rev[pos - 1] = yield float(w_out.dot(h)) + b_out
 
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last."""
-        if len(history) < N_INPUTS:
-            raise ValueError(f"history of {len(history)} too short for {N_INPUTS} inputs")
-        return self.forward(history[-1 : -N_INPUTS - 1 : -1])
+        return next(self.predictions(history, 0))
+
+
+def _sigmoid(a: float) -> float:
+    """Logistic function on a Python float, the same bits as `expit`."""
+    try:
+        return 1.0 / (1.0 + math.exp(-a))
+    except OverflowError:   # exp(-a) beyond the float range: expit gives 0.0
+        return 0.0
 
 
 def init_mlp(rng: SplitMix64, scale: float) -> Mlp:

@@ -9,6 +9,7 @@ functions the codec loop calls; `CodecConfig` holds their parameters.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 # Step multipliers per code magnitude rank, innermost first.
@@ -27,6 +28,8 @@ DEFAULT_STEP_MAX = 0.5
 
 def check_params(bits: int, step: float, step_min: float, step_max: float, multipliers) -> tuple:
     """Validate quantizer parameters; return the multiplier table (default if empty)."""
+    if type(bits) is bool or not isinstance(bits, numbers.Integral):
+        raise ValueError(f"bits must be an integer, got {bits!r}")
     if not 2 <= bits <= 5:
         raise ValueError(f"bits must be in 2..5, got {bits}")
     if not 0 < step_min <= step <= step_max < math.inf:

@@ -348,17 +348,42 @@ class TestCandidate:
 
 
 class Recording:
-    """A predictor wrapper that records the types of what `predict` sees
-    and returns."""
+    """A predictor wrapper whose `predictions` records the types of the
+    history it starts from, of every sample the loop sends it and of
+    every prediction it yields."""
 
     def __init__(self, inner):
         self.inner, self.types = inner, set()
 
-    def predict(self, history):
-        p = self.inner.predict(history)
+    def predictions(self, history, n):
         self.types.update(map(type, history))
+        inner = self.inner.predictions(history, n)
+        p = next(inner)
+        for _ in range(n):
+            self.types.add(type(p))
+            xr = yield p
+            self.types.add(type(xr))
+            p = inner.send(xr)
         self.types.add(type(p))
-        return p
+        yield p
+
+
+@pytest.mark.parametrize("kind", [None, PredictorKind.LPC10, PredictorKind.LPC25,
+                                  PredictorKind.MLP], ids=["zero", "lpc10", "lpc25", "mlp"])
+def test_predict_is_the_generators_prediction(speech_like, kind):
+    """Each predictor has one arithmetic: `predict` on a history is the
+    first value of `predictions` from it, and the value `predictions` yields
+    after the samples that extend a shorter history to it."""
+    config = CodecConfig(frame_len=100)
+    samples = speech_like.samples.tolist()
+    predictor = ZERO if kind is None else fit_predictor(samples[:100], kind, config, 7)
+    predictions = predictor.predictions(tuple(samples[100:125]), 75)
+    p = next(predictions)
+    for end in range(125, 200):
+        history = tuple(samples[end - 25 : end])
+        assert type(p) is float
+        assert predictor.predict(history) == next(predictor.predictions(history, 0)) == p
+        p = predictions.send(samples[end])
 
 
 def numpy_scalar_config():

@@ -96,6 +96,49 @@ class TestPredict:
         assert isinstance(model.coeffs, np.ndarray) and isinstance(model.reflection, np.ndarray)
 
 
+class TestPredictions:
+    """The closed loop's generator against the normative sum, bit for bit,
+    with each sample it is sent appended to the history."""
+
+    @staticmethod
+    def normative(model, history):
+        acc = 0.0
+        for i, a in enumerate(model.coeffs.tolist()):
+            acc += a * history[-1 - i]
+        return acc
+
+    @pytest.mark.parametrize("order", [1, 10, 25])
+    def test_matches_newest_first_sum(self, speech_like, order):
+        model = fit(speech_like.samples[:200], order)
+        window = speech_like.samples[200:225].tolist()
+        sent = speech_like.samples[225:425].tolist()
+        predictions = model.predictions(tuple(window), len(sent))
+        p = next(predictions)
+        for xr in sent + [None]:
+            expected = self.normative(model, window)
+            assert type(p) is float and p == expected
+            if xr is None:
+                break
+            window.append(xr)
+            p = predictions.send(xr)
+        with pytest.raises(StopIteration):
+            predictions.send(0.0)
+
+    def test_sent_samples_sum_uncompensated(self):
+        # the cancellation case of TestPredict, reached through sent samples
+        model = LpcModel(3, [1.0, 1.0, 1.0], np.zeros(3))
+        predictions = model.predictions([0.0] * 3, 3)
+        next(predictions)
+        assert [predictions.send(x) for x in (-1e16, 1.0, 1e16)] == [-1e16, -1e16 + 1.0, 0.0]
+
+    def test_numpy_history_gives_python_floats(self):
+        model = LpcModel(2, [0.5, 0.25], np.zeros(2))
+        history = np.array([0.1, 0.4, 0.8], dtype=np.float32)
+        p = model.predict(history)
+        assert type(p) is float
+        assert p == 0.5 * float(np.float32(0.8)) + 0.25 * float(np.float32(0.4))
+
+
 class TestEquality:
     def test_equal_values_equal_models(self, speech_like):
         assert LpcModel.zero(3) == LpcModel.zero(3)

@@ -1,5 +1,6 @@
 """SplitMix64 PRNG, the 10-2-1 net, and Levenberg-Marquardt training."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -59,6 +60,23 @@ def reference_run(frame, seed, config, epochs):
         theta, lam, err, _ = lm_epoch(theta, x, t, lam, config)
         steps.append((Mlp(theta[0]), float(err[0])))
     return steps
+
+
+def reference_forward(net, newest_first):
+    """The net's output as a gemv, the hidden biases added in place,
+    `expit` in place and a dot, on a contiguous float64 copy of the 10
+    inputs, newest first: the forward pass the golden digests pin."""
+    z = net.w_in.dot(np.array(newest_first, dtype=np.float64))
+    z += net.b_hid
+    expit(z, out=z)
+    return float(net.w_out.dot(z)) + net.b_out
+
+
+def same_bits(a, b):
+    """a and b are the same float: equal with the same sign, or both NaN."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def seeded_stack(*seeds, scale=0.5):
@@ -166,11 +184,11 @@ class TestMlpStructure:
     def test_net_unchanged_when_input_array_mutated(self):
         theta = np.linspace(-0.5, 0.5, 25)
         net = Mlp(theta)
-        before = net.forward(np.ones(10))
+        before = net.predict(np.ones(10))
         theta[:] = 7.0
         np.testing.assert_array_equal(net.theta, np.linspace(-0.5, 0.5, 25))
         assert net.w_in[0, 0] == -0.5
-        assert net.forward(np.ones(10)) == before
+        assert net.predict(np.ones(10)) == before
         with pytest.raises(ValueError):
             net.theta[0] = 7.0  # the parameters are read-only
 
@@ -216,26 +234,27 @@ class TestMlpEquality:
 class TestForward:
     def test_zero_net_outputs_zero(self):
         net = Mlp.zero()
-        assert net.forward(np.zeros(10)) == 0.0
+        assert net.predict(np.zeros(10)) == 0.0
 
     def test_unit_output_weights_on_zero_net(self):
         net = Mlp(np.r_[np.zeros(22), 1.0, 1.0, 0.0])
-        assert net.forward(np.zeros(10)) == pytest.approx(1.0)  # sigma(0) twice
+        assert net.predict(np.zeros(10)) == pytest.approx(1.0)  # sigma(0) twice
 
     def test_matches_hand_formula(self):
         rng = SplitMix64(5)
         net = init_mlp(rng, 0.5)
-        x = np.linspace(-0.4, 0.4, 10)
+        x = np.linspace(-0.4, 0.4, 10)  # newest first
         h = expit(net.w_in @ x + net.b_hid)
         expected = float(net.w_out @ h + net.b_out)
-        assert net.forward(x) == pytest.approx(expected, rel=1e-15)
+        assert net.predict(x[::-1]) == pytest.approx(expected, rel=1e-15)
 
     def test_predict_uses_newest_first(self):
         rng = SplitMix64(6)
         net = init_mlp(rng, 0.5)
         history = np.linspace(-0.3, 0.3, 25)  # newest stored last
-        expected = net.forward(history[-1:-11:-1])
+        expected = reference_forward(net, history[-1:-11:-1])
         assert net.predict(history) == expected
+        assert net.predict(history[::-1]) != expected
 
     @pytest.mark.parametrize("history", [
         list(np.linspace(-0.3, 0.3, 25)),
@@ -251,7 +270,7 @@ class TestForward:
         w_in, b_hid, w_out = net.w_in, net.b_hid, net.w_out
         expected = float(w_out @ expit(w_in @ newest_first + b_hid) + net.b_out)
         p = net.predict(history)
-        assert type(p) is float and type(net.forward(newest_first)) is float
+        assert type(p) is float
         assert p == expected
 
     def test_forward_batch_matches_scalar(self):
@@ -260,8 +279,66 @@ class TestForward:
         x = np.array([np.linspace(-0.2, 0.2, 10), np.linspace(0.3, -0.1, 10)])
         h, batch = forward_batch(net.theta, x)
         np.testing.assert_allclose(h, expit(x @ net.w_in.T + net.b_hid), rtol=1e-15)
-        assert batch[0] == pytest.approx(net.forward(x[0]), rel=1e-15)
-        assert batch[1] == pytest.approx(net.forward(x[1]), rel=1e-15)
+        assert batch[0] == pytest.approx(net.predict(x[0][::-1]), rel=1e-15)
+        assert batch[1] == pytest.approx(net.predict(x[1][::-1]), rel=1e-15)
+
+
+class TestPredictions:
+    """The closed loop's generator against `reference_forward`, bit for bit,
+    with each sample it is sent appended to the history."""
+
+    @staticmethod
+    def run(net, history, sent):
+        """Pairs (prediction, reference) over len(sent) sends."""
+        window = list(history)
+        predictions = net.predictions(history, len(sent))
+        pairs = [(next(predictions), reference_forward(net, window[-1:-11:-1]))]
+        for xr in sent:
+            window.append(xr)
+            pairs.append((predictions.send(xr), reference_forward(net, window[-1:-11:-1])))
+        return pairs
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 1e4, 1e100, 1e300])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference_forward(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        net = Mlp(rng.standard_normal(N_PARAMS) * scale)
+        history = tuple((0.3 * rng.standard_normal(25)).tolist())
+        sent = (0.3 * rng.standard_normal(300)).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the gemv
+            pairs = self.run(net, history, sent)
+        assert len(pairs) == 301
+        assert all(type(p) is float and same_bits(p, ref) for p, ref in pairs)
+        if scale >= 1e4:
+            # large weights drive some hidden pre-activation below -745, where
+            # exp(-a) overflows: the generator's OverflowError branch. Row
+            # 15 + k of the training inputs is the window after k sends.
+            x, _ = build_training_set(list(history) + sent)
+            assert (x[15:] @ net.w_in.T + net.b_hid).min() < -745
+
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+    def test_non_finite_history(self, special):
+        rng = np.random.default_rng(7)
+        net = Mlp(rng.standard_normal(N_PARAMS))
+        history = [0.1] * 20 + [special] + [0.2] * 4
+        sent = [0.3, special, -0.4] + [0.1] * 12
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pairs = self.run(net, history, sent)
+        assert all(same_bits(p, ref) for p, ref in pairs)
+
+    def test_ends_after_n_sends(self):
+        predictions = init_mlp(SplitMix64(6), 0.5).predictions([0.0] * 10, 2)
+        next(predictions)
+        predictions.send(0.1)
+        predictions.send(0.2)
+        with pytest.raises(StopIteration):
+            predictions.send(0.3)
+
+    def test_short_history_refused(self):
+        with pytest.raises(ValueError, match="too short"):
+            Mlp.zero().predict([0.0] * 9)
 
 
 class TestTrainingSet:
@@ -527,7 +604,7 @@ class TestMultistart:
 
     def test_short_frame_zero_predictor(self):
         net = multistart_fit(np.zeros(5), TrainConfig(), 0)
-        assert net.forward(np.zeros(10)) == 0.0
+        assert net.predict(np.zeros(10)) == 0.0
         np.testing.assert_array_equal(net.theta, np.zeros(25))
 
 

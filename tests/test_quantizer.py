@@ -162,6 +162,16 @@ class TestValidation:
             with pytest.raises(ValueError):
                 CodecConfig(bits=bits, multipliers=(0.9,) * 2 ** (bits - 1))
 
+    @pytest.mark.parametrize("bits", [3.0, np.float64(3.0), "3", True])
+    def test_bits_must_be_an_integer(self, bits):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            check_params(bits, 0.1, 0.01, 0.5, ())
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            CodecConfig(bits=bits)
+
+    def test_numpy_integer_bits_accepted(self):
+        assert check_params(np.int64(3), 0.1, 0.01, 0.5, ()) == DEFAULT_MULTIPLIERS[3]
+
     def test_wrong_multiplier_count(self):
         with pytest.raises(ValueError):
             check(bits=3, multipliers=(0.8, 1.6))
