@@ -2,10 +2,9 @@
 
 Per sample: predict from reconstructed history, quantize the residual,
 reconstruct, adapt the quantizer step. One loop does this for both sides;
-the decoder runs it on the received codes. A predictor takes part through
-its `predictions` generator, which yields the next prediction and is sent
-each reconstructed sample, so that it keeps the history in the form its
-arithmetic wants (`lpc` and `mlp` give each one's normative order).
+the decoder runs it on the received codes. A predictor's `predictions`
+generator yields each prediction and is sent each reconstructed sample, so
+it keeps the history in the form its arithmetic wants.
 
 One rule, `frame_predictor`, gives every frame's predictor from the
 config, the frame index, the previous reconstructed frame and the
@@ -138,12 +137,8 @@ def _closed_loop(state: CodecState, frame, predictor, codes=None):
     """Run the closed loop over one frame: quantize `frame`, or follow the
     received `codes` when given. Returns (codes, new_state, reconstruction,
     sse), sse being 0.0 when following codes. A non-finite prediction
-    raises ValueError naming the sample.
-
-    The predictor's `predictions(history, n)` generator yields each
-    sample's prediction and is sent each reconstructed sample; it keeps
-    the frame's history in its own form and does the predictor's
-    normative arithmetic. The new state's history is the last HISTORY_LEN
+    raises ValueError naming the sample. The predictor's arithmetic runs in
+    its `predictions` generator; the new state keeps the last HISTORY_LEN
     samples of the old history and the reconstruction."""
     config = state.config
     bits, multipliers = config.bits, config.multipliers

@@ -60,14 +60,9 @@ class LpcModel:
         return hash(self._key())
 
     def predictions(self, history, n: int):
-        """Generator of the closed loop's predictions from reconstructed
-        `history`, newest last, and the n samples sent to it after it.
-
-        It yields the prediction of the sample after `history`, then, for
-        each of the n reconstructed samples sent, the prediction of the
-        sample after that one: n + 1 predictions, each summed in the module
-        docstring's order.
-        """
+        """Yield the prediction after reconstructed `history` (newest last),
+        then one after each of the n samples sent: n + 1 predictions, each
+        summed in the module docstring's order."""
         if len(history) < self.order:
             raise ValueError(f"history of {len(history)} too short for order {self.order}")
         taps = self._taps

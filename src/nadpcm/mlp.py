@@ -191,13 +191,8 @@ class Mlp:
         return hash((self.theta.tobytes(), self.restart))
 
     def predictions(self, history, n: int):
-        """Generator of the closed loop's predictions from reconstructed
-        `history`, newest last, and the n samples sent to it after it.
-
-        It yields the prediction of the sample after `history`, then, for
-        each of the n reconstructed samples sent, the prediction of the
-        sample after that one: n + 1 predictions, each a Python float.
-        """
+        """Yield the prediction after reconstructed `history` (newest last),
+        then one after each of the n samples sent: n + 1 Python floats."""
         if len(history) < N_INPUTS:
             raise ValueError(f"history of {len(history)} too short for {N_INPUTS} inputs")
         # newest first: the sample sent after the prediction from
