@@ -113,14 +113,9 @@ class TestPredictions:
         window = speech_like.samples[200:225].tolist()
         sent = speech_like.samples[225:425].tolist()
         predictions = model.predictions(tuple(window), len(sent))
-        p = next(predictions)
-        for xr in sent + [None]:
-            expected = self.normative(model, window)
-            assert type(p) is float and p == expected
-            if xr is None:
-                break
-            window.append(xr)
-            p = predictions.send(xr)
+        yielded = [next(predictions)] + [predictions.send(xr) for xr in sent]
+        assert all(type(p) is float for p in yielded)
+        assert yielded == [self.normative(model, window + sent[:k]) for k in range(len(sent) + 1)]
         with pytest.raises(StopIteration):
             predictions.send(0.0)
 

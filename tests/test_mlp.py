@@ -328,6 +328,11 @@ class TestPredictions:
             pairs = self.run(net, history, sent)
         assert all(same_bits(p, ref) for p, ref in pairs)
 
+    def test_scalar_sigmoid_equals_expit(self):
+        # exp(-a) overflows below about -709.78, where expit gives 0.0
+        values = np.r_[np.linspace(-800.0, 800.0, 16001), -1e300, 1e300, -np.inf, np.inf, np.nan]
+        assert all(same_bits(mlp_module._sigmoid(v), float(expit(v))) for v in values.tolist())
+
     def test_ends_after_n_sends(self):
         predictions = init_mlp(SplitMix64(6), 0.5).predictions([0.0] * 10, 2)
         next(predictions)
