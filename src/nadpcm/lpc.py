@@ -11,17 +11,54 @@ a_i * x(n - i) for i = 1, 2, ..., order, newest history sample first,
 one multiply and one add per tap, uncompensated, on Python floats. Plain
 binary64 operations in a fixed order give the same bits on every host;
 `math.fsum`, `np.dot` and Python 3.12's compensated `sum()` can give
-other bits. The taps are cached and the history is kept as Python floats
-so that no numpy scalar enters the loop, and `levinson` runs its
-recursion on Python floats as well.
+other bits.
+
+The sum runs in a tap kernel generated once per order, the way
+`dataclasses` generates `__init__`: a generator whose taps a0..a{K-1}
+and last K samples x0..x{K-1} (x0 newest) are locals. It yields
+`0.0 + a0 * x0 + a1 * x1 + ...`, which Python evaluates left to right:
+the same multiplies and adds in the same order from the same 0.0 as the
+loop above, so the same bits, with no per-tap interpreter loop. The
+leading `0.0 +` matters: it turns a sum of -0.0 products into +0.0, as
+the loop's 0.0 start does. Large orders are summed in statements of
+KERNEL_CHUNK taps (`acc = acc + ...`), the same left fold, because one
+expression thousands of terms deep overflows the compiler's recursion
+limit. The taps are cached and the history is kept as Python floats so
+that no numpy scalar enters the sum, and `levinson` runs its recursion
+on Python floats as well.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 ZERO_ENERGY_FLOOR = 1e-12
 REFLECTION_CLAMP = 0.999
+KERNEL_CHUNK = 64  # taps per statement of a tap kernel's sum
+
+
+@functools.cache
+def _tap_kernel(order: int):
+    """The generator function `kernel(taps, window, n)` for one order,
+    compiled on first use: `taps` are a_1..a_order, `window` the last
+    `order` samples newest first. It yields n + 1 predictions and shifts
+    each sample sent into the window."""
+    a = [f"a{i}" for i in range(order)]
+    x = [f"x{i}" for i in range(order)]
+    terms = [f"{ai} * {xi}" for ai, xi in zip(a, x)]
+    body = [f"acc = {' + '.join(['acc' if i else '0.0', *terms[i:i + KERNEL_CHUNK]])}"
+            for i in range(0, max(order, 1), KERNEL_CHUNK)]
+    body.append("sent = yield acc")
+    head = []
+    if order:
+        head = [f"{', '.join(a)}, = taps", f"{', '.join(x)}, = window"]
+        body.append(f"{', '.join(reversed(x))}, = {', '.join([*reversed(x[:-1]), 'sent'])},")
+    source = "\n".join(["def kernel(taps, window, n):", *(f"    {line}" for line in head),
+                        "    for _ in range(n + 1):", *(f"        {line}" for line in body)])
+    namespace = {}
+    exec(compile(source, f"<lpc tap kernel, order {order}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 @dataclass(frozen=True)
@@ -60,18 +97,13 @@ class LpcModel:
         return hash(self._key())
 
     def predictions(self, history, n: int):
-        """Yield the prediction after reconstructed `history` (newest last),
-        then one after each of the n samples sent: n + 1 predictions, each
-        summed in the module docstring's order."""
+        """Return a generator of the prediction after reconstructed `history`
+        (newest last), then one after each of the n samples sent: n + 1
+        predictions, each summed in the module docstring's order."""
         if len(history) < self.order:
             raise ValueError(f"history of {len(history)} too short for order {self.order}")
-        taps = self._taps
-        window = [float(x) for x in history[len(history) - self.order :]]
-        for _ in range(n + 1):
-            acc = 0.0
-            for a, x in zip(taps, reversed(window)):
-                acc += a * x
-            window.append((yield acc))
+        window = [float(x) for x in reversed(history[len(history) - self.order :])]
+        return _tap_kernel(self.order)(self._taps, window, n)
 
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last."""

@@ -1,10 +1,16 @@
 """Autocorrelation-method LPC and the Levinson-Durbin recursion."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from nadpcm.lpc import LpcModel, autocorrelation, fit, levinson
+import nadpcm
+from nadpcm.lpc import KERNEL_CHUNK, LpcModel, _tap_kernel, autocorrelation, fit, levinson
 
 
 def normal_equation_coeffs(r, order):
@@ -97,27 +103,44 @@ class TestPredict:
 
 
 class TestPredictions:
-    """The closed loop's generator against the normative sum, bit for bit,
+    """The closed loop's generator against the normative sum, bit for bit
+    (compared by `float.hex`, which tells -0.0 from 0.0 and matches NaN),
     with each sample it is sent appended to the history."""
 
     @staticmethod
-    def normative(model, history):
+    def normative(taps, history):
         acc = 0.0
-        for i, a in enumerate(model.coeffs.tolist()):
+        for i, a in enumerate(taps):
             acc += a * history[-1 - i]
         return acc
+
+    def run(self, model, window, sent):
+        """Drive the generator as the closed loop does and check every
+        prediction against the normative loop by its bits."""
+        predictions = model.predictions(tuple(window), len(sent))
+        yielded = [next(predictions)] + [predictions.send(xr) for xr in sent]
+        assert all(type(p) is float for p in yielded)
+        history = list(window) + list(sent)
+        expected = [self.normative(model.coeffs.tolist(), history[:len(window) + k])
+                    for k in range(len(sent) + 1)]
+        assert [p.hex() for p in yielded] == [p.hex() for p in expected]
+        with pytest.raises(StopIteration):
+            predictions.send(0.0)
+        return yielded
 
     @pytest.mark.parametrize("order", [1, 10, 25])
     def test_matches_newest_first_sum(self, speech_like, order):
         model = fit(speech_like.samples[:200], order)
-        window = speech_like.samples[200:225].tolist()
-        sent = speech_like.samples[225:425].tolist()
-        predictions = model.predictions(tuple(window), len(sent))
-        yielded = [next(predictions)] + [predictions.send(xr) for xr in sent]
-        assert all(type(p) is float for p in yielded)
-        assert yielded == [self.normative(model, window + sent[:k]) for k in range(len(sent) + 1)]
-        with pytest.raises(StopIteration):
-            predictions.send(0.0)
+        self.run(model, speech_like.samples[200:225].tolist(),
+                 speech_like.samples[225:425].tolist())
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 10, 25, 3 * KERNEL_CHUNK + 5, 3000])
+    def test_every_order_matches_newest_first_sum(self, order):
+        # 3000 taps in one expression overflow the compiler's recursion limit
+        rng = np.random.default_rng(order)
+        model = LpcModel(order, rng.uniform(-1.0, 1.0, order), np.zeros(order))
+        window = rng.standard_normal(order + 3).tolist()
+        self.run(model, window, rng.standard_normal(40).tolist())
 
     def test_sent_samples_sum_uncompensated(self):
         # the cancellation case of TestPredict, reached through sent samples
@@ -125,6 +148,42 @@ class TestPredictions:
         predictions = model.predictions([0.0] * 3, 3)
         next(predictions)
         assert [predictions.send(x) for x in (-1e16, 1.0, 1e16)] == [-1e16, -1e16 + 1.0, 0.0]
+
+    @pytest.mark.parametrize("order", [1, 2, 10, 3000])
+    def test_negative_zero_products_sum_to_positive_zero(self, order):
+        # every product is -0.0; only the 0.0 start makes the sum +0.0
+        model = LpcModel(order, [1.0] * order, np.zeros(order))
+        yielded = self.run(model, [-0.0] * order, [-0.0] * 3)
+        assert [p.hex() for p in yielded] == ["0x0.0p+0"] * 4
+        flipped = LpcModel(order, [-1.0] * order, np.zeros(order))
+        assert self.run(flipped, [0.0] * order, [0.0] * 3)[-1].hex() == "0x0.0p+0"
+
+    def test_infinities_and_nan_sent(self):
+        model = LpcModel(2, [1.0, 0.5], np.zeros(2))
+        yielded = self.run(model, [0.0, 0.0], [math.inf, -math.inf, 1.0, math.nan, 0.0, 0.0])
+        assert [p.hex() for p in yielded] == ["0x0.0p+0", "inf", "nan", "-inf", "nan", "nan",
+                                              "0x0.0p+0"]
+        self.run(LpcModel(25, np.full(25, 0.25), np.zeros(25)), [1.0] * 25,
+                 [-math.inf, math.inf, math.nan] + [2.0] * 30)
+
+    def test_one_kernel_per_order(self):
+        assert _tap_kernel(10) is _tap_kernel(10)
+        assert _tap_kernel(10) is not _tap_kernel(25)
+        a, b = LpcModel(10, np.ones(10), np.zeros(10)), LpcModel.zero(10)
+        assert a.predictions([0.0] * 10, 1).gi_code is b.predictions([0.0] * 10, 1).gi_code
+        assert a.predictions([0.0] * 10, 1).gi_code is _tap_kernel(10).__code__
+
+    def test_import_builds_no_kernel(self):
+        code = "import nadpcm.lpc as lpc; print(lpc._tap_kernel.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(nadpcm.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_short_history_rejected_on_call(self):
+        with pytest.raises(ValueError):
+            LpcModel(2, [0.5, 0.25], np.zeros(2)).predictions([1.0], 5)
 
     def test_numpy_history_gives_python_floats(self):
         model = LpcModel(2, [0.5, 0.25], np.zeros(2))
