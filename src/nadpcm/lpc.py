@@ -18,7 +18,7 @@ The sum runs in a tap kernel generated once per order, the way
 and last K samples x0..x{K-1} (x0 newest) are locals. It yields
 `0.0 + a0 * x0 + a1 * x1 + ...`, which Python evaluates left to right:
 the same multiplies and adds in the same order from the same 0.0 as the
-loop above, so the same bits, with no per-tap interpreter loop. The
+normative sum above, so the same bits, with no per-tap interpreter loop. The
 leading `0.0 +` matters: it turns a sum of -0.0 products into +0.0, as
 the loop's 0.0 start does. Large orders are summed in statements of
 KERNEL_CHUNK taps (`acc = acc + ...`), the same left fold, because one
@@ -48,7 +48,7 @@ def _tap_kernel(order: int):
     x = [f"x{i}" for i in range(order)]
     terms = [f"{ai} * {xi}" for ai, xi in zip(a, x)]
     body = [f"acc = {' + '.join(['acc' if i else '0.0', *terms[i:i + KERNEL_CHUNK]])}"
-            for i in range(0, max(order, 1), KERNEL_CHUNK)]
+            for i in range(0, max(order, 1), KERNEL_CHUNK)]  # order 0: acc = 0.0
     body.append("sent = yield acc")
     head = []
     if order:
