@@ -45,6 +45,11 @@ with `math.exp`, which gives the same bits as `scipy.special.expit`. The
 vectors pin: this BLAS computes the dot as a fused multiply-add,
 fma(w1, h1, w0 * h0), which Python 3.11 has no operation for, and its
 gemv matches neither order of plain Python adds.
+
+`scipy.special.expit` is imported inside `forward_batch`, the fit's one
+batch forward pass and the only user of scipy in the codec, so that
+`import nadpcm`, the CLI and LPC coding load numpy alone; scipy is loaded
+on the first fit.
 """
 
 import logging
@@ -54,7 +59,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 log = logging.getLogger(__name__)
 
@@ -255,6 +259,8 @@ def forward_batch(theta: np.ndarray, x: np.ndarray):
     This is the one batch forward pass, for a single net and for the
     stacked fit alike.
     """
+    from scipy.special import expit  # here, so that LPC coding never loads scipy
+
     w_in = theta[..., :20].reshape(theta.shape[:-1] + (N_HIDDEN, N_INPUTS))
     h = expit(x @ w_in.swapaxes(-1, -2) + theta[..., None, 20:22])
     return h, (h @ theta[..., 22:24, None])[..., 0] + theta[..., 24:25]

@@ -1,6 +1,9 @@
 """SplitMix64 PRNG, the 10-2-1 net, and Levenberg-Marquardt training."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
+import nadpcm
 from conftest import formant_utterance, linear_ar, nonlinear_ar
 from nadpcm import mlp as mlp_module
 from nadpcm.audio import split_frames
@@ -829,3 +833,38 @@ class TestTrainConfig:
     def test_non_numeric_reals_still_refused(self):
         with pytest.raises(TypeError):
             TrainConfig(lambda_init="0.01")
+
+
+SCIPY_ON_FIRST_FIT = """
+import sys
+import numpy as np
+import nadpcm
+from nadpcm import cli, harness
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cli.build_parser()
+signal = nadpcm.Signal(np.sin(np.arange(600) * 0.3) * 0.5, 8000)
+for method in ("ADPCMB-LPC-10", "ADPCMF-LPC-25"):
+    config = harness.method_config(nadpcm.CodecConfig(), method, 4)
+    encoded = nadpcm.encode(signal, config)
+    decoded = nadpcm.decode(nadpcm.parse(nadpcm.serialize(encoded.bitstream)))
+    assert np.array_equal(decoded.samples, encoded.reconstruction.samples), method
+assert scipy_loaded() == [], scipy_loaded()
+nadpcm.multistart_fit(signal.samples[:200], nadpcm.TrainConfig(epochs=2, restarts=2), 1)
+assert "scipy.special" in sys.modules
+print("ok")
+"""
+
+
+class TestScipyLoading:
+    def test_only_a_fit_loads_scipy(self):
+        """In a fresh interpreter, importing the package, building the CLI and
+        LPC coding through the bitstream load no scipy; the first fit does."""
+        src = os.path.dirname(os.path.dirname(nadpcm.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_FIT], capture_output=True,
+                             text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
