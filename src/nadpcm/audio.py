@@ -60,15 +60,18 @@ def save_pcm16(signal: Signal) -> bytes:
 
 def read_wav(path_or_file) -> Signal:
     """Read a mono 16-bit PCM WAV file; the sample rate comes from the header."""
-    with wave.open(path_or_file, "rb") as wf:
-        if wf.getcomptype() != "NONE":
-            raise ValueError(f"only PCM WAV supported, got compression {wf.getcomptype()!r}")
-        if wf.getnchannels() != 1:
-            raise ValueError(f"only mono WAV supported, got {wf.getnchannels()} channels")
-        if wf.getsampwidth() != 2:
-            raise ValueError(f"only 16-bit WAV supported, got {8 * wf.getsampwidth()} bits")
-        data = wf.readframes(wf.getnframes())
-        rate = wf.getframerate()
+    try:
+        with wave.open(path_or_file, "rb") as wf:
+            if wf.getcomptype() != "NONE":
+                raise ValueError(f"only PCM WAV supported, got compression {wf.getcomptype()!r}")
+            if wf.getnchannels() != 1:
+                raise ValueError(f"only mono WAV supported, got {wf.getnchannels()} channels")
+            if wf.getsampwidth() != 2:
+                raise ValueError(f"only 16-bit WAV supported, got {8 * wf.getsampwidth()} bits")
+            data = wf.readframes(wf.getnframes())
+            rate = wf.getframerate()
+    except (wave.Error, EOFError) as exc:  # not a WAV, or cut short (EOFError, no message)
+        raise ValueError(str(exc) or "WAV header truncated") from exc
     return load_pcm16(data, rate)
 
 

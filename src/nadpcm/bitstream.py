@@ -10,31 +10,31 @@ exactly when those are. Their construction also refuses a non-integer or
 too-large value in an integer field, so nothing the header cannot carry is coded.
 
 Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
-MSB-first within each byte: the candidate field (backward MLP and hybrid
-only), 64 bits per forward predictor coefficient (forward only, the f64
-bytes as above), then frame_len codes of `bits` bits each (biased to
-unsigned by adding 2^(bits-1)). The candidate field names the predictor
-the encoder chose among the frame's candidates (`candidate_count`),
-MSB-first in the fewest bits that hold every index: for backward MLP
-the winning restart of R = restarts, in ceil(log2 R) bits (none when
-R = 1); for hybrid 0 for LPC-10 or i + 1 for restart i, in
-ceil(log2(R + 1)) bits. Backward frame 0 always uses the zero predictor
-and carries candidate 0. The decoder refits only the named restart, so
-its work per frame is epochs x (frame_len - 10) training pairs whatever
-`restarts` is. Forward rows are zero-padded to a whole byte, so each
-frame's coefficients start on a byte boundary; other rows follow each
-other without padding. The rows are packed back to back and the final
-byte is zero-padded. Padding bits must be zero and a candidate must be
-in range; parse rejects a stream otherwise, so each stream has exactly
-one encoding. Version 1 streams, which sent one hybrid flag bit and no
-restart index, are refused.
-
-A `Bitstream` checks its payloads against its header when it is built,
-so serialize and the decoder only ever see consistent frames.
+MSB-first within each byte: the candidate field, 64 bits per forward
+predictor coefficient (forward only, the f64 bytes as above), then
+frame_len codes of `bits` bits each (biased to unsigned by adding
+2^(bits-1)). The candidate field names the predictor the encoder chose
+among the frame's candidates (`candidate_count`) in the fewest bits that
+hold every index: for backward MLP the winning restart of R = restarts, in
+ceil(log2 R) bits (none when R = 1); for hybrid 0 for LPC-10 or i + 1 for
+restart i, in ceil(log2(R + 1)) bits; other kinds send candidate 0 in no
+bits. Backward frame 0 always uses the zero predictor and carries
+candidate 0. The decoder refits only the named restart, so its work per
+frame is epochs x (frame_len - 10) training pairs whatever `restarts` is.
+Forward rows are zero-padded to a whole byte, so each frame's coefficients
+start on a byte boundary; other rows follow each other without padding.
+The rows are packed back to back and the final byte is zero-padded.
+Padding bits must be zero and a candidate must be in range; parse rejects
+a stream otherwise, so each stream has exactly one encoding. Version 1
+streams, which sent one hybrid flag bit and no restart index, are refused.
+Payload values are checked once, when a `Bitstream` is built.
 """
 
+import math
+import numbers
 import struct
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -176,17 +176,17 @@ class BitstreamHeader:
 @dataclass(frozen=True)
 class FramePayload:
     codes: tuple
-    candidate: int | None = None
-    forward_coeffs: tuple | None = None
+    candidate: int = 0
+    forward_coeffs: tuple = ()
 
 
 @dataclass(frozen=True)
 class Bitstream:
-    """A header and one payload per frame; construction checks that every
-    payload has the shape the header's `frame_row` gives it and raises
-    BitstreamError, naming the frame, where one does not. Codes and
-    candidates are stored as Python ints: a numpy integer code would put
-    numpy scalars into the decoder's coding loop."""
+    """A header and one payload per frame. Construction is the one check of
+    payload values: each must have the shape the header's `frame_row` gives
+    it, or BitstreamError names the frame. Codes are stored as a tuple of
+    ints, the candidate as an int and the coefficients as a tuple of finite
+    floats, so no numpy scalar reaches the coding loop."""
 
     header: BitstreamHeader
     payloads: tuple
@@ -196,55 +196,60 @@ class Bitstream:
         if len(payloads) != frames:
             raise BitstreamError(f"{len(payloads)} payloads for a {frames}-frame header")
         config = self.header.config
-        candidates = candidate_count(config)
-        _, count, _, _ = frame_row(config)
+        candidates, count = candidate_count(config), frame_row(config)[1]
         code_min, code_max = code_range(config.bits)
-        int_payloads = list(payloads)
+        inf = math.inf
+        stored = list(payloads)
         for i, p in enumerate(payloads):
-            _check_candidate(p.candidate, candidates, i)
-            numpy_ints = isinstance(p.candidate, np.integer)
-            n_coeffs = None if p.forward_coeffs is None else len(p.forward_coeffs)
-            if n_coeffs != (count or None):
-                raise BitstreamError(f"expected {count or 'no'} forward_coeffs, got {n_coeffs}", i)
-            if len(p.codes) != config.frame_len:
-                raise BitstreamError(
-                    f"expected {config.frame_len} codes, got {len(p.codes)}", i)
-            for c in p.codes:
+            codes, cand, coeffs = p.codes, p.candidate, p.forward_coeffs
+            exact = type(codes) is tuple and type(cand) is int and type(coeffs) is tuple
+            if not exact:
+                codes, coeffs = _tuple(codes, "codes", i), _tuple(coeffs, "forward_coeffs", i)
+            if type(cand) is not int and not isinstance(cand, np.integer):
+                raise BitstreamError(f"candidate must be an integer, got {cand!r}", i)
+            if not 0 <= cand < candidates:
+                raise BitstreamError(f"candidate {cand} outside [0, {candidates - 1}]", i)
+            if i == 0 and cand:
+                raise BitstreamError(f"candidate {cand} on frame 0, which has only candidate 0", i)
+            if len(coeffs) != count:
+                raise BitstreamError(f"expected {count} forward_coeffs, got {len(coeffs)}", i)
+            if len(codes) != config.frame_len:
+                raise BitstreamError(f"expected {config.frame_len} codes, got {len(codes)}", i)
+            for c in codes:
                 if type(c) is not int:
                     if not isinstance(c, np.integer):
                         raise BitstreamError(f"codes must be integers, got {c!r}", i)
-                    numpy_ints = True
+                    exact = False
                 if not code_min <= c <= code_max:
                     raise BitstreamError(f"code {c} outside [{code_min}, {code_max}]", i)
-            if numpy_ints:
-                int_payloads[i] = replace(p, codes=tuple(map(int, p.codes)), candidate=(
-                    None if p.candidate is None else int(p.candidate)))
-        object.__setattr__(self, "payloads", tuple(int_payloads))
+            try:
+                for v in coeffs:
+                    if type(v) is not float:
+                        if not isinstance(v, numbers.Real):
+                            raise BitstreamError(f"forward_coeffs must be real, got {v!r}", i)
+                        exact, v = False, float(v)
+                    if not -inf < v < inf:
+                        raise BitstreamError("non-finite forward coefficient", i)
+            except OverflowError:  # an int or a fraction beyond binary64
+                raise BitstreamError("non-finite forward coefficient", i) from None
+            if not exact:
+                stored[i] = FramePayload(tuple(map(int, codes)), int(cand),
+                                         tuple(map(float, coeffs)))
+        object.__setattr__(self, "payloads", tuple(stored))
 
 
-def _check_candidate(candidate, candidates: int, frame_index: int):
-    """Raise BitstreamError unless `candidate` suits a frame of a config
-    with `candidates` candidates: None when there are none, else an
-    integer below that count, and 0 on frame 0."""
-    if not candidates:
-        if candidate is not None:
-            raise BitstreamError(f"candidate must be None, got {candidate!r}", frame_index)
-        return
-    if type(candidate) is not int and not isinstance(candidate, np.integer):
-        raise BitstreamError(f"candidate must be an integer, got {candidate!r}", frame_index)
-    if not 0 <= candidate < candidates:
-        raise BitstreamError(f"candidate {candidate} outside [0, {candidates - 1}]", frame_index)
-    if frame_index == 0 and candidate:
-        raise BitstreamError(f"candidate {candidate} on frame 0, which has only candidate 0",
-                             frame_index)
+def _tuple(values, name: str, frame_index: int) -> tuple:
+    """A tuple, list or 1-D array as a tuple, or BitstreamError naming the frame."""
+    if isinstance(values, (Sequence, np.ndarray)) and getattr(values, "ndim", 1) == 1:
+        return tuple(values)
+    raise BitstreamError(f"{name} must be a sequence, got {values!r}", frame_index)
 
 
 def candidate_count(config: CodecConfig) -> int:
-    """Number of predictors a backward frame's candidate field chooses
-    among: R = restarts for MLP, R + 1 for hybrid (LPC-10, then each
-    restart), 0 for the kinds that send no candidate."""
+    """Predictors a frame's candidate field chooses among: R = restarts for
+    backward MLP, R + 1 for hybrid (LPC-10, then each restart), else 1."""
     if config.adaptation is Adaptation.FORWARD or config.predictor_kind not in NEURAL_KINDS:
-        return 0
+        return 1
     return config.train.restarts + (config.predictor_kind is PredictorKind.HYBRID)
 
 
@@ -252,7 +257,7 @@ def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:
     """The one frame row layout of the module docstring, as (candidate
     bits, forward coefficient count, code columns, row bits); the
     coefficients fill the columns between the candidate and the codes."""
-    candidate_bits = max(candidate_count(config) - 1, 0).bit_length()  # ceil(log2 count)
+    candidate_bits = (candidate_count(config) - 1).bit_length()  # ceil(log2 count)
     forward = config.adaptation is Adaptation.FORWARD
     count = FORWARD_COEFF_COUNT[config.predictor_kind] if forward else 0
     start = candidate_bits + 64 * count
@@ -340,17 +345,9 @@ def parse(data: bytes) -> Bitstream:
     frames = header.frame_count
     candidate_bits, count, code_cols, row_bits = frame_row(config)
     payload = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=offset))
-    complete = min(frames, len(payload) // row_bits)
-    rows = payload[: complete * row_bits].reshape(complete, row_bits)
-    coeffs = [None] * complete
-    if count:
-        block = np.packbits(rows[:, candidate_bits : code_cols.start], axis=1).view("<f8")
-        bad = ~np.isfinite(block).all(axis=1)
-        if bad.any():
-            raise BitstreamError("non-finite forward coefficient", frame_index=int(bad.argmax()))
-        coeffs = [tuple(c) for c in block.tolist()]
-    if complete < frames:
-        raise BitstreamError("payload truncated", frame_index=complete)
+    if len(payload) < frames * row_bits:
+        raise BitstreamError("payload truncated", frame_index=len(payload) // row_bits)
+    rows = payload[: frames * row_bits].reshape(frames, row_bits)
     trailing = (len(payload) - frames * row_bits) // 8
     if trailing > 0:
         raise BitstreamError(f"{trailing} unexpected trailing bytes")
@@ -360,12 +357,14 @@ def parse(data: bytes) -> Bitstream:
     if payload[frames * row_bits :].any():
         raise BitstreamError("nonzero padding bits after the last frame")
 
-    bits = config.bits
-    codes = _from_msb_first(rows[:, code_cols].reshape(frames, config.frame_len, bits))
-    codes -= 1 << (bits - 1)
-    candidates = [None] * frames
-    if candidate_count(config):
+    codes = _from_msb_first(rows[:, code_cols].reshape(frames, config.frame_len, config.bits))
+    codes -= 1 << (config.bits - 1)
+    candidates, coeffs = [0] * frames, [()] * frames  # fields of no bits
+    if candidate_bits:
         candidates = _from_msb_first(rows[:, :candidate_bits]).tolist()
+    if count:
+        block = np.packbits(rows[:, candidate_bits : code_cols.start], axis=1).view("<f8")
+        coeffs = list(map(tuple, block.tolist()))
     return Bitstream(header=header, payloads=tuple(
         FramePayload(codes=tuple(row), candidate=candidate, forward_coeffs=coeff)
         for row, candidate, coeff in zip(codes.tolist(), candidates, coeffs)

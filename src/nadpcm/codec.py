@@ -113,9 +113,10 @@ def _candidates(config: CodecConfig, frame, frame_index: int, prev_recon) -> lis
     send for a frame: the coefficients fitted on `frame` in forward mode;
     after frame 0 of a backward MLP or hybrid stream, the `multistart_fit`
     winner named by its restart, after LPC-10 in hybrid mode; otherwise
-    one payload with candidate 0, or none. The winner is coded with the
-    net already fitted, which is the one `frame_predictor` rebuilds."""
+    one payload with candidate 0. The winner is coded with the net
+    already fitted, which is the one `frame_predictor` rebuilds."""
     kind = config.predictor_kind
+    payload, neural = FramePayload(()), []
     if config.adaptation is Adaptation.FORWARD:
         fitted = fit_predictor(frame, kind, config, frame_index)
         vector = fitted.theta if kind is PredictorKind.MLP else fitted.coeffs
@@ -123,14 +124,10 @@ def _candidates(config: CodecConfig, frame, frame_index: int, prev_recon) -> lis
     elif frame_index and kind in NEURAL_KINDS:
         net = fit_predictor(prev_recon, PredictorKind.MLP, config, frame_index)
         hybrid = int(kind is PredictorKind.HYBRID)
-        neural = (FramePayload((), candidate=net.restart + hybrid), net)
+        neural = [(FramePayload((), candidate=net.restart + hybrid), net)]
         if not hybrid:
-            return [neural]
-        linear = FramePayload((), candidate=0)
-        return [(linear, frame_predictor(config, frame_index, prev_recon, linear)), neural]
-    else:
-        payload = FramePayload((), candidate=0 if kind in NEURAL_KINDS else None)
-    return [(payload, frame_predictor(config, frame_index, prev_recon, payload))]
+            return neural
+    return [(payload, frame_predictor(config, frame_index, prev_recon, payload)), *neural]
 
 
 def _closed_loop(state: CodecState, frame, predictor, codes=None):
@@ -184,7 +181,7 @@ class FrameStat:
     """Per-frame encoder diagnostics."""
 
     sse: float
-    candidate: int | None = None
+    candidate: int = 0
     branch_sses: tuple | None = None  # (linear, neural) when hybrid
 
 

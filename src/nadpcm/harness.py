@@ -110,8 +110,8 @@ def evaluate_methods(corpus, bits_list, methods, base_config: CodecConfig):
         for index, signal in enumerate(corpus):
             try:
                 decoded = _roundtrip(signal, config)
-            except Exception as exc:
-                raise RuntimeError(f"{method} Nq={bits} failed on corpus[{index}]: {exc}") from exc
+            except ValueError as exc:  # the codec's error type; others propagate as they are
+                raise ValueError(f"{method} Nq={bits} failed on corpus[{index}]: {exc}") from exc
             report = segsnr(signal, decoded, config.frame_len)
             pooled.extend(report.per_segment_db)
         if pooled:

@@ -71,6 +71,18 @@ def tone_noise(seed: int, n: int) -> Signal:
     return Signal(x, RATE)
 
 
+# A good WAV's bytes cut or spliced so that the reader must refuse them:
+# "RIFF", size and "WAVE", then the fmt chunk at 12 and the data chunk at 36.
+MALFORMED_WAVS = {
+    "not-riff": lambda good: b"JUNK" + good[4:],
+    "cut-8": lambda good: good[:8],
+    "cut-12": lambda good: good[:12],
+    "cut-20": lambda good: good[:20],
+    "no-fmt": lambda good: good[:12] + good[36:],
+    "no-data": lambda good: good[:36],
+}
+
+
 @pytest.fixture(scope="session")
 def speech_like() -> Signal:
     """One second of the speech-like utterance (40 frames at 200 samples)."""

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_WAVS
 from nadpcm import Signal, load_pcm16, read_wav, save_pcm16, split_frames, write_wav
 
 
@@ -73,6 +74,28 @@ class TestWav:
         via_wav = read_wav(buf)
         via_pcm = load_pcm16(save_pcm16(speech_like), speech_like.sample_rate)
         np.testing.assert_array_equal(via_wav.samples, via_pcm.samples)
+
+
+def wav_bytes(signal):
+    buf = io.BytesIO()
+    write_wav(buf, signal)
+    return buf.getvalue()
+
+
+class TestMalformedWav:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
+    def test_read_wav_raises_value_error(self, name):
+        data = MALFORMED_WAVS[name](wav_bytes(Signal(np.zeros(100), 8000)))
+        with pytest.raises(ValueError) as info:
+            read_wav(io.BytesIO(data))
+        assert str(info.value)  # a message for the CLI's one error line
+
+    def test_wave_messages_kept(self):
+        good = wav_bytes(Signal(np.zeros(100), 8000))
+        with pytest.raises(ValueError, match="^file does not start with RIFF id$"):
+            read_wav(io.BytesIO(MALFORMED_WAVS["not-riff"](good)))
+        with pytest.raises(ValueError, match="^WAV header truncated$"):
+            read_wav(io.BytesIO(MALFORMED_WAVS["cut-20"](good)))
 
 
 class TestSplitFrames:

@@ -15,6 +15,7 @@ from nadpcm.bitstream import (
     CodecConfig,
     FramePayload,
     PredictorKind,
+    frame_row,
     parse,
     serialize,
 )
@@ -276,11 +277,11 @@ class TestValidation:
                                          FramePayload(codes=codes_for(header)))))
 
     @pytest.mark.parametrize("kind, adaptation, payload, match", [
-        pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {},
+        pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {"candidate": None},
                      "frame 1:.*candidate", id="hybrid-without-flag"),
         pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {"candidate": 2},
                      "frame 1:.*candidate", id="hybrid-flag-2"),
-        pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD, {"candidate": 0},
+        pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD, {"candidate": 1},
                      "frame 1:.*candidate", id="backward-with-flag"),
         pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD,
                      {"forward_coeffs": (0.0,) * 10}, "frame 1:.*forward_coeffs",
@@ -297,21 +298,20 @@ class TestValidation:
     ])
     def test_serialize_rejects_payload_header_mismatch(self, kind, adaptation, payload, match):
         # frames 0 and 2 are valid; frame 1 is `payload`, missing, or
-        # followed by a 4th; one restart, so hybrid candidates are 0 and 1
+        # followed by a 4th; one restart, so hybrid candidates are 0 and 1.
+        # An omitted field is candidate 0 or no coefficients, `()`.
         header = make_header(predictor_kind=kind, adaptation=adaptation,
                              true_sample_count=600, frame_len=200, restarts=1)
         good = FramePayload(
             codes=codes_for(header),
-            candidate=0 if kind is PredictorKind.HYBRID else None,
-            forward_coeffs=(0.0,) * 10 if adaptation is Adaptation.FORWARD else None,
+            forward_coeffs=(0.0,) * 10 if adaptation is Adaptation.FORWARD else (),
         )
         if payload is None:
             payloads = (good, good)
         elif payload == "extra":
             payloads = (good,) * 4
         else:
-            fields = {"candidate": None, "forward_coeffs": None, **payload}
-            payloads = (good, FramePayload(codes=codes_for(header), **fields), good)
+            payloads = (good, FramePayload(codes=codes_for(header), **payload), good)
         with pytest.raises(ValueError, match=match):
             serialize(Bitstream(header, payloads))
 
@@ -339,15 +339,20 @@ class TestValidation:
                     parse(bytes(data))
 
     def test_parse_rejects_non_finite_forward_coefficient(self):
+        # a Bitstream cannot hold one, so forge frame 1's second coefficient
         header = make_header(adaptation=Adaptation.FORWARD, true_sample_count=600)
-        good = (0.5,) + (0.0,) * 9
-        payloads = tuple(
-            FramePayload(codes=codes_for(header), forward_coeffs=coeffs)
-            for coeffs in (good, (0.5, float("inf")) + (0.0,) * 8, good)
-        )
-        with pytest.raises(BitstreamError, match="non-finite") as info:
-            parse(serialize(Bitstream(header, payloads)))
-        assert info.value.frame_index == 1
+        payload = FramePayload(codes=codes_for(header), forward_coeffs=(0.5,) * 10)
+        data = serialize(Bitstream(header, (payload,) * 3))
+        _, _, _, row_bits = frame_row(header.config)
+        offset = TestBitAccounting.header_bytes(4) + row_bits // 8 + 8
+        assert struct.unpack_from("<d", data, offset) == (0.5,)
+        for bad in (math.inf, -math.inf, math.nan):
+            forged = bytearray(data)
+            struct.pack_into("<d", forged, offset, bad)
+            with pytest.raises(BitstreamError,
+                               match="^frame 1: non-finite forward coefficient$") as info:
+                parse(bytes(forged))
+            assert info.value.frame_index == 1
 
     def test_parse_rejects_wrong_multiplier_count(self):
         # a config with the wrong count cannot be built, so forge the count
@@ -369,8 +374,7 @@ class TestValidation:
                              multipliers=DEFAULT_MULTIPLIERS[3])
         payload = FramePayload(
             codes=codes_for(header),
-            candidate=0 if kind is PredictorKind.HYBRID else None,
-            forward_coeffs=(0.5,) * 10 if adaptation is Adaptation.FORWARD else None,
+            forward_coeffs=(0.5,) * 10 if adaptation is Adaptation.FORWARD else (),
         )
         data = serialize(Bitstream(header, (payload,) * header.frame_count))
         for n in range(TestBitAccounting.header_bytes(3)):
@@ -467,10 +471,12 @@ class TestCandidateField:
         header = make_header(predictor_kind=kind, adaptation=adaptation,
                              true_sample_count=200, frame_len=200)
         forward = adaptation is Adaptation.FORWARD
-        coeffs = (0.0,) * FORWARD_COEFF_COUNT[kind] if forward else None
-        with pytest.raises(BitstreamError, match="^frame 0: candidate must be None, got 0$"):
-            Bitstream(header, (FramePayload(codes_for(header), 0, coeffs),))
-        payload = FramePayload(codes_for(header), None, coeffs)
+        coeffs = (0.0,) * FORWARD_COEFF_COUNT[kind] if forward else ()
+        # their one candidate is 0, in a field of no bits
+        with pytest.raises(BitstreamError, match=r"^frame 0: candidate 1 outside \[0, 0\]$"):
+            Bitstream(header, (FramePayload(codes_for(header), 1, coeffs),))
+        payload = FramePayload(codes_for(header), forward_coeffs=coeffs)
+        assert payload.candidate == 0
         assert parse(serialize(Bitstream(header, (payload,)))).payloads == (payload,)
 
     @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])

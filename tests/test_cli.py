@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, output text, exit codes."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_WAVS
 from nadpcm import (
     Adaptation,
     CodecConfig,
@@ -253,6 +256,59 @@ class TestEval:
         assert code == 1
         assert stderr == "error: methods must be non-empty\n"
         assert stdout == "" and not out.exists()
+
+
+class TestBadInputWav:
+    """A WAV the reader refuses, or a corpus the codec refuses, gives one
+    `error:` line and exit 1, never a traceback."""
+
+    COMMANDS = {
+        "encode": ("encode", "--out", "x.nad"),
+        "eval": ("eval", "--methods", "ADPCMB-LPC-10", "--bits-list", "3"),
+        "sweep": ("sweep", "--kind", "epochs", "--max-epochs", "2"),
+    }
+
+    @staticmethod
+    def bad_wav(tmp_path, wav_file, name):
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(MALFORMED_WAVS[name](Path(wav_file).read_bytes()))
+        return str(path)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("name", sorted(MALFORMED_WAVS))
+    def test_malformed_wav(self, capsys, tmp_path, wav_file, command, name):
+        verb, *flags = self.COMMANDS[command]
+        code, stdout, stderr = run(capsys, verb, "--in", self.bad_wav(tmp_path, wav_file, name),
+                                   *flags)
+        assert code == 1
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert stdout == ""
+
+    def test_empty_wav_in_eval(self, capsys, tmp_path):
+        path = tmp_path / "empty.wav"
+        write_wav(str(path), Signal(np.zeros(0), 8000))
+        code, stdout, stderr = run(capsys, "eval", "--in", str(path), "--methods",
+                                   "ADPCMB-LPC-10", "--bits-list", "4")
+        assert code == 1
+        assert stderr == ("error: ADPCMB-LPC-10 Nq=4 failed on corpus[0]: "
+                          "cannot encode an empty signal\n")
+        assert stdout == ""
+
+    @pytest.mark.parametrize("make", ["cut-20", "empty"])
+    def test_no_traceback_from_the_process(self, tmp_path, wav_file, make):
+        if make == "empty":
+            path = str(tmp_path / "empty.wav")
+            write_wav(path, Signal(np.zeros(0), 8000))
+            argv = ["eval", "--in", path]
+        else:
+            argv = ["encode", "--in", self.bad_wav(tmp_path, wav_file, make), "--out",
+                    str(tmp_path / "x.nad")]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-m", "nadpcm.cli", *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
 
 
 class TestSweep:

@@ -621,17 +621,18 @@ class TestUntrustedStreams:
 
     @pytest.mark.parametrize("kind, adaptation, match", [
         (PredictorKind.HYBRID, Adaptation.BACKWARD, "candidate must be an integer, got None"),
-        (PredictorKind.LPC10, Adaptation.FORWARD, "expected 10 forward_coeffs, got None"),
+        (PredictorKind.LPC10, Adaptation.FORWARD, "expected 10 forward_coeffs, got 0"),
     ])
     def test_payload_missing_predictor_field(self, kind, adaptation, match):
+        # an omitted candidate is candidate 0, valid on a hybrid frame, so
+        # the hybrid frame's is None; omitted coefficients are `()`
         config = CodecConfig(predictor_kind=kind, adaptation=adaptation)
         header = BitstreamHeader(8000, 600, config)
-        good = FramePayload(
-            (0,) * 200,
-            candidate=0 if kind is PredictorKind.HYBRID else None,
-            forward_coeffs=(0.0,) * 10 if adaptation is Adaptation.FORWARD else None)
+        forward = adaptation is Adaptation.FORWARD
+        good = FramePayload((0,) * 200, forward_coeffs=(0.0,) * 10 if forward else ())
+        missing = FramePayload((0,) * 200, **({} if forward else {"candidate": None}))
         with pytest.raises(BitstreamError, match=f"^frame 1: {match}$") as info:
-            Bitstream(header, (good, FramePayload((0,) * 200), good))
+            Bitstream(header, (good, missing, good))
         assert info.value.frame_index == 1
 
     def test_zero_frame_header(self):

@@ -121,6 +121,22 @@ class TestEvaluateMethods:
         with pytest.raises(ValueError, match="^corpus must be non-empty$"):
             evaluate_methods([], [3], ["ADPCMB-LPC-10"], CodecConfig())
 
+    def test_codec_refusal_names_method_and_signal(self, ar_signal):
+        empty = Signal(np.zeros(0), 8000)
+        with pytest.raises(ValueError) as info:
+            evaluate_methods([ar_signal, empty], [3], ["ADPCMB-LPC-10"], CodecConfig())
+        assert type(info.value) is ValueError
+        assert str(info.value) == ("ADPCMB-LPC-10 Nq=3 failed on corpus[1]: "
+                                   "cannot encode an empty signal")
+        assert str(info.value.__cause__) == "cannot encode an empty signal"
+
+    def test_other_failures_propagate_unwrapped(self, ar_signal, monkeypatch):
+        def fail(signal, config):
+            raise ZeroDivisionError("boom")
+        monkeypatch.setattr(harness, "_roundtrip", fail)
+        with pytest.raises(ZeroDivisionError, match="^boom$"):
+            evaluate_methods([ar_signal], [3], ["ADPCMB-LPC-10"], CodecConfig())
+
 
 class TestSignificance:
     def test_self_pair_not_significant(self):
