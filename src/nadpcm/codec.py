@@ -47,7 +47,6 @@ from .bitstream import (
     PredictorKind,
 )
 from .mlp import Mlp, multistart_fit, restart_seed
-from .quantizer import dequantize, next_step, quantize
 
 HISTORY_LEN = 25  # covers the largest predictor order
 
@@ -136,25 +135,44 @@ def _closed_loop(state: CodecState, frame, predictor, codes=None):
     sse), sse being 0.0 when following codes. A non-finite prediction
     raises ValueError naming the sample. The predictor's arithmetic runs in
     its `predictions` generator; the new state keeps the last HISTORY_LEN
-    samples of the old history and the reconstruction."""
+    samples of the old history and the reconstruction.
+
+    The quantizer's three steps are written inline with the same operations
+    in the same order as `quantizer.quantize`, `dequantize` and
+    `next_step`, which stay the rule's reference: the clamp-and-floor of
+    the residual over the step, the cell midpoint `(c + 0.5) * step`, and
+    the step times the multiplier of the code's magnitude rank, clamped.
+    A code outside the range indexes past the multipliers and raises."""
     config = state.config
-    bits, multipliers = config.bits, config.multipliers
+    multipliers = config.multipliers
     step_min, step_max = config.step_min, config.step_max
+    half = 1 << (config.bits - 1)
+    code_min, code_max = -half, half - 1
+    floor, neg_inf, inf = math.floor, -math.inf, math.inf
     step = state.step
     received = codes is not None
     inputs = codes if received else np.asarray(frame, dtype=np.float64).tolist()
     out, recon, sse = codes if received else [], [], 0.0
+    append = recon.append
     predictions = predictor.predictions(state.history, len(inputs))
     p = next(predictions)
     send = predictions.send
-    for n, x in enumerate(inputs):
-        if not -math.inf < p < math.inf:
-            sample = state.frame_index * config.frame_len + n
+    for x in inputs:
+        if not neg_inf < p < inf:
+            sample = state.frame_index * config.frame_len + len(recon)
             raise ValueError(f"prediction {p} for sample {sample} is not finite")
-        c = x if received else quantize(x - p, step, bits)
-        xr = p + dequantize(c, step)
-        step = next_step(step, c, multipliers, step_min, step_max)
-        recon.append(xr)
+        if received:
+            c = x
+        else:
+            level = (x - p) / step
+            c = code_min if level < code_min else code_max if level >= half else floor(level)
+        xr = p + (c + 0.5) * step
+        step = step * multipliers[c if c >= 0 else -c - 1]
+        if step < step_min:
+            step = step_min
+        elif step > step_max:
+            step = step_max
+        append(xr)
         if not received:
             out.append(c)
             d = x - xr

@@ -129,13 +129,52 @@ def autocorrelation(frame, order: int) -> np.ndarray:
     return r
 
 
+@functools.cache
+def _levinson_kernel(order: int):
+    """The function `kernel(r)` for one order, compiled on first use: the
+    Levinson-Durbin recursion on r[0..order], returning (coefficients,
+    reflection coefficients, halted) as tuples of floats and a bool.
+
+    r0..r{order}, a1..a{order} and k1..k{order} are locals. Stage m checks
+    the error power, forms `r{m} - a1 * r{m-1} - ... - a{m-1} * r1` left to
+    right (in statements of KERNEL_CHUNK terms at large orders), divides by
+    the error power, clamps, updates a1..a{m} in one tuple assignment and
+    scales the error power by `1.0 - k{m} * k{m}`. A halt breaks to the one
+    exit with the remaining entries still 0.0. The source grows as order²:
+    about 30 kB at order 25."""
+    r = [f"r{i}" for i in range(order + 1)]
+    a = [f"a{i}" for i in range(1, order + 1)]
+    k = [f"k{i}" for i in range(1, order + 1)]
+    body = []
+    for m in range(1, order + 1):
+        terms = [r[m], *(f"{a[j - 1]} * {r[m - j]}" for j in range(1, m))]
+        chunks = [" - ".join(terms[i:i + KERNEL_CHUNK]) for i in range(0, m, KERNEL_CHUNK)]
+        km = k[m - 1]
+        body += ["if err <= 0.0:", "    break", f"acc = {chunks[0]}",
+                 *(f"acc = acc - {chunk}" for chunk in chunks[1:]), f"{km} = acc / err",
+                 f"if {km} > {REFLECTION_CLAMP!r}:", f"    {km} = {REFLECTION_CLAMP!r}",
+                 f"elif {km} < {-REFLECTION_CLAMP!r}:", f"    {km} = {-REFLECTION_CLAMP!r}",
+                 f"{', '.join(a[:m])}, = "
+                 f"{', '.join([*(f'{a[j - 1]} - {km} * {a[m - j - 1]}' for j in range(1, m)), km])},",
+                 f"err = err * (1.0 - {km} * {km})"]
+    result = f"({', '.join(a)},), ({', '.join(k)},)"
+    source = "\n".join(["def kernel(r):", f"    {', '.join(r)}, = r", f"    {' = '.join(a + k)} = 0.0",
+                        "    err = r0", "    while True:", *(f"        {line}" for line in body),
+                        f"        return {result}, False", f"    return {result}, True"])
+    namespace = {}
+    exec(compile(source, f"<lpc levinson kernel, order {order}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def levinson(r) -> LpcModel:
     """Solve the normal equations R a = r by the Levinson-Durbin recursion.
 
     Near-zero r[0] yields the all-zero predictor. Reflection coefficients
     that numerical noise pushes past magnitude 1 are clamped to 0.999 to
     keep the synthesis filter stable; a non-positive error power halts
-    the recursion with the remaining coefficients at zero.
+    the recursion with the remaining coefficients at zero. The recursion
+    runs in a kernel generated once per order (`_levinson_kernel`), on
+    Python floats.
     """
     r = np.asarray(r, dtype=np.float64).tolist()
     order = len(r) - 1
@@ -143,30 +182,8 @@ def levinson(r) -> LpcModel:
         raise ValueError("need at least r[0] and r[1]")
     if r[0] < ZERO_ENERGY_FLOOR:
         return LpcModel.zero(order)
-
-    a = [0.0] * order
-    refl = [0.0] * order
-    err = r[0]
-    halted = False
-    for m in range(1, order + 1):
-        if err <= 0.0:
-            halted = True
-            break
-        acc = r[m]
-        for j in range(1, m):
-            acc -= a[j - 1] * r[m - j]
-        k = acc / err
-        if k > REFLECTION_CLAMP:
-            k = REFLECTION_CLAMP
-        elif k < -REFLECTION_CLAMP:
-            k = -REFLECTION_CLAMP
-        refl[m - 1] = k
-        prev = a[: m - 1]
-        for j in range(1, m):
-            a[j - 1] = prev[j - 1] - k * prev[m - 1 - j]
-        a[m - 1] = k
-        err *= 1.0 - k * k
-    return LpcModel(order, a, refl, halted=halted)
+    coeffs, refl, halted = _levinson_kernel(order)(r)
+    return LpcModel(order, coeffs, refl, halted=halted)
 
 
 def fit(frame, order: int) -> LpcModel:
