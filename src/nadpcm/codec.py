@@ -137,12 +137,10 @@ def _closed_loop(state: CodecState, frame, predictor, codes=None):
     its `predictions` generator; the new state keeps the last HISTORY_LEN
     samples of the old history and the reconstruction.
 
-    The quantizer's three steps are written inline with the same operations
-    in the same order as `quantizer.quantize`, `dequantize` and
-    `next_step`, which stay the rule's reference: the clamp-and-floor of
-    the residual over the step, the cell midpoint `(c + 0.5) * step`, and
-    the step times the multiplier of the code's magnitude rank, clamped.
-    A code outside the range indexes past the multipliers and raises."""
+    The quantizer is written inline, with the operations of
+    `quantizer.quantize`, `dequantize` and `next_step` in the same order;
+    those functions stay the rule's reference. A code outside the range
+    indexes past the multipliers and raises."""
     config = state.config
     multipliers = config.multipliers
     step_min, step_max = config.step_min, config.step_max

@@ -156,6 +156,8 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
     """
     config = base_config if base_config is not None else CodecConfig()
     frames = split_frames(signal.samples, config.frame_len)
+    if len(frames) < 2:
+        raise ValueError("need at least two frames")
     if not 0 <= frame_pair_index < len(frames) - 1:
         raise ValueError(f"signal has {len(frames)} frames; pair index {frame_pair_index} "
                          f"is not in 0..{len(frames) - 2}")

@@ -24,8 +24,11 @@ the loop's 0.0 start does. Large orders are summed in statements of
 KERNEL_CHUNK taps (`acc = acc + ...`), the same left fold, because one
 expression thousands of terms deep overflows the compiler's recursion
 limit. The taps are cached and the history is kept as Python floats so
-that no numpy scalar enters the sum, and `levinson` runs its recursion
-on Python floats as well.
+that no numpy scalar enters the sum.
+
+`levinson` runs its recursion on Python floats in a kernel generated the
+same way, once per order (`_levinson_kernel`), with the operations of a
+list recursion in the same order, so its bits are as portable.
 """
 
 import functools
@@ -35,7 +38,7 @@ import numpy as np
 
 ZERO_ENERGY_FLOOR = 1e-12
 REFLECTION_CLAMP = 0.999
-KERNEL_CHUNK = 64  # taps per statement of a tap kernel's sum
+KERNEL_CHUNK = 64  # terms per statement of a generated kernel's sum
 
 
 @functools.cache
@@ -141,7 +144,7 @@ def _levinson_kernel(order: int):
     the error power, clamps, updates a1..a{m} in one tuple assignment and
     scales the error power by `1.0 - k{m} * k{m}`. A halt breaks to the one
     exit with the remaining entries still 0.0. The source grows as order²:
-    about 30 kB at order 25."""
+    about 4 kB at order 10 and 16 kB at order 25, the codec's orders."""
     r = [f"r{i}" for i in range(order + 1)]
     a = [f"a{i}" for i in range(1, order + 1)]
     k = [f"k{i}" for i in range(1, order + 1)]
@@ -150,13 +153,12 @@ def _levinson_kernel(order: int):
         terms = [r[m], *(f"{a[j - 1]} * {r[m - j]}" for j in range(1, m))]
         chunks = [" - ".join(terms[i:i + KERNEL_CHUNK]) for i in range(0, m, KERNEL_CHUNK)]
         km = k[m - 1]
+        update = [*(f"{a[j - 1]} - {km} * {a[m - j - 1]}" for j in range(1, m)), km]
         body += ["if err <= 0.0:", "    break", f"acc = {chunks[0]}",
                  *(f"acc = acc - {chunk}" for chunk in chunks[1:]), f"{km} = acc / err",
                  f"if {km} > {REFLECTION_CLAMP!r}:", f"    {km} = {REFLECTION_CLAMP!r}",
                  f"elif {km} < {-REFLECTION_CLAMP!r}:", f"    {km} = {-REFLECTION_CLAMP!r}",
-                 f"{', '.join(a[:m])}, = "
-                 f"{', '.join([*(f'{a[j - 1]} - {km} * {a[m - j - 1]}' for j in range(1, m)), km])},",
-                 f"err = err * (1.0 - {km} * {km})"]
+                 f"{', '.join(a[:m])}, = {', '.join(update)},", f"err = err * (1.0 - {km} * {km})"]
     result = f"({', '.join(a)},), ({', '.join(k)},)"
     source = "\n".join(["def kernel(r):", f"    {', '.join(r)}, = r", f"    {' = '.join(a + k)} = 0.0",
                         "    err = r0", "    while True:", *(f"        {line}" for line in body),
@@ -173,8 +175,7 @@ def levinson(r) -> LpcModel:
     that numerical noise pushes past magnitude 1 are clamped to 0.999 to
     keep the synthesis filter stable; a non-positive error power halts
     the recursion with the remaining coefficients at zero. The recursion
-    runs in a kernel generated once per order (`_levinson_kernel`), on
-    Python floats.
+    runs in `_levinson_kernel(order)`.
     """
     r = np.asarray(r, dtype=np.float64).tolist()
     order = len(r) - 1

@@ -3,8 +3,10 @@
 After every sample the step is multiplied by a factor indexed by the
 magnitude rank of the emitted code (small codes shrink it, overload codes
 grow it) and clamped to [step_min, step_max]: Jayant's one-word-memory
-rule. `quantize`, `dequantize` and `next_step` are the quantizer, the
-functions the codec loop calls; `CodecConfig` holds their parameters.
+rule. `quantize`, `dequantize` and `next_step` are the quantizer's
+reference; `CodecConfig` holds their parameters. `codec._closed_loop`
+writes the same three steps inline, with the same operations in the same
+order, and a test replays these functions over its output bit for bit.
 `AdaptiveQuantizer` is only a benchmark shim over them.
 """
 

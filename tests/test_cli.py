@@ -352,6 +352,14 @@ class TestSweep:
         assert "median optimal epoch:" in stdout
         assert "epoch,percent" in stdout
 
+    def test_epochs_kind_on_one_frame(self, capsys, tmp_path, ar_signal):
+        short = tmp_path / "short.wav"
+        write_wav(str(short), Signal(ar_signal.samples[:5], 8000))
+        code, stdout, stderr = run(capsys, "sweep", "--kind", "epochs", "--in", str(short))
+        assert code == 1
+        assert stderr == "error: need at least two frames\n"
+        assert stdout == ""
+
     def test_bad_lengths_range(self, capsys, pcm_file):
         code, _, stderr = run(capsys, "sweep", "--kind", "frame-length",
                               "--in", pcm_file, "--lengths", "50:0:100")

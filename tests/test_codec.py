@@ -19,6 +19,7 @@ from nadpcm import (
     codec,
     decode,
     encode,
+    lpc,
     mlp,
     parse,
     serialize,
@@ -32,7 +33,7 @@ from nadpcm.codec import (
     initial_state,
 )
 from nadpcm.mlp import Mlp, multistart_fit, restart_seed
-from nadpcm.quantizer import DEFAULT_MULTIPLIERS
+from nadpcm.quantizer import DEFAULT_MULTIPLIERS, code_range, dequantize, next_step, quantize
 
 
 def hand_trace_config():
@@ -90,6 +91,95 @@ class TestEncodeFrame:
         assert state1.history[-1] == recon1[-1]
         _, state2, _, _ = encode_frame(state1, f2, ZERO)
         assert state2.frame_index == 2
+
+
+def rule_loop(state, inputs, predictor, received):
+    """The closed loop written with the quantizer's rule functions, which
+    `_closed_loop` inlines: (codes, reconstruction, steps), `steps` being
+    the step before each sample and then the final step."""
+    config = state.config
+    steps = [state.step]
+    codes, recon = [], []
+    predictions = predictor.predictions(state.history, len(inputs))
+    p = next(predictions)
+    for x in inputs:
+        step = steps[-1]
+        c = x if received else quantize(x - p, step, config.bits)
+        xr = p + dequantize(c, step)
+        steps.append(next_step(step, c, config.multipliers, config.step_min, config.step_max))
+        codes.append(c)
+        recon.append(xr)
+        p = predictions.send(xr)
+    return codes, recon, steps
+
+
+def custom_multipliers(bits):
+    """Dyadic multipliers, so a dyadic step stays dyadic."""
+    half = 1 << (bits - 2)
+    return (0.5,) * half + (1.0,) + (2.0,) * (half - 1) if half > 1 else (0.5, 2.0)
+
+
+class TestLoopMatchesRule:
+    """`_closed_loop` against `quantize`/`dequantize`/`next_step` replayed
+    over its own output, bit for bit: codes, reconstruction (by
+    `float.hex`) and final step, encoding and following the codes."""
+
+    def check(self, config, frame, predictor):
+        state = initial_state(config)
+        codes, enc_state, recon, _ = codec._closed_loop(state, frame, predictor)
+        rule_codes, rule_recon, steps = rule_loop(state, [float(x) for x in frame], predictor,
+                                                  received=False)
+        assert codes == rule_codes
+        assert [x.hex() for x in recon.tolist()] == [x.hex() for x in rule_recon]
+        assert enc_state.step.hex() == steps[-1].hex()
+        _, dec_state, dec_recon, _ = codec._closed_loop(state, None, predictor, codes)
+        followed, _, dec_steps = rule_loop(state, codes, predictor, received=True)
+        assert followed == codes and dec_steps == steps
+        assert [x.hex() for x in dec_recon.tolist()] == [x.hex() for x in rule_recon]
+        assert dec_state.step.hex() == steps[-1].hex()
+        return codes, steps
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5])
+    @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
+    @pytest.mark.parametrize("linear", [False, True], ids=["zero", "lpc10"])
+    def test_speech_silence_and_overload(self, speech_like, bits, custom, linear):
+        # step bounds near step_init, so that both clamps are reached: the
+        # silence takes the step to step_min (at 2 bits the LPC-10 loop
+        # idles in a limit cycle), the full-scale square wave to step_max
+        # through the overload cells, then speech
+        config = CodecConfig(frame_len=400, bits=bits, step_min=0.012, step_max=0.03,
+                             multipliers=custom_multipliers(bits) if custom else ())
+        samples = speech_like.samples
+        predictor = lpc.fit(samples[1000:1200], 10) if linear else ZERO
+        frame = np.concatenate([np.zeros(120), np.tile([4.0, -4.0], 40), samples[1200:1400]])
+        codes, steps = self.check(config, frame, predictor)
+        assert config.step_min in steps and config.step_max in steps
+        assert set(code_range(bits)) <= set(codes)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5])
+    def test_residual_on_a_cell_boundary(self, bits):
+        # dyadic steps and multipliers: every x = j * step is exact, and
+        # so is its level x / step = j, on a boundary of cell j
+        config = CodecConfig(frame_len=64, bits=bits, step_init=0.25,
+                             multipliers=custom_multipliers(bits))
+        code_min, code_max = code_range(bits)
+        levels = [j % (code_max - code_min + 3) + code_min - 1 for j in range(64)]
+        step, frame = config.step_init, []
+        for j in levels:
+            frame.append(j * step)
+            c = quantize(frame[-1], step, bits)
+            step = next_step(step, c, config.multipliers, config.step_min, config.step_max)
+        codes, steps = self.check(config, np.array(frame), ZERO)
+        assert [x / s for x, s in zip(frame, steps)] == levels
+        assert codes == [min(max(j, code_min), code_max) for j in levels]
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5])
+    def test_out_of_range_code_raises(self, bits):
+        config = CodecConfig(frame_len=4, bits=bits)
+        code_min, code_max = code_range(bits)
+        for bad in (code_max + 1, code_min - 1, 99, -99):
+            with pytest.raises(IndexError):
+                decode_frame(initial_state(config), [0, bad, 0, 0], ZERO)
 
 
 class TestHybridFrame:

@@ -15,7 +15,7 @@ decoder rebuilds from the restart index the stream carries.
 
 Like the golden digests, it holds only for the BLAS, LAPACK and libm code
 paths it was generated with (numpy 2.4 on OpenBLAS 0.3.31 with its
-SkylakeX kernel, x86-64); ROADMAP open item 1 (portable bit-exactness)
+SkylakeX kernel, x86-64); ROADMAP open item 3 (portable bit-exactness)
 is the fix.
 """
 

@@ -10,7 +10,7 @@ Every digest, LPC included, holds only for the OpenBLAS kernel and the
 libm code path it was generated with (numpy 2.4 on OpenBLAS 0.3.31 with
 its SkylakeX kernel, x86-64): `lpc.autocorrelation` uses `np.dot`, the
 MLP fit uses BLAS/LAPACK, and the sigmoid uses libm `exp`. Under
-`OPENBLAS_CORETYPE=Haswell` all 14 cases fail. ROADMAP open item 1
+`OPENBLAS_CORETYPE=Haswell` all 14 cases fail. ROADMAP open item 3
 (portable bit-exactness) is the fix.
 """
 

@@ -192,6 +192,12 @@ class TestEpochSweep:
             with pytest.raises(ValueError, match=f"pair index {index} "):
                 epoch_sweep(ar_signal, index, 4, restart_seed=0, base_config=CodecConfig(bits=3))
 
+    def test_one_frame_signal_needs_two_frames(self, ar_signal):
+        for n in (5, 200):  # a partial frame and exactly one frame
+            with pytest.raises(ValueError, match="^need at least two frames$"):
+                epoch_sweep(Signal(ar_signal.samples[:n], 8000), 0, 4, restart_seed=0,
+                            base_config=CodecConfig(bits=3))
+
     def test_silent_pair_rejected(self, ar_signal):
         silent = Signal(np.zeros(800), 8000)
         with pytest.raises(ValueError, match="silence"):

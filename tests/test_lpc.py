@@ -10,7 +10,16 @@ import pytest
 from scipy.linalg import toeplitz
 
 import nadpcm
-from nadpcm.lpc import KERNEL_CHUNK, LpcModel, _tap_kernel, autocorrelation, fit, levinson
+from nadpcm.lpc import (
+    KERNEL_CHUNK,
+    ZERO_ENERGY_FLOOR,
+    LpcModel,
+    _levinson_kernel,
+    _tap_kernel,
+    autocorrelation,
+    fit,
+    levinson,
+)
 
 
 def normal_equation_coeffs(r, order):
@@ -68,6 +77,118 @@ class TestLevinson:
         # perfectly predictable: error power hits zero mid-recursion
         model = fit(np.ones(50), 10)
         assert np.all(np.isfinite(model.coeffs))
+
+
+def reference_recursion(r):
+    """The list recursion `levinson` ran before its per-order kernel, the
+    kernel's reference: (coeffs, reflection, halted), with no floor check."""
+    order = len(r) - 1
+    a = [0.0] * order
+    refl = [0.0] * order
+    err = r[0]
+    halted = False
+    for m in range(1, order + 1):
+        if err <= 0.0:
+            halted = True
+            break
+        acc = r[m]
+        for j in range(1, m):
+            acc -= a[j - 1] * r[m - j]
+        k = acc / err
+        if k > 0.999:
+            k = 0.999
+        elif k < -0.999:
+            k = -0.999
+        refl[m - 1] = k
+        prev = a[: m - 1]
+        for j in range(1, m):
+            a[j - 1] = prev[j - 1] - k * prev[m - 1 - j]
+        a[m - 1] = k
+        err *= 1.0 - k * k
+    return a, refl, halted
+
+
+def reference_levinson(r):
+    r = np.asarray(r, dtype=np.float64).tolist()
+    if r[0] < ZERO_ENERGY_FLOOR:
+        return [0.0] * (len(r) - 1), [0.0] * (len(r) - 1), False
+    return reference_recursion(r)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestLevinsonKernel:
+    """The generated recursion against the list recursion, bit for bit:
+    coefficients and reflection coefficients by `float.hex` (which tells
+    -0.0 from 0.0), and the halted flag."""
+
+    def check(self, r):
+        model = levinson(r)
+        coeffs, refl, halted = reference_levinson(r)
+        assert hexes(model.coeffs) == hexes(coeffs)
+        assert hexes(model.reflection) == hexes(refl)
+        assert model.halted is halted
+        return model
+
+    def check_kernel(self, r):
+        """The kernel alone, for r[0] that `levinson`'s floor never lets through."""
+        coeffs, refl, halted = _levinson_kernel(len(r) - 1)(r)
+        expected = reference_recursion(r)
+        assert (hexes(coeffs), hexes(refl), halted) == (hexes(expected[0]),
+                                                        hexes(expected[1]), expected[2])
+        return halted, refl
+
+    @pytest.mark.parametrize("order", [1, 2, 10, 25, 64])
+    @pytest.mark.parametrize("frame_len", [11, 40, 200])
+    def test_corpus_frames(self, corpus, order, frame_len):
+        for signal in corpus:
+            samples = signal.samples
+            for start in range(0, len(samples) - frame_len + 1, len(samples) // 7):
+                self.check(autocorrelation(samples[start:start + frame_len], order))
+
+    def test_halt_at_the_first_stage(self):
+        for r0 in (0.0, -0.0, -1.0, -math.inf):
+            for order in (1, 10, 25):
+                halted, refl = self.check_kernel([r0] + [0.5] * order)
+                assert halted and refl == (0.0,) * order
+
+    def test_halt_at_a_middle_and_the_last_stage(self):
+        # from r0 at the floor, 116 stages clamped to 0.999 underflow the
+        # error power to 0.0, so the check before stage 117 halts
+        assert not self.check([1e-12] + [1.0] * 116).halted
+        last = self.check([1e-12] + [1.0] * 117)
+        assert last.halted and last.reflection[-2] != 0.0 and last.reflection[-1] == 0.0
+        middle = self.check([1e-12] + [1.0] * 130)
+        assert middle.halted and np.count_nonzero(middle.reflection) == 116
+        # below the floor only the kernel itself sees such r0
+        for r0, stages in ((5e-324, 1), (1e-320, 2), (1e-300, 9)):
+            halted, refl = self.check_kernel([r0] + [1.0] * 25)
+            assert halted and np.count_nonzero(refl) == stages
+        halted, refl = self.check_kernel([1e-300] + [1.0] * 10)
+        assert halted and np.count_nonzero(refl) == 9
+
+    def test_both_reflection_clamps(self):
+        for r in ([1.0, 2.0], [1.0, -2.0], [1.0, 0.999, 0.999], [1.0, 5.0, -5.0, 5.0],
+                  [1.0, -1.0, 1.0, -1.0] * 4, [1.0, 1e300, -1e300, 1.0]):
+            model = self.check(r)
+            assert set(np.abs(model.reflection)) & {0.999}
+        model = self.check([2.0, 3.0, 1.0, -4.0])
+        assert {0.999, -0.999} <= set(model.reflection.tolist())
+
+    def test_below_the_zero_energy_floor(self):
+        below = np.nextafter(ZERO_ENERGY_FLOOR, 0.0)
+        for r0 in (below, 0.0, -0.0, -1.0, -math.inf):
+            for order in (1, 10, 25):
+                assert self.check([r0] + [0.5] * order) == LpcModel.zero(order)
+        assert self.check([ZERO_ENERGY_FLOOR] + [0.5e-12] * 10) != LpcModel.zero(10)
+
+    def test_nan_and_infinity(self):
+        for r in ([math.nan, 1.0, 0.5], [1.0, math.nan, 0.5], [1.0, 0.5, math.nan],
+                  [1.0, 0.5, 0.25, math.nan] + [0.1] * 22, [math.inf, 1.0, 0.5],
+                  [1.0, math.inf, 0.5], [math.inf, math.inf, 1.0], [1.0, -math.inf, 0.5]):
+            self.check(r)
 
 
 class TestPredict:
@@ -169,17 +290,24 @@ class TestPredictions:
     def test_one_kernel_per_order(self):
         assert _tap_kernel(10) is _tap_kernel(10)
         assert _tap_kernel(10) is not _tap_kernel(25)
+        assert _levinson_kernel(10) is _levinson_kernel(10)
+        assert _levinson_kernel(10) is not _levinson_kernel(25)
+        misses = _levinson_kernel.cache_info().misses
+        levinson(autocorrelation(np.arange(30.0), 10))
+        levinson(autocorrelation(np.arange(30.0) ** 2, 10))
+        assert _levinson_kernel.cache_info().misses == misses
         a, b = LpcModel(10, np.ones(10), np.zeros(10)), LpcModel.zero(10)
         assert a.predictions([0.0] * 10, 1).gi_code is b.predictions([0.0] * 10, 1).gi_code
         assert a.predictions([0.0] * 10, 1).gi_code is _tap_kernel(10).__code__
 
     def test_import_builds_no_kernel(self):
-        code = "import nadpcm.lpc as lpc; print(lpc._tap_kernel.cache_info().currsize)"
+        code = ("import nadpcm.lpc as lpc; print(lpc._tap_kernel.cache_info().currsize, "
+                "lpc._levinson_kernel.cache_info().currsize)")
         src = os.path.dirname(os.path.dirname(nadpcm.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
-        assert out.stdout.strip() == "0"
+        assert out.stdout.strip() == "0 0"
 
     def test_short_history_rejected_on_call(self):
         with pytest.raises(ValueError):
