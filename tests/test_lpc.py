@@ -12,6 +12,7 @@ from scipy.linalg import toeplitz
 import nadpcm
 from nadpcm.lpc import (
     KERNEL_CHUNK,
+    KERNEL_UNROLL,
     ZERO_ENERGY_FLOOR,
     LpcModel,
     _levinson_kernel,
@@ -73,10 +74,12 @@ class TestLevinson:
         model = levinson(autocorrelation(frame, 10))
         assert np.all(np.abs(model.reflection) <= 0.999)
 
-    def test_constant_signal_halts_cleanly(self):
-        # perfectly predictable: error power hits zero mid-recursion
+    def test_constant_signal_gives_finite_unhalted_fit(self):
+        # perfectly predictable, yet the 0.999 clamp keeps the error power
+        # positive: at order 10 the recursion runs every stage
         model = fit(np.ones(50), 10)
         assert np.all(np.isfinite(model.coeffs))
+        assert not model.halted
 
 
 def reference_recursion(r):
@@ -263,6 +266,16 @@ class TestPredictions:
         window = rng.standard_normal(order + 3).tolist()
         self.run(model, window, rng.standard_normal(40).tolist())
 
+    @pytest.mark.parametrize("order", [0, 1, 10, 25, 3 * KERNEL_CHUNK + 5])
+    @pytest.mark.parametrize("count", [1, KERNEL_UNROLL - 1, KERNEL_UNROLL, KERNEL_UNROLL + 1,
+                                       2 * KERNEL_UNROLL, 3 * KERNEL_UNROLL - 1])
+    def test_pass_and_tail_boundaries(self, order, count):
+        # count = n + 1 predictions: a tail alone, full passes alone, and both
+        rng = np.random.default_rng([order, count])
+        model = LpcModel(order, rng.uniform(-1.0, 1.0, order), np.zeros(order))
+        window = rng.standard_normal(order + 2).tolist()
+        assert len(self.run(model, window, rng.standard_normal(count - 1).tolist())) == count
+
     def test_sent_samples_sum_uncompensated(self):
         # the cancellation case of TestPredict, reached through sent samples
         model = LpcModel(3, [1.0, 1.0, 1.0], np.zeros(3))
@@ -299,6 +312,14 @@ class TestPredictions:
         a, b = LpcModel(10, np.ones(10), np.zeros(10)), LpcModel.zero(10)
         assert a.predictions([0.0] * 10, 1).gi_code is b.predictions([0.0] * 10, 1).gi_code
         assert a.predictions([0.0] * 10, 1).gi_code is _tap_kernel(10).__code__
+
+    def test_kernels_call_no_global(self):
+        # generated kernels are not in the module's AST: their names show
+        # whether a numpy, math or BLAS call has entered the arithmetic
+        for order in (0, 10, 25):
+            assert set(_tap_kernel(order).__code__.co_names) <= {"range", "divmod"}
+        for order in (1, 10, 25):
+            assert _levinson_kernel(order).__code__.co_names == ()
 
     def test_import_builds_no_kernel(self):
         code = ("import nadpcm.lpc as lpc; print(lpc._tap_kernel.cache_info().currsize, "
