@@ -26,12 +26,10 @@ expression thousands of terms deep overflows the compiler's recursion
 limit. The taps are cached and the history is kept as Python floats so
 that no numpy scalar enters the sum.
 
-The kernel's loop is unrolled: a pass makes KERNEL_UNROLL predictions.
-Step j of a pass keeps the j samples sent so far in the pass as locals
-s0..s{j-1} and sums them, newest first, ahead of the window, so the
-window x0..x{K-1} is shifted by one tuple assignment per pass, not per
-sample. A tail of fewer than KERNEL_UNROLL steps ends the kernel after
-exactly n + 1 predictions. The sums are the ones above, term for term.
+The kernel's loop is unrolled into passes of KERNEL_UNROLL predictions
+that keep the samples sent within the pass in locals, so the window is
+shifted by one tuple assignment per pass, not per sample; the sums are
+the ones above, term for term.
 
 `levinson` runs its recursion on Python floats in a kernel generated the
 same way, once per order (`_levinson_kernel`), with the operations of a
@@ -61,8 +59,8 @@ def _tap_kernel(order: int):
     shifted by one tuple assignment per pass. After the
     `divmod(n + 1, KERNEL_UNROLL)` full passes, a tail of the first steps
     of a pass returns after exactly n + 1 predictions. The source grows as
-    order × KERNEL_UNROLL; it compiles in about 1 ms at order 10 and
-    2.5 ms at order 25."""
+    order × KERNEL_UNROLL; it compiles in about 0.9 ms at order 10 and
+    1.6 ms at order 25."""
     a = [f"a{i}" for i in range(order)]
     x = [f"x{i}" for i in range(order)]
     s = [f"s{j}" for j in range(KERNEL_UNROLL)]
