@@ -14,11 +14,12 @@ MSB-first within each byte: the candidate field, 64 bits per forward
 predictor coefficient (forward only, the f64 bytes as above), then
 frame_len codes of `bits` bits each (biased to unsigned by adding
 2^(bits-1)). The candidate field names the predictor the encoder chose
-among the frame's candidates (`candidate_count`) in the fewest bits that
-hold every index: for backward MLP the winning restart of R = restarts, in
-ceil(log2 R) bits (none when R = 1); for hybrid 0 for LPC-10 or i + 1 for
-restart i, in ceil(log2(R + 1)) bits; other kinds send candidate 0 in no
-bits. Backward frame 0 always uses the zero predictor and carries
+among the frame's candidates in the fewest bits that hold every index;
+`frame_candidates` is the table of what each index names. Backward MLP
+sends restart i of R = restarts as i, in ceil(log2 R) bits (none when
+R = 1); hybrid sends 0 for LPC-10 or i + 1 for restart i, in
+ceil(log2(R + 1)) bits; other kinds send candidate 0 in no bits.
+Backward frame 0 always uses the zero predictor and carries
 candidate 0. The decoder refits only the named restart, so its work per
 frame is epochs x (frame_len - 10) training pairs whatever `restarts` is.
 Forward rows are zero-padded to a whole byte, so each frame's coefficients
@@ -196,7 +197,7 @@ class Bitstream:
         if len(payloads) != frames:
             raise BitstreamError(f"{len(payloads)} payloads for a {frames}-frame header")
         config = self.header.config
-        candidates, count = candidate_count(config), frame_row(config)[1]
+        candidates, count = len(frame_candidates(config)), frame_row(config)[1]
         code_min, code_max = code_range(config.bits)
         inf = math.inf
         stored = list(payloads)
@@ -245,19 +246,22 @@ def _tuple(values, name: str, frame_index: int) -> tuple:
     raise BitstreamError(f"{name} must be a sequence, got {values!r}", frame_index)
 
 
-def candidate_count(config: CodecConfig) -> int:
-    """Predictors a frame's candidate field chooses among: R = restarts for
-    backward MLP, R + 1 for hybrid (LPC-10, then each restart), else 1."""
-    if config.adaptation is Adaptation.FORWARD or config.predictor_kind not in NEURAL_KINDS:
-        return 1
-    return config.train.restarts + (config.predictor_kind is PredictorKind.HYBRID)
+def frame_candidates(config: CodecConfig) -> tuple:
+    """One (PredictorKind, restart) pair per candidate index, in index order:
+    (MLP, i) for each restart i in backward MLP mode; (LPC10, 0), then each
+    (MLP, i) for hybrid; one entry, (kind, 0), for every other kind and mode."""
+    kind = config.predictor_kind
+    if config.adaptation is Adaptation.FORWARD or kind not in NEURAL_KINDS:
+        return ((kind, 0),)
+    nets = tuple((PredictorKind.MLP, i) for i in range(config.train.restarts))
+    return ((PredictorKind.LPC10, 0), *nets) if kind is PredictorKind.HYBRID else nets
 
 
 def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:
     """The one frame row layout of the module docstring, as (candidate
     bits, forward coefficient count, code columns, row bits); the
     coefficients fill the columns between the candidate and the codes."""
-    candidate_bits = (candidate_count(config) - 1).bit_length()  # ceil(log2 count)
+    candidate_bits = (len(frame_candidates(config)) - 1).bit_length()  # ceil(log2 count)
     forward = config.adaptation is Adaptation.FORWARD
     count = FORWARD_COEFF_COUNT[config.predictor_kind] if forward else 0
     start = candidate_bits + 64 * count

@@ -12,17 +12,16 @@ frame's payload, and encoder and decoder both call it, so they cannot
 drift. Forward frames rebuild the predictor from the coefficients in the
 payload (the encoder fits them on the current original frame). Backward
 frames refit on the previous reconstructed frame, which the decoder has
-too, and frame 0 uses the zero predictor. In backward MLP and hybrid
-mode the payload's candidate names the refit: the MLP restart i (hybrid:
-0 for LPC-10, i + 1 for restart i), which the decoder fits alone.
+too, and frame 0 uses the zero predictor. After frame 0 the payload's
+candidate names the refit, an entry of `bitstream.frame_candidates`; an
+MLP entry is one restart, which the decoder fits alone.
 
 The encoder lists the payloads it could send for a frame with their
-predictors (two for a hybrid frame after frame 0, one otherwise), runs
-the loop from the same state with each, and commits the one with the
-smallest squared error, ties going to the first. Its MLP candidate is the
-restart with the lowest training SSE of one `multistart_fit` over all
-restarts, and its payload names that restart, so the encoder codes with
-the net it fitted and the decoder's one-restart refit reproduces it.
+predictors, runs the loop from the same state with each, and commits the
+one with the smallest squared error, ties going to the first. Its MLP
+candidate names the restart with the lowest training SSE of one
+`multistart_fit` over all restarts, so the encoder codes with the net it
+fitted and the decoder's one-restart refit reproduces it.
 
 Reconstructed history is continuous across frame boundaries; predictor
 training sets are not.
@@ -45,6 +44,7 @@ from .bitstream import (
     CodecConfig,
     FramePayload,
     PredictorKind,
+    frame_candidates,
 )
 from .mlp import Mlp, multistart_fit, restart_seed
 
@@ -81,26 +81,20 @@ def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, payload: 
 
     Forward frames rebuild it from `payload.forward_coeffs`. Backward
     frame 0 has no decoded history and uses ZERO; later backward frames
-    refit on `prev_recon`, the previous reconstructed frame. In backward
-    MLP mode `payload.candidate` is the restart to fit; in hybrid mode 0
-    picks LPC-10 and i + 1 the MLP restart i. Only that restart is
-    trained, from its own seed, which gives the same net as that restart
-    of the encoder's `multistart_fit`.
+    refit on `prev_recon`, the previous reconstructed frame, as the
+    `frame_candidates` entry `payload.candidate` names. An MLP entry
+    trains only its restart, from its own seed, which gives the same net as
+    that restart of the encoder's `multistart_fit`.
     """
-    kind = config.predictor_kind
     if config.adaptation is Adaptation.FORWARD:
         coeffs = payload.forward_coeffs
-        if kind is PredictorKind.MLP:
+        if config.predictor_kind is PredictorKind.MLP:
             return Mlp(coeffs)
         return lpc.LpcModel(len(coeffs), coeffs, np.zeros(len(coeffs)))
     if frame_index == 0:
         return ZERO
-    restart = payload.candidate
-    if kind is PredictorKind.HYBRID:
-        if not restart:
-            return fit_predictor(prev_recon, PredictorKind.LPC10, config, frame_index)
-        restart -= 1
-    elif kind is not PredictorKind.MLP:
+    kind, restart = frame_candidates(config)[payload.candidate]
+    if kind is not PredictorKind.MLP:
         return fit_predictor(prev_recon, kind, config, frame_index)
     net = multistart_fit(prev_recon, replace(config.train, restarts=1),
                          restart_seed(config.seed ^ frame_index, restart))
@@ -110,23 +104,27 @@ def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, payload: 
 def _candidates(config: CodecConfig, frame, frame_index: int, prev_recon) -> list:
     """The (payload, predictor) pairs, codes still empty, the encoder may
     send for a frame: the coefficients fitted on `frame` in forward mode;
-    after frame 0 of a backward MLP or hybrid stream, the `multistart_fit`
-    winner named by its restart, after LPC-10 in hybrid mode; otherwise
-    one payload with candidate 0. The winner is coded with the net
+    candidate 0 on backward frame 0; otherwise each non-MLP entry of
+    `frame_candidates`, then, for a neural kind, the `multistart_fit`
+    winner at its restart's entry. The winner is coded with the net
     already fitted, which is the one `frame_predictor` rebuilds."""
     kind = config.predictor_kind
-    payload, neural = FramePayload(()), []
+    payload = FramePayload(())
     if config.adaptation is Adaptation.FORWARD:
         fitted = fit_predictor(frame, kind, config, frame_index)
         vector = fitted.theta if kind is PredictorKind.MLP else fitted.coeffs
         payload = FramePayload((), forward_coeffs=tuple(vector.tolist()))
-    elif frame_index and kind in NEURAL_KINDS:
-        net = fit_predictor(prev_recon, PredictorKind.MLP, config, frame_index)
-        hybrid = int(kind is PredictorKind.HYBRID)
-        neural = [(FramePayload((), candidate=net.restart + hybrid), net)]
-        if not hybrid:
-            return neural
-    return [(payload, frame_predictor(config, frame_index, prev_recon, payload)), *neural]
+    elif frame_index:
+        table = frame_candidates(config)
+        listed = (FramePayload((), candidate=i)
+                  for i, (entry, _) in enumerate(table) if entry is not PredictorKind.MLP)
+        tried = [(p, frame_predictor(config, frame_index, prev_recon, p)) for p in listed]
+        if kind in NEURAL_KINDS:
+            net = fit_predictor(prev_recon, PredictorKind.MLP, config, frame_index)
+            index = table.index((PredictorKind.MLP, net.restart))
+            tried.append((FramePayload((), candidate=index), net))
+        return tried
+    return [(payload, frame_predictor(config, frame_index, prev_recon, payload))]
 
 
 def _closed_loop(state: CodecState, frame, predictor, codes=None):
@@ -194,11 +192,11 @@ def decode_frame(state: CodecState, codes, predictor):
 
 @dataclass(frozen=True)
 class FrameStat:
-    """Per-frame encoder diagnostics."""
+    """Per-frame encoder diagnostics: the committed SSE and, when the encoder
+    tried more than one candidate, each tried candidate's coded SSE in candidate order."""
 
     sse: float
-    candidate: int = 0
-    branch_sses: tuple | None = None  # (linear, neural) when hybrid
+    branch_sses: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -229,8 +227,7 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
                  for payload, predictor in _candidates(config, frame, idx, prev_recon)]
         payload, codes, state, prev_recon, sse = min(tried, key=lambda t: t[4])
         payloads.append(replace(payload, codes=tuple(codes)))
-        branches = tuple(t[4] for t in tried) if len(tried) > 1 else None
-        stats.append(FrameStat(sse=sse, candidate=payload.candidate, branch_sses=branches))
+        stats.append(FrameStat(sse, tuple(t[4] for t in tried) if len(tried) > 1 else None))
         recon_parts.append(prev_recon)
 
     reconstruction = np.concatenate(recon_parts)[: len(signal)]
@@ -244,12 +241,7 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
 
 def decode(bitstream: Bitstream) -> Signal:
     """Reconstruct the signal, getting each frame's predictor from
-    `frame_predictor` as the encoder did.
-
-    A backward MLP or hybrid frame trains only the restart its candidate
-    names, so decode work per frame is epochs x (frame_len - 10) training
-    pairs, whatever `restarts` is.
-    """
+    `frame_predictor` as the encoder did (an MLP frame trains one restart)."""
     header = bitstream.header
     config = header.config
     state = initial_state(config)

@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio import Signal, split_frames
-from .bitstream import NEURAL_KINDS, Adaptation, Bitstream, PredictorKind, parse, serialize
+from .bitstream import (
+    NEURAL_KINDS, Adaptation, Bitstream, PredictorKind, frame_candidates, parse, serialize,
+)
 from .codec import CodecConfig, encode, decode, encode_frame, initial_state
 from .metrics import SILENCE_ENERGY_FLOOR, mean_std, segsnr, segment_snr_db, z_score
 from .mlp import MIN_FRAME_LEN, lm_iterations
@@ -248,12 +250,14 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
 
 
 def predictor_usage(bitstream: Bitstream):
-    """Percentage of frames coded by each hybrid branch: (pct_mlp, pct_lpc);
-    a frame whose candidate names an MLP restart counts as MLP."""
+    """Percentage of frames coded by each hybrid branch: (pct_mlp, pct_lpc).
+    A frame is MLP when its `frame_candidates` entry is; frame 0, coded with
+    the zero predictor, carries candidate 0 (LPC-10) and counts as LPC."""
     if bitstream.header.config.predictor_kind is not PredictorKind.HYBRID:
         raise ValueError("predictor usage is defined for hybrid bitstreams only")
+    table = frame_candidates(bitstream.header.config)
     n = len(bitstream.payloads)
-    mlp_frames = sum(1 for p in bitstream.payloads if p.candidate)
+    mlp_frames = sum(1 for p in bitstream.payloads if table[p.candidate][0] is PredictorKind.MLP)
     return 100.0 * mlp_frames / n, 100.0 * (n - mlp_frames) / n
 
 

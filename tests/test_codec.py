@@ -24,6 +24,7 @@ from nadpcm import (
     parse,
     serialize,
 )
+from nadpcm.bitstream import frame_row
 from nadpcm.codec import (
     ZERO,
     decode_frame,
@@ -202,7 +203,7 @@ class TestHybridFrame:
                     for candidate in (0, neural))
                 assert stat.branch_sses == sses
                 expected = (0, neural)[int(np.argmin(sses))]
-                assert payload.candidate == stat.candidate == expected
+                assert payload.candidate == expected
                 assert stat.sse == min(sses)
             codes, state, prev, _ = encode_frame(
                 state, frame, frame_predictor(config, k, prev, payload))
@@ -385,8 +386,7 @@ class TestCandidate:
         offset = int(kind is PredictorKind.HYBRID)
         prev = None
         restarts = set()
-        for k, (payload, stat) in enumerate(zip(result.bitstream.payloads, result.frame_stats)):
-            assert stat.candidate == payload.candidate
+        for k, payload in enumerate(result.bitstream.payloads):
             if k == 0:
                 assert payload.candidate == 0
             elif payload.candidate or not offset:
@@ -400,6 +400,24 @@ class TestCandidate:
         assert len(restarts) > 1  # the frames do not all pick restart 0
         np.testing.assert_array_equal(decode(result.bitstream).samples,
                                       result.reconstruction.samples)
+
+    @pytest.mark.parametrize("kind, restarts, width, used", [
+        pytest.param(PredictorKind.MLP, 1, 0, {0}, id="mlp-R1"),  # a zero-width field
+        pytest.param(PredictorKind.MLP, 3, 2, {0, 1, 2}, id="mlp-R3"),
+        pytest.param(PredictorKind.HYBRID, 1, 1, {0, 1}, id="hybrid-R1"),
+        # every value of a full 2-bit field
+        pytest.param(PredictorKind.HYBRID, 3, 2, {0, 1, 2, 3}, id="hybrid-R3"),
+    ])
+    def test_round_trip_at_the_field_widths(self, speech_like, kind, restarts, width, used):
+        config = CodecConfig(predictor_kind=kind, bits=3,
+                             train=TrainConfig(epochs=3, restarts=restarts))
+        signal = Signal(speech_like.samples[:4000], speech_like.sample_rate)
+        result = encode(signal, config)
+        assert frame_row(config)[0] == width
+        assert {p.candidate for p in result.bitstream.payloads} == used
+        parsed = parse(serialize(result.bitstream))
+        assert parsed == result.bitstream
+        assert decode(parsed).samples.tobytes() == result.reconstruction.samples.tobytes()
 
     @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
     def test_encoder_fits_all_restarts_once_decoder_one(self, monkeypatch, speech_like, kind):
@@ -424,14 +442,21 @@ class TestCandidate:
         assert neural > 0
         assert rows == [1] * (neural * 3)
 
-    def test_payload_picks_the_branch_and_restart(self, speech_like):
-        config = CodecConfig(predictor_kind=PredictorKind.HYBRID)
+    # the wire numbering, stated here apart from `frame_candidates`: backward
+    # MLP sends restart i as i; hybrid sends LPC-10 as 0 and restart i as i + 1
+    @pytest.mark.parametrize("kind, first_net", [
+        pytest.param(PredictorKind.MLP, 0, id="mlp"),
+        pytest.param(PredictorKind.HYBRID, 1, id="hybrid"),
+    ])
+    def test_payload_picks_the_branch_and_restart(self, speech_like, kind, first_net):
+        config = CodecConfig(predictor_kind=kind)
         prev = speech_like.samples[:200]
-        linear = frame_predictor(config, 3, prev, FramePayload((), candidate=0))
-        assert linear.coeffs.tolist() == fit_predictor(
-            prev, PredictorKind.LPC10, config, 3).coeffs.tolist()
+        if first_net:
+            linear = frame_predictor(config, 3, prev, FramePayload((), candidate=0))
+            assert linear.coeffs.tolist() == fit_predictor(
+                prev, PredictorKind.LPC10, config, 3).coeffs.tolist()
         for i in range(config.train.restarts):
-            net = frame_predictor(config, 3, prev, FramePayload((), candidate=i + 1))
+            net = frame_predictor(config, 3, prev, FramePayload((), candidate=i + first_net))
             alone = multistart_fit(prev, replace(config.train, restarts=1),
                                    restart_seed(config.seed ^ 3, i))
             assert net.theta.tobytes() == alone.theta.tobytes() and net.restart == i
@@ -631,7 +656,7 @@ class TestEncodeDecode:
                              train=TrainConfig(epochs=2, restarts=2))
         result = encode(ar_signal, config)
         assert len(result.frame_stats) == 10
-        assert result.frame_stats[0].candidate == 0  # bootstrap frame
+        assert result.bitstream.payloads[0].candidate == 0  # bootstrap frame
         for stat in result.frame_stats[1:]:
             assert stat.branch_sses is not None
 

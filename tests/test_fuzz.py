@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import formant_utterance
 from nadpcm import BitstreamError, CodecConfig, PredictorKind, decode, encode, parse, serialize
-from nadpcm.bitstream import candidate_count, frame_row
+from nadpcm.bitstream import frame_candidates, frame_row
 
 FRAME_LEN, FRAMES = 40, 4
 STREAMS = [(kind, bits) for kind in (PredictorKind.MLP, PredictorKind.HYBRID) for bits in (2, 5)]
@@ -66,7 +66,7 @@ def test_single_payload_bit_flip(kind, bits, data):
 def test_every_candidate_value(kind, bits):
     original, header_len, config = stream(kind, bits)
     width, _, _, row_bits = frame_row(config)
-    valid = candidate_count(config)
+    valid = len(frame_candidates(config))
     for frame, payload in enumerate(parse(original).payloads):
         start = 8 * header_len + frame * row_bits
         for value in range(1 << width):

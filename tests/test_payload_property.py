@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nadpcm import Bitstream, BitstreamError, BitstreamHeader, CodecConfig, parse, serialize
-from nadpcm.bitstream import FramePayload, candidate_count, frame_row
+from nadpcm.bitstream import FramePayload, frame_candidates, frame_row
 from nadpcm.harness import METHODS, method_config
 from nadpcm.mlp import MIN_FRAME_LEN
 from nadpcm.quantizer import code_range
@@ -45,7 +45,7 @@ def draw_valid(data, config, frame_index):
     _, count, _, _ = frame_row(config)
     n = config.frame_len
     codes = data.draw(st.lists(st.integers(code_min, code_max), min_size=n, max_size=n))
-    top = candidate_count(config) - 1 if frame_index else 0
+    top = len(frame_candidates(config)) - 1 if frame_index else 0
     coeffs = data.draw(st.lists(st.floats(-1e30, 1e30), min_size=count, max_size=count))
     return {"codes": typed(data, INT_TYPES, codes),
             "candidate": typed(data, INT_TYPES, [data.draw(st.integers(0, top))])[0],
@@ -59,7 +59,7 @@ def corrupt(data, config, fields, frame_index):
     value = fields[name]
     how = data.draw(st.sampled_from(("field", "element", "length", "range")))
     if name == "candidate":
-        top = candidate_count(config) - 1 if frame_index else 0
+        top = len(frame_candidates(config)) - 1 if frame_index else 0
         value = data.draw(st.sampled_from(BAD_INTS + (-1, top + 1)))
     elif how == "field" or not value:
         value = data.draw(st.sampled_from(BAD_VALUES + (0, 1.5)))
