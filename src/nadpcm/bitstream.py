@@ -1,6 +1,6 @@
 """Self-describing codec bitstream: header plus bit-packed frame payloads.
 
-The header is magic "NADP", a u8 version (2), then the fields of
+The header is magic "NADP", a u8 version (3), then the fields of
 `HEADER_FIELDS` in table order, each little-endian with its struct code
 (reals are IEEE-754 binary64). serialize and parse both walk that table.
 After sample_rate and true_sample_count the header is the `CodecConfig`
@@ -27,7 +27,8 @@ start on a byte boundary; other rows follow each other without padding.
 The rows are packed back to back and the final byte is zero-padded.
 Padding bits must be zero and a candidate must be in range; parse rejects
 a stream otherwise, so each stream has exactly one encoding. Version 1
-streams, which sent one hybrid flag bit and no restart index, are refused.
+streams, which sent one hybrid flag bit and no restart index, are refused,
+and so are version 2 streams, whose MLP predictions were summed in BLAS.
 Payload values are checked once, when a `Bitstream` is built.
 """
 
@@ -50,7 +51,7 @@ from .quantizer import (
 )
 
 MAGIC = b"NADP"
-VERSION = 2
+VERSION = 3
 
 # The header after magic and version: (field, struct code) in wire order.
 # "multipliers" is the table's u8 count, then that many f64.

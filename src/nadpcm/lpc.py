@@ -29,7 +29,9 @@ that no numpy scalar enters the sum.
 The kernel's loop is unrolled into passes of KERNEL_UNROLL predictions
 that keep the samples sent within the pass in locals, so the window is
 shifted by one tuple assignment per pass, not per sample; the sums are
-the ones above, term for term.
+the ones above, term for term. `unrolled_loop` writes that loop for any
+per-step sum, and the MLP's forward kernel uses it too;
+`compile_kernel` compiles every generated kernel.
 
 `levinson` runs its recursion on Python floats in a kernel generated the
 same way, once per order (`_levinson_kernel`), with the operations of a
@@ -44,7 +46,45 @@ import numpy as np
 ZERO_ENERGY_FLOOR = 1e-12
 REFLECTION_CLAMP = 0.999
 KERNEL_CHUNK = 64  # terms per statement of a generated kernel's sum
-KERNEL_UNROLL = 12  # predictions per pass of a tap kernel's loop
+KERNEL_UNROLL = 12  # predictions per pass of an unrolled kernel's loop
+
+
+def compile_kernel(signature: str, lines, label: str, **names):
+    """The function `kernel` whose source is `def kernel({signature}):`
+    over the body `lines`, compiled under the file name `label`, with
+    `names` for globals. Every generated kernel is compiled here."""
+    source = "\n".join([f"def kernel({signature}):", *(f"    {line}" for line in lines)])
+    namespace = dict(names)
+    exec(compile(source, label, "exec"), namespace)
+    return namespace["kernel"]
+
+
+def unrolled_loop(width: int, step) -> list:
+    """The body lines of a generator that unpacks `window`, the last `width`
+    samples newest first, into x0..x{width-1} and yields n + 1 values.
+
+    `step(inputs)` gives the lines that set `acc` from `inputs`, the names
+    of the `width` newest samples, newest first. A pass makes
+    KERNEL_UNROLL steps: step j reads the samples sent in the pass so far,
+    s{j-1} down to s0, then the window x0, x1, ..., and takes the next
+    sample with `s{j} = yield acc`. The window is shifted by one tuple
+    assignment per pass. After the `divmod(n + 1, KERNEL_UNROLL)` full
+    passes, a tail of the first steps of a pass returns after exactly
+    n + 1 values."""
+    x = [f"x{i}" for i in range(width)]
+    s = [f"s{j}" for j in range(KERNEL_UNROLL)]
+
+    def full_step(j):
+        return [*step([*reversed(s[:j]), *x][:width]), f"{s[j]} = yield acc"]
+
+    body = [line for j in range(KERNEL_UNROLL) for line in full_step(j)]
+    if width:
+        body.append(f"{', '.join(x)}, = {', '.join([*reversed(s), *x][:width])},")
+    tail = [line for j in range(KERNEL_UNROLL - 1)
+            for line in [f"if rest == {j}:", "    return", *full_step(j)]]
+    return [*([f"{', '.join(x)}, = window"] if width else []),
+            f"passes, rest = divmod(n + 1, {KERNEL_UNROLL})",
+            "for _ in range(passes):", *(f"    {line}" for line in body), *tail]
 
 
 @functools.cache
@@ -53,37 +93,19 @@ def _tap_kernel(order: int):
     compiled on first use: `taps` are a_1..a_order, `window` the last
     `order` samples newest first. It yields n + 1 predictions.
 
-    A pass makes KERNEL_UNROLL steps. Step j sums over the samples sent in
-    the pass so far, s{j-1} down to s0, then over the window x0, x1, ...,
-    and takes the next sample with `s{j} = yield acc`. The window is
-    shifted by one tuple assignment per pass. After the
-    `divmod(n + 1, KERNEL_UNROLL)` full passes, a tail of the first steps
-    of a pass returns after exactly n + 1 predictions. The source grows as
-    order × KERNEL_UNROLL; it compiles in about 0.9 ms at order 10 and
-    1.6 ms at order 25."""
+    Each step of `unrolled_loop` sums a0 * (newest sample) + a1 * (next)
+    + ... from 0.0. The source grows as order × KERNEL_UNROLL; it compiles
+    in about 0.9 ms at order 10 and 1.6 ms at order 25."""
     a = [f"a{i}" for i in range(order)]
-    x = [f"x{i}" for i in range(order)]
-    s = [f"s{j}" for j in range(KERNEL_UNROLL)]
 
-    def step(j):  # newest first: s{j-1}, ..., s0, x0, x1, ...
-        terms = [f"{ai} * {xi}" for ai, xi in zip(a, [*reversed(s[:j]), *x])]
-        sums = [f"acc = {' + '.join(['acc' if i else '0.0', *terms[i:i + KERNEL_CHUNK]])}"
+    def step(inputs):
+        terms = [f"{ai} * {xi}" for ai, xi in zip(a, inputs)]
+        return [f"acc = {' + '.join(['acc' if i else '0.0', *terms[i:i + KERNEL_CHUNK]])}"
                 for i in range(0, max(order, 1), KERNEL_CHUNK)]  # order 0: acc = 0.0
-        return [*sums, f"{s[j]} = yield acc"]
 
-    head = [f"{', '.join(a)}, = taps", f"{', '.join(x)}, = window"] if order else []
-    head.append(f"passes, rest = divmod(n + 1, {KERNEL_UNROLL})")
-    body = [line for j in range(KERNEL_UNROLL) for line in step(j)]
-    if order:
-        body.append(f"{', '.join(x)}, = {', '.join([*reversed(s), *x][:order])},")
-    tail = [line for j in range(KERNEL_UNROLL - 1)
-            for line in [f"if rest == {j}:", "    return", *step(j)]]
-    source = "\n".join(["def kernel(taps, window, n):", *(f"    {line}" for line in head),
-                        "    for _ in range(passes):", *(f"        {line}" for line in body),
-                        *(f"    {line}" for line in tail)])
-    namespace = {}
-    exec(compile(source, f"<lpc tap kernel, order {order}>", "exec"), namespace)
-    return namespace["kernel"]
+    head = [f"{', '.join(a)}, = taps"] if order else []
+    return compile_kernel("taps, window, n", [*head, *unrolled_loop(order, step)],
+                          f"<lpc tap kernel, order {order}>")
 
 
 @dataclass(frozen=True)
@@ -182,12 +204,10 @@ def _levinson_kernel(order: int):
                  f"elif {km} < {-REFLECTION_CLAMP!r}:", f"    {km} = {-REFLECTION_CLAMP!r}",
                  f"{', '.join(a[:m])}, = {', '.join(update)},", f"err = err * (1.0 - {km} * {km})"]
     result = f"({', '.join(a)},), ({', '.join(k)},)"
-    source = "\n".join(["def kernel(r):", f"    {', '.join(r)}, = r", f"    {' = '.join(a + k)} = 0.0",
-                        "    err = r0", "    while True:", *(f"        {line}" for line in body),
-                        f"        return {result}, False", f"    return {result}, True"])
-    namespace = {}
-    exec(compile(source, f"<lpc levinson kernel, order {order}>", "exec"), namespace)
-    return namespace["kernel"]
+    lines = [f"{', '.join(r)}, = r", f"{' = '.join(a + k)} = 0.0", "err = r0", "while True:",
+             *(f"    {line}" for line in body), f"    return {result}, False",
+             f"return {result}, True"]
+    return compile_kernel("r", lines, f"<lpc levinson kernel, order {order}>")
 
 
 def levinson(r) -> LpcModel:

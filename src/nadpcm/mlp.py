@@ -36,15 +36,21 @@ changes no bit: every BLAS and LAPACK call keeps its per-row operand
 shapes, and a carried epoch equals a cold one (`carry=None`).
 
 The fitted nets are what the codec's closed loop evaluates once per
-sample, through `Mlp.predictions`. It keeps the reconstructed samples
-newest first in one float64 buffer per frame, so each sample's inputs are
-a contiguous view of it, with no list-to-array conversion. It adds the
-hidden biases and takes the sigmoid 1 / (1 + exp(-a)) on Python floats,
-with `math.exp`, which gives the same bits as `scipy.special.expit`. The
-2x10 gemv and the length-2 output dot stay in BLAS, whose bits the golden
-vectors pin: this BLAS computes the dot as a fused multiply-add,
-fma(w1, h1, w0 * h0), which Python 3.11 has no operation for, and its
-gemv matches neither order of plain Python adds.
+sample, through `Mlp.predictions`, and its arithmetic is normative, on
+Python floats with the inputs x0..x9 newest sample first; w_j0..w_j9,
+b_j, v_j and c are hidden unit j's input weights and bias, its output
+weight and the output bias. Hidden unit j is a_j = 0.0 + w_j0 * x0 +
+w_j1 * x1 + ... + w_j9 * x9 + b_j, added left to right, one multiply and
+one add per term; its activation is h_j = 1.0 / (1.0 + exp(-a_j)) with
+`math.exp`, the same bits as `scipy.special.expit`, and 0.0 where
+exp(-a_j) overflows. The output is v0 * h0 + v1 * h1 + c, left to right.
+No BLAS call is made, so the predictions do not depend on the BLAS
+kernel; `math.exp` is still the host libm's.
+
+The sum runs in `_forward_kernel`, generated and compiled on first use
+like `lpc._tap_kernel` and unrolled the same way (`lpc.unrolled_loop`):
+the 25 parameters and the 10-sample window are locals, and each
+expression above is written out term for term.
 
 `scipy.special.expit` is imported inside `forward_batch`, the fit's one
 batch forward pass and the only user of scipy in the codec, so that
@@ -52,6 +58,7 @@ batch forward pass and the only user of scipy in the codec, so that
 on the first fit.
 """
 
+import functools
 import logging
 import math
 import numbers
@@ -59,6 +66,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import lpc
 
 log = logging.getLogger(__name__)
 
@@ -180,6 +189,7 @@ class Mlp:
         object.__setattr__(self, "b_hid", theta[20:22])
         object.__setattr__(self, "w_out", theta[22:24])
         object.__setattr__(self, "b_out", float(theta[24]))
+        object.__setattr__(self, "_params", tuple(theta.tolist()))
 
     @classmethod
     def zero(cls) -> "Mlp":
@@ -195,34 +205,42 @@ class Mlp:
         return hash((self.theta.tobytes(), self.restart))
 
     def predictions(self, history, n: int):
-        """Yield the prediction after reconstructed `history` (newest last),
-        then one after each of the n samples sent: n + 1 Python floats."""
+        """Return a generator of the prediction after reconstructed `history`
+        (newest last), then one after each of the n samples sent: n + 1
+        Python floats, each computed in the module docstring's order."""
         if len(history) < N_INPUTS:
             raise ValueError(f"history of {len(history)} too short for {N_INPUTS} inputs")
-        # newest first: the sample sent after the prediction from
-        # rev[pos : pos + 10] goes to slot pos - 1; slot 0 is never read
-        rev = np.empty(n + 1 + N_INPUTS)
-        rev[n + 1 :] = history[-1 : -N_INPUTS - 1 : -1]
-        w_in, w_out, b_out = self.w_in, self.w_out, self.b_out
-        b0, b1 = self.b_hid.tolist()
-        h = np.empty(N_HIDDEN)
-        for pos in range(n + 1, 0, -1):
-            a0, a1 = w_in.dot(rev[pos : pos + N_INPUTS]).tolist()
-            h[0] = _sigmoid(a0 + b0)
-            h[1] = _sigmoid(a1 + b1)
-            rev[pos - 1] = yield float(w_out.dot(h)) + b_out
+        window = [float(x) for x in reversed(history[len(history) - N_INPUTS :])]
+        return _forward_kernel()(self._params, window, n)
 
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last."""
         return next(self.predictions(history, 0))
 
 
-def _sigmoid(a: float) -> float:
-    """Logistic function on a Python float, the same bits as `expit`."""
-    try:
-        return 1.0 / (1.0 + math.exp(-a))
-    except OverflowError:   # exp(-a) beyond the float range: expit gives 0.0
-        return 0.0
+@functools.cache
+def _forward_kernel():
+    """The generator function `kernel(params, window, n)`, compiled on first
+    use: `params` are the 25 parameters in normative order, `window` the
+    last 10 samples newest first. It yields n + 1 predictions, each step
+    of `lpc.unrolled_loop` computing the forward pass of the module
+    docstring."""
+    w = [[f"w{j}_{i}" for i in range(N_INPUTS)] for j in range(N_HIDDEN)]
+
+    def step(inputs):
+        lines = []
+        for j in range(N_HIDDEN):
+            terms = [f"{wi} * {xi}" for wi, xi in zip(w[j], inputs)]
+            # exp(-a) beyond the float range raises; expit gives 0.0 there
+            lines += [f"a = {' + '.join(['0.0', *terms, f'b{j}'])}",
+                      "try:", f"    h{j} = 1.0 / (1.0 + exp(-a))",
+                      "except OverflowError:", f"    h{j} = 0.0"]
+        return [*lines, "acc = v0 * h0 + v1 * h1 + c"]
+
+    params = [*w[0], *w[1], "b0", "b1", "v0", "v1", "c"]
+    return lpc.compile_kernel("params, window, n",
+                              [f"{', '.join(params)}, = params", *lpc.unrolled_loop(N_INPUTS, step)],
+                              "<mlp forward kernel>", exp=math.exp)
 
 
 def init_mlp(rng: SplitMix64, scale: float) -> Mlp:

@@ -191,6 +191,18 @@ class TestValidation:
         with pytest.raises(BitstreamError):
             parse(bytes(data))
 
+    def test_version_2_refused(self):
+        # version 2 had the same layout; its MLP predictions came from BLAS
+        header = make_header()
+        data = bytearray(serialize(Bitstream(
+            header, tuple(FramePayload(codes=codes_for(header))
+                          for _ in range(header.frame_count)))))
+        assert data[4] == 3
+        parse(bytes(data))
+        data[4] = 2
+        with pytest.raises(BitstreamError, match="unsupported version 2"):
+            parse(bytes(data))
+
     def test_truncated_stream_names_frame(self):
         header = make_header(bits=4, true_sample_count=600, frame_len=200)
         data = serialize(Bitstream(

@@ -191,12 +191,12 @@ class TestDecode:
         assert stderr.startswith("error:")
 
     def test_version_1_stream_refused(self, capsys, tmp_path, pcm_file):
-        # version 1 sent a hybrid flag bit where version 2 sends a candidate
+        # version 1 sent a hybrid flag bit where later versions send a candidate
         stream = tmp_path / "s.nad"
         run(capsys, "encode", "--in", pcm_file, "--out", str(stream), "--predictor", "hybrid",
             "--epochs", "2", "--restarts", "1")
         data = bytearray(stream.read_bytes())
-        assert data[4] == 2
+        assert data[4] == 3
         data[4] = 1
         stream.write_bytes(bytes(data))
         out = tmp_path / "r.pcm"

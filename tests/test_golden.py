@@ -28,60 +28,60 @@ SIGNAL_SEED, SIGNAL_LEN = 11, 1100
 
 GOLDEN = {
     ("ADPCMF-LPC-10", 2): (
-        "3e77abece6955b25b661b5c76ed947b918492e1caef1949412d4ccec729c246e",
+        "fbeddba1431a27cedebb98aabd338280772870d808b0fa7ade3650aa58f13e75",
         "eb5454cd82375a2ffdf4ca7571ad2a9443c23f76c6a9cf5ac741ed5e3b5a934c",
     ),
     ("ADPCMF-LPC-10", 5): (
-        "f0615c78dd420104872fa7119c4a8878454a095760e37ff7522ed2f7818c12ac",
+        "fa681e96682be0b9241e0b8d72eca6e8e86eaa4033da7041360951c63de8a5ed",
         "7db033fbcfdee772b5ab60d7fbd629fe56b33beee1e836252fd00b496fee71b6",
     ),
     ("ADPCMF-LPC-25", 2): (
-        "f70daa789655312b422c4f388f57cd134e37ffa210df412bfd4aabb2400f622a",
+        "795e39527e0af1de800c185ea5d244eec68af9fee4539fbcb26ec84196985f4d",
         "91ccc2547230cc7f9864bcab3ffdf9d369a9284927b6dcd04158a8c51ca0f781",
     ),
     ("ADPCMF-LPC-25", 5): (
-        "3659572a67a037cce11c06b8f1a900f0766837d1abcabfcdd41e645c0271e860",
+        "b4d05b8f001023b9b0e7c51dd5aa3d09273dbf49b2ef8eccbc096b654f47a1dc",
         "4c31b3d87373806ffaf08bff3421ed61057ce60224b74cf5219993901c83cdd0",
     ),
     ("ADPCMF-MLP", 2): (
-        "1b8c50cde39ccafacc7039ec253b185d5e6c2fdd06f57884695861fc9d21de5f",
-        "b82ee2646611de075ba6ae6904b530af3540946fd627d6cbb7656c513e3c9235",
+        "db67248aee13d9a4a59d303266c9aa8877f6c23576c1152b56f6d67ef8fb513a",
+        "7306f8f74687b60df0b37d213a82c02ec31df6eace9eb1762f481f0589215cbe",
     ),
     ("ADPCMF-MLP", 5): (
-        "240074e0a314b2587525d5440af2f4a4973f1ef3f188afcaf47664ff6797504e",
-        "f2f2b5d11e23b0d6959f3468ae9b33f84f10802f095ff55e5ac809f3e2d3116c",
+        "daae44ef760e79b410a072dba8aeba820fffa34f8133dd0e475e0fed0a46c5fb",
+        "d12b86037161a251811ce1087b26ad77d4fae33e10d52fe3fd800cc73497d5b0",
     ),
     ("ADPCMB-LPC-10", 2): (
-        "277eaad39dbb6a9b695b6c9dcac24e3783022fbff9a530fe52befce8837e4402",
+        "45f656fa92baa02c9f807264dcd7ea8e35f8099804b66ece289b8f5bc9aaa6e4",
         "42024f12a00740bef1c033b26be99490a0036680e687cd5be42e06f73ab71228",
     ),
     ("ADPCMB-LPC-10", 5): (
-        "2a1e350e3bd9a905138389f941686dcaad7f0d6779213942ad87eb6be5197891",
+        "05793250eedc66bf4a3ae92d98df278a2c1c877945be0e7db68d50264ba31867",
         "fd896e7a84414f2a92cf133e8abb89710e69fe41886ff22d9b5b8e30d1960273",
     ),
     ("ADPCMB-LPC-25", 2): (
-        "70baae974488c0a24da71555cb7c48c1415e668072c7a2febc2b3523ee9cd087",
+        "26af7312f9941a1e2b0e69f1baef50dff099258a050c914330f1306406f00acc",
         "b9d6fb641884c3dbedbd7056cfcaa2b7da907e0e4d0e7b16b727b6fcb1850583",
     ),
     ("ADPCMB-LPC-25", 5): (
-        "e7bd244e1b23e588537dd5d38d0a2ec8a79b6e497584ef3f0b688c61b7cdc7a5",
+        "fd4eb54195ac20bd8b73380081ec088e08554b34920da2f5412f54170a9ac31c",
         "170eb6d3bc7953ce7145b6cfe9786eb3ef7dffc90665d1a74926312883c4b3c7",
     ),
     ("ADPCMB-MLP", 2): (
-        "979108251d9a83c4c2d9dc2c216363b500aaa76bc3d5739e38f95cf538997ef9",
-        "2920918ce4f450c5bc48f50fa466c955a90dfa061867e7d4bb7e577c8db53f18",
+        "37c1f2683baa2bcde55ebb28d8fe1c1e861bb07caa280bd217e2b5b8c223f18c",
+        "21f3a5ab41373409ea48a67ad34ea706641d48b3f7bd99589a7adbc0996b5018",
     ),
     ("ADPCMB-MLP", 5): (
-        "b7c9eaed90fe09c7afd3ee00395a3de4796c3267cef5dd911cb2c09b2e4f3144",
-        "43eefd2d32d8c751014f94d2264bf90e14e7db0a94cbea91014a5c8402d184d9",
+        "e93c443cc5158c0110391c81b21c707e28e56a7415b8b9069cafe398b428474b",
+        "5a8ae9244133fd93ce42676458d82bb4158412cecbf17b035fb1831de0e704be",
     ),
     ("ADPCMB-HYBRID", 2): (
-        "323abad02bc215f77882eee56ff9445571288264983547a808f15ead6bdbe99f",
-        "b5e19b56dc560557602b688f003fae236f65ee4bbb8acde9a2e58a93327527ff",
+        "5327fc3ca24a2c6ccb9a46ae1084ecb2f32b9049965a4d9170d798cecd406fab",
+        "e3ec67482c9b5c64824cabe6ec626d56631a5d96253bb33a8d30e99fce1dc81e",
     ),
     ("ADPCMB-HYBRID", 5): (
-        "aae67c595cfc1a6be50e349b8c9c932257627d3686e5a007494a955b38142544",
-        "1fcf4173da67b2a4f6647b40c2b81d374fd2d1514249ab141dab8a8e05faa2f8",
+        "ecc8b28ce03524bb4b6ce510305dd1afe71ca0b3b7463f522085d25bbb8d30ef",
+        "50a495147a363869301148047a6e6be8e990f1febddce3b1ba5eff434da39473",
     ),
 }
 

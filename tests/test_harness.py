@@ -270,9 +270,11 @@ class TestPredictorUsage:
         neural = [p.candidate > 0 for p in result.bitstream.payloads]
         assert pct_mlp == pytest.approx(100.0 * sum(neural) / len(neural))
 
-    @pytest.mark.parametrize("bits, expected", [(2, (29.0, 71.0)), (5, (43.0, 57.0))])
+    @pytest.mark.parametrize("bits, expected", [(2, (29.0, 71.0)), (5, (52.0, 48.0))])
     def test_percentages_count_every_restart_as_mlp(self, bits, expected):
-        # the same figures as with the one-bit hybrid flag of version 1
+        # 2 bits: the same figures as with the one-bit hybrid flag of
+        # version 1. 5 bits read 43/57 until version 3's BLAS-free forward
+        # pass moved the closed loop's last bits and so some frames' choice
         config = CodecConfig(bits=bits, frame_len=40, predictor_kind=PredictorKind.HYBRID)
         result = encode(formant_utterance(29, 4000), config)
         assert len({p.candidate for p in result.bitstream.payloads}) > 2

@@ -322,13 +322,15 @@ class TestPredictions:
             assert _levinson_kernel(order).__code__.co_names == ()
 
     def test_import_builds_no_kernel(self):
-        code = ("import nadpcm.lpc as lpc; print(lpc._tap_kernel.cache_info().currsize, "
-                "lpc._levinson_kernel.cache_info().currsize)")
+        code = ("import nadpcm.lpc as lpc, nadpcm.mlp as mlp; "
+                "print(lpc._tap_kernel.cache_info().currsize, "
+                "lpc._levinson_kernel.cache_info().currsize, "
+                "mlp._forward_kernel.cache_info().currsize)")
         src = os.path.dirname(os.path.dirname(nadpcm.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
-        assert out.stdout.strip() == "0 0"
+        assert out.stdout.strip() == "0 0 0"
 
     def test_short_history_rejected_on_call(self):
         with pytest.raises(ValueError):

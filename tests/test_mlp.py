@@ -17,10 +17,13 @@ import nadpcm
 from conftest import formant_utterance, linear_ar, nonlinear_ar
 from nadpcm import mlp as mlp_module
 from nadpcm.audio import split_frames
+from nadpcm.lpc import KERNEL_UNROLL
 from nadpcm.mlp import (
     GOLDEN_GAMMA,
     MASK64,
     Mlp,
+    N_HIDDEN,
+    N_INPUTS,
     N_PARAMS,
     SplitMix64,
     TrainConfig,
@@ -67,13 +70,23 @@ def reference_run(frame, seed, config, epochs):
 
 
 def reference_forward(net, newest_first):
-    """The net's output as a gemv, the hidden biases added in place,
-    `expit` in place and a dot, on a contiguous float64 copy of the 10
-    inputs, newest first: the forward pass the golden digests pin."""
-    z = net.w_in.dot(np.array(newest_first, dtype=np.float64))
-    z += net.b_hid
-    expit(z, out=z)
-    return float(net.w_out.dot(z)) + net.b_out
+    """The net's output in the `mlp` docstring's order, written as loops on
+    Python floats: each hidden unit summed from 0.0 over w_j0 * x0, ...,
+    w_j9 * x9 (newest input first), then b_j; the sigmoid with `math.exp`,
+    0.0 where exp(-a) overflows; then v0 * h0 + v1 * h1 + c."""
+    theta = net.theta.tolist()
+    x = [float(v) for v in newest_first]
+    h = []
+    for j in range(N_HIDDEN):
+        a = 0.0
+        for i in range(N_INPUTS):
+            a = a + theta[j * N_INPUTS + i] * x[i]
+        a = a + theta[20 + j]
+        try:
+            h.append(1.0 / (1.0 + math.exp(-a)))
+        except OverflowError:
+            h.append(0.0)
+    return theta[22] * h[0] + theta[23] * h[1] + theta[24]
 
 
 def same_bits(a, b):
@@ -271,11 +284,9 @@ class TestForward:
         # scalar there makes every later loop operation a numpy one
         net = init_mlp(SplitMix64(6), 0.5)
         newest_first = np.asarray(history, dtype=np.float64)[-1:-11:-1]
-        w_in, b_hid, w_out = net.w_in, net.b_hid, net.w_out
-        expected = float(w_out @ expit(w_in @ newest_first + b_hid) + net.b_out)
         p = net.predict(history)
         assert type(p) is float
-        assert p == expected
+        assert same_bits(p, reference_forward(net, newest_first))
 
     def test_forward_batch_matches_scalar(self):
         rng = SplitMix64(12)
@@ -309,9 +320,7 @@ class TestPredictions:
         net = Mlp(rng.standard_normal(N_PARAMS) * scale)
         history = tuple((0.3 * rng.standard_normal(25)).tolist())
         sent = (0.3 * rng.standard_normal(300)).tolist()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the gemv
-            pairs = self.run(net, history, sent)
+        pairs = self.run(net, history, sent)
         assert len(pairs) == 301
         assert all(type(p) is float and same_bits(p, ref) for p, ref in pairs)
         if scale >= 1e4:
@@ -327,15 +336,41 @@ class TestPredictions:
         net = Mlp(rng.standard_normal(N_PARAMS))
         history = [0.1] * 20 + [special] + [0.2] * 4
         sent = [0.3, special, -0.4] + [0.1] * 12
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            pairs = self.run(net, history, sent)
+        pairs = self.run(net, history, sent)
         assert all(same_bits(p, ref) for p, ref in pairs)
 
     def test_scalar_sigmoid_equals_expit(self):
-        # exp(-a) overflows below about -709.78, where expit gives 0.0
+        # the kernel's sigmoid alone: with zero input weights, bias v and
+        # output weights (1, 0), the net's output is 1.0 * sigmoid(v) + 0.0
+        # * 0.5 + 0.0. exp(-a) overflows below about -709.78, where expit
+        # gives 0.0
         values = np.r_[np.linspace(-800.0, 800.0, 16001), -1e300, 1e300, -np.inf, np.inf, np.nan]
-        assert all(same_bits(mlp_module._sigmoid(v), float(expit(v))) for v in values.tolist())
+        for v in values.tolist():
+            net = Mlp(np.r_[np.zeros(20), v, 0.0, 1.0, 0.0, 0.0])
+            assert same_bits(net.predict([0.0] * 10), float(expit(v))), v
+
+    @pytest.mark.parametrize("count", [1, KERNEL_UNROLL - 1, KERNEL_UNROLL, KERNEL_UNROLL + 1,
+                                       2 * KERNEL_UNROLL, 3 * KERNEL_UNROLL - 1])
+    def test_pass_and_tail_boundaries(self, count):
+        # n + 1 = count predictions: whole passes of the unrolled loop, a
+        # tail, or both, each against the reference by float.hex
+        rng = np.random.default_rng(count)
+        net = Mlp(rng.standard_normal(N_PARAMS))
+        history = (0.3 * rng.standard_normal(12)).tolist()
+        sent = (0.3 * rng.standard_normal(count - 1)).tolist()
+        predictions = net.predictions(history, count - 1)
+        yielded = [next(predictions), *(predictions.send(xr) for xr in sent)]
+        expected = [reference_forward(net, (history + sent[:k])[-1:-11:-1]) for k in range(count)]
+        assert [p.hex() for p in yielded] == [e.hex() for e in expected]
+        with pytest.raises(StopIteration):
+            predictions.send(0.0)
+
+    def test_kernel_calls_no_blas(self):
+        # the generated kernel is not in the module's AST: its names show
+        # whether a numpy or BLAS call has entered the arithmetic
+        kernel = mlp_module._forward_kernel()
+        assert set(kernel.__code__.co_names) <= {"exp", "range", "divmod", "OverflowError"}
+        assert Mlp.zero().predictions([0.0] * 10, 1).gi_code is kernel.__code__
 
     def test_ends_after_n_sends(self):
         predictions = init_mlp(SplitMix64(6), 0.5).predictions([0.0] * 10, 2)
