@@ -224,6 +224,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.csv and not args.reference:
+        raise CliError("--csv needs --reference")
     bitstream = parse(Path(args.infile).read_bytes())
     signal = decode(bitstream)
     _write_signal(args.out, signal, args.format)

@@ -150,7 +150,7 @@ def _closed_loop(state: CodecState, frame, predictor, codes=None):
     inputs = codes if received else np.asarray(frame, dtype=np.float64).tolist()
     out, recon, sse = codes if received else [], [], 0.0
     append = recon.append
-    predictions = predictor.predictions(state.history, len(inputs))
+    predictions = predictor.predictions(state.history)
     p = next(predictions)
     send = predictions.send
     for x in inputs:
@@ -192,11 +192,11 @@ def decode_frame(state: CodecState, codes, predictor):
 
 @dataclass(frozen=True)
 class FrameStat:
-    """Per-frame encoder diagnostics: the committed SSE and, when the encoder
-    tried more than one candidate, each tried candidate's coded SSE in candidate order."""
+    """Per-frame encoder diagnostics: the committed SSE and each tried
+    candidate's coded SSE, in candidate order (one entry when one was tried)."""
 
     sse: float
-    branch_sses: tuple | None = None
+    branch_sses: tuple
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
                  for payload, predictor in _candidates(config, frame, idx, prev_recon)]
         payload, codes, state, prev_recon, sse = min(tried, key=lambda t: t[4])
         payloads.append(replace(payload, codes=tuple(codes)))
-        stats.append(FrameStat(sse, tuple(t[4] for t in tried) if len(tried) > 1 else None))
+        stats.append(FrameStat(sse, tuple(t[4] for t in tried)))
         recon_parts.append(prev_recon)
 
     reconstruction = np.concatenate(recon_parts)[: len(signal)]

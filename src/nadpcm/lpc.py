@@ -26,8 +26,9 @@ expression thousands of terms deep overflows the compiler's recursion
 limit. The taps are cached and the history is kept as Python floats so
 that no numpy scalar enters the sum.
 
-The kernel's loop is unrolled into passes of KERNEL_UNROLL predictions
-that keep the samples sent within the pass in locals, so the window is
+The kernel yields a prediction before each sample it is sent, without
+end. Its loop is unrolled into passes of KERNEL_UNROLL predictions that
+keep the samples sent within the pass in locals, so the window is
 shifted by one tuple assignment per pass, not per sample; the sums are
 the ones above, term for term. `unrolled_loop` writes that loop for any
 per-step sum, and the MLP's forward kernel uses it too;
@@ -61,37 +62,30 @@ def compile_kernel(signature: str, lines, label: str, **names):
 
 def unrolled_loop(width: int, step) -> list:
     """The body lines of a generator that unpacks `window`, the last `width`
-    samples newest first, into x0..x{width-1} and yields n + 1 values.
+    samples newest first, into x0..x{width-1} and yields without end.
 
     `step(inputs)` gives the lines that set `acc` from `inputs`, the names
-    of the `width` newest samples, newest first. A pass makes
-    KERNEL_UNROLL steps: step j reads the samples sent in the pass so far,
-    s{j-1} down to s0, then the window x0, x1, ..., and takes the next
-    sample with `s{j} = yield acc`. The window is shifted by one tuple
-    assignment per pass. After the `divmod(n + 1, KERNEL_UNROLL)` full
-    passes, a tail of the first steps of a pass returns after exactly
-    n + 1 values."""
+    of the `width` newest samples, newest first. A pass of the
+    `while True:` loop makes KERNEL_UNROLL steps: step j reads the samples
+    sent in the pass so far, s{j-1} down to s0, then the window x0, x1,
+    ..., and takes the next sample with `s{j} = yield acc`. The window is
+    shifted by one tuple assignment per pass."""
     x = [f"x{i}" for i in range(width)]
     s = [f"s{j}" for j in range(KERNEL_UNROLL)]
-
-    def full_step(j):
-        return [*step([*reversed(s[:j]), *x][:width]), f"{s[j]} = yield acc"]
-
-    body = [line for j in range(KERNEL_UNROLL) for line in full_step(j)]
+    body = [line for j in range(KERNEL_UNROLL)
+            for line in [*step([*reversed(s[:j]), *x][:width]), f"{s[j]} = yield acc"]]
     if width:
         body.append(f"{', '.join(x)}, = {', '.join([*reversed(s), *x][:width])},")
-    tail = [line for j in range(KERNEL_UNROLL - 1)
-            for line in [f"if rest == {j}:", "    return", *full_step(j)]]
     return [*([f"{', '.join(x)}, = window"] if width else []),
-            f"passes, rest = divmod(n + 1, {KERNEL_UNROLL})",
-            "for _ in range(passes):", *(f"    {line}" for line in body), *tail]
+            "while True:", *(f"    {line}" for line in body)]
 
 
 @functools.cache
 def _tap_kernel(order: int):
-    """The generator function `kernel(taps, window, n)` for one order,
+    """The generator function `kernel(taps, window)` for one order,
     compiled on first use: `taps` are a_1..a_order, `window` the last
-    `order` samples newest first. It yields n + 1 predictions.
+    `order` samples newest first. It yields a prediction before each
+    sample it is sent.
 
     Each step of `unrolled_loop` sums a0 * (newest sample) + a1 * (next)
     + ... from 0.0. The source grows as order × KERNEL_UNROLL; it compiles
@@ -104,7 +98,7 @@ def _tap_kernel(order: int):
                 for i in range(0, max(order, 1), KERNEL_CHUNK)]  # order 0: acc = 0.0
 
     head = [f"{', '.join(a)}, = taps"] if order else []
-    return compile_kernel("taps, window, n", [*head, *unrolled_loop(order, step)],
+    return compile_kernel("taps, window", [*head, *unrolled_loop(order, step)],
                           f"<lpc tap kernel, order {order}>")
 
 
@@ -143,18 +137,18 @@ class LpcModel:
     def __hash__(self):
         return hash(self._key())
 
-    def predictions(self, history, n: int):
+    def predictions(self, history):
         """Return a generator of the prediction after reconstructed `history`
-        (newest last), then one after each of the n samples sent: n + 1
-        predictions, each summed in the module docstring's order."""
+        (newest last), then one after each sample sent, without end, each
+        summed in the module docstring's order."""
         if len(history) < self.order:
             raise ValueError(f"history of {len(history)} too short for order {self.order}")
         window = [float(x) for x in reversed(history[len(history) - self.order :])]
-        return _tap_kernel(self.order)(self._taps, window, n)
+        return _tap_kernel(self.order)(self._taps, window)
 
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last."""
-        return next(self.predictions(history, 0))
+        return next(self.predictions(history))
 
     @classmethod
     def zero(cls, order: int) -> "LpcModel":

@@ -204,27 +204,27 @@ class Mlp:
     def __hash__(self):
         return hash((self.theta.tobytes(), self.restart))
 
-    def predictions(self, history, n: int):
+    def predictions(self, history):
         """Return a generator of the prediction after reconstructed `history`
-        (newest last), then one after each of the n samples sent: n + 1
-        Python floats, each computed in the module docstring's order."""
+        (newest last), then one after each sample sent, without end: Python
+        floats, each computed in the module docstring's order."""
         if len(history) < N_INPUTS:
             raise ValueError(f"history of {len(history)} too short for {N_INPUTS} inputs")
         window = [float(x) for x in reversed(history[len(history) - N_INPUTS :])]
-        return _forward_kernel()(self._params, window, n)
+        return _forward_kernel()(self._params, window)
 
     def predict(self, history) -> float:
         """Predict the next sample from reconstructed history, newest last."""
-        return next(self.predictions(history, 0))
+        return next(self.predictions(history))
 
 
 @functools.cache
 def _forward_kernel():
-    """The generator function `kernel(params, window, n)`, compiled on first
+    """The generator function `kernel(params, window)`, compiled on first
     use: `params` are the 25 parameters in normative order, `window` the
-    last 10 samples newest first. It yields n + 1 predictions, each step
-    of `lpc.unrolled_loop` computing the forward pass of the module
-    docstring."""
+    last 10 samples newest first. It yields a prediction before each
+    sample it is sent, each step of `lpc.unrolled_loop` computing the
+    forward pass of the module docstring."""
     w = [[f"w{j}_{i}" for i in range(N_INPUTS)] for j in range(N_HIDDEN)]
 
     def step(inputs):
@@ -238,7 +238,7 @@ def _forward_kernel():
         return [*lines, "acc = v0 * h0 + v1 * h1 + c"]
 
     params = [*w[0], *w[1], "b0", "b1", "v0", "v1", "c"]
-    return lpc.compile_kernel("params, window, n",
+    return lpc.compile_kernel("params, window",
                               [f"{', '.join(params)}, = params", *lpc.unrolled_loop(N_INPUTS, step)],
                               "<mlp forward kernel>", exp=math.exp)
 

@@ -182,6 +182,16 @@ class TestDecode:
         assert lines[0] == "segment_index,snr_db"
         assert lines[-1].startswith("mean,")
 
+    def test_csv_without_reference_refused(self, capsys, tmp_path, pcm_file):
+        stream = str(tmp_path / "s.nad")
+        run(capsys, "encode", "--in", pcm_file, "--out", stream)
+        csv_path, out = tmp_path / "segs.csv", tmp_path / "r.pcm"
+        code, stdout, stderr = run(capsys, "decode", "--in", stream, "--out", str(out),
+                                   "--csv", str(csv_path))
+        assert code == 1
+        assert stderr == "error: --csv needs --reference\n"
+        assert stdout == "" and not csv_path.exists() and not out.exists()
+
     def test_garbage_bitstream(self, capsys, tmp_path):
         bad = tmp_path / "bad.nad"
         bad.write_bytes(b"GARBAGE!" * 4)

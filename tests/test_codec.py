@@ -101,7 +101,7 @@ def rule_loop(state, inputs, predictor, received):
     config = state.config
     steps = [state.step]
     codes, recon = [], []
-    predictions = predictor.predictions(state.history, len(inputs))
+    predictions = predictor.predictions(state.history)
     p = next(predictions)
     for x in inputs:
         step = steps[-1]
@@ -470,29 +470,27 @@ class Recording:
     def __init__(self, inner):
         self.inner, self.types = inner, set()
 
-    def predictions(self, history, n):
+    def predictions(self, history):
         self.types.update(map(type, history))
-        inner = self.inner.predictions(history, n)
+        inner = self.inner.predictions(history)
         p = next(inner)
-        for _ in range(n):
+        while True:
             self.types.add(type(p))
             xr = yield p
             self.types.add(type(xr))
             p = inner.send(xr)
-        self.types.add(type(p))
-        yield p
 
 
 @pytest.mark.parametrize("kind", [None, PredictorKind.LPC10, PredictorKind.LPC25,
                                   PredictorKind.MLP], ids=["zero", "lpc10", "lpc25", "mlp"])
 def test_predict_is_the_generators_prediction(speech_like, kind):
     """Each predictor has one arithmetic: `predict(history)`, the first
-    value of `predictions(history, 0)`, is the value `predictions` yields
+    value of `predictions(history)`, is the value `predictions` yields
     after the samples that extend a shorter history to `history`."""
     config = CodecConfig(frame_len=100)
     samples = speech_like.samples.tolist()
     predictor = ZERO if kind is None else fit_predictor(samples[:100], kind, config, 7)
-    predictions = predictor.predictions(tuple(samples[100:125]), 75)
+    predictions = predictor.predictions(tuple(samples[100:125]))
     p = next(predictions)
     for end in range(125, 200):
         history = tuple(samples[end - 25 : end])
@@ -657,8 +655,11 @@ class TestEncodeDecode:
         result = encode(ar_signal, config)
         assert len(result.frame_stats) == 10
         assert result.bitstream.payloads[0].candidate == 0  # bootstrap frame
+        assert len(result.frame_stats[0].branch_sses) == 1
         for stat in result.frame_stats[1:]:
-            assert stat.branch_sses is not None
+            assert len(stat.branch_sses) == 2
+        for stat in result.frame_stats:
+            assert stat.sse == min(stat.branch_sses)
 
     def test_config_header_round_trip(self, ar_signal):
         config = CodecConfig(bits=3, frame_len=150, seed=42,

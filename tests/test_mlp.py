@@ -306,7 +306,7 @@ class TestPredictions:
     def run(net, history, sent):
         """Pairs (prediction, reference) over len(sent) sends."""
         window = list(history)
-        predictions = net.predictions(history, len(sent))
+        predictions = net.predictions(history)
         pairs = [(next(predictions), reference_forward(net, window[-1:-11:-1]))]
         for xr in sent:
             window.append(xr)
@@ -350,35 +350,27 @@ class TestPredictions:
             assert same_bits(net.predict([0.0] * 10), float(expit(v))), v
 
     @pytest.mark.parametrize("count", [1, KERNEL_UNROLL - 1, KERNEL_UNROLL, KERNEL_UNROLL + 1,
-                                       2 * KERNEL_UNROLL, 3 * KERNEL_UNROLL - 1])
+                                       2 * KERNEL_UNROLL, 3 * KERNEL_UNROLL - 1,
+                                       3 * KERNEL_UNROLL + 5])
     def test_pass_and_tail_boundaries(self, count):
-        # n + 1 = count predictions: whole passes of the unrolled loop, a
-        # tail, or both, each against the reference by float.hex
+        # count predictions: whole passes of the unrolled loop, part of a
+        # pass (the generator is left suspended mid-pass), or both, each
+        # against the reference by float.hex
         rng = np.random.default_rng(count)
         net = Mlp(rng.standard_normal(N_PARAMS))
         history = (0.3 * rng.standard_normal(12)).tolist()
         sent = (0.3 * rng.standard_normal(count - 1)).tolist()
-        predictions = net.predictions(history, count - 1)
+        predictions = net.predictions(history)
         yielded = [next(predictions), *(predictions.send(xr) for xr in sent)]
         expected = [reference_forward(net, (history + sent[:k])[-1:-11:-1]) for k in range(count)]
         assert [p.hex() for p in yielded] == [e.hex() for e in expected]
-        with pytest.raises(StopIteration):
-            predictions.send(0.0)
 
     def test_kernel_calls_no_blas(self):
         # the generated kernel is not in the module's AST: its names show
         # whether a numpy or BLAS call has entered the arithmetic
         kernel = mlp_module._forward_kernel()
-        assert set(kernel.__code__.co_names) <= {"exp", "range", "divmod", "OverflowError"}
-        assert Mlp.zero().predictions([0.0] * 10, 1).gi_code is kernel.__code__
-
-    def test_ends_after_n_sends(self):
-        predictions = init_mlp(SplitMix64(6), 0.5).predictions([0.0] * 10, 2)
-        next(predictions)
-        predictions.send(0.1)
-        predictions.send(0.2)
-        with pytest.raises(StopIteration):
-            predictions.send(0.3)
+        assert set(kernel.__code__.co_names) <= {"exp", "OverflowError"}
+        assert Mlp.zero().predictions([0.0] * 10).gi_code is kernel.__code__
 
     def test_short_history_refused(self):
         with pytest.raises(ValueError, match="too short"):
