@@ -15,7 +15,7 @@ PCM_SCALE = 32768.0
 
 @dataclass(frozen=True)
 class Signal:
-    """Mono sample sequence with its sample rate in Hz."""
+    """Mono sample sequence with its sample rate in Hz, a positive integer."""
 
     samples: np.ndarray
     sample_rate: int
@@ -24,8 +24,11 @@ class Signal:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {self.samples.shape}")
-        if self.sample_rate <= 0:
+        if type(self.sample_rate) is not int and not isinstance(self.sample_rate, np.integer):
+            raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
+        if self.sample_rate < 1:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self):
         return len(self.samples)
@@ -52,7 +55,10 @@ def save_pcm16(signal: Signal) -> bytes:
     Samples are rounded to the nearest integer level and clamped to the
     representable range, so a load/save round trip is exact and a
     save/load round trip is within half an LSB (1/65536) per sample.
+    ±inf clamps to full scale; NaN has no level and raises ValueError.
     """
+    if np.isnan(signal.samples).any():
+        raise ValueError(f"sample {np.isnan(signal.samples).argmax()} is NaN, which has no level")
     scaled = np.rint(signal.samples * PCM_SCALE)
     clamped = np.clip(scaled, -32768, 32767)
     return clamped.astype("<i2").tobytes()
@@ -76,12 +82,13 @@ def read_wav(path_or_file) -> Signal:
 
 
 def write_wav(path_or_file, signal: Signal) -> None:
-    """Write a Signal as a mono 16-bit PCM WAV file."""
+    """Write a Signal as a mono 16-bit PCM WAV file (nothing, if a sample is NaN)."""
+    data = save_pcm16(signal)
     with wave.open(path_or_file, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(signal.sample_rate)
-        wf.writeframes(save_pcm16(signal))
+        wf.writeframes(data)
 
 
 def split_frames(samples, frame_len: int):

@@ -14,14 +14,15 @@ payload (the encoder fits them on the current original frame). Backward
 frames refit on the previous reconstructed frame, which the decoder has
 too, and frame 0 uses the zero predictor. After frame 0 the payload's
 candidate names the refit, an entry of `bitstream.frame_candidates`; an
-MLP entry is one restart, which the decoder fits alone.
+MLP entry is one restart, which the decoder fits alone with the
+encoder's own call, `multistart_fit`, given just that restart's index.
 
 The encoder lists the payloads it could send for a frame with their
 predictors, runs the loop from the same state with each, and commits the
 one with the smallest squared error, ties going to the first. Its MLP
 candidate names the restart with the lowest training SSE of one
 `multistart_fit` over all restarts, so the encoder codes with the net it
-fitted and the decoder's one-restart refit reproduces it.
+fitted and the decoder's fit of that restart alone reproduces it.
 
 Reconstructed history is continuous across frame boundaries; predictor
 training sets are not.
@@ -46,7 +47,7 @@ from .bitstream import (
     PredictorKind,
     frame_candidates,
 )
-from .mlp import Mlp, multistart_fit, restart_seed
+from .mlp import Mlp, multistart_fit
 
 HISTORY_LEN = 25  # covers the largest predictor order
 
@@ -72,33 +73,30 @@ def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index
     backward mode (decoder-reproducible), the current original frame in
     forward mode (coefficients transmitted)."""
     if kind is PredictorKind.MLP:
-        return multistart_fit(samples, config.train, config.seed ^ frame_index)
+        return multistart_fit(samples, config.train, config.seed ^ frame_index,
+                              range(config.train.restarts))
     return lpc.fit(samples, FORWARD_COEFF_COUNT[kind])
 
 
 def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, payload: FramePayload):
     """Predictor of one frame, the one rule encoder and decoder share.
 
-    Forward frames rebuild it from `payload.forward_coeffs`. Backward
+    Forward frames build it from `payload.forward_coeffs` alone. Backward
     frame 0 has no decoded history and uses ZERO; later backward frames
     refit on `prev_recon`, the previous reconstructed frame, as the
-    `frame_candidates` entry `payload.candidate` names. An MLP entry
-    trains only its restart, from its own seed, which gives the same net as
-    that restart of the encoder's `multistart_fit`.
+    `frame_candidates` entry `payload.candidate` names. An MLP entry is
+    the encoder's `multistart_fit` call given only its restart, which
+    gives the same net as that restart of the encoder's fit.
     """
     if config.adaptation is Adaptation.FORWARD:
         coeffs = payload.forward_coeffs
-        if config.predictor_kind is PredictorKind.MLP:
-            return Mlp(coeffs)
-        return lpc.LpcModel(len(coeffs), coeffs, np.zeros(len(coeffs)))
+        return Mlp(coeffs) if config.predictor_kind is PredictorKind.MLP else lpc.LpcModel(coeffs)
     if frame_index == 0:
         return ZERO
     kind, restart = frame_candidates(config)[payload.candidate]
     if kind is not PredictorKind.MLP:
         return fit_predictor(prev_recon, kind, config, frame_index)
-    net = multistart_fit(prev_recon, replace(config.train, restarts=1),
-                         restart_seed(config.seed ^ frame_index, restart))
-    return replace(net, restart=restart)
+    return multistart_fit(prev_recon, config.train, config.seed ^ frame_index, (restart,))
 
 
 def _candidates(config: CodecConfig, frame, frame_index: int, prev_recon) -> list:

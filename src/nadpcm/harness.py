@@ -70,6 +70,12 @@ def _require_nonempty(**sequences):
             raise ValueError(f"{name} must be non-empty")
 
 
+def _require_trainable(frame_len: int):
+    """Refuse frames too short to train the MLP on, before any training."""
+    if frame_len < MIN_FRAME_LEN:
+        raise ValueError(f"frame_len {frame_len} is below the {MIN_FRAME_LEN}-sample MLP minimum")
+
+
 def _method(method: str):
     """(predictor kind, adaptation) of a method; the one METHODS lookup."""
     if method not in METHODS:
@@ -167,8 +173,7 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
     test_frame = frames[frame_pair_index + 1]
     if any(np.dot(f, f) < SILENCE_ENERGY_FLOOR for f in (train_frame, test_frame)):
         raise ValueError(f"frame pair {frame_pair_index} contains silence; pick another")
-    if len(train_frame) < MIN_FRAME_LEN:
-        raise ValueError("training frame too short to form prediction pairs")
+    _require_trainable(config.frame_len)
 
     y_train = []
     y_test = []
@@ -193,6 +198,7 @@ def optimal_epoch_histogram(signal: Signal, max_epochs: int, config: CodecConfig
     frames = split_frames(signal.samples, config.frame_len)
     if len(frames) < 2:
         raise ValueError("need at least two frames")
+    _require_trainable(config.frame_len)
 
     counts = {}
     total = 0

@@ -40,7 +40,7 @@ list recursion in the same order, so its bits are as portable.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,30 +104,32 @@ def _tap_kernel(order: int):
 
 @dataclass(frozen=True)
 class LpcModel:
-    """All-pole predictor coefficients of a given order.
+    """All-pole predictor coefficients a_1..a_order; `order` is their count.
 
     `reflection` holds the recursion's reflection coefficients (zeros for
-    stages that never ran); `halted` marks a recursion cut short by a
-    non-positive prediction-error power. Two models are equal, and hash
-    alike, when their order, `halted` flag and the bytes of their
-    coefficients and reflection coefficients are.
+    stages that never ran), and is empty for a model no fit produced;
+    `halted` marks a recursion cut short by a non-positive
+    prediction-error power. Two models are equal, and hash alike, when
+    their `halted` flag and the bytes of their coefficients and
+    reflection coefficients are.
     """
 
-    order: int
     coeffs: np.ndarray
-    reflection: np.ndarray
+    reflection: np.ndarray = ()
     halted: bool = False
+    order: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
         object.__setattr__(self, "reflection", np.asarray(self.reflection, dtype=np.float64))
-        if len(self.coeffs) != self.order:
-            raise ValueError(f"need {self.order} coefficients, got {len(self.coeffs)}")
+        if self.coeffs.ndim != 1:
+            raise ValueError(f"coefficients must be one-dimensional, got shape {self.coeffs.shape}")
+        object.__setattr__(self, "order", len(self.coeffs))
         object.__setattr__(self, "_taps", tuple(self.coeffs.tolist()))
 
     def _key(self) -> tuple:
-        return (self.order, self.coeffs.tobytes(), self.reflection.shape,
-                self.reflection.tobytes(), bool(self.halted))
+        return (self.coeffs.tobytes(), self.reflection.shape, self.reflection.tobytes(),
+                bool(self.halted))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -152,7 +154,7 @@ class LpcModel:
 
     @classmethod
     def zero(cls, order: int) -> "LpcModel":
-        return cls(order, np.zeros(order), np.zeros(order))
+        return cls(np.zeros(order), np.zeros(order))
 
 
 def autocorrelation(frame, order: int) -> np.ndarray:
@@ -220,7 +222,7 @@ def levinson(r) -> LpcModel:
     if r[0] < ZERO_ENERGY_FLOOR:
         return LpcModel.zero(order)
     coeffs, refl, halted = _levinson_kernel(order)(r)
-    return LpcModel(order, coeffs, refl, halted=halted)
+    return LpcModel(coeffs, refl, halted=halted)
 
 
 def fit(frame, order: int) -> LpcModel:

@@ -168,9 +168,8 @@ class Mlp:
     """10x2x1 perceptron: sigmoid hidden layer, linear output.
 
     `theta` holds the 25 parameters in the normative order and is the
-    whole model; `w_in` (2, 10), `b_hid` (2,) and `w_out` (2,) are
-    read-only views of it, and `b_out` is its last entry as a float.
-    `restart` is not a parameter: it records which restart of a
+    whole model; `w_in` (2, 10) is a read-only view of its input
+    weights. `restart` is not a parameter: it records which restart of a
     `multistart_fit` the net is, so the encoder can send that index.
     Two nets are equal, and hash alike, when their `theta` bytes and
     `restart` are.
@@ -186,9 +185,6 @@ class Mlp:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "w_in", theta[:20].reshape(N_HIDDEN, N_INPUTS))
-        object.__setattr__(self, "b_hid", theta[20:22])
-        object.__setattr__(self, "w_out", theta[22:24])
-        object.__setattr__(self, "b_out", float(theta[24]))
         object.__setattr__(self, "_params", tuple(theta.tolist()))
 
     @classmethod
@@ -429,23 +425,26 @@ def restart_seed(seed: int, restart_index: int) -> int:
     return (seed ^ ((restart_index * GOLDEN_GAMMA) & MASK64)) & MASK64
 
 
-def multistart_fit(frame, config: TrainConfig, seed: int) -> Mlp:
-    """Train from several seeded random initializations and keep the best.
+def multistart_fit(frame, config: TrainConfig, seed: int, restarts) -> Mlp:
+    """Train the listed restarts from seeded random initializations; keep the best.
 
-    The config.restarts restarts run config.epochs LM iterations as one
-    stack; the winner is the restart with the lowest final SSE on the
-    training frame (ties break to the lowest restart index), and its
-    index is the returned net's `restart`. Restart i is seeded
-    `restart_seed(seed, i)` and its row does not depend on the others, so
-    a fit with `restarts=1` from that seed gives the same net. Frames too
-    short to form training pairs yield the zero-output net.
+    `restarts` is a non-empty sequence of restart indices. They run
+    config.epochs LM iterations as one stack, row j seeded
+    `restart_seed(seed, restarts[j])`; the winner is the row with the
+    lowest final SSE on the training frame (ties go to the first listed),
+    and its index is the returned net's `restart`. A row does not depend
+    on the others, so the decoder's fit of `(i,)` is restart i of the
+    encoder's fit of `range(config.restarts)`. Frames too short to form
+    training pairs yield the zero-output net at the first listed index.
     """
+    if not restarts:
+        raise ValueError("restarts must list at least one restart index")
     if len(frame) < MIN_FRAME_LEN:
         log.debug("multistart on short frame (%d samples): zero predictor", len(frame))
-        return Mlp.zero()
-    seeds = [restart_seed(seed, i) for i in range(config.restarts)]
+        return Mlp(np.zeros(N_PARAMS), restarts[0])
+    seeds = [restart_seed(seed, i) for i in restarts]
     for theta, _, sse in lm_stack_iterations(frame, seeds, config, config.epochs):
         pass
     finals = sse.tolist()
     best = min(range(len(finals)), key=finals.__getitem__)
-    return Mlp(theta[best], best)
+    return Mlp(theta[best], restarts[best])

@@ -20,13 +20,11 @@ from nadpcm import (
     Adaptation,
     CodecConfig,
     PredictorKind,
-    Signal,
     TrainConfig,
     decode,
     encode,
     evaluate_methods,
     parse,
-    segsnr,
     serialize,
     z_score,
 )
@@ -254,7 +252,8 @@ def test_c09_nonlinear_advantage(capsys):
     prediction on held-out one-step residual energy."""
     x = nonlinear_ar_raw(seed=31, n=3000, sigma=0.25)
     train_seg, test_seg = x[:1500], x[1490:]
-    net = multistart_fit(train_seg, TrainConfig(epochs=40), seed=1)
+    config = TrainConfig(epochs=40)
+    net = multistart_fit(train_seg, config, seed=1, restarts=range(config.restarts))
     linear = lpc_fit(train_seg, 10)
     e_mlp = e_lpc = 0.0
     for n in range(10, len(test_seg)):

@@ -27,6 +27,23 @@ class TestSignal:
         with pytest.raises(ValueError):
             Signal(np.zeros((10, 2)), 8000)
 
+    @pytest.mark.parametrize("rate, shown", [(8000.5, "8000.5"), (float("nan"), "nan"),
+                                             (True, "True"), (8000.0, "8000.0")])
+    def test_rejects_non_integer_rate(self, rate, shown):
+        # a WAV header holds an integer rate: 8000.5 would be written as
+        # 8000 and True as 1
+        with pytest.raises(ValueError, match=f"^sample_rate must be an integer, got {shown}$"):
+            Signal(np.zeros(10), rate)
+
+    @pytest.mark.parametrize("rate", [0, -8000, np.int16(-1)])
+    def test_rejects_rate_below_one(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate must be positive, got "):
+            Signal(np.zeros(10), rate)
+
+    def test_numpy_integer_rate_stored_as_int(self):
+        sig = Signal(np.zeros(10), np.int64(8000))
+        assert type(sig.sample_rate) is int and sig.sample_rate == 8000
+
 
 class TestPcm16:
     def test_known_levels(self):
@@ -56,6 +73,15 @@ class TestPcm16:
         with pytest.raises(ValueError):
             load_pcm16(b"\x00\x01\x02", 8000)
 
+    def test_save_refuses_nan_naming_the_first(self):
+        sig = Signal(np.array([0.0, 0.5, np.nan, -np.nan, 0.1]), 8000)
+        with pytest.raises(ValueError, match="^sample 2 is NaN"):
+            save_pcm16(sig)
+
+    def test_save_clamps_infinity_to_full_scale(self):
+        out = np.frombuffer(save_pcm16(Signal(np.array([np.inf, -np.inf]), 8000)), dtype="<i2")
+        assert list(out) == [32767, -32768]
+
 
 class TestWav:
     def test_round_trip(self, speech_like):
@@ -66,6 +92,12 @@ class TestWav:
         assert back.sample_rate == speech_like.sample_rate
         # one quantization through 16-bit PCM
         assert np.max(np.abs(back.samples - speech_like.samples)) <= 0.5 / 32768
+
+    def test_write_refuses_nan_before_writing(self):
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="^sample 3 is NaN"):
+            write_wav(buf, Signal(np.r_[np.zeros(3), np.nan], 8000))
+        assert buf.getvalue() == b""
 
     def test_wav_then_pcm_identical_samples(self, speech_like):
         buf = io.BytesIO()

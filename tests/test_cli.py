@@ -362,6 +362,13 @@ class TestSweep:
         assert "median optimal epoch:" in stdout
         assert "epoch,percent" in stdout
 
+    def test_histogram_kind_frames_too_short(self, capsys, pcm_file):
+        code, stdout, stderr = run(capsys, "sweep", "--kind", "histogram", "--in", pcm_file,
+                                   "--frame-len", "5")
+        assert code == 1
+        assert stderr == "error: frame_len 5 is below the 11-sample MLP minimum\n"
+        assert stdout == ""
+
     def test_epochs_kind_on_one_frame(self, capsys, tmp_path, ar_signal):
         short = tmp_path / "short.wav"
         write_wav(str(short), Signal(ar_signal.samples[:5], 8000))

@@ -24,7 +24,7 @@ from nadpcm import (
     parse,
     serialize,
 )
-from nadpcm.bitstream import frame_row
+from nadpcm.bitstream import FORWARD_COEFF_COUNT, frame_row
 from nadpcm.codec import (
     ZERO,
     decode_frame,
@@ -33,7 +33,7 @@ from nadpcm.codec import (
     frame_predictor,
     initial_state,
 )
-from nadpcm.mlp import Mlp, multistart_fit, restart_seed
+from nadpcm.mlp import Mlp, multistart_fit
 from nadpcm.quantizer import DEFAULT_MULTIPLIERS, code_range, dequantize, next_step, quantize
 
 
@@ -196,7 +196,8 @@ class TestHybridFrame:
             if k > 0:
                 # re-simulate both branches from the same state, the neural
                 # one as the restart that wins the multistart fit
-                neural = multistart_fit(prev, config.train, config.seed ^ k).restart + 1
+                neural = multistart_fit(prev, config.train, config.seed ^ k,
+                                        range(config.train.restarts)).restart + 1
                 sses = tuple(
                     encode_frame(state, frame, frame_predictor(
                         config, k, prev, FramePayload((), candidate=candidate)))[3]
@@ -340,6 +341,15 @@ class TestForwardMode:
         config = CodecConfig(predictor_kind=PredictorKind.MLP, adaptation=Adaptation.FORWARD)
         net = frame_predictor(config, 3, None, FramePayload((), forward_coeffs=coeffs))
         assert tuple(net.theta) == coeffs
+        assert net == Mlp(coeffs)
+
+    @pytest.mark.parametrize("kind", [PredictorKind.LPC10, PredictorKind.LPC25])
+    def test_frame_predictor_builds_forward_lpc_from_coefficients_alone(self, kind):
+        coeffs = tuple(np.random.default_rng(5).standard_normal(FORWARD_COEFF_COUNT[kind]))
+        config = CodecConfig(predictor_kind=kind, adaptation=Adaptation.FORWARD)
+        model = frame_predictor(config, 3, None, FramePayload((), forward_coeffs=coeffs))
+        assert model == lpc.LpcModel(coeffs) and model.order == len(coeffs)
+        assert model.reflection.shape == (0,)  # no fit produced it
 
     def test_frame_predictor_forward_lpc_sum_order(self):
         """A rebuilt forward LPC model keeps predict's normative order:
@@ -390,7 +400,8 @@ class TestCandidate:
             if k == 0:
                 assert payload.candidate == 0
             elif payload.candidate or not offset:
-                winner = multistart_fit(prev, config.train, config.seed ^ k)
+                winner = multistart_fit(prev, config.train, config.seed ^ k,
+                                        range(config.train.restarts))
                 assert payload.candidate == winner.restart + offset
                 rebuilt = frame_predictor(config, k, prev, payload)
                 assert rebuilt.theta.tobytes() == winner.theta.tobytes()
@@ -457,8 +468,7 @@ class TestCandidate:
                 prev, PredictorKind.LPC10, config, 3).coeffs.tolist()
         for i in range(config.train.restarts):
             net = frame_predictor(config, 3, prev, FramePayload((), candidate=i + first_net))
-            alone = multistart_fit(prev, replace(config.train, restarts=1),
-                                   restart_seed(config.seed ^ 3, i))
+            alone = multistart_fit(prev, config.train, config.seed ^ 3, (i,))
             assert net.theta.tobytes() == alone.theta.tobytes() and net.restart == i
 
 

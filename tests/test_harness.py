@@ -211,6 +211,11 @@ class TestEpochSweep:
                 epoch_sweep(Signal(samples, 8000), 0, 4, restart_seed=0,
                             base_config=CodecConfig(bits=3))
 
+    def test_frames_too_short_for_the_mlp_refused(self, ar_signal):
+        with pytest.raises(ValueError, match="^frame_len 10 is below the 11-sample MLP minimum$"):
+            epoch_sweep(ar_signal, 0, 4, restart_seed=0,
+                        base_config=CodecConfig(bits=3, frame_len=10))
+
     def test_strictly_increasing_x_enforced(self):
         with pytest.raises(ValueError):
             SweepCurve(x_values=(1, 3, 2))
@@ -242,6 +247,22 @@ class TestOptimalEpochHistogram:
         short = Signal(ar_signal.samples[:200], ar_signal.sample_rate)
         with pytest.raises(ValueError):
             optimal_epoch_histogram(short, 3, CodecConfig(bits=3))
+
+    @pytest.mark.parametrize("frame_len", [1, 5, 10])
+    def test_frames_too_short_for_the_mlp_refused_before_training(self, monkeypatch, ar_signal,
+                                                                  frame_len):
+        def no_training(*args):
+            raise AssertionError("a net was trained")
+
+        monkeypatch.setattr(harness, "lm_iterations", no_training)
+        with pytest.raises(ValueError, match=f"^frame_len {frame_len} is below the 11-sample "
+                                             "MLP minimum$"):
+            optimal_epoch_histogram(ar_signal, 3, CodecConfig(bits=3, frame_len=frame_len))
+
+    def test_shortest_trainable_frame_accepted(self, ar_signal):
+        short = Signal(ar_signal.samples[:44], ar_signal.sample_rate)
+        hist = optimal_epoch_histogram(short, 3, CodecConfig(bits=3, frame_len=11))
+        assert sum(hist.values()) == pytest.approx(100.0)
 
 
 class TestFrameLengthSweep:

@@ -196,12 +196,12 @@ class TestLevinsonKernel:
 
 class TestPredict:
     def test_newest_last_convention(self):
-        model = LpcModel(2, [0.5, 0.25], np.zeros(2))
+        model = LpcModel([0.5, 0.25], np.zeros(2))
         history = np.array([0.1, 0.4, 0.8])  # newest is 0.8
         assert model.predict(history) == pytest.approx(0.5 * 0.8 + 0.25 * 0.4)
 
     def test_short_history_rejected(self):
-        model = LpcModel(2, [0.5, 0.25], np.zeros(2))
+        model = LpcModel([0.5, 0.25], np.zeros(2))
         with pytest.raises(ValueError):
             model.predict(np.array([1.0]))
 
@@ -216,7 +216,7 @@ class TestPredict:
         where a compensated sum (math.fsum, Python 3.12's sum()) gives the
         exact 1.0; the second gives 1.0 newest first but 0.0 oldest first.
         """
-        model = LpcModel(3, [1.0, 1.0, 1.0], np.zeros(3))
+        model = LpcModel([1.0, 1.0, 1.0], np.zeros(3))
         assert model.predict([-1e16, 1.0, 1e16]) == 0.0
         assert model.predict([1.0, -1e16, 1e16]) == 1.0
 
@@ -260,7 +260,7 @@ class TestPredictions:
     def test_every_order_matches_newest_first_sum(self, order):
         # 3000 taps in one expression overflow the compiler's recursion limit
         rng = np.random.default_rng(order)
-        model = LpcModel(order, rng.uniform(-1.0, 1.0, order), np.zeros(order))
+        model = LpcModel(rng.uniform(-1.0, 1.0, order), np.zeros(order))
         window = rng.standard_normal(order + 3).tolist()
         self.run(model, window, rng.standard_normal(40).tolist())
 
@@ -272,13 +272,13 @@ class TestPredictions:
         # count predictions: part of a pass alone (the generator is left
         # suspended mid-pass), whole passes alone, and both
         rng = np.random.default_rng([order, count])
-        model = LpcModel(order, rng.uniform(-1.0, 1.0, order), np.zeros(order))
+        model = LpcModel(rng.uniform(-1.0, 1.0, order), np.zeros(order))
         window = rng.standard_normal(order + 2).tolist()
         assert len(self.run(model, window, rng.standard_normal(count - 1).tolist())) == count
 
     def test_sent_samples_sum_uncompensated(self):
         # the cancellation case of TestPredict, reached through sent samples
-        model = LpcModel(3, [1.0, 1.0, 1.0], np.zeros(3))
+        model = LpcModel([1.0, 1.0, 1.0], np.zeros(3))
         predictions = model.predictions([0.0] * 3)
         next(predictions)
         assert [predictions.send(x) for x in (-1e16, 1.0, 1e16)] == [-1e16, -1e16 + 1.0, 0.0]
@@ -286,18 +286,18 @@ class TestPredictions:
     @pytest.mark.parametrize("order", [1, 2, 10, 3000])
     def test_negative_zero_products_sum_to_positive_zero(self, order):
         # every product is -0.0; only the 0.0 start makes the sum +0.0
-        model = LpcModel(order, [1.0] * order, np.zeros(order))
+        model = LpcModel([1.0] * order, np.zeros(order))
         yielded = self.run(model, [-0.0] * order, [-0.0] * 3)
         assert [p.hex() for p in yielded] == ["0x0.0p+0"] * 4
-        flipped = LpcModel(order, [-1.0] * order, np.zeros(order))
+        flipped = LpcModel([-1.0] * order, np.zeros(order))
         assert self.run(flipped, [0.0] * order, [0.0] * 3)[-1].hex() == "0x0.0p+0"
 
     def test_infinities_and_nan_sent(self):
-        model = LpcModel(2, [1.0, 0.5], np.zeros(2))
+        model = LpcModel([1.0, 0.5], np.zeros(2))
         yielded = self.run(model, [0.0, 0.0], [math.inf, -math.inf, 1.0, math.nan, 0.0, 0.0])
         assert [p.hex() for p in yielded] == ["0x0.0p+0", "inf", "nan", "-inf", "nan", "nan",
                                               "0x0.0p+0"]
-        self.run(LpcModel(25, np.full(25, 0.25), np.zeros(25)), [1.0] * 25,
+        self.run(LpcModel(np.full(25, 0.25), np.zeros(25)), [1.0] * 25,
                  [-math.inf, math.inf, math.nan] + [2.0] * 30)
 
     def test_one_kernel_per_order(self):
@@ -309,7 +309,7 @@ class TestPredictions:
         levinson(autocorrelation(np.arange(30.0), 10))
         levinson(autocorrelation(np.arange(30.0) ** 2, 10))
         assert _levinson_kernel.cache_info().misses == misses
-        a, b = LpcModel(10, np.ones(10), np.zeros(10)), LpcModel.zero(10)
+        a, b = LpcModel(np.ones(10), np.zeros(10)), LpcModel.zero(10)
         assert a.predictions([0.0] * 10).gi_code is b.predictions([0.0] * 10).gi_code
         assert a.predictions([0.0] * 10).gi_code is _tap_kernel(10).__code__
 
@@ -334,14 +334,40 @@ class TestPredictions:
 
     def test_short_history_rejected_on_call(self):
         with pytest.raises(ValueError):
-            LpcModel(2, [0.5, 0.25], np.zeros(2)).predictions([1.0])
+            LpcModel([0.5, 0.25], np.zeros(2)).predictions([1.0])
 
     def test_numpy_history_gives_python_floats(self):
-        model = LpcModel(2, [0.5, 0.25], np.zeros(2))
+        model = LpcModel([0.5, 0.25], np.zeros(2))
         history = np.array([0.1, 0.4, 0.8], dtype=np.float32)
         p = model.predict(history)
         assert type(p) is float
         assert p == 0.5 * float(np.float32(0.8)) + 0.25 * float(np.float32(0.4))
+
+
+class TestModel:
+    @pytest.mark.parametrize("coeffs", [[], [0.5], np.full(25, 0.25)], ids=["0", "1", "25"])
+    def test_order_is_the_coefficient_count(self, coeffs):
+        model = LpcModel(coeffs)
+        assert model.order == len(coeffs) and model.coeffs.tolist() == list(coeffs)
+        assert model.reflection.shape == (0,) and not model.halted
+
+    @pytest.mark.parametrize("coeffs", [0.5, [[0.5, 0.25]], np.zeros((1, 0))],
+                             ids=["scalar", "row", "empty-row"])
+    def test_coefficients_not_one_dimensional_refused(self, coeffs):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            LpcModel(coeffs)
+
+    def test_order_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            LpcModel([0.5, 0.25], order=2)
+
+    @pytest.mark.parametrize("r", [[0.0] * 11, [1.0, 0.9, 0.81], [1e-12] + [1.0] * 130],
+                             ids=["silent", "ar1", "halted"])
+    def test_fits_carry_a_full_reflection_vector(self, r):
+        # stages that never ran hold 0.0; only a model no fit produced is empty
+        model = levinson(r)
+        assert model.reflection.shape == (model.order,) == (len(r) - 1,)
+        assert LpcModel.zero(4).reflection.tolist() == [0.0] * 4
 
 
 class TestEquality:
@@ -350,18 +376,17 @@ class TestEquality:
         assert hash(LpcModel.zero(3)) == hash(LpcModel.zero(3))
         a, b = fit(speech_like.samples[:200], 10), fit(speech_like.samples[:200], 10)
         assert a is not b and a == b and hash(a) == hash(b)
-        assert LpcModel(2, [0.5, 0.25], (0.1, 0.2)) == LpcModel(2, np.array([0.5, 0.25]),
-                                                                 [0.1, 0.2])
+        assert LpcModel([0.5, 0.25], (0.1, 0.2)) == LpcModel(np.array([0.5, 0.25]), [0.1, 0.2])
         assert len({a, b, LpcModel.zero(3), LpcModel.zero(3), LpcModel.zero(10)}) == 3
 
     def test_each_field_counts(self):
-        model = LpcModel(2, [0.5, 0.25], [0.1, 0.2])
+        model = LpcModel([0.5, 0.25], [0.1, 0.2])
         assert model != LpcModel.zero(2) and LpcModel.zero(2) != LpcModel.zero(3)
-        assert model != LpcModel(2, [0.5, np.nextafter(0.25, 1.0)], [0.1, 0.2])
-        assert model != LpcModel(2, [0.5, 0.25], [0.1, 0.3])
-        assert model != LpcModel(2, [0.5, 0.25], [[0.1, 0.2]])  # same bytes, other shape
-        assert model != LpcModel(2, [0.5, 0.25], [0.1, 0.2], halted=True)
-        assert LpcModel.zero(1) != LpcModel(1, [-0.0], [0.0])  # the bytes of -0.0 differ
+        assert model != LpcModel([0.5, np.nextafter(0.25, 1.0)], [0.1, 0.2])
+        assert model != LpcModel([0.5, 0.25], [0.1, 0.3])
+        assert model != LpcModel([0.5, 0.25], [[0.1, 0.2]])  # same bytes, other shape
+        assert model != LpcModel([0.5, 0.25], [0.1, 0.2], halted=True)
+        assert LpcModel.zero(1) != LpcModel([-0.0], [0.0])  # the bytes of -0.0 differ
 
     def test_other_types_are_not_equal(self):
         assert LpcModel.zero(0) != () and LpcModel.zero(2) != None  # noqa: E711

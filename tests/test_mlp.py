@@ -182,15 +182,17 @@ class TestMlpStructure:
         assert N_PARAMS == 25
 
     def test_vector_order_is_normative(self):
-        # w_in row-major (hidden 0 then hidden 1), b_hid, w_out, b_out
+        # w_in row-major (hidden 0 then hidden 1), hidden biases, output
+        # weights, output bias
         theta = np.arange(25, dtype=np.float64)
         net = Mlp(theta)
         np.testing.assert_array_equal(net.theta, theta)
         np.testing.assert_array_equal(net.w_in[0], np.arange(10))
         np.testing.assert_array_equal(net.w_in[1], np.arange(10, 20))
-        np.testing.assert_array_equal(net.b_hid, [20, 21])
-        np.testing.assert_array_equal(net.w_out, [22, 23])
-        assert net.b_out == 24.0
+        # with zero inputs, the output is v0 * sigma(b0) + v1 * sigma(b1) + c
+        net = Mlp(np.r_[np.zeros(20), 2.0, -1.0, 0.5, 0.25, 3.0])
+        expected = 0.5 * expit(2.0) + 0.25 * expit(-1.0) + 3.0
+        assert net.predict(np.zeros(10)) == pytest.approx(expected, rel=1e-15)
 
     def test_vector_round_trip(self):
         rng = SplitMix64(3)
@@ -261,8 +263,8 @@ class TestForward:
         rng = SplitMix64(5)
         net = init_mlp(rng, 0.5)
         x = np.linspace(-0.4, 0.4, 10)  # newest first
-        h = expit(net.w_in @ x + net.b_hid)
-        expected = float(net.w_out @ h + net.b_out)
+        h = expit(net.w_in @ x + net.theta[20:22])
+        expected = float(net.theta[22:24] @ h + net.theta[24])
         assert net.predict(x[::-1]) == pytest.approx(expected, rel=1e-15)
 
     def test_predict_uses_newest_first(self):
@@ -293,7 +295,7 @@ class TestForward:
         net = init_mlp(rng, 0.5)
         x = np.array([np.linspace(-0.2, 0.2, 10), np.linspace(0.3, -0.1, 10)])
         h, batch = forward_batch(net.theta, x)
-        np.testing.assert_allclose(h, expit(x @ net.w_in.T + net.b_hid), rtol=1e-15)
+        np.testing.assert_allclose(h, expit(x @ net.w_in.T + net.theta[20:22]), rtol=1e-15)
         assert batch[0] == pytest.approx(net.predict(x[0][::-1]), rel=1e-15)
         assert batch[1] == pytest.approx(net.predict(x[1][::-1]), rel=1e-15)
 
@@ -328,7 +330,7 @@ class TestPredictions:
             # exp(-a) overflows: the generator's OverflowError branch. Row
             # 15 + k of the training inputs is the window after k sends.
             x, _ = build_training_set(list(history) + sent)
-            assert (x[15:] @ net.w_in.T + net.b_hid).min() < -745
+            assert (x[15:] @ net.w_in.T + net.theta[20:22]).min() < -745
 
     @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
     def test_non_finite_history(self, special):
@@ -592,15 +594,15 @@ class TestMultistart:
 
     def test_deterministic(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
-        a = multistart_fit(frame, TrainConfig(), 77)
-        b = multistart_fit(frame, TrainConfig(), 77)
+        a = multistart_fit(frame, TrainConfig(), 77, range(4))
+        b = multistart_fit(frame, TrainConfig(), 77, range(4))
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_selects_lowest_sse_restart(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
         x, t = build_training_set(frame)
         config = TrainConfig()
-        best = multistart_fit(frame, config, 21)
+        best = multistart_fit(frame, config, 21, range(config.restarts))
         finals = [reference_run(frame, restart_seed(21, i), config, config.epochs)[-1]
                   for i in range(config.restarts)]
         winner = int(np.argmin([err for _, err in finals]))
@@ -610,38 +612,81 @@ class TestMultistart:
     def test_single_restart_equals_one_run(self):
         frame = np.sin(np.linspace(0, 12, 150)) * 0.4
         config = TrainConfig(restarts=1)
-        via_multi = multistart_fit(frame, config, 33)
+        via_multi = multistart_fit(frame, config, 33, range(config.restarts))
         via_run, _ = reference_run(frame, restart_seed(33, 0), config, config.epochs)[-1]
         np.testing.assert_array_equal(via_multi.theta, via_run.theta)
 
     @staticmethod
-    def fit_with_final_sse(monkeypatch, final_sse):
-        """multistart_fit over a faked LM whose row i is all i; the first of
-        two epochs would pick row 0, so only the last epoch may count."""
-        stack = np.repeat(np.arange(4.0)[:, None], 25, axis=1)
-        epoch_sse = [(0.5, 9.0, 9.0, 9.0), final_sse]
+    def fit_with_final_sse(monkeypatch, final_sse, restarts=range(4)):
+        """multistart_fit of `restarts` over a faked LM whose row j is all j;
+        the first of two epochs would pick row 0, so only the last epoch may
+        count."""
+        rows = len(final_sse)
+        stack = np.repeat(np.arange(float(rows))[:, None], 25, axis=1)
+        epoch_sse = [(0.5,) + (9.0,) * (rows - 1), final_sse]
 
         def fake_epoch(theta, x, t, lam, config, carry=None):
+            assert len(theta) == rows
             return stack, lam, np.array(epoch_sse.pop(0)), 0
 
         monkeypatch.setattr(mlp_module, "lm_epoch", fake_epoch)
-        best = multistart_fit(np.zeros(50), TrainConfig(epochs=2), 5)
+        best = multistart_fit(np.zeros(50), TrainConfig(epochs=2), 5, restarts)
         assert not epoch_sse
-        return best.theta
+        return best
 
     def test_tie_goes_to_lowest_restart(self, monkeypatch):
-        theta = self.fit_with_final_sse(monkeypatch, (2.0, 1.0, 1.0, 3.0))
-        np.testing.assert_array_equal(theta, np.full(25, 1.0))
+        best = self.fit_with_final_sse(monkeypatch, (2.0, 1.0, 1.0, 3.0))
+        np.testing.assert_array_equal(best.theta, np.full(25, 1.0))
 
     def test_nan_sse_does_not_beat_an_earlier_restart(self, monkeypatch):
         # min over Python floats keeps restart 1; np.argmin would pick the NaN
-        theta = self.fit_with_final_sse(monkeypatch, (2.0, 1.0, float("nan"), 1.0))
-        np.testing.assert_array_equal(theta, np.full(25, 1.0))
+        best = self.fit_with_final_sse(monkeypatch, (2.0, 1.0, float("nan"), 1.0))
+        np.testing.assert_array_equal(best.theta, np.full(25, 1.0))
+
+    def test_winner_is_named_by_its_listed_index(self, monkeypatch):
+        best = self.fit_with_final_sse(monkeypatch, (2.0, 1.0), restarts=(3, 1))
+        np.testing.assert_array_equal(best.theta, np.full(25, 1.0))
+        assert best.restart == 1
+
+    def test_tie_goes_to_first_listed(self, monkeypatch):
+        best = self.fit_with_final_sse(monkeypatch, (1.0, 1.0), restarts=(3, 1))
+        np.testing.assert_array_equal(best.theta, np.zeros(25))
+        assert best.restart == 3
+
+    def test_subset_rows_are_solo_fits_and_rows_of_the_full_fit(self, monkeypatch):
+        frame = np.sin(np.linspace(0, 12, 200)) * 0.4
+        config = TrainConfig()
+        for full, _, _ in lm_stack_iterations(
+                frame, [restart_seed(21, i) for i in range(4)], config, config.epochs):
+            pass
+        stacks = []
+        real = mlp_module.lm_stack_iterations
+
+        def recording(*args):
+            for theta, lam, sse in real(*args):
+                yield theta, lam, sse
+            stacks.append(theta)
+
+        monkeypatch.setattr(mlp_module, "lm_stack_iterations", recording)
+        best = multistart_fit(frame, config, 21, (3, 1))
+        solo = [multistart_fit(frame, config, 21, (i,)) for i in (3, 1)]
+        subset = stacks[0]
+        assert subset.shape == (2, N_PARAMS)
+        for j, i in enumerate((3, 1)):
+            assert solo[j].restart == i
+            assert subset[j].tobytes() == solo[j].theta.tobytes() == full[i].tobytes()
+        assert best in solo
+
+    @pytest.mark.parametrize("length", [5, 200])
+    def test_empty_restarts_refused(self, length):
+        with pytest.raises(ValueError, match="at least one restart"):
+            multistart_fit(np.zeros(length), TrainConfig(), 0, ())
 
     def test_short_frame_zero_predictor(self):
-        net = multistart_fit(np.zeros(5), TrainConfig(), 0)
+        net = multistart_fit(np.zeros(5), TrainConfig(), 0, range(4))
         assert net.predict(np.zeros(10)) == 0.0
         np.testing.assert_array_equal(net.theta, np.zeros(25))
+        assert multistart_fit(np.zeros(5), TrainConfig(), 0, (3, 1)) == Mlp(np.zeros(25), 3)
 
 
 class TestStackedRun:
@@ -879,7 +924,7 @@ for method in ("ADPCMB-LPC-10", "ADPCMF-LPC-25"):
     decoded = nadpcm.decode(nadpcm.parse(nadpcm.serialize(encoded.bitstream)))
     assert np.array_equal(decoded.samples, encoded.reconstruction.samples), method
 assert scipy_loaded() == [], scipy_loaded()
-nadpcm.multistart_fit(signal.samples[:200], nadpcm.TrainConfig(epochs=2, restarts=2), 1)
+nadpcm.multistart_fit(signal.samples[:200], nadpcm.TrainConfig(epochs=2), 1, range(2))
 assert "scipy.special" in sys.modules
 """
 
