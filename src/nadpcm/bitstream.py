@@ -41,7 +41,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TrainConfig, as_float
+from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT, TrainConfig, as_float
 from .quantizer import (
     DEFAULT_STEP_INIT,
     DEFAULT_STEP_MAX,
@@ -142,8 +142,7 @@ class CodecConfig:
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.predictor_kind in NEURAL_KINDS and self.frame_len < MIN_FRAME_LEN:
-            raise ValueError(f"frame_len must be >= {MIN_FRAME_LEN} for neural predictors, "
-                             f"got {self.frame_len}")
+            raise ValueError(TOO_SHORT.format(self.frame_len))
         if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
             raise ValueError("hybrid coding is defined for backward adaptation only")
 
@@ -164,11 +163,11 @@ class BitstreamHeader:
     config: CodecConfig
 
     def __post_init__(self):
+        _check_representable(self, "sample_rate", "true_sample_count")
         if self.true_sample_count < 1:
             raise ValueError("empty stream")
         if self.sample_rate < 1:
             raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
-        _check_representable(self, "sample_rate", "true_sample_count")
 
     @property
     def frame_count(self) -> int:

@@ -6,23 +6,23 @@ the decoder runs it on the received codes. A predictor's `predictions`
 generator yields each prediction and is sent each reconstructed sample, so
 it keeps the history in the form its arithmetic wants.
 
-One rule, `frame_predictor`, gives every frame's predictor from the
-config, the frame index, the previous reconstructed frame and the
-frame's payload, and encoder and decoder both call it, so they cannot
-drift. Forward frames rebuild the predictor from the coefficients in the
-payload (the encoder fits them on the current original frame). Backward
-frames refit on the previous reconstructed frame, which the decoder has
-too, and frame 0 uses the zero predictor. After frame 0 the payload's
-candidate names the refit, an entry of `bitstream.frame_candidates`; an
-MLP entry is one restart, which the decoder fits alone with the
-encoder's own call, `multistart_fit`, given just that restart's index.
+Each frame is one step over the `CodecState` encoder and decoder share.
+One rule, `frame_predictor(state, payload)`, gives every frame's
+predictor, and both sides call it, so they cannot drift. Forward frames
+rebuild the predictor from the coefficients in the payload (the encoder
+fits them on the current original frame). Backward frames refit on the
+state's previous reconstructed frame; frame 0 has none and uses the zero
+predictor. After frame 0 the payload's candidate names the refit, an
+entry of `bitstream.frame_candidates`; an MLP entry is one restart, which
+the decoder fits alone with the encoder's own call, `multistart_fit`,
+given just that restart's index.
 
 The encoder lists the payloads it could send for a frame with their
 predictors, runs the loop from the same state with each, and commits the
-one with the smallest squared error, ties going to the first. Its MLP
-candidate names the restart with the lowest training SSE of one
-`multistart_fit` over all restarts, so the encoder codes with the net it
-fitted and the decoder's fit of that restart alone reproduces it.
+state of the one with the smallest squared error, ties going to the
+first. Its MLP candidate names the restart with the lowest training SSE
+of one `multistart_fit` over all restarts, so the encoder codes with the
+net it fitted and the decoder's fit of that restart alone reproduces it.
 
 Reconstructed history is continuous across frame boundaries; predictor
 training sets are not.
@@ -56,82 +56,89 @@ ZERO = lpc.LpcModel.zero(0)  # predicts 0.0; the frame-0 backward bootstrap
 
 @dataclass(frozen=True)
 class CodecState:
-    """Loop state between frames: history (newest last), step, frame index, config."""
+    """What encoder and decoder share before a frame: the last HISTORY_LEN
+    reconstructed samples (newest last), the quantizer step, the frame's
+    index, the config, and `recon`, the previous reconstructed frame as a
+    read-only float64 array (None before frame 0), which backward frames
+    refit on. Every candidate of a frame starts from the same state."""
 
     history: tuple
     step: float
     frame_index: int
     config: CodecConfig
+    recon: np.ndarray | None
 
 
 def initial_state(config: CodecConfig) -> CodecState:
-    return CodecState((0.0,) * HISTORY_LEN, config.step_init, 0, config)
+    return CodecState((0.0,) * HISTORY_LEN, config.step_init, 0, config, None)
 
 
-def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index: int):
+def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index: int,
+                  restarts=None):
     """Fit a predictor on one frame of samples: the previous decoded frame in
     backward mode (decoder-reproducible), the current original frame in
-    forward mode (coefficients transmitted)."""
+    forward mode (coefficients transmitted). An MLP fits the listed
+    `restarts`, all of them by default."""
     if kind is PredictorKind.MLP:
         return multistart_fit(samples, config.train, config.seed ^ frame_index,
-                              range(config.train.restarts))
+                              range(config.train.restarts) if restarts is None else restarts)
     return lpc.fit(samples, FORWARD_COEFF_COUNT[kind])
 
 
-def frame_predictor(config: CodecConfig, frame_index: int, prev_recon, payload: FramePayload):
+def frame_predictor(state: CodecState, payload: FramePayload):
     """Predictor of one frame, the one rule encoder and decoder share.
 
     Forward frames build it from `payload.forward_coeffs` alone. Backward
-    frame 0 has no decoded history and uses ZERO; later backward frames
-    refit on `prev_recon`, the previous reconstructed frame, as the
-    `frame_candidates` entry `payload.candidate` names. An MLP entry is
-    the encoder's `multistart_fit` call given only its restart, which
-    gives the same net as that restart of the encoder's fit.
+    frame 0 has no previous reconstruction and uses ZERO; later backward
+    frames refit on `state.recon` as the `frame_candidates` entry
+    `payload.candidate` names. An MLP entry is the encoder's
+    `multistart_fit` call given only its restart, which gives the same
+    net as that restart of the encoder's fit.
     """
+    config = state.config
     if config.adaptation is Adaptation.FORWARD:
         coeffs = payload.forward_coeffs
         return Mlp(coeffs) if config.predictor_kind is PredictorKind.MLP else lpc.LpcModel(coeffs)
-    if frame_index == 0:
+    if state.recon is None:
         return ZERO
     kind, restart = frame_candidates(config)[payload.candidate]
-    if kind is not PredictorKind.MLP:
-        return fit_predictor(prev_recon, kind, config, frame_index)
-    return multistart_fit(prev_recon, config.train, config.seed ^ frame_index, (restart,))
+    return fit_predictor(state.recon, kind, config, state.frame_index, (restart,))
 
 
-def _candidates(config: CodecConfig, frame, frame_index: int, prev_recon) -> list:
+def _candidates(state: CodecState, frame) -> list:
     """The (payload, predictor) pairs, codes still empty, the encoder may
     send for a frame: the coefficients fitted on `frame` in forward mode;
     candidate 0 on backward frame 0; otherwise each non-MLP entry of
     `frame_candidates`, then, for a neural kind, the `multistart_fit`
     winner at its restart's entry. The winner is coded with the net
     already fitted, which is the one `frame_predictor` rebuilds."""
+    config = state.config
     kind = config.predictor_kind
     payload = FramePayload(())
     if config.adaptation is Adaptation.FORWARD:
-        fitted = fit_predictor(frame, kind, config, frame_index)
+        fitted = fit_predictor(frame, kind, config, state.frame_index)
         vector = fitted.theta if kind is PredictorKind.MLP else fitted.coeffs
         payload = FramePayload((), forward_coeffs=tuple(vector.tolist()))
-    elif frame_index:
+    elif state.recon is not None:
         table = frame_candidates(config)
         listed = (FramePayload((), candidate=i)
                   for i, (entry, _) in enumerate(table) if entry is not PredictorKind.MLP)
-        tried = [(p, frame_predictor(config, frame_index, prev_recon, p)) for p in listed]
+        tried = [(p, frame_predictor(state, p)) for p in listed]
         if kind in NEURAL_KINDS:
-            net = fit_predictor(prev_recon, PredictorKind.MLP, config, frame_index)
+            net = fit_predictor(state.recon, PredictorKind.MLP, config, state.frame_index)
             index = table.index((PredictorKind.MLP, net.restart))
             tried.append((FramePayload((), candidate=index), net))
         return tried
-    return [(payload, frame_predictor(config, frame_index, prev_recon, payload))]
+    return [(payload, frame_predictor(state, payload))]
 
 
 def _closed_loop(state: CodecState, frame, predictor, codes=None):
     """Run the closed loop over one frame: quantize `frame`, or follow the
-    received `codes` when given. Returns (codes, new_state, reconstruction,
-    sse), sse being 0.0 when following codes. A non-finite prediction
-    raises ValueError naming the sample. The predictor's arithmetic runs in
-    its `predictions` generator; the new state keeps the last HISTORY_LEN
-    samples of the old history and the reconstruction.
+    received `codes` when given. Returns (codes, new_state, sse), sse being
+    0.0 when following codes. A non-finite prediction raises ValueError
+    naming the sample. The predictor's arithmetic runs in its `predictions`
+    generator. The new state holds the frame's reconstruction as `recon`,
+    and as `history` the last HISTORY_LEN samples of the old history and it.
 
     The quantizer is written inline, with the operations of
     `quantizer.quantize`, `dequantize` and `next_step` in the same order;
@@ -173,19 +180,19 @@ def _closed_loop(state: CodecState, frame, predictor, codes=None):
             sse += d * d
         p = send(xr)
     history = (*state.history, *recon)[-HISTORY_LEN:]
-    new_state = CodecState(history, step, state.frame_index + 1, config)
-    return out, new_state, np.array(recon, dtype=np.float64), float(sse)
+    recon = np.array(recon, dtype=np.float64)
+    recon.flags.writeable = False
+    return out, CodecState(history, step, state.frame_index + 1, config, recon), float(sse)
 
 
 def encode_frame(state: CodecState, frame, predictor):
-    """Quantize one frame; returns (codes, new_state, reconstruction, sse)."""
+    """Quantize one frame; returns (codes, new_state, sse)."""
     return _closed_loop(state, frame, predictor)
 
 
 def decode_frame(state: CodecState, codes, predictor):
-    """Reconstruct one frame from received codes; returns (recon, new_state)."""
-    _, new_state, recon, _ = _closed_loop(state, None, predictor, codes)
-    return recon, new_state
+    """Reconstruct one frame from received codes; returns the new state."""
+    return _closed_loop(state, None, predictor, codes)[1]
 
 
 @dataclass(frozen=True)
@@ -214,19 +221,15 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
         i = non_finite[0]
         raise ValueError(f"sample {i} is not finite ({signal.samples[i]})")
     header = BitstreamHeader(signal.sample_rate, len(signal), config)
-    frames = split_frames(signal.samples, config.frame_len)
     state = initial_state(config)
-    prev_recon = None
-    payloads = []
-    stats = []
-    recon_parts = []
-    for idx, frame in enumerate(frames):
+    payloads, stats, recon_parts = [], [], []
+    for frame in split_frames(signal.samples, config.frame_len):
         tried = [(payload, *encode_frame(state, frame, predictor))
-                 for payload, predictor in _candidates(config, frame, idx, prev_recon)]
-        payload, codes, state, prev_recon, sse = min(tried, key=lambda t: t[4])
+                 for payload, predictor in _candidates(state, frame)]
+        payload, codes, state, sse = min(tried, key=lambda t: t[3])
         payloads.append(replace(payload, codes=tuple(codes)))
-        stats.append(FrameStat(sse, tuple(t[4] for t in tried)))
-        recon_parts.append(prev_recon)
+        stats.append(FrameStat(sse, tuple(t[3] for t in tried)))
+        recon_parts.append(state.recon)
 
     reconstruction = np.concatenate(recon_parts)[: len(signal)]
     bitstream = Bitstream(header=header, payloads=tuple(payloads))
@@ -241,16 +244,13 @@ def decode(bitstream: Bitstream) -> Signal:
     """Reconstruct the signal, getting each frame's predictor from
     `frame_predictor` as the encoder did (an MLP frame trains one restart)."""
     header = bitstream.header
-    config = header.config
-    state = initial_state(config)
-    prev_recon = None
+    state = initial_state(header.config)
     parts = []
-    for idx, payload in enumerate(bitstream.payloads):
+    for payload in bitstream.payloads:
         try:
-            predictor = frame_predictor(config, idx, prev_recon, payload)
-            prev_recon, state = decode_frame(state, payload.codes, predictor)
+            state = decode_frame(state, payload.codes, frame_predictor(state, payload))
         except ValueError as exc:
-            raise BitstreamError(str(exc), frame_index=idx) from None
-        parts.append(prev_recon)
+            raise BitstreamError(str(exc), frame_index=state.frame_index) from None
+        parts.append(state.recon)
     samples = np.concatenate(parts)[: header.true_sample_count]
     return Signal(samples, header.sample_rate)

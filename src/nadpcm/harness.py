@@ -19,7 +19,7 @@ from .bitstream import (
 )
 from .codec import CodecConfig, encode, decode, encode_frame, initial_state
 from .metrics import SILENCE_ENERGY_FLOOR, mean_std, segsnr, segment_snr_db, z_score
-from .mlp import MIN_FRAME_LEN, lm_iterations
+from .mlp import MIN_FRAME_LEN, TOO_SHORT, lm_iterations
 
 SIGNIFICANCE_THRESHOLD = 2.5
 SEGSNR_WINDOW = 200  # metric window, independent of the coding frame length
@@ -73,7 +73,7 @@ def _require_nonempty(**sequences):
 def _require_trainable(frame_len: int):
     """Refuse frames too short to train the MLP on, before any training."""
     if frame_len < MIN_FRAME_LEN:
-        raise ValueError(f"frame_len {frame_len} is below the {MIN_FRAME_LEN}-sample MLP minimum")
+        raise ValueError(TOO_SHORT.format(frame_len))
 
 
 def _method(method: str):
@@ -147,8 +147,7 @@ def significance_matrix(rows, n: int):
 
 def closed_loop_frame_snr(frame, predictor, config: CodecConfig):
     """SNR (dB) of coding one frame closed-loop from a fresh codec state."""
-    state = initial_state(config)
-    _, _, recon, _ = encode_frame(state, frame, predictor)
+    recon = encode_frame(initial_state(config), frame, predictor)[1].recon
     return segment_snr_db(frame, frame - recon)
 
 
@@ -238,7 +237,7 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
         for bits in bits_list:
             for length in lengths:
                 if neural and length < MIN_FRAME_LEN:
-                    skipped.append((method, bits, length, "frame too short for neural predictor"))
+                    skipped.append((method, bits, length, TOO_SHORT.format(length)))
                 else:
                     runs.append((method, bits, length, method_config(base, method, bits, length)))
     records = []

@@ -75,6 +75,7 @@ N_INPUTS = 10
 N_HIDDEN = 2
 N_PARAMS = N_INPUTS * N_HIDDEN + N_HIDDEN + N_HIDDEN + 1
 MIN_FRAME_LEN = N_INPUTS + 1  # shortest frame that yields a training pair
+TOO_SHORT = f"frame_len {{}} is below the {MIN_FRAME_LEN}-sample MLP minimum"  # .format(frame_len)
 
 _EYE = np.eye(N_PARAMS)
 _EYE.flags.writeable = False

@@ -195,27 +195,24 @@ def test_c07_hybrid_dominance(capsys, corpus):
     result = encode(speech, config)
     frames = split_frames(speech.samples, config.frame_len)
     state = initial_state(config)
-    prev = None
     frame_failures = 0
-    for k, frame in enumerate(frames):
-        payload = result.bitstream.payloads[k]
-        stat = result.frame_stats[k]
-        if k == 0:
+    for frame, payload, stat in zip(frames, result.bitstream.payloads, result.frame_stats):
+        if state.recon is None:
             if payload.candidate != 0:
                 frame_failures += 1
-            codes, state, prev, _ = encode_frame(state, frame, ZERO)
+            codes, state, _ = encode_frame(state, frame, ZERO)
             continue
-        linear = fit_predictor(prev, PredictorKind.LPC10, config, k)
-        neural = fit_predictor(prev, PredictorKind.MLP, config, k)
-        _, _, _, sse_l = encode_frame(state, frame, linear)
-        _, _, _, sse_n = encode_frame(state, frame, neural)
+        linear = fit_predictor(state.recon, PredictorKind.LPC10, config, state.frame_index)
+        neural = fit_predictor(state.recon, PredictorKind.MLP, config, state.frame_index)
+        sse_l = encode_frame(state, frame, linear)[2]
+        sse_n = encode_frame(state, frame, neural)[2]
         committed = sse_n if payload.candidate else sse_l
         expected = neural.restart + 1 if sse_n < sse_l else 0  # ties stay linear
         if (committed != min(sse_l, sse_n) or payload.candidate != expected
                 or stat.branch_sses != (sse_l, sse_n) or stat.sse != committed):
             frame_failures += 1
         chosen = neural if payload.candidate else linear
-        codes, state, prev, _ = encode_frame(state, frame, chosen)
+        codes, state, _ = encode_frame(state, frame, chosen)
         if list(codes) != list(payload.codes):
             frame_failures += 1
 

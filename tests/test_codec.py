@@ -33,6 +33,7 @@ from nadpcm.codec import (
     frame_predictor,
     initial_state,
 )
+from nadpcm.harness import METHODS, method_config
 from nadpcm.mlp import Mlp, multistart_fit
 from nadpcm.quantizer import DEFAULT_MULTIPLIERS, code_range, dequantize, next_step, quantize
 
@@ -53,9 +54,9 @@ class TestEncodeFrame:
         """
         config = hand_trace_config()
         frame = np.array([0.05, -0.12, 0.30, 0.00])
-        codes, state, recon, sse = encode_frame(initial_state(config), frame, ZERO)
+        codes, state, sse = encode_frame(initial_state(config), frame, ZERO)
         assert codes == [0, -2, 1, 0]
-        np.testing.assert_allclose(recon, [0.05, -0.12, 0.192, 0.1024], rtol=1e-12)
+        np.testing.assert_allclose(state.recon, [0.05, -0.12, 0.192, 0.1024], rtol=1e-12)
         assert sse == pytest.approx(0.02214976, rel=1e-10)
         assert state.step == pytest.approx(0.16384, rel=1e-12)
 
@@ -63,34 +64,33 @@ class TestEncodeFrame:
         config = hand_trace_config()
         frame = np.array([0.05, -0.12, 0.30, 0.00])
         state0 = initial_state(config)
-        codes, enc_state, enc_recon, _ = encode_frame(state0, frame, ZERO)
-        dec_recon, dec_state = decode_frame(state0, codes, ZERO)
-        np.testing.assert_array_equal(dec_recon, enc_recon)
+        codes, enc_state, _ = encode_frame(state0, frame, ZERO)
+        dec_state = decode_frame(state0, codes, ZERO)
+        np.testing.assert_array_equal(dec_state.recon, enc_state.recon)
         assert dec_state.history == enc_state.history
         assert dec_state.step == enc_state.step
 
     def test_zero_frame_decays_step(self):
         config = CodecConfig(frame_len=200, bits=4)
-        codes, state, recon, _ = encode_frame(
-            initial_state(config), np.zeros(200), ZERO)
+        codes, state, _ = encode_frame(initial_state(config), np.zeros(200), ZERO)
         assert set(codes) == {0}
         assert state.step == config.step_min
-        assert np.max(np.abs(recon)) <= config.step_init / 2
+        assert np.max(np.abs(state.recon)) <= config.step_init / 2
 
     def test_granular_error_bound_with_good_predictor(self):
         # residual stays inside the innermost cells: error <= step/2
         config = CodecConfig(frame_len=100, bits=4, step_init=0.02)
         frame = np.full(100, 0.009)  # zero predictor residual < step/2
-        _, _, recon, _ = encode_frame(initial_state(config), frame, ZERO)
+        recon = encode_frame(initial_state(config), frame, ZERO)[1].recon
         assert abs(recon[0] - frame[0]) <= 0.02 / 2
 
     def test_history_continues_across_frames(self):
         config = CodecConfig(frame_len=8, bits=3)
         rng = np.random.default_rng(3)
         f1, f2 = rng.uniform(-0.3, 0.3, 8), rng.uniform(-0.3, 0.3, 8)
-        _, state1, recon1, _ = encode_frame(initial_state(config), f1, ZERO)
-        assert state1.history[-1] == recon1[-1]
-        _, state2, _, _ = encode_frame(state1, f2, ZERO)
+        _, state1, _ = encode_frame(initial_state(config), f1, ZERO)
+        assert state1.history[-1] == state1.recon[-1]
+        _, state2, _ = encode_frame(state1, f2, ZERO)
         assert state2.frame_index == 2
 
 
@@ -127,16 +127,16 @@ class TestLoopMatchesRule:
 
     def check(self, config, frame, predictor):
         state = initial_state(config)
-        codes, enc_state, recon, _ = codec._closed_loop(state, frame, predictor)
+        codes, enc_state, _ = codec._closed_loop(state, frame, predictor)
         rule_codes, rule_recon, steps = rule_loop(state, [float(x) for x in frame], predictor,
                                                   received=False)
         assert codes == rule_codes
-        assert [x.hex() for x in recon.tolist()] == [x.hex() for x in rule_recon]
+        assert [x.hex() for x in enc_state.recon.tolist()] == [x.hex() for x in rule_recon]
         assert enc_state.step.hex() == steps[-1].hex()
-        _, dec_state, dec_recon, _ = codec._closed_loop(state, None, predictor, codes)
+        _, dec_state, _ = codec._closed_loop(state, None, predictor, codes)
         followed, _, dec_steps = rule_loop(state, codes, predictor, received=True)
         assert followed == codes and dec_steps == steps
-        assert [x.hex() for x in dec_recon.tolist()] == [x.hex() for x in rule_recon]
+        assert [x.hex() for x in dec_state.recon.tolist()] == [x.hex() for x in rule_recon]
         assert dec_state.step.hex() == steps[-1].hex()
         return codes, steps
 
@@ -190,35 +190,72 @@ class TestHybridFrame:
         result = encode(signal, config)
         frames = signal.samples.reshape(5, 200)
         state = initial_state(config)
-        prev = None
-        for k, frame in enumerate(frames):
-            payload, stat = result.bitstream.payloads[k], result.frame_stats[k]
-            if k > 0:
+        for frame, payload, stat in zip(frames, result.bitstream.payloads, result.frame_stats):
+            if state.recon is not None:
                 # re-simulate both branches from the same state, the neural
                 # one as the restart that wins the multistart fit
-                neural = multistart_fit(prev, config.train, config.seed ^ k,
+                neural = multistart_fit(state.recon, config.train, config.seed ^ state.frame_index,
                                         range(config.train.restarts)).restart + 1
                 sses = tuple(
                     encode_frame(state, frame, frame_predictor(
-                        config, k, prev, FramePayload((), candidate=candidate)))[3]
+                        state, FramePayload((), candidate=candidate)))[2]
                     for candidate in (0, neural))
                 assert stat.branch_sses == sses
                 expected = (0, neural)[int(np.argmin(sses))]
                 assert payload.candidate == expected
                 assert stat.sse == min(sses)
-            codes, state, prev, _ = encode_frame(
-                state, frame, frame_predictor(config, k, prev, payload))
+            codes, state, _ = encode_frame(state, frame, frame_predictor(state, payload))
             assert tuple(codes) == payload.codes
 
     def test_tie_goes_to_linear(self, monkeypatch):
-        monkeypatch.setattr(codec, "fit_predictor", lambda *args: Mlp.zero())
-        config = CodecConfig(predictor_kind=PredictorKind.HYBRID, frame_len=20, bits=2)
-        signal = Signal(np.random.default_rng(6).uniform(-0.3, 0.3, 100), 8000)
+        # a real LPC-10 fit against a zero net: at a fixed step of 1e-7 each
+        # reconstructed frame's energy is below lpc.ZERO_ENERGY_FLOOR, so the
+        # fit is the zero predictor as well and every frame ties
+        monkeypatch.setattr(codec, "multistart_fit", lambda *args: Mlp.zero())
+        config = CodecConfig(predictor_kind=PredictorKind.HYBRID, frame_len=20, bits=2,
+                             step_init=1e-7, step_min=1e-7, step_max=1e-7)
+        signal = Signal(np.random.default_rng(6).uniform(-1e-7, 1e-7, 100), 8000)
         result = encode(signal, config)
+        for recon in result.reconstruction.samples.reshape(5, 20)[:-1]:
+            assert lpc.fit(recon, 10) == lpc.LpcModel.zero(10)
         assert [p.candidate for p in result.bitstream.payloads] == [0] * 5
         for stat in result.frame_stats[1:]:
             sse_l, sse_n = stat.branch_sses
             assert sse_l == sse_n == stat.sse
+
+
+def state_fields(state):
+    """A `CodecState` as comparable values, its reals bit for bit."""
+    recon = None if state.recon is None else state.recon.tobytes()
+    return [x.hex() for x in state.history], state.step.hex(), state.frame_index, recon
+
+
+class TestFrameState:
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_decoder_steps_through_the_encoders_states(self, monkeypatch, speech_like, method):
+        """The state the encoder commits before each frame is the state
+        `decode` steps through, field by field."""
+        base = CodecConfig(frame_len=100, train=TrainConfig(epochs=2, restarts=2))
+        config = method_config(base, method, 3)
+        signal = Signal(speech_like.samples[:400], speech_like.sample_rate)
+        committed, stepped = [], []
+        def committing(state, frame, candidates=codec._candidates):
+            committed.append(state)
+            return candidates(state, frame)
+
+        def stepping(state, codes, predictor, decode_frame=codec.decode_frame):
+            stepped.append(state)
+            return decode_frame(state, codes, predictor)
+
+        monkeypatch.setattr(codec, "_candidates", committing)
+        bitstream = encode(signal, config).bitstream
+        monkeypatch.setattr(codec, "decode_frame", stepping)
+        decode(bitstream)
+        assert len(committed) == len(stepped) == 4
+        assert [state_fields(s) for s in committed] == [state_fields(s) for s in stepped]
+        assert all(s.config == config for s in committed + stepped)
+        assert committed[0].recon is None
+        assert not any(s.recon.flags.writeable for s in committed[1:])
 
 
 class TestCodecConfig:
@@ -256,6 +293,11 @@ class TestCodecConfig:
         ("restarts", lambda: CodecConfig(train=TrainConfig(restarts=3.0))),
         ("sample_rate", lambda: BitstreamHeader(8000.5, 400, CodecConfig())),
         ("true_sample_count", lambda: BitstreamHeader(8000, 400.0, CodecConfig())),
+        # checked before the sign, which a string cannot be compared for
+        pytest.param("sample_rate", lambda: BitstreamHeader("8000", 400, CodecConfig()),
+                     id="sample_rate-str"),
+        pytest.param("true_sample_count", lambda: BitstreamHeader(8000, "400", CodecConfig()),
+                     id="true_sample_count-str"),
     ])
     def test_header_integers_must_be_integers(self, name, build):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
@@ -339,7 +381,7 @@ class TestForwardMode:
         rng = np.random.default_rng(4)
         coeffs = tuple(rng.standard_normal(25))
         config = CodecConfig(predictor_kind=PredictorKind.MLP, adaptation=Adaptation.FORWARD)
-        net = frame_predictor(config, 3, None, FramePayload((), forward_coeffs=coeffs))
+        net = frame_predictor(initial_state(config), FramePayload((), forward_coeffs=coeffs))
         assert tuple(net.theta) == coeffs
         assert net == Mlp(coeffs)
 
@@ -347,7 +389,7 @@ class TestForwardMode:
     def test_frame_predictor_builds_forward_lpc_from_coefficients_alone(self, kind):
         coeffs = tuple(np.random.default_rng(5).standard_normal(FORWARD_COEFF_COUNT[kind]))
         config = CodecConfig(predictor_kind=kind, adaptation=Adaptation.FORWARD)
-        model = frame_predictor(config, 3, None, FramePayload((), forward_coeffs=coeffs))
+        model = frame_predictor(initial_state(config), FramePayload((), forward_coeffs=coeffs))
         assert model == lpc.LpcModel(coeffs) and model.order == len(coeffs)
         assert model.reflection.shape == (0,)  # no fit produced it
 
@@ -356,7 +398,7 @@ class TestForwardMode:
         newest first, uncompensated (see test_lpc)."""
         config = CodecConfig(predictor_kind=PredictorKind.LPC10, adaptation=Adaptation.FORWARD)
         payload = FramePayload((), forward_coeffs=(1.0, 1.0, 1.0) + (0.0,) * 7)
-        model = frame_predictor(config, 0, None, payload)
+        model = frame_predictor(initial_state(config), payload)
         assert model.predict([0.0] * 7 + [-1e16, 1.0, 1e16]) == 0.0
         assert model.predict([0.0] * 7 + [1.0, -1e16, 1e16]) == 1.0
 
@@ -366,7 +408,7 @@ class TestBackwardMode:
         config = CodecConfig(predictor_kind=PredictorKind.LPC10)
         result = encode(ar_signal, config)
         frame0 = ar_signal.samples[:200]
-        codes, _, _, _ = encode_frame(initial_state(config), frame0, ZERO)
+        codes, _, _ = encode_frame(initial_state(config), frame0, ZERO)
         assert list(result.bitstream.payloads[0].codes) == codes
 
     def test_fit_predictor_deterministic(self, speech_like):
@@ -394,20 +436,21 @@ class TestCandidate:
         signal = Signal(speech_like.samples[:2000], speech_like.sample_rate)
         result = encode(signal, config)
         offset = int(kind is PredictorKind.HYBRID)
-        prev = None
+        state = initial_state(config)
         restarts = set()
-        for k, payload in enumerate(result.bitstream.payloads):
-            if k == 0:
+        for payload in result.bitstream.payloads:
+            rebuilt = frame_predictor(state, payload)
+            if state.recon is None:
                 assert payload.candidate == 0
             elif payload.candidate or not offset:
-                winner = multistart_fit(prev, config.train, config.seed ^ k,
+                winner = multistart_fit(state.recon, config.train,
+                                        config.seed ^ state.frame_index,
                                         range(config.train.restarts))
                 assert payload.candidate == winner.restart + offset
-                rebuilt = frame_predictor(config, k, prev, payload)
                 assert rebuilt.theta.tobytes() == winner.theta.tobytes()
                 assert rebuilt.restart == winner.restart
                 restarts.add(winner.restart)
-            prev = result.reconstruction.samples[k * 200 : (k + 1) * 200]
+            state = decode_frame(state, payload.codes, rebuilt)
         assert len(restarts) > 1  # the frames do not all pick restart 0
         np.testing.assert_array_equal(decode(result.bitstream).samples,
                                       result.reconstruction.samples)
@@ -462,12 +505,13 @@ class TestCandidate:
     def test_payload_picks_the_branch_and_restart(self, speech_like, kind, first_net):
         config = CodecConfig(predictor_kind=kind)
         prev = speech_like.samples[:200]
+        state = replace(initial_state(config), frame_index=3, recon=prev)
         if first_net:
-            linear = frame_predictor(config, 3, prev, FramePayload((), candidate=0))
+            linear = frame_predictor(state, FramePayload((), candidate=0))
             assert linear.coeffs.tolist() == fit_predictor(
                 prev, PredictorKind.LPC10, config, 3).coeffs.tolist()
         for i in range(config.train.restarts):
-            net = frame_predictor(config, 3, prev, FramePayload((), candidate=i + first_net))
+            net = frame_predictor(state, FramePayload((), candidate=i + first_net))
             alone = multistart_fit(prev, config.train, config.seed ^ 3, (i,))
             assert net.theta.tobytes() == alone.theta.tobytes() and net.restart == i
 
@@ -532,8 +576,8 @@ class TestLoopScalarTypes:
         fit_on, frame = speech_like.samples[:100], speech_like.samples[100:200]
         predictor = Recording(ZERO if kind is None else fit_predictor(fit_on, kind, config, 7))
         state = initial_state(config)
-        codes, enc_state, _, _ = codec._closed_loop(state, frame.astype(np.float32), predictor)
-        _, dec_state, _, _ = codec._closed_loop(state, None, predictor, codes)
+        codes, enc_state, _ = codec._closed_loop(state, frame.astype(np.float32), predictor)
+        _, dec_state, _ = codec._closed_loop(state, None, predictor, codes)
         assert predictor.types == {float}
         for new_state in (enc_state, dec_state):
             assert {type(v) for v in new_state.history} == {float}
@@ -554,9 +598,9 @@ class TestLoopScalarTypes:
         states = []
 
         def recording(state, codes, predictor, decode_frame=codec.decode_frame):
-            recon, new_state = decode_frame(state, codes, predictor)
+            new_state = decode_frame(state, codes, predictor)
             states.append(new_state)
-            return recon, new_state
+            return new_state
 
         monkeypatch.setattr(codec, "decode_frame", recording)
         decoded = decode(numpy_stream)

@@ -271,7 +271,7 @@ class TestFrameLengthSweep:
             ar_signal, [8, 20], [3], ["ADPCMB-LPC-10", "ADPCMB-MLP"],
             CodecConfig(train=FAST_TRAIN))
         assert len(records) == 3
-        assert skipped == [("ADPCMB-MLP", 3, 8, "frame too short for neural predictor")]
+        assert skipped == [("ADPCMB-MLP", 3, 8, "frame_len 8 is below the 11-sample MLP minimum")]
         for rec in records:
             assert set(rec) == {"method", "bits", "frame_len", "segsnr_mean", "segments"}
             assert rec["segments"] == len(ar_signal) // SEGSNR_WINDOW
@@ -340,6 +340,6 @@ class TestClosedLoopFrameSnr:
         from nadpcm.metrics import segment_snr_db
         config = CodecConfig()
         frame = ar_signal.samples[:200]
-        _, _, recon, _ = encode_frame(initial_state(config), frame, ZERO)
+        recon = encode_frame(initial_state(config), frame, ZERO)[1].recon
         expected = segment_snr_db(frame, frame - recon)
         assert closed_loop_frame_snr(frame, ZERO, config) == expected
