@@ -27,7 +27,7 @@ class Signal:
         if type(self.sample_rate) is not int and not isinstance(self.sample_rate, np.integer):
             raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
         if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self):

@@ -117,8 +117,7 @@ def _candidates(state: CodecState, frame) -> list:
     payload = FramePayload(())
     if config.adaptation is Adaptation.FORWARD:
         fitted = fit_predictor(frame, kind, config, state.frame_index)
-        vector = fitted.theta if kind is PredictorKind.MLP else fitted.coeffs
-        payload = FramePayload((), forward_coeffs=tuple(vector.tolist()))
+        payload = FramePayload((), forward_coeffs=fitted.params)
     elif state.recon is not None:
         table = frame_candidates(config)
         listed = (FramePayload((), candidate=i)

@@ -70,10 +70,12 @@ def _require_nonempty(**sequences):
             raise ValueError(f"{name} must be non-empty")
 
 
-def _require_trainable(frame_len: int):
-    """Refuse frames too short to train the MLP on, before any training."""
+def _require_trainable(frame_len: int, max_epochs: int):
+    """Refuse too-short frames and sweeps of no epoch, before any training."""
     if frame_len < MIN_FRAME_LEN:
         raise ValueError(TOO_SHORT.format(frame_len))
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
 
 
 def _method(method: str):
@@ -172,7 +174,7 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
     test_frame = frames[frame_pair_index + 1]
     if any(np.dot(f, f) < SILENCE_ENERGY_FLOOR for f in (train_frame, test_frame)):
         raise ValueError(f"frame pair {frame_pair_index} contains silence; pick another")
-    _require_trainable(config.frame_len)
+    _require_trainable(config.frame_len, max_epochs)
 
     y_train = []
     y_test = []
@@ -197,7 +199,7 @@ def optimal_epoch_histogram(signal: Signal, max_epochs: int, config: CodecConfig
     frames = split_frames(signal.samples, config.frame_len)
     if len(frames) < 2:
         raise ValueError("need at least two frames")
-    _require_trainable(config.frame_len)
+    _require_trainable(config.frame_len, max_epochs)
 
     counts = {}
     total = 0

@@ -5,13 +5,14 @@ with coefficients solved from the Toeplitz normal equations by the
 Levinson-Durbin recursion. Frames are used as-is (rectangular window,
 biased autocorrelation estimate).
 
-`LpcModel.predictions` gives the codec's closed loop one prediction per
-sample, and its arithmetic is normative: starting from 0.0 it adds
-a_i * x(n - i) for i = 1, 2, ..., order, newest history sample first,
-one multiply and one add per tap, uncompensated, on Python floats. Plain
-binary64 operations in a fixed order give the same bits on every host;
-`math.fsum`, `np.dot` and Python 3.12's compensated `sum()` can give
-other bits.
+Every predictor, `LpcModel` here and `mlp.Mlp`, is a `Predictor`: its
+`predictions(history)` gives the codec's closed loop one prediction per
+sample. An LPC prediction's arithmetic is normative: starting from 0.0
+it adds a_i * x(n - i) for i = 1, 2, ..., order, newest history sample
+first, one multiply and one add per tap, uncompensated, on Python
+floats. Plain binary64 operations in a fixed order give the same bits on
+every host; `math.fsum`, `np.dot` and Python 3.12's compensated `sum()`
+can give other bits.
 
 The sum runs in a tap kernel generated once per order, the way
 `dataclasses` generates `__init__`: a generator whose taps a0..a{K-1}
@@ -23,15 +24,15 @@ leading `0.0 +` matters: it turns a sum of -0.0 products into +0.0, as
 the loop's 0.0 start does. Large orders are summed in statements of
 KERNEL_CHUNK taps (`acc = acc + ...`), the same left fold, because one
 expression thousands of terms deep overflows the compiler's recursion
-limit. The taps are cached and the history is kept as Python floats so
-that no numpy scalar enters the sum.
+limit. The taps are a predictor's `params`, and its history is passed as
+Python floats, so that no numpy scalar enters the sum.
 
 The kernel yields a prediction before each sample it is sent, without
 end. Its loop is unrolled into passes of KERNEL_UNROLL predictions that
 keep the samples sent within the pass in locals, so the window is
 shifted by one tuple assignment per pass, not per sample; the sums are
-the ones above, term for term. `unrolled_loop` writes that loop for any
-per-step sum, and the MLP's forward kernel uses it too;
+the ones above, term for term. `stream_kernel` writes that generator for
+any per-step sum, and the MLP's forward kernel is built by it too;
 `compile_kernel` compiles every generated kernel.
 
 `levinson` runs its recursion on Python floats in a kernel generated the
@@ -40,6 +41,7 @@ list recursion in the same order, so its bits are as portable.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +62,12 @@ def compile_kernel(signature: str, lines, label: str, **names):
     return namespace["kernel"]
 
 
-def unrolled_loop(width: int, step) -> list:
-    """The body lines of a generator that unpacks `window`, the last `width`
-    samples newest first, into x0..x{width-1} and yields without end.
+def stream_kernel(params, width: int, step, label: str, **names):
+    """The generator function `kernel(params, window)` of a prediction
+    stream, compiled under the file name `label` with `names` for globals.
+    It unpacks its argument `params` into the locals this call's `params`
+    names, and `window`, the last `width` samples newest first, into
+    x0..x{width-1}, then yields without end.
 
     `step(inputs)` gives the lines that set `acc` from `inputs`, the names
     of the `width` newest samples, newest first. A pass of the
@@ -76,18 +81,18 @@ def unrolled_loop(width: int, step) -> list:
             for line in [*step([*reversed(s[:j]), *x][:width]), f"{s[j]} = yield acc"]]
     if width:
         body.append(f"{', '.join(x)}, = {', '.join([*reversed(s), *x][:width])},")
-    return [*([f"{', '.join(x)}, = window"] if width else []),
-            "while True:", *(f"    {line}" for line in body)]
+    head = [f"{', '.join(v)}, = {arg}" for v, arg in ((params, "params"), (x, "window")) if v]
+    body = [*head, "while True:", *(f"    {line}" for line in body)]
+    return compile_kernel("params, window", body, label, **names)
 
 
 @functools.cache
 def _tap_kernel(order: int):
-    """The generator function `kernel(taps, window)` for one order,
-    compiled on first use: `taps` are a_1..a_order, `window` the last
-    `order` samples newest first. It yields a prediction before each
-    sample it is sent.
+    """The prediction stream `kernel(params, window)` for one order,
+    compiled on first use: `params` are a_1..a_order, `window` the last
+    `order` samples newest first.
 
-    Each step of `unrolled_loop` sums a0 * (newest sample) + a1 * (next)
+    Each step of `stream_kernel` sums a0 * (newest sample) + a1 * (next)
     + ... from 0.0. The source grows as order × KERNEL_UNROLL; it compiles
     in about 0.9 ms at order 10 and 1.6 ms at order 25."""
     a = [f"a{i}" for i in range(order)]
@@ -97,13 +102,39 @@ def _tap_kernel(order: int):
         return [f"acc = {' + '.join(['acc' if i else '0.0', *terms[i:i + KERNEL_CHUNK]])}"
                 for i in range(0, max(order, 1), KERNEL_CHUNK)]  # order 0: acc = 0.0
 
-    head = [f"{', '.join(a)}, = taps"] if order else []
-    return compile_kernel("taps, window", [*head, *unrolled_loop(order, step)],
-                          f"<lpc tap kernel, order {order}>")
+    return stream_kernel(a, order, step, f"<lpc tap kernel, order {order}>")
 
 
-@dataclass(frozen=True)
-class LpcModel:
+class Predictor:
+    """A prediction stream over the `order` newest reconstructed samples.
+    A subclass supplies `order`, `params` (its parameters as a tuple of
+    Python floats), `_key()` and `_kernel()`, its `stream_kernel`. Two
+    predictors are equal, and hash alike, when their classes and keys are."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def predictions(self, history):
+        """Return a generator of the prediction after reconstructed `history`
+        (newest last), then one after each sample sent, without end: Python
+        floats, each computed as the subclass's module docstring prescribes."""
+        if len(history) < self.order:
+            raise ValueError(f"history of {len(history)} too short for order {self.order}")
+        window = [float(x) for x in reversed(history[len(history) - self.order :])]
+        return self._kernel()(self.params, window)
+
+    def predict(self, history) -> float:
+        """Predict the next sample from reconstructed history, newest last."""
+        return next(self.predictions(history))
+
+
+@dataclass(frozen=True, eq=False)
+class LpcModel(Predictor):
     """All-pole predictor coefficients a_1..a_order; `order` is their count.
 
     `reflection` holds the recursion's reflection coefficients (zeros for
@@ -125,32 +156,14 @@ class LpcModel:
         if self.coeffs.ndim != 1:
             raise ValueError(f"coefficients must be one-dimensional, got shape {self.coeffs.shape}")
         object.__setattr__(self, "order", len(self.coeffs))
-        object.__setattr__(self, "_taps", tuple(self.coeffs.tolist()))
+        object.__setattr__(self, "params", tuple(self.coeffs.tolist()))
 
     def _key(self) -> tuple:
         return (self.coeffs.tobytes(), self.reflection.shape, self.reflection.tobytes(),
                 bool(self.halted))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def predictions(self, history):
-        """Return a generator of the prediction after reconstructed `history`
-        (newest last), then one after each sample sent, without end, each
-        summed in the module docstring's order."""
-        if len(history) < self.order:
-            raise ValueError(f"history of {len(history)} too short for order {self.order}")
-        window = [float(x) for x in reversed(history[len(history) - self.order :])]
-        return _tap_kernel(self.order)(self._taps, window)
-
-    def predict(self, history) -> float:
-        """Predict the next sample from reconstructed history, newest last."""
-        return next(self.predictions(history))
+    def _kernel(self):
+        return _tap_kernel(self.order)
 
     @classmethod
     def zero(cls, order: int) -> "LpcModel":
@@ -209,16 +222,18 @@ def _levinson_kernel(order: int):
 def levinson(r) -> LpcModel:
     """Solve the normal equations R a = r by the Levinson-Durbin recursion.
 
-    Near-zero r[0] yields the all-zero predictor. Reflection coefficients
-    that numerical noise pushes past magnitude 1 are clamped to 0.999 to
-    keep the synthesis filter stable; a non-positive error power halts
-    the recursion with the remaining coefficients at zero. The recursion
-    runs in `_levinson_kernel(order)`.
+    A non-finite r is refused. Near-zero r[0] yields the all-zero
+    predictor. Reflection coefficients that numerical noise pushes past
+    magnitude 1 are clamped to 0.999 to keep the synthesis filter stable;
+    a non-positive error power halts the recursion with the remaining
+    coefficients at zero. The recursion runs in `_levinson_kernel(order)`.
     """
     r = np.asarray(r, dtype=np.float64).tolist()
     order = len(r) - 1
     if order < 1:
         raise ValueError("need at least r[0] and r[1]")
+    if not all(map(math.isfinite, r)):
+        raise ValueError(f"autocorrelation r is not finite: {r}")
     if r[0] < ZERO_ENERGY_FLOOR:
         return LpcModel.zero(order)
     coeffs, refl, halted = _levinson_kernel(order)(r)

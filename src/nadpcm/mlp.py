@@ -47,10 +47,11 @@ exp(-a_j) overflows. The output is v0 * h0 + v1 * h1 + c, left to right.
 No BLAS call is made, so the predictions do not depend on the BLAS
 kernel; `math.exp` is still the host libm's.
 
-The sum runs in `_forward_kernel`, generated and compiled on first use
-like `lpc._tap_kernel` and unrolled the same way (`lpc.unrolled_loop`):
-the 25 parameters and the 10-sample window are locals, and each
-expression above is written out term for term.
+`Mlp` is an `lpc.Predictor`, as `lpc.LpcModel` is, so its `predictions`,
+`predict` and equality are the LPC model's; only its kernel and key differ.
+`_forward_kernel` is generated on first use by `lpc.stream_kernel`, as the
+LPC tap kernel is: the 25 parameters (`params`) and the 10-sample window
+are locals, and each expression above is written out term for term.
 
 `scipy.special.expit` is imported inside `forward_batch`, the fit's one
 batch forward pass and the only user of scipy in the codec, so that
@@ -164,20 +165,21 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-@dataclass(frozen=True)
-class Mlp:
+@dataclass(frozen=True, eq=False)
+class Mlp(lpc.Predictor):
     """10x2x1 perceptron: sigmoid hidden layer, linear output.
 
     `theta` holds the 25 parameters in the normative order and is the
-    whole model; `w_in` (2, 10) is a read-only view of its input
-    weights. `restart` is not a parameter: it records which restart of a
-    `multistart_fit` the net is, so the encoder can send that index.
-    Two nets are equal, and hash alike, when their `theta` bytes and
-    `restart` are.
+    whole model; `params` holds them as Python floats, and `w_in` (2, 10)
+    is a read-only view of its input weights. `restart` is not a
+    parameter: it records which restart of a `multistart_fit` the net is,
+    so the encoder can send that index. Two nets are equal, and hash
+    alike, when their `theta` bytes and `restart` are.
     """
 
     theta: np.ndarray
     restart: int = 0
+    order = N_INPUTS
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=np.float64)
@@ -186,42 +188,26 @@ class Mlp:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "w_in", theta[:20].reshape(N_HIDDEN, N_INPUTS))
-        object.__setattr__(self, "_params", tuple(theta.tolist()))
+        object.__setattr__(self, "params", tuple(theta.tolist()))
 
     @classmethod
     def zero(cls) -> "Mlp":
         """All-zero net; predicts 0.0 for any input (zero output weights)."""
         return cls(np.zeros(N_PARAMS))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.restart == other.restart and self.theta.tobytes() == other.theta.tobytes()
+    def _key(self) -> tuple:
+        return self.theta.tobytes(), self.restart
 
-    def __hash__(self):
-        return hash((self.theta.tobytes(), self.restart))
-
-    def predictions(self, history):
-        """Return a generator of the prediction after reconstructed `history`
-        (newest last), then one after each sample sent, without end: Python
-        floats, each computed in the module docstring's order."""
-        if len(history) < N_INPUTS:
-            raise ValueError(f"history of {len(history)} too short for {N_INPUTS} inputs")
-        window = [float(x) for x in reversed(history[len(history) - N_INPUTS :])]
-        return _forward_kernel()(self._params, window)
-
-    def predict(self, history) -> float:
-        """Predict the next sample from reconstructed history, newest last."""
-        return next(self.predictions(history))
+    def _kernel(self):
+        return _forward_kernel()
 
 
 @functools.cache
 def _forward_kernel():
-    """The generator function `kernel(params, window)`, compiled on first
+    """The prediction stream `kernel(params, window)`, compiled on first
     use: `params` are the 25 parameters in normative order, `window` the
-    last 10 samples newest first. It yields a prediction before each
-    sample it is sent, each step of `lpc.unrolled_loop` computing the
-    forward pass of the module docstring."""
+    last 10 samples newest first. Each step of `lpc.stream_kernel`
+    computes the forward pass of the module docstring."""
     w = [[f"w{j}_{i}" for i in range(N_INPUTS)] for j in range(N_HIDDEN)]
 
     def step(inputs):
@@ -235,9 +221,7 @@ def _forward_kernel():
         return [*lines, "acc = v0 * h0 + v1 * h1 + c"]
 
     params = [*w[0], *w[1], "b0", "b1", "v0", "v1", "c"]
-    return lpc.compile_kernel("params, window",
-                              [f"{', '.join(params)}, = params", *lpc.unrolled_loop(N_INPUTS, step)],
-                              "<mlp forward kernel>", exp=math.exp)
+    return lpc.stream_kernel(params, N_INPUTS, step, "<mlp forward kernel>", exp=math.exp)
 
 
 def init_mlp(rng: SplitMix64, scale: float) -> Mlp:

@@ -84,7 +84,7 @@ def next_step(step: float, code: int, multipliers, step_min: float, step_max: fl
 @dataclass(frozen=True)
 class AdaptiveQuantizer:
     """Benchmark shim over the rule functions, kept only for the import in
-    `perfbench/tracing.py`; the benchmark change in ROADMAP item 4 deletes it."""
+    `perfbench/tracing.py`; the benchmark change in ROADMAP item 1 deletes it."""
 
     bits: int
     step: float

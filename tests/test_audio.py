@@ -37,7 +37,7 @@ class TestSignal:
 
     @pytest.mark.parametrize("rate", [0, -8000, np.int16(-1)])
     def test_rejects_rate_below_one(self, rate):
-        with pytest.raises(ValueError, match="^sample_rate must be positive, got "):
+        with pytest.raises(ValueError, match="^sample_rate must be >= 1, got "):
             Signal(np.zeros(10), rate)
 
     def test_numpy_integer_rate_stored_as_int(self):

@@ -370,6 +370,25 @@ class TestForwardMode:
             fitted = fit_predictor(frames[k], PredictorKind.LPC10, config, k)
             assert payload.forward_coeffs == tuple(fitted.coeffs.tolist())
 
+    @pytest.mark.parametrize("method", ["ADPCMF-LPC-10", "ADPCMF-LPC-25", "ADPCMF-MLP"])
+    def test_wire_carries_the_predictors_params(self, speech_like, method):
+        """Each payload's coefficients are, bit for bit, the `params` of the
+        predictor the encoder fitted and of the one `frame_predictor`
+        rebuilds from them."""
+        base = CodecConfig(frame_len=100, train=TrainConfig(epochs=2, restarts=2))
+        config = method_config(base, method, 3)
+        samples = speech_like.samples[:400]
+        payloads = encode(Signal(samples, speech_like.sample_rate), config).bitstream.payloads
+        state = initial_state(config)
+        for k, payload in enumerate(payloads):
+            fitted = fit_predictor(samples[k * 100 : (k + 1) * 100], config.predictor_kind,
+                                   config, k)
+            predictor = frame_predictor(state, payload)
+            hexes = [c.hex() for c in payload.forward_coeffs]
+            assert hexes == [p.hex() for p in predictor.params] == \
+                [p.hex() for p in fitted.params]
+            state = decode_frame(state, payload.codes, predictor)
+
     def test_frame0_fitted_not_zero(self, ar_signal):
         config = CodecConfig(predictor_kind=PredictorKind.LPC10,
                              adaptation=Adaptation.FORWARD)

@@ -169,6 +169,10 @@ class TestSignificance:
             significance_matrix(rows, 50)
 
 
+def no_training(*args):
+    raise AssertionError("a net was trained")
+
+
 class TestEpochSweep:
     def test_curve_shape(self, ar_signal):
         curve = epoch_sweep(ar_signal, 0, 5, restart_seed=7, base_config=CodecConfig(bits=3))
@@ -216,6 +220,12 @@ class TestEpochSweep:
             epoch_sweep(ar_signal, 0, 4, restart_seed=0,
                         base_config=CodecConfig(bits=3, frame_len=10))
 
+    @pytest.mark.parametrize("max_epochs", [0, -3])
+    def test_no_epoch_refused_before_training(self, monkeypatch, ar_signal, max_epochs):
+        monkeypatch.setattr(harness, "lm_iterations", no_training)
+        with pytest.raises(ValueError, match=f"^max_epochs must be >= 1, got {max_epochs}$"):
+            epoch_sweep(ar_signal, 0, max_epochs, restart_seed=0, base_config=CodecConfig(bits=3))
+
     def test_strictly_increasing_x_enforced(self):
         with pytest.raises(ValueError):
             SweepCurve(x_values=(1, 3, 2))
@@ -251,13 +261,16 @@ class TestOptimalEpochHistogram:
     @pytest.mark.parametrize("frame_len", [1, 5, 10])
     def test_frames_too_short_for_the_mlp_refused_before_training(self, monkeypatch, ar_signal,
                                                                   frame_len):
-        def no_training(*args):
-            raise AssertionError("a net was trained")
-
         monkeypatch.setattr(harness, "lm_iterations", no_training)
         with pytest.raises(ValueError, match=f"^frame_len {frame_len} is below the 11-sample "
                                              "MLP minimum$"):
             optimal_epoch_histogram(ar_signal, 3, CodecConfig(bits=3, frame_len=frame_len))
+
+    @pytest.mark.parametrize("max_epochs", [0, -3])
+    def test_no_epoch_refused_before_training(self, monkeypatch, ar_signal, max_epochs):
+        monkeypatch.setattr(harness, "lm_iterations", no_training)
+        with pytest.raises(ValueError, match=f"^max_epochs must be >= 1, got {max_epochs}$"):
+            optimal_epoch_histogram(ar_signal, max_epochs, CodecConfig(bits=3))
 
     def test_shortest_trainable_frame_accepted(self, ar_signal):
         short = Signal(ar_signal.samples[:44], ar_signal.sample_rate)

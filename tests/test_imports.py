@@ -1,4 +1,5 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses,
+and no module of the package defines a private name the package never reads.
 
 The check reads each file's syntax tree with the standard library's `ast`
 alone. A name counts as used when it appears anywhere in the module as a
@@ -6,6 +7,12 @@ alone. A name counts as used when it appears anywhere in the module as a
 its root `a`); scopes are not told apart, so an import inside one
 function that another function's local of the same name shadows is
 missed. `nadpcm/__init__.py` is left out: it imports to re-export.
+
+A private name is one with a single leading underscore (`_x`) that a
+package module binds at its top level by `def`, `class` or assignment. It
+counts as read when any package module loads it as a `Name`, reads it as
+an attribute (`mod._x`, or any other `._x`) or imports it; the tests are
+not readers, so code kept only for a test is reported.
 """
 
 import ast
@@ -16,6 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "nadpcm").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 MODULES = [path for path in MODULES if path.name != "__init__.py"]
+PACKAGE = sorted((ROOT / "src" / "nadpcm").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -49,3 +57,65 @@ def test_every_import_is_used(path):
 ], ids=["unused", "dotted", "alias", "from", "in-function", "future", "rebound"])
 def test_unused_imports_found(source, expected):
     assert unused_imports(source) == expected
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def module_privates(source: str) -> list:
+    """(line, name) of every private name `source` binds at its top level."""
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]:
+                    if isinstance(name, ast.Name):
+                        bound.append((node.lineno, name.id))
+    return [(line, name) for line, name in bound if is_private(name)]
+
+
+def names_read(source: str) -> set:
+    """Every name `source` loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_privates(sources: dict) -> list:
+    """(file, line, name) of each private name a source in `sources`
+    ({file: source}) binds at its top level and no source reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return [(file, line, name) for file, source in sources.items()
+            for line, name in module_privates(source) if name not in read]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert sum(len(module_privates(source)) for source in sources.values()) > 0
+    unread = unread_privates(sources)
+    assert not unread, "; ".join(f"{file}:{line} defines {name}, which no module reads"
+                                 for file, line, name in unread)
+
+
+@pytest.mark.parametrize("sources, expected", [
+    ({"a.py": "def _dead():\n    pass\n"}, [("a.py", 1, "_dead")]),
+    ({"a.py": "def _f():\n    pass\n_f()\n"}, []),
+    ({"a.py": "_X = 1\n", "b.py": "from a import _X\n"}, []),
+    ({"a.py": "class _C:\n    pass\n", "b.py": "import a\na._C()\n"}, []),
+    ({"a.py": "_a, _b = 1, 2\n_T: int = 0\nprint(_a)\n"}, [("a.py", 1, "_b"), ("a.py", 2, "_T")]),
+    ({"a.py": "def f():\n    _local = 1\n    return 0\n__all__ = []\nx = 1\n"}, []),
+    ({"a.py": "_x = 1\n_x = 2\n"}, [("a.py", 1, "_x"), ("a.py", 2, "_x")]),
+], ids=["unread-def", "called", "imported", "attribute", "assignments", "not-private",
+        "stored-only"])
+def test_unread_privates_found(sources, expected):
+    assert unread_privates(sources) == expected

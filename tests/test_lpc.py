@@ -15,12 +15,14 @@ from nadpcm.lpc import (
     KERNEL_UNROLL,
     ZERO_ENERGY_FLOOR,
     LpcModel,
+    Predictor,
     _levinson_kernel,
     _tap_kernel,
     autocorrelation,
     fit,
     levinson,
 )
+from nadpcm.mlp import Mlp
 
 
 def normal_equation_coeffs(r, order):
@@ -181,17 +183,33 @@ class TestLevinsonKernel:
         assert {0.999, -0.999} <= set(model.reflection.tolist())
 
     def test_below_the_zero_energy_floor(self):
+        # -inf r[0] is refused (test_non_finite_r_refused) before the floor
         below = np.nextafter(ZERO_ENERGY_FLOOR, 0.0)
-        for r0 in (below, 0.0, -0.0, -1.0, -math.inf):
+        for r0 in (below, 0.0, -0.0, -1.0):
             for order in (1, 10, 25):
                 assert self.check([r0] + [0.5] * order) == LpcModel.zero(order)
         assert self.check([ZERO_ENERGY_FLOOR] + [0.5e-12] * 10) != LpcModel.zero(10)
 
     def test_nan_and_infinity(self):
+        # `levinson` refuses these; the kernel alone still follows the reference
         for r in ([math.nan, 1.0, 0.5], [1.0, math.nan, 0.5], [1.0, 0.5, math.nan],
                   [1.0, 0.5, 0.25, math.nan] + [0.1] * 22, [math.inf, 1.0, 0.5],
                   [1.0, math.inf, 0.5], [math.inf, math.inf, 1.0], [1.0, -math.inf, 0.5]):
-            self.check(r)
+            self.check_kernel(r)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("lag", [0, 1, 10])
+    def test_non_finite_r_refused(self, bad, lag):
+        r = [1.0] + [0.5] * 10
+        r[lag] = bad
+        with pytest.raises(ValueError, match=r"^autocorrelation r is not finite: \["):
+            levinson(r)
+
+    def test_fit_on_a_frame_with_nan_refused(self):
+        frame = np.arange(40.0)
+        frame[17] = math.nan
+        with pytest.raises(ValueError, match="not finite"):
+            fit(frame, 10)
 
 
 class TestPredict:
@@ -342,6 +360,41 @@ class TestPredictions:
         p = model.predict(history)
         assert type(p) is float
         assert p == 0.5 * float(np.float32(0.8)) + 0.25 * float(np.float32(0.4))
+
+
+class TestPredictor:
+    """`LpcModel` and `Mlp` are one prediction stream: its methods are
+    written once, on `Predictor`."""
+
+    KINDS = [LpcModel.zero(10), LpcModel.zero(25), Mlp.zero()]
+    IDS = ["lpc10", "lpc25", "mlp"]
+
+    @pytest.mark.parametrize("name", ["predictions", "predict", "__eq__", "__hash__"])
+    def test_methods_defined_on_the_base_alone(self, name):
+        assert name in Predictor.__dict__
+        for cls in (LpcModel, Mlp):
+            assert issubclass(cls, Predictor) and name not in cls.__dict__
+            assert getattr(cls, name) is Predictor.__dict__[name]
+
+    @pytest.mark.parametrize("predictor", KINDS, ids=IDS)
+    def test_short_history_gives_one_message(self, predictor):
+        order = predictor.order
+        for call in (predictor.predictions, predictor.predict):
+            with pytest.raises(ValueError, match=f"^history of {order - 1} too short for "
+                                                 f"order {order}$"):
+                call([0.0] * (order - 1))
+
+    @pytest.mark.parametrize("predictor", KINDS, ids=IDS)
+    def test_params_are_python_floats(self, predictor):
+        assert type(predictor.params) is tuple
+        assert all(type(p) is float for p in predictor.params)
+        assert predictor.predictions([0.0] * predictor.order).gi_code is \
+            predictor._kernel().__code__
+
+    def test_kinds_never_equal(self):
+        # ten zero taps and the zero net both predict 0.0 from ten samples
+        assert LpcModel.zero(10) != Mlp.zero() and Mlp.zero() != LpcModel.zero(10)
+        assert len({LpcModel.zero(10), Mlp.zero(), LpcModel.zero(10), Mlp.zero()}) == 2
 
 
 class TestModel:
