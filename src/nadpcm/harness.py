@@ -18,8 +18,8 @@ from .bitstream import (
     NEURAL_KINDS, Adaptation, Bitstream, PredictorKind, frame_candidates, parse, serialize,
 )
 from .codec import CodecConfig, encode, decode, encode_frame, initial_state
-from .metrics import SILENCE_ENERGY_FLOOR, mean_std, segsnr, segment_snr_db, z_score
-from .mlp import MIN_FRAME_LEN, TOO_SHORT, lm_iterations
+from .metrics import mean_std, segsnr, segment_snr_db, z_score
+from .mlp import MIN_FRAME_LEN, TOO_SHORT, as_count, lm_iterations
 
 SIGNIFICANCE_THRESHOLD = 2.5
 SEGSNR_WINDOW = 200  # metric window, independent of the coding frame length
@@ -70,14 +70,6 @@ def _require_nonempty(**sequences):
             raise ValueError(f"{name} must be non-empty")
 
 
-def _require_trainable(frame_len: int, max_epochs: int):
-    """Refuse too-short frames and sweeps of no epoch, before any training."""
-    if frame_len < MIN_FRAME_LEN:
-        raise ValueError(TOO_SHORT.format(frame_len))
-    if max_epochs < 1:
-        raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
-
-
 def _method(method: str):
     """(predictor kind, adaptation) of a method; the one METHODS lookup."""
     if method not in METHODS:
@@ -104,30 +96,37 @@ def _roundtrip(signal: Signal, config: CodecConfig) -> Signal:
     return decode(parse(serialize(encoded.bitstream)))
 
 
+def _coded_snrs(runs, corpus, window=None):
+    """Per run, a (method, bits[, frame_len], config) tuple, the SNRs (dB) of
+    the non-silent `window`-sample segments (default: frame_len) of each corpus
+    signal after `_roundtrip`, pooled. A codec ValueError is re-raised naming
+    the run and the signal; other errors propagate as they are."""
+    for *run, config in runs:
+        pooled = []
+        for index, signal in enumerate(corpus):
+            try:
+                decoded = _roundtrip(signal, config)
+            except ValueError as exc:
+                name = " ".join(f"{k}{v}" for k, v in zip(("", "Nq=", "frame_len="), run))
+                raise ValueError(f"{name} failed on corpus[{index}]: {exc}") from exc
+            pooled.extend(segsnr(signal, decoded, window or config.frame_len).per_segment_db)
+        yield pooled
+
+
 def evaluate_methods(corpus, bits_list, methods, base_config: CodecConfig):
     """Encode+decode every corpus signal per (method, bits) pair.
 
     Per-segment SNRs (segment length = coding frame length) are pooled
     across the corpus into one row per pair. Rows for all-silent corpora
-    carry NaN means and zero frames.
+    carry NaN means and zero frames. A codec refusal names the method,
+    bit depth and signal.
     """
     corpus = list(corpus)
     _require_nonempty(corpus=corpus, methods=methods, bits_list=bits_list)
     runs = [(m, b, method_config(base_config, m, b)) for m in methods for b in bits_list]
     rows = []
-    for method, bits, config in runs:
-        pooled = []
-        for index, signal in enumerate(corpus):
-            try:
-                decoded = _roundtrip(signal, config)
-            except ValueError as exc:  # the codec's error type; others propagate as they are
-                raise ValueError(f"{method} Nq={bits} failed on corpus[{index}]: {exc}") from exc
-            report = segsnr(signal, decoded, config.frame_len)
-            pooled.extend(report.per_segment_db)
-        if pooled:
-            mean_db, std_db = mean_std(pooled)
-        else:
-            mean_db = std_db = float("nan")
+    for (method, bits, _), pooled in zip(runs, _coded_snrs(runs, corpus)):
+        mean_db, std_db = mean_std(pooled) if pooled else (float("nan"), float("nan"))
         rows.append(MethodRow(method, bits, mean_db, std_db, len(pooled)))
     return rows
 
@@ -153,6 +152,28 @@ def closed_loop_frame_snr(frame, predictor, config: CodecConfig):
     return segment_snr_db(frame, frame - recon)
 
 
+def _epoch_frames(signal: Signal, config: CodecConfig, max_epochs: int):
+    """The frames of `signal`, checked for the epoch experiments before any
+    training: at least two of them, each long enough for the MLP, and
+    `max_epochs` an integer >= 1 (`TrainConfig`'s rule; a bool is refused)."""
+    frames = split_frames(signal.samples, config.frame_len)
+    if len(frames) < 2:
+        raise ValueError("need at least two frames")
+    if config.frame_len < MIN_FRAME_LEN:
+        raise ValueError(TOO_SHORT.format(config.frame_len))
+    as_count("max_epochs", max_epochs)
+    return frames
+
+
+def _epoch_snrs(train_frame, seed: int, config: CodecConfig, max_epochs: int, *frames):
+    """Train one net on `train_frame` from `seed` for `max_epochs` LM
+    epochs; for each of `frames`, the tuple of its closed-loop SNRs (dB)
+    after each epoch. A silent frame scores None at every epoch."""
+    run = lm_iterations(train_frame, seed, config.train, max_epochs)
+    by_epoch = [[closed_loop_frame_snr(f, net, config) for f in frames] for net, _ in run]
+    return list(zip(*by_epoch))
+
+
 def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
                 restart_seed: int, base_config: CodecConfig | None = None) -> SweepCurve:
     """Trace SEGSNR against training epochs for one frame pair.
@@ -161,31 +182,21 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
     frame of the pair; after every epoch its closed-loop SNR is measured
     on the training frame (forward-style) and on the following frame
     (backward-style). Overtraining shows up as the test curve peaking
-    early and then declining.
+    early and then declining. Fewer than two frames, frames below the MLP
+    minimum and a `max_epochs` that is not an integer >= 1 are refused
+    before training; a pair with a silent frame is refused after it.
     """
     config = base_config if base_config is not None else CodecConfig()
-    frames = split_frames(signal.samples, config.frame_len)
-    if len(frames) < 2:
-        raise ValueError("need at least two frames")
+    frames = _epoch_frames(signal, config, max_epochs)
     if not 0 <= frame_pair_index < len(frames) - 1:
         raise ValueError(f"signal has {len(frames)} frames; pair index {frame_pair_index} "
                          f"is not in 0..{len(frames) - 2}")
-    train_frame = frames[frame_pair_index]
-    test_frame = frames[frame_pair_index + 1]
-    if any(np.dot(f, f) < SILENCE_ENERGY_FLOOR for f in (train_frame, test_frame)):
+    pair = frames[frame_pair_index : frame_pair_index + 2]
+    y_train, y_test = _epoch_snrs(pair[0], restart_seed, config, max_epochs, *pair)
+    if None in y_train + y_test:
         raise ValueError(f"frame pair {frame_pair_index} contains silence; pick another")
-    _require_trainable(config.frame_len, max_epochs)
-
-    y_train = []
-    y_test = []
-    for net, _ in lm_iterations(train_frame, restart_seed, config.train, max_epochs):
-        y_train.append(closed_loop_frame_snr(train_frame, net, config))
-        y_test.append(closed_loop_frame_snr(test_frame, net, config))
-    return SweepCurve(
-        x_values=tuple(range(1, max_epochs + 1)),
-        y_train_db=tuple(y_train),
-        y_test_db=tuple(y_test),
-    )
+    return SweepCurve(x_values=tuple(range(1, max_epochs + 1)), y_train_db=y_train,
+                      y_test_db=y_test)
 
 
 def optimal_epoch_histogram(signal: Signal, max_epochs: int, config: CodecConfig):
@@ -194,28 +205,17 @@ def optimal_epoch_histogram(signal: Signal, max_epochs: int, config: CodecConfig
     For each consecutive frame pair, one net (seeded from the config seed
     XOR the frame index) is trained on the first frame; the optimum is
     the epoch count maximizing closed-loop SNR on the next frame (first
-    maximum on ties). Returns {epoch: percent of frames}.
+    maximum on ties); a pair whose next frame is silent is skipped.
+    Returns {epoch: percent of frames}. Input is refused as by `epoch_sweep`.
     """
-    frames = split_frames(signal.samples, config.frame_len)
-    if len(frames) < 2:
-        raise ValueError("need at least two frames")
-    _require_trainable(config.frame_len, max_epochs)
-
+    frames = _epoch_frames(signal, config, max_epochs)
     counts = {}
-    total = 0
     for k in range(len(frames) - 1):
-        best_epoch = best_snr = None
-        run = lm_iterations(frames[k], config.seed ^ k, config.train, max_epochs)
-        for epoch, (net, _) in enumerate(run, 1):
-            snr = closed_loop_frame_snr(frames[k + 1], net, config)
-            if snr is None:
-                continue
-            if best_snr is None or snr > best_snr:
-                best_epoch, best_snr = epoch, snr
-        if best_epoch is None:
-            continue
-        counts[best_epoch] = counts.get(best_epoch, 0) + 1
-        total += 1
+        [test_db] = _epoch_snrs(frames[k], config.seed ^ k, config, max_epochs, frames[k + 1])
+        if test_db[0] is not None:
+            best_epoch = test_db.index(max(test_db)) + 1
+            counts[best_epoch] = counts.get(best_epoch, 0) + 1
+    total = sum(counts.values())
     if total == 0:
         raise ValueError("no frame pair produced a measurable optimum")
     return {epoch: 100.0 * count / total for epoch, count in sorted(counts.items())}
@@ -228,7 +228,8 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
     SEGSNR always uses a 200-sample analysis window regardless of the
     coding frame length. Lengths too short for the neural predictor skip
     those methods; skips are returned alongside the records as
-    (method, bits, length, reason) tuples.
+    (method, bits, length, reason) tuples. A length below 1 is refused
+    before coding; a codec refusal names the method, bits and length.
     """
     _require_nonempty(lengths=lengths, bits_list=bits_list, methods=methods)
     base = base_config if base_config is not None else CodecConfig()
@@ -238,21 +239,15 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
         neural = _method(method)[0] in NEURAL_KINDS
         for bits in bits_list:
             for length in lengths:
-                if neural and length < MIN_FRAME_LEN:
+                if neural and 1 <= length < MIN_FRAME_LEN:  # below 1, method_config refuses it
                     skipped.append((method, bits, length, TOO_SHORT.format(length)))
                 else:
                     runs.append((method, bits, length, method_config(base, method, bits, length)))
-    records = []
-    for method, bits, length, config in runs:
-        decoded = _roundtrip(signal, config)
-        report = segsnr(signal, decoded, SEGSNR_WINDOW)
-        records.append({
-            "method": method,
-            "bits": bits,
-            "frame_len": length,
-            "segsnr_mean": report.mean_db,
-            "segments": report.segments_used,
-        })
+    scored = zip(runs, _coded_snrs(runs, [signal], SEGSNR_WINDOW))
+    records = [{"method": method, "bits": bits, "frame_len": length,
+                "segsnr_mean": mean_std(pooled)[0] if pooled else float("nan"),
+                "segments": len(pooled)}
+               for (method, bits, length, _), pooled in scored]
     return records, skipped
 
 

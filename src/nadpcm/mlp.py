@@ -96,6 +96,15 @@ def as_float(value):
     return float(value) if isinstance(value, numbers.Real) else value
 
 
+def as_count(name: str, value) -> int:
+    """A Python or numpy integer >= 1 (not a bool) as a Python int, or ValueError."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 class SplitMix64:
     """SplitMix64 generator; the full sequence is determined by the seed."""
 
@@ -152,12 +161,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "restarts"):
-            value = getattr(self, name)
-            if type(value) is not int and not isinstance(value, np.integer):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         for name in ("lambda_init", "lambda_up", "lambda_down", "init_scale"):
             value = as_float(getattr(self, name))
             object.__setattr__(self, name, value)
@@ -235,14 +239,13 @@ def build_training_set(frame):
     """One-step prediction pairs from within a single frame.
 
     For each n >= 10: inputs are the 10 preceding samples (newest first)
-    and the target is frame[n]. Frames shorter than 11 samples yield an
-    empty set.
+    and the target is frame[n]. A frame shorter than MIN_FRAME_LEN is
+    refused with ValueError.
     """
     frame = np.asarray(frame, dtype=np.float64)
     n = len(frame)
     if n < MIN_FRAME_LEN:
-        log.debug("frame of %d samples too short for training pairs", n)
-        return np.zeros((0, N_INPUTS)), np.zeros(0)
+        raise ValueError(TOO_SHORT.format(n))
     count = n - N_INPUTS
     x = np.empty((count, N_INPUTS))
     for lag in range(1, N_INPUTS + 1):
@@ -380,12 +383,9 @@ def lm_stack_iterations(frame, seeds, config: TrainConfig, epochs: int):
     Yields (theta, lam, sse) after each of `epochs` stacked LM
     iterations: the (R, 25) parameters, the (R,) damping and the (R,)
     SSEs, row i drawn from seeds[i]. Rejected steps count as epochs, so
-    each row's SSE sequence is non-increasing. A frame shorter than
-    MIN_FRAME_LEN yields nothing.
+    each row's SSE sequence is non-increasing.
     """
     x, t = build_training_set(frame)
-    if len(t) == 0:
-        return
     theta = np.stack([init_mlp(SplitMix64(seed), config.init_scale).theta for seed in seeds])
     lam = np.full(len(seeds), config.lambda_init)
     carry = {}
@@ -398,8 +398,7 @@ def lm_iterations(frame, seed: int, config: TrainConfig, epochs: int):
     """Train one net on `frame`'s prediction pairs, drawn from `seed`: the
     stack of one of `lm_stack_iterations`.
 
-    Yields (mlp, sse) after each of `epochs` LM iterations. A frame
-    shorter than MIN_FRAME_LEN yields nothing.
+    Yields (mlp, sse) after each of `epochs` LM iterations.
     """
     for theta, _, sse in lm_stack_iterations(frame, [seed], config, epochs):
         yield Mlp(theta[0]), float(sse[0])
@@ -419,14 +418,11 @@ def multistart_fit(frame, config: TrainConfig, seed: int, restarts) -> Mlp:
     lowest final SSE on the training frame (ties go to the first listed),
     and its index is the returned net's `restart`. A row does not depend
     on the others, so the decoder's fit of `(i,)` is restart i of the
-    encoder's fit of `range(config.restarts)`. Frames too short to form
-    training pairs yield the zero-output net at the first listed index.
+    encoder's fit of `range(config.restarts)`. A frame shorter than
+    MIN_FRAME_LEN is refused.
     """
     if not restarts:
         raise ValueError("restarts must list at least one restart index")
-    if len(frame) < MIN_FRAME_LEN:
-        log.debug("multistart on short frame (%d samples): zero predictor", len(frame))
-        return Mlp(np.zeros(N_PARAMS), restarts[0])
     seeds = [restart_seed(seed, i) for i in restarts]
     for theta, _, sse in lm_stack_iterations(frame, seeds, config, config.epochs):
         pass

@@ -88,6 +88,20 @@ class TestMethods:
         with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
             sweep(ar_signal)
 
+    @pytest.mark.parametrize("lengths, method", [
+        ([0, -5], "ADPCMB-MLP"),
+        ([-5], "ADPCMB-HYBRID"),
+        ([0], "ADPCMB-LPC-10"),
+    ], ids=["mlp", "hybrid", "lpc"])
+    def test_length_below_one_refused_before_coding(self, monkeypatch, ar_signal, lengths,
+                                                   method):
+        def no_coding(*args):
+            raise AssertionError("a signal was coded")
+
+        monkeypatch.setattr(harness, "encode", no_coding)
+        with pytest.raises(ValueError, match=f"^frame_len must be >= 1, got {lengths[0]}$"):
+            frame_length_sweep(ar_signal, [20, *lengths], [3], [method], CodecConfig())
+
 
 class TestEvaluateMethods:
     def test_row_schema_and_pooling(self, ar_signal):
@@ -123,12 +137,18 @@ class TestEvaluateMethods:
 
     def test_codec_refusal_names_method_and_signal(self, ar_signal):
         empty = Signal(np.zeros(0), 8000)
-        with pytest.raises(ValueError) as info:
-            evaluate_methods([ar_signal, empty], [3], ["ADPCMB-LPC-10"], CodecConfig())
-        assert type(info.value) is ValueError
-        assert str(info.value) == ("ADPCMB-LPC-10 Nq=3 failed on corpus[1]: "
-                                   "cannot encode an empty signal")
-        assert str(info.value.__cause__) == "cannot encode an empty signal"
+        # the frame length sweep shares the loop and also names the run's frame length
+        for run, message in [
+            (lambda: evaluate_methods([ar_signal, empty], [3], ["ADPCMB-LPC-10"], CodecConfig()),
+             "ADPCMB-LPC-10 Nq=3 failed on corpus[1]: "),
+            (lambda: frame_length_sweep(empty, [200], [3], ["ADPCMB-LPC-10"]),
+             "ADPCMB-LPC-10 Nq=3 frame_len=200 failed on corpus[0]: "),
+        ]:
+            with pytest.raises(ValueError) as info:
+                run()
+            assert type(info.value) is ValueError
+            assert str(info.value) == message + "cannot encode an empty signal"
+            assert str(info.value.__cause__) == "cannot encode an empty signal"
 
     def test_other_failures_propagate_unwrapped(self, ar_signal, monkeypatch):
         def fail(signal, config):
@@ -136,6 +156,8 @@ class TestEvaluateMethods:
         monkeypatch.setattr(harness, "_roundtrip", fail)
         with pytest.raises(ZeroDivisionError, match="^boom$"):
             evaluate_methods([ar_signal], [3], ["ADPCMB-LPC-10"], CodecConfig())
+        with pytest.raises(ZeroDivisionError, match="^boom$"):
+            frame_length_sweep(ar_signal, [200], [3], ["ADPCMB-LPC-10"])
 
 
 class TestSignificance:
@@ -226,6 +248,12 @@ class TestEpochSweep:
         with pytest.raises(ValueError, match=f"^max_epochs must be >= 1, got {max_epochs}$"):
             epoch_sweep(ar_signal, 0, max_epochs, restart_seed=0, base_config=CodecConfig(bits=3))
 
+    @pytest.mark.parametrize("max_epochs", [2.0, 2.5, True, "3"])
+    def test_non_integer_epochs_refused_before_training(self, monkeypatch, ar_signal, max_epochs):
+        monkeypatch.setattr(harness, "lm_iterations", no_training)
+        with pytest.raises(ValueError, match=f"^max_epochs must be an integer, got {max_epochs!r}$"):
+            epoch_sweep(ar_signal, 0, max_epochs, restart_seed=0, base_config=CodecConfig(bits=3))
+
     def test_strictly_increasing_x_enforced(self):
         with pytest.raises(ValueError):
             SweepCurve(x_values=(1, 3, 2))
@@ -270,6 +298,12 @@ class TestOptimalEpochHistogram:
     def test_no_epoch_refused_before_training(self, monkeypatch, ar_signal, max_epochs):
         monkeypatch.setattr(harness, "lm_iterations", no_training)
         with pytest.raises(ValueError, match=f"^max_epochs must be >= 1, got {max_epochs}$"):
+            optimal_epoch_histogram(ar_signal, max_epochs, CodecConfig(bits=3))
+
+    @pytest.mark.parametrize("max_epochs", [2.0, 2.5, True, "3"])
+    def test_non_integer_epochs_refused_before_training(self, monkeypatch, ar_signal, max_epochs):
+        monkeypatch.setattr(harness, "lm_iterations", no_training)
+        with pytest.raises(ValueError, match=f"^max_epochs must be an integer, got {max_epochs!r}$"):
             optimal_epoch_histogram(ar_signal, max_epochs, CodecConfig(bits=3))
 
     def test_shortest_trainable_frame_accepted(self, ar_signal):

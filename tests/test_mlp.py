@@ -393,8 +393,10 @@ class TestTrainingSet:
         assert t[0] == 10.0
 
     def test_short_frame_empty(self):
-        x, t = build_training_set(np.arange(10, dtype=float))
-        assert len(t) == 0
+        for length in (0, 10):
+            with pytest.raises(ValueError, match=f"^frame_len {length} is below the 11-sample "
+                                                 "MLP minimum$"):
+                build_training_set(np.arange(length, dtype=float))
 
     def test_constant_frame(self):
         x, t = build_training_set(np.full(20, 0.3))
@@ -580,9 +582,12 @@ class TestLevenbergMarquardt:
         assert runs[0] == runs[1]
 
     def test_short_frame_yields_nothing(self):
-        for length, count in ((0, 0), (10, 0), (11, 3)):
+        for length in (0, 10):
             frame = np.linspace(-0.3, 0.3, length)
-            assert len(list(lm_iterations(frame, 0, TrainConfig(), 3))) == count
+            with pytest.raises(ValueError, match=f"^frame_len {length} is below the 11-sample "
+                                                 "MLP minimum$"):
+                next(lm_iterations(frame, 0, TrainConfig(), 3))
+        assert len(list(lm_iterations(np.linspace(-0.3, 0.3, 11), 0, TrainConfig(), 3))) == 3
 
 
 class TestMultistart:
@@ -683,10 +688,9 @@ class TestMultistart:
             multistart_fit(np.zeros(length), TrainConfig(), 0, ())
 
     def test_short_frame_zero_predictor(self):
-        net = multistart_fit(np.zeros(5), TrainConfig(), 0, range(4))
-        assert net.predict(np.zeros(10)) == 0.0
-        np.testing.assert_array_equal(net.theta, np.zeros(25))
-        assert multistart_fit(np.zeros(5), TrainConfig(), 0, (3, 1)) == Mlp(np.zeros(25), 3)
+        for restarts in (range(4), (3, 1)):
+            with pytest.raises(ValueError, match="^frame_len 5 is below the 11-sample MLP minimum$"):
+                multistart_fit(np.zeros(5), TrainConfig(), 0, restarts)
 
 
 class TestStackedRun:
@@ -739,7 +743,8 @@ class TestStackedRun:
         self.assert_rows_match_solo_runs(frame, seeds, config, 6)
 
     def test_short_frame_yields_nothing(self):
-        assert list(lm_stack_iterations(np.zeros(10), [1, 2], TrainConfig(), 3)) == []
+        with pytest.raises(ValueError, match="^frame_len 10 is below the 11-sample MLP minimum$"):
+            next(lm_stack_iterations(np.zeros(10), [1, 2], TrainConfig(), 3))
 
 
 def digest_frames():
