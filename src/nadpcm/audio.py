@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mlp import as_int
+
 PCM_SCALE = 32768.0
 
 
@@ -24,11 +26,7 @@ class Signal:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be one-dimensional, got shape {self.samples.shape}")
-        if type(self.sample_rate) is not int and not isinstance(self.sample_rate, np.integer):
-            raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", as_int("sample_rate", self.sample_rate, minimum=1))
 
     def __len__(self):
         return len(self.samples)
@@ -97,8 +95,7 @@ def split_frames(samples, frame_len: int):
     The final partial frame is zero-padded to frame_len. Returns an
     (n, frame_len) float64 array.
     """
-    if frame_len < 1:
-        raise ValueError(f"frame_len must be >= 1, got {frame_len}")
+    frame_len = as_int("frame_len", frame_len, minimum=1)
     samples = np.asarray(samples, dtype=np.float64)
     n = len(samples)
     if n == 0:

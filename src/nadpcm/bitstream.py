@@ -33,7 +33,6 @@ Payload values are checked once, when a `Bitstream` is built.
 """
 
 import math
-import numbers
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -41,7 +40,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT, TrainConfig, as_float
+from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT, TrainConfig, as_int, as_real
 from .quantizer import (
     DEFAULT_STEP_INIT,
     DEFAULT_STEP_MAX,
@@ -65,15 +64,13 @@ HEADER_FIELDS = (
 
 
 def _check_representable(obj, *names):
-    """Raise ValueError for a named unsigned header field that is not an
-    integer or is too large for its header code; store it as a Python int."""
+    """Store each named unsigned header field as a Python int (`as_int`), or
+    raise ValueError for one too large for its header code."""
     for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int and not isinstance(value, np.integer):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = as_int(name, getattr(obj, name))
         if value >= 256 ** struct.calcsize("<" + dict(HEADER_FIELDS)[name]):
             raise ValueError(f"{name} {value} not representable in header")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, value)
 
 
 class PredictorKind(IntEnum):
@@ -125,20 +122,21 @@ class CodecConfig:
     step_min: float = DEFAULT_STEP_MIN
     step_max: float = DEFAULT_STEP_MAX
     multipliers: tuple = ()
-    seed: int = 0
+    seed: int = 0  # any integer; stored wrapped to 64 bits
 
     def __post_init__(self):
-        if type(self.seed) is int or isinstance(self.seed, np.integer):
-            object.__setattr__(self, "seed", int(self.seed) & MASK64)  # seeds wrap to 64 bits
-        _check_representable(self, "seed", "bits", "frame_len")
+        object.__setattr__(self, "seed", as_int("seed", self.seed) & MASK64)
+        _check_representable(self, "bits", "frame_len")
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
         _check_representable(self.train, "epochs", "restarts")
         object.__setattr__(self, "predictor_kind", PredictorKind(self.predictor_kind))
         object.__setattr__(self, "adaptation", Adaptation(self.adaptation))
         for name in ("step_init", "step_min", "step_max"):
-            object.__setattr__(self, name, as_float(getattr(self, name)))
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         object.__setattr__(self, "multipliers", check_params(
             self.bits, self.step_init, self.step_min, self.step_max,
-            map(as_float, self.multipliers)))
+            _tuple(self.multipliers, "multipliers")))
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.predictor_kind in NEURAL_KINDS and self.frame_len < MIN_FRAME_LEN:
@@ -185,9 +183,9 @@ class FramePayload:
 class Bitstream:
     """A header and one payload per frame. Construction is the one check of
     payload values: each must have the shape the header's `frame_row` gives
-    it, or BitstreamError names the frame. Codes are stored as a tuple of
-    ints, the candidate as an int and the coefficients as a tuple of finite
-    floats, so no numpy scalar reaches the coding loop."""
+    it, or BitstreamError names the frame. Codes and the candidate are stored
+    as ints (`as_int`) and the coefficients as finite floats (`as_real`), in
+    tuples, so no numpy scalar reaches the coding loop."""
 
     header: BitstreamHeader
     payloads: tuple
@@ -202,48 +200,41 @@ class Bitstream:
         inf = math.inf
         stored = list(payloads)
         for i, p in enumerate(payloads):
-            codes, cand, coeffs = p.codes, p.candidate, p.forward_coeffs
-            exact = type(codes) is tuple and type(cand) is int and type(coeffs) is tuple
-            if not exact:
-                codes, coeffs = _tuple(codes, "codes", i), _tuple(coeffs, "forward_coeffs", i)
-            if type(cand) is not int and not isinstance(cand, np.integer):
-                raise BitstreamError(f"candidate must be an integer, got {cand!r}", i)
-            if not 0 <= cand < candidates:
-                raise BitstreamError(f"candidate {cand} outside [0, {candidates - 1}]", i)
-            if i == 0 and cand:
-                raise BitstreamError(f"candidate {cand} on frame 0, which has only candidate 0", i)
-            if len(coeffs) != count:
-                raise BitstreamError(f"expected {count} forward_coeffs, got {len(coeffs)}", i)
-            if len(codes) != config.frame_len:
-                raise BitstreamError(f"expected {config.frame_len} codes, got {len(codes)}", i)
-            for c in codes:
-                if type(c) is not int:
-                    if not isinstance(c, np.integer):
-                        raise BitstreamError(f"codes must be integers, got {c!r}", i)
-                    exact = False
-                if not code_min <= c <= code_max:
-                    raise BitstreamError(f"code {c} outside [{code_min}, {code_max}]", i)
             try:
+                codes, cand, coeffs = p.codes, p.candidate, p.forward_coeffs
+                exact = type(codes) is tuple and type(cand) is int and type(coeffs) is tuple
+                if not exact:
+                    codes, coeffs = _tuple(codes, "codes"), _tuple(coeffs, "forward_coeffs")
+                    cand = as_int("candidate", cand)
+                if not 0 <= cand < candidates:
+                    raise ValueError(f"candidate {cand} outside [0, {candidates - 1}]")
+                if i == 0 and cand:
+                    raise ValueError(f"candidate {cand} on frame 0, which has only candidate 0")
+                if len(coeffs) != count:
+                    raise ValueError(f"expected {count} forward_coeffs, got {len(coeffs)}")
+                if len(codes) != config.frame_len:
+                    raise ValueError(f"expected {config.frame_len} codes, got {len(codes)}")
+                for c in codes:
+                    if type(c) is not int:
+                        c, exact = as_int("codes", c), False
+                    if not code_min <= c <= code_max:
+                        raise ValueError(f"code {c} outside [{code_min}, {code_max}]")
                 for v in coeffs:
-                    if type(v) is not float:
-                        if not isinstance(v, numbers.Real):
-                            raise BitstreamError(f"forward_coeffs must be real, got {v!r}", i)
-                        exact, v = False, float(v)
-                    if not -inf < v < inf:
-                        raise BitstreamError("non-finite forward coefficient", i)
-            except OverflowError:  # an int or a fraction beyond binary64
-                raise BitstreamError("non-finite forward coefficient", i) from None
+                    if type(v) is not float or not -inf < v < inf:
+                        as_real("forward_coeffs", v)  # refuses a non-finite float
+                        exact = False
+            except ValueError as exc:  # nothing above raises BitstreamError
+                raise BitstreamError(exc, i) from None
             if not exact:
-                stored[i] = FramePayload(tuple(map(int, codes)), int(cand),
-                                         tuple(map(float, coeffs)))
+                stored[i] = FramePayload(tuple(map(int, codes)), cand, tuple(map(float, coeffs)))
         object.__setattr__(self, "payloads", tuple(stored))
 
 
-def _tuple(values, name: str, frame_index: int) -> tuple:
-    """A tuple, list or 1-D array as a tuple, or BitstreamError naming the frame."""
+def _tuple(values, name: str) -> tuple:
+    """A tuple, list or 1-D array as a tuple, or ValueError."""
     if isinstance(values, (Sequence, np.ndarray)) and getattr(values, "ndim", 1) == 1:
         return tuple(values)
-    raise BitstreamError(f"{name} must be a sequence, got {values!r}", frame_index)
+    raise ValueError(f"{name} must be a sequence, got {values!r}")
 
 
 def frame_candidates(config: CodecConfig) -> tuple:

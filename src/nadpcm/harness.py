@@ -19,7 +19,7 @@ from .bitstream import (
 )
 from .codec import CodecConfig, encode, decode, encode_frame, initial_state
 from .metrics import mean_std, segsnr, segment_snr_db, z_score
-from .mlp import MIN_FRAME_LEN, TOO_SHORT, as_count, lm_iterations
+from .mlp import MIN_FRAME_LEN, TOO_SHORT, as_int, lm_iterations
 
 SIGNIFICANCE_THRESHOLD = 2.5
 SEGSNR_WINDOW = 200  # metric window, independent of the coding frame length
@@ -155,13 +155,13 @@ def closed_loop_frame_snr(frame, predictor, config: CodecConfig):
 def _epoch_frames(signal: Signal, config: CodecConfig, max_epochs: int):
     """The frames of `signal`, checked for the epoch experiments before any
     training: at least two of them, each long enough for the MLP, and
-    `max_epochs` an integer >= 1 (`TrainConfig`'s rule; a bool is refused)."""
+    `max_epochs` an integer >= 1 (`as_int`; a bool is refused)."""
     frames = split_frames(signal.samples, config.frame_len)
     if len(frames) < 2:
         raise ValueError("need at least two frames")
     if config.frame_len < MIN_FRAME_LEN:
         raise ValueError(TOO_SHORT.format(config.frame_len))
-    as_count("max_epochs", max_epochs)
+    as_int("max_epochs", max_epochs, minimum=1)
     return frames
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mlp import as_int
+
 SILENCE_ENERGY_FLOOR = 1e-12
 ERROR_ENERGY_FLOOR = 1e-20
 SNR_CEILING_DB = 100.0
@@ -57,8 +59,7 @@ def segsnr(reference, decoded, segment_len: int) -> SegsnrReport:
     dec = np.asarray(getattr(decoded, "samples", decoded), dtype=np.float64)
     if len(ref) != len(dec):
         raise ValueError(f"length mismatch: reference {len(ref)} vs decoded {len(dec)}")
-    if segment_len < 1:
-        raise ValueError(f"segment_len must be >= 1, got {segment_len}")
+    segment_len = as_int("segment_len", segment_len, minimum=1)
 
     err = ref - dec
     per_segment = []
@@ -90,8 +91,7 @@ def z_score(mean1: float, std1: float, mean2: float, std2: float, n: int) -> flo
     z = |mean1 - mean2| / sqrt(std1^2/n + std2^2/n). The conventional
     significance threshold used alongside this codec is 2.5.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = as_int("n", n, minimum=1)
     if std1 < 0 or std2 < 0:
         raise ValueError("standard deviations must be non-negative")
     denom = math.sqrt(std1 * std1 / n + std2 * std2 / n)

@@ -53,6 +53,9 @@ kernel; `math.exp` is still the host libm's.
 LPC tap kernel is: the 25 parameters (`params`) and the 10-sample window
 are locals, and each expression above is written out term for term.
 
+`as_int` and `as_real` are the one number rule of every config, header,
+payload and `Signal` field; a bool is neither an integer nor a real.
+
 `scipy.special.expit` is imported inside `forward_batch`, the fit's one
 batch forward pass and the only user of scipy in the codec, so that
 `import nadpcm`, the CLI and LPC coding load numpy alone; scipy is loaded
@@ -87,22 +90,29 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
 
-def as_float(value):
-    """A real number as a Python float, anything else unchanged for the
-    config checks to refuse. Real config fields are stored this way: the
-    header carries them as binary64, while a numpy scalar left in place
-    would compute in its own precision (float32 stays float32) in the
-    coding loop and the fit."""
-    return float(value) if isinstance(value, numbers.Real) else value
-
-
-def as_count(name: str, value) -> int:
-    """A Python or numpy integer >= 1 (not a bool) as a Python int, or ValueError."""
+def as_int(name: str, value, minimum=None) -> int:
+    """A Python or numpy integer (not a bool) as a Python int; ValueError
+    names the field if it is not one, or is below `minimum` when given."""
     if type(value) is not int and not isinstance(value, np.integer):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def as_real(name: str, value) -> float:
+    """A finite Python or numpy real (not a bool) as a Python float, or
+    ValueError naming the field. A numpy scalar left in place would compute
+    in its own precision (float32 stays float32) in the coding loop and fit."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int or a fraction beyond binary64
+        value = math.inf
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 class SplitMix64:
@@ -161,12 +171,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "restarts"):
-            object.__setattr__(self, name, as_count(name, getattr(self, name)))
+            object.__setattr__(self, name, as_int(name, getattr(self, name), minimum=1))
         for name in ("lambda_init", "lambda_up", "lambda_down", "init_scale"):
-            value = as_float(getattr(self, name))
+            value = as_real(name, getattr(self, name))
             object.__setattr__(self, name, value)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,12 +7,14 @@ rule. `quantize`, `dequantize` and `next_step` are the quantizer's
 reference; `CodecConfig` holds their parameters. `codec._closed_loop`
 writes the same three steps inline, with the same operations in the same
 order, and a test replays these functions over its output bit for bit.
-`AdaptiveQuantizer` is only a benchmark shim over them.
+`bits` and the multipliers follow the one number rule (`mlp.as_int`,
+`mlp.as_real`); `AdaptiveQuantizer` is only a benchmark shim over them.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
+
+from .mlp import as_int, as_real
 
 # Step multipliers per code magnitude rank, innermost first.
 DEFAULT_MULTIPLIERS = {
@@ -30,19 +32,17 @@ DEFAULT_STEP_MAX = 0.5
 
 def check_params(bits: int, step: float, step_min: float, step_max: float, multipliers) -> tuple:
     """Validate quantizer parameters; return the multiplier table (default if empty)."""
-    if type(bits) is bool or not isinstance(bits, numbers.Integral):
-        raise ValueError(f"bits must be an integer, got {bits!r}")
-    if not 2 <= bits <= 5:
+    if not 2 <= as_int("bits", bits) <= 5:
         raise ValueError(f"bits must be in 2..5, got {bits}")
     if not 0 < step_min <= step <= step_max < math.inf:
         raise ValueError(f"need 0 < step_min <= step <= step_max < inf, got "
                          f"{step_min}, {step}, {step_max}")
-    multipliers = tuple(multipliers) or DEFAULT_MULTIPLIERS[bits]
+    multipliers = tuple(as_real("multipliers", m) for m in multipliers) or DEFAULT_MULTIPLIERS[bits]
     if len(multipliers) != 2 ** (bits - 1):
         raise ValueError(f"{bits}-bit coding needs {2 ** (bits - 1)} multipliers, "
                          f"got {len(multipliers)}")
-    if not all(0 < m < math.inf for m in multipliers):
-        raise ValueError(f"multipliers must be finite and > 0, got {multipliers}")
+    if not all(m > 0 for m in multipliers):
+        raise ValueError(f"multipliers must be > 0, got {multipliers}")
     return multipliers
 
 

@@ -145,5 +145,6 @@ class TestSplitFrames:
             split_frames(np.array([]), 5)
 
     def test_rejects_bad_frame_len(self):
-        with pytest.raises(ValueError):
-            split_frames(np.arange(10, dtype=float), 0)
+        for frame_len in (0, 2.5, True, "5"):
+            with pytest.raises(ValueError, match="^frame_len must be "):
+                split_frames(np.arange(10, dtype=float), frame_len)

@@ -279,7 +279,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             serialize(Bitstream(header, (FramePayload(codes=(0, 0, 0, 2)),)))
         # a fractional code is not truncated into range
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="^frame 0: codes must be an integer, got 0.5$"):
             serialize(Bitstream(header, (FramePayload(codes=(0, 0, 0, 0.5)),)))
 
     def test_serialize_rejects_wrong_code_count(self):
@@ -362,7 +362,7 @@ class TestValidation:
             forged = bytearray(data)
             struct.pack_into("<d", forged, offset, bad)
             with pytest.raises(BitstreamError,
-                               match="^frame 1: non-finite forward coefficient$") as info:
+                               match="^frame 1: forward_coeffs must be finite, got ") as info:
                 parse(bytes(forged))
             assert info.value.frame_index == 1
 

@@ -322,7 +322,7 @@ class TestCodecConfig:
         assert config.step_min == float(np.float32(0.001))
 
     def test_non_numeric_reals_still_refused(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^step_init must be a real number, got '0.02'$"):
             CodecConfig(step_init="0.02")
 
     def test_multipliers_default_to_table(self):
@@ -357,6 +357,55 @@ class TestCodecConfig:
                               train=TrainConfig(restarts=restarts))
             assert mlp.payload_bit_rate(8000) == pytest.approx(rate)
             assert replace(mlp, adaptation=Adaptation.FORWARD).payload_bit_rate(8000) == 32000
+
+
+# Every integer and real field of the configs, the header and `Signal`, as
+# (owner.field, build from one value); each is held to `mlp.as_int` or
+# `mlp.as_real`.
+INTEGER_FIELDS = [
+    ("CodecConfig.frame_len", lambda v: CodecConfig(frame_len=v)),
+    ("CodecConfig.bits", lambda v: CodecConfig(bits=v)),
+    ("CodecConfig.seed", lambda v: CodecConfig(seed=v)),
+    ("TrainConfig.epochs", lambda v: TrainConfig(epochs=v)),
+    ("TrainConfig.restarts", lambda v: TrainConfig(restarts=v)),
+    ("BitstreamHeader.sample_rate", lambda v: BitstreamHeader(v, 400, CodecConfig())),
+    ("BitstreamHeader.true_sample_count", lambda v: BitstreamHeader(8000, v, CodecConfig())),
+    ("Signal.sample_rate", lambda v: Signal(np.zeros(10), v)),
+]
+REAL_FIELDS = [
+    ("CodecConfig.step_init", lambda v: CodecConfig(step_init=v)),
+    ("CodecConfig.step_min", lambda v: CodecConfig(step_min=v)),
+    ("CodecConfig.step_max", lambda v: CodecConfig(step_max=v)),
+    ("CodecConfig.multipliers", lambda v: CodecConfig(multipliers=(v,) * 8)),
+    ("TrainConfig.lambda_init", lambda v: TrainConfig(lambda_init=v)),
+    ("TrainConfig.lambda_up", lambda v: TrainConfig(lambda_up=v)),
+    ("TrainConfig.lambda_down", lambda v: TrainConfig(lambda_down=v)),
+    ("TrainConfig.init_scale", lambda v: TrainConfig(init_scale=v)),
+]
+BAD_INTEGERS = {"None": None, "'3'": "3", "2.5": 2.5, "True": True}
+BAD_REALS = {"None": None, "'0.1'": "0.1", "True": True, "10**400": 10**400,
+             "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")}
+
+
+class TestNumberRule:
+    """A wrong-typed or non-finite number raises ValueError naming its
+    field, never TypeError, OverflowError or AttributeError; a bool is
+    neither an integer nor a real."""
+
+    @pytest.mark.parametrize("field, build, value", [
+        *[pytest.param(field, build, value, id=f"{field}-{shown}")
+          for table, bad in ((INTEGER_FIELDS, BAD_INTEGERS), (REAL_FIELDS, BAD_REALS))
+          for field, build in table for shown, value in bad.items()],
+        pytest.param("CodecConfig.multipliers", lambda v: CodecConfig(multipliers=v), 5,
+                     id="CodecConfig.multipliers-field-5"),
+        pytest.param("CodecConfig.multipliers", lambda v: CodecConfig(multipliers=v), None,
+                     id="CodecConfig.multipliers-field-None"),
+        pytest.param("CodecConfig.train", lambda v: CodecConfig(train=v), None,
+                     id="CodecConfig.train-None"),
+    ])
+    def test_refused_naming_the_field(self, field, build, value):
+        with pytest.raises(ValueError, match=f"^{field.partition('.')[2]} "):
+            build(value)
 
 
 class TestForwardMode:

@@ -55,6 +55,11 @@ class TestSegsnr:
         assert rep.segments_used == 1
         assert rep.segments_skipped == 1
 
+    @pytest.mark.parametrize("segment_len", [0, 2.5, True, "200"])
+    def test_bad_segment_len_rejected(self, segment_len):
+        with pytest.raises(ValueError, match="^segment_len must be "):
+            segsnr(np.ones(400), np.ones(400), segment_len)
+
     def test_all_silent_gives_nan(self):
         rep = segsnr(np.zeros(400), np.ones(400), 200)
         assert rep.segments_used == 0
@@ -103,5 +108,6 @@ class TestZScore:
         assert math.isinf(z_score(20.0, 0.0, 21.0, 0.0, 10))
 
     def test_bad_n_rejected(self):
-        with pytest.raises(ValueError):
-            z_score(20.0, 5.0, 21.0, 5.0, 0)
+        for n in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="^n must be "):
+                z_score(20.0, 5.0, 21.0, 5.0, n)

@@ -908,7 +908,7 @@ class TestTrainConfig:
         assert TrainConfig(**{name: np.float64(0.3)}) == TrainConfig(**{name: 0.3})
 
     def test_non_numeric_reals_still_refused(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^lambda_init must be a real number, got '0.01'$"):
             TrainConfig(lambda_init="0.01")
 
 

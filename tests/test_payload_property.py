@@ -26,9 +26,10 @@ INT_TYPES = (int, np.int64, np.int16)
 FLOAT_TYPES = (float, np.float64, np.float32)
 CONTAINERS = (tuple, list, np.array)
 # refused wherever they stand; a code or a candidate is also refused as
-# 1.5 or True, a sequence field as any scalar
+# 1.5 or True, a coefficient as True, a sequence field as any scalar
 BAD_VALUES = (None, math.nan, math.inf, -math.inf, "0", "x")
 BAD_INTS = BAD_VALUES + (1.5, True)
+BAD_REALS = BAD_VALUES + (True,)
 FIELDS = ("codes", "candidate", "forward_coeffs")
 
 
@@ -70,8 +71,10 @@ def corrupt(data, config, fields, frame_index):
         value = [code_max + 1 if v else code_min - 1 for v in value]
     else:
         value = list(value)
-        bad = BAD_INTS if name == "codes" else BAD_VALUES
+        bad = BAD_INTS if name == "codes" else BAD_REALS
         value[data.draw(st.integers(0, len(value) - 1))] = data.draw(st.sampled_from(bad))
+        if bool in map(type, value):
+            value = tuple(value)  # `contained` would put it in an array, which casts a bool
     return {**fields, name: value}
 
 
