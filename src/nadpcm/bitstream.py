@@ -34,13 +34,14 @@ Payload values are checked once, when a `Bitstream` is built.
 
 import math
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
 
-from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT, TrainConfig, as_int, as_real
+from .mlp import (
+    MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT, TrainConfig, as_int, as_real, as_tuple,
+)
 from .quantizer import (
     DEFAULT_STEP_INIT,
     DEFAULT_STEP_MAX,
@@ -126,7 +127,7 @@ class CodecConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", as_int("seed", self.seed) & MASK64)
-        _check_representable(self, "bits", "frame_len")
+        _check_representable(self, "bits", "frame_len", "predictor_kind", "adaptation")
         if not isinstance(self.train, TrainConfig):
             raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
         _check_representable(self.train, "epochs", "restarts")
@@ -135,8 +136,7 @@ class CodecConfig:
         for name in ("step_init", "step_min", "step_max"):
             object.__setattr__(self, name, as_real(name, getattr(self, name)))
         object.__setattr__(self, "multipliers", check_params(
-            self.bits, self.step_init, self.step_min, self.step_max,
-            _tuple(self.multipliers, "multipliers")))
+            self.bits, self.step_init, self.step_min, self.step_max, self.multipliers))
         if self.frame_len < 1:
             raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.predictor_kind in NEURAL_KINDS and self.frame_len < MIN_FRAME_LEN:
@@ -204,7 +204,7 @@ class Bitstream:
                 codes, cand, coeffs = p.codes, p.candidate, p.forward_coeffs
                 exact = type(codes) is tuple and type(cand) is int and type(coeffs) is tuple
                 if not exact:
-                    codes, coeffs = _tuple(codes, "codes"), _tuple(coeffs, "forward_coeffs")
+                    codes, coeffs = as_tuple("codes", codes), as_tuple("forward_coeffs", coeffs)
                     cand = as_int("candidate", cand)
                 if not 0 <= cand < candidates:
                     raise ValueError(f"candidate {cand} outside [0, {candidates - 1}]")
@@ -228,13 +228,6 @@ class Bitstream:
             if not exact:
                 stored[i] = FramePayload(tuple(map(int, codes)), cand, tuple(map(float, coeffs)))
         object.__setattr__(self, "payloads", tuple(stored))
-
-
-def _tuple(values, name: str) -> tuple:
-    """A tuple, list or 1-D array as a tuple, or ValueError."""
-    if isinstance(values, (Sequence, np.ndarray)) and getattr(values, "ndim", 1) == 1:
-        return tuple(values)
-    raise ValueError(f"{name} must be a sequence, got {values!r}")
 
 
 def frame_candidates(config: CodecConfig) -> tuple:

@@ -188,7 +188,7 @@ def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
     """
     config = base_config if base_config is not None else CodecConfig()
     frames = _epoch_frames(signal, config, max_epochs)
-    if not 0 <= frame_pair_index < len(frames) - 1:
+    if not 0 <= as_int("frame_pair_index", frame_pair_index) < len(frames) - 1:
         raise ValueError(f"signal has {len(frames)} frames; pair index {frame_pair_index} "
                          f"is not in 0..{len(frames) - 2}")
     pair = frames[frame_pair_index : frame_pair_index + 2]
@@ -228,8 +228,9 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
     SEGSNR always uses a 200-sample analysis window regardless of the
     coding frame length. Lengths too short for the neural predictor skip
     those methods; skips are returned alongside the records as
-    (method, bits, length, reason) tuples. A length below 1 is refused
-    before coding; a codec refusal names the method, bits and length.
+    (method, bits, length, reason) tuples. A length that is not an integer
+    >= 1 (`as_int`) is refused before coding; a codec refusal names the
+    method, bits and length.
     """
     _require_nonempty(lengths=lengths, bits_list=bits_list, methods=methods)
     base = base_config if base_config is not None else CodecConfig()
@@ -238,8 +239,8 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
     for method in methods:
         neural = _method(method)[0] in NEURAL_KINDS
         for bits in bits_list:
-            for length in lengths:
-                if neural and 1 <= length < MIN_FRAME_LEN:  # below 1, method_config refuses it
+            for length in (as_int("frame_len", n, minimum=1) for n in lengths):
+                if neural and length < MIN_FRAME_LEN:
                     skipped.append((method, bits, length, TOO_SHORT.format(length)))
                 else:
                     runs.append((method, bits, length, method_config(base, method, bits, length)))

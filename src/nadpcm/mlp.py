@@ -53,8 +53,8 @@ kernel; `math.exp` is still the host libm's.
 LPC tap kernel is: the 25 parameters (`params`) and the 10-sample window
 are locals, and each expression above is written out term for term.
 
-`as_int` and `as_real` are the one number rule of every config, header,
-payload and `Signal` field; a bool is neither an integer nor a real.
+`as_int`, `as_real` and `as_tuple` are the one number rule of every field,
+seed and sweep argument; a bool is neither an integer nor a real.
 
 `scipy.special.expit` is imported inside `forward_batch`, the fit's one
 batch forward pass and the only user of scipy in the codec, so that
@@ -66,7 +66,7 @@ import functools
 import logging
 import math
 import numbers
-import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +91,9 @@ MIX2 = 0x94D049BB133111EB
 
 
 def as_int(name: str, value, minimum=None) -> int:
-    """A Python or numpy integer (not a bool) as a Python int; ValueError
-    names the field if it is not one, or is below `minimum` when given."""
-    if type(value) is not int and not isinstance(value, np.integer):
+    """A Python int or subclass (not a bool) or numpy integer as a Python int;
+    ValueError names the field if it is not one, or is below `minimum` when given."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
@@ -115,11 +115,18 @@ def as_real(name: str, value) -> float:
     return value
 
 
+def as_tuple(name: str, values) -> tuple:
+    """A tuple, list or 1-D array as a tuple, or ValueError naming the field."""
+    if isinstance(values, (Sequence, np.ndarray)) and getattr(values, "ndim", 1) == 1:
+        return tuple(values)
+    raise ValueError(f"{name} must be a sequence, got {values!r}")
+
+
 class SplitMix64:
     """SplitMix64 generator; the full sequence is determined by the seed."""
 
     def __init__(self, seed: int):
-        self.state = operator.index(seed) & MASK64
+        self.state = as_int("seed", seed) & MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN_GAMMA) & MASK64

@@ -7,14 +7,14 @@ rule. `quantize`, `dequantize` and `next_step` are the quantizer's
 reference; `CodecConfig` holds their parameters. `codec._closed_loop`
 writes the same three steps inline, with the same operations in the same
 order, and a test replays these functions over its output bit for bit.
-`bits` and the multipliers follow the one number rule (`mlp.as_int`,
-`mlp.as_real`); `AdaptiveQuantizer` is only a benchmark shim over them.
+`check_params` holds each parameter to the one number rule (`mlp.as_int`,
+`as_real`, `as_tuple`); `AdaptiveQuantizer` is only a benchmark shim over it.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from .mlp import as_int, as_real
+from .mlp import as_int, as_real, as_tuple
 
 # Step multipliers per code magnitude rank, innermost first.
 DEFAULT_MULTIPLIERS = {
@@ -34,10 +34,13 @@ def check_params(bits: int, step: float, step_min: float, step_max: float, multi
     """Validate quantizer parameters; return the multiplier table (default if empty)."""
     if not 2 <= as_int("bits", bits) <= 5:
         raise ValueError(f"bits must be in 2..5, got {bits}")
-    if not 0 < step_min <= step <= step_max < math.inf:
-        raise ValueError(f"need 0 < step_min <= step <= step_max < inf, got "
+    step, step_min, step_max = (as_real("step", step), as_real("step_min", step_min),
+                                as_real("step_max", step_max))
+    if not 0 < step_min <= step <= step_max:
+        raise ValueError(f"need 0 < step_min <= step <= step_max, got "
                          f"{step_min}, {step}, {step_max}")
-    multipliers = tuple(as_real("multipliers", m) for m in multipliers) or DEFAULT_MULTIPLIERS[bits]
+    table = as_tuple("multipliers", multipliers)
+    multipliers = tuple(as_real("multipliers", m) for m in table) or DEFAULT_MULTIPLIERS[bits]
     if len(multipliers) != 2 ** (bits - 1):
         raise ValueError(f"{bits}-bit coding needs {2 ** (bits - 1)} multipliers, "
                          f"got {len(multipliers)}")

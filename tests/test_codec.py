@@ -33,9 +33,11 @@ from nadpcm.codec import (
     frame_predictor,
     initial_state,
 )
-from nadpcm.harness import METHODS, method_config
-from nadpcm.mlp import Mlp, multistart_fit
-from nadpcm.quantizer import DEFAULT_MULTIPLIERS, code_range, dequantize, next_step, quantize
+from nadpcm.harness import METHODS, epoch_sweep, frame_length_sweep, method_config
+from nadpcm.mlp import Mlp, SplitMix64, multistart_fit
+from nadpcm.quantizer import (
+    DEFAULT_MULTIPLIERS, AdaptiveQuantizer, code_range, dequantize, next_step, quantize,
+)
 
 
 def hand_trace_config():
@@ -406,6 +408,41 @@ class TestNumberRule:
     def test_refused_naming_the_field(self, field, build, value):
         with pytest.raises(ValueError, match=f"^{field.partition('.')[2]} "):
             build(value)
+
+    # Enum fields, quantizer parameters, the RNG seed and sweep arguments, as
+    # (the argument the refusal names, call on a signal x with one bad input).
+    @pytest.mark.parametrize("name, call", [
+        pytest.param("predictor_kind", lambda x: CodecConfig(predictor_kind=True),
+                     id="CodecConfig-predictor_kind-True"),
+        pytest.param("adaptation", lambda x: CodecConfig(adaptation=1.0),
+                     id="CodecConfig-adaptation-1.0"),
+        pytest.param("step", lambda x: AdaptiveQuantizer(4, "0.1", 0.01, 0.5, ()),
+                     id="AdaptiveQuantizer-step-'0.1'"),
+        pytest.param("multipliers", lambda x: AdaptiveQuantizer(4, 0.1, 0.01, 0.5, 5),
+                     id="AdaptiveQuantizer-multipliers-5"),
+        pytest.param("seed", lambda x: SplitMix64(True), id="SplitMix64-seed-True"),
+        pytest.param("frame_len", lambda x: frame_length_sweep(x, [2.5], [4], ["ADPCMB-MLP"]),
+                     id="frame_length_sweep-lengths-2.5"),
+        pytest.param("frame_pair_index", lambda x: epoch_sweep(x, True, 2, 0),
+                     id="epoch_sweep-frame_pair_index-True"),
+        pytest.param("seed", lambda x: epoch_sweep(x, 0, 2, 2.5),
+                     id="epoch_sweep-restart_seed-2.5"),
+    ])
+    def test_argument_refused_naming_it(self, speech_like, name, call):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call(speech_like)
+
+    @pytest.mark.parametrize("kind", [PredictorKind.MLP, np.int64(2)], ids=["member", "int64"])
+    def test_enum_member_and_numpy_integer_taken(self, kind):
+        assert CodecConfig(predictor_kind=kind).predictor_kind is PredictorKind.MLP
+
+    def test_header_kind_outside_the_enum_refused(self):
+        header = BitstreamHeader(8000, 1, CodecConfig(frame_len=1))
+        data = bytearray(serialize(Bitstream(header, (FramePayload((0,)),))))
+        data[20] = 7  # predictor_kind; see test_bitstream's header byte offsets
+        with pytest.raises(BitstreamError,
+                           match="^invalid header: 7 is not a valid PredictorKind$"):
+            parse(bytes(data))
 
 
 class TestForwardMode:

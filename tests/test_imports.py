@@ -13,6 +13,11 @@ package module binds at its top level by `def`, `class` or assignment. It
 counts as read when any package module loads it as a `Name`, reads it as
 an attribute (`mod._x`, or any other `._x`) or imports it; the tests are
 not readers, so code kept only for a test is reported.
+
+The number rule is `mlp.as_int`, `mlp.as_real` and `mlp.as_tuple`, and no
+other package code tests for an integer, a real or a sequence itself: each
+name of `NUMBER_RULE`, as a `Name` or a dotted `Attribute`, may appear only
+in the one rule function it maps to.
 """
 
 import ast
@@ -119,3 +124,57 @@ def test_every_private_name_is_read():
         "stored-only"])
 def test_unread_privates_found(sources, expected):
     assert unread_privates(sources) == expected
+
+
+NUMBER_RULE = {"np.integer": "as_int", "operator.index": "as_int", "numbers.Real": "as_real",
+               "numbers.Integral": "as_real", "Sequence": "as_tuple"}
+
+
+def dotted(node) -> str | None:
+    """`a.b.c` for a Name or an Attribute chain on one, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    base = dotted(node.value) if isinstance(node, ast.Attribute) else None
+    return base and f"{base}.{node.attr}"
+
+
+def number_tests(source: str) -> list:
+    """(line, name, where) of each use of a `NUMBER_RULE` name in `source`;
+    `where` is the qualified name of the innermost enclosing def or class,
+    or "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            elif dotted(child) in NUMBER_RULE:
+                found.append((child.lineno, dotted(child), scope or "<module>"))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_number_tests_only_in_the_rule():
+    uses = {path.name: number_tests(path.read_text()) for path in PACKAGE}
+    assert {name for found in uses.values() for _, name, _ in found} >= {"np.integer", "Sequence"}
+    stray = [(file, line, name, where) for file, found in uses.items()
+             for line, name, where in found if (file, where) != ("mlp.py", NUMBER_RULE[name])]
+    assert not stray, "; ".join(f"{file}:{line} uses {name} in {where}, not in mlp."
+                                f"{NUMBER_RULE[name]}" for file, line, name, where in stray)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def as_int(v):\n    return isinstance(v, np.integer)\n", [(2, "np.integer", "as_int")]),
+    ("class R:\n    def __init__(self, s):\n        self.s = operator.index(s)\n",
+     [(3, "operator.index", "R.__init__")]),
+    ("from collections.abc import Sequence\nOK = isinstance(x, Sequence)\n",
+     [(2, "Sequence", "<module>")]),
+    ("def f(v):\n    def g():\n        return numbers.Real\n    return g\n",
+     [(3, "numbers.Real", "f.g")]),
+    ("x = np.integers\ny = a.np.integer\nz = numbers\n", []),
+], ids=["function", "method", "module", "nested", "other-names"])
+def test_number_tests_found(source, expected):
+    assert number_tests(source) == expected

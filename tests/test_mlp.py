@@ -132,7 +132,7 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize("seed", [5.0, "5"])
     def test_non_integer_seed_refused(self, seed):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
             SplitMix64(seed)
 
     def test_uniform_range_and_mean(self):
