@@ -13,7 +13,10 @@ biases, output weights, output bias.
 
 Training runs on a stack of nets. The R restarts of one fit are an
 (R, 25) array, one parameter vector per row, trained together by one
-Levenberg-Marquardt loop. For N training pairs, `residual_jacobian` gives
+Levenberg-Marquardt loop. `init_mlp` draws the whole starting stack in
+one pass of uint64 arithmetic (`SplitMix64.uniform_rows`): row i is, bit
+for bit, the first 25 `SplitMix64(seeds[i]).uniform(-scale, scale)`
+draws. For N training pairs, `residual_jacobian` gives
 the (R, N, 25) Jacobians and (R, N) residuals, and `lm_epoch` takes the
 stack with an (R,) damping vector and returns (theta', lambda', sse,
 accepted): the (R, 25) stack after the step, the (R,) damping after it,
@@ -23,6 +26,11 @@ are decided per row. numpy runs the matrix products and the solve slice
 by slice, so every row gets the same IEEE operations, in the same order,
 as it would in a stack of one: a row's result does not depend on the rows
 beside it, and `lm_iterations` is that stack of one.
+
+The Jacobian's sign rule: dr/dtheta = -dy/dtheta is written in one pass,
+with each output weight v_j negated before it multiplies h_j (1 - h_j) and
+the output columns written as -h_j and -1.0. IEEE rounding is symmetric,
+so each entry is exactly -dy/dtheta, the sign of zero included.
 
 Consecutive epochs share work through a carry, a dict that `lm_epoch`
 fills and its next call on the same stack reads; like Madsen, Nielsen
@@ -56,8 +64,9 @@ are locals, and each expression above is written out term for term.
 `as_int`, `as_real` and `as_tuple` are the one number rule of every field,
 seed and sweep argument; a bool is neither an integer nor a real.
 
-`scipy.special.expit` is imported inside `forward_batch`, the fit's one
-batch forward pass and the only user of scipy in the codec, so that
+`scipy.special.expit` is imported by `_expit` on the first call of
+`forward_batch`, the fit's one batch forward pass and the only user of
+scipy in the codec, and bound once for every later call, so that
 `import nadpcm`, the CLI and LPC coding load numpy alone; scipy is loaded
 on the first fit.
 """
@@ -142,16 +151,16 @@ class SplitMix64:
         frac = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * frac
 
-    def uniforms(self, lo: float, hi: float, n: int) -> np.ndarray:
-        """The next n `uniform(lo, hi)` draws as an array: the same outputs,
-        computed in uint64 arithmetic (which wraps mod 2**64), and the same
-        float operations on them."""
+    @staticmethod
+    def uniform_rows(seeds, lo: float, hi: float, n: int) -> np.ndarray:
+        """(len(seeds), n) array whose row i is the first n `uniform(lo, hi)`
+        draws of `SplitMix64(seeds[i])`: the same outputs, computed for all
+        seeds at once in uint64 arithmetic (which wraps mod 2**64), and the
+        same float operations on them."""
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= GOLDEN_GAMMA
-        z += np.uint64(self.state)
-        self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
+        z = np.array([as_int("seed", seed) & MASK64 for seed in seeds], dtype=np.uint64)[:, None]
+        z = z + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
         z ^= z >> 30
         z *= MIX1
         z ^= z >> 27
@@ -245,11 +254,12 @@ def _forward_kernel():
     return lpc.stream_kernel(params, N_INPUTS, step, "<mlp forward kernel>", exp=math.exp)
 
 
-def init_mlp(rng: SplitMix64, scale: float) -> Mlp:
-    """Draw all 25 parameters uniformly in [-scale, scale), in normative order."""
-    if scale <= 0:
+def init_mlp(seeds, scale: float) -> np.ndarray:
+    """The (R, 25) starting stack of R seeds: row i is seeds[i]'s 25
+    parameters, in normative order, drawn uniformly in [-scale, scale)."""
+    if not scale > 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    return Mlp(rng.uniforms(-scale, scale, N_PARAMS))
+    return SplitMix64.uniform_rows(seeds, -scale, scale, N_PARAMS)
 
 
 def build_training_set(frame):
@@ -278,11 +288,20 @@ def forward_batch(theta: np.ndarray, x: np.ndarray):
     This is the one batch forward pass, for a single net and for the
     stacked fit alike.
     """
-    from scipy.special import expit  # here, so that LPC coding never loads scipy
-
     w_in = theta[..., :20].reshape(theta.shape[:-1] + (N_HIDDEN, N_INPUTS))
-    h = expit(x @ w_in.swapaxes(-1, -2) + theta[..., None, 20:22])
-    return h, (h @ theta[..., 22:24, None])[..., 0] + theta[..., 24:25]
+    z = x @ w_in.swapaxes(-1, -2)
+    z += theta[..., None, 20:22]
+    h = _expit()(z, out=z)
+    y = (h @ theta[..., 22:24, None])[..., 0]
+    y += theta[..., 24:25]
+    return h, y
+
+
+@functools.cache
+def _expit():
+    """`scipy.special.expit`, imported on the first fit."""
+    from scipy.special import expit
+    return expit
 
 
 def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray, forward=None):
@@ -290,20 +309,20 @@ def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray, forward=N
     stack of nets (R, 25).
 
     Columns follow the normative parameter order. Hidden derivatives use
-    the logistic identity sigma' = sigma (1 - sigma). `forward`, when
-    given, is `forward_batch(theta, x)` already computed.
+    the logistic identity sigma' = sigma (1 - sigma) and the module's sign
+    rule. `forward`, when given, is `forward_batch(theta, x)` already computed.
     """
     h, y = forward_batch(theta, x) if forward is None else forward  # (R, N, 2), (R, N)
     r = t - y
-    dy_dz = h * (1.0 - h) * theta[:, None, 22:24]   # (R, N, 2)
+    dr_dz = h * (1.0 - h)                           # (R, N, 2)
+    dr_dz *= -theta[:, None, 22:24]
     jac = np.empty(r.shape + (N_PARAMS,))
-    # input weights, row-major over hidden units
-    for j in range(N_HIDDEN):
-        jac[..., j * N_INPUTS : (j + 1) * N_INPUTS] = dy_dz[..., j : j + 1] * x
-    jac[..., 20:22] = dy_dz                         # hidden biases
-    jac[..., 22:24] = h                             # output weights
-    jac[..., 24] = 1.0                              # output bias
-    np.negative(jac, out=jac)                       # d r / d theta = -(d y / d theta)
+    # input weights, row-major over hidden units, through a view of jac
+    np.multiply(dr_dz[..., None], x[:, None, :],
+                out=jac[..., :20].reshape(r.shape + (N_HIDDEN, N_INPUTS)))
+    jac[..., 20:22] = dr_dz                         # hidden biases
+    np.negative(h, out=jac[..., 22:24])             # output weights
+    jac[..., 24] = -1.0                             # output bias
     return jac, r
 
 
@@ -373,13 +392,19 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
             jac, r = residual_jacobian(theta[rows], x, t, forward=(h[rows], y[rows]))
             jtj[rows], jtr[rows] = _normal_equations(jac, r)
     delta = _solve_each(jtj + lam[:, None, None] * _EYE, jtr)[..., 0]
-    usable = np.isfinite(delta).all(axis=1)
+    finite = np.isfinite(delta)
+    every_usable = finite.all()
     # r decreases along -(J^T J + lam I)^-1 J^T r since jac is d r/d theta;
     # an unusable row is scored at its own parameters and then rejected.
-    candidate = theta - np.where(usable[:, None], delta, 0.0)
+    if not every_usable:
+        usable = finite.all(axis=1)
+        delta = np.where(usable[:, None], delta, 0.0)
+    candidate = theta - delta
     h, y = forward_batch(candidate, x)
     sse1 = _row_sse(t - y)
-    accept = usable & (sse1 < sse0)
+    accept = sse1 < sse0
+    if not every_usable:
+        accept &= usable
     accepted = int(np.count_nonzero(accept))
     if accepted == len(accept):
         theta, lam, sse = candidate, lam * config.lambda_down, sse1
@@ -403,7 +428,7 @@ def lm_stack_iterations(frame, seeds, config: TrainConfig, epochs: int):
     each row's SSE sequence is non-increasing.
     """
     x, t = build_training_set(frame)
-    theta = np.stack([init_mlp(SplitMix64(seed), config.init_scale).theta for seed in seeds])
+    theta = init_mlp(seeds, config.init_scale)
     lam = np.full(len(seeds), config.lambda_init)
     carry = {}
     for _ in range(epochs):
@@ -435,9 +460,11 @@ def multistart_fit(frame, config: TrainConfig, seed: int, restarts) -> Mlp:
     lowest final SSE on the training frame (ties go to the first listed),
     and its index is the returned net's `restart`. A row does not depend
     on the others, so the decoder's fit of `(i,)` is restart i of the
-    encoder's fit of `range(config.restarts)`. A frame shorter than
-    MIN_FRAME_LEN is refused.
+    encoder's fit of `range(config.restarts)`. The seed and each index
+    go through `as_int`. A frame shorter than MIN_FRAME_LEN is refused.
     """
+    seed = as_int("seed", seed)
+    restarts = [as_int("restart", i) for i in restarts]
     if not restarts:
         raise ValueError("restarts must list at least one restart index")
     seeds = [restart_seed(seed, i) for i in restarts]

@@ -60,7 +60,7 @@ def reference_run(frame, seed, config, epochs):
     lm_epoch on a stack of one net, as an oracle for lm_iterations and
     multistart_fit."""
     x, t = build_training_set(frame)
-    theta = init_mlp(SplitMix64(seed), config.init_scale).theta[None]
+    theta = init_mlp([seed], config.init_scale)
     lam = np.array([config.lambda_init])
     steps = []
     for _ in range(epochs):
@@ -96,9 +96,9 @@ def same_bits(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def seeded_stack(*seeds, scale=0.5):
-    """(len(seeds), 25) parameter stack, row i drawn from seeds[i]."""
-    return np.stack([init_mlp(SplitMix64(seed), scale).theta for seed in seeds])
+def seeded_net(seed, scale=0.5):
+    """The net of a one-row `init_mlp` stack."""
+    return Mlp(init_mlp([seed], scale)[0])
 
 
 class TestSplitMix64:
@@ -152,29 +152,51 @@ class TestSplitMix64:
     @pytest.mark.parametrize("lo, hi", [(-0.5, 0.5), (0.0, 1.0), (-3.0, 7.25),
                                         (0.25, 0.25 + 1e-9)])
     def test_block_draw_equals_scalar_draws(self, seed, lo, hi):
-        block, scalar = SplitMix64(seed), SplitMix64(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # uint64 wraparound must not warn
-            values = block.uniforms(lo, hi, N_PARAMS)
+            values = SplitMix64.uniform_rows([seed], lo, hi, N_PARAMS)
+        scalar = SplitMix64(seed)
         expected = [scalar.uniform(lo, hi) for _ in range(N_PARAMS)]
-        assert values.dtype == np.float64 and values.shape == (N_PARAMS,)
+        assert values.dtype == np.float64 and values.shape == (1, N_PARAMS)
         assert values.tobytes() == np.array(expected).tobytes()
-        assert type(block.state) is int and block.state == scalar.state
-        assert block.next_u64() == scalar.next_u64()
-
-    def test_block_draws_continue_the_stream(self):
-        block, scalar = SplitMix64(9), SplitMix64(9)
-        drawn = [*block.uniforms(-1.0, 1.0, 1), *block.uniforms(-1.0, 1.0, 0),
-                 *block.uniforms(-1.0, 1.0, 7), block.uniform(-1.0, 1.0)]
-        assert drawn == [scalar.uniform(-1.0, 1.0) for _ in range(9)]
-        assert block.state == scalar.state
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (0.0, float("nan"))])
     def test_block_draw_refuses_empty_interval(self, lo, hi):
-        rng = SplitMix64(3)
         with pytest.raises(ValueError, match="need lo < hi"):
-            rng.uniforms(lo, hi, 4)
-        assert rng.state == 3
+            SplitMix64.uniform_rows([3], lo, hi, 4)
+
+
+class TestInitMlp:
+    """`init_mlp(seeds, scale)` draws the (R, 25) starting stack at once:
+    row i is, by `float.hex`, 25 calls of `SplitMix64(seeds[i]).uniform(
+    -scale, scale)`."""
+
+    SEEDS = (0, 2**64 - 1, np.int64(5), np.uint64(2**63), 1, -1, 0xDEADBEEF)
+
+    @pytest.mark.parametrize("rows", [1, 4, 7])
+    @pytest.mark.parametrize("scale", [0.5, 8.0, 1e-9])
+    def test_rows_equal_scalar_draws(self, rows, scale):
+        # every seed is drawn in every position of a stack of each size
+        for start in range(len(self.SEEDS)):
+            seeds = (self.SEEDS[start:] + self.SEEDS[:start])[:rows]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # uint64 wraparound must not warn
+                stack = init_mlp(seeds, scale)
+            assert stack.dtype == np.float64 and stack.shape == (rows, N_PARAMS)
+            for seed, row in zip(seeds, stack.tolist()):
+                rng = SplitMix64(seed)
+                expected = [rng.uniform(-scale, scale) for _ in range(N_PARAMS)]
+                assert [v.hex() for v in row] == [v.hex() for v in expected], (seed, rows)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "5", None])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            init_mlp([0, seed], 0.5)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, float("nan")])
+    def test_non_positive_scale_refused(self, scale):
+        with pytest.raises(ValueError, match="^scale must be > 0, got "):
+            init_mlp([0], scale)
 
 
 class TestMlpStructure:
@@ -195,8 +217,7 @@ class TestMlpStructure:
         assert net.predict(np.zeros(10)) == pytest.approx(expected, rel=1e-15)
 
     def test_vector_round_trip(self):
-        rng = SplitMix64(3)
-        net = init_mlp(rng, 0.5)
+        net = seeded_net(3)
         np.testing.assert_array_equal(Mlp(net.theta).theta, net.theta)
         assert Mlp(net.theta.tolist()).theta.dtype == np.float64
 
@@ -217,27 +238,24 @@ class TestMlpStructure:
             Mlp(np.zeros(shape))
 
     def test_init_range_and_draw_count(self):
-        rng = SplitMix64(4)
-        net = init_mlp(rng, 0.5)
-        theta = net.theta
-        assert np.all((theta >= -0.5) & (theta < 0.5))
-        # exactly 25 draws consumed: the 26th matches a fresh skip-25 stream
-        fresh = SplitMix64(4)
-        for _ in range(25):
-            fresh.next_u64()
-        assert rng.next_u64() == fresh.next_u64()
+        stack = init_mlp(range(40), 0.5)
+        assert stack.shape == (40, N_PARAMS)
+        assert np.all((stack >= -0.5) & (stack < 0.5))
+        # each row is the first 25 draws of its seed's stream
+        rng = SplitMix64(39)
+        assert stack[-1].tolist() == [rng.uniform(-0.5, 0.5) for _ in range(N_PARAMS)]
 
 
 class TestMlpEquality:
     def test_equal_parameters_equal_nets(self):
-        net = init_mlp(SplitMix64(3), 0.5)
+        net = seeded_net(3)
         same = Mlp(net.theta.tolist())
         assert Mlp.zero() == Mlp.zero() and hash(Mlp.zero()) == hash(Mlp.zero())
         assert net == same and hash(net) == hash(same)
         assert len({net, same, Mlp.zero()}) == 2
 
     def test_any_bit_or_restart_differs(self):
-        net = init_mlp(SplitMix64(3), 0.5)
+        net = seeded_net(3)
         theta = net.theta.copy()
         theta[24] = np.nextafter(theta[24], np.inf)
         assert net != Mlp(theta)
@@ -260,16 +278,14 @@ class TestForward:
         assert net.predict(np.zeros(10)) == pytest.approx(1.0)  # sigma(0) twice
 
     def test_matches_hand_formula(self):
-        rng = SplitMix64(5)
-        net = init_mlp(rng, 0.5)
+        net = seeded_net(5)
         x = np.linspace(-0.4, 0.4, 10)  # newest first
         h = expit(net.w_in @ x + net.theta[20:22])
         expected = float(net.theta[22:24] @ h + net.theta[24])
         assert net.predict(x[::-1]) == pytest.approx(expected, rel=1e-15)
 
     def test_predict_uses_newest_first(self):
-        rng = SplitMix64(6)
-        net = init_mlp(rng, 0.5)
+        net = seeded_net(6)
         history = np.linspace(-0.3, 0.3, 25)  # newest stored last
         expected = reference_forward(net, history[-1:-11:-1])
         assert net.predict(history) == expected
@@ -284,15 +300,14 @@ class TestForward:
     def test_predict_returns_python_float(self, history):
         # the closed loop feeds predictions back into its history; a numpy
         # scalar there makes every later loop operation a numpy one
-        net = init_mlp(SplitMix64(6), 0.5)
+        net = seeded_net(6)
         newest_first = np.asarray(history, dtype=np.float64)[-1:-11:-1]
         p = net.predict(history)
         assert type(p) is float
         assert same_bits(p, reference_forward(net, newest_first))
 
     def test_forward_batch_matches_scalar(self):
-        rng = SplitMix64(12)
-        net = init_mlp(rng, 0.5)
+        net = seeded_net(12)
         x = np.array([np.linspace(-0.2, 0.2, 10), np.linspace(0.3, -0.1, 10)])
         h, batch = forward_batch(net.theta, x)
         np.testing.assert_allclose(h, expit(x @ net.w_in.T + net.theta[20:22]), rtol=1e-15)
@@ -404,10 +419,67 @@ class TestTrainingSet:
         assert np.all(t == 0.3)
 
 
+def negated_jacobian(theta, x, t):
+    """The Jacobian built as dy/dtheta and then negated as a whole: the
+    reference for the bits, signs of zero included, of the one-pass build."""
+    h, y = forward_batch(theta, x)
+    dy_dz = h * (1.0 - h) * theta[:, None, 22:24]
+    jac = np.empty(y.shape + (N_PARAMS,))
+    for j in range(N_HIDDEN):
+        jac[..., j * N_INPUTS : (j + 1) * N_INPUTS] = dy_dz[..., j : j + 1] * x
+    jac[..., 20:22] = dy_dz
+    jac[..., 22:24] = h
+    jac[..., 24] = 1.0
+    np.negative(jac, out=jac)
+    return jac, t - y
+
+
+def signed_zero_stack():
+    """(theta, x, t) whose Jacobian holds saturated units (h = 1.0 and
+    h = 0.0), -0.0 and +0.0 output weights and zero inputs of both signs."""
+    rng = np.random.default_rng(41)
+    theta = rng.uniform(-1.0, 1.0, (7, N_PARAMS))
+    theta[0, 20:22] = 50.0, -800.0       # h0 = 1.0, h1 = 0.0
+    theta[1, 22:24] = -0.0, 0.0
+    theta[2, :20] = 0.0
+    theta[2, 20:24] = 40.0, -900.0, -0.0, 0.0   # saturated units, zero weights
+    theta[3] = -0.0
+    theta[4] *= 8.0
+    theta[5, 20:24] = -800.0, 45.0, -1.5, 0.0
+    x = rng.uniform(-0.5, 0.5, (6, N_INPUTS))
+    x[1] = 0.0
+    x[2] = -0.0
+    x[3, ::2] = 0.0
+    x[3, 1::2] = -0.0
+    return theta, x, rng.uniform(-0.5, 0.5, 6)
+
+
 class TestJacobian:
+    def test_equals_negated_build_bit_for_bit(self):
+        theta, x, t = signed_zero_stack()
+        h, _ = forward_batch(theta, x)
+        assert (h == 1.0).any() and (h == 0.0).any()
+        want_jac, want_r = negated_jacobian(theta, x, t)
+        zeros = want_jac == 0.0
+        assert np.signbit(want_jac[zeros]).any() and not np.signbit(want_jac[zeros]).all()
+        for forward in (None, forward_batch(theta, x)):
+            jac, r = residual_jacobian(theta, x, t, forward)
+            assert jac.tobytes() == want_jac.tobytes()
+            assert r.tobytes() == want_r.tobytes()
+        for i in range(len(theta)):  # each row as a stack of one
+            jac, _ = residual_jacobian(theta[i : i + 1], x, t)
+            assert jac.tobytes() == want_jac[i : i + 1].tobytes(), i
+
+    def test_equals_negated_build_on_corpus_frames(self):
+        for frame, k in digest_frames():
+            x, t = build_training_set(frame)
+            for scale in (0.5, 8.0):
+                theta = init_mlp([restart_seed(k, i) for i in range(4)], scale)
+                assert residual_jacobian(theta, x, t)[0].tobytes() == \
+                    negated_jacobian(theta, x, t)[0].tobytes()
+
     def test_output_bias_column(self):
-        rng = SplitMix64(8)
-        net = init_mlp(rng, 0.5)
+        net = seeded_net(8)
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
         jac, r = residual_jacobian(net.theta[None], x, t)
         assert jac.shape == (1, len(t), 25) and r.shape == (1, len(t))
@@ -420,8 +492,7 @@ class TestJacobian:
         np.testing.assert_allclose(jac[0, :, 22:24], -0.5, rtol=1e-15)
 
     def test_residual_definition(self):
-        rng = SplitMix64(9)
-        net = init_mlp(rng, 0.5)
+        net = seeded_net(9)
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
         _, r = residual_jacobian(net.theta[None], x, t)
         np.testing.assert_allclose(r[0], t - forward_batch(net.theta, x)[1], rtol=1e-15)
@@ -429,8 +500,8 @@ class TestJacobian:
     def test_matches_finite_differences(self):
         rng = SplitMix64(10)
         step = 1e-6
-        for _ in range(10):
-            net = init_mlp(rng, 0.5)
+        for seed in range(10):
+            net = seeded_net(seed)
             x = np.array([[rng.uniform(-0.8, 0.8) for _ in range(10)]
                           for _ in range(3)])
             t = np.array([rng.uniform(-0.8, 0.8) for _ in range(3)])
@@ -449,7 +520,7 @@ class TestJacobian:
 
 
     def test_stack_rows_match_single_nets(self):
-        thetas = seeded_stack(21, 22, 23)
+        thetas = init_mlp([21, 22, 23], 0.5)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 40)) * 0.4)
         jac, r = residual_jacobian(thetas, x, t)
         for i, theta in enumerate(thetas):
@@ -460,7 +531,7 @@ class TestJacobian:
 
 class TestLevenbergMarquardt:
     def test_accepted_step_reduces_sse(self):
-        thetas = seeded_stack(11, 12, 13, 14)
+        thetas = init_mlp([11, 12, 13, 14], 0.5)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         before = [batch_sse(Mlp(theta), x, t) for theta in thetas]
         thetas2, lam2, after, accepted = lm_epoch(thetas, x, t, np.full(4, 0.01), TrainConfig())
@@ -476,7 +547,7 @@ class TestLevenbergMarquardt:
                 np.testing.assert_array_equal(theta2, theta)
 
     def test_rejected_step_keeps_parameters(self):
-        thetas = seeded_stack(13)
+        thetas = init_mlp([13], 0.5)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         # huge lambda forces a tiny step; near a minimum it cannot improve
         for _ in range(200):
@@ -492,7 +563,7 @@ class TestLevenbergMarquardt:
                 raise np.linalg.LinAlgError("singular matrix")
             return np.full(np.shape(rhs), np.inf)
 
-        thetas = seeded_stack(20, 21)
+        thetas = init_mlp([20, 21], 0.5)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         before = [batch_sse(Mlp(theta), x, t) for theta in thetas]
         monkeypatch.setattr(np.linalg, "solve", bad_solve)
@@ -505,7 +576,7 @@ class TestLevenbergMarquardt:
     def test_singular_row_rejected_alone(self, monkeypatch):
         # numpy refuses a whole stack for one singular matrix; the fallback
         # solves each matrix on its own, so only that row is rejected
-        thetas = seeded_stack(30, 31, 32, 33)
+        thetas = init_mlp([30, 31, 32, 33], 0.5)
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         lam = np.full(4, 1.0)
         expected = lm_epoch(thetas, x, t, lam, TrainConfig())
@@ -545,7 +616,7 @@ class TestLevenbergMarquardt:
     def test_nonpositive_lambda_refused(self, lam):
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         with pytest.raises(ValueError, match="lambda must be > 0"):
-            lm_epoch(seeded_stack(1, 2), x, t, np.array([0.01, lam]), TrainConfig())
+            lm_epoch(init_mlp([1, 2], 0.5), x, t, np.array([0.01, lam]), TrainConfig())
 
     def test_sse_nonincreasing_across_epochs(self):
         x_sig = np.sin(np.linspace(0, 12, 120)) * 0.4
@@ -563,12 +634,11 @@ class TestLevenbergMarquardt:
             assert err == ref_err
 
     def test_learns_realizable_teacher(self):
-        teacher_rng = SplitMix64(17)
-        teacher = init_mlp(teacher_rng, 1.0)
+        teacher = seeded_net(17, scale=1.0)
         rng = np.random.default_rng(18)
         x = rng.uniform(-0.8, 0.8, size=(60, 10))
         t = forward_batch(teacher.theta, x)[1]
-        students = seeded_stack(19)
+        students = init_mlp([19], 0.5)
         initial = batch_sse(Mlp(students[0]), x, t)
         lam = np.array([TrainConfig().lambda_init])
         for _ in range(60):
@@ -692,6 +762,22 @@ class TestMultistart:
             with pytest.raises(ValueError, match="^frame_len 5 is below the 11-sample MLP minimum$"):
                 multistart_fit(np.zeros(5), TrainConfig(), 0, restarts)
 
+    @pytest.mark.parametrize("seed, restarts, name", [
+        (2.5, range(4), "seed"), (True, range(4), "seed"), ("5", range(4), "seed"),
+        (5, (1.0,), "restart"), (5, (True,), "restart"), (5, (0, "1"), "restart"),
+    ], ids=["seed-2.5", "seed-True", "seed-str", "restart-1.0", "restart-True", "restart-str"])
+    def test_non_integer_seed_or_restart_refused(self, seed, restarts, name):
+        frame = np.sin(np.linspace(0, 12, 200)) * 0.4
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            multistart_fit(frame, TrainConfig(), seed, restarts)
+
+    def test_numpy_integer_seed_and_restarts(self):
+        frame = np.sin(np.linspace(0, 12, 200)) * 0.4
+        config = TrainConfig(epochs=2)
+        net = multistart_fit(frame, config, np.uint64(77), np.arange(3, dtype=np.int64))
+        assert type(net.restart) is int
+        assert net == multistart_fit(frame, config, 77, range(3))
+
 
 class TestStackedRun:
     """Restarts stay independent: a row of a stacked run is that seed's
@@ -799,7 +885,7 @@ class TestCarriedLm:
         for frame, k in digest_frames():
             seeds = [restart_seed(k, i) for i in range(restarts)]
             x, t = build_training_set(frame)
-            start, lam = seeded_stack(*seeds), np.full(restarts, config.lambda_init)
+            start, lam = init_mlp(seeds, 0.5), np.full(restarts, config.lambda_init)
             rows.clear()
             cold = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
             accepted = [step[3] for step in cold]
@@ -843,7 +929,7 @@ class TestCarriedLm:
             if len(frame) == 13:
                 continue
             x, t = build_training_set(frame)
-            start = seeded_stack(*[restart_seed(k, i) for i in range(4)])
+            start = init_mlp([restart_seed(k, i) for i in range(4)], 0.5)
             lam = np.array([0.01, 0.01, 1e30, 0.01])
             rows.clear()
             cold = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
@@ -860,7 +946,7 @@ class TestCarriedLm:
     def test_epoch_after_an_all_rejected_one_builds_no_jacobian(self, monkeypatch):
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         config, carry = TrainConfig(), {}
-        theta, lam, _, _ = lm_epoch(seeded_stack(13, 14), x, t, np.full(2, 0.01), config, carry)
+        theta, lam, _, _ = lm_epoch(init_mlp([13, 14], 0.5), x, t, np.full(2, 0.01), config, carry)
         with monkeypatch.context() as patch:  # every step non-finite: all rejected
             patch.setattr(np.linalg, "solve", lambda lhs, rhs: np.full(np.shape(rhs), np.inf))
             theta, lam, _, accepted = lm_epoch(theta, x, t, lam, config, carry)
