@@ -371,12 +371,12 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
     the stack it returns (an empty dict starts cold, like None). It holds
     each row's J^T J, J^T r and SSE at its current parameters ("jtj",
     "jtr", "sse"), except that for the rows whose step was accepted
-    ("moved") it holds only the scoring forward pass of the new
-    parameters ("forward"); the next call builds their normal equations
-    from it. A rejected row's entries are reused as they are. The results
-    are the same bits as a cold call's.
+    ("moved", and their number, "accepted") it holds only the scoring
+    forward pass of the new parameters ("forward"); the next call builds
+    their normal equations from it. A rejected row's entries are reused
+    as they are. The results are the same bits as a cold call's.
     """
-    if not (lam > 0).all():
+    if not all(value > 0 for value in lam.tolist()):
         raise ValueError(f"lambda must be > 0, got {lam}")
     if not carry:
         jac, r = residual_jacobian(theta, x, t)
@@ -385,19 +385,20 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
     else:
         jtj, jtr, sse0, moved = carry["jtj"], carry["jtr"], carry["sse"], carry["moved"]
         h, y = carry["forward"]
-        if moved.all():
+        if carry["accepted"] == len(moved):
             jtj, jtr = _normal_equations(*residual_jacobian(theta, x, t, forward=(h, y)))
-        elif moved.any():
+        elif carry["accepted"]:
             rows = np.flatnonzero(moved)
             jac, r = residual_jacobian(theta[rows], x, t, forward=(h[rows], y[rows]))
             jtj[rows], jtr[rows] = _normal_equations(jac, r)
     delta = _solve_each(jtj + lam[:, None, None] * _EYE, jtr)[..., 0]
-    finite = np.isfinite(delta)
-    every_usable = finite.all()
+    # one sum is finite exactly when every step is (short of overflow,
+    # which only sends a finite stack down the per-row path)
+    every_usable = math.isfinite(delta.sum())
     # r decreases along -(J^T J + lam I)^-1 J^T r since jac is d r/d theta;
     # an unusable row is scored at its own parameters and then rejected.
     if not every_usable:
-        usable = finite.all(axis=1)
+        usable = np.isfinite(delta).all(axis=1)
         delta = np.where(usable[:, None], delta, 0.0)
     candidate = theta - delta
     h, y = forward_batch(candidate, x)
@@ -415,7 +416,8 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
         lam = np.where(accept, lam * config.lambda_down, lam * config.lambda_up)
         sse = np.where(accept, sse1, sse0)
     if carry is not None:
-        carry.update(jtj=jtj, jtr=jtr, sse=sse, moved=accept, forward=(h, y))
+        carry.update(jtj=jtj, jtr=jtr, sse=sse, moved=accept, accepted=accepted,
+                     forward=(h, y))
     return theta, lam, sse, accepted
 
 
