@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import as_int
+from .number import as_int
 
 PCM_SCALE = 32768.0
 

@@ -39,9 +39,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .mlp import (
-    MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT, TrainConfig, as_int, as_real, as_tuple,
-)
+from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT, TrainConfig
+from .number import as_int, as_real, as_tuple
 from .quantizer import (
     DEFAULT_STEP_INIT,
     DEFAULT_STEP_MAX,

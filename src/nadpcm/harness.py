@@ -19,7 +19,8 @@ from .bitstream import (
 )
 from .codec import CodecConfig, encode, decode, encode_frame, initial_state
 from .metrics import mean_std, segsnr, segment_snr_db, z_score
-from .mlp import MIN_FRAME_LEN, TOO_SHORT, as_int, lm_iterations
+from .mlp import MIN_FRAME_LEN, TOO_SHORT, lm_iterations
+from .number import as_int
 
 SIGNIFICANCE_THRESHOLD = 2.5
 SEGSNR_WINDOW = 200  # metric window, independent of the coding frame length

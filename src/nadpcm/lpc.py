@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .number import as_int
+
 ZERO_ENERGY_FLOOR = 1e-12
 REFLECTION_CLAMP = 0.999
 KERNEL_CHUNK = 64  # terms per statement of a generated kernel's sum
@@ -174,9 +176,9 @@ def autocorrelation(frame, order: int) -> np.ndarray:
     """Biased autocorrelation r[0..order] of a frame.
 
     r[k] = sum_{n=k}^{L-1} s(n) s(n-k); lags beyond the frame length are 0.
+    `order` is an integer >= 1 (`as_int`).
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = as_int("order", order, minimum=1)
     s = np.asarray(frame, dtype=np.float64)
     n = len(s)
     r = np.zeros(order + 1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import as_int
+from .number import as_int
 
 SILENCE_ENERGY_FLOOR = 1e-12
 ERROR_ENERGY_FLOOR = 1e-20

@@ -61,9 +61,6 @@ kernel; `math.exp` is still the host libm's.
 LPC tap kernel is: the 25 parameters (`params`) and the 10-sample window
 are locals, and each expression above is written out term for term.
 
-`as_int`, `as_real` and `as_tuple` are the one number rule of every field,
-seed and sweep argument; a bool is neither an integer nor a real.
-
 `scipy.special.expit` is imported by `_expit` on the first call of
 `forward_batch`, the fit's one batch forward pass and the only user of
 scipy in the codec, and bound once for every later call, so that
@@ -74,13 +71,12 @@ on the first fit.
 import functools
 import logging
 import math
-import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lpc
+from .number import as_int, as_real
 
 log = logging.getLogger(__name__)
 
@@ -97,38 +93,6 @@ MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
-
-
-def as_int(name: str, value, minimum=None) -> int:
-    """A Python int or subclass (not a bool) or numpy integer as a Python int;
-    ValueError names the field if it is not one, or is below `minimum` when given."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def as_real(name: str, value) -> float:
-    """A finite Python or numpy real (not a bool) as a Python float, or
-    ValueError naming the field. A numpy scalar left in place would compute
-    in its own precision (float32 stays float32) in the coding loop and fit."""
-    if type(value) is bool or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an int or a fraction beyond binary64
-        value = math.inf
-    if not -math.inf < value < math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def as_tuple(name: str, values) -> tuple:
-    """A tuple, list or 1-D array as a tuple, or ValueError naming the field."""
-    if isinstance(values, (Sequence, np.ndarray)) and getattr(values, "ndim", 1) == 1:
-        return tuple(values)
-    raise ValueError(f"{name} must be a sequence, got {values!r}")
 
 
 class SplitMix64:

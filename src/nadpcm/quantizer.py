@@ -7,14 +7,14 @@ rule. `quantize`, `dequantize` and `next_step` are the quantizer's
 reference; `CodecConfig` holds their parameters. `codec._closed_loop`
 writes the same three steps inline, with the same operations in the same
 order, and a test replays these functions over its output bit for bit.
-`check_params` holds each parameter to the one number rule (`mlp.as_int`,
+`check_params` holds each parameter to the one number rule (`number.as_int`,
 `as_real`, `as_tuple`); `AdaptiveQuantizer` is only a benchmark shim over it.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from .mlp import as_int, as_real, as_tuple
+from .number import as_int, as_real, as_tuple
 
 # Step multipliers per code magnitude rank, innermost first.
 DEFAULT_MULTIPLIERS = {

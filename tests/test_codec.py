@@ -362,8 +362,8 @@ class TestCodecConfig:
 
 
 # Every integer and real field of the configs, the header and `Signal`, as
-# (owner.field, build from one value); each is held to `mlp.as_int` or
-# `mlp.as_real`.
+# (owner.field, build from one value); each is held to `number.as_int` or
+# `number.as_real`.
 INTEGER_FIELDS = [
     ("CodecConfig.frame_len", lambda v: CodecConfig(frame_len=v)),
     ("CodecConfig.bits", lambda v: CodecConfig(bits=v)),

@@ -14,7 +14,7 @@ counts as read when any package module loads it as a `Name`, reads it as
 an attribute (`mod._x`, or any other `._x`) or imports it; the tests are
 not readers, so code kept only for a test is reported.
 
-The number rule is `mlp.as_int`, `mlp.as_real` and `mlp.as_tuple`, and no
+The number rule is `number.as_int`, `number.as_real` and `number.as_tuple`, and no
 other package code tests for an integer, a real or a sequence itself: each
 name of `NUMBER_RULE`, as a `Name` or a dotted `Attribute`, may appear only
 in the one rule function it maps to.
@@ -161,8 +161,8 @@ def test_number_tests_only_in_the_rule():
     uses = {path.name: number_tests(path.read_text()) for path in PACKAGE}
     assert {name for found in uses.values() for _, name, _ in found} >= {"np.integer", "Sequence"}
     stray = [(file, line, name, where) for file, found in uses.items()
-             for line, name, where in found if (file, where) != ("mlp.py", NUMBER_RULE[name])]
-    assert not stray, "; ".join(f"{file}:{line} uses {name} in {where}, not in mlp."
+             for line, name, where in found if (file, where) != ("number.py", NUMBER_RULE[name])]
+    assert not stray, "; ".join(f"{file}:{line} uses {name} in {where}, not in number."
                                 f"{NUMBER_RULE[name]}" for file, line, name, where in stray)
 
 

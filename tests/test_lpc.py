@@ -47,6 +47,20 @@ class TestAutocorrelation:
         frame = np.array([1.0, -2.0, 3.0])
         assert autocorrelation(frame, 1)[0] == 14.0
 
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_refused(self, order):
+        with pytest.raises(ValueError, match=f"^order must be >= 1, got {order}$"):
+            autocorrelation(np.ones(20), order)
+
+    @pytest.mark.parametrize("order", [True, 2.0, "10", None])
+    def test_non_integer_order_refused(self, order):
+        # the number rule: a bool is not an order, so fit(frame, True) fits nothing
+        with pytest.raises(ValueError, match=f"^order must be an integer, got {order!r}$"):
+            fit(np.ones(20), order)
+
+    def test_numpy_integer_order_accepted(self):
+        assert fit(np.sin(np.arange(40.0)), np.int64(4)).order == 4
+
 
 class TestLevinson:
     def test_exact_ar1_autocorrelation(self):
