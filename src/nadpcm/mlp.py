@@ -50,22 +50,26 @@ b_j, v_j and c are hidden unit j's input weights and bias, its output
 weight and the output bias. Hidden unit j is a_j = 0.0 + w_j0 * x0 +
 w_j1 * x1 + ... + w_j9 * x9 + b_j, added left to right, one multiply and
 one add per term; its activation is h_j = 1.0 / (1.0 + exp(-a_j)) with
-`math.exp`, the same bits as `scipy.special.expit`, and 0.0 where
-exp(-a_j) overflows. The output is v0 * h0 + v1 * h1 + c, left to right.
-No BLAS call is made, so the predictions do not depend on the BLAS
-kernel; `math.exp` is still the host libm's.
+`math.exp`, and 0.0 where exp(-a_j) overflows. The output is v0 * h0 +
+v1 * h1 + c, left to right. No BLAS call is made, so the predictions do
+not depend on the BLAS kernel; `math.exp` is still the host libm's.
+
+The fit's batch forward pass, `forward_batch`, computes the same sigmoid
+with numpy ufuncs, in place on the (R, N, 2) pre-activations: h = 1.0 /
+(1.0 + exp(min(-a, 709.0))) with `np.exp`. The clamp keeps exp finite,
+so no overflow warning is raised; below a = -709.0, h stays at about
+1.2e-308, where the kernel's h goes on falling and is 0.0 once exp(-a)
+overflows (a < -709.78). `np.exp` can
+differ from `math.exp` by one ulp of exp, so h can differ from the
+kernel's in its last bits. Only training sees that difference: the
+decoder re-runs the same fit, and every prediction of the closed loop
+comes from the kernel.
 
 `Mlp` is an `lpc.Predictor`, as `lpc.LpcModel` is, so its `predictions`,
 `predict` and equality are the LPC model's; only its kernel and key differ.
 `_forward_kernel` is generated on first use by `lpc.stream_kernel`, as the
 LPC tap kernel is: the 25 parameters (`params`) and the 10-sample window
 are locals, and each expression above is written out term for term.
-
-`scipy.special.expit` is imported by `_expit` on the first call of
-`forward_batch`, the fit's one batch forward pass and the only user of
-scipy in the codec, and bound once for every later call, so that
-`import nadpcm`, the CLI and LPC coding load numpy alone; scipy is loaded
-on the first fit.
 """
 
 import functools
@@ -208,7 +212,7 @@ def _forward_kernel():
         lines = []
         for j in range(N_HIDDEN):
             terms = [f"{wi} * {xi}" for wi, xi in zip(w[j], inputs)]
-            # exp(-a) beyond the float range raises; expit gives 0.0 there
+            # exp(-a) beyond the float range raises; h is 0.0 there
             lines += [f"a = {' + '.join(['0.0', *terms, f'b{j}'])}",
                       "try:", f"    h{j} = 1.0 / (1.0 + exp(-a))",
                       "except OverflowError:", f"    h{j} = 0.0"]
@@ -250,22 +254,18 @@ def forward_batch(theta: np.ndarray, x: np.ndarray):
     or a stack of nets (R, 25) on an (N, 10) input matrix.
 
     This is the one batch forward pass, for a single net and for the
-    stacked fit alike.
+    stacked fit alike. Its sigmoid is the module docstring's, clamped.
     """
     w_in = theta[..., :20].reshape(theta.shape[:-1] + (N_HIDDEN, N_INPUTS))
     z = x @ w_in.swapaxes(-1, -2)
-    z += theta[..., None, 20:22]
-    h = _expit()(z, out=z)
+    np.subtract(-theta[..., None, 20:22], z, out=z)  # -a
+    np.minimum(z, 709.0, out=z)  # exp(709.0) is finite
+    np.exp(z, out=z)
+    z += 1.0
+    h = np.reciprocal(z, out=z)
     y = (h @ theta[..., 22:24, None])[..., 0]
     y += theta[..., 24:25]
     return h, y
-
-
-@functools.cache
-def _expit():
-    """`scipy.special.expit`, imported on the first fit."""
-    from scipy.special import expit
-    return expit
 
 
 def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray, forward=None):

@@ -191,17 +191,25 @@ class TestValidation:
         with pytest.raises(BitstreamError):
             parse(bytes(data))
 
-    def test_version_2_refused(self):
-        # version 2 had the same layout; its MLP predictions came from BLAS
+    @staticmethod
+    def check_version_refused(version):
         header = make_header()
         data = bytearray(serialize(Bitstream(
             header, tuple(FramePayload(codes=codes_for(header))
                           for _ in range(header.frame_count)))))
-        assert data[4] == 3
+        assert data[4] == 4
         parse(bytes(data))
-        data[4] = 2
-        with pytest.raises(BitstreamError, match="unsupported version 2"):
+        data[4] = version
+        with pytest.raises(BitstreamError, match=f"unsupported version {version}"):
             parse(bytes(data))
+
+    def test_version_2_refused(self):
+        # version 2 had the same layout; its MLP predictions came from BLAS
+        self.check_version_refused(2)
+
+    def test_version_3_refused(self):
+        # version 3 had the same layout; its MLP fits used scipy's expit
+        self.check_version_refused(3)
 
     def test_truncated_stream_names_frame(self):
         header = make_header(bits=4, true_sample_count=600, frame_len=200)

@@ -206,7 +206,7 @@ class TestDecode:
         run(capsys, "encode", "--in", pcm_file, "--out", str(stream), "--predictor", "hybrid",
             "--epochs", "2", "--restarts", "1")
         data = bytearray(stream.read_bytes())
-        assert data[4] == 3
+        assert data[4] == 4
         data[4] = 1
         stream.write_bytes(bytes(data))
         out = tmp_path / "r.pcm"

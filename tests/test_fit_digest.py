@@ -43,8 +43,8 @@ FRAMES_PER_SIGNAL = 8
 SATURATED_SCHEDULES = ((1, 1), (4, 6))
 SATURATED_SCALE = 8.0
 
-FIT_DIGEST = "e76d6c929d205cceaa3af14304af47c86182309c847e64bf11c1297efdc9a37a"
-SATURATED_DIGEST = "595664b9f31c9db75638dfe574f1046aea5d60da3da076f2dbe760df9a60a5ca"
+FIT_DIGEST = "408249281c76c4704a131931bfe8353b2f3c168772edd86d8d42ef4bdd34d005"
+SATURATED_DIGEST = "fecd9d95e87c056536c9ff42ffdaff76cf171d71af44fbeeb7d95c8909b479f9"
 
 
 def corpus():
