@@ -59,11 +59,10 @@ with numpy ufuncs, in place on the (R, N, 2) pre-activations: h = 1.0 /
 (1.0 + exp(min(-a, 709.0))) with `np.exp`. The clamp keeps exp finite,
 so no overflow warning is raised; below a = -709.0, h stays at about
 1.2e-308, where the kernel's h goes on falling and is 0.0 once exp(-a)
-overflows (a < -709.78). `np.exp` can
-differ from `math.exp` by one ulp of exp, so h can differ from the
-kernel's in its last bits. Only training sees that difference: the
-decoder re-runs the same fit, and every prediction of the closed loop
-comes from the kernel.
+overflows (a < -709.78). `np.exp` can differ from `math.exp` by one ulp
+of exp, so h can differ from the kernel's in its last bits. Only
+training sees that difference: the decoder re-runs the same fit, and
+every prediction of the closed loop comes from the kernel.
 
 `Mlp` is an `lpc.Predictor`, as `lpc.LpcModel` is, so its `predictions`,
 `predict` and equality are the LPC model's; only its kernel and key differ.
