@@ -10,9 +10,8 @@ Every digest, LPC included, holds only for the OpenBLAS kernel and the
 libm code path it was generated with (numpy 2.4 on OpenBLAS 0.3.31 with
 its SkylakeX kernel, x86-64): `lpc.autocorrelation` uses `np.dot`, the
 MLP fit uses BLAS/LAPACK and numpy's `exp`, and the closed loop's
-sigmoid uses libm `exp`. Under
-`OPENBLAS_CORETYPE=Haswell` all 14 cases fail. ROADMAP open item 3
-(portable bit-exactness) is the fix.
+sigmoid uses libm `exp`. Under `OPENBLAS_CORETYPE=Haswell` all 14 cases
+fail. ROADMAP open item 3 (portable bit-exactness) is the fix.
 """
 
 import hashlib

@@ -14,10 +14,10 @@ counts as read when any package module loads it as a `Name`, reads it as
 an attribute (`mod._x`, or any other `._x`) or imports it; the tests are
 not readers, so code kept only for a test is reported.
 
-The number rule is `number.as_int`, `number.as_real` and `number.as_tuple`, and no
-other package code tests for an integer, a real or a sequence itself: each
-name of `NUMBER_RULE`, as a `Name` or a dotted `Attribute`, may appear only
-in the one rule function it maps to.
+The number rule is `number.as_int`, `number.as_real` and
+`number.as_tuple`, and no other package code tests for an integer, a real
+or a sequence itself: each name of `NUMBER_RULE`, as a `Name` or a dotted
+`Attribute`, may appear only in the one rule function it maps to.
 """
 
 import ast

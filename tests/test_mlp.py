@@ -460,7 +460,7 @@ def signed_zero_stack():
     weights and zero inputs of both signs."""
     rng = np.random.default_rng(41)
     theta = rng.uniform(-1.0, 1.0, (7, N_PARAMS))
-    theta[0, 20:22] = 50.0, -800.0       # h0 = 1.0, h1 = 0.0
+    theta[0, 20:22] = 50.0, -800.0       # h0 = 1.0, h1 below the clamp
     theta[1, 22:24] = -0.0, 0.0
     theta[2, :20] = 0.0
     theta[2, 20:24] = 40.0, -900.0, -0.0, 0.0   # saturated units, zero weights
