@@ -1,7 +1,8 @@
 """Command-line front end: encode, decode, eval, sweep, usage.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 I/O error,
-3 malformed bitstream.
+`--predictor` and `--mode` are encode flags: eval and sweep set both per
+method, or train the MLP. Exit codes: 0 success, 1 usage or configuration
+error, 2 I/O error, 3 malformed bitstream.
 """
 
 import argparse
@@ -112,19 +113,17 @@ def _codec_config(args) -> CodecConfig:
 def _config_flags() -> _Parser:
     c, t = CodecConfig, TrainConfig  # class attributes hold the field defaults
     p = _Parser(add_help=False)
+    p.set_defaults(predictor_kind=c.predictor_kind.name.lower(),
+                   adaptation=c.adaptation.name.lower())
     p.add_argument("--bits", type=int, default=c.bits, choices=tuple(DEFAULT_MULTIPLIERS),
                    help="quantizer bits per sample (2-5)")
     p.add_argument("--frame-len", type=int, default=c.frame_len,
                    help="coding frame length in samples")
-    p.add_argument("--predictor", dest="predictor_kind", default=c.predictor_kind.name.lower(),
-                   choices=sorted(PREDICTORS), help="short-term predictor")
-    p.add_argument("--mode", dest="adaptation", default=c.adaptation.name.lower(),
-                   choices=sorted(MODES), help="adaptation mode")
     p.add_argument("--epochs", type=int, default=t.epochs, help="LM training epochs per fit")
     p.add_argument("--restarts", type=int, default=t.restarts,
                    help="multistart random initializations")
     p.add_argument("--seed", type=int, default=c.seed,
-                   help="base seed for neural predictor training")
+                   help="base seed for neural predictor training (frame k: seed XOR k)")
     p.add_argument("--delta0", dest="step_init", type=float, default=c.step_init,
                    help="initial quantizer step")
     p.add_argument("--delta-min", dest="step_min", type=float, default=c.step_min,
@@ -155,6 +154,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     enc = sub.add_parser("encode", parents=[_config_flags()], help="encode audio to a bitstream")
+    enc.add_argument("--predictor", dest="predictor_kind", choices=sorted(PREDICTORS),
+                     help="short-term predictor")
+    enc.add_argument("--mode", dest="adaptation", choices=sorted(MODES), help="adaptation mode")
     enc.add_argument("--in", dest="infile", required=True, help="input audio path")
     enc.add_argument("--out", required=True, help="output bitstream path")
     enc.add_argument("--segment-len", type=_positive_int, default=None,
@@ -193,8 +195,6 @@ def build_parser() -> _Parser:
                     help="first frame of the train/test pair (epochs sweep)")
     sw.add_argument("--max-epochs", type=_positive_int, default=100,
                     help="epoch range for epochs/histogram sweeps")
-    sw.add_argument("--restart-seed", type=int, default=0,
-                    help="initialization seed for the epochs sweep")
     sw.add_argument("--lengths", default="10:10:300",
                     help="frame lengths as start:step:stop or a comma list")
     sw.add_argument("--bits-list", default=None,
@@ -251,12 +251,8 @@ def cmd_eval(args) -> int:
         Path(args.out).write_text(table)
     for bits in bits_list:
         group = [r for r in rows if r.bits == bits]
-        if len(group) < 2:
-            continue
         n = args.significance_n or max(1, min(r.frames_evaluated for r in group))
         for pair in harness.significance_matrix(group, n):
-            if pair.method_a == pair.method_b:
-                continue
             verdict = "significant" if pair.significant else "not significant"
             print(f"z[{bits} bits] {pair.method_a} vs {pair.method_b}: "
                   f"{pair.z:.3f} ({verdict})")
@@ -267,8 +263,7 @@ def cmd_sweep(args) -> int:
     signal = _read_signal(args.infile, args.format, args.sample_rate)
     config = _codec_config(args)
     if args.kind == "epochs":
-        curve = harness.epoch_sweep(signal, args.frame_pair_index, args.max_epochs,
-                                    args.restart_seed, config)
+        curve = harness.epoch_sweep(signal, args.frame_pair_index, args.max_epochs, config)
         table = harness.export_csv(
             ["epoch", "train_db", "test_db"],
             zip(curve.x_values, curve.y_train_db, curve.y_test_db),

@@ -3,8 +3,9 @@
 Method names pair an adaptation mode with a predictor: ADPCMF-* is
 forward-adapted (coefficients transmitted), ADPCMB-* backward-adapted
 (decoder refits), and ADPCMB-HYBRID is the per-frame linear/neural
-switch. All runs are deterministic given (corpus, config, seed), so
-repeated runs emit byte-identical CSVs.
+switch. Each experiment takes one CodecConfig (the method tables set its
+kind and mode per method); all runs are deterministic given (corpus,
+config), so repeated runs emit byte-identical CSVs.
 """
 
 import csv
@@ -55,20 +56,18 @@ class SignificancePair:
 @dataclass(frozen=True)
 class SweepCurve:
     x_values: tuple
-    y_train_db: tuple | None = None
-    y_test_db: tuple | None = None
-
-    def __post_init__(self):
-        xs = self.x_values
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("x_values must be strictly increasing")
+    y_train_db: tuple
+    y_test_db: tuple
 
 
-def _require_nonempty(**sequences):
-    """Raise ValueError naming the first empty sequence."""
-    for name, values in sequences.items():
+def _require_listed_once(**lists):
+    """Raise ValueError naming the first list that is empty or repeats an entry."""
+    for name, values in lists.items():
         if len(values) == 0:
             raise ValueError(f"{name} must be non-empty")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{name} repeats {value!r}")
 
 
 def _method(method: str):
@@ -119,11 +118,14 @@ def evaluate_methods(corpus, bits_list, methods, base_config: CodecConfig):
 
     Per-segment SNRs (segment length = coding frame length) are pooled
     across the corpus into one row per pair. Rows for all-silent corpora
-    carry NaN means and zero frames. A codec refusal names the method,
-    bit depth and signal.
+    carry NaN means and zero frames. An empty corpus, method or bit-depth
+    list, or a list that repeats an entry, is refused before coding; a
+    codec refusal names the method, bit depth and signal.
     """
     corpus = list(corpus)
-    _require_nonempty(corpus=corpus, methods=methods, bits_list=bits_list)
+    if not corpus:
+        raise ValueError("corpus must be non-empty")
+    _require_listed_once(methods=methods, bits_list=bits_list)
     runs = [(m, b, method_config(base_config, m, b)) for m in methods for b in bits_list]
     rows = []
     for (method, bits, _), pooled in zip(runs, _coded_snrs(runs, corpus)):
@@ -133,15 +135,14 @@ def evaluate_methods(corpus, bits_list, methods, base_config: CodecConfig):
 
 
 def significance_matrix(rows, n: int):
-    """Pairwise z statistics between method rows sharing a bit depth.
-
-    Pairs with z below 2.5 are marked not significant.
-    """
+    """Pairwise z statistics between method rows sharing a bit depth: one
+    per pair of distinct rows (rows[i], rows[j]), i < j, in row order.
+    Pairs with z below 2.5 are marked not significant."""
     if len({row.bits for row in rows}) > 1:
         raise ValueError("significance_matrix needs rows at a single bit depth")
     pairs = []
     for i, a in enumerate(rows):
-        for b in rows[i:]:
+        for b in rows[i + 1:]:
             z = z_score(a.segsnr_mean, a.segsnr_std, b.segsnr_mean, b.segsnr_std, n)
             pairs.append(SignificancePair(a.method, b.method, z, z >= SIGNIFICANCE_THRESHOLD))
     return pairs
@@ -166,53 +167,52 @@ def _epoch_frames(signal: Signal, config: CodecConfig, max_epochs: int):
     return frames
 
 
-def _epoch_snrs(train_frame, seed: int, config: CodecConfig, max_epochs: int, *frames):
-    """Train one net on `train_frame` from `seed` for `max_epochs` LM
-    epochs; for each of `frames`, the tuple of its closed-loop SNRs (dB)
-    after each epoch. A silent frame scores None at every epoch."""
-    run = lm_iterations(train_frame, seed, config.train, max_epochs)
-    by_epoch = [[closed_loop_frame_snr(f, net, config) for f in frames] for net, _ in run]
+def _epoch_snrs(frames, k: int, config: CodecConfig, max_epochs: int, *scored):
+    """Train one net on frames[k] from seed `config.seed ^ k` (the one seed
+    rule of the epoch experiments) for `max_epochs` LM epochs; for each of
+    `scored`, the tuple of its closed-loop SNRs (dB) after each epoch. A
+    silent frame scores None at every epoch."""
+    run = lm_iterations(frames[k], config.seed ^ k, config.train, max_epochs)
+    by_epoch = [[closed_loop_frame_snr(f, net, config) for f in scored] for net, _ in run]
     return list(zip(*by_epoch))
 
 
 def epoch_sweep(signal: Signal, frame_pair_index: int, max_epochs: int,
-                restart_seed: int, base_config: CodecConfig | None = None) -> SweepCurve:
+                config: CodecConfig) -> SweepCurve:
     """Trace SEGSNR against training epochs for one frame pair.
 
-    One net is initialized from restart_seed and trained on the first
-    frame of the pair; after every epoch its closed-loop SNR is measured
-    on the training frame (forward-style) and on the following frame
-    (backward-style). Overtraining shows up as the test curve peaking
+    One net, seeded `config.seed ^ frame_pair_index`, is trained on the
+    first frame of the pair; after every epoch its closed-loop SNR is
+    measured on the training frame (forward-style) and on the following
+    frame (backward-style). Overtraining shows up as the test curve peaking
     early and then declining. Fewer than two frames, frames below the MLP
     minimum and a `max_epochs` that is not an integer >= 1 are refused
     before training; a pair with a silent frame is refused after it.
     """
-    config = base_config if base_config is not None else CodecConfig()
     frames = _epoch_frames(signal, config, max_epochs)
-    if not 0 <= as_int("frame_pair_index", frame_pair_index) < len(frames) - 1:
-        raise ValueError(f"signal has {len(frames)} frames; pair index {frame_pair_index} "
+    k = as_int("frame_pair_index", frame_pair_index)
+    if not 0 <= k < len(frames) - 1:
+        raise ValueError(f"signal has {len(frames)} frames; pair index {k} "
                          f"is not in 0..{len(frames) - 2}")
-    pair = frames[frame_pair_index : frame_pair_index + 2]
-    y_train, y_test = _epoch_snrs(pair[0], restart_seed, config, max_epochs, *pair)
+    y_train, y_test = _epoch_snrs(frames, k, config, max_epochs, frames[k], frames[k + 1])
     if None in y_train + y_test:
-        raise ValueError(f"frame pair {frame_pair_index} contains silence; pick another")
-    return SweepCurve(x_values=tuple(range(1, max_epochs + 1)), y_train_db=y_train,
-                      y_test_db=y_test)
+        raise ValueError(f"frame pair {k} contains silence; pick another")
+    return SweepCurve(tuple(range(1, max_epochs + 1)), y_train, y_test)
 
 
 def optimal_epoch_histogram(signal: Signal, max_epochs: int, config: CodecConfig):
     """Distribution of the per-frame optimal epoch count.
 
-    For each consecutive frame pair, one net (seeded from the config seed
-    XOR the frame index) is trained on the first frame; the optimum is
-    the epoch count maximizing closed-loop SNR on the next frame (first
-    maximum on ties); a pair whose next frame is silent is skipped.
+    For each consecutive frame pair k, one net is trained on the first
+    frame, seeded as by `epoch_sweep(signal, k, max_epochs, config)`; the
+    optimum is the epoch count maximizing closed-loop SNR on the next frame
+    (first maximum on ties); a pair whose next frame is silent is skipped.
     Returns {epoch: percent of frames}. Input is refused as by `epoch_sweep`.
     """
     frames = _epoch_frames(signal, config, max_epochs)
     counts = {}
     for k in range(len(frames) - 1):
-        [test_db] = _epoch_snrs(frames[k], config.seed ^ k, config, max_epochs, frames[k + 1])
+        [test_db] = _epoch_snrs(frames, k, config, max_epochs, frames[k + 1])
         if test_db[0] is not None:
             best_epoch = test_db.index(max(test_db)) + 1
             counts[best_epoch] = counts.get(best_epoch, 0) + 1
@@ -222,19 +222,17 @@ def optimal_epoch_histogram(signal: Signal, max_epochs: int, config: CodecConfig
     return {epoch: 100.0 * count / total for epoch, count in sorted(counts.items())}
 
 
-def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
-                       base_config: CodecConfig | None = None):
+def frame_length_sweep(signal: Signal, lengths, bits_list, methods, base_config: CodecConfig):
     """Full encode/decode per (frame length, bits, method).
 
     SEGSNR always uses a 200-sample analysis window regardless of the
     coding frame length. Lengths too short for the neural predictor skip
     those methods; skips are returned alongside the records as
-    (method, bits, length, reason) tuples. A length that is not an integer
-    >= 1 (`as_int`) is refused before coding; a codec refusal names the
-    method, bits and length.
+    (method, bits, length, reason) tuples. An empty or repeating list, and
+    a length that is not an integer >= 1 (`as_int`), are refused before
+    coding; a codec refusal names the method, bits and length.
     """
-    _require_nonempty(lengths=lengths, bits_list=bits_list, methods=methods)
-    base = base_config if base_config is not None else CodecConfig()
+    _require_listed_once(lengths=lengths, bits_list=bits_list, methods=methods)
     runs = []
     skipped = []
     for method in methods:
@@ -244,7 +242,8 @@ def frame_length_sweep(signal: Signal, lengths, bits_list, methods,
                 if neural and length < MIN_FRAME_LEN:
                     skipped.append((method, bits, length, TOO_SHORT.format(length)))
                 else:
-                    runs.append((method, bits, length, method_config(base, method, bits, length)))
+                    config = method_config(base_config, method, bits, length)
+                    runs.append((method, bits, length, config))
     scored = zip(runs, _coded_snrs(runs, [signal], SEGSNR_WINDOW))
     records = [{"method": method, "bits": bits, "frame_len": length,
                 "segsnr_mean": mean_std(pooled)[0] if pooled else float("nan"),

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output text, exit codes."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_WAVS
+from conftest import MALFORMED_WAVS, formant_utterance
 from nadpcm import (
     Adaptation,
     CodecConfig,
@@ -21,7 +22,8 @@ from nadpcm import (
 )
 from nadpcm.cli import main
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 @pytest.fixture
@@ -93,6 +95,23 @@ def test_bad_count_refused_before_any_work(capsys, tmp_path, pcm_file, argv):
     code, stdout, stderr = run(capsys, command, "--in", pcm_file, "--out", str(out), *flags)
     assert code == 1
     assert stderr.startswith(f"error: argument {flags[-2]}: must be >= ")
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --predictor mlp",
+    "eval --mode forward",
+    "sweep --kind epochs --predictor hybrid",
+    "sweep --kind frame-length --mode forward",
+    "sweep --kind epochs --restart-seed 1",
+])
+def test_eval_and_sweep_refuse_flags_they_would_ignore(capsys, tmp_path, pcm_file, argv):
+    # eval and sweep set kind and mode per method, and --seed seeds the epoch sweep
+    command, *flags = argv.split()
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, command, "--in", pcm_file, "--out", str(out), *flags)
+    assert code == 1
+    assert stderr == f"error: unrecognized arguments: {' '.join(flags[-2:])}\n"
     assert stdout == "" and not out.exists()
 
 
@@ -326,7 +345,7 @@ class TestSweep:
         out_csv = tmp_path / "sweep.csv"
         code, stdout, _ = run(
             capsys, "sweep", "--kind", "epochs", "--in", pcm_file,
-            "--max-epochs", "5", "--restart-seed", "7", "--bits", "3",
+            "--max-epochs", "5", "--seed", "7", "--bits", "3",
             "--out", str(out_csv))
         assert code == 0
         assert "test curve peaks at epoch" in stdout
@@ -449,3 +468,23 @@ class TestParsing:
         installed = dist.entry_points.select(
             group="console_scripts", name="nadpcm")
         assert [ep.value for ep in installed] == [declared.value]
+
+
+def readme_cli_commands():
+    """The `nadpcm` commands of README's CLI block, in order, as argv lists."""
+    block = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("nadpcm ")]
+
+
+def test_readme_cli_examples_run_in_order(capsys, tmp_path, monkeypatch, speech_like):
+    # usage reads the stream encode wrote; --frame-pair-index 26 needs 28 frames
+    monkeypatch.chdir(tmp_path)
+    write_wav("speech.wav", Signal(speech_like.samples[:5600], 8000))
+    for seed, name in enumerate(("a.wav", "b.wav", "c.wav")):
+        write_wav(name, formant_utterance(seed, 400))
+    commands = readme_cli_commands()
+    assert {argv[0] for argv in commands} == {"encode", "decode", "eval", "sweep", "usage"}
+    for argv in commands:
+        code, _, stderr = run(capsys, *argv)
+        assert code == 0, f"nadpcm {shlex.join(argv)}: {stderr}"

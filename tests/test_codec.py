@@ -421,12 +421,11 @@ class TestNumberRule:
         pytest.param("multipliers", lambda x: AdaptiveQuantizer(4, 0.1, 0.01, 0.5, 5),
                      id="AdaptiveQuantizer-multipliers-5"),
         pytest.param("seed", lambda x: SplitMix64(True), id="SplitMix64-seed-True"),
-        pytest.param("frame_len", lambda x: frame_length_sweep(x, [2.5], [4], ["ADPCMB-MLP"]),
+        pytest.param("frame_len",
+                     lambda x: frame_length_sweep(x, [2.5], [4], ["ADPCMB-MLP"], CodecConfig()),
                      id="frame_length_sweep-lengths-2.5"),
-        pytest.param("frame_pair_index", lambda x: epoch_sweep(x, True, 2, 0),
+        pytest.param("frame_pair_index", lambda x: epoch_sweep(x, True, 2, CodecConfig()),
                      id="epoch_sweep-frame_pair_index-True"),
-        pytest.param("seed", lambda x: epoch_sweep(x, 0, 2, 2.5),
-                     id="epoch_sweep-restart_seed-2.5"),
     ])
     def test_argument_refused_naming_it(self, speech_like, name, call):
         with pytest.raises(ValueError, match=f"^{name} "):

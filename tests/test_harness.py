@@ -77,8 +77,9 @@ class TestMethods:
         ("methods", lambda s: evaluate_methods([s], [3], [], CodecConfig())),
         ("bits_list", lambda s: evaluate_methods([s], [], ["ADPCMB-LPC-10"], CodecConfig())),
         ("methods", lambda s: frame_length_sweep(s, [200], [3], [], CodecConfig())),
-        ("bits_list", lambda s: frame_length_sweep(s, [200], [], ["ADPCMB-LPC-10"])),
-        ("lengths", lambda s: frame_length_sweep(s, [], [3], ["ADPCMB-LPC-10"])),
+        ("bits_list",
+         lambda s: frame_length_sweep(s, [200], [], ["ADPCMB-LPC-10"], CodecConfig())),
+        ("lengths", lambda s: frame_length_sweep(s, [], [3], ["ADPCMB-LPC-10"], CodecConfig())),
     ], ids=["eval-methods", "eval-bits", "sweep-methods", "sweep-bits", "sweep-lengths"])
     def test_empty_list_refused_before_coding(self, monkeypatch, ar_signal, name, sweep):
         def no_coding(*args):
@@ -86,6 +87,27 @@ class TestMethods:
 
         monkeypatch.setattr(harness, "encode", no_coding)
         with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
+            sweep(ar_signal)
+
+    @pytest.mark.parametrize("message, sweep", [
+        ("methods repeats 'ADPCMB-LPC-10'",
+         lambda s: evaluate_methods([s], [3], ["ADPCMB-LPC-10", "ADPCMB-MLP", "ADPCMB-LPC-10"],
+                                    CodecConfig())),
+        ("bits_list repeats 4", lambda s: evaluate_methods([s], [4, 4], ["ADPCMB-LPC-10"],
+                                                           CodecConfig())),
+        ("methods repeats 'ADPCMB-MLP'",
+         lambda s: frame_length_sweep(s, [200], [3], ["ADPCMB-MLP"] * 2, CodecConfig())),
+        ("bits_list repeats 4", lambda s: frame_length_sweep(s, [200], [3, 4, 4],
+                                                             ["ADPCMB-LPC-10"], CodecConfig())),
+        ("lengths repeats 10", lambda s: frame_length_sweep(s, [10, 10], [3], ["ADPCMB-LPC-10"],
+                                                            CodecConfig())),
+    ], ids=["eval-methods", "eval-bits", "sweep-methods", "sweep-bits", "sweep-lengths"])
+    def test_repeated_entry_refused_before_coding(self, monkeypatch, ar_signal, message, sweep):
+        def no_coding(*args):
+            raise AssertionError("a signal was coded")
+
+        monkeypatch.setattr(harness, "encode", no_coding)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             sweep(ar_signal)
 
     @pytest.mark.parametrize("lengths, method", [
@@ -141,7 +163,7 @@ class TestEvaluateMethods:
         for run, message in [
             (lambda: evaluate_methods([ar_signal, empty], [3], ["ADPCMB-LPC-10"], CodecConfig()),
              "ADPCMB-LPC-10 Nq=3 failed on corpus[1]: "),
-            (lambda: frame_length_sweep(empty, [200], [3], ["ADPCMB-LPC-10"]),
+            (lambda: frame_length_sweep(empty, [200], [3], ["ADPCMB-LPC-10"], CodecConfig()),
              "ADPCMB-LPC-10 Nq=3 frame_len=200 failed on corpus[0]: "),
         ]:
             with pytest.raises(ValueError) as info:
@@ -157,33 +179,31 @@ class TestEvaluateMethods:
         with pytest.raises(ZeroDivisionError, match="^boom$"):
             evaluate_methods([ar_signal], [3], ["ADPCMB-LPC-10"], CodecConfig())
         with pytest.raises(ZeroDivisionError, match="^boom$"):
-            frame_length_sweep(ar_signal, [200], [3], ["ADPCMB-LPC-10"])
+            frame_length_sweep(ar_signal, [200], [3], ["ADPCMB-LPC-10"], CodecConfig())
 
 
 class TestSignificance:
-    def test_self_pair_not_significant(self):
-        row = MethodRow("A", 4, 20.0, 5.0, 100)
-        pairs = significance_matrix([row], 100)
-        assert pairs[0].z == 0.0 and not pairs[0].significant
-
     def test_known_z_values(self):
         a = MethodRow("A", 4, 20.68, 5.8, 100)
         b = MethodRow("B", 4, 21.11, 5.7, 100)
-        pairs = significance_matrix([a, b], 100)
-        ab = [p for p in pairs if p.method_a != p.method_b][0]
+        [ab] = significance_matrix([a, b], 100)
         assert ab.z == pytest.approx(0.5288, abs=1e-4)
         assert not ab.significant
 
     def test_near_threshold_pair(self):
         a = MethodRow("A", 4, 28.15, 6.9, 100)
         b = MethodRow("B", 4, 25.84, 6.4, 100)
-        [_, ab, _] = significance_matrix([a, b], 100)
+        [ab] = significance_matrix([a, b], 100)
         assert ab.z == pytest.approx(2.455, abs=1e-3)
         assert not ab.significant  # just under the 2.5 bar
 
     def test_pair_count_upper_triangle(self):
-        rows = [MethodRow(m, 3, 10.0 + i, 1.0, 50) for i, m in enumerate("ABCD")]
-        assert len(significance_matrix(rows, 50)) == 10  # 4 choose 2 plus diagonal
+        for n in range(1, 6):  # n rows give n(n - 1)/2 pairs of distinct rows, in row order
+            rows = [MethodRow(m, 3, 10.0 + i, 1.0, 50) for i, m in enumerate("ABCDE"[:n])]
+            pairs = significance_matrix(rows, 50)
+            assert len(pairs) == n * (n - 1) // 2
+            assert [(p.method_a, p.method_b) for p in pairs] == [
+                (a.method, b.method) for i, a in enumerate(rows) for b in rows[i + 1:]]
 
     def test_mixed_bits_rejected(self):
         rows = [MethodRow("A", 3, 10.0, 1.0, 50), MethodRow("B", 4, 10.0, 1.0, 50)]
@@ -197,66 +217,60 @@ def no_training(*args):
 
 class TestEpochSweep:
     def test_curve_shape(self, ar_signal):
-        curve = epoch_sweep(ar_signal, 0, 5, restart_seed=7, base_config=CodecConfig(bits=3))
+        curve = epoch_sweep(ar_signal, 0, 5, CodecConfig(bits=3, seed=7))
         assert isinstance(curve, SweepCurve)
         assert curve.x_values == (1, 2, 3, 4, 5)
         assert len(curve.y_train_db) == 5 and len(curve.y_test_db) == 5
         assert all(np.isfinite(v) for v in curve.y_train_db + curve.y_test_db)
 
     def test_deterministic(self, ar_signal):
-        a = epoch_sweep(ar_signal, 2, 4, restart_seed=9, base_config=CodecConfig(bits=3))
-        b = epoch_sweep(ar_signal, 2, 4, restart_seed=9, base_config=CodecConfig(bits=3))
+        a = epoch_sweep(ar_signal, 2, 4, CodecConfig(bits=3, seed=9))
+        b = epoch_sweep(ar_signal, 2, 4, CodecConfig(bits=3, seed=9))
         assert a == b
 
     def test_numpy_integer_seed(self, ar_signal):
-        a = epoch_sweep(ar_signal, 3, 2, restart_seed=np.int64(5), base_config=CodecConfig(bits=3))
-        b = epoch_sweep(ar_signal, 3, 2, restart_seed=5, base_config=CodecConfig(bits=3))
+        # the pair index goes through as_int, so a numpy index XORs a 64-bit seed as an int
+        a = epoch_sweep(ar_signal, np.int64(3), 2, CodecConfig(bits=3, seed=np.uint64(2**64 - 1)))
+        b = epoch_sweep(ar_signal, 3, 2, CodecConfig(bits=3, seed=2**64 - 1))
         assert a == b
 
     def test_pair_out_of_range(self, ar_signal):
         for index in (9, 10, -1, -12):  # 10 frames: pairs start at 0..8
             with pytest.raises(ValueError, match=f"pair index {index} "):
-                epoch_sweep(ar_signal, index, 4, restart_seed=0, base_config=CodecConfig(bits=3))
+                epoch_sweep(ar_signal, index, 4, CodecConfig(bits=3))
 
     def test_one_frame_signal_needs_two_frames(self, ar_signal):
         for n in (5, 200):  # a partial frame and exactly one frame
             with pytest.raises(ValueError, match="^need at least two frames$"):
-                epoch_sweep(Signal(ar_signal.samples[:n], 8000), 0, 4, restart_seed=0,
-                            base_config=CodecConfig(bits=3))
+                epoch_sweep(Signal(ar_signal.samples[:n], 8000), 0, 4, CodecConfig(bits=3))
 
     def test_silent_pair_rejected(self, ar_signal):
         silent = Signal(np.zeros(800), 8000)
         with pytest.raises(ValueError, match="silence"):
-            epoch_sweep(silent, 0, 4, restart_seed=0, base_config=CodecConfig(bits=3))
+            epoch_sweep(silent, 0, 4, CodecConfig(bits=3))
         # either frame of the pair below the SEGSNR silence floor is enough
         for quiet in (0, 1):
             samples = ar_signal.samples[:400].copy()
             samples[quiet * 200 : (quiet + 1) * 200] = 0.0
             samples[quiet * 200] = 0.9 * np.sqrt(SILENCE_ENERGY_FLOOR)
             with pytest.raises(ValueError, match="silence"):
-                epoch_sweep(Signal(samples, 8000), 0, 4, restart_seed=0,
-                            base_config=CodecConfig(bits=3))
+                epoch_sweep(Signal(samples, 8000), 0, 4, CodecConfig(bits=3))
 
     def test_frames_too_short_for_the_mlp_refused(self, ar_signal):
         with pytest.raises(ValueError, match="^frame_len 10 is below the 11-sample MLP minimum$"):
-            epoch_sweep(ar_signal, 0, 4, restart_seed=0,
-                        base_config=CodecConfig(bits=3, frame_len=10))
+            epoch_sweep(ar_signal, 0, 4, CodecConfig(bits=3, frame_len=10))
 
     @pytest.mark.parametrize("max_epochs", [0, -3])
     def test_no_epoch_refused_before_training(self, monkeypatch, ar_signal, max_epochs):
         monkeypatch.setattr(harness, "lm_iterations", no_training)
         with pytest.raises(ValueError, match=f"^max_epochs must be >= 1, got {max_epochs}$"):
-            epoch_sweep(ar_signal, 0, max_epochs, restart_seed=0, base_config=CodecConfig(bits=3))
+            epoch_sweep(ar_signal, 0, max_epochs, CodecConfig(bits=3))
 
     @pytest.mark.parametrize("max_epochs", [2.0, 2.5, True, "3"])
     def test_non_integer_epochs_refused_before_training(self, monkeypatch, ar_signal, max_epochs):
         monkeypatch.setattr(harness, "lm_iterations", no_training)
         with pytest.raises(ValueError, match=f"^max_epochs must be an integer, got {max_epochs!r}$"):
-            epoch_sweep(ar_signal, 0, max_epochs, restart_seed=0, base_config=CodecConfig(bits=3))
-
-    def test_strictly_increasing_x_enforced(self):
-        with pytest.raises(ValueError):
-            SweepCurve(x_values=(1, 3, 2))
+            epoch_sweep(ar_signal, 0, max_epochs, CodecConfig(bits=3))
 
 
 class TestOptimalEpochHistogram:
@@ -271,7 +285,7 @@ class TestOptimalEpochHistogram:
         config = CodecConfig(bits=3, seed=5)
         expected = {}
         for k in range(4):
-            curve = epoch_sweep(signal, k, 6, restart_seed=config.seed ^ k, base_config=config)
+            curve = epoch_sweep(signal, k, 6, config)
             best = curve.x_values[int(np.argmax(curve.y_test_db))]
             expected[best] = expected.get(best, 0.0) + 25.0
         assert optimal_epoch_histogram(signal, 6, config) == dict(sorted(expected.items()))
