@@ -1,8 +1,8 @@
-"""Command-line front end: encode, decode, eval, sweep, usage.
+"""Command-line front end: encode, decode, eval, the experiments, usage.
 
-`--predictor` and `--mode` are encode flags: eval and sweep set both per
-method, or train the MLP. Exit codes: 0 success, 1 usage or configuration
-error, 2 I/O error, 3 malformed bitstream.
+The experiments are epoch-sweep, epoch-histogram and frame-length-sweep.
+Each subcommand accepts only the flags it reads. Exit codes: 0 success,
+1 usage or configuration error, 2 I/O error, 3 malformed bitstream.
 """
 
 import argparse
@@ -66,27 +66,27 @@ def _parse_multipliers(text):
         raise CliError(f"bad --multipliers value {text!r}; expected comma-separated reals")
 
 
-def _parse_int_list(text):
+def _int_list(text):
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise CliError(f"bad integer list {text!r}")
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
 
 
-def _parse_lengths(text):
+def _lengths(text):
     """Frame lengths as start:step:stop (inclusive) or a comma list."""
-    if ":" in text:
-        try:
-            start, step, stop = (int(p) for p in text.split(":"))
-        except ValueError:
-            raise CliError(f"bad --lengths value {text!r}; expected start:step:stop")
-        if step <= 0 or stop < start:
-            raise CliError(f"bad --lengths range {text!r}")
-        return list(range(start, stop + 1, step))
-    return _parse_int_list(text)
+    if ":" not in text:
+        return _int_list(text)
+    try:
+        start, step, stop = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}; expected start:step:stop")
+    if step <= 0 or stop < start:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    return list(range(start, stop + 1, step))
 
 
-def _parse_methods(text):
+def _methods(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
@@ -110,35 +110,36 @@ def _codec_config(args) -> CodecConfig:
                         "adaptation": MODES[args.adaptation]})
 
 
-def _config_flags() -> _Parser:
+def _config_flags(*unread) -> _Parser:
+    """Every config field's default, and a flag for each field not named in `unread`."""
     c, t = CodecConfig, TrainConfig  # class attributes hold the field defaults
     p = _Parser(add_help=False)
     p.set_defaults(predictor_kind=c.predictor_kind.name.lower(),
                    adaptation=c.adaptation.name.lower())
-    p.add_argument("--bits", type=int, default=c.bits, choices=tuple(DEFAULT_MULTIPLIERS),
-                   help="quantizer bits per sample (2-5)")
-    p.add_argument("--frame-len", type=int, default=c.frame_len,
-                   help="coding frame length in samples")
-    p.add_argument("--epochs", type=int, default=t.epochs, help="LM training epochs per fit")
-    p.add_argument("--restarts", type=int, default=t.restarts,
-                   help="multistart random initializations")
-    p.add_argument("--seed", type=int, default=c.seed,
-                   help="base seed for neural predictor training (frame k: seed XOR k)")
-    p.add_argument("--delta0", dest="step_init", type=float, default=c.step_init,
-                   help="initial quantizer step")
-    p.add_argument("--delta-min", dest="step_min", type=float, default=c.step_min,
-                   help="quantizer step floor")
-    p.add_argument("--delta-max", dest="step_max", type=float, default=c.step_max,
-                   help="quantizer step ceiling")
-    p.add_argument("--multipliers", type=_parse_multipliers, default=c.multipliers,
-                   help="comma-separated step multipliers")
-    p.add_argument("--lambda-init", type=float, default=t.lambda_init, help="initial LM damping")
-    p.add_argument("--lambda-up", type=float, default=t.lambda_up,
-                   help="damping factor on rejection")
-    p.add_argument("--lambda-down", type=float, default=t.lambda_down,
-                   help="damping factor on acceptance")
-    p.add_argument("--init-scale", type=float, default=t.init_scale,
-                   help="weight init range half-width")
+    def add(option, **kw):
+        dest = kw.setdefault("dest", option[2:].replace("-", "_"))
+        p.set_defaults(**{dest: kw["default"]})
+        if dest not in unread:
+            p.add_argument(option, **kw)
+    add("--bits", type=int, default=c.bits, choices=tuple(DEFAULT_MULTIPLIERS),
+        help="quantizer bits per sample (2-5)")
+    add("--frame-len", type=int, default=c.frame_len, help="coding frame length in samples")
+    add("--epochs", type=int, default=t.epochs, help="LM training epochs per fit")
+    add("--restarts", type=int, default=t.restarts, help="multistart random initializations")
+    add("--seed", type=int, default=c.seed,
+        help="base seed for neural predictor training (frame k: seed XOR k)")
+    add("--delta0", dest="step_init", type=float, default=c.step_init,
+        help="initial quantizer step")
+    add("--delta-min", dest="step_min", type=float, default=c.step_min,
+        help="quantizer step floor")
+    add("--delta-max", dest="step_max", type=float, default=c.step_max,
+        help="quantizer step ceiling")
+    add("--multipliers", type=_parse_multipliers, default=c.multipliers,
+        help="comma-separated step multipliers")
+    add("--lambda-init", type=float, default=t.lambda_init, help="initial LM damping")
+    add("--lambda-up", type=float, default=t.lambda_up, help="damping factor on rejection")
+    add("--lambda-down", type=float, default=t.lambda_down, help="damping factor on acceptance")
+    add("--init-scale", type=float, default=t.init_scale, help="weight init range half-width")
     return p
 
 
@@ -178,31 +179,37 @@ def build_parser() -> _Parser:
                         help="method-comparison SEGSNR table over a corpus")
     ev.add_argument("--in", dest="infiles", required=True, nargs="+", help="corpus audio paths")
     ev.add_argument("--out", default=None, help="write the method table CSV here")
-    ev.add_argument("--bits-list", default="2,3,4,5", help="comma list of quantizer depths")
-    ev.add_argument("--methods", default=",".join(harness.METHODS),
+    ev.add_argument("--bits-list", type=_int_list, default="2,3,4,5", help="comma list of depths")
+    ev.add_argument("--methods", type=_methods, default=",".join(harness.METHODS),
                     help="comma list of method names")
     ev.add_argument("--significance-n", type=_positive_int, default=None,
                     help="sample count for the z-test (default: evaluated frames)")
     _io_flags(ev)
     ev.set_defaults(func=cmd_eval)
 
-    sw = sub.add_parser("sweep", parents=[_config_flags()],
-                        help="epoch, frame-length, or optimal-epoch sweeps")
-    sw.add_argument("--kind", required=True, choices=("epochs", "frame-length", "histogram"))
-    sw.add_argument("--in", dest="infile", required=True, help="input audio path")
-    sw.add_argument("--out", default=None, help="write the sweep CSV here")
-    sw.add_argument("--frame-pair-index", type=_int_at_least(0), default=0,
-                    help="first frame of the train/test pair (epochs sweep)")
-    sw.add_argument("--max-epochs", type=_positive_int, default=100,
-                    help="epoch range for epochs/histogram sweeps")
-    sw.add_argument("--lengths", default="10:10:300",
+    def experiment(name, func, text, *unread):
+        p = sub.add_parser(name, parents=[_config_flags(*unread)], help=text)
+        p.add_argument("--in", dest="infile", required=True, help="input audio path")
+        p.add_argument("--out", default=None, help="write the table CSV here")
+        _io_flags(p)
+        p.set_defaults(func=func)
+        return p
+
+    ep = experiment("epoch-sweep", cmd_epoch_sweep, "SEGSNR per training epoch on one frame pair",
+                    "epochs", "restarts")
+    ep.add_argument("--frame-pair-index", type=_int_at_least(0), default=0,
+                    help="first frame of the train/test pair")
+    hist = experiment("epoch-histogram", cmd_epoch_histogram,
+                      "optimal-epoch histogram over frame pairs", "epochs", "restarts")
+    for p in (ep, hist):
+        p.add_argument("--max-epochs", type=_positive_int, default=100, help="LM epochs per net")
+    fl = experiment("frame-length-sweep", cmd_frame_length_sweep,
+                    "SEGSNR per coding frame length", "frame_len")
+    fl.add_argument("--lengths", type=_lengths, default="10:10:300",
                     help="frame lengths as start:step:stop or a comma list")
-    sw.add_argument("--bits-list", default=None,
-                    help="comma list of depths for the frame-length sweep (default: --bits)")
-    sw.add_argument("--methods", default="ADPCMB-LPC-10,ADPCMB-MLP",
-                    help="comma list of methods for the frame-length sweep")
-    _io_flags(sw)
-    sw.set_defaults(func=cmd_sweep)
+    fl.add_argument("--bits-list", type=_int_list, help="comma list of depths (default: --bits)")
+    fl.add_argument("--methods", type=_methods, default="ADPCMB-LPC-10,ADPCMB-MLP",
+                    help="comma list of methods")
 
     us = sub.add_parser("usage", help="hybrid predictor usage statistics")
     us.add_argument("--in", dest="infile", required=True, help="input bitstream path")
@@ -240,56 +247,57 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _emit(table: str, out) -> None:
+    sys.stdout.write(table)
+    if out:
+        Path(out).write_text(table)
+
+
 def cmd_eval(args) -> int:
     corpus = [_read_signal(p, args.format, args.sample_rate) for p in args.infiles]
-    bits_list = _parse_int_list(args.bits_list)
-    methods = _parse_methods(args.methods)
-    rows = harness.evaluate_methods(corpus, bits_list, methods, _codec_config(args))
-    table = harness.method_rows_csv(rows)
-    sys.stdout.write(table)
-    if args.out:
-        Path(args.out).write_text(table)
-    for bits in bits_list:
+    rows = harness.evaluate_methods(corpus, args.bits_list, args.methods, _codec_config(args))
+    _emit(harness.method_rows_csv(rows), args.out)
+    for bits in args.bits_list:
         group = [r for r in rows if r.bits == bits]
-        n = args.significance_n or max(1, min(r.frames_evaluated for r in group))
-        for pair in harness.significance_matrix(group, n):
+        frames = group[0].frames_evaluated  # one corpus and segment length per depth
+        if not frames:
+            print(f"z[{bits} bits]: no evaluated frames")
+            continue
+        for pair in harness.significance_matrix(group, args.significance_n or frames):
             verdict = "significant" if pair.significant else "not significant"
             print(f"z[{bits} bits] {pair.method_a} vs {pair.method_b}: "
                   f"{pair.z:.3f} ({verdict})")
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_epoch_sweep(args) -> int:
     signal = _read_signal(args.infile, args.format, args.sample_rate)
-    config = _codec_config(args)
-    if args.kind == "epochs":
-        curve = harness.epoch_sweep(signal, args.frame_pair_index, args.max_epochs, config)
-        table = harness.export_csv(
-            ["epoch", "train_db", "test_db"],
-            zip(curve.x_values, curve.y_train_db, curve.y_test_db),
-        )
-        best = max(range(len(curve.y_test_db)), key=lambda i: curve.y_test_db[i])
-        print(f"test curve peaks at epoch {curve.x_values[best]}")
-    elif args.kind == "frame-length":
-        bits_list = _parse_int_list(args.bits_list) if args.bits_list else [args.bits]
-        methods = _parse_methods(args.methods)
-        records, skipped = harness.frame_length_sweep(
-            signal, _parse_lengths(args.lengths), bits_list, methods, config)
-        table = harness.export_csv(
-            ["method", "bits", "frame_len", "segsnr_mean", "segments"],
-            [(r["method"], r["bits"], r["frame_len"], r["segsnr_mean"], r["segments"])
-             for r in records],
-        )
-        for method, bits, length, reason in skipped:
-            print(f"skipped {method} Nq={bits} frame_len={length}: {reason}")
-    else:
-        hist = harness.optimal_epoch_histogram(signal, args.max_epochs, config)
-        table = harness.export_csv(["epoch", "percent"], sorted(hist.items()))
-        expanded = [epoch for epoch, pct in hist.items() for _ in range(round(pct * 100))]
-        print(f"median optimal epoch: {statistics.median(expanded):g}")
-    sys.stdout.write(table)
-    if args.out:
-        Path(args.out).write_text(table)
+    curve = harness.epoch_sweep(signal, args.frame_pair_index, args.max_epochs,
+                                _codec_config(args))
+    peak = curve.x_values[curve.y_test_db.index(max(curve.y_test_db))]
+    print(f"test curve peaks at epoch {peak}")
+    _emit(harness.export_csv(["epoch", "train_db", "test_db"],
+                             zip(curve.x_values, curve.y_train_db, curve.y_test_db)), args.out)
+    return 0
+
+
+def cmd_epoch_histogram(args) -> int:
+    signal = _read_signal(args.infile, args.format, args.sample_rate)
+    hist = harness.optimal_epoch_histogram(signal, args.max_epochs, _codec_config(args))
+    expanded = [epoch for epoch, pct in hist.items() for _ in range(round(pct * 100))]
+    print(f"median optimal epoch: {statistics.median(expanded):g}")
+    _emit(harness.export_csv(["epoch", "percent"], sorted(hist.items())), args.out)
+    return 0
+
+
+def cmd_frame_length_sweep(args) -> int:
+    signal = _read_signal(args.infile, args.format, args.sample_rate)
+    records, skipped = harness.frame_length_sweep(
+        signal, args.lengths, args.bits_list or [args.bits], args.methods, _codec_config(args))
+    for method, bits, length, reason in skipped:
+        print(f"skipped {method} Nq={bits} frame_len={length}: {reason}")
+    columns = ["method", "bits", "frame_len", "segsnr_mean", "segments"]
+    _emit(harness.export_csv(columns, [[r[c] for c in columns] for r in records]), args.out)
     return 0
 
 

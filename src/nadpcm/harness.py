@@ -137,7 +137,8 @@ def evaluate_methods(corpus, bits_list, methods, base_config: CodecConfig):
 def significance_matrix(rows, n: int):
     """Pairwise z statistics between method rows sharing a bit depth: one
     per pair of distinct rows (rows[i], rows[j]), i < j, in row order.
-    Pairs with z below 2.5 are marked not significant."""
+    Pairs with z below 2.5 are marked not significant. A NaN or infinite
+    mean or std is refused by `z_score`, naming the field."""
     if len({row.bits for row in rows}) > 1:
         raise ValueError("significance_matrix needs rows at a single bit depth")
     pairs = []

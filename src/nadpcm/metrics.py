@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .number import as_int
+from .number import as_int, as_real
 
 SILENCE_ENERGY_FLOOR = 1e-12
 ERROR_ENERGY_FLOOR = 1e-20
@@ -89,9 +89,12 @@ def z_score(mean1: float, std1: float, mean2: float, std2: float, n: int) -> flo
     """z statistic for a difference between two means with shared sample count n.
 
     z = |mean1 - mean2| / sqrt(std1^2/n + std2^2/n). The conventional
-    significance threshold used alongside this codec is 2.5.
+    significance threshold used alongside this codec is 2.5. The means and
+    standard deviations must be finite reals (`as_real`).
     """
     n = as_int("n", n, minimum=1)
+    mean1, std1 = as_real("mean1", mean1), as_real("std1", std1)
+    mean2, std2 = as_real("mean2", mean2), as_real("std2", std2)
     if std1 < 0 or std2 < 0:
         raise ValueError("standard deviations must be non-negative")
     denom = math.sqrt(std1 * std1 / n + std2 * std2 / n)

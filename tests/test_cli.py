@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output text, exit codes."""
 
+import argparse
 import os
 import shlex
 import subprocess
@@ -20,7 +21,7 @@ from nadpcm import (
     save_pcm16,
     write_wav,
 )
-from nadpcm.cli import main
+from nadpcm.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -84,10 +85,10 @@ class TestConfigFlags:
     "decode --segment-len 0",
     "eval --significance-n 0",
     "eval --significance-n -1",
-    "sweep --kind epochs --max-epochs 0",
-    "sweep --kind histogram --max-epochs -2",
-    "sweep --kind epochs --frame-pair-index -1",
-    "sweep --kind epochs --frame-pair-index -12",
+    "epoch-sweep --max-epochs 0",
+    "epoch-histogram --max-epochs -2",
+    "epoch-sweep --frame-pair-index -1",
+    "epoch-sweep --frame-pair-index -12",
 ])
 def test_bad_count_refused_before_any_work(capsys, tmp_path, pcm_file, argv):
     command, *flags = argv.split()
@@ -101,17 +102,68 @@ def test_bad_count_refused_before_any_work(capsys, tmp_path, pcm_file, argv):
 @pytest.mark.parametrize("argv", [
     "eval --predictor mlp",
     "eval --mode forward",
-    "sweep --kind epochs --predictor hybrid",
-    "sweep --kind frame-length --mode forward",
-    "sweep --kind epochs --restart-seed 1",
+    "epoch-sweep --predictor hybrid",
+    "frame-length-sweep --mode forward",
+    "epoch-sweep --restart-seed 1",
+    *[f"{command} {flag}" for command in ("epoch-sweep", "epoch-histogram")
+      for flag in ("--epochs 3", "--restarts 2", "--lengths 20", "--methods ADPCMB-MLP",
+                   "--bits-list 3")],
+    "epoch-histogram --frame-pair-index 1",
+    "frame-length-sweep --frame-len 100",
+    "frame-length-sweep --max-epochs 2",
+    "frame-length-sweep --frame-pair-index 1",
 ])
 def test_eval_and_sweep_refuse_flags_they_would_ignore(capsys, tmp_path, pcm_file, argv):
-    # eval and sweep set kind and mode per method, and --seed seeds the epoch sweep
+    # eval and the experiments set kind and mode per method, the epoch experiments
+    # train one net per frame pair for --max-epochs, --seed seeds it, and
+    # frame-length-sweep codes each run at a length from --lengths
     command, *flags = argv.split()
     out = tmp_path / "out"
     code, stdout, stderr = run(capsys, command, "--in", pcm_file, "--out", str(out), *flags)
     assert code == 1
     assert stderr == f"error: unrecognized arguments: {' '.join(flags[-2:])}\n"
+    assert stdout == "" and not out.exists()
+
+
+# The option flags of each subcommand, -h/--help included: each one is read.
+CONFIG_OPTIONS = {"--bits", "--seed", "--delta0", "--delta-min", "--delta-max", "--multipliers",
+                  "--lambda-init", "--lambda-up", "--lambda-down", "--init-scale"}
+IO_OPTIONS = {"-h", "--help", "--in", "--out", "--format", "--sample-rate"}
+SUBCOMMAND_OPTIONS = {
+    "encode": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--epochs", "--restarts",
+                                             "--predictor", "--mode", "--segment-len"},
+    "decode": IO_OPTIONS | {"--reference", "--csv", "--segment-len"},
+    "eval": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--epochs", "--restarts",
+                                           "--bits-list", "--methods", "--significance-n"},
+    "epoch-sweep": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--frame-pair-index",
+                                                  "--max-epochs"},
+    "epoch-histogram": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--max-epochs"},
+    "frame-length-sweep": CONFIG_OPTIONS | IO_OPTIONS | {"--epochs", "--restarts", "--lengths",
+                                                         "--bits-list", "--methods"},
+    "usage": {"-h", "--help", "--in"},
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    [subcommands] = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {s for a in p._actions for s in a.option_strings}
+               for name, p in subcommands.choices.items()}
+    assert options == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --bits-list 4,x",
+    "frame-length-sweep --bits-list 3,",
+    "frame-length-sweep --lengths 10:x:20",
+])
+def test_malformed_list_refused_before_reading_audio(capsys, tmp_path, argv):
+    command, *flags = argv.split()
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, command, "--in", str(tmp_path / "missing.wav"),
+                               "--out", str(out), *flags)
+    assert code == 1  # not 2: the missing input is never opened
+    assert stderr.startswith(f"error: argument {flags[-2]}: bad ") and repr(flags[-1]) in stderr
     assert stdout == "" and not out.exists()
 
 
@@ -270,6 +322,18 @@ class TestEval:
         assert out_csv.read_text().splitlines()[0] == (
             "method,bits,segsnr_mean,segsnr_std,frames")
 
+    def test_no_verdict_without_evaluated_frames(self, capsys, tmp_path):
+        # all-silent rows hold NaN means: the z-test has no data to judge
+        silent = tmp_path / "silent.wav"
+        write_wav(str(silent), Signal(np.zeros(400), 8000))
+        code, stdout, _ = run(capsys, "eval", "--in", str(silent), "--bits-list", "3",
+                              "--methods", "ADPCMB-LPC-10,ADPCMF-LPC-10")
+        assert code == 0
+        assert stdout == ("method,bits,segsnr_mean,segsnr_std,frames\n"
+                          "ADPCMB-LPC-10,3,nan,nan,0\n"
+                          "ADPCMF-LPC-10,3,nan,nan,0\n"
+                          "z[3 bits]: no evaluated frames\n")
+
     def test_unknown_method(self, capsys, tmp_path, pcm_file):
         out = tmp_path / "table.csv"
         code, stdout, stderr = run(capsys, "eval", "--in", pcm_file, "--out", str(out),
@@ -294,7 +358,9 @@ class TestBadInputWav:
     COMMANDS = {
         "encode": ("encode", "--out", "x.nad"),
         "eval": ("eval", "--methods", "ADPCMB-LPC-10", "--bits-list", "3"),
-        "sweep": ("sweep", "--kind", "epochs", "--max-epochs", "2"),
+        "sweep": ("epoch-sweep", "--max-epochs", "2"),
+        "histogram": ("epoch-histogram", "--max-epochs", "2"),
+        "frame-length": ("frame-length-sweep", "--lengths", "20"),
     }
 
     @staticmethod
@@ -344,9 +410,8 @@ class TestSweep:
     def test_epochs_kind(self, capsys, tmp_path, pcm_file):
         out_csv = tmp_path / "sweep.csv"
         code, stdout, _ = run(
-            capsys, "sweep", "--kind", "epochs", "--in", pcm_file,
-            "--max-epochs", "5", "--seed", "7", "--bits", "3",
-            "--out", str(out_csv))
+            capsys, "epoch-sweep", "--in", pcm_file, "--max-epochs", "5", "--seed", "7",
+            "--bits", "3", "--out", str(out_csv))
         assert code == 0
         assert "test curve peaks at epoch" in stdout
         lines = out_csv.read_text().splitlines()
@@ -355,9 +420,8 @@ class TestSweep:
 
     def test_frame_length_kind_reports_skips(self, capsys, pcm_file):
         code, stdout, _ = run(
-            capsys, "sweep", "--kind", "frame-length", "--in", pcm_file,
-            "--lengths", "8,20", "--bits-list", "3",
-            "--methods", "ADPCMB-LPC-10,ADPCMB-MLP",
+            capsys, "frame-length-sweep", "--in", pcm_file, "--lengths", "8,20",
+            "--bits-list", "3", "--methods", "ADPCMB-LPC-10,ADPCMB-MLP",
             "--epochs", "2", "--restarts", "2")
         assert code == 0
         assert "skipped ADPCMB-MLP Nq=3 frame_len=8" in stdout
@@ -365,7 +429,7 @@ class TestSweep:
 
     def test_frame_length_kind_empty_method_list(self, capsys, tmp_path, pcm_file):
         out = tmp_path / "sweep.csv"
-        code, stdout, stderr = run(capsys, "sweep", "--kind", "frame-length", "--in", pcm_file,
+        code, stdout, stderr = run(capsys, "frame-length-sweep", "--in", pcm_file,
                                    "--methods", ",", "--out", str(out))
         assert code == 1
         assert stderr == "error: methods must be non-empty\n"
@@ -375,14 +439,14 @@ class TestSweep:
         short = tmp_path / "short.pcm"
         short.write_bytes(save_pcm16(Signal(ar_signal.samples[:600], 8000)))
         code, stdout, _ = run(
-            capsys, "sweep", "--kind", "histogram", "--in", str(short),
+            capsys, "epoch-histogram", "--in", str(short),
             "--max-epochs", "3", "--bits", "3")
         assert code == 0
         assert "median optimal epoch:" in stdout
         assert "epoch,percent" in stdout
 
     def test_histogram_kind_frames_too_short(self, capsys, pcm_file):
-        code, stdout, stderr = run(capsys, "sweep", "--kind", "histogram", "--in", pcm_file,
+        code, stdout, stderr = run(capsys, "epoch-histogram", "--in", pcm_file,
                                    "--frame-len", "5")
         assert code == 1
         assert stderr == "error: frame_len 5 is below the 11-sample MLP minimum\n"
@@ -391,14 +455,14 @@ class TestSweep:
     def test_epochs_kind_on_one_frame(self, capsys, tmp_path, ar_signal):
         short = tmp_path / "short.wav"
         write_wav(str(short), Signal(ar_signal.samples[:5], 8000))
-        code, stdout, stderr = run(capsys, "sweep", "--kind", "epochs", "--in", str(short))
+        code, stdout, stderr = run(capsys, "epoch-sweep", "--in", str(short))
         assert code == 1
         assert stderr == "error: need at least two frames\n"
         assert stdout == ""
 
     def test_bad_lengths_range(self, capsys, pcm_file):
-        code, _, stderr = run(capsys, "sweep", "--kind", "frame-length",
-                              "--in", pcm_file, "--lengths", "50:0:100")
+        code, _, stderr = run(capsys, "frame-length-sweep", "--in", pcm_file,
+                              "--lengths", "50:0:100")
         assert code == 1 and "--lengths" in stderr
 
 
@@ -484,7 +548,8 @@ def test_readme_cli_examples_run_in_order(capsys, tmp_path, monkeypatch, speech_
     for seed, name in enumerate(("a.wav", "b.wav", "c.wav")):
         write_wav(name, formant_utterance(seed, 400))
     commands = readme_cli_commands()
-    assert {argv[0] for argv in commands} == {"encode", "decode", "eval", "sweep", "usage"}
+    assert {argv[0] for argv in commands} == {"encode", "decode", "eval", "epoch-sweep",
+                                              "epoch-histogram", "frame-length-sweep", "usage"}
     for argv in commands:
         code, _, stderr = run(capsys, *argv)
         assert code == 0, f"nadpcm {shlex.join(argv)}: {stderr}"

@@ -1,5 +1,6 @@
 """Closed-loop codec: frame coding, adaptation modes, hybrid switching."""
 
+import math
 import struct
 from dataclasses import replace
 
@@ -33,7 +34,14 @@ from nadpcm.codec import (
     frame_predictor,
     initial_state,
 )
-from nadpcm.harness import METHODS, epoch_sweep, frame_length_sweep, method_config
+from nadpcm.harness import (
+    METHODS,
+    MethodRow,
+    epoch_sweep,
+    frame_length_sweep,
+    method_config,
+    significance_matrix,
+)
 from nadpcm.mlp import Mlp, SplitMix64, multistart_fit
 from nadpcm.quantizer import (
     DEFAULT_MULTIPLIERS, AdaptiveQuantizer, code_range, dequantize, next_step, quantize,
@@ -409,7 +417,7 @@ class TestNumberRule:
         with pytest.raises(ValueError, match=f"^{field.partition('.')[2]} "):
             build(value)
 
-    # Enum fields, quantizer parameters, the RNG seed and sweep arguments, as
+    # Enum fields, quantizer parameters, the RNG seed, sweep arguments and a z-test row, as
     # (the argument the refusal names, call on a signal x with one bad input).
     @pytest.mark.parametrize("name, call", [
         pytest.param("predictor_kind", lambda x: CodecConfig(predictor_kind=True),
@@ -426,6 +434,9 @@ class TestNumberRule:
                      id="frame_length_sweep-lengths-2.5"),
         pytest.param("frame_pair_index", lambda x: epoch_sweep(x, True, 2, CodecConfig()),
                      id="epoch_sweep-frame_pair_index-True"),
+        pytest.param("mean1", lambda x: significance_matrix(
+            [MethodRow("A", 4, math.nan, math.nan, 0), MethodRow("B", 4, 20.0, 1.0, 9)], 9),
+                     id="significance_matrix-mean1-nan"),
     ])
     def test_argument_refused_naming_it(self, speech_like, name, call):
         with pytest.raises(ValueError, match=f"^{name} "):
