@@ -36,7 +36,7 @@ from .harness import (
 )
 from .lpc import LpcModel
 from .metrics import SegsnrReport, mean_std, segsnr, z_score
-from .mlp import Mlp, SplitMix64, TrainConfig, multistart_fit
+from .mlp import Mlp, SplitMix64, multistart_fit
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "Signal",
     "SplitMix64",
     "SweepCurve",
-    "TrainConfig",
     "decode",
     "encode",
     "epoch_sweep",

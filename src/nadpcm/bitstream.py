@@ -1,12 +1,12 @@
 """Self-describing codec bitstream: header plus bit-packed frame payloads.
 
-The header is magic "NADP", a u8 version (4), then the fields of
+The header is magic "NADP", a u8 version (5), then the fields of
 `HEADER_FIELDS` in table order, each little-endian with its struct code
 (reals are IEEE-754 binary64). serialize and parse both walk that table.
 After sample_rate and true_sample_count the header is the `CodecConfig`
-the stream was encoded with; parse rebuilds `TrainConfig` and `CodecConfig`
-by field name (`config_from`), then `BitstreamHeader`, so a header is valid
-exactly when those are. Their construction also refuses a non-integer or
+the stream was encoded with; parse rebuilds it by field name
+(`config_from`), then `BitstreamHeader`, so a header is valid exactly
+when those are. Their construction also refuses a non-integer or
 too-large value in an integer field, so nothing the header cannot carry is coded.
 
 Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
@@ -29,19 +29,19 @@ Padding bits must be zero and a candidate must be in range; parse rejects
 a stream otherwise, so each stream has exactly one encoding. Older
 versions are refused: version 1 streams sent one hybrid flag bit and no
 restart index, version 2 streams summed their MLP predictions in BLAS,
-and version 3 streams' MLP fits took their sigmoid from `expit` where
-version 4's compute it with numpy (`mlp.forward_batch`).
+version 3 streams' MLP fits took their sigmoid from `expit`, and
+version 4 streams carried the LM damping and initial weight range.
 Payload values are checked once, when a `Bitstream` is built.
 """
 
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
 
-from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT, TrainConfig
+from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT
 from .number import as_int, as_real, as_tuple
 from .quantizer import (
     DEFAULT_STEP_INIT,
@@ -52,7 +52,7 @@ from .quantizer import (
 )
 
 MAGIC = b"NADP"
-VERSION = 4
+VERSION = 5
 
 # The header after magic and version: (field, struct code) in wire order.
 # "multipliers" is the table's u8 count, then that many f64.
@@ -61,15 +61,14 @@ HEADER_FIELDS = (
     ("frame_len", "H"), ("bits", "B"), ("predictor_kind", "B"), ("adaptation", "B"),
     ("epochs", "B"), ("restarts", "B"), ("seed", "Q"),
     ("step_init", "d"), ("step_min", "d"), ("step_max", "d"), ("multipliers", "B"),
-    ("init_scale", "d"), ("lambda_init", "d"), ("lambda_up", "d"), ("lambda_down", "d"),
 )
 
 
-def _check_representable(obj, *names):
-    """Store each named unsigned header field as a Python int (`as_int`), or
-    raise ValueError for one too large for its header code."""
+def _check_representable(obj, *names, minimum=None):
+    """Store each named unsigned header field as a Python int (`as_int`, with
+    `minimum`), or raise ValueError for one too large for its header code."""
     for name in names:
-        value = as_int(name, getattr(obj, name))
+        value = as_int(name, getattr(obj, name), minimum)
         if value >= 256 ** struct.calcsize("<" + dict(HEADER_FIELDS)[name]):
             raise ValueError(f"{name} {value} not representable in header")
         object.__setattr__(obj, name, value)
@@ -119,7 +118,8 @@ class CodecConfig:
     bits: int = 4
     predictor_kind: PredictorKind = PredictorKind.LPC10
     adaptation: Adaptation = Adaptation.BACKWARD
-    train: TrainConfig = field(default_factory=TrainConfig)
+    epochs: int = 6  # LM epochs per MLP fit
+    restarts: int = 4  # MLP fits per frame, from seeded random starts
     step_init: float = DEFAULT_STEP_INIT
     step_min: float = DEFAULT_STEP_MIN
     step_max: float = DEFAULT_STEP_MAX
@@ -128,18 +128,14 @@ class CodecConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", as_int("seed", self.seed) & MASK64)
-        _check_representable(self, "bits", "frame_len", "predictor_kind", "adaptation")
-        if not isinstance(self.train, TrainConfig):
-            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
-        _check_representable(self.train, "epochs", "restarts")
+        _check_representable(self, "bits", "predictor_kind", "adaptation")
+        _check_representable(self, "frame_len", "epochs", "restarts", minimum=1)
         object.__setattr__(self, "predictor_kind", PredictorKind(self.predictor_kind))
         object.__setattr__(self, "adaptation", Adaptation(self.adaptation))
         for name in ("step_init", "step_min", "step_max"):
             object.__setattr__(self, name, as_real(name, getattr(self, name)))
         object.__setattr__(self, "multipliers", check_params(
             self.bits, self.step_init, self.step_min, self.step_max, self.multipliers))
-        if self.frame_len < 1:
-            raise ValueError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.predictor_kind in NEURAL_KINDS and self.frame_len < MIN_FRAME_LEN:
             raise ValueError(TOO_SHORT.format(self.frame_len))
         if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
@@ -162,11 +158,10 @@ class BitstreamHeader:
     config: CodecConfig
 
     def __post_init__(self):
-        _check_representable(self, "sample_rate", "true_sample_count")
+        _check_representable(self, "true_sample_count")
         if self.true_sample_count < 1:
             raise ValueError("empty stream")
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        _check_representable(self, "sample_rate", minimum=1)
 
     @property
     def frame_count(self) -> int:
@@ -238,7 +233,7 @@ def frame_candidates(config: CodecConfig) -> tuple:
     kind = config.predictor_kind
     if config.adaptation is Adaptation.FORWARD or kind not in NEURAL_KINDS:
         return ((kind, 0),)
-    nets = tuple((PredictorKind.MLP, i) for i in range(config.train.restarts))
+    nets = tuple((PredictorKind.MLP, i) for i in range(config.restarts))
     return ((PredictorKind.LPC10, 0), *nets) if kind is PredictorKind.HYBRID else nets
 
 
@@ -267,7 +262,7 @@ def serialize(bitstream: Bitstream) -> bytes:
     payloads = bitstream.payloads
     candidate_bits, count, code_cols, row_bits = frame_row(c)
 
-    values = {**vars(c.train), **vars(c), **vars(h)}
+    values = {**vars(c), **vars(h)}
     out = bytearray(MAGIC + struct.pack("<B", VERSION))
     for name, code in HEADER_FIELDS:
         value = values[name]
@@ -298,14 +293,10 @@ def _read_struct(data: bytes, offset: int, fmt: str):
     return struct.unpack_from(fmt, data, offset), offset + size
 
 
-def _build(cls, values):
-    return cls(**{f.name: values[f.name] for f in fields(cls)})
-
-
 def config_from(values) -> CodecConfig:
-    """Build a CodecConfig and its TrainConfig by field name from one flat
-    mapping holding every field of both (a parsed header, CLI arguments)."""
-    return _build(CodecConfig, {**values, "train": _build(TrainConfig, values)})
+    """Build a CodecConfig by field name from a mapping holding each of its
+    fields (a parsed header, CLI arguments)."""
+    return CodecConfig(**{f.name: values[f.name] for f in fields(CodecConfig)})
 
 
 def parse(data: bytes) -> Bitstream:
@@ -326,7 +317,8 @@ def parse(data: bytes) -> Bitstream:
         values[name] = value
 
     try:
-        header = _build(BitstreamHeader, {**values, "config": config_from(values)})
+        header = BitstreamHeader(values["sample_rate"], values["true_sample_count"],
+                                 config_from(values))
     except ValueError as exc:
         raise BitstreamError(f"invalid header: {exc}") from None
 

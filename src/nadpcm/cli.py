@@ -22,7 +22,6 @@ from .bitstream import (
 )
 from .codec import decode, encode
 from .metrics import segsnr
-from .mlp import TrainConfig
 from .quantizer import DEFAULT_MULTIPLIERS
 
 PREDICTORS = {k.name.lower(): k for k in PredictorKind}
@@ -63,7 +62,7 @@ def _parse_multipliers(text):
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"bad --multipliers value {text!r}; expected comma-separated reals")
+        raise argparse.ArgumentTypeError(f"bad value {text!r}; expected comma-separated reals")
 
 
 def _int_list(text):
@@ -90,6 +89,20 @@ def _methods(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _listed_once(name, parse, entry):
+    """argparse type: `parse`'s list, refused by `harness._require_listed_once` or `entry`."""
+    def parse_list(text):
+        values = parse(text)
+        try:
+            harness._require_listed_once(**{name: values})
+            for value in values:
+                entry(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad list {text!r}: {exc}") from None
+        return values
+    return parse_list
+
+
 def _int_at_least(minimum):
     """argparse type: an integer no smaller than minimum."""
     def parse_int(text):
@@ -112,7 +125,7 @@ def _codec_config(args) -> CodecConfig:
 
 def _config_flags(*unread) -> _Parser:
     """Every config field's default, and a flag for each field not named in `unread`."""
-    c, t = CodecConfig, TrainConfig  # class attributes hold the field defaults
+    c = CodecConfig  # class attributes hold the field defaults
     p = _Parser(add_help=False)
     p.set_defaults(predictor_kind=c.predictor_kind.name.lower(),
                    adaptation=c.adaptation.name.lower())
@@ -124,8 +137,8 @@ def _config_flags(*unread) -> _Parser:
     add("--bits", type=int, default=c.bits, choices=tuple(DEFAULT_MULTIPLIERS),
         help="quantizer bits per sample (2-5)")
     add("--frame-len", type=int, default=c.frame_len, help="coding frame length in samples")
-    add("--epochs", type=int, default=t.epochs, help="LM training epochs per fit")
-    add("--restarts", type=int, default=t.restarts, help="multistart random initializations")
+    add("--epochs", type=int, default=c.epochs, help="LM training epochs per fit")
+    add("--restarts", type=int, default=c.restarts, help="multistart random initializations")
     add("--seed", type=int, default=c.seed,
         help="base seed for neural predictor training (frame k: seed XOR k)")
     add("--delta0", dest="step_init", type=float, default=c.step_init,
@@ -136,10 +149,6 @@ def _config_flags(*unread) -> _Parser:
         help="quantizer step ceiling")
     add("--multipliers", type=_parse_multipliers, default=c.multipliers,
         help="comma-separated step multipliers")
-    add("--lambda-init", type=float, default=t.lambda_init, help="initial LM damping")
-    add("--lambda-up", type=float, default=t.lambda_up, help="damping factor on rejection")
-    add("--lambda-down", type=float, default=t.lambda_down, help="damping factor on acceptance")
-    add("--init-scale", type=float, default=t.init_scale, help="weight init range half-width")
     return p
 
 
@@ -153,6 +162,8 @@ def _io_flags(p: _Parser) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="nadpcm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    bits_list = _listed_once("bits_list", _int_list, lambda bits: CodecConfig(bits=bits))
+    methods = _listed_once("methods", _methods, harness._method)
 
     enc = sub.add_parser("encode", parents=[_config_flags()], help="encode audio to a bitstream")
     enc.add_argument("--predictor", dest="predictor_kind", choices=sorted(PREDICTORS),
@@ -179,8 +190,8 @@ def build_parser() -> _Parser:
                         help="method-comparison SEGSNR table over a corpus")
     ev.add_argument("--in", dest="infiles", required=True, nargs="+", help="corpus audio paths")
     ev.add_argument("--out", default=None, help="write the method table CSV here")
-    ev.add_argument("--bits-list", type=_int_list, default="2,3,4,5", help="comma list of depths")
-    ev.add_argument("--methods", type=_methods, default=",".join(harness.METHODS),
+    ev.add_argument("--bits-list", type=bits_list, default="2,3,4,5", help="comma list of depths")
+    ev.add_argument("--methods", type=methods, default=",".join(harness.METHODS),
                     help="comma list of method names")
     ev.add_argument("--significance-n", type=_positive_int, default=None,
                     help="sample count for the z-test (default: evaluated frames)")
@@ -205,10 +216,10 @@ def build_parser() -> _Parser:
         p.add_argument("--max-epochs", type=_positive_int, default=100, help="LM epochs per net")
     fl = experiment("frame-length-sweep", cmd_frame_length_sweep,
                     "SEGSNR per coding frame length", "frame_len")
-    fl.add_argument("--lengths", type=_lengths, default="10:10:300",
-                    help="frame lengths as start:step:stop or a comma list")
-    fl.add_argument("--bits-list", type=_int_list, help="comma list of depths (default: --bits)")
-    fl.add_argument("--methods", type=_methods, default="ADPCMB-LPC-10,ADPCMB-MLP",
+    fl.add_argument("--lengths", type=_listed_once("lengths", _lengths, _positive_int),
+                    default="10:10:300", help="frame lengths as start:step:stop or a comma list")
+    fl.add_argument("--bits-list", type=bits_list, help="comma list of depths (default: --bits)")
+    fl.add_argument("--methods", type=methods, default="ADPCMB-LPC-10,ADPCMB-MLP",
                     help="comma list of methods")
 
     us = sub.add_parser("usage", help="hybrid predictor usage statistics")
@@ -218,8 +229,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_encode(args) -> int:
-    signal = _read_signal(args.infile, args.format, args.sample_rate)
     config = _codec_config(args)
+    signal = _read_signal(args.infile, args.format, args.sample_rate)
     result = encode(signal, config)
     Path(args.out).write_bytes(serialize(result.bitstream))
     rate = config.payload_bit_rate(signal.sample_rate)
@@ -254,8 +265,9 @@ def _emit(table: str, out) -> None:
 
 
 def cmd_eval(args) -> int:
+    config = _codec_config(args)
     corpus = [_read_signal(p, args.format, args.sample_rate) for p in args.infiles]
-    rows = harness.evaluate_methods(corpus, args.bits_list, args.methods, _codec_config(args))
+    rows = harness.evaluate_methods(corpus, args.bits_list, args.methods, config)
     _emit(harness.method_rows_csv(rows), args.out)
     for bits in args.bits_list:
         group = [r for r in rows if r.bits == bits]
@@ -271,9 +283,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_epoch_sweep(args) -> int:
+    config = _codec_config(args)
     signal = _read_signal(args.infile, args.format, args.sample_rate)
-    curve = harness.epoch_sweep(signal, args.frame_pair_index, args.max_epochs,
-                                _codec_config(args))
+    curve = harness.epoch_sweep(signal, args.frame_pair_index, args.max_epochs, config)
     peak = curve.x_values[curve.y_test_db.index(max(curve.y_test_db))]
     print(f"test curve peaks at epoch {peak}")
     _emit(harness.export_csv(["epoch", "train_db", "test_db"],
@@ -282,8 +294,9 @@ def cmd_epoch_sweep(args) -> int:
 
 
 def cmd_epoch_histogram(args) -> int:
+    config = _codec_config(args)
     signal = _read_signal(args.infile, args.format, args.sample_rate)
-    hist = harness.optimal_epoch_histogram(signal, args.max_epochs, _codec_config(args))
+    hist = harness.optimal_epoch_histogram(signal, args.max_epochs, config)
     expanded = [epoch for epoch, pct in hist.items() for _ in range(round(pct * 100))]
     print(f"median optimal epoch: {statistics.median(expanded):g}")
     _emit(harness.export_csv(["epoch", "percent"], sorted(hist.items())), args.out)
@@ -291,9 +304,10 @@ def cmd_epoch_histogram(args) -> int:
 
 
 def cmd_frame_length_sweep(args) -> int:
+    config = _codec_config(args)
     signal = _read_signal(args.infile, args.format, args.sample_rate)
     records, skipped = harness.frame_length_sweep(
-        signal, args.lengths, args.bits_list or [args.bits], args.methods, _codec_config(args))
+        signal, args.lengths, args.bits_list or [args.bits], args.methods, config)
     for method, bits, length, reason in skipped:
         print(f"skipped {method} Nq={bits} frame_len={length}: {reason}")
     columns = ["method", "bits", "frame_len", "segsnr_mean", "segments"]

@@ -80,8 +80,8 @@ def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index
     forward mode (coefficients transmitted). An MLP fits the listed
     `restarts`, all of them by default."""
     if kind is PredictorKind.MLP:
-        return multistart_fit(samples, config.train, config.seed ^ frame_index,
-                              range(config.train.restarts) if restarts is None else restarts)
+        return multistart_fit(samples, config.epochs, config.seed ^ frame_index,
+                              range(config.restarts) if restarts is None else restarts)
     return lpc.fit(samples, FORWARD_COEFF_COUNT[kind])
 
 

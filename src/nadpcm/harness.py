@@ -173,7 +173,7 @@ def _epoch_snrs(frames, k: int, config: CodecConfig, max_epochs: int, *scored):
     rule of the epoch experiments) for `max_epochs` LM epochs; for each of
     `scored`, the tuple of its closed-loop SNRs (dB) after each epoch. A
     silent frame scores None at every epoch."""
-    run = lm_iterations(frames[k], config.seed ^ k, config.train, max_epochs)
+    run = lm_iterations(frames[k], config.seed ^ k, max_epochs)
     by_epoch = [[closed_loop_frame_snr(f, net, config) for f in scored] for net, _ in run]
     return list(zip(*by_epoch))
 

@@ -2,9 +2,12 @@
 
 The network is fixed at 10 inputs, 2 sigmoid hidden units and 1 linear
 output (25 parameters). Everything here is deterministic given explicit
-seeds: the same frame, config and seed always reproduce the same trained
-weights, which is what lets a decoder re-derive the encoder's predictor
-from decoded samples alone.
+seeds: the same frame, epoch count and seed always reproduce the same
+trained weights, which is what lets a decoder re-derive the encoder's
+predictor from decoded samples alone. The initial weight range
+INIT_SCALE and Marquardt's damping schedule (LAMBDA_INIT, times LAMBDA_UP
+on a rejected step and LAMBDA_DOWN on an accepted one) are constants of
+the fit, as normative as the network's shape: the stream version names them.
 
 The parameter vector is the model: `Mlp` holds the 25 parameters as one
 array, `theta`, in the order that is normative for seeding and
@@ -15,7 +18,7 @@ Training runs on a stack of nets. The R restarts of one fit are an
 (R, 25) array, one parameter vector per row, trained together by one
 Levenberg-Marquardt loop. `init_mlp` draws the whole starting stack in
 one pass of uint64 arithmetic (`SplitMix64.uniform_rows`): row i is, bit
-for bit, the first 25 `SplitMix64(seeds[i]).uniform(-scale, scale)`
+for bit, the first 25 `SplitMix64(seeds[i]).uniform(-INIT_SCALE, INIT_SCALE)`
 draws. For N training pairs, `residual_jacobian` gives
 the (R, N, 25) Jacobians and (R, N) residuals, and `lm_epoch` takes the
 stack with an (R,) damping vector and returns (theta', lambda', sse,
@@ -79,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpc
-from .number import as_int, as_real
+from .number import as_int
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +91,11 @@ N_HIDDEN = 2
 N_PARAMS = N_INPUTS * N_HIDDEN + N_HIDDEN + N_HIDDEN + 1
 MIN_FRAME_LEN = N_INPUTS + 1  # shortest frame that yields a training pair
 TOO_SHORT = f"frame_len {{}} is below the {MIN_FRAME_LEN}-sample MLP minimum"  # .format(frame_len)
+
+LAMBDA_INIT = 0.01  # the fit's constants; see the module docstring
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
+INIT_SCALE = 0.5
 
 _EYE = np.eye(N_PARAMS)
 _EYE.flags.writeable = False
@@ -139,27 +147,6 @@ class SplitMix64:
         value *= hi - lo
         value += lo
         return value
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Per-frame training conditions for the perceptron predictor."""
-
-    epochs: int = 6
-    restarts: int = 4
-    lambda_init: float = 0.01
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    init_scale: float = 0.5
-
-    def __post_init__(self):
-        for name in ("epochs", "restarts"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name), minimum=1))
-        for name in ("lambda_init", "lambda_up", "lambda_down", "init_scale"):
-            value = as_real(name, getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +208,10 @@ def _forward_kernel():
     return lpc.stream_kernel(params, N_INPUTS, step, "<mlp forward kernel>", exp=math.exp)
 
 
-def init_mlp(seeds, scale: float) -> np.ndarray:
+def init_mlp(seeds) -> np.ndarray:
     """The (R, 25) starting stack of R seeds: row i is seeds[i]'s 25
-    parameters, in normative order, drawn uniformly in [-scale, scale)."""
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    return SplitMix64.uniform_rows(seeds, -scale, scale, N_PARAMS)
+    parameters, in normative order, drawn uniformly in [-INIT_SCALE, INIT_SCALE)."""
+    return SplitMix64.uniform_rows(seeds, -INIT_SCALE, INIT_SCALE, N_PARAMS)
 
 
 def build_training_set(frame):
@@ -319,16 +304,15 @@ def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return delta
 
 
-def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
-             config: TrainConfig, carry=None):
+def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray, carry=None):
     """One full-batch Levenberg-Marquardt iteration with accept/reject
     damping for each net of a stack (R, 25), with its damping lam (R,).
 
     Returns (theta', lam', sse, accepted): the stack after the step, the
     damping after it, each row's SSE at its returned parameters, and the
     number of accepted steps as an int. A rejected, singular or
-    non-finite step leaves that row's parameters unchanged and raises
-    its lambda; an accepted one lowers it.
+    non-finite step leaves that row's parameters unchanged and multiplies
+    its lambda by LAMBDA_UP; an accepted one multiplies it by LAMBDA_DOWN.
 
     `carry` is None, or a dict that this call fills for the next call on
     the stack it returns (an empty dict starts cold, like None). It holds
@@ -371,12 +355,12 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
         accept &= usable
     accepted = int(np.count_nonzero(accept))
     if accepted == len(accept):
-        theta, lam, sse = candidate, lam * config.lambda_down, sse1
+        theta, lam, sse = candidate, lam * LAMBDA_DOWN, sse1
     elif not accepted:
-        lam, sse = lam * config.lambda_up, sse0
+        lam, sse = lam * LAMBDA_UP, sse0
     else:
         theta = np.where(accept[:, None], candidate, theta)
-        lam = np.where(accept, lam * config.lambda_down, lam * config.lambda_up)
+        lam = np.where(accept, lam * LAMBDA_DOWN, lam * LAMBDA_UP)
         sse = np.where(accept, sse1, sse0)
     if carry is not None:
         carry.update(jtj=jtj, jtr=jtr, sse=sse, moved=accept, accepted=accepted,
@@ -384,30 +368,30 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray,
     return theta, lam, sse, accepted
 
 
-def lm_stack_iterations(frame, seeds, config: TrainConfig, epochs: int):
+def lm_stack_iterations(frame, seeds, epochs: int):
     """Train one net per seed on `frame`'s prediction pairs, as one stack.
 
     Yields (theta, lam, sse) after each of `epochs` stacked LM
     iterations: the (R, 25) parameters, the (R,) damping and the (R,)
-    SSEs, row i drawn from seeds[i]. Rejected steps count as epochs, so
-    each row's SSE sequence is non-increasing.
+    SSEs, row i drawn from seeds[i] with damping LAMBDA_INIT. Rejected
+    steps count as epochs, so each row's SSE sequence is non-increasing.
     """
     x, t = build_training_set(frame)
-    theta = init_mlp(seeds, config.init_scale)
-    lam = np.full(len(seeds), config.lambda_init)
+    theta = init_mlp(seeds)
+    lam = np.full(len(seeds), LAMBDA_INIT)
     carry = {}
     for _ in range(epochs):
-        theta, lam, sse, _ = lm_epoch(theta, x, t, lam, config, carry)
+        theta, lam, sse, _ = lm_epoch(theta, x, t, lam, carry)
         yield theta, lam, sse
 
 
-def lm_iterations(frame, seed: int, config: TrainConfig, epochs: int):
+def lm_iterations(frame, seed: int, epochs: int):
     """Train one net on `frame`'s prediction pairs, drawn from `seed`: the
     stack of one of `lm_stack_iterations`.
 
     Yields (mlp, sse) after each of `epochs` LM iterations.
     """
-    for theta, _, sse in lm_stack_iterations(frame, [seed], config, epochs):
+    for theta, _, sse in lm_stack_iterations(frame, [seed], epochs):
         yield Mlp(theta[0]), float(sse[0])
 
 
@@ -416,24 +400,26 @@ def restart_seed(seed: int, restart_index: int) -> int:
     return (seed ^ ((restart_index * GOLDEN_GAMMA) & MASK64)) & MASK64
 
 
-def multistart_fit(frame, config: TrainConfig, seed: int, restarts) -> Mlp:
+def multistart_fit(frame, epochs: int, seed: int, restarts) -> Mlp:
     """Train the listed restarts from seeded random initializations; keep the best.
 
     `restarts` is a non-empty sequence of restart indices. They run
-    config.epochs LM iterations as one stack, row j seeded
+    `epochs` LM iterations as one stack, row j seeded
     `restart_seed(seed, restarts[j])`; the winner is the row with the
     lowest final SSE on the training frame (ties go to the first listed),
     and its index is the returned net's `restart`. A row does not depend
     on the others, so the decoder's fit of `(i,)` is restart i of the
-    encoder's fit of `range(config.restarts)`. The seed and each index
-    go through `as_int`. A frame shorter than MIN_FRAME_LEN is refused.
+    encoder's fit of `range(config.restarts)`. `epochs` goes through
+    `as_int(..., minimum=1)`, the seed and each index through `as_int`.
+    A frame shorter than MIN_FRAME_LEN is refused.
     """
+    epochs = as_int("epochs", epochs, minimum=1)
     seed = as_int("seed", seed)
     restarts = [as_int("restart", i) for i in restarts]
     if not restarts:
         raise ValueError("restarts must list at least one restart index")
     seeds = [restart_seed(seed, i) for i in restarts]
-    for theta, _, sse in lm_stack_iterations(frame, seeds, config, config.epochs):
+    for theta, _, sse in lm_stack_iterations(frame, seeds, epochs):
         pass
     finals = sse.tolist()
     best = min(range(len(finals)), key=finals.__getitem__)

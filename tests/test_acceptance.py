@@ -20,7 +20,6 @@ from nadpcm import (
     Adaptation,
     CodecConfig,
     PredictorKind,
-    TrainConfig,
     decode,
     encode,
     evaluate_methods,
@@ -131,7 +130,7 @@ def test_c04_lm_monotonicity(capsys):
         frame = lfilter([1.0], [1.0, -1.2, 0.5], rng.standard_normal(200))
         frame *= 0.4 / np.max(np.abs(frame))
         seeds = [restart_seed(k, i) for i in range(4)]  # restart 0 is seed k
-        run = lm_stack_iterations(frame, seeds, TrainConfig(init_scale=0.5), 30)
+        run = lm_stack_iterations(frame, seeds, 30)
         errs = np.array([sse for _, _, sse in run])  # (epochs, restarts)
         violations += int(np.count_nonzero(errs[1:] > errs[:-1]))
     _check(capsys, 4, "LM per-epoch SSE is non-increasing",
@@ -249,8 +248,7 @@ def test_c09_nonlinear_advantage(capsys):
     prediction on held-out one-step residual energy."""
     x = nonlinear_ar_raw(seed=31, n=3000, sigma=0.25)
     train_seg, test_seg = x[:1500], x[1490:]
-    config = TrainConfig(epochs=40)
-    net = multistart_fit(train_seg, config, seed=1, restarts=range(config.restarts))
+    net = multistart_fit(train_seg, 40, seed=1, restarts=range(CodecConfig.restarts))
     linear = lpc_fit(train_seg, 10)
     e_mlp = e_lpc = 0.0
     for n in range(10, len(test_seg)):

@@ -2,12 +2,14 @@
 
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from nadpcm.bitstream import (
     FORWARD_COEFF_COUNT,
+    HEADER_FIELDS,
     Adaptation,
     Bitstream,
     BitstreamError,
@@ -19,18 +21,13 @@ from nadpcm.bitstream import (
     parse,
     serialize,
 )
-from nadpcm.mlp import TrainConfig
 from nadpcm.quantizer import DEFAULT_MULTIPLIERS
-
-TRAIN_FIELDS = ("epochs", "restarts", "init_scale", "lambda_init", "lambda_up", "lambda_down")
 
 
 def make_header(sample_rate=8000, true_sample_count=400, seed=1234567890123456789,
                 **overrides):
-    """Header over a default CodecConfig; TrainConfig fields may be given flat."""
-    train = TrainConfig(**{k: overrides.pop(k) for k in TRAIN_FIELDS if k in overrides})
-    config = CodecConfig(seed=seed, train=train, **overrides)
-    return BitstreamHeader(sample_rate, true_sample_count, config)
+    """Header over a default CodecConfig with the given fields overridden."""
+    return BitstreamHeader(sample_rate, true_sample_count, CodecConfig(seed=seed, **overrides))
 
 
 def serialized(header):
@@ -48,7 +45,7 @@ class TestHeaderRoundTrip:
         header = make_header(bits=5, predictor_kind=PredictorKind.MLP,
                              adaptation=Adaptation.FORWARD, true_sample_count=999,
                              frame_len=111, epochs=17, restarts=9, seed=2**64 - 1,
-                             step_init=0.033, init_scale=0.25, lambda_init=0.02)
+                             step_init=0.033)
         n_frames = header.frame_count
         payloads = tuple(
             FramePayload(codes=(0,) * 111, forward_coeffs=tuple(np.linspace(-1, 1, 25)))
@@ -56,6 +53,13 @@ class TestHeaderRoundTrip:
         )
         back = parse(serialize(Bitstream(header, payloads)))
         assert back.header == header
+
+    def test_header_carries_exactly_the_config(self):
+        # the header is the config: a config field it did not carry could
+        # not reach the decoder, and a header field must name a config field
+        config_fields = [f.name for f in fields(CodecConfig)]
+        assert sorted(name for name, _ in HEADER_FIELDS) == \
+            sorted(["sample_rate", "true_sample_count", *config_fields])
 
     def test_header_field_bounds(self):
         # sample_rate is a u32 and true_sample_count a u64 in the header
@@ -154,11 +158,11 @@ class TestPayloadRoundTrip:
 
 class TestBitAccounting:
     # magic, version, rate, count, frame_len, five u8 fields, seed,
-    # three step reals, multiplier count, four train reals, then one
-    # multiplier per magnitude: 2^(bits-1) of them
+    # three step reals, multiplier count, then one multiplier per
+    # magnitude: 2^(bits-1) of them
     @staticmethod
     def header_bytes(bits):
-        return 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24 + 1 + 32 + 8 * (1 << (bits - 1))
+        return 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24 + 1 + 8 * (1 << (bits - 1))
 
     def test_hybrid_three_frames(self):
         header = make_header(predictor_kind=PredictorKind.HYBRID, bits=3,
@@ -197,7 +201,7 @@ class TestValidation:
         data = bytearray(serialize(Bitstream(
             header, tuple(FramePayload(codes=codes_for(header))
                           for _ in range(header.frame_count)))))
-        assert data[4] == 4
+        assert data[4] == 5
         parse(bytes(data))
         data[4] = version
         with pytest.raises(BitstreamError, match=f"unsupported version {version}"):
@@ -210,6 +214,11 @@ class TestValidation:
     def test_version_3_refused(self):
         # version 3 had the same layout; its MLP fits used scipy's expit
         self.check_version_refused(3)
+
+    def test_version_4_refused(self):
+        # version 4 carried init_scale and the three LM damping reals after
+        # the multipliers, where version 5 fixes them as `mlp` constants
+        self.check_version_refused(4)
 
     def test_truncated_stream_names_frame(self):
         header = make_header(bits=4, true_sample_count=600, frame_len=200)
@@ -348,9 +357,9 @@ class TestValidation:
 
     def test_parse_rejects_non_finite_header_reals(self):
         # step_init, step_min, step_max, then after the count byte the eight
-        # 4-bit multipliers, init_scale and the three damping reals
+        # 4-bit multipliers
         base = serialized(make_header(bits=4))
-        offsets = [32, 40, 48] + [57 + 8 * k for k in range(8 + 4)]
+        offsets = [32, 40, 48] + [57 + 8 * k for k in range(8)]
         for offset in offsets:
             for bad in (float("nan"), float("inf")):
                 data = bytearray(base)

@@ -16,7 +16,6 @@ from nadpcm import (
     CodecConfig,
     PredictorKind,
     Signal,
-    TrainConfig,
     parse,
     save_pcm16,
     write_wav,
@@ -53,18 +52,14 @@ CONFIG_FLAGS = [
     (["--frame-len", "100"], CodecConfig(frame_len=100)),
     (["--predictor", "lpc25"], CodecConfig(predictor_kind=PredictorKind.LPC25)),
     (["--mode", "forward"], CodecConfig(adaptation=Adaptation.FORWARD)),
-    (["--epochs", "3"], CodecConfig(train=TrainConfig(epochs=3))),
-    (["--restarts", "2"], CodecConfig(train=TrainConfig(restarts=2))),
+    (["--epochs", "3"], CodecConfig(epochs=3)),
+    (["--restarts", "2"], CodecConfig(restarts=2)),
     (["--seed", "12345"], CodecConfig(seed=12345)),
     (["--delta0", "0.03"], CodecConfig(step_init=0.03)),
     (["--delta-min", "0.001"], CodecConfig(step_min=0.001)),
     (["--delta-max", "0.4"], CodecConfig(step_max=0.4)),
     (["--multipliers", "0.8,0.85,0.9,0.95,1.2,1.6,2.0,2.4"],
      CodecConfig(multipliers=(0.8, 0.85, 0.9, 0.95, 1.2, 1.6, 2.0, 2.4))),
-    (["--lambda-init", "0.02"], CodecConfig(train=TrainConfig(lambda_init=0.02))),
-    (["--lambda-up", "5"], CodecConfig(train=TrainConfig(lambda_up=5.0))),
-    (["--lambda-down", "0.2"], CodecConfig(train=TrainConfig(lambda_down=0.2))),
-    (["--init-scale", "0.25"], CodecConfig(train=TrainConfig(init_scale=0.25))),
     ([], CodecConfig()),
 ]
 
@@ -126,8 +121,7 @@ def test_eval_and_sweep_refuse_flags_they_would_ignore(capsys, tmp_path, pcm_fil
 
 
 # The option flags of each subcommand, -h/--help included: each one is read.
-CONFIG_OPTIONS = {"--bits", "--seed", "--delta0", "--delta-min", "--delta-max", "--multipliers",
-                  "--lambda-init", "--lambda-up", "--lambda-down", "--init-scale"}
+CONFIG_OPTIONS = {"--bits", "--seed", "--delta0", "--delta-min", "--delta-max", "--multipliers"}
 IO_OPTIONS = {"-h", "--help", "--in", "--out", "--format", "--sample-rate"}
 SUBCOMMAND_OPTIONS = {
     "encode": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--epochs", "--restarts",
@@ -156,6 +150,14 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     "eval --bits-list 4,x",
     "frame-length-sweep --bits-list 3,",
     "frame-length-sweep --lengths 10:x:20",
+    # an empty or repeating list, an unknown method and a depth --bits refuses
+    "eval --methods ,",
+    "eval --bits-list 4,4",
+    "eval --methods FOO",
+    "eval --bits-list 7",
+    "frame-length-sweep --lengths 20,20",
+    "frame-length-sweep --methods ADPCMB-MLP,ADPCMB-MLP",
+    "encode --multipliers 1,x",
 ])
 def test_malformed_list_refused_before_reading_audio(capsys, tmp_path, argv):
     command, *flags = argv.split()
@@ -164,6 +166,23 @@ def test_malformed_list_refused_before_reading_audio(capsys, tmp_path, argv):
                                "--out", str(out), *flags)
     assert code == 1  # not 2: the missing input is never opened
     assert stderr.startswith(f"error: argument {flags[-2]}: bad ") and repr(flags[-1]) in stderr
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("encode --frame-len 5 --predictor mlp", "frame_len 5 is below the 11-sample MLP minimum"),
+    ("eval --delta0 0", "need 0 < step_min <= step <= step_max, got "),
+    ("epoch-sweep --delta0 0", "need 0 < step_min <= step <= step_max, got "),
+    ("epoch-histogram --delta0 0", "need 0 < step_min <= step <= step_max, got "),
+    ("frame-length-sweep --delta0 0", "need 0 < step_min <= step <= step_max, got "),
+])
+def test_bad_config_refused_before_reading_audio(capsys, tmp_path, argv, message):
+    command, *flags = argv.split()
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, command, "--in", str(tmp_path / "missing.wav"),
+                               "--out", str(out), *flags)
+    assert code == 1  # not 2: the missing input is never opened
+    assert stderr.startswith(f"error: {message}")
     assert stdout == "" and not out.exists()
 
 
@@ -277,7 +296,7 @@ class TestDecode:
         run(capsys, "encode", "--in", pcm_file, "--out", str(stream), "--predictor", "hybrid",
             "--epochs", "2", "--restarts", "1")
         data = bytearray(stream.read_bytes())
-        assert data[4] == 4
+        assert data[4] == 5
         data[4] = 1
         stream.write_bytes(bytes(data))
         out = tmp_path / "r.pcm"
@@ -339,7 +358,8 @@ class TestEval:
         code, stdout, stderr = run(capsys, "eval", "--in", pcm_file, "--out", str(out),
                                    "--methods", "ADPCMB-LPC-10,ADPCM-NOPE")
         assert code == 1
-        assert stderr.startswith("error: unknown method 'ADPCM-NOPE'")
+        assert stderr.startswith("error: argument --methods: bad list "
+                                 "'ADPCMB-LPC-10,ADPCM-NOPE': unknown method 'ADPCM-NOPE'")
         assert stdout == "" and not out.exists()
 
     def test_empty_method_list(self, capsys, tmp_path, pcm_file):
@@ -347,7 +367,7 @@ class TestEval:
         code, stdout, stderr = run(capsys, "eval", "--in", pcm_file, "--out", str(out),
                                    "--methods", ",")
         assert code == 1
-        assert stderr == "error: methods must be non-empty\n"
+        assert stderr == "error: argument --methods: bad list ',': methods must be non-empty\n"
         assert stdout == "" and not out.exists()
 
 
@@ -432,7 +452,7 @@ class TestSweep:
         code, stdout, stderr = run(capsys, "frame-length-sweep", "--in", pcm_file,
                                    "--methods", ",", "--out", str(out))
         assert code == 1
-        assert stderr == "error: methods must be non-empty\n"
+        assert stderr == "error: argument --methods: bad list ',': methods must be non-empty\n"
         assert stdout == "" and not out.exists()
 
     def test_histogram_kind(self, capsys, tmp_path, ar_signal):

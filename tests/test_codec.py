@@ -16,7 +16,6 @@ from nadpcm import (
     FramePayload,
     PredictorKind,
     Signal,
-    TrainConfig,
     codec,
     decode,
     encode,
@@ -204,8 +203,8 @@ class TestHybridFrame:
             if state.recon is not None:
                 # re-simulate both branches from the same state, the neural
                 # one as the restart that wins the multistart fit
-                neural = multistart_fit(state.recon, config.train, config.seed ^ state.frame_index,
-                                        range(config.train.restarts)).restart + 1
+                neural = multistart_fit(state.recon, config.epochs, config.seed ^ state.frame_index,
+                                        range(config.restarts)).restart + 1
                 sses = tuple(
                     encode_frame(state, frame, frame_predictor(
                         state, FramePayload((), candidate=candidate)))[2]
@@ -245,7 +244,7 @@ class TestFrameState:
     def test_decoder_steps_through_the_encoders_states(self, monkeypatch, speech_like, method):
         """The state the encoder commits before each frame is the state
         `decode` steps through, field by field."""
-        base = CodecConfig(frame_len=100, train=TrainConfig(epochs=2, restarts=2))
+        base = CodecConfig(frame_len=100, epochs=2, restarts=2)
         config = method_config(base, method, 3)
         signal = Signal(speech_like.samples[:400], speech_like.sample_rate)
         committed, stepped = [], []
@@ -290,17 +289,17 @@ class TestCodecConfig:
         with pytest.raises(ValueError, match="^frame_len 65536 not representable in header$"):
             CodecConfig(frame_len=0x10000)
         for name in ("epochs", "restarts"):
-            train = TrainConfig(**{name: 255})
-            assert CodecConfig(predictor_kind=PredictorKind.MLP, train=train).train == train
+            config = CodecConfig(predictor_kind=PredictorKind.MLP, **{name: 255})
+            assert getattr(config, name) == 255
             with pytest.raises(ValueError, match=f"^{name} 256 not representable in header$"):
-                CodecConfig(train=TrainConfig(**{name: 256}))
+                CodecConfig(**{name: 256})
 
     @pytest.mark.parametrize("name, build", [
         ("frame_len", lambda: CodecConfig(frame_len=200.5)),
         ("bits", lambda: CodecConfig(bits=4.0)),
         ("seed", lambda: CodecConfig(seed=1.5)),
-        ("epochs", lambda: CodecConfig(train=TrainConfig(epochs=2.5))),
-        ("restarts", lambda: CodecConfig(train=TrainConfig(restarts=3.0))),
+        ("epochs", lambda: CodecConfig(epochs=2.5)),
+        ("restarts", lambda: CodecConfig(restarts=3.0)),
         ("sample_rate", lambda: BitstreamHeader(8000.5, 400, CodecConfig())),
         ("true_sample_count", lambda: BitstreamHeader(8000, 400.0, CodecConfig())),
         # checked before the sign, which a string cannot be compared for
@@ -315,9 +314,9 @@ class TestCodecConfig:
 
     def test_numpy_integers_accepted(self):
         config = CodecConfig(frame_len=np.int64(200), bits=np.int64(4), seed=np.int64(-1),
-                             train=TrainConfig(epochs=np.int64(3), restarts=np.uint8(2)))
-        assert config == CodecConfig(frame_len=200, bits=4, seed=2**64 - 1,
-                                     train=TrainConfig(epochs=3, restarts=2))
+                             epochs=np.int64(3), restarts=np.uint8(2))
+        assert config == CodecConfig(frame_len=200, bits=4, seed=2**64 - 1, epochs=3, restarts=2)
+        assert type(config.epochs) is int and type(config.restarts) is int
         header = BitstreamHeader(np.int64(8000), np.int64(400), config)
         bitstream = encode(Signal(np.zeros(400), header.sample_rate), config).bitstream
         assert parse(serialize(bitstream)).header == header
@@ -359,25 +358,24 @@ class TestCodecConfig:
         # for the hybrid at 4 restarts, 1 bit at 1 restart
         hybrid = CodecConfig(bits=4, predictor_kind=PredictorKind.HYBRID)
         assert hybrid.payload_bit_rate(8000) == pytest.approx(32120.0)
-        one = replace(hybrid, train=TrainConfig(restarts=1))
+        one = replace(hybrid, restarts=1)
         assert one.payload_bit_rate(8000) == pytest.approx(32040.0)
         # backward MLP: ceil(log2 R) bits, none at 1 restart; forward sends none
         for restarts, rate in ((1, 32000.0), (2, 32040.0), (4, 32080.0), (5, 32120.0)):
-            mlp = CodecConfig(bits=4, predictor_kind=PredictorKind.MLP,
-                              train=TrainConfig(restarts=restarts))
+            mlp = CodecConfig(bits=4, predictor_kind=PredictorKind.MLP, restarts=restarts)
             assert mlp.payload_bit_rate(8000) == pytest.approx(rate)
             assert replace(mlp, adaptation=Adaptation.FORWARD).payload_bit_rate(8000) == 32000
 
 
-# Every integer and real field of the configs, the header and `Signal`, as
+# Every integer and real field of the config, the header and `Signal`, as
 # (owner.field, build from one value); each is held to `number.as_int` or
 # `number.as_real`.
 INTEGER_FIELDS = [
     ("CodecConfig.frame_len", lambda v: CodecConfig(frame_len=v)),
     ("CodecConfig.bits", lambda v: CodecConfig(bits=v)),
     ("CodecConfig.seed", lambda v: CodecConfig(seed=v)),
-    ("TrainConfig.epochs", lambda v: TrainConfig(epochs=v)),
-    ("TrainConfig.restarts", lambda v: TrainConfig(restarts=v)),
+    ("CodecConfig.epochs", lambda v: CodecConfig(epochs=v)),
+    ("CodecConfig.restarts", lambda v: CodecConfig(restarts=v)),
     ("BitstreamHeader.sample_rate", lambda v: BitstreamHeader(v, 400, CodecConfig())),
     ("BitstreamHeader.true_sample_count", lambda v: BitstreamHeader(8000, v, CodecConfig())),
     ("Signal.sample_rate", lambda v: Signal(np.zeros(10), v)),
@@ -387,10 +385,6 @@ REAL_FIELDS = [
     ("CodecConfig.step_min", lambda v: CodecConfig(step_min=v)),
     ("CodecConfig.step_max", lambda v: CodecConfig(step_max=v)),
     ("CodecConfig.multipliers", lambda v: CodecConfig(multipliers=(v,) * 8)),
-    ("TrainConfig.lambda_init", lambda v: TrainConfig(lambda_init=v)),
-    ("TrainConfig.lambda_up", lambda v: TrainConfig(lambda_up=v)),
-    ("TrainConfig.lambda_down", lambda v: TrainConfig(lambda_down=v)),
-    ("TrainConfig.init_scale", lambda v: TrainConfig(init_scale=v)),
 ]
 BAD_INTEGERS = {"None": None, "'3'": "3", "2.5": 2.5, "True": True}
 BAD_REALS = {"None": None, "'0.1'": "0.1", "True": True, "10**400": 10**400,
@@ -410,8 +404,6 @@ class TestNumberRule:
                      id="CodecConfig.multipliers-field-5"),
         pytest.param("CodecConfig.multipliers", lambda v: CodecConfig(multipliers=v), None,
                      id="CodecConfig.multipliers-field-None"),
-        pytest.param("CodecConfig.train", lambda v: CodecConfig(train=v), None,
-                     id="CodecConfig.train-None"),
     ])
     def test_refused_naming_the_field(self, field, build, value):
         with pytest.raises(ValueError, match=f"^{field.partition('.')[2]} "):
@@ -471,7 +463,7 @@ class TestForwardMode:
         """Each payload's coefficients are, bit for bit, the `params` of the
         predictor the encoder fitted and of the one `frame_predictor`
         rebuilds from them."""
-        base = CodecConfig(frame_len=100, train=TrainConfig(epochs=2, restarts=2))
+        base = CodecConfig(frame_len=100, epochs=2, restarts=2)
         config = method_config(base, method, 3)
         samples = speech_like.samples[:400]
         payloads = encode(Signal(samples, speech_like.sample_rate), config).bitstream.payloads
@@ -558,9 +550,9 @@ class TestCandidate:
             if state.recon is None:
                 assert payload.candidate == 0
             elif payload.candidate or not offset:
-                winner = multistart_fit(state.recon, config.train,
+                winner = multistart_fit(state.recon, config.epochs,
                                         config.seed ^ state.frame_index,
-                                        range(config.train.restarts))
+                                        range(config.restarts))
                 assert payload.candidate == winner.restart + offset
                 assert rebuilt.theta.tobytes() == winner.theta.tobytes()
                 assert rebuilt.restart == winner.restart
@@ -578,8 +570,7 @@ class TestCandidate:
         pytest.param(PredictorKind.HYBRID, 3, 2, {0, 1, 2, 3}, id="hybrid-R3"),
     ])
     def test_round_trip_at_the_field_widths(self, speech_like, kind, restarts, width, used):
-        config = CodecConfig(predictor_kind=kind, bits=3,
-                             train=TrainConfig(epochs=3, restarts=restarts))
+        config = CodecConfig(predictor_kind=kind, bits=3, epochs=3, restarts=restarts)
         signal = Signal(speech_like.samples[:4000], speech_like.sample_rate)
         result = encode(signal, config)
         assert frame_row(config)[0] == width
@@ -598,7 +589,7 @@ class TestCandidate:
             return lm_epoch(theta, *args)
 
         monkeypatch.setattr(mlp, "lm_epoch", recording)
-        config = CodecConfig(predictor_kind=kind, train=TrainConfig(epochs=3, restarts=5))
+        config = CodecConfig(predictor_kind=kind, epochs=3, restarts=5)
         signal = Signal(speech_like.samples[:1000], speech_like.sample_rate)
         result = encode(signal, config)
         # one 5-row stack per frame after frame 0, never a refit
@@ -625,9 +616,9 @@ class TestCandidate:
             linear = frame_predictor(state, FramePayload((), candidate=0))
             assert linear.coeffs.tolist() == fit_predictor(
                 prev, PredictorKind.LPC10, config, 3).coeffs.tolist()
-        for i in range(config.train.restarts):
+        for i in range(config.restarts):
             net = frame_predictor(state, FramePayload((), candidate=i + first_net))
-            alone = multistart_fit(prev, config.train, config.seed ^ 3, (i,))
+            alone = multistart_fit(prev, config.epochs, config.seed ^ 3, (i,))
             assert net.theta.tobytes() == alone.theta.tobytes() and net.restart == i
 
 
@@ -673,9 +664,7 @@ def numpy_scalar_config():
         frame_len=np.int64(100), bits=np.int64(4), seed=np.uint64(3),
         step_init=np.float32(0.02), step_min=np.float32(0.0003), step_max=np.float32(0.45),
         multipliers=np.array(DEFAULT_MULTIPLIERS[4], dtype=np.float32),
-        train=TrainConfig(epochs=np.int64(2), restarts=np.int64(2),
-                          lambda_init=np.float32(0.01), lambda_up=np.float32(9.5),
-                          lambda_down=np.float32(0.15), init_scale=np.float32(0.3)))
+        epochs=np.int64(2), restarts=np.int64(2))
 
 
 class TestLoopScalarTypes:
@@ -731,12 +720,6 @@ class TestNumpyRealConfig:
     with the binary64 value the header carries, so decode reproduces its
     reconstruction bit for bit."""
 
-    TRAIN_REALS = {
-        "init_scale": np.float32(0.3),
-        "lambda_init": np.float32(0.01),
-        "lambda_up": np.float32(9.5),
-        "lambda_down": np.float32(0.15),
-    }
     QUANTIZER_REALS = {
         "step_init": np.float32(0.02),
         "step_min": np.float32(0.012),  # near step_init, so the step clamps often
@@ -744,13 +727,9 @@ class TestNumpyRealConfig:
         "multipliers": np.array(DEFAULT_MULTIPLIERS[4], dtype=np.float32),
     }
 
-    @pytest.mark.parametrize("field", [*QUANTIZER_REALS, *TRAIN_REALS])
+    @pytest.mark.parametrize("field", list(QUANTIZER_REALS))
     def test_decode_matches_encoder(self, speech_like, field):
-        if field in self.TRAIN_REALS:  # four epochs: enough for rejected LM steps
-            train = TrainConfig(epochs=4, restarts=2, **{field: self.TRAIN_REALS[field]})
-            config = CodecConfig(frame_len=100, predictor_kind=PredictorKind.MLP, train=train)
-        else:
-            config = CodecConfig(frame_len=100, **{field: self.QUANTIZER_REALS[field]})
+        config = CodecConfig(frame_len=100, **{field: self.QUANTIZER_REALS[field]})
         signal = Signal(speech_like.samples[:600], speech_like.sample_rate)
         result = encode(signal, config)
         decoded = decode(parse(serialize(result.bitstream)))
@@ -765,16 +744,14 @@ class TestEncodeDecode:
             (PredictorKind.MLP, Adaptation.BACKWARD),
             (PredictorKind.HYBRID, Adaptation.BACKWARD),
         ]:
-            config = CodecConfig(predictor_kind=kind, adaptation=adaptation,
-                                 train=TrainConfig(epochs=2, restarts=2))
+            config = CodecConfig(predictor_kind=kind, adaptation=adaptation, epochs=2, restarts=2)
             result = encode(ar_signal, config)
             decoded = decode(parse(serialize(result.bitstream)))
             np.testing.assert_array_equal(decoded.samples,
                                           result.reconstruction.samples)
 
     def test_seed_changes_neural_stream(self, ar_signal):
-        base = dict(predictor_kind=PredictorKind.MLP,
-                    train=TrainConfig(epochs=2, restarts=2))
+        base = dict(predictor_kind=PredictorKind.MLP, epochs=2, restarts=2)
         a = encode(ar_signal, CodecConfig(seed=0, **base))
         b = encode(ar_signal, CodecConfig(seed=1, **base))
         assert serialize(a.bitstream) != serialize(b.bitstream)
@@ -819,8 +796,7 @@ class TestEncodeDecode:
             encode(Signal(np.array([0.0])[:0], 8000), CodecConfig())
 
     def test_frame_stats_reported(self, ar_signal):
-        config = CodecConfig(predictor_kind=PredictorKind.HYBRID,
-                             train=TrainConfig(epochs=2, restarts=2))
+        config = CodecConfig(predictor_kind=PredictorKind.HYBRID, epochs=2, restarts=2)
         result = encode(ar_signal, config)
         assert len(result.frame_stats) == 10
         assert result.bitstream.payloads[0].candidate == 0  # bootstrap frame
@@ -849,10 +825,8 @@ class TestUntrustedStreams:
     """A stream that parses must decode to finite samples or raise
     BitstreamError naming the frame."""
 
-    # header bytes before the multipliers, and the f64 count after them:
-    # init_scale and three damping reals
+    # header bytes before the multipliers
     MULTIPLIERS_OFFSET = 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24 + 1
-    TRAIN_REALS = 4
 
     def encoded(self, signal, n=2000, **fields):
         head = Signal(signal.samples[:n], signal.sample_rate)
@@ -862,7 +836,7 @@ class TestUntrustedStreams:
         bitstream = self.encoded(ar_signal, adaptation=Adaptation.FORWARD)
         data = serialize(bitstream)
         # frame 0's coefficient block follows the byte-aligned header
-        first_coeff = self.MULTIPLIERS_OFFSET + 8 * (8 + self.TRAIN_REALS)
+        first_coeff = self.MULTIPLIERS_OFFSET + 8 * 8
         assert struct.unpack_from("<d", data, first_coeff)[0] == \
             bitstream.payloads[0].forward_coeffs[0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -870,20 +844,9 @@ class TestUntrustedStreams:
                 decode(parse(forged(data, first_coeff, 1e300)))
         assert info.value.frame_index == 0
 
-    def test_huge_init_scale(self, ar_signal):
-        train = TrainConfig(epochs=2, restarts=2)
-        data = serialize(self.encoded(ar_signal, 600, predictor_kind=PredictorKind.MLP,
-                                      train=train))
-        init_scale = self.MULTIPLIERS_OFFSET + 8 * 8
-        assert struct.unpack_from("<d", data, init_scale)[0] == train.init_scale
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(BitstreamError, match="not finite") as info:
-                decode(parse(forged(data, init_scale, 1e300)))
-        assert info.value.frame_index >= 1  # frame 0 uses the zero predictor
-
-    def test_encoder_names_non_finite_prediction(self, ar_signal):
-        config = CodecConfig(predictor_kind=PredictorKind.MLP,
-                             train=TrainConfig(epochs=2, restarts=2, init_scale=1e300))
+    def test_encoder_names_non_finite_prediction(self, monkeypatch, ar_signal):
+        monkeypatch.setattr(mlp, "INIT_SCALE", 1e300)
+        config = CodecConfig(predictor_kind=PredictorKind.MLP, epochs=2, restarts=2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"prediction .* for sample \d+ is not finite"):
                 encode(Signal(ar_signal.samples[:600], ar_signal.sample_rate), config)

@@ -1,7 +1,7 @@
 """Fit digest: the parameters `multistart_fit` returns, beyond the golden config.
 
-`test_golden.py` pins the codec's output at the default training config
-and 200-sample frames only. This test pins the fitted parameters
+`test_golden.py` pins the codec's output at the default epochs and
+restarts and 200-sample frames only. This test pins the fitted parameters
 themselves over the `conftest.py` corpus at frame lengths 13, 40 and 200
 and (restarts, epochs) of (1, 1), (4, 6) and (7, 9): one sha256 over the
 float64 bytes of every fitted `theta`, in a fixed order. A change to the
@@ -11,7 +11,7 @@ If that is intended, print the new digest with
 
 `SATURATED_DIGEST` pins a second set of fits on the same corpus and
 frame lengths, at (restarts, epochs) of (1, 1) and (4, 6), drawn with
-`init_scale=8.0`: the larger initial weights drive hidden units to
+`mlp.INIT_SCALE` patched to 8.0: the larger initial weights drive hidden units to
 h = 1.0 exactly, where h (1 - h) is zero and the sign of each hidden
 derivative follows its output weight's. (h = 0.0 needs a pre-activation
 below about -745, which these fits do not reach; `test_mlp.py` builds
@@ -27,14 +27,16 @@ SkylakeX kernel, x86-64); ROADMAP open item 3 (portable bit-exactness)
 is the fix.
 """
 
+import contextlib
 import hashlib
 
 import numpy as np
+import pytest
 
 from conftest import formant_utterance, linear_ar, nonlinear_ar, tone_noise
 from nadpcm import mlp
 from nadpcm.audio import split_frames
-from nadpcm.mlp import TrainConfig, lm_stack_iterations, multistart_fit, restart_seed
+from nadpcm.mlp import lm_stack_iterations, multistart_fit, restart_seed
 
 FRAME_LENS = (13, 40, 200)
 SCHEDULES = ((1, 1), (4, 6), (7, 9))  # (restarts, epochs)
@@ -53,10 +55,10 @@ def corpus():
             nonlinear_ar(31, 3000), tone_noise(3, 2000)]
 
 
-def fits(schedules=SCHEDULES, init_scale=TrainConfig.init_scale):
-    """(frame, config, seed) of every pinned fit: FRAMES_PER_SIGNAL evenly
-    spread frames of each signal, per frame length and schedule; frame k
-    is fitted with seed k."""
+def fits(schedules=SCHEDULES):
+    """(frame, restarts, epochs, seed) of every pinned fit: FRAMES_PER_SIGNAL
+    evenly spread frames of each signal, per frame length and schedule;
+    frame k is fitted with seed k."""
     signals = corpus()
     for frame_len in FRAME_LENS:
         for signal in signals:
@@ -64,20 +66,27 @@ def fits(schedules=SCHEDULES, init_scale=TrainConfig.init_scale):
             stride = max(1, len(frames) // FRAMES_PER_SIGNAL)
             for k in range(0, len(frames), stride)[:FRAMES_PER_SIGNAL]:
                 for restarts, epochs in schedules:
-                    config = TrainConfig(restarts=restarts, epochs=epochs, init_scale=init_scale)
-                    yield frames[k], config, k
+                    yield frames[k], restarts, epochs, k
 
 
 def saturated_fits():
-    """The fits that `SATURATED_DIGEST` pins."""
-    return fits(SATURATED_SCHEDULES, SATURATED_SCALE)
+    """The fits that `SATURATED_DIGEST` pins; run them with `mlp.INIT_SCALE`
+    patched to SATURATED_SCALE (`saturated_scale`)."""
+    return fits(SATURATED_SCHEDULES)
+
+
+@contextlib.contextmanager
+def saturated_scale():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mlp, "INIT_SCALE", SATURATED_SCALE)
+        yield
 
 
 def fit_digest(pinned=fits) -> str:
     """sha256 over the thetas of every fit of `pinned()`, in order."""
     digest = hashlib.sha256()
-    for frame, config, seed in pinned():
-        digest.update(multistart_fit(frame, config, seed, range(config.restarts)).theta.tobytes())
+    for frame, restarts, epochs, seed in pinned():
+        digest.update(multistart_fit(frame, epochs, seed, range(restarts)).theta.tobytes())
     return digest.hexdigest()
 
 
@@ -86,7 +95,8 @@ def test_fit_digest():
 
 
 def test_saturated_fit_digest():
-    assert fit_digest(saturated_fits) == SATURATED_DIGEST
+    with saturated_scale():
+        assert fit_digest(saturated_fits) == SATURATED_DIGEST
 
 
 def test_saturated_fits_reach_unit_activations(monkeypatch):
@@ -101,7 +111,8 @@ def test_saturated_fits_reach_unit_activations(monkeypatch):
         return h, y
 
     monkeypatch.setattr(mlp, "forward_batch", counting)
-    fit_digest(saturated_fits)
+    with saturated_scale():
+        fit_digest(saturated_fits)
     assert sum(saturated) > 100
 
 
@@ -109,15 +120,14 @@ def assert_each_restart_is_its_own_single_fit(pinned):
     # The decoder fits only the restart the stream names, as the encoder's
     # fit given just that index; it must be bit for bit that row of the
     # encoder's stacked fit, and the winner must be the row it names.
-    for frame, config, seed in pinned():
+    for frame, restarts, epochs, seed in pinned():
         for stacked, _, _ in lm_stack_iterations(
-                frame, [restart_seed(seed, i) for i in range(config.restarts)],
-                config, config.epochs):
+                frame, [restart_seed(seed, i) for i in range(restarts)], epochs):
             pass
-        for i in range(config.restarts):
-            alone = multistart_fit(frame, config, seed, (i,))
-            assert alone.theta.tobytes() == stacked[i].tobytes(), (len(frame), config, seed, i)
-        winner = multistart_fit(frame, config, seed, range(config.restarts))
+        for i in range(restarts):
+            alone = multistart_fit(frame, epochs, seed, (i,))
+            assert alone.theta.tobytes() == stacked[i].tobytes(), (len(frame), epochs, seed, i)
+        winner = multistart_fit(frame, epochs, seed, range(restarts))
         np.testing.assert_array_equal(winner.theta, stacked[winner.restart])
 
 
@@ -126,9 +136,11 @@ def test_each_restart_is_its_own_single_fit():
 
 
 def test_each_saturated_restart_is_its_own_single_fit():
-    assert_each_restart_is_its_own_single_fit(saturated_fits)
+    with saturated_scale():
+        assert_each_restart_is_its_own_single_fit(saturated_fits)
 
 
 if __name__ == "__main__":
     print(fit_digest())
-    print(fit_digest(saturated_fits))
+    with saturated_scale():
+        print(fit_digest(saturated_fits))

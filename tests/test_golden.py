@@ -28,59 +28,59 @@ SIGNAL_SEED, SIGNAL_LEN = 11, 1100
 
 GOLDEN = {
     ("ADPCMF-LPC-10", 2): (
-        "6743125c0d895c8682214121984236d3703e8b00cac612c4d76f7bd47191299e",
+        "e533323b1f1c20f5ffad492a259ac3fd5296ad54a3747d27abd7d904b0d9bea3",
         "eb5454cd82375a2ffdf4ca7571ad2a9443c23f76c6a9cf5ac741ed5e3b5a934c",
     ),
     ("ADPCMF-LPC-10", 5): (
-        "332f92c227b307765ecd661d036559b403acfec14593a1c22d4ac79e910eaa9d",
+        "9ef75dcd79dd6fb44662b310f19a39330f2d7b5409e6c7dced56e8895567ffeb",
         "7db033fbcfdee772b5ab60d7fbd629fe56b33beee1e836252fd00b496fee71b6",
     ),
     ("ADPCMF-LPC-25", 2): (
-        "e436eb97381c8e1a54705337266faed60a0bf95e57e4d6080735679bcbaa669f",
+        "839d9a5ba503703e479632a29180616a94c6db5293bbe953f49beb5944799cda",
         "91ccc2547230cc7f9864bcab3ffdf9d369a9284927b6dcd04158a8c51ca0f781",
     ),
     ("ADPCMF-LPC-25", 5): (
-        "42bc4a3c5f3ddbee136bcb3d87191ef1fa9e7ecd02841f2a8a4cbacb46bafd85",
+        "f0d7532963d802fa544050dad2807aea2314691217f3aadc0efdc5eb5a73d4c1",
         "4c31b3d87373806ffaf08bff3421ed61057ce60224b74cf5219993901c83cdd0",
     ),
     ("ADPCMF-MLP", 2): (
-        "6d4386e416eb86bcd46039067a8dae6de0fa495de6470a1f8761ec15e528da80",
+        "a3dd251b2395857375dff5159fba39db1860a7ea1803749af0c472ad0b720bfe",
         "e2029d0259b2ecc8084b0140639945ee06dfc76c07e23287436bad458a431f25",
     ),
     ("ADPCMF-MLP", 5): (
-        "fcbfe666aeb24f75cb076baa65ea6cbeb8cce0bf2a3590382c07ced078c5e9a1",
+        "a5eb11858b924e00706c5c5dbcf292c468020934f8573480130e41ea9bacb4f8",
         "271b6d2664b104bfe32f180a4bcf69a2270a32560331d75f87cb0c5837f22c67",
     ),
     ("ADPCMB-LPC-10", 2): (
-        "aaa9aeff87fae95671f54e58b1c9c1c4ff1b3703e99b1e52dcc90cc31b5732a9",
+        "263034b12529f5023c7b588a0a37afbdb6e4aeaed94337129544f1368f0ad86a",
         "42024f12a00740bef1c033b26be99490a0036680e687cd5be42e06f73ab71228",
     ),
     ("ADPCMB-LPC-10", 5): (
-        "5e133547e2e76ada634a2614ed09d23a01cf149edd82111b216ee52d734475e4",
+        "2739f9ab55eeaa18283e52b3ed8d2b021ba690e2c6eb276a8a7a09aa73d77097",
         "fd896e7a84414f2a92cf133e8abb89710e69fe41886ff22d9b5b8e30d1960273",
     ),
     ("ADPCMB-LPC-25", 2): (
-        "37ac57725d912c6cef378d2cc124fc5d25b8742fa0c2003717a3485ba8e251f2",
+        "1fa8e8ea620c589f48838d16b2a00e9c132c26a7c2a018a01dee010de3e7d64d",
         "b9d6fb641884c3dbedbd7056cfcaa2b7da907e0e4d0e7b16b727b6fcb1850583",
     ),
     ("ADPCMB-LPC-25", 5): (
-        "3ffe2458bb0f9d4ab9b6195e622d2b94870b1be1b3dec760cb9e7f9c904a1484",
+        "fffa51669c62ca7570c8d32d8bd22e71716d44ec80b9f027f573d9bc99305447",
         "170eb6d3bc7953ce7145b6cfe9786eb3ef7dffc90665d1a74926312883c4b3c7",
     ),
     ("ADPCMB-MLP", 2): (
-        "6c191cb68511e4748f542c6781a500901ccb2f829bc024ff88fe3814b69a6aa4",
+        "6e13c4122410f15e4bccb97244ece8043ae32dd77ada92789dae726d75c1c2b2",
         "185ac5f8bd9a331da2a95e42c6029bae16aa7b6bc6a2ebb8756a94a4f517962d",
     ),
     ("ADPCMB-MLP", 5): (
-        "a922cb6a5a90d987685da9d1d8898aa2b84f5e47020a90683902de8ddc9c0fae",
+        "e8f52b219aa43be173044a126739b14b74141bc6116aa8e4db6710fb1dfb2ff5",
         "15d9e61fa7054885166898757dce8ab999d1ec7f610a8e81ae8d8dd5b8dc460d",
     ),
     ("ADPCMB-HYBRID", 2): (
-        "dcade5d432a0d88ef1683e2e7ee974ab45cd36b2c448a3d412455b5a6c546e3c",
+        "a2749bf85bce8a93b4ce058855f11060046200fb1297791e303391f8f4560e81",
         "e1f45d599279b807805fa16adb6375dccf0aa17f06bd36564a7654d6e93ec108",
     ),
     ("ADPCMB-HYBRID", 5): (
-        "b32e0aceb0fd94c7a2f57aa1d8879976307b96367c3b05d0d427c102a29f59f7",
+        "967d348f845233e8b41ae92afc304e2656507264ed50f988cac767175d7211c6",
         "d65090ae150c8a6a26d8467cceb8c0d7877b178833fd16e2ff952bc529dbcd5a",
     ),
 }

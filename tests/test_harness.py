@@ -12,7 +12,6 @@ from nadpcm import (
     PredictorKind,
     Signal,
     SweepCurve,
-    TrainConfig,
     encode,
     epoch_sweep,
     evaluate_methods,
@@ -34,7 +33,7 @@ from nadpcm.harness import (
 from nadpcm.metrics import SILENCE_ENERGY_FLOOR
 
 
-FAST_TRAIN = TrainConfig(epochs=2, restarts=2)
+FAST_TRAIN = dict(epochs=2, restarts=2)
 
 
 class TestMethods:
@@ -330,7 +329,7 @@ class TestFrameLengthSweep:
     def test_short_lengths_skip_neural(self, ar_signal):
         records, skipped = frame_length_sweep(
             ar_signal, [8, 20], [3], ["ADPCMB-LPC-10", "ADPCMB-MLP"],
-            CodecConfig(train=FAST_TRAIN))
+            CodecConfig(**FAST_TRAIN))
         assert len(records) == 3
         assert skipped == [("ADPCMB-MLP", 3, 8, "frame_len 8 is below the 11-sample MLP minimum")]
         for rec in records:
@@ -345,7 +344,7 @@ class TestFrameLengthSweep:
 
 class TestPredictorUsage:
     def test_hybrid_percentages(self, ar_signal):
-        config = CodecConfig(predictor_kind=PredictorKind.HYBRID, train=FAST_TRAIN)
+        config = CodecConfig(predictor_kind=PredictorKind.HYBRID, **FAST_TRAIN)
         result = encode(ar_signal, config)
         pct_mlp, pct_lpc = predictor_usage(result.bitstream)
         assert pct_mlp + pct_lpc == pytest.approx(100.0)

@@ -15,18 +15,21 @@ from scipy.special import expit
 
 import nadpcm
 from conftest import formant_utterance, linear_ar, nonlinear_ar
-from nadpcm import mlp as mlp_module
+from nadpcm import CodecConfig, mlp as mlp_module
 from nadpcm.audio import split_frames
 from nadpcm.lpc import KERNEL_UNROLL
 from nadpcm.mlp import (
     GOLDEN_GAMMA,
+    INIT_SCALE,
+    LAMBDA_DOWN,
+    LAMBDA_INIT,
+    LAMBDA_UP,
     MASK64,
     Mlp,
     N_HIDDEN,
     N_INPUTS,
     N_PARAMS,
     SplitMix64,
-    TrainConfig,
     build_training_set,
     forward_batch,
     init_mlp,
@@ -55,16 +58,16 @@ def batch_sse(net, x, t):
     return float(r @ r)
 
 
-def reference_run(frame, seed, config, epochs):
+def reference_run(frame, seed, epochs):
     """(net, sse) after each LM epoch, chained by hand from init_mlp and
     lm_epoch on a stack of one net, as an oracle for lm_iterations and
     multistart_fit."""
     x, t = build_training_set(frame)
-    theta = init_mlp([seed], config.init_scale)
-    lam = np.array([config.lambda_init])
+    theta = init_mlp([seed])
+    lam = np.array([mlp_module.LAMBDA_INIT])
     steps = []
     for _ in range(epochs):
-        theta, lam, err, _ = lm_epoch(theta, x, t, lam, config)
+        theta, lam, err, _ = lm_epoch(theta, x, t, lam)
         steps.append((Mlp(theta[0]), float(err[0])))
     return steps
 
@@ -97,8 +100,8 @@ def same_bits(a, b):
 
 
 def seeded_net(seed, scale=0.5):
-    """The net of a one-row `init_mlp` stack."""
-    return Mlp(init_mlp([seed], scale)[0])
+    """The net of a one-row `init_mlp` stack drawn with INIT_SCALE = scale."""
+    return Mlp(SplitMix64.uniform_rows([seed], -scale, scale, N_PARAMS)[0])
 
 
 class TestSplitMix64:
@@ -167,21 +170,22 @@ class TestSplitMix64:
 
 
 class TestInitMlp:
-    """`init_mlp(seeds, scale)` draws the (R, 25) starting stack at once:
-    row i is, by `float.hex`, 25 calls of `SplitMix64(seeds[i]).uniform(
-    -scale, scale)`."""
+    """`init_mlp(seeds)` draws the (R, 25) starting stack at once: row i
+    is, by `float.hex`, 25 calls of `SplitMix64(seeds[i]).uniform(
+    -INIT_SCALE, INIT_SCALE)`."""
 
     SEEDS = (0, 2**64 - 1, np.int64(5), np.uint64(2**63), 1, -1, 0xDEADBEEF)
 
     @pytest.mark.parametrize("rows", [1, 4, 7])
     @pytest.mark.parametrize("scale", [0.5, 8.0, 1e-9])
-    def test_rows_equal_scalar_draws(self, rows, scale):
+    def test_rows_equal_scalar_draws(self, monkeypatch, rows, scale):
+        monkeypatch.setattr(mlp_module, "INIT_SCALE", scale)
         # every seed is drawn in every position of a stack of each size
         for start in range(len(self.SEEDS)):
             seeds = (self.SEEDS[start:] + self.SEEDS[:start])[:rows]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # uint64 wraparound must not warn
-                stack = init_mlp(seeds, scale)
+                stack = init_mlp(seeds)
             assert stack.dtype == np.float64 and stack.shape == (rows, N_PARAMS)
             for seed, row in zip(seeds, stack.tolist()):
                 rng = SplitMix64(seed)
@@ -191,12 +195,7 @@ class TestInitMlp:
     @pytest.mark.parametrize("seed", [True, 2.5, "5", None])
     def test_non_integer_seed_refused(self, seed):
         with pytest.raises(ValueError, match="^seed must be an integer, got "):
-            init_mlp([0, seed], 0.5)
-
-    @pytest.mark.parametrize("scale", [0.0, -0.5, float("nan")])
-    def test_non_positive_scale_refused(self, scale):
-        with pytest.raises(ValueError, match="^scale must be > 0, got "):
-            init_mlp([0], scale)
+            init_mlp([0, seed])
 
 
 class TestMlpStructure:
@@ -238,7 +237,7 @@ class TestMlpStructure:
             Mlp(np.zeros(shape))
 
     def test_init_range_and_draw_count(self):
-        stack = init_mlp(range(40), 0.5)
+        stack = init_mlp(range(40))
         assert stack.shape == (40, N_PARAMS)
         assert np.all((stack >= -0.5) & (stack < 0.5))
         # each row is the first 25 draws of its seed's stream
@@ -502,11 +501,12 @@ class TestJacobian:
             jac, _ = residual_jacobian(theta[i : i + 1], x, t, (h[i : i + 1], y[i : i + 1]))
             assert jac.tobytes() == want_jac[i : i + 1].tobytes(), i
 
-    def test_equals_negated_build_on_corpus_frames(self):
+    def test_equals_negated_build_on_corpus_frames(self, monkeypatch):
         for frame, k in digest_frames():
             x, t = build_training_set(frame)
             for scale in (0.5, 8.0):
-                theta = init_mlp([restart_seed(k, i) for i in range(4)], scale)
+                monkeypatch.setattr(mlp_module, "INIT_SCALE", scale)
+                theta = init_mlp([restart_seed(k, i) for i in range(4)])
                 assert residual_jacobian(theta, x, t)[0].tobytes() == \
                     negated_jacobian(theta, x, t)[0].tobytes()
 
@@ -552,7 +552,7 @@ class TestJacobian:
 
 
     def test_stack_rows_match_single_nets(self):
-        thetas = init_mlp([21, 22, 23], 0.5)
+        thetas = init_mlp([21, 22, 23])
         x, t = build_training_set(np.sin(np.linspace(0, 6, 40)) * 0.4)
         jac, r = residual_jacobian(thetas, x, t)
         for i, theta in enumerate(thetas):
@@ -563,10 +563,10 @@ class TestJacobian:
 
 class TestLevenbergMarquardt:
     def test_accepted_step_reduces_sse(self):
-        thetas = init_mlp([11, 12, 13, 14], 0.5)
+        thetas = init_mlp([11, 12, 13, 14])
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         before = [batch_sse(Mlp(theta), x, t) for theta in thetas]
-        thetas2, lam2, after, accepted = lm_epoch(thetas, x, t, np.full(4, 0.01), TrainConfig())
+        thetas2, lam2, after, accepted = lm_epoch(thetas, x, t, np.full(4, 0.01))
         assert type(accepted) is int
         assert accepted == sum(lam < 0.01 for lam in lam2) >= 1
         for theta, theta2, lam, b, a in zip(thetas, thetas2, lam2, before, after):
@@ -579,12 +579,12 @@ class TestLevenbergMarquardt:
                 np.testing.assert_array_equal(theta2, theta)
 
     def test_rejected_step_keeps_parameters(self):
-        thetas = init_mlp([13], 0.5)
+        thetas = init_mlp([13])
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         # huge lambda forces a tiny step; near a minimum it cannot improve
         for _ in range(200):
-            thetas, _, _, _ = lm_epoch(thetas, x, t, np.array([1e-3]), TrainConfig())
-        thetas2, _, _, accepted = lm_epoch(thetas, x, t, np.array([1e12]), TrainConfig())
+            thetas, _, _, _ = lm_epoch(thetas, x, t, np.array([1e-3]))
+        thetas2, _, _, accepted = lm_epoch(thetas, x, t, np.array([1e12]))
         if not accepted:
             np.testing.assert_array_equal(thetas2, thetas)
 
@@ -595,11 +595,11 @@ class TestLevenbergMarquardt:
                 raise np.linalg.LinAlgError("singular matrix")
             return np.full(np.shape(rhs), np.inf)
 
-        thetas = init_mlp([20, 21], 0.5)
+        thetas = init_mlp([20, 21])
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         before = [batch_sse(Mlp(theta), x, t) for theta in thetas]
         monkeypatch.setattr(np.linalg, "solve", bad_solve)
-        thetas2, lam2, err, accepted = lm_epoch(thetas, x, t, np.full(2, 0.01), TrainConfig())
+        thetas2, lam2, err, accepted = lm_epoch(thetas, x, t, np.full(2, 0.01))
         np.testing.assert_array_equal(thetas2, thetas)
         assert accepted == 0
         np.testing.assert_allclose(lam2, 0.1)
@@ -608,10 +608,10 @@ class TestLevenbergMarquardt:
     def test_singular_row_rejected_alone(self, monkeypatch):
         # numpy refuses a whole stack for one singular matrix; the fallback
         # solves each matrix on its own, so only that row is rejected
-        thetas = init_mlp([30, 31, 32, 33], 0.5)
+        thetas = init_mlp([30, 31, 32, 33])
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         lam = np.full(4, 1.0)
-        expected = lm_epoch(thetas, x, t, lam, TrainConfig())
+        expected = lm_epoch(thetas, x, t, lam)
         assert expected[3] == 4
         real_solve = np.linalg.solve
         calls = []
@@ -623,7 +623,7 @@ class TestLevenbergMarquardt:
             return real_solve(lhs, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", solve_row_1_singular)
-        thetas2, lam2, err, accepted = lm_epoch(thetas, x, t, lam, TrainConfig())
+        thetas2, lam2, err, accepted = lm_epoch(thetas, x, t, lam)
         assert calls == [3, 2, 2, 2, 2] and accepted == 3
         np.testing.assert_array_equal(thetas2[1], thetas[1])
         assert lam2[1] == pytest.approx(10.0)
@@ -639,7 +639,7 @@ class TestLevenbergMarquardt:
         rng = np.random.default_rng(14)
         x = rng.uniform(-0.5, 0.5, size=(40, 10))
         t = rng.uniform(-0.5, 0.5, size=40)
-        _, _, err, accepted = lm_epoch(np.zeros((1, 25)), x, t, np.array([1e-12]), TrainConfig())
+        _, _, err, accepted = lm_epoch(np.zeros((1, 25)), x, t, np.array([1e-12]))
         assert accepted == 1
         optimum = float(np.sum((t - t.mean()) ** 2))
         assert err[0] == pytest.approx(optimum, abs=1e-8)
@@ -648,18 +648,20 @@ class TestLevenbergMarquardt:
     def test_nonpositive_lambda_refused(self, lam):
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         with pytest.raises(ValueError, match="lambda must be > 0"):
-            lm_epoch(init_mlp([1, 2], 0.5), x, t, np.array([0.01, lam]), TrainConfig())
+            lm_epoch(init_mlp([1, 2]), x, t, np.array([0.01, lam]))
 
     def test_sse_nonincreasing_across_epochs(self):
         x_sig = np.sin(np.linspace(0, 12, 120)) * 0.4
-        errs = [err for _, err in lm_iterations(x_sig, 15, TrainConfig(init_scale=0.5), 30)]
+        errs = [err for _, err in lm_iterations(x_sig, 15, 30)]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
-    def test_iterations_chain_lm_epochs_from_seeded_net(self):
+    def test_iterations_chain_lm_epochs_from_seeded_net(self, monkeypatch):
+        # off the default constants, so a literal in place of one would show
+        monkeypatch.setattr(mlp_module, "LAMBDA_INIT", 0.02)
+        monkeypatch.setattr(mlp_module, "INIT_SCALE", 0.3)
         x_sig = np.sin(np.linspace(0, 12, 80)) * 0.4
-        config = TrainConfig(lambda_init=0.02, init_scale=0.3)
-        steps = list(lm_iterations(x_sig, 16, config, 6))
-        expected = reference_run(x_sig, 16, config, 6)
+        steps = list(lm_iterations(x_sig, 16, 6))
+        expected = reference_run(x_sig, 16, 6)
         assert len(steps) == 6
         for (net, err), (ref_net, ref_err) in zip(steps, expected):
             np.testing.assert_array_equal(net.theta, ref_net.theta)
@@ -670,16 +672,16 @@ class TestLevenbergMarquardt:
         rng = np.random.default_rng(18)
         x = rng.uniform(-0.8, 0.8, size=(60, 10))
         t = forward_batch(teacher.theta, x)[1]
-        students = init_mlp([19], 0.5)
+        students = init_mlp([19])
         initial = batch_sse(Mlp(students[0]), x, t)
-        lam = np.array([TrainConfig().lambda_init])
+        lam = np.array([LAMBDA_INIT])
         for _ in range(60):
-            students, lam, final, _ = lm_epoch(students, x, t, lam, TrainConfig())
+            students, lam, final, _ = lm_epoch(students, x, t, lam)
         assert final[0] < 0.05 * initial
 
     def test_numpy_integer_seed(self, ar_signal):
         frame = ar_signal.samples[:200]
-        runs = [[err for _, err in lm_iterations(frame, seed, TrainConfig(), 3)]
+        runs = [[err for _, err in lm_iterations(frame, seed, 3)]
                 for seed in (np.int64(5), 5)]
         assert runs[0] == runs[1]
 
@@ -688,8 +690,8 @@ class TestLevenbergMarquardt:
             frame = np.linspace(-0.3, 0.3, length)
             with pytest.raises(ValueError, match=f"^frame_len {length} is below the 11-sample "
                                                  "MLP minimum$"):
-                next(lm_iterations(frame, 0, TrainConfig(), 3))
-        assert len(list(lm_iterations(np.linspace(-0.3, 0.3, 11), 0, TrainConfig(), 3))) == 3
+                next(lm_iterations(frame, 0, 3))
+        assert len(list(lm_iterations(np.linspace(-0.3, 0.3, 11), 0, 3))) == 3
 
 
 class TestMultistart:
@@ -701,26 +703,23 @@ class TestMultistart:
 
     def test_deterministic(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
-        a = multistart_fit(frame, TrainConfig(), 77, range(4))
-        b = multistart_fit(frame, TrainConfig(), 77, range(4))
+        a = multistart_fit(frame, 6, 77, range(4))
+        b = multistart_fit(frame, 6, 77, range(4))
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_selects_lowest_sse_restart(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
         x, t = build_training_set(frame)
-        config = TrainConfig()
-        best = multistart_fit(frame, config, 21, range(config.restarts))
-        finals = [reference_run(frame, restart_seed(21, i), config, config.epochs)[-1]
-                  for i in range(config.restarts)]
+        best = multistart_fit(frame, 6, 21, range(4))
+        finals = [reference_run(frame, restart_seed(21, i), 6)[-1] for i in range(4)]
         winner = int(np.argmin([err for _, err in finals]))
         np.testing.assert_array_equal(best.theta, finals[winner][0].theta)
         assert batch_sse(best, x, t) == pytest.approx(finals[winner][1], rel=1e-12)
 
     def test_single_restart_equals_one_run(self):
         frame = np.sin(np.linspace(0, 12, 150)) * 0.4
-        config = TrainConfig(restarts=1)
-        via_multi = multistart_fit(frame, config, 33, range(config.restarts))
-        via_run, _ = reference_run(frame, restart_seed(33, 0), config, config.epochs)[-1]
+        via_multi = multistart_fit(frame, 6, 33, range(1))
+        via_run, _ = reference_run(frame, restart_seed(33, 0), 6)[-1]
         np.testing.assert_array_equal(via_multi.theta, via_run.theta)
 
     @staticmethod
@@ -732,12 +731,12 @@ class TestMultistart:
         stack = np.repeat(np.arange(float(rows))[:, None], 25, axis=1)
         epoch_sse = [(0.5,) + (9.0,) * (rows - 1), final_sse]
 
-        def fake_epoch(theta, x, t, lam, config, carry=None):
+        def fake_epoch(theta, x, t, lam, carry=None):
             assert len(theta) == rows
             return stack, lam, np.array(epoch_sse.pop(0)), 0
 
         monkeypatch.setattr(mlp_module, "lm_epoch", fake_epoch)
-        best = multistart_fit(np.zeros(50), TrainConfig(epochs=2), 5, restarts)
+        best = multistart_fit(np.zeros(50), 2, 5, restarts)
         assert not epoch_sse
         return best
 
@@ -762,9 +761,7 @@ class TestMultistart:
 
     def test_subset_rows_are_solo_fits_and_rows_of_the_full_fit(self, monkeypatch):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
-        config = TrainConfig()
-        for full, _, _ in lm_stack_iterations(
-                frame, [restart_seed(21, i) for i in range(4)], config, config.epochs):
+        for full, _, _ in lm_stack_iterations(frame, [restart_seed(21, i) for i in range(4)], 6):
             pass
         stacks = []
         real = mlp_module.lm_stack_iterations
@@ -775,8 +772,8 @@ class TestMultistart:
             stacks.append(theta)
 
         monkeypatch.setattr(mlp_module, "lm_stack_iterations", recording)
-        best = multistart_fit(frame, config, 21, (3, 1))
-        solo = [multistart_fit(frame, config, 21, (i,)) for i in (3, 1)]
+        best = multistart_fit(frame, 6, 21, (3, 1))
+        solo = [multistart_fit(frame, 6, 21, (i,)) for i in (3, 1)]
         subset = stacks[0]
         assert subset.shape == (2, N_PARAMS)
         for j, i in enumerate((3, 1)):
@@ -787,12 +784,12 @@ class TestMultistart:
     @pytest.mark.parametrize("length", [5, 200])
     def test_empty_restarts_refused(self, length):
         with pytest.raises(ValueError, match="at least one restart"):
-            multistart_fit(np.zeros(length), TrainConfig(), 0, ())
+            multistart_fit(np.zeros(length), 6, 0, ())
 
     def test_short_frame_zero_predictor(self):
         for restarts in (range(4), (3, 1)):
             with pytest.raises(ValueError, match="^frame_len 5 is below the 11-sample MLP minimum$"):
-                multistart_fit(np.zeros(5), TrainConfig(), 0, restarts)
+                multistart_fit(np.zeros(5), 6, 0, restarts)
 
     @pytest.mark.parametrize("seed, restarts, name", [
         (2.5, range(4), "seed"), (True, range(4), "seed"), ("5", range(4), "seed"),
@@ -801,14 +798,22 @@ class TestMultistart:
     def test_non_integer_seed_or_restart_refused(self, seed, restarts, name):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
-            multistart_fit(frame, TrainConfig(), seed, restarts)
+            multistart_fit(frame, 6, seed, restarts)
+
+    @pytest.mark.parametrize("epochs, message", [
+        (0, "must be >= 1, got 0"), (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"),
+    ])
+    def test_epochs_refused(self, epochs, message):
+        frame = np.sin(np.linspace(0, 12, 200)) * 0.4
+        with pytest.raises(ValueError, match=f"^epochs {message}$"):
+            multistart_fit(frame, epochs, 0, range(2))
 
     def test_numpy_integer_seed_and_restarts(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
-        config = TrainConfig(epochs=2)
-        net = multistart_fit(frame, config, np.uint64(77), np.arange(3, dtype=np.int64))
+        net = multistart_fit(frame, np.int64(2), np.uint64(77), np.arange(3, dtype=np.int64))
         assert type(net.restart) is int
-        assert net == multistart_fit(frame, config, 77, range(3))
+        assert net == multistart_fit(frame, 2, 77, range(3))
 
 
 class TestStackedRun:
@@ -816,11 +821,11 @@ class TestStackedRun:
     solo run, epoch by epoch and bit for bit."""
 
     @staticmethod
-    def assert_rows_match_solo_runs(frame, seeds, config, epochs):
-        stacked = list(lm_stack_iterations(frame, seeds, config, epochs))
+    def assert_rows_match_solo_runs(frame, seeds, epochs):
+        stacked = list(lm_stack_iterations(frame, seeds, epochs))
         for i, seed in enumerate(seeds):
-            solo = list(lm_stack_iterations(frame, [seed], config, epochs))
-            nets = list(lm_iterations(frame, seed, config, epochs))
+            solo = list(lm_stack_iterations(frame, [seed], epochs))
+            nets = list(lm_iterations(frame, seed, epochs))
             assert len(stacked) == len(solo) == len(nets)
             for (theta, lam, sse), (theta1, lam1, sse1), (net, err) in zip(stacked, solo, nets):
                 np.testing.assert_array_equal(theta[i], theta1[0])
@@ -837,14 +842,15 @@ class TestStackedRun:
         lambda_init=st.sampled_from([1e-6, 0.01, 3.0]),
     )
     def test_rows_equal_solo_runs(self, frame, seeds, epochs, lambda_init):
-        config = TrainConfig(lambda_init=lambda_init)
-        self.assert_rows_match_solo_runs(frame, seeds, config, epochs)
+        # a context, not the monkeypatch fixture, which Hypothesis refuses
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mlp_module, "LAMBDA_INIT", lambda_init)
+            self.assert_rows_match_solo_runs(frame, seeds, epochs)
 
     def test_rows_equal_solo_runs_through_per_matrix_solve(self, monkeypatch, speech_like):
         frame = speech_like.samples[2000:2200]
         seeds = [restart_seed(9, i) for i in range(5)]
-        config = TrainConfig()
-        unpatched = list(lm_stack_iterations(frame, seeds, config, 6))
+        unpatched = list(lm_stack_iterations(frame, seeds, 6))
         real_solve = np.linalg.solve
 
         def refuse_stacks(lhs, rhs):
@@ -853,16 +859,16 @@ class TestStackedRun:
             return real_solve(lhs, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", refuse_stacks)
-        patched = list(lm_stack_iterations(frame, seeds, config, 6))
+        patched = list(lm_stack_iterations(frame, seeds, 6))
         for (theta, lam, sse), (theta_p, lam_p, sse_p) in zip(unpatched, patched):
             np.testing.assert_array_equal(theta_p, theta)
             np.testing.assert_array_equal(lam_p, lam)
             np.testing.assert_array_equal(sse_p, sse)
-        self.assert_rows_match_solo_runs(frame, seeds, config, 6)
+        self.assert_rows_match_solo_runs(frame, seeds, 6)
 
     def test_short_frame_yields_nothing(self):
         with pytest.raises(ValueError, match="^frame_len 10 is below the 11-sample MLP minimum$"):
-            next(lm_stack_iterations(np.zeros(10), [1, 2], TrainConfig(), 3))
+            next(lm_stack_iterations(np.zeros(10), [1, 2], 3))
 
 
 def digest_frames():
@@ -882,17 +888,17 @@ class TestCarriedLm:
     count; the carry only removes work."""
 
     @staticmethod
-    def chain(theta, lam, x, t, config, epochs, carry):
+    def chain(theta, lam, x, t, epochs, carry):
         steps = []
         for _ in range(epochs):
-            theta, lam, sse, accepted = lm_epoch(theta, x, t, lam, config, carry)
+            theta, lam, sse, accepted = lm_epoch(theta, x, t, lam, carry)
             steps.append((theta.tobytes(), lam.tobytes(), sse.tobytes(), accepted))
         return steps
 
     @classmethod
-    def assert_carry_matches_cold(cls, theta, lam, x, t, config, epochs):
-        cold = cls.chain(theta, lam, x, t, config, epochs, None)
-        carried = cls.chain(theta, lam, x, t, config, epochs, {})
+    def assert_carry_matches_cold(cls, theta, lam, x, t, epochs):
+        cold = cls.chain(theta, lam, x, t, epochs, None)
+        carried = cls.chain(theta, lam, x, t, epochs, {})
         assert carried == cold
         return cold
 
@@ -911,26 +917,25 @@ class TestCarriedLm:
 
     @pytest.mark.parametrize("restarts", [1, 4, 7])
     def test_carry_equals_cold_chain(self, monkeypatch, restarts):
-        config = TrainConfig(restarts=restarts, epochs=9)
+        epochs = 9
         rows = self.jacobian_rows(monkeypatch)
         partial = 0
         for frame, k in digest_frames():
             seeds = [restart_seed(k, i) for i in range(restarts)]
             x, t = build_training_set(frame)
-            start, lam = init_mlp(seeds, 0.5), np.full(restarts, config.lambda_init)
+            start, lam = init_mlp(seeds), np.full(restarts, LAMBDA_INIT)
             rows.clear()
-            cold = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
+            cold = self.assert_carry_matches_cold(start, lam, x, t, epochs)
             accepted = [step[3] for step in cold]
-            cold_rows, carried_rows = rows[:config.epochs], rows[config.epochs:]
+            cold_rows, carried_rows = rows[:epochs], rows[epochs:]
             # a cold chain builds every row each epoch; the carry builds all
             # rows once, then only the rows that moved, never after the last
-            assert cold_rows == [restarts] * config.epochs
+            assert cold_rows == [restarts] * epochs
             assert carried_rows == [restarts] + [n for n in accepted[:-1] if n]
             partial += sum(0 < n < restarts for n in accepted[:-1])
             # lm_stack_iterations threads the same carry
             stacked = [(theta.tobytes(), lam.tobytes(), sse.tobytes())
-                       for theta, lam, sse in lm_stack_iterations(frame, seeds, config,
-                                                                  config.epochs)]
+                       for theta, lam, sse in lm_stack_iterations(frame, seeds, epochs)]
             assert stacked == [step[:3] for step in cold]
         assert partial > 0 or restarts == 1  # mixed accept/reject rows were rebuilt
 
@@ -956,20 +961,20 @@ class TestCarriedLm:
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         rows = self.jacobian_rows(monkeypatch)
-        config = TrainConfig(epochs=8)
+        epochs = 8
         for frame, k in digest_frames():
             if len(frame) == 13:
                 continue
             x, t = build_training_set(frame)
-            start = init_mlp([restart_seed(k, i) for i in range(4)], 0.5)
+            start = init_mlp([restart_seed(k, i) for i in range(4)])
             lam = np.array([0.01, 0.01, 1e30, 0.01])
             rows.clear()
-            cold = self.assert_carry_matches_cold(start, lam, x, t, config, config.epochs)
+            cold = self.assert_carry_matches_cold(start, lam, x, t, epochs)
             accepted = [step[3] for step in cold]
             assert max(accepted) <= 3
             assert any(0 < n < 4 for n in accepted[:-1])
-            assert all(n < 4 for n in rows[config.epochs + 1:])  # partial rebuilds only
-            theta, lam_out, *_ = lm_epoch(start, x, t, lam, config, {})
+            assert all(n < 4 for n in rows[epochs + 1:])  # partial rebuilds only
+            theta, lam_out, *_ = lm_epoch(start, x, t, lam, {})
             np.testing.assert_array_equal(theta[2], start[2])
             assert lam_out[2] == 1e31
         if failure == "singular":
@@ -977,57 +982,46 @@ class TestCarriedLm:
 
     def test_epoch_after_an_all_rejected_one_builds_no_jacobian(self, monkeypatch):
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
-        config, carry = TrainConfig(), {}
-        theta, lam, _, _ = lm_epoch(init_mlp([13, 14], 0.5), x, t, np.full(2, 0.01), config, carry)
+        carry = {}
+        theta, lam, _, _ = lm_epoch(init_mlp([13, 14]), x, t, np.full(2, 0.01), carry)
         with monkeypatch.context() as patch:  # every step non-finite: all rejected
             patch.setattr(np.linalg, "solve", lambda lhs, rhs: np.full(np.shape(rhs), np.inf))
-            theta, lam, _, accepted = lm_epoch(theta, x, t, lam, config, carry)
+            theta, lam, _, accepted = lm_epoch(theta, x, t, lam, carry)
         assert accepted == 0
         rows = self.jacobian_rows(monkeypatch)
-        carried = lm_epoch(theta, x, t, lam, config, carry)
+        carried = lm_epoch(theta, x, t, lam, carry)
         assert rows == []
-        cold = lm_epoch(theta, x, t, lam, config)
+        cold = lm_epoch(theta, x, t, lam)
         for got, want in zip(carried, cold):
             np.testing.assert_array_equal(got, want)
 
 
 class TestTrainConfig:
+    """The training part of the codec config: `CodecConfig.epochs` and
+    `restarts`. The damping schedule and the initial weight range are
+    `mlp` constants, as normative as the net's shape."""
+
     def test_defaults(self):
-        cfg = TrainConfig()
-        assert cfg.epochs == 6
-        assert cfg.restarts == 4
-        assert cfg.lambda_init == 0.01
+        config = CodecConfig()
+        assert config.epochs == 6
+        assert config.restarts == 4
+        assert (LAMBDA_INIT, LAMBDA_UP, LAMBDA_DOWN, INIT_SCALE) == (0.01, 10.0, 0.1, 0.5)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(restarts=0)
-        for name in ("lambda_init", "lambda_up", "lambda_down", "init_scale"):
-            for value in (0.0, -1.0, float("nan"), float("inf")):
-                with pytest.raises(ValueError, match=name):
-                    TrainConfig(**{name: value})
+        for name in ("epochs", "restarts"):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+                CodecConfig(**{name: 0})
 
     @pytest.mark.parametrize("name", ["epochs", "restarts"])
     @pytest.mark.parametrize("value", [2.5, True, 3.0, "3"])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-            TrainConfig(**{name: value})
+            CodecConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["epochs", "restarts"])
     def test_numpy_integer_counts_accepted(self, name):
-        value = getattr(TrainConfig(**{name: np.int64(3)}), name)
+        value = getattr(CodecConfig(**{name: np.int64(3)}), name)
         assert value == 3 and type(value) is int
-
-    @pytest.mark.parametrize("name", ["lambda_init", "lambda_up", "lambda_down", "init_scale"])
-    def test_numpy_reals_stored_as_float(self, name):
-        value = getattr(TrainConfig(**{name: np.float32(0.3)}), name)
-        assert value == float(np.float32(0.3)) and type(value) is float
-        assert TrainConfig(**{name: np.float64(0.3)}) == TrainConfig(**{name: 0.3})
-
-    def test_non_numeric_reals_still_refused(self):
-        with pytest.raises(ValueError, match="^lambda_init must be a real number, got '0.01'$"):
-            TrainConfig(lambda_init="0.01")
 
 
 WITHOUT_SCIPY = """
@@ -1039,8 +1033,8 @@ from nadpcm import cli, harness
 
 cli.build_parser()
 signal = nadpcm.Signal(np.sin(np.arange(600) * 0.3) * 0.5, 8000)
-nadpcm.multistart_fit(signal.samples[:200], nadpcm.TrainConfig(epochs=2), 1, range(2))
-base = nadpcm.CodecConfig(train=nadpcm.TrainConfig(epochs=2, restarts=2))
+nadpcm.multistart_fit(signal.samples[:200], 2, 1, range(2))
+base = nadpcm.CodecConfig(epochs=2, restarts=2)
 for method in harness.METHODS:
     encoded = nadpcm.encode(signal, harness.method_config(base, method, 2))
     decoded = nadpcm.decode(nadpcm.parse(nadpcm.serialize(encoded.bitstream)))
