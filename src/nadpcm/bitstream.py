@@ -1,17 +1,17 @@
 """Self-describing codec bitstream: header plus bit-packed frame payloads.
 
-The header is magic "NADP", a u8 version (5), then the fields of
-`HEADER_FIELDS` in table order, each little-endian with its struct code
-(reals are IEEE-754 binary64). serialize and parse both walk that table.
-After sample_rate and true_sample_count the header is the `CodecConfig`
-the stream was encoded with; parse rebuilds it by field name
-(`config_from`), then `BitstreamHeader`, so a header is valid exactly
+The header is magic "NADP", a u8 version (6), then the integer fields
+of `HEADER_FIELDS` in table order, each little-endian with its struct
+code: one fixed struct (`HEADER`) that serialize and parse both use, so
+every header is 32 bytes. After sample_rate and true_sample_count the header is the
+`CodecConfig` the stream was encoded with; parse rebuilds it by field
+name (`config_from`), then `BitstreamHeader`, so a header is valid exactly
 when those are. Their construction also refuses a non-integer or
 too-large value in an integer field, so nothing the header cannot carry is coded.
 
 Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
 MSB-first within each byte: the candidate field, 64 bits per forward
-predictor coefficient (forward only, the f64 bytes as above), then
+predictor coefficient (forward only, little-endian IEEE-754 binary64), then
 frame_len codes of `bits` bits each (biased to unsigned by adding
 2^(bits-1)). The candidate field names the predictor the encoder chose
 among the frame's candidates in the fewest bits that hold every index;
@@ -29,8 +29,9 @@ Padding bits must be zero and a candidate must be in range; parse rejects
 a stream otherwise, so each stream has exactly one encoding. Older
 versions are refused: version 1 streams sent one hybrid flag bit and no
 restart index, version 2 streams summed their MLP predictions in BLAS,
-version 3 streams' MLP fits took their sigmoid from `expit`, and
-version 4 streams carried the LM damping and initial weight range.
+version 3 streams' MLP fits took their sigmoid from `expit`,
+version 4 streams carried the LM damping and initial weight range, and
+version 5 streams carried the quantizer's steps and multiplier table.
 Payload values are checked once, when a `Bitstream` is built.
 """
 
@@ -38,30 +39,24 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from typing import ClassVar
 
 import numpy as np
 
 from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT
 from .number import as_int, as_real, as_tuple
-from .quantizer import (
-    DEFAULT_STEP_INIT,
-    DEFAULT_STEP_MAX,
-    DEFAULT_STEP_MIN,
-    check_params,
-    code_range,
-)
+from .quantizer import MULTIPLIERS, STEP_INIT, STEP_MAX, STEP_MIN, code_range
 
 MAGIC = b"NADP"
-VERSION = 5
+VERSION = 6
 
 # The header after magic and version: (field, struct code) in wire order.
-# "multipliers" is the table's u8 count, then that many f64.
 HEADER_FIELDS = (
     ("sample_rate", "I"), ("true_sample_count", "Q"),
     ("frame_len", "H"), ("bits", "B"), ("predictor_kind", "B"), ("adaptation", "B"),
     ("epochs", "B"), ("restarts", "B"), ("seed", "Q"),
-    ("step_init", "d"), ("step_min", "d"), ("step_max", "d"), ("multipliers", "B"),
 )
+HEADER = struct.Struct("<" + "".join(code for _, code in HEADER_FIELDS))
 
 
 def _check_representable(obj, *names, minimum=None):
@@ -112,7 +107,8 @@ class BitstreamError(ValueError):
 class CodecConfig:
     """Everything the decoder needs to mirror the encoder; the stream header
     carries it field by field. Construction is the one place a
-    configuration is validated."""
+    configuration is validated. The quantizer's steps and multiplier
+    tables are constants of the format: read through it, not fields."""
 
     frame_len: int = 200
     bits: int = 4
@@ -120,26 +116,27 @@ class CodecConfig:
     adaptation: Adaptation = Adaptation.BACKWARD
     epochs: int = 6  # LM epochs per MLP fit
     restarts: int = 4  # MLP fits per frame, from seeded random starts
-    step_init: float = DEFAULT_STEP_INIT
-    step_min: float = DEFAULT_STEP_MIN
-    step_max: float = DEFAULT_STEP_MAX
-    multipliers: tuple = ()
     seed: int = 0  # any integer; stored wrapped to 64 bits
+    step_init: ClassVar[float] = STEP_INIT
+    step_min: ClassVar[float] = STEP_MIN
+    step_max: ClassVar[float] = STEP_MAX
 
     def __post_init__(self):
         object.__setattr__(self, "seed", as_int("seed", self.seed) & MASK64)
         _check_representable(self, "bits", "predictor_kind", "adaptation")
         _check_representable(self, "frame_len", "epochs", "restarts", minimum=1)
+        if self.bits not in MULTIPLIERS:
+            raise ValueError(f"bits must be in 2..5, got {self.bits}")
         object.__setattr__(self, "predictor_kind", PredictorKind(self.predictor_kind))
         object.__setattr__(self, "adaptation", Adaptation(self.adaptation))
-        for name in ("step_init", "step_min", "step_max"):
-            object.__setattr__(self, name, as_real(name, getattr(self, name)))
-        object.__setattr__(self, "multipliers", check_params(
-            self.bits, self.step_init, self.step_min, self.step_max, self.multipliers))
         if self.predictor_kind in NEURAL_KINDS and self.frame_len < MIN_FRAME_LEN:
             raise ValueError(TOO_SHORT.format(self.frame_len))
         if self.predictor_kind is PredictorKind.HYBRID and self.adaptation is not Adaptation.BACKWARD:
             raise ValueError("hybrid coding is defined for backward adaptation only")
+
+    @property
+    def multipliers(self) -> tuple:  # this depth's table, innermost rank first
+        return MULTIPLIERS[self.bits]
 
     def payload_bit_rate(self, sample_rate: int) -> float:
         """Payload bits/second: code bits plus the candidate field.
@@ -264,12 +261,7 @@ def serialize(bitstream: Bitstream) -> bytes:
 
     values = {**vars(c), **vars(h)}
     out = bytearray(MAGIC + struct.pack("<B", VERSION))
-    for name, code in HEADER_FIELDS:
-        value = values[name]
-        if name == "multipliers":
-            out += struct.pack(f"<{code}{len(value)}d", len(value), *value)
-        else:
-            out += struct.pack("<" + code, value)
+    out += HEADER.pack(*(values[name] for name, _ in HEADER_FIELDS))
 
     frames = len(payloads)
     u = np.array([p.codes for p in payloads]) + (1 << (c.bits - 1))
@@ -307,14 +299,8 @@ def parse(data: bytes) -> Bitstream:
     (version,), offset = _read_struct(data, offset, "<B")
     if version != VERSION:
         raise BitstreamError(f"unsupported version {version}")
-    values = {}
-    for name, code in HEADER_FIELDS:
-        (value,), offset = _read_struct(data, offset, "<" + code)
-        if name == "multipliers":
-            if value == 0:
-                raise BitstreamError("multiplier count 0; the table is always transmitted")
-            value, offset = _read_struct(data, offset, f"<{value}d")
-        values[name] = value
+    fixed, offset = _read_struct(data, offset, HEADER.format)
+    values = dict(zip((name for name, _ in HEADER_FIELDS), fixed))
 
     try:
         header = BitstreamHeader(values["sample_rate"], values["true_sample_count"],

@@ -22,7 +22,7 @@ from .bitstream import (
 )
 from .codec import decode, encode
 from .metrics import segsnr
-from .quantizer import DEFAULT_MULTIPLIERS
+from .quantizer import MULTIPLIERS
 
 PREDICTORS = {k.name.lower(): k for k in PredictorKind}
 MODES = {k.name.lower(): k for k in Adaptation}
@@ -54,15 +54,6 @@ def _write_signal(path: str, signal: audio.Signal, fmt) -> None:
         audio.write_wav(path, signal)
     else:
         Path(path).write_bytes(audio.save_pcm16(signal))
-
-
-def _parse_multipliers(text):
-    if not text:
-        return ()
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad value {text!r}; expected comma-separated reals")
 
 
 def _int_list(text):
@@ -130,25 +121,17 @@ def _config_flags(*unread) -> _Parser:
     p.set_defaults(predictor_kind=c.predictor_kind.name.lower(),
                    adaptation=c.adaptation.name.lower())
     def add(option, **kw):
-        dest = kw.setdefault("dest", option[2:].replace("-", "_"))
+        dest = option[2:].replace("-", "_")
         p.set_defaults(**{dest: kw["default"]})
         if dest not in unread:
             p.add_argument(option, **kw)
-    add("--bits", type=int, default=c.bits, choices=tuple(DEFAULT_MULTIPLIERS),
+    add("--bits", type=int, default=c.bits, choices=tuple(MULTIPLIERS),
         help="quantizer bits per sample (2-5)")
     add("--frame-len", type=int, default=c.frame_len, help="coding frame length in samples")
     add("--epochs", type=int, default=c.epochs, help="LM training epochs per fit")
     add("--restarts", type=int, default=c.restarts, help="multistart random initializations")
     add("--seed", type=int, default=c.seed,
         help="base seed for neural predictor training (frame k: seed XOR k)")
-    add("--delta0", dest="step_init", type=float, default=c.step_init,
-        help="initial quantizer step")
-    add("--delta-min", dest="step_min", type=float, default=c.step_min,
-        help="quantizer step floor")
-    add("--delta-max", dest="step_max", type=float, default=c.step_max,
-        help="quantizer step ceiling")
-    add("--multipliers", type=_parse_multipliers, default=c.multipliers,
-        help="comma-separated step multipliers")
     return p
 
 
@@ -236,23 +219,34 @@ def cmd_encode(args) -> int:
     rate = config.payload_bit_rate(signal.sample_rate)
     print(f"frames: {len(result.bitstream.payloads)}")
     print(f"bit rate: {rate / 1000.0:.2f} kbps")
-    report = segsnr(signal, result.reconstruction, args.segment_len or config.frame_len)
-    print(f"segsnr: {report.mean_db:.2f} dB over {report.segments_used} segments")
+    _print_segsnr(segsnr(signal, result.reconstruction, args.segment_len or config.frame_len))
     return 0
+
+
+def _print_segsnr(report) -> None:
+    if report.segments_used:
+        print(f"segsnr: {report.mean_db:.2f} dB over {report.segments_used} segments")
+    else:
+        print("segsnr: no scored segments")
 
 
 def cmd_decode(args) -> int:
     if args.csv and not args.reference:
         raise CliError("--csv needs --reference")
     bitstream = parse(Path(args.infile).read_bytes())
+    rate = bitstream.header.sample_rate
+    if args.reference:
+        reference = _read_signal(args.reference, None, rate)
+        if reference.sample_rate != rate:
+            raise CliError(f"reference is at {reference.sample_rate} Hz, "
+                           f"the stream at {rate} Hz")
     signal = decode(bitstream)
     _write_signal(args.out, signal, args.format)
     print(f"decoded: {len(signal)} samples at {signal.sample_rate} Hz")
     if args.reference:
-        reference = _read_signal(args.reference, None, signal.sample_rate)
         segment_len = args.segment_len or bitstream.header.config.frame_len
         report = segsnr(reference, signal, segment_len)
-        print(f"segsnr: {report.mean_db:.2f} dB over {report.segments_used} segments")
+        _print_segsnr(report)
         if args.csv:
             Path(args.csv).write_text(harness.segsnr_report_csv(report))
     return 0

@@ -79,12 +79,9 @@ def _method(method: str):
 
 def method_config(base: CodecConfig, method: str, bits: int, frame_len=None) -> CodecConfig:
     """The config that codes `method` at `bits` (and `frame_len`, if given)
-    with base's other fields; a bit depth other than base's re-defaults the
-    multiplier table."""
+    with base's other fields."""
     kind, adaptation = _method(method)
-    changes = {"predictor_kind": kind, "adaptation": adaptation}
-    if bits != base.bits:
-        changes.update(bits=bits, multipliers=())
+    changes = {"predictor_kind": kind, "adaptation": adaptation, "bits": bits}
     if frame_len is not None:
         changes["frame_len"] = frame_len
     return replace(base, **changes)

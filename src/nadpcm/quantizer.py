@@ -2,13 +2,14 @@
 
 After every sample the step is multiplied by a factor indexed by the
 magnitude rank of the emitted code (small codes shrink it, overload codes
-grow it) and clamped to [step_min, step_max]: Jayant's one-word-memory
-rule. `quantize`, `dequantize` and `next_step` are the quantizer's
-reference; `CodecConfig` holds their parameters. `codec._closed_loop`
-writes the same three steps inline, with the same operations in the same
-order, and a test replays these functions over its output bit for bit.
-`check_params` holds each parameter to the one number rule (`number.as_int`,
-`as_real`, `as_tuple`); `AdaptiveQuantizer` is only a benchmark shim over it.
+grow it) and clamped to [STEP_MIN, STEP_MAX]: Jayant's one-word-memory
+rule. The steps and each depth's table are constants of the format, as
+in G.726; the stream's version names them. `quantize`, `dequantize` and
+`next_step` are the rule's reference, taking them as arguments;
+`codec._closed_loop` writes the same three steps inline, with the same
+operations in the same order, and a test replays these functions over its
+output bit for bit. `AdaptiveQuantizer` is only a benchmark shim over
+them; `check_params` validates its arguments.
 """
 
 import math
@@ -16,8 +17,8 @@ from dataclasses import dataclass, replace
 
 from .number import as_int, as_real, as_tuple
 
-# Step multipliers per code magnitude rank, innermost first.
-DEFAULT_MULTIPLIERS = {
+# Step multipliers per code magnitude rank, innermost first, per depth.
+MULTIPLIERS = {
     2: (0.8, 1.6),
     3: (0.9, 0.9, 1.25, 1.75),
     4: (0.9, 0.9, 0.9, 0.9, 1.2, 1.6, 2.0, 2.4),
@@ -25,9 +26,9 @@ DEFAULT_MULTIPLIERS = {
         1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6),
 }
 
-DEFAULT_STEP_INIT = 0.02
-DEFAULT_STEP_MIN = 2.0**-12
-DEFAULT_STEP_MAX = 0.5
+STEP_INIT = 0.02
+STEP_MIN = 2.0**-12
+STEP_MAX = 0.5
 
 
 def check_params(bits: int, step: float, step_min: float, step_max: float, multipliers) -> tuple:
@@ -40,7 +41,7 @@ def check_params(bits: int, step: float, step_min: float, step_max: float, multi
         raise ValueError(f"need 0 < step_min <= step <= step_max, got "
                          f"{step_min}, {step}, {step_max}")
     table = as_tuple("multipliers", multipliers)
-    multipliers = tuple(as_real("multipliers", m) for m in table) or DEFAULT_MULTIPLIERS[bits]
+    multipliers = tuple(as_real("multipliers", m) for m in table) or MULTIPLIERS[bits]
     if len(multipliers) != 2 ** (bits - 1):
         raise ValueError(f"{bits}-bit coding needs {2 ** (bits - 1)} multipliers, "
                          f"got {len(multipliers)}")

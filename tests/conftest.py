@@ -1,11 +1,18 @@
 """Shared test corpus: deterministic synthetic signals at 8 kHz.
 
 Every generator is a pure function of its seed, so the corpus is
-identical across runs and machines with the same numpy build. The
-speech-like file is a formant-synthesized utterance: a glottal pulse
+identical across runs and machines with the same numpy build and libm.
+The speech-like file is a formant-synthesized utterance: a glottal pulse
 train with vibrato and breath noise driven through two resonators,
 under a syllabic amplitude envelope.
+
+The pinned digests read their inputs from `tests/data/` (`read_input`)
+instead, so that they hold on hosts whose libm gives other bytes;
+`test_inputs.py` checks that the generators still give those files.
 """
+
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +21,19 @@ from scipy.signal import lfilter
 from nadpcm import Signal
 
 RATE = 8000
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def read_input(name: str, sha256: str, lengths=None) -> list:
+    """The 8 kHz signals of the raw little-endian float64 file
+    `tests/data/<name>`, split at `lengths` (one signal by default); the
+    file must have the sha256 its test holds."""
+    data = (DATA / name).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == sha256, f"tests/data/{name} has sha256 {digest}, not {sha256}"
+    samples = np.frombuffer(data, dtype="<f8").astype(np.float64)
+    cuts = np.cumsum(lengths or [len(samples)])[:-1]
+    return [Signal(part, RATE) for part in np.split(samples, cuts)]
 
 
 def formant_utterance(seed: int, n: int) -> Signal:

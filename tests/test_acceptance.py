@@ -38,7 +38,9 @@ from nadpcm.mlp import (
     residual_jacobian,
     restart_seed,
 )
-from nadpcm.quantizer import code_range, dequantize, next_step, quantize
+from nadpcm.quantizer import (
+    MULTIPLIERS, STEP_MAX, STEP_MIN, code_range, dequantize, next_step, quantize,
+)
 
 
 def _check(capsys, index: int, label: str, ok: bool, detail: str = "") -> None:
@@ -145,10 +147,9 @@ def test_c05_quantizer_fuzz(capsys):
     granular_violations = 0
     for chunk in range(20):
         bits = 2 + chunk % 4
-        config = CodecConfig(bits=bits, step_init=float(rng.uniform(2.0**-12, 0.5)))
-        multipliers, step_min, step_max = config.multipliers, config.step_min, config.step_max
+        multipliers, step_min, step_max = MULTIPLIERS[bits], STEP_MIN, STEP_MAX
         code_min, code_max = code_range(bits)
-        step = config.step_init
+        step = float(rng.uniform(step_min, step_max))  # a random starting step
         scales = np.exp(rng.uniform(np.log(1e-4), np.log(1.0), 50_000))
         residuals = rng.standard_normal(50_000) * scales
         for e in residuals.tolist():
@@ -161,14 +162,12 @@ def test_c05_quantizer_fuzz(capsys):
                 step_violations += 1
     decay_ok = True
     for bits in (2, 3, 4, 5):
-        config = CodecConfig(bits=bits, step_init=0.5)
-        step = config.step_init
+        step = STEP_MAX
         for _ in range(10 * 200):  # ten frames of silence
-            step = next_step(step, quantize(0.0, step, bits), config.multipliers,
-                             config.step_min, config.step_max)
-            if step == config.step_min:
+            step = next_step(step, quantize(0.0, step, bits), MULTIPLIERS[bits], STEP_MIN, STEP_MAX)
+            if step == STEP_MIN:
                 break
-        decay_ok = decay_ok and step == config.step_min
+        decay_ok = decay_ok and step == STEP_MIN
     _check(capsys, 5, "quantizer bounds hold under fuzz",
            step_violations == 0 and granular_violations == 0 and decay_ok,
            f"1M samples, {step_violations} step / {granular_violations} granular "

@@ -21,7 +21,6 @@ from nadpcm.bitstream import (
     parse,
     serialize,
 )
-from nadpcm.quantizer import DEFAULT_MULTIPLIERS
 
 
 def make_header(sample_rate=8000, true_sample_count=400, seed=1234567890123456789,
@@ -44,8 +43,7 @@ class TestHeaderRoundTrip:
     def test_all_fields_survive(self):
         header = make_header(bits=5, predictor_kind=PredictorKind.MLP,
                              adaptation=Adaptation.FORWARD, true_sample_count=999,
-                             frame_len=111, epochs=17, restarts=9, seed=2**64 - 1,
-                             step_init=0.033)
+                             frame_len=111, epochs=17, restarts=9, seed=2**64 - 1)
         n_frames = header.frame_count
         payloads = tuple(
             FramePayload(codes=(0,) * 111, forward_coeffs=tuple(np.linspace(-1, 1, 25)))
@@ -83,7 +81,7 @@ class TestPayloadRoundTrip:
     def test_codes_round_trip_every_depth(self, bits, frame_len):
         # every code value at every depth, with rows that end mid-byte
         header = make_header(bits=bits, true_sample_count=3 * frame_len,
-                             frame_len=frame_len, multipliers=DEFAULT_MULTIPLIERS[bits])
+                             frame_len=frame_len)
         rng = np.random.default_rng(bits)
         half = 1 << (bits - 1)
         payloads = tuple(
@@ -125,22 +123,20 @@ class TestPayloadRoundTrip:
         assert back.payloads[0].forward_coeffs == coeffs  # f64 verbatim
 
     def test_biased_code_wire_format(self):
-        header = make_header(bits=2, true_sample_count=4, frame_len=4,
-                             multipliers=DEFAULT_MULTIPLIERS[2])
+        header = make_header(bits=2, true_sample_count=4, frame_len=4)
         stream = Bitstream(header, (FramePayload(codes=(-2, -1, 0, 1)),))
         data = serialize(stream)
         # biased codes 0,1,2,3 at 2 bits each, MSB-first: 00 01 10 11
         assert data[-1] == 0b00011011
         # three codes end mid-byte; the rest of the final byte is zero
-        header = make_header(bits=2, true_sample_count=3, frame_len=3,
-                             multipliers=DEFAULT_MULTIPLIERS[2])
+        header = make_header(bits=2, true_sample_count=3, frame_len=3)
         data = serialize(Bitstream(header, (FramePayload(codes=(-2, 1, 0)),)))
         assert data[-1] == 0b00111000
 
     def test_forward_rows_byte_aligned(self):
         # 9 code bits per frame: each frame's coefficients start on a byte
         header = make_header(adaptation=Adaptation.FORWARD, bits=3, frame_len=3,
-                             true_sample_count=6, multipliers=DEFAULT_MULTIPLIERS[3])
+                             true_sample_count=6)
         c1 = tuple(float(k) for k in range(10))
         c2 = tuple(-0.5 * k for k in range(10))
         stream = Bitstream(header, (
@@ -157,12 +153,24 @@ class TestPayloadRoundTrip:
 
 
 class TestBitAccounting:
-    # magic, version, rate, count, frame_len, five u8 fields, seed,
-    # three step reals, multiplier count, then one multiplier per
-    # magnitude: 2^(bits-1) of them
-    @staticmethod
-    def header_bytes(bits):
-        return 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24 + 1 + 8 * (1 << (bits - 1))
+    # magic, version, rate, count, frame_len, five u8 fields, seed
+    HEADER_BYTES = 4 + 1 + 4 + 8 + 2 + 5 + 8
+
+    def test_header_is_32_integer_bytes_at_every_depth(self):
+        assert self.HEADER_BYTES == 32
+        assert len(HEADER_FIELDS) == 9
+        assert {code for _, code in HEADER_FIELDS} <= set("BHIQ")  # no real, no table
+        methods = [(k, a) for k in PredictorKind for a in Adaptation
+                   if (k, a) != (PredictorKind.HYBRID, Adaptation.FORWARD)]
+        for bits in (2, 3, 4, 5):
+            for kind, adaptation in methods:
+                header = make_header(bits=bits, predictor_kind=kind, adaptation=adaptation,
+                                     true_sample_count=200)
+                _, count, _, row_bits = frame_row(header.config)
+                payload = FramePayload(codes_for(header), forward_coeffs=(0.0,) * count)
+                data = serialize(Bitstream(header, (payload,)))
+                assert len(data) == 32 + math.ceil(row_bits / 8)  # one frame
+                assert parse(data).header == header
 
     def test_hybrid_three_frames(self):
         header = make_header(predictor_kind=PredictorKind.HYBRID, bits=3,
@@ -171,13 +179,13 @@ class TestBitAccounting:
                          for _ in range(3))
         # header, then 3 candidate bits (5 candidates at 4 restarts) and
         # 600 code bits per frame, padded once
-        expected = self.header_bytes(3) + math.ceil(3 * (3 + 200 * 3) / 8)
+        expected = self.HEADER_BYTES + math.ceil(3 * (3 + 200 * 3) / 8)
         assert len(serialize(Bitstream(header, payloads))) == expected
 
     def test_backward_codes_accounting(self):
         header = make_header(bits=5, true_sample_count=400, frame_len=200)
         payloads = tuple(FramePayload(codes=codes_for(header)) for _ in range(2))
-        expected = self.header_bytes(5) + 2 * 200 * 5 // 8
+        expected = self.HEADER_BYTES + 2 * 200 * 5 // 8
         assert len(serialize(Bitstream(header, payloads))) == expected
 
 
@@ -201,7 +209,7 @@ class TestValidation:
         data = bytearray(serialize(Bitstream(
             header, tuple(FramePayload(codes=codes_for(header))
                           for _ in range(header.frame_count)))))
-        assert data[4] == 5
+        assert data[4] == 6
         parse(bytes(data))
         data[4] = version
         with pytest.raises(BitstreamError, match=f"unsupported version {version}"):
@@ -219,6 +227,11 @@ class TestValidation:
         # version 4 carried init_scale and the three LM damping reals after
         # the multipliers, where version 5 fixes them as `mlp` constants
         self.check_version_refused(4)
+
+    def test_version_5_refused(self):
+        # version 5 carried the three quantizer steps and the multiplier
+        # table, where version 6 fixes them as `quantizer` constants
+        self.check_version_refused(5)
 
     def test_truncated_stream_names_frame(self):
         header = make_header(bits=4, true_sample_count=600, frame_len=200)
@@ -267,8 +280,7 @@ class TestValidation:
 
     def test_parse_rejects_nonzero_final_padding(self):
         # 6 code bits 001110 then two pad bits in the one payload byte
-        header = make_header(bits=2, true_sample_count=3, frame_len=3,
-                             multipliers=DEFAULT_MULTIPLIERS[2])
+        header = make_header(bits=2, true_sample_count=3, frame_len=3)
         data = bytearray(serialize(Bitstream(header, (FramePayload(codes=(-2, 1, 0)),))))
         assert data[-1] == 0x38
         for forged in (0x39, 0x3A, 0x3B):
@@ -281,7 +293,7 @@ class TestValidation:
     def test_parse_rejects_nonzero_forward_row_padding(self, offset, frame_index):
         # 82-byte rows: 80 coefficient bytes, 9 code bits, 7 pad bits
         header = make_header(adaptation=Adaptation.FORWARD, bits=3, frame_len=3,
-                             true_sample_count=6, multipliers=DEFAULT_MULTIPLIERS[3])
+                             true_sample_count=6)
         payload = FramePayload(codes=(0, 0, 1), forward_coeffs=(0.5,) * 10)
         data = bytearray(serialize(Bitstream(header, (payload, payload))))
         assert data[offset] == 0x80  # the last bit of code 1 (biased 101), then padding
@@ -291,8 +303,7 @@ class TestValidation:
         assert info.value.frame_index == frame_index
 
     def test_serialize_rejects_out_of_range_code(self):
-        header = make_header(bits=2, true_sample_count=4, frame_len=4,
-                             multipliers=DEFAULT_MULTIPLIERS[2])
+        header = make_header(bits=2, true_sample_count=4, frame_len=4)
         with pytest.raises(ValueError):
             serialize(Bitstream(header, (FramePayload(codes=(0, 0, 0, 2)),)))
         # a fractional code is not truncated into range
@@ -355,25 +366,13 @@ class TestValidation:
         with pytest.raises(BitstreamError):
             parse(bytes(data))
 
-    def test_parse_rejects_non_finite_header_reals(self):
-        # step_init, step_min, step_max, then after the count byte the eight
-        # 4-bit multipliers
-        base = serialized(make_header(bits=4))
-        offsets = [32, 40, 48] + [57 + 8 * k for k in range(8)]
-        for offset in offsets:
-            for bad in (float("nan"), float("inf")):
-                data = bytearray(base)
-                data[offset : offset + 8] = struct.pack("<d", bad)
-                with pytest.raises(BitstreamError, match="invalid header"):
-                    parse(bytes(data))
-
     def test_parse_rejects_non_finite_forward_coefficient(self):
         # a Bitstream cannot hold one, so forge frame 1's second coefficient
         header = make_header(adaptation=Adaptation.FORWARD, true_sample_count=600)
         payload = FramePayload(codes=codes_for(header), forward_coeffs=(0.5,) * 10)
         data = serialize(Bitstream(header, (payload,) * 3))
         _, _, _, row_bits = frame_row(header.config)
-        offset = TestBitAccounting.header_bytes(4) + row_bits // 8 + 8
+        offset = TestBitAccounting.HEADER_BYTES + row_bits // 8 + 8
         assert struct.unpack_from("<d", data, offset) == (0.5,)
         for bad in (math.inf, -math.inf, math.nan):
             forged = bytearray(data)
@@ -383,30 +382,18 @@ class TestValidation:
                 parse(bytes(forged))
             assert info.value.frame_index == 1
 
-    def test_parse_rejects_wrong_multiplier_count(self):
-        # a config with the wrong count cannot be built, so forge the count
-        # byte of a 4-bit stream (8 multipliers); 0 would mean "default table"
-        data = bytearray(serialized(make_header(bits=4)))
-        count_offset = 4 + 1 + 4 + 8 + 2 + 5 + 8 + 24
-        assert data[count_offset] == 8
-        for count in (4, 0):
-            data[count_offset] = count
-            with pytest.raises(BitstreamError, match="multiplier"):
-                parse(bytes(data))
-
     @pytest.mark.parametrize("kind, adaptation", [
         (PredictorKind.LPC10, Adaptation.FORWARD),
         (PredictorKind.HYBRID, Adaptation.BACKWARD),
     ])
     def test_every_header_prefix_rejected(self, kind, adaptation):
-        header = make_header(predictor_kind=kind, adaptation=adaptation, bits=3,
-                             multipliers=DEFAULT_MULTIPLIERS[3])
+        header = make_header(predictor_kind=kind, adaptation=adaptation, bits=3)
         payload = FramePayload(
             codes=codes_for(header),
             forward_coeffs=(0.5,) * 10 if adaptation is Adaptation.FORWARD else (),
         )
         data = serialize(Bitstream(header, (payload,) * header.frame_count))
-        for n in range(TestBitAccounting.header_bytes(3)):
+        for n in range(TestBitAccounting.HEADER_BYTES):
             match = "^bad magic" if n < 4 else "^header truncated$"
             with pytest.raises(BitstreamError, match=match) as info:
                 parse(data[:n])
@@ -447,8 +434,7 @@ class TestCandidateField:
     @staticmethod
     def header(kind, restarts, frames, frame_len=11, bits=2):
         return make_header(predictor_kind=kind, restarts=restarts, bits=bits,
-                           true_sample_count=frames * frame_len, frame_len=frame_len,
-                           multipliers=DEFAULT_MULTIPLIERS[bits])
+                           true_sample_count=frames * frame_len, frame_len=frame_len)
 
     @staticmethod
     def payloads(header, candidates):
@@ -462,7 +448,7 @@ class TestCandidateField:
         header = self.header(kind, restarts, count + 1)
         stream = Bitstream(header, self.payloads(header, [0, *range(count)]))
         data = serialize(stream)
-        assert len(data) == (TestBitAccounting.header_bytes(2)
+        assert len(data) == (TestBitAccounting.HEADER_BYTES
                              + math.ceil((count + 1) * (width + 11 * 2) / 8))
         assert parse(data) == stream
 
@@ -473,7 +459,7 @@ class TestCandidateField:
         rows = "000" + "10" * 11 + "011" + "10" * 11  # code 0 biased to 0b10
         rows += "0" * (-len(rows) % 8)
         expected = bytes(int(rows[i : i + 8], 2) for i in range(0, len(rows), 8))
-        assert data[TestBitAccounting.header_bytes(2):] == expected
+        assert data[TestBitAccounting.HEADER_BYTES:] == expected
 
     @pytest.mark.parametrize("kind, restarts, candidate, match", [
         (PredictorKind.MLP, 4, 4, r"candidate 4 outside \[0, 3\]"),
@@ -530,7 +516,7 @@ class TestCandidateField:
         header = self.header(kind, 4, 3)
         data = bytearray(serialize(Bitstream(header, self.payloads(header, [0, 0, 0]))))
         width = 3 if kind is PredictorKind.HYBRID else 2
-        start = 8 * TestBitAccounting.header_bytes(2) + frame * (width + 22)
+        start = 8 * TestBitAccounting.HEADER_BYTES + frame * (width + 22)
         for i in range(width):
             if value >> (width - 1 - i) & 1:
                 data[(start + i) // 8] |= 0x80 >> ((start + i) % 8)

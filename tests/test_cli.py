@@ -55,11 +55,6 @@ CONFIG_FLAGS = [
     (["--epochs", "3"], CodecConfig(epochs=3)),
     (["--restarts", "2"], CodecConfig(restarts=2)),
     (["--seed", "12345"], CodecConfig(seed=12345)),
-    (["--delta0", "0.03"], CodecConfig(step_init=0.03)),
-    (["--delta-min", "0.001"], CodecConfig(step_min=0.001)),
-    (["--delta-max", "0.4"], CodecConfig(step_max=0.4)),
-    (["--multipliers", "0.8,0.85,0.9,0.95,1.2,1.6,2.0,2.4"],
-     CodecConfig(multipliers=(0.8, 0.85, 0.9, 0.95, 1.2, 1.6, 2.0, 2.4))),
     ([], CodecConfig()),
 ]
 
@@ -121,7 +116,7 @@ def test_eval_and_sweep_refuse_flags_they_would_ignore(capsys, tmp_path, pcm_fil
 
 
 # The option flags of each subcommand, -h/--help included: each one is read.
-CONFIG_OPTIONS = {"--bits", "--seed", "--delta0", "--delta-min", "--delta-max", "--multipliers"}
+CONFIG_OPTIONS = {"--bits", "--seed"}
 IO_OPTIONS = {"-h", "--help", "--in", "--out", "--format", "--sample-rate"}
 SUBCOMMAND_OPTIONS = {
     "encode": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--epochs", "--restarts",
@@ -157,7 +152,6 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     "eval --bits-list 7",
     "frame-length-sweep --lengths 20,20",
     "frame-length-sweep --methods ADPCMB-MLP,ADPCMB-MLP",
-    "encode --multipliers 1,x",
 ])
 def test_malformed_list_refused_before_reading_audio(capsys, tmp_path, argv):
     command, *flags = argv.split()
@@ -171,10 +165,10 @@ def test_malformed_list_refused_before_reading_audio(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv, message", [
     ("encode --frame-len 5 --predictor mlp", "frame_len 5 is below the 11-sample MLP minimum"),
-    ("eval --delta0 0", "need 0 < step_min <= step <= step_max, got "),
-    ("epoch-sweep --delta0 0", "need 0 < step_min <= step <= step_max, got "),
-    ("epoch-histogram --delta0 0", "need 0 < step_min <= step <= step_max, got "),
-    ("frame-length-sweep --delta0 0", "need 0 < step_min <= step <= step_max, got "),
+    ("eval --restarts 0", "restarts must be >= 1, got 0"),
+    ("epoch-sweep --frame-len 0", "frame_len must be >= 1, got 0"),
+    ("epoch-histogram --frame-len 65536", "frame_len 65536 not representable in header"),
+    ("frame-length-sweep --epochs 256", "epochs 256 not representable in header"),
 ])
 def test_bad_config_refused_before_reading_audio(capsys, tmp_path, argv, message):
     command, *flags = argv.split()
@@ -232,19 +226,20 @@ class TestEncode:
         assert run(capsys, "encode", *args, "--out", b)[0] == 0
         assert (tmp_path / "a.nad").read_bytes() == (tmp_path / "b.nad").read_bytes()
 
-    def test_bad_multipliers_text(self, capsys, tmp_path, pcm_file):
-        code, _, stderr = run(capsys, "encode", "--in", pcm_file,
-                              "--out", str(tmp_path / "o.nad"),
-                              "--multipliers", "0.8,oops")
-        assert code == 1 and "--multipliers" in stderr
+    @pytest.mark.parametrize("flag", ["--delta0", "--delta-min", "--delta-max", "--multipliers"])
+    def test_quantizer_constants_have_no_flag(self, capsys, tmp_path, pcm_file, flag):
+        out = tmp_path / "o.nad"
+        code, stdout, stderr = run(capsys, "encode", "--in", pcm_file, "--out", str(out),
+                                   flag, "1")
+        assert code == 1
+        assert stderr == f"error: unrecognized arguments: {flag} 1\n"
+        assert stdout == "" and not out.exists()
 
-    def test_explicit_multipliers(self, capsys, tmp_path, pcm_file):
-        out = str(tmp_path / "o.nad")
-        code, _, _ = run(capsys, "encode", "--in", pcm_file, "--out", out,
-                         "--bits", "2", "--multipliers", "0.85,1.7")
+    def test_no_scored_segments(self, capsys, tmp_path, pcm_file):
+        code, stdout, _ = run(capsys, "encode", "--in", pcm_file, "--out",
+                              str(tmp_path / "o.nad"), "--segment-len", "100000")
         assert code == 0
-        header = parse((tmp_path / "o.nad").read_bytes()).header
-        assert header.config.multipliers == (0.85, 1.7)
+        assert stdout.splitlines()[-1] == "segsnr: no scored segments"
 
 
 class TestDecode:
@@ -272,6 +267,28 @@ class TestDecode:
         assert lines[0] == "segment_index,snr_db"
         assert lines[-1].startswith("mean,")
 
+    def test_reference_at_another_rate_refused(self, capsys, tmp_path, ar_signal, pcm_file):
+        # the same samples at 16 kHz: scoring them against the 8 kHz decode
+        # would compare two different signals
+        stream, reference = tmp_path / "s.nad", tmp_path / "ref16k.wav"
+        run(capsys, "encode", "--in", pcm_file, "--out", str(stream))
+        write_wav(str(reference), Signal(ar_signal.samples, 16000))
+        out = tmp_path / "r.pcm"
+        code, stdout, stderr = run(capsys, "decode", "--in", str(stream), "--out", str(out),
+                                   "--reference", str(reference))
+        assert code == 1
+        assert stderr == "error: reference is at 16000 Hz, the stream at 8000 Hz\n"
+        assert stdout == "" and not out.exists()
+
+    def test_no_scored_segments(self, capsys, tmp_path, wav_file):
+        stream = tmp_path / "s.nad"
+        run(capsys, "encode", "--in", wav_file, "--out", str(stream))
+        code, stdout, _ = run(capsys, "decode", "--in", str(stream),
+                              "--out", str(tmp_path / "r.wav"), "--reference", wav_file,
+                              "--segment-len", "100000")
+        assert code == 0
+        assert stdout == "decoded: 2000 samples at 8000 Hz\nsegsnr: no scored segments\n"
+
     def test_csv_without_reference_refused(self, capsys, tmp_path, pcm_file):
         stream = str(tmp_path / "s.nad")
         run(capsys, "encode", "--in", pcm_file, "--out", stream)
@@ -296,7 +313,7 @@ class TestDecode:
         run(capsys, "encode", "--in", pcm_file, "--out", str(stream), "--predictor", "hybrid",
             "--epochs", "2", "--restarts", "1")
         data = bytearray(stream.read_bytes())
-        assert data[4] == 5
+        assert data[4] == 6
         data[4] = 1
         stream.write_bytes(bytes(data))
         out = tmp_path / "r.pcm"

@@ -2,9 +2,11 @@
 
 `test_golden.py` pins the codec's output at the default epochs and
 restarts and 200-sample frames only. This test pins the fitted parameters
-themselves over the `conftest.py` corpus at frame lengths 13, 40 and 200
-and (restarts, epochs) of (1, 1), (4, 6) and (7, 9): one sha256 over the
-float64 bytes of every fitted `theta`, in a fixed order. A change to the
+themselves over the `conftest.py` corpus, read from
+`tests/data/fit_corpus.f64` (checked against its generators by
+`test_inputs.py`), at frame lengths 13, 40 and 200 and (restarts, epochs)
+of (1, 1), (4, 6) and (7, 9): one sha256 over the float64 bytes of every
+fitted `theta`, in a fixed order. A change to the
 LM, the seeding or the winner rule that alters any fitted bit fails it.
 If that is intended, print the new digest with
 `PYTHONPATH=src python tests/test_fit_digest.py` and record why.
@@ -33,7 +35,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import formant_utterance, linear_ar, nonlinear_ar, tone_noise
+from conftest import read_input
 from nadpcm import mlp
 from nadpcm.audio import split_frames
 from nadpcm.mlp import lm_stack_iterations, multistart_fit, restart_seed
@@ -45,21 +47,24 @@ FRAMES_PER_SIGNAL = 8
 SATURATED_SCHEDULES = ((1, 1), (4, 6))
 SATURATED_SCALE = 8.0
 
+# the five `corpus` fixture signals, end to end in fixture order
+CORPUS_SHA256 = "6580718340e8d3b890ae543cb992301ab0e2abfaf4a1b363d99db6115e7c5847"
+CORPUS_LENGTHS = (8000, 4000, 2000, 3000, 2000)
+
 FIT_DIGEST = "408249281c76c4704a131931bfe8353b2f3c168772edd86d8d42ef4bdd34d005"
 SATURATED_DIGEST = "fecd9d95e87c056536c9ff42ffdaff76cf171d71af44fbeeb7d95c8909b479f9"
 
 
-def corpus():
-    """The five `corpus` fixture signals, built directly so `__main__` can run."""
-    return [formant_utterance(11, 8000), formant_utterance(29, 4000), linear_ar(5, 2000),
-            nonlinear_ar(31, 3000), tone_noise(3, 2000)]
+def read_corpus():
+    """The five `corpus` fixture signals, from their checked-in file."""
+    return read_input("fit_corpus.f64", CORPUS_SHA256, CORPUS_LENGTHS)
 
 
 def fits(schedules=SCHEDULES):
     """(frame, restarts, epochs, seed) of every pinned fit: FRAMES_PER_SIGNAL
     evenly spread frames of each signal, per frame length and schedule;
     frame k is fitted with seed k."""
-    signals = corpus()
+    signals = read_corpus()
     for frame_len in FRAME_LENS:
         for signal in signals:
             frames = split_frames(signal.samples, frame_len)

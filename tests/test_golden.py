@@ -1,6 +1,8 @@
 """Golden digests: the wire format and decoded output of every method.
 
-Each case encodes the same short utterance with the default config for
+Each case encodes the same short utterance, read from
+`tests/data/golden_signal.f64` (`formant_utterance(11, 1100)`, checked
+against its generator by `test_inputs.py`), with the default config for
 one method and bit depth, and pins the sha256 of the serialized stream
 and of the decoded float64 samples. A change that alters either digest
 changes the codec's output; if that is intended, regenerate the table
@@ -19,77 +21,84 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import formant_utterance
+from conftest import read_input
 from nadpcm import CodecConfig, decode, encode, parse, serialize
 from nadpcm.harness import METHODS
 
 # 1100 samples: five full 200-sample frames and one padded partial frame.
 SIGNAL_SEED, SIGNAL_LEN = 11, 1100
+SIGNAL_SHA256 = "2b83882caf48b1050e83433a16eb0878e0e6e5981c39433e5d03597b2824b580"
 
 GOLDEN = {
     ("ADPCMF-LPC-10", 2): (
-        "e533323b1f1c20f5ffad492a259ac3fd5296ad54a3747d27abd7d904b0d9bea3",
+        "282530b9b3ec9d6786e05f4715cf157dab9d2dfb83fa7f6f7754167eae557587",
         "eb5454cd82375a2ffdf4ca7571ad2a9443c23f76c6a9cf5ac741ed5e3b5a934c",
     ),
     ("ADPCMF-LPC-10", 5): (
-        "9ef75dcd79dd6fb44662b310f19a39330f2d7b5409e6c7dced56e8895567ffeb",
+        "d21add375a4b7c07be8872dd5440dd4ce5efe128733e92cf47a8dd10685ae0c8",
         "7db033fbcfdee772b5ab60d7fbd629fe56b33beee1e836252fd00b496fee71b6",
     ),
     ("ADPCMF-LPC-25", 2): (
-        "839d9a5ba503703e479632a29180616a94c6db5293bbe953f49beb5944799cda",
+        "a27cb51d65928b22339f05df6ecea3378eec1c07927c44bee74a66ca86c27b77",
         "91ccc2547230cc7f9864bcab3ffdf9d369a9284927b6dcd04158a8c51ca0f781",
     ),
     ("ADPCMF-LPC-25", 5): (
-        "f0d7532963d802fa544050dad2807aea2314691217f3aadc0efdc5eb5a73d4c1",
+        "185342d9ac279a1587836aa17ec2e7cb3c73b26c945362cf2e7a9b575c8b9f38",
         "4c31b3d87373806ffaf08bff3421ed61057ce60224b74cf5219993901c83cdd0",
     ),
     ("ADPCMF-MLP", 2): (
-        "a3dd251b2395857375dff5159fba39db1860a7ea1803749af0c472ad0b720bfe",
+        "76a10539fc76851589ae3655f19e895b269d4d4d5e786f786816d9f86ea38970",
         "e2029d0259b2ecc8084b0140639945ee06dfc76c07e23287436bad458a431f25",
     ),
     ("ADPCMF-MLP", 5): (
-        "a5eb11858b924e00706c5c5dbcf292c468020934f8573480130e41ea9bacb4f8",
+        "fb674dfadce68cce20036ebe60e9d15ce666989adb56587ef301f536d887903b",
         "271b6d2664b104bfe32f180a4bcf69a2270a32560331d75f87cb0c5837f22c67",
     ),
     ("ADPCMB-LPC-10", 2): (
-        "263034b12529f5023c7b588a0a37afbdb6e4aeaed94337129544f1368f0ad86a",
+        "e594a66e3dfc788925661196794797ff910d1ac292ab50ab7c938798b3add378",
         "42024f12a00740bef1c033b26be99490a0036680e687cd5be42e06f73ab71228",
     ),
     ("ADPCMB-LPC-10", 5): (
-        "2739f9ab55eeaa18283e52b3ed8d2b021ba690e2c6eb276a8a7a09aa73d77097",
+        "43648c6df7850471a2846c16b39a59fc1b413ce97d7b28ba0b20828aaf9ae1d4",
         "fd896e7a84414f2a92cf133e8abb89710e69fe41886ff22d9b5b8e30d1960273",
     ),
     ("ADPCMB-LPC-25", 2): (
-        "1fa8e8ea620c589f48838d16b2a00e9c132c26a7c2a018a01dee010de3e7d64d",
+        "c7882c2a7758a51a4edc9b3624d1093a8cb51f13a3bcf1a221212fa106d12834",
         "b9d6fb641884c3dbedbd7056cfcaa2b7da907e0e4d0e7b16b727b6fcb1850583",
     ),
     ("ADPCMB-LPC-25", 5): (
-        "fffa51669c62ca7570c8d32d8bd22e71716d44ec80b9f027f573d9bc99305447",
+        "cb80c28efc48efd938da30db651fcd5c09058f01585bb743cc73d6101820d9e4",
         "170eb6d3bc7953ce7145b6cfe9786eb3ef7dffc90665d1a74926312883c4b3c7",
     ),
     ("ADPCMB-MLP", 2): (
-        "6e13c4122410f15e4bccb97244ece8043ae32dd77ada92789dae726d75c1c2b2",
+        "3ae22f8c36a75e67d5ed20477c82efc0acf5ef2ae1144e18f408ffafc08d038e",
         "185ac5f8bd9a331da2a95e42c6029bae16aa7b6bc6a2ebb8756a94a4f517962d",
     ),
     ("ADPCMB-MLP", 5): (
-        "e8f52b219aa43be173044a126739b14b74141bc6116aa8e4db6710fb1dfb2ff5",
+        "7c67e61c518d8d3cc7796f1f68b4c910116a29cf73a55e5c5e174e71d033079f",
         "15d9e61fa7054885166898757dce8ab999d1ec7f610a8e81ae8d8dd5b8dc460d",
     ),
     ("ADPCMB-HYBRID", 2): (
-        "a2749bf85bce8a93b4ce058855f11060046200fb1297791e303391f8f4560e81",
+        "56222deffcd75f3ce0574dbbf49f4d9f1072c272c5d7db4771a8c59f9a1f6806",
         "e1f45d599279b807805fa16adb6375dccf0aa17f06bd36564a7654d6e93ec108",
     ),
     ("ADPCMB-HYBRID", 5): (
-        "967d348f845233e8b41ae92afc304e2656507264ed50f988cac767175d7211c6",
+        "9bcb5a2f47a3f1176027df7b2a7e86ce580ff4c656cef1528f11f04ee47a5124",
         "d65090ae150c8a6a26d8467cceb8c0d7877b178833fd16e2ff952bc529dbcd5a",
     ),
 }
 
 
+def read_signal():
+    """The golden utterance, from its checked-in file."""
+    [signal] = read_input("golden_signal.f64", SIGNAL_SHA256)
+    return signal
+
+
 def golden_case(method, bits):
     kind, adaptation = METHODS[method]
     config = CodecConfig(bits=bits, predictor_kind=kind, adaptation=adaptation)
-    result = encode(formant_utterance(SIGNAL_SEED, SIGNAL_LEN), config)
+    result = encode(read_signal(), config)
     stream = serialize(result.bitstream)
     decoded = decode(parse(stream))
     return result, stream, decoded

@@ -31,6 +31,7 @@ from nadpcm.harness import (
     segsnr_report_csv,
 )
 from nadpcm.metrics import SILENCE_ENERGY_FLOOR
+from nadpcm.quantizer import MULTIPLIERS
 
 
 FAST_TRAIN = dict(epochs=2, restarts=2)
@@ -46,9 +47,10 @@ class TestMethods:
         assert "ADPCMF-HYBRID" not in METHODS
 
     def test_method_config_redefaults_multipliers_on_bit_change(self):
-        base = CodecConfig(bits=2, multipliers=(0.8, 1.7))
-        assert method_config(base, "ADPCMB-LPC-10", 4).multipliers == CodecConfig(bits=4).multipliers
-        assert method_config(base, "ADPCMB-LPC-10", 2) == base  # same bits keeps the table
+        # the table is the depth's constant, so it follows the bits
+        base = CodecConfig(bits=2)
+        assert method_config(base, "ADPCMB-LPC-10", 4).multipliers == MULTIPLIERS[4]
+        assert method_config(base, "ADPCMB-LPC-10", 2) == base
 
     def test_method_config_overrides(self):
         base = CodecConfig()

@@ -8,7 +8,8 @@ so only a fresh interpreter can switch kernels.
 
 Forward MLP is covered: its decoder fits nothing and runs only the
 closed loop, whose forward pass (`mlp._forward_kernel`) makes no BLAS
-call. This is the first case of ROADMAP item 3's portability test; LPC
+call. The input is the golden signal's checked-in file, so the test does
+not depend on the host's libm. This is the first case of ROADMAP item 3's portability test; LPC
 and the backward neural methods still call BLAS on the decoder's path.
 """
 
@@ -21,9 +22,9 @@ import numpy as np
 import pytest
 
 import nadpcm
-from conftest import formant_utterance
 from nadpcm import CodecConfig, encode, serialize
 from nadpcm.harness import METHODS
+from test_golden import read_signal
 
 CORETYPES = ("Prescott", "Haswell", "Sandybridge")
 
@@ -36,7 +37,7 @@ DECODE = ("import sys; from nadpcm import decode, parse; "
 def forward_mlp_streams():
     """(stream bytes, reconstruction bytes) of ADPCMF-MLP at 2 and 5 bits."""
     kind, adaptation = METHODS["ADPCMF-MLP"]
-    signal = formant_utterance(11, 1100)
+    signal = read_signal()
     cases = {}
     for bits in (2, 5):
         result = encode(signal, CodecConfig(bits=bits, predictor_kind=kind, adaptation=adaptation))

@@ -1,15 +1,17 @@
 """Adaptive midrise quantizer: the rule functions the codec loop calls."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nadpcm import Bitstream, BitstreamError, BitstreamHeader, CodecConfig, FramePayload, encode
 from nadpcm.quantizer import (
-    DEFAULT_MULTIPLIERS,
-    DEFAULT_STEP_INIT,
-    DEFAULT_STEP_MAX,
-    DEFAULT_STEP_MIN,
+    MULTIPLIERS,
+    STEP_INIT,
+    STEP_MAX,
+    STEP_MIN,
     check_params,
     code_range,
     dequantize,
@@ -21,7 +23,7 @@ from nadpcm.quantizer import (
 def check(bits=2, step=0.1, step_min=0.01, step_max=0.5, multipliers=None):
     """check_params with the defaults the tests below share."""
     if multipliers is None:
-        multipliers = DEFAULT_MULTIPLIERS[bits]
+        multipliers = MULTIPLIERS[bits]
     return check_params(bits, step, step_min, step_max, multipliers)
 
 
@@ -77,25 +79,24 @@ class TestAdapt:
             assert next_step(0.1, code, multipliers, 0.01, 0.5) == 0.1 * m
 
     def test_small_codes_shrink_step(self):
-        assert next_step(0.1, 0, DEFAULT_MULTIPLIERS[2], 0.01, 0.5) == pytest.approx(0.08)
+        assert next_step(0.1, 0, MULTIPLIERS[2], 0.01, 0.5) == pytest.approx(0.08)
 
     def test_large_codes_grow_step(self):
-        assert next_step(0.1, -2, DEFAULT_MULTIPLIERS[2], 0.01, 0.5) == pytest.approx(0.16)
+        assert next_step(0.1, -2, MULTIPLIERS[2], 0.01, 0.5) == pytest.approx(0.16)
 
     def test_step_clamped_to_bounds(self):
-        assert next_step(0.011, 0, DEFAULT_MULTIPLIERS[2], 0.01, 0.5) == 0.01
-        assert next_step(0.4, 1, DEFAULT_MULTIPLIERS[2], 0.01, 0.5) == 0.5
+        assert next_step(0.011, 0, MULTIPLIERS[2], 0.01, 0.5) == 0.01
+        assert next_step(0.4, 1, MULTIPLIERS[2], 0.01, 0.5) == 0.5
 
     def test_zero_input_decays_to_floor(self):
-        step = DEFAULT_STEP_INIT
+        step = STEP_INIT
         for _ in range(200):
-            step = next_step(step, quantize(0.0, step, 4), DEFAULT_MULTIPLIERS[4],
-                             DEFAULT_STEP_MIN, DEFAULT_STEP_MAX)
-        assert step == DEFAULT_STEP_MIN
+            step = next_step(step, quantize(0.0, step, 4), MULTIPLIERS[4], STEP_MIN, STEP_MAX)
+        assert step == STEP_MIN
 
 
 @settings(derandomize=True, database=None)
-@given(bits=st.integers(2, 5), step=st.floats(DEFAULT_STEP_MIN, DEFAULT_STEP_MAX))
+@given(bits=st.integers(2, 5), step=st.floats(STEP_MIN, STEP_MAX))
 def test_every_code_round_trips_and_scales_the_step(bits, step):
     """The decoder and the benchmark's replay re-quantize a cell midpoint to
     its own code, overload codes included; the next step is the rank's
@@ -136,21 +137,32 @@ def test_benchmark_shim_replays_the_rule_bit_for_bit(speech_like):
 
 
 class TestMultiplierTables:
+    def test_constants(self):
+        # the format's constants, which no config can change
+        assert (STEP_INIT, STEP_MIN, STEP_MAX) == (0.02, 2.0**-12, 0.5)
+        config = CodecConfig()
+        assert (config.step_init, config.step_min, config.step_max) == (STEP_INIT, STEP_MIN,
+                                                                        STEP_MAX)
+        assert len(fields(CodecConfig)) == 7 and config.multipliers == MULTIPLIERS[config.bits]
+        for name in ("step_init", "step_min", "step_max", "multipliers"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                CodecConfig(**{name: getattr(config, name)})
+
     def test_table_sizes(self):
         for bits in (2, 3, 4, 5):
-            assert len(DEFAULT_MULTIPLIERS[bits]) == 2 ** (bits - 1)
-            assert CodecConfig(bits=bits).multipliers == DEFAULT_MULTIPLIERS[bits]
+            assert len(MULTIPLIERS[bits]) == 2 ** (bits - 1)
+            assert CodecConfig(bits=bits).multipliers == MULTIPLIERS[bits]
 
     def test_known_tables(self):
-        assert DEFAULT_MULTIPLIERS[2] == (0.8, 1.6)
-        assert DEFAULT_MULTIPLIERS[3] == (0.9, 0.9, 1.25, 1.75)
-        assert DEFAULT_MULTIPLIERS[4] == (0.9, 0.9, 0.9, 0.9, 1.2, 1.6, 2.0, 2.4)
-        assert DEFAULT_MULTIPLIERS[5][:8] == (0.9,) * 8
-        assert DEFAULT_MULTIPLIERS[5][8:] == (1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6)
+        assert MULTIPLIERS[2] == (0.8, 1.6)
+        assert MULTIPLIERS[3] == (0.9, 0.9, 1.25, 1.75)
+        assert MULTIPLIERS[4] == (0.9, 0.9, 0.9, 0.9, 1.2, 1.6, 2.0, 2.4)
+        assert MULTIPLIERS[5][:8] == (0.9,) * 8
+        assert MULTIPLIERS[5][8:] == (1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6)
 
     def test_inner_shrink_outer_grow(self):
         for bits in (2, 3, 4, 5):
-            table = DEFAULT_MULTIPLIERS[bits]
+            table = MULTIPLIERS[bits]
             assert table[0] < 1.0 < table[-1]
 
 
@@ -159,8 +171,8 @@ class TestValidation:
         for bits in (1, 6):
             with pytest.raises(ValueError):
                 check(bits=bits, multipliers=(0.9,) * 2 ** (bits - 1))
-            with pytest.raises(ValueError):
-                CodecConfig(bits=bits, multipliers=(0.9,) * 2 ** (bits - 1))
+            with pytest.raises(ValueError, match=f"^bits must be in 2..5, got {bits}$"):
+                CodecConfig(bits=bits)
 
     @pytest.mark.parametrize("bits", [3.0, np.float64(3.0), "3", True])
     def test_bits_must_be_an_integer(self, bits):
@@ -170,22 +182,16 @@ class TestValidation:
             CodecConfig(bits=bits)
 
     def test_numpy_integer_bits_accepted(self):
-        assert check_params(np.int64(3), 0.1, 0.01, 0.5, ()) == DEFAULT_MULTIPLIERS[3]
+        assert check_params(np.int64(3), 0.1, 0.01, 0.5, ()) == MULTIPLIERS[3]
 
     def test_wrong_multiplier_count(self):
         with pytest.raises(ValueError):
             check(bits=3, multipliers=(0.8, 1.6))
-        with pytest.raises(ValueError):
-            CodecConfig(bits=3, multipliers=(0.8, 1.6))
 
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
             check(step=0.0)
-        with pytest.raises(ValueError):
-            CodecConfig(step_init=0.0, step_min=0.01)
 
     def test_step_outside_bounds(self):
         with pytest.raises(ValueError):
             check(step=0.6, step_max=0.5)
-        with pytest.raises(ValueError):
-            CodecConfig(step_init=0.6, step_max=0.5)
