@@ -1,9 +1,9 @@
 """Self-describing codec bitstream: header plus bit-packed frame payloads.
 
-The header is magic "NADP", a u8 version (6), then the integer fields
+The header is magic "NADP", a u8 version (7), then the integer fields
 of `HEADER_FIELDS` in table order, each little-endian with its struct
 code: one fixed struct (`HEADER`) that serialize and parse both use, so
-every header is 32 bytes. After sample_rate and true_sample_count the header is the
+every header is 30 bytes. After sample_rate and true_sample_count the header is the
 `CodecConfig` the stream was encoded with; parse rebuilds it by field
 name (`config_from`), then `BitstreamHeader`, so a header is valid exactly
 when those are. Their construction also refuses a non-integer or
@@ -11,28 +11,28 @@ too-large value in an integer field, so nothing the header cannot carry is coded
 
 Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
 MSB-first within each byte: the candidate field, 64 bits per forward
-predictor coefficient (forward only, little-endian IEEE-754 binary64), then
-frame_len codes of `bits` bits each (biased to unsigned by adding
+predictor coefficient (forward only, little-endian IEEE-754 binary64),
+then frame_len codes of `bits` bits each (biased to unsigned by adding
 2^(bits-1)). The candidate field names the predictor the encoder chose
 among the frame's candidates in the fewest bits that hold every index;
 `frame_candidates` is the table of what each index names. Backward MLP
-sends restart i of R = restarts as i, in ceil(log2 R) bits (none when
-R = 1); hybrid sends 0 for LPC-10 or i + 1 for restart i, in
-ceil(log2(R + 1)) bits; other kinds send candidate 0 in no bits.
-Backward frame 0 always uses the zero predictor and carries
-candidate 0. The decoder refits only the named restart, so its work per
-frame is epochs x (frame_len - 10) training pairs whatever `restarts` is.
-Forward rows are zero-padded to a whole byte, so each frame's coefficients
-start on a byte boundary; other rows follow each other without padding.
-The rows are packed back to back and the final byte is zero-padded.
-Padding bits must be zero and a candidate must be in range; parse rejects
-a stream otherwise, so each stream has exactly one encoding. Older
-versions are refused: version 1 streams sent one hybrid flag bit and no
-restart index, version 2 streams summed their MLP predictions in BLAS,
-version 3 streams' MLP fits took their sigmoid from `expit`,
-version 4 streams carried the LM damping and initial weight range, and
-version 5 streams carried the quantizer's steps and multiplier table.
-Payload values are checked once, when a `Bitstream` is built.
+sends restart i of R = `mlp.RESTARTS` (4) as i, in ceil(log2 R) = 2 bits;
+hybrid sends 0 for LPC-10 or i + 1 for restart i, in ceil(log2(R + 1))
+= 3 bits; other kinds send candidate 0 in no bits. Backward frame 0 always
+uses the zero predictor and carries candidate 0. The decoder refits only
+the named restart, so its work per frame is `mlp.EPOCHS` x
+(frame_len - 10) training pairs. Forward rows are zero-padded to a whole
+byte, so each frame's coefficients start on a byte boundary; other rows
+follow each other without padding. The rows are packed back to back and
+the final byte is zero-padded. Padding bits must be zero and a candidate
+must be in range; parse rejects a stream otherwise, so each stream has
+exactly one encoding. Older versions are refused: version 1 streams sent
+one hybrid flag bit and no restart index, version 2 streams summed their
+MLP predictions in BLAS, version 3 streams' MLP fits took their sigmoid
+from `expit`, version 4 streams carried the LM damping and initial weight
+range, version 5 streams carried the quantizer's steps and multiplier
+table, and version 6 streams carried the MLP fit's epoch and restart
+counts. Payload values are checked once, when a `Bitstream` is built.
 """
 
 import math
@@ -43,18 +43,17 @@ from typing import ClassVar
 
 import numpy as np
 
-from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT
+from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, RESTARTS, TOO_SHORT
 from .number import as_int, as_real, as_tuple
 from .quantizer import MULTIPLIERS, STEP_INIT, STEP_MAX, STEP_MIN, code_range
 
 MAGIC = b"NADP"
-VERSION = 6
+VERSION = 7
 
 # The header after magic and version: (field, struct code) in wire order.
 HEADER_FIELDS = (
     ("sample_rate", "I"), ("true_sample_count", "Q"),
-    ("frame_len", "H"), ("bits", "B"), ("predictor_kind", "B"), ("adaptation", "B"),
-    ("epochs", "B"), ("restarts", "B"), ("seed", "Q"),
+    ("frame_len", "H"), ("bits", "B"), ("predictor_kind", "B"), ("adaptation", "B"), ("seed", "Q"),
 )
 HEADER = struct.Struct("<" + "".join(code for _, code in HEADER_FIELDS))
 
@@ -106,16 +105,14 @@ class BitstreamError(ValueError):
 @dataclass(frozen=True)
 class CodecConfig:
     """Everything the decoder needs to mirror the encoder; the stream header
-    carries it field by field. Construction is the one place a
-    configuration is validated. The quantizer's steps and multiplier
-    tables are constants of the format: read through it, not fields."""
+    carries it field by field. Construction is the one place a configuration
+    is validated. The quantizer's steps and tables, read through it, and the
+    MLP fit's counts (`mlp.EPOCHS`, `RESTARTS`) are format constants, not fields."""
 
     frame_len: int = 200
     bits: int = 4
     predictor_kind: PredictorKind = PredictorKind.LPC10
     adaptation: Adaptation = Adaptation.BACKWARD
-    epochs: int = 6  # LM epochs per MLP fit
-    restarts: int = 4  # MLP fits per frame, from seeded random starts
     seed: int = 0  # any integer; stored wrapped to 64 bits
     step_init: ClassVar[float] = STEP_INIT
     step_min: ClassVar[float] = STEP_MIN
@@ -124,7 +121,7 @@ class CodecConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", as_int("seed", self.seed) & MASK64)
         _check_representable(self, "bits", "predictor_kind", "adaptation")
-        _check_representable(self, "frame_len", "epochs", "restarts", minimum=1)
+        _check_representable(self, "frame_len", minimum=1)
         if self.bits not in MULTIPLIERS:
             raise ValueError(f"bits must be in 2..5, got {self.bits}")
         object.__setattr__(self, "predictor_kind", PredictorKind(self.predictor_kind))
@@ -230,7 +227,7 @@ def frame_candidates(config: CodecConfig) -> tuple:
     kind = config.predictor_kind
     if config.adaptation is Adaptation.FORWARD or kind not in NEURAL_KINDS:
         return ((kind, 0),)
-    nets = tuple((PredictorKind.MLP, i) for i in range(config.restarts))
+    nets = tuple((PredictorKind.MLP, i) for i in range(RESTARTS))
     return ((PredictorKind.LPC10, 0), *nets) if kind is PredictorKind.HYBRID else nets
 
 

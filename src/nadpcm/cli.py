@@ -33,6 +33,9 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kw):  # no abbreviations: `--bits` must not mean `--bits-list`
+        super().__init__(allow_abbrev=False, **kw)
+
     def error(self, message):
         raise CliError(message)
 
@@ -128,18 +131,16 @@ def _config_flags(*unread) -> _Parser:
     add("--bits", type=int, default=c.bits, choices=tuple(MULTIPLIERS),
         help="quantizer bits per sample (2-5)")
     add("--frame-len", type=int, default=c.frame_len, help="coding frame length in samples")
-    add("--epochs", type=int, default=c.epochs, help="LM training epochs per fit")
-    add("--restarts", type=int, default=c.restarts, help="multistart random initializations")
     add("--seed", type=int, default=c.seed,
         help="base seed for neural predictor training (frame k: seed XOR k)")
     return p
 
 
-def _io_flags(p: _Parser) -> None:
+def _io_flags(p: _Parser, raw_input=True) -> None:
     p.add_argument("--format", choices=("wav", "raw"), default=None,
                    help="audio container (default: inferred from extension)")
-    p.add_argument("--sample-rate", type=int, default=8000,
-                   help="sample rate in Hz for raw PCM input")
+    if raw_input:
+        p.add_argument("--sample-rate", type=int, default=8000, help="raw PCM input rate in Hz")
 
 
 def build_parser() -> _Parser:
@@ -166,10 +167,10 @@ def build_parser() -> _Parser:
     dec.add_argument("--csv", default=None, help="write per-segment SNR CSV here")
     dec.add_argument("--segment-len", type=_positive_int, default=None,
                      help="SEGSNR segment length (default: frame length from header)")
-    _io_flags(dec)
+    _io_flags(dec, raw_input=False)
     dec.set_defaults(func=cmd_decode)
 
-    ev = sub.add_parser("eval", parents=[_config_flags()],
+    ev = sub.add_parser("eval", parents=[_config_flags("bits")],
                         help="method-comparison SEGSNR table over a corpus")
     ev.add_argument("--in", dest="infiles", required=True, nargs="+", help="corpus audio paths")
     ev.add_argument("--out", default=None, help="write the method table CSV here")
@@ -189,19 +190,19 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    ep = experiment("epoch-sweep", cmd_epoch_sweep, "SEGSNR per training epoch on one frame pair",
-                    "epochs", "restarts")
+    ep = experiment("epoch-sweep", cmd_epoch_sweep, "SEGSNR per training epoch on one frame pair")
     ep.add_argument("--frame-pair-index", type=_int_at_least(0), default=0,
                     help="first frame of the train/test pair")
     hist = experiment("epoch-histogram", cmd_epoch_histogram,
-                      "optimal-epoch histogram over frame pairs", "epochs", "restarts")
+                      "optimal-epoch histogram over frame pairs")
     for p in (ep, hist):
         p.add_argument("--max-epochs", type=_positive_int, default=100, help="LM epochs per net")
     fl = experiment("frame-length-sweep", cmd_frame_length_sweep,
-                    "SEGSNR per coding frame length", "frame_len")
+                    "SEGSNR per coding frame length", "frame_len", "bits")
     fl.add_argument("--lengths", type=_listed_once("lengths", _lengths, _positive_int),
                     default="10:10:300", help="frame lengths as start:step:stop or a comma list")
-    fl.add_argument("--bits-list", type=bits_list, help="comma list of depths (default: --bits)")
+    fl.add_argument("--bits-list", type=bits_list, default=str(CodecConfig.bits),
+                    help="comma list of depths")
     fl.add_argument("--methods", type=methods, default="ADPCMB-LPC-10,ADPCMB-MLP",
                     help="comma list of methods")
 
@@ -231,8 +232,8 @@ def _print_segsnr(report) -> None:
 
 
 def cmd_decode(args) -> int:
-    if args.csv and not args.reference:
-        raise CliError("--csv needs --reference")
+    if (args.csv or args.segment_len) and not args.reference:
+        raise CliError(f"--{'csv' if args.csv else 'segment-len'} needs --reference")
     bitstream = parse(Path(args.infile).read_bytes())
     rate = bitstream.header.sample_rate
     if args.reference:
@@ -301,7 +302,7 @@ def cmd_frame_length_sweep(args) -> int:
     config = _codec_config(args)
     signal = _read_signal(args.infile, args.format, args.sample_rate)
     records, skipped = harness.frame_length_sweep(
-        signal, args.lengths, args.bits_list or [args.bits], args.methods, config)
+        signal, args.lengths, args.bits_list, args.methods, config)
     for method, bits, length, reason in skipped:
         print(f"skipped {method} Nq={bits} frame_len={length}: {reason}")
     columns = ["method", "bits", "frame_len", "segsnr_mean", "segments"]

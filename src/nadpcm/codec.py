@@ -47,7 +47,7 @@ from .bitstream import (
     PredictorKind,
     frame_candidates,
 )
-from .mlp import Mlp, multistart_fit
+from .mlp import EPOCHS, RESTARTS, Mlp, multistart_fit
 
 HISTORY_LEN = 25  # covers the largest predictor order
 
@@ -74,14 +74,13 @@ def initial_state(config: CodecConfig) -> CodecState:
 
 
 def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index: int,
-                  restarts=None):
+                  restarts=range(RESTARTS)):
     """Fit a predictor on one frame of samples: the previous decoded frame in
     backward mode (decoder-reproducible), the current original frame in
     forward mode (coefficients transmitted). An MLP fits the listed
     `restarts`, all of them by default."""
     if kind is PredictorKind.MLP:
-        return multistart_fit(samples, config.epochs, config.seed ^ frame_index,
-                              range(config.restarts) if restarts is None else restarts)
+        return multistart_fit(samples, EPOCHS, config.seed ^ frame_index, restarts)
     return lpc.fit(samples, FORWARD_COEFF_COUNT[kind])
 
 

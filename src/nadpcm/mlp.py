@@ -4,10 +4,11 @@ The network is fixed at 10 inputs, 2 sigmoid hidden units and 1 linear
 output (25 parameters). Everything here is deterministic given explicit
 seeds: the same frame, epoch count and seed always reproduce the same
 trained weights, which is what lets a decoder re-derive the encoder's
-predictor from decoded samples alone. The initial weight range
-INIT_SCALE and Marquardt's damping schedule (LAMBDA_INIT, times LAMBDA_UP
-on a rejected step and LAMBDA_DOWN on an accepted one) are constants of
-the fit, as normative as the network's shape: the stream version names them.
+predictor from decoded samples alone. The codec fits EPOCHS LM epochs on
+RESTARTS seeded starts; those counts, the initial weight range INIT_SCALE
+and Marquardt's damping schedule (LAMBDA_INIT, times LAMBDA_UP on a rejected
+step and LAMBDA_DOWN on an accepted one) are constants of the fit, as
+normative as the network's shape: the stream version names them.
 
 The parameter vector is the model: `Mlp` holds the 25 parameters as one
 array, `theta`, in the order that is normative for seeding and
@@ -96,6 +97,8 @@ LAMBDA_INIT = 0.01  # the fit's constants; see the module docstring
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 0.1
 INIT_SCALE = 0.5
+EPOCHS = 6  # the codec's fit: LM epochs on each of RESTARTS seeded starts
+RESTARTS = 4
 
 _EYE = np.eye(N_PARAMS)
 _EYE.flags.writeable = False
@@ -409,7 +412,7 @@ def multistart_fit(frame, epochs: int, seed: int, restarts) -> Mlp:
     lowest final SSE on the training frame (ties go to the first listed),
     and its index is the returned net's `restart`. A row does not depend
     on the others, so the decoder's fit of `(i,)` is restart i of the
-    encoder's fit of `range(config.restarts)`. `epochs` goes through
+    encoder's fit of `range(RESTARTS)`. `epochs` goes through
     `as_int(..., minimum=1)`, the seed and each index through `as_int`.
     A frame shorter than MIN_FRAME_LEN is refused.
     """

@@ -32,6 +32,7 @@ from nadpcm.codec import ZERO, encode_frame, fit_predictor, initial_state
 from nadpcm.harness import epoch_sweep
 from nadpcm.lpc import autocorrelation, fit as lpc_fit, levinson
 from nadpcm.mlp import (
+    RESTARTS,
     forward_batch,
     lm_stack_iterations,
     multistart_fit,
@@ -247,7 +248,7 @@ def test_c09_nonlinear_advantage(capsys):
     prediction on held-out one-step residual energy."""
     x = nonlinear_ar_raw(seed=31, n=3000, sigma=0.25)
     train_seg, test_seg = x[:1500], x[1490:]
-    net = multistart_fit(train_seg, 40, seed=1, restarts=range(CodecConfig.restarts))
+    net = multistart_fit(train_seg, 40, seed=1, restarts=range(RESTARTS))
     linear = lpc_fit(train_seg, 10)
     e_mlp = e_lpc = 0.0
     for n in range(10, len(test_seg)):

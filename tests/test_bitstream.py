@@ -17,10 +17,12 @@ from nadpcm.bitstream import (
     CodecConfig,
     FramePayload,
     PredictorKind,
+    frame_candidates,
     frame_row,
     parse,
     serialize,
 )
+from nadpcm.mlp import RESTARTS
 
 
 def make_header(sample_rate=8000, true_sample_count=400, seed=1234567890123456789,
@@ -43,7 +45,7 @@ class TestHeaderRoundTrip:
     def test_all_fields_survive(self):
         header = make_header(bits=5, predictor_kind=PredictorKind.MLP,
                              adaptation=Adaptation.FORWARD, true_sample_count=999,
-                             frame_len=111, epochs=17, restarts=9, seed=2**64 - 1)
+                             frame_len=111, seed=2**64 - 1)
         n_frames = header.frame_count
         payloads = tuple(
             FramePayload(codes=(0,) * 111, forward_coeffs=tuple(np.linspace(-1, 1, 25)))
@@ -153,12 +155,12 @@ class TestPayloadRoundTrip:
 
 
 class TestBitAccounting:
-    # magic, version, rate, count, frame_len, five u8 fields, seed
-    HEADER_BYTES = 4 + 1 + 4 + 8 + 2 + 5 + 8
+    # magic, version, rate, count, frame_len, three u8 fields, seed
+    HEADER_BYTES = 4 + 1 + 4 + 8 + 2 + 3 + 8
 
-    def test_header_is_32_integer_bytes_at_every_depth(self):
-        assert self.HEADER_BYTES == 32
-        assert len(HEADER_FIELDS) == 9
+    def test_header_is_30_integer_bytes_at_every_depth(self):
+        assert self.HEADER_BYTES == 30
+        assert len(HEADER_FIELDS) == 7
         assert {code for _, code in HEADER_FIELDS} <= set("BHIQ")  # no real, no table
         methods = [(k, a) for k in PredictorKind for a in Adaptation
                    if (k, a) != (PredictorKind.HYBRID, Adaptation.FORWARD)]
@@ -169,7 +171,7 @@ class TestBitAccounting:
                 _, count, _, row_bits = frame_row(header.config)
                 payload = FramePayload(codes_for(header), forward_coeffs=(0.0,) * count)
                 data = serialize(Bitstream(header, (payload,)))
-                assert len(data) == 32 + math.ceil(row_bits / 8)  # one frame
+                assert len(data) == 30 + math.ceil(row_bits / 8)  # one frame
                 assert parse(data).header == header
 
     def test_hybrid_three_frames(self):
@@ -177,7 +179,7 @@ class TestBitAccounting:
                              true_sample_count=600, frame_len=200)
         payloads = tuple(FramePayload(codes=codes_for(header), candidate=0)
                          for _ in range(3))
-        # header, then 3 candidate bits (5 candidates at 4 restarts) and
+        # header, then 3 candidate bits (LPC-10 and 4 restarts) and
         # 600 code bits per frame, padded once
         expected = self.HEADER_BYTES + math.ceil(3 * (3 + 200 * 3) / 8)
         assert len(serialize(Bitstream(header, payloads))) == expected
@@ -209,7 +211,7 @@ class TestValidation:
         data = bytearray(serialize(Bitstream(
             header, tuple(FramePayload(codes=codes_for(header))
                           for _ in range(header.frame_count)))))
-        assert data[4] == 6
+        assert data[4] == 7
         parse(bytes(data))
         data[4] = version
         with pytest.raises(BitstreamError, match=f"unsupported version {version}"):
@@ -232,6 +234,11 @@ class TestValidation:
         # version 5 carried the three quantizer steps and the multiplier
         # table, where version 6 fixes them as `quantizer` constants
         self.check_version_refused(5)
+
+    def test_version_6_refused(self):
+        # version 6 carried the MLP fit's epoch and restart counts, where
+        # version 7 fixes them as `mlp` constants
+        self.check_version_refused(6)
 
     def test_truncated_stream_names_frame(self):
         header = make_header(bits=4, true_sample_count=600, frame_len=200)
@@ -258,11 +265,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("cut, frame_index", [(75, 2), (76, 1)])
     def test_truncated_hybrid_stream_names_frame(self, cut, frame_index):
-        # one restart, so a 1-bit candidate: 601-bit rows, 226 payload
+        # a 3-bit candidate and 299 2-bit codes: 601-bit rows, 226 payload
         # bytes: 150 bytes (1200 bits) end two bits short of frame 1, 151
         # bytes (1208 bits) hold it
-        header = make_header(predictor_kind=PredictorKind.HYBRID, bits=3,
-                             true_sample_count=600, frame_len=200, restarts=1)
+        header = make_header(predictor_kind=PredictorKind.HYBRID, bits=2,
+                             true_sample_count=897, frame_len=299)
         payloads = tuple(FramePayload(codes=codes_for(header), candidate=1 if k else 0)
                          for k in range(3))
         data = serialize(Bitstream(header, payloads))
@@ -319,8 +326,8 @@ class TestValidation:
     @pytest.mark.parametrize("kind, adaptation, payload, match", [
         pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {"candidate": None},
                      "frame 1:.*candidate", id="hybrid-without-flag"),
-        pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {"candidate": 2},
-                     "frame 1:.*candidate", id="hybrid-flag-2"),
+        pytest.param(PredictorKind.HYBRID, Adaptation.BACKWARD, {"candidate": 5},
+                     "frame 1:.*candidate", id="hybrid-flag-5"),
         pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD, {"candidate": 1},
                      "frame 1:.*candidate", id="backward-with-flag"),
         pytest.param(PredictorKind.LPC10, Adaptation.BACKWARD,
@@ -338,10 +345,10 @@ class TestValidation:
     ])
     def test_serialize_rejects_payload_header_mismatch(self, kind, adaptation, payload, match):
         # frames 0 and 2 are valid; frame 1 is `payload`, missing, or
-        # followed by a 4th; one restart, so hybrid candidates are 0 and 1.
-        # An omitted field is candidate 0 or no coefficients, `()`.
+        # followed by a 4th; hybrid candidates are 0 to 4. An omitted
+        # field is candidate 0 or no coefficients, `()`.
         header = make_header(predictor_kind=kind, adaptation=adaptation,
-                             true_sample_count=600, frame_len=200, restarts=1)
+                             true_sample_count=600, frame_len=200)
         good = FramePayload(
             codes=codes_for(header),
             forward_coeffs=(0.0,) * 10 if adaptation is Adaptation.FORWARD else (),
@@ -400,15 +407,13 @@ class TestValidation:
             assert info.value.frame_index is None
 
     # byte offsets: sample_rate 5, true_sample_count 9, frame_len 17, then
-    # bits, predictor_kind, adaptation, epochs, restarts at 19..23
+    # bits, predictor_kind, adaptation at 19..21, seed 22
     @pytest.mark.parametrize("code, offset, value, match", [
         pytest.param("B", 20, 4, "invalid header", id="predictor_kind-4"),
         pytest.param("B", 21, 2, "invalid header", id="adaptation-2"),
         pytest.param("B", 19, 1, "invalid header", id="bits-1"),
         pytest.param("B", 19, 6, "invalid header", id="bits-6"),
         pytest.param("<H", 17, 0, "invalid header", id="frame_len-0"),
-        pytest.param("B", 22, 0, "invalid header", id="epochs-0"),
-        pytest.param("B", 23, 0, "invalid header", id="restarts-0"),
         pytest.param("<Q", 9, 0, "empty stream", id="true_sample_count-0"),
     ])
     def test_parse_rejects_forged_header_field(self, code, offset, value, match):
@@ -427,25 +432,27 @@ class TestValidation:
 
 
 class TestCandidateField:
-    """Backward MLP rows start with the winning restart in ceil(log2 R)
+    """Backward MLP rows start with the winning restart in ceil(log2 R) = 2
     bits, hybrid rows with 0 (LPC-10) or restart + 1 in ceil(log2(R + 1))
-    bits; every other value, and a nonzero one on frame 0, is refused."""
+    = 3 bits, at R = `RESTARTS` (4); every other value, and a nonzero one
+    on frame 0, is refused."""
 
     @staticmethod
-    def header(kind, restarts, frames, frame_len=11, bits=2):
-        return make_header(predictor_kind=kind, restarts=restarts, bits=bits,
+    def header(kind, frames, frame_len=11, bits=2):
+        return make_header(predictor_kind=kind, bits=bits,
                            true_sample_count=frames * frame_len, frame_len=frame_len)
 
     @staticmethod
     def payloads(header, candidates):
         return tuple(FramePayload(codes=codes_for(header), candidate=c) for c in candidates)
 
-    @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
-    @pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5, 8, 9, 255])
-    def test_every_candidate_round_trips_in_its_width(self, kind, restarts):
-        count = restarts + (kind is PredictorKind.HYBRID)
-        width = math.ceil(math.log2(count))
-        header = self.header(kind, restarts, count + 1)
+    @pytest.mark.parametrize("kind, count, width", [
+        (PredictorKind.LPC10, 1, 0), (PredictorKind.MLP, RESTARTS, 2),
+        (PredictorKind.HYBRID, RESTARTS + 1, 3),
+    ], ids=["lpc10", "mlp", "hybrid"])
+    def test_every_candidate_round_trips_in_its_width(self, kind, count, width):
+        header = self.header(kind, count + 1)
+        assert len(frame_candidates(header.config)) == count
         stream = Bitstream(header, self.payloads(header, [0, *range(count)]))
         data = serialize(stream)
         assert len(data) == (TestBitAccounting.HEADER_BYTES
@@ -453,26 +460,24 @@ class TestCandidateField:
         assert parse(data) == stream
 
     def test_candidate_wire_format(self):
-        # hybrid at 4 restarts: 3 candidate bits, MSB first, then the codes
-        header = self.header(PredictorKind.HYBRID, 4, 2)
+        # hybrid: 3 candidate bits, MSB first, then the codes
+        header = self.header(PredictorKind.HYBRID, 2)
         data = serialize(Bitstream(header, self.payloads(header, [0, 3])))
         rows = "000" + "10" * 11 + "011" + "10" * 11  # code 0 biased to 0b10
         rows += "0" * (-len(rows) % 8)
         expected = bytes(int(rows[i : i + 8], 2) for i in range(0, len(rows), 8))
         assert data[TestBitAccounting.HEADER_BYTES:] == expected
 
-    @pytest.mark.parametrize("kind, restarts, candidate, match", [
-        (PredictorKind.MLP, 4, 4, r"candidate 4 outside \[0, 3\]"),
-        (PredictorKind.MLP, 1, 1, r"candidate 1 outside \[0, 0\]"),
-        (PredictorKind.MLP, 4, -1, r"candidate -1 outside \[0, 3\]"),
-        (PredictorKind.HYBRID, 4, 5, r"candidate 5 outside \[0, 4\]"),
-        (PredictorKind.HYBRID, 1, 2, r"candidate 2 outside \[0, 1\]"),
-        (PredictorKind.MLP, 4, None, "candidate must be an integer, got None"),
-        (PredictorKind.HYBRID, 4, True, "candidate must be an integer, got True"),
-        (PredictorKind.HYBRID, 4, 1.0, "candidate must be an integer, got 1.0"),
+    @pytest.mark.parametrize("kind, candidate, match", [
+        (PredictorKind.MLP, 4, r"candidate 4 outside \[0, 3\]"),
+        (PredictorKind.MLP, -1, r"candidate -1 outside \[0, 3\]"),
+        (PredictorKind.HYBRID, 5, r"candidate 5 outside \[0, 4\]"),
+        (PredictorKind.MLP, None, "candidate must be an integer, got None"),
+        (PredictorKind.HYBRID, True, "candidate must be an integer, got True"),
+        (PredictorKind.HYBRID, 1.0, "candidate must be an integer, got 1.0"),
     ])
-    def test_out_of_range_candidate_names_frame(self, kind, restarts, candidate, match):
-        header = self.header(kind, restarts, 3)
+    def test_out_of_range_candidate_names_frame(self, kind, candidate, match):
+        header = self.header(kind, 3)
         with pytest.raises(BitstreamError, match=f"^frame 1: {match}$") as info:
             Bitstream(header, self.payloads(header, [0, candidate, 0]))
         assert info.value.frame_index == 1
@@ -498,7 +503,7 @@ class TestCandidateField:
     def test_nonzero_candidate_on_frame_0_refused(self, kind):
         # frame 0 always uses the zero predictor, so candidate 1 there
         # would be a second encoding of the same stream
-        header = self.header(kind, 4, 2)
+        header = self.header(kind, 2)
         with pytest.raises(BitstreamError,
                            match="^frame 0: candidate 1 on frame 0, which has only "
                                  "candidate 0$") as info:
@@ -513,7 +518,7 @@ class TestCandidateField:
         (PredictorKind.MLP, 0, 3, 0, "candidate 3 on frame 0"),
     ])
     def test_parse_refuses_forged_candidate(self, kind, frame, value, frame_index, match):
-        header = self.header(kind, 4, 3)
+        header = self.header(kind, 3)
         data = bytearray(serialize(Bitstream(header, self.payloads(header, [0, 0, 0]))))
         width = 3 if kind is PredictorKind.HYBRID else 2
         start = 8 * TestBitAccounting.HEADER_BYTES + frame * (width + 22)
@@ -525,7 +530,7 @@ class TestCandidateField:
         assert info.value.frame_index == frame_index
 
     def test_numpy_integer_candidate_stored_as_int(self):
-        header = self.header(PredictorKind.HYBRID, 4, 2)
+        header = self.header(PredictorKind.HYBRID, 2)
         stream = Bitstream(header, self.payloads(header, [np.int64(0), np.uint8(4)]))
         assert [type(p.candidate) for p in stream.payloads] == [int, int]
         assert [p.candidate for p in stream.payloads] == [0, 4]

@@ -52,8 +52,6 @@ CONFIG_FLAGS = [
     (["--frame-len", "100"], CodecConfig(frame_len=100)),
     (["--predictor", "lpc25"], CodecConfig(predictor_kind=PredictorKind.LPC25)),
     (["--mode", "forward"], CodecConfig(adaptation=Adaptation.FORWARD)),
-    (["--epochs", "3"], CodecConfig(epochs=3)),
-    (["--restarts", "2"], CodecConfig(restarts=2)),
     (["--seed", "12345"], CodecConfig(seed=12345)),
     ([], CodecConfig()),
 ]
@@ -98,15 +96,23 @@ def test_bad_count_refused_before_any_work(capsys, tmp_path, pcm_file, argv):
     *[f"{command} {flag}" for command in ("epoch-sweep", "epoch-histogram")
       for flag in ("--epochs 3", "--restarts 2", "--lengths 20", "--methods ADPCMB-MLP",
                    "--bits-list 3")],
+    *[f"{command} {flag}" for command in ("encode", "eval")
+      for flag in ("--epochs 6", "--restarts 4")],
+    "eval --bits 3",
     "epoch-histogram --frame-pair-index 1",
     "frame-length-sweep --frame-len 100",
+    "frame-length-sweep --bits 3",
     "frame-length-sweep --max-epochs 2",
     "frame-length-sweep --frame-pair-index 1",
+    "decode --sample-rate 8000",
 ])
 def test_eval_and_sweep_refuse_flags_they_would_ignore(capsys, tmp_path, pcm_file, argv):
-    # eval and the experiments set kind and mode per method, the epoch experiments
-    # train one net per frame pair for --max-epochs, --seed seeds it, and
-    # frame-length-sweep codes each run at a length from --lengths
+    # eval and the experiments set kind and mode per method, and eval and
+    # frame-length-sweep the depth per run from --bits-list; the epoch
+    # experiments train one net per frame pair for --max-epochs, --seed
+    # seeds it; frame-length-sweep codes each run at a length from
+    # --lengths; every MLP fit runs the constant epoch and restart counts;
+    # decode reads the reference at the stream's rate
     command, *flags = argv.split()
     out = tmp_path / "out"
     code, stdout, stderr = run(capsys, command, "--in", pcm_file, "--out", str(out), *flags)
@@ -119,16 +125,16 @@ def test_eval_and_sweep_refuse_flags_they_would_ignore(capsys, tmp_path, pcm_fil
 CONFIG_OPTIONS = {"--bits", "--seed"}
 IO_OPTIONS = {"-h", "--help", "--in", "--out", "--format", "--sample-rate"}
 SUBCOMMAND_OPTIONS = {
-    "encode": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--epochs", "--restarts",
-                                             "--predictor", "--mode", "--segment-len"},
-    "decode": IO_OPTIONS | {"--reference", "--csv", "--segment-len"},
-    "eval": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--epochs", "--restarts",
-                                           "--bits-list", "--methods", "--significance-n"},
+    "encode": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--predictor", "--mode",
+                                             "--segment-len"},
+    "decode": {"-h", "--help", "--in", "--out", "--format", "--reference", "--csv",
+               "--segment-len"},
+    "eval": IO_OPTIONS | {"--seed", "--frame-len", "--bits-list", "--methods",
+                          "--significance-n"},
     "epoch-sweep": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--frame-pair-index",
                                                   "--max-epochs"},
     "epoch-histogram": CONFIG_OPTIONS | IO_OPTIONS | {"--frame-len", "--max-epochs"},
-    "frame-length-sweep": CONFIG_OPTIONS | IO_OPTIONS | {"--epochs", "--restarts", "--lengths",
-                                                         "--bits-list", "--methods"},
+    "frame-length-sweep": IO_OPTIONS | {"--seed", "--lengths", "--bits-list", "--methods"},
     "usage": {"-h", "--help", "--in"},
 }
 
@@ -165,10 +171,9 @@ def test_malformed_list_refused_before_reading_audio(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv, message", [
     ("encode --frame-len 5 --predictor mlp", "frame_len 5 is below the 11-sample MLP minimum"),
-    ("eval --restarts 0", "restarts must be >= 1, got 0"),
+    ("eval --frame-len 0", "frame_len must be >= 1, got 0"),
     ("epoch-sweep --frame-len 0", "frame_len must be >= 1, got 0"),
     ("epoch-histogram --frame-len 65536", "frame_len 65536 not representable in header"),
-    ("frame-length-sweep --epochs 256", "epochs 256 not representable in header"),
 ])
 def test_bad_config_refused_before_reading_audio(capsys, tmp_path, argv, message):
     command, *flags = argv.split()
@@ -192,11 +197,10 @@ class TestEncode:
     def test_hybrid_rate_includes_flag_bit(self, capsys, tmp_path, pcm_file):
         out = str(tmp_path / "out.nad")
         code, stdout, _ = run(capsys, "encode", "--in", pcm_file, "--out", out,
-                              "--predictor", "hybrid", "--epochs", "2",
-                              "--restarts", "2")
+                              "--predictor", "hybrid")
         assert code == 0
-        # 2 candidate bits per 200-sample frame (LPC-10 or one of 2 restarts)
-        assert "bit rate: 32.08 kbps" in stdout
+        # 3 candidate bits per 200-sample frame (LPC-10 or one of 4 restarts)
+        assert "bit rate: 32.12 kbps" in stdout
 
     def test_bits_out_of_range(self, capsys, tmp_path, pcm_file):
         code, _, stderr = run(capsys, "encode", "--in", pcm_file,
@@ -220,8 +224,7 @@ class TestEncode:
 
     def test_deterministic_bitstream(self, capsys, tmp_path, pcm_file):
         a, b = str(tmp_path / "a.nad"), str(tmp_path / "b.nad")
-        args = ["--in", pcm_file, "--predictor", "mlp",
-                "--epochs", "2", "--restarts", "2"]
+        args = ["--in", pcm_file, "--predictor", "mlp"]
         assert run(capsys, "encode", *args, "--out", a)[0] == 0
         assert run(capsys, "encode", *args, "--out", b)[0] == 0
         assert (tmp_path / "a.nad").read_bytes() == (tmp_path / "b.nad").read_bytes()
@@ -299,6 +302,15 @@ class TestDecode:
         assert stderr == "error: --csv needs --reference\n"
         assert stdout == "" and not csv_path.exists() and not out.exists()
 
+    def test_segment_len_without_reference_refused_before_reading(self, capsys, tmp_path):
+        # it sets only the scoring against --reference
+        out = tmp_path / "r.pcm"
+        code, stdout, stderr = run(capsys, "decode", "--in", str(tmp_path / "missing.nad"),
+                                   "--out", str(out), "--segment-len", "100")
+        assert code == 1  # not 2: the missing stream is never opened
+        assert stderr == "error: --segment-len needs --reference\n"
+        assert stdout == "" and not out.exists()
+
     def test_garbage_bitstream(self, capsys, tmp_path):
         bad = tmp_path / "bad.nad"
         bad.write_bytes(b"GARBAGE!" * 4)
@@ -310,10 +322,9 @@ class TestDecode:
     def test_version_1_stream_refused(self, capsys, tmp_path, pcm_file):
         # version 1 sent a hybrid flag bit where later versions send a candidate
         stream = tmp_path / "s.nad"
-        run(capsys, "encode", "--in", pcm_file, "--out", str(stream), "--predictor", "hybrid",
-            "--epochs", "2", "--restarts", "1")
+        run(capsys, "encode", "--in", pcm_file, "--out", str(stream), "--predictor", "hybrid")
         data = bytearray(stream.read_bytes())
-        assert data[4] == 6
+        assert data[4] == 7
         data[4] = 1
         stream.write_bytes(bytes(data))
         out = tmp_path / "r.pcm"
@@ -458,8 +469,7 @@ class TestSweep:
     def test_frame_length_kind_reports_skips(self, capsys, pcm_file):
         code, stdout, _ = run(
             capsys, "frame-length-sweep", "--in", pcm_file, "--lengths", "8,20",
-            "--bits-list", "3", "--methods", "ADPCMB-LPC-10,ADPCMB-MLP",
-            "--epochs", "2", "--restarts", "2")
+            "--bits-list", "3", "--methods", "ADPCMB-LPC-10,ADPCMB-MLP")
         assert code == 0
         assert "skipped ADPCMB-MLP Nq=3 frame_len=8" in stdout
         assert "method,bits,frame_len,segsnr_mean,segments" in stdout
@@ -507,7 +517,7 @@ class TestUsage:
     def test_hybrid_stream(self, capsys, tmp_path, pcm_file):
         stream = str(tmp_path / "h.nad")
         run(capsys, "encode", "--in", pcm_file, "--out", stream,
-            "--predictor", "hybrid", "--epochs", "2", "--restarts", "2")
+            "--predictor", "hybrid")
         code, stdout, _ = run(capsys, "usage", "--in", stream)
         assert code == 0
         assert "frames: 10" in stdout
@@ -520,11 +530,11 @@ class TestUsage:
         # the same figures as with the one-bit hybrid flag of version 1
         stream = str(tmp_path / "h.nad")
         run(capsys, "encode", "--in", pcm_file, "--out", stream,
-            "--predictor", "hybrid", "--epochs", "2", "--restarts", "2")
-        assert {p.candidate for p in parse(Path(stream).read_bytes()).payloads} == {0, 1, 2}
+            "--predictor", "hybrid")
+        assert {p.candidate for p in parse(Path(stream).read_bytes()).payloads} == {0, 1, 2, 3, 4}
         code, stdout, _ = run(capsys, "usage", "--in", stream)
         assert code == 0
-        assert stdout == "frames: 10\nmlp: 20.0%\nlpc: 80.0%\n"
+        assert stdout == "frames: 10\nmlp: 60.0%\nlpc: 40.0%\n"
 
     def test_non_hybrid_stream_rejected(self, capsys, tmp_path, pcm_file):
         stream = str(tmp_path / "l.nad")

@@ -41,7 +41,7 @@ from nadpcm.harness import (
     method_config,
     significance_matrix,
 )
-from nadpcm.mlp import Mlp, SplitMix64, multistart_fit
+from nadpcm.mlp import EPOCHS, RESTARTS, Mlp, SplitMix64, multistart_fit
 from nadpcm.quantizer import AdaptiveQuantizer, code_range, dequantize, next_step, quantize
 
 
@@ -224,8 +224,8 @@ class TestHybridFrame:
             if state.recon is not None:
                 # re-simulate both branches from the same state, the neural
                 # one as the restart that wins the multistart fit
-                neural = multistart_fit(state.recon, config.epochs, config.seed ^ state.frame_index,
-                                        range(config.restarts)).restart + 1
+                neural = multistart_fit(state.recon, EPOCHS, config.seed ^ state.frame_index,
+                                        range(RESTARTS)).restart + 1
                 sses = tuple(
                     encode_frame(state, frame, frame_predictor(
                         state, FramePayload((), candidate=candidate)))[2]
@@ -262,7 +262,7 @@ class TestFrameState:
     def test_decoder_steps_through_the_encoders_states(self, monkeypatch, speech_like, method):
         """The state the encoder commits before each frame is the state
         `decode` steps through, field by field."""
-        base = CodecConfig(frame_len=100, epochs=2, restarts=2)
+        base = CodecConfig(frame_len=100)
         config = method_config(base, method, 3)
         signal = Signal(speech_like.samples[:400], speech_like.sample_rate)
         committed, stepped = [], []
@@ -302,22 +302,15 @@ class TestCodecConfig:
         CodecConfig(predictor_kind=PredictorKind.LPC10, frame_len=10)
 
     def test_header_field_bounds(self):
-        # frame_len is a u16 and epochs/restarts are u8 in the header
+        # frame_len is a u16 in the header
         assert CodecConfig(frame_len=0xFFFF).frame_len == 0xFFFF
         with pytest.raises(ValueError, match="^frame_len 65536 not representable in header$"):
             CodecConfig(frame_len=0x10000)
-        for name in ("epochs", "restarts"):
-            config = CodecConfig(predictor_kind=PredictorKind.MLP, **{name: 255})
-            assert getattr(config, name) == 255
-            with pytest.raises(ValueError, match=f"^{name} 256 not representable in header$"):
-                CodecConfig(**{name: 256})
 
     @pytest.mark.parametrize("name, build", [
         ("frame_len", lambda: CodecConfig(frame_len=200.5)),
         ("bits", lambda: CodecConfig(bits=4.0)),
         ("seed", lambda: CodecConfig(seed=1.5)),
-        ("epochs", lambda: CodecConfig(epochs=2.5)),
-        ("restarts", lambda: CodecConfig(restarts=3.0)),
         ("sample_rate", lambda: BitstreamHeader(8000.5, 400, CodecConfig())),
         ("true_sample_count", lambda: BitstreamHeader(8000, 400.0, CodecConfig())),
         # checked before the sign, which a string cannot be compared for
@@ -331,10 +324,9 @@ class TestCodecConfig:
             build()
 
     def test_numpy_integers_accepted(self):
-        config = CodecConfig(frame_len=np.int64(200), bits=np.int64(4), seed=np.int64(-1),
-                             epochs=np.int64(3), restarts=np.uint8(2))
-        assert config == CodecConfig(frame_len=200, bits=4, seed=2**64 - 1, epochs=3, restarts=2)
-        assert type(config.epochs) is int and type(config.restarts) is int
+        config = CodecConfig(frame_len=np.int64(200), bits=np.uint8(4), seed=np.int64(-1))
+        assert config == CodecConfig(frame_len=200, bits=4, seed=2**64 - 1)
+        assert type(config.frame_len) is int and type(config.bits) is int
         header = BitstreamHeader(np.int64(8000), np.int64(400), config)
         bitstream = encode(Signal(np.zeros(400), header.sample_rate), config).bitstream
         assert parse(serialize(bitstream)).header == header
@@ -345,17 +337,13 @@ class TestCodecConfig:
     def test_payload_bit_rate(self):
         assert CodecConfig(bits=2).payload_bit_rate(8000) == 16000
         assert CodecConfig(bits=5).payload_bit_rate(8000) == 40000
-        # the candidate field: ceil(log2 5) = 3 bits per 200-sample frame
-        # for the hybrid at 4 restarts, 1 bit at 1 restart
+        # the candidate field per 200-sample frame: ceil(log2 5) = 3 bits
+        # for the hybrid, ceil(log2 4) = 2 for backward MLP; forward sends none
         hybrid = CodecConfig(bits=4, predictor_kind=PredictorKind.HYBRID)
         assert hybrid.payload_bit_rate(8000) == pytest.approx(32120.0)
-        one = replace(hybrid, restarts=1)
-        assert one.payload_bit_rate(8000) == pytest.approx(32040.0)
-        # backward MLP: ceil(log2 R) bits, none at 1 restart; forward sends none
-        for restarts, rate in ((1, 32000.0), (2, 32040.0), (4, 32080.0), (5, 32120.0)):
-            mlp = CodecConfig(bits=4, predictor_kind=PredictorKind.MLP, restarts=restarts)
-            assert mlp.payload_bit_rate(8000) == pytest.approx(rate)
-            assert replace(mlp, adaptation=Adaptation.FORWARD).payload_bit_rate(8000) == 32000
+        mlp = CodecConfig(bits=4, predictor_kind=PredictorKind.MLP)
+        assert mlp.payload_bit_rate(8000) == pytest.approx(32080.0)
+        assert replace(mlp, adaptation=Adaptation.FORWARD).payload_bit_rate(8000) == 32000
 
 
 # Every integer field of the config, the header and `Signal`, as
@@ -364,8 +352,6 @@ INTEGER_FIELDS = [
     ("CodecConfig.frame_len", lambda v: CodecConfig(frame_len=v)),
     ("CodecConfig.bits", lambda v: CodecConfig(bits=v)),
     ("CodecConfig.seed", lambda v: CodecConfig(seed=v)),
-    ("CodecConfig.epochs", lambda v: CodecConfig(epochs=v)),
-    ("CodecConfig.restarts", lambda v: CodecConfig(restarts=v)),
     ("BitstreamHeader.sample_rate", lambda v: BitstreamHeader(v, 400, CodecConfig())),
     ("BitstreamHeader.true_sample_count", lambda v: BitstreamHeader(8000, v, CodecConfig())),
     ("Signal.sample_rate", lambda v: Signal(np.zeros(10), v)),
@@ -449,7 +435,7 @@ class TestForwardMode:
         """Each payload's coefficients are, bit for bit, the `params` of the
         predictor the encoder fitted and of the one `frame_predictor`
         rebuilds from them."""
-        base = CodecConfig(frame_len=100, epochs=2, restarts=2)
+        base = CodecConfig(frame_len=100)
         config = method_config(base, method, 3)
         samples = speech_like.samples[:400]
         payloads = encode(Signal(samples, speech_like.sample_rate), config).bitstream.payloads
@@ -536,9 +522,8 @@ class TestCandidate:
             if state.recon is None:
                 assert payload.candidate == 0
             elif payload.candidate or not offset:
-                winner = multistart_fit(state.recon, config.epochs,
-                                        config.seed ^ state.frame_index,
-                                        range(config.restarts))
+                winner = multistart_fit(state.recon, EPOCHS, config.seed ^ state.frame_index,
+                                        range(RESTARTS))
                 assert payload.candidate == winner.restart + offset
                 assert rebuilt.theta.tobytes() == winner.theta.tobytes()
                 assert rebuilt.restart == winner.restart
@@ -548,15 +533,14 @@ class TestCandidate:
         np.testing.assert_array_equal(decode(result.bitstream).samples,
                                       result.reconstruction.samples)
 
-    @pytest.mark.parametrize("kind, restarts, width, used", [
-        pytest.param(PredictorKind.MLP, 1, 0, {0}, id="mlp-R1"),  # a zero-width field
-        pytest.param(PredictorKind.MLP, 3, 2, {0, 1, 2}, id="mlp-R3"),
-        pytest.param(PredictorKind.HYBRID, 1, 1, {0, 1}, id="hybrid-R1"),
+    @pytest.mark.parametrize("kind, width, used", [
+        pytest.param(PredictorKind.LPC10, 0, {0}, id="lpc10"),  # a zero-width field
         # every value of a full 2-bit field
-        pytest.param(PredictorKind.HYBRID, 3, 2, {0, 1, 2, 3}, id="hybrid-R3"),
+        pytest.param(PredictorKind.MLP, 2, {0, 1, 2, 3}, id="mlp"),
+        pytest.param(PredictorKind.HYBRID, 3, {0, 1, 3, 4}, id="hybrid"),
     ])
-    def test_round_trip_at_the_field_widths(self, speech_like, kind, restarts, width, used):
-        config = CodecConfig(predictor_kind=kind, bits=3, epochs=3, restarts=restarts)
+    def test_round_trip_at_the_field_widths(self, speech_like, kind, width, used):
+        config = CodecConfig(predictor_kind=kind, bits=3)
         signal = Signal(speech_like.samples[:4000], speech_like.sample_rate)
         result = encode(signal, config)
         assert frame_row(config)[0] == width
@@ -575,18 +559,18 @@ class TestCandidate:
             return lm_epoch(theta, *args)
 
         monkeypatch.setattr(mlp, "lm_epoch", recording)
-        config = CodecConfig(predictor_kind=kind, epochs=3, restarts=5)
+        config = CodecConfig(predictor_kind=kind)
         signal = Signal(speech_like.samples[:1000], speech_like.sample_rate)
         result = encode(signal, config)
-        # one 5-row stack per frame after frame 0, never a refit
-        assert rows == [5] * (4 * 3)
+        # one RESTARTS-row stack per frame after frame 0, never a refit
+        assert rows == [RESTARTS] * (4 * EPOCHS)
         rows.clear()
         np.testing.assert_array_equal(decode(result.bitstream).samples,
                                       result.reconstruction.samples)
         neural = sum(1 for p in result.bitstream.payloads[1:]
                      if p.candidate or kind is PredictorKind.MLP)
         assert neural > 0
-        assert rows == [1] * (neural * 3)
+        assert rows == [1] * (neural * EPOCHS)
 
     # the wire numbering, stated here apart from `frame_candidates`: backward
     # MLP sends restart i as i; hybrid sends LPC-10 as 0 and restart i as i + 1
@@ -602,9 +586,9 @@ class TestCandidate:
             linear = frame_predictor(state, FramePayload((), candidate=0))
             assert linear.coeffs.tolist() == fit_predictor(
                 prev, PredictorKind.LPC10, config, 3).coeffs.tolist()
-        for i in range(config.restarts):
+        for i in range(RESTARTS):
             net = frame_predictor(state, FramePayload((), candidate=i + first_net))
-            alone = multistart_fit(prev, config.epochs, config.seed ^ 3, (i,))
+            alone = multistart_fit(prev, EPOCHS, config.seed ^ 3, (i,))
             assert net.theta.tobytes() == alone.theta.tobytes() and net.restart == i
 
 
@@ -646,8 +630,7 @@ def test_predict_is_the_generators_prediction(speech_like, kind):
 
 
 def numpy_scalar_config():
-    return CodecConfig(frame_len=np.int64(100), bits=np.int64(4), seed=np.uint64(3),
-                       epochs=np.int64(2), restarts=np.int64(2))
+    return CodecConfig(frame_len=np.int64(100), bits=np.int64(4), seed=np.uint64(3))
 
 
 class TestLoopScalarTypes:
@@ -706,14 +689,14 @@ class TestEncodeDecode:
             (PredictorKind.MLP, Adaptation.BACKWARD),
             (PredictorKind.HYBRID, Adaptation.BACKWARD),
         ]:
-            config = CodecConfig(predictor_kind=kind, adaptation=adaptation, epochs=2, restarts=2)
+            config = CodecConfig(predictor_kind=kind, adaptation=adaptation)
             result = encode(ar_signal, config)
             decoded = decode(parse(serialize(result.bitstream)))
             np.testing.assert_array_equal(decoded.samples,
                                           result.reconstruction.samples)
 
     def test_seed_changes_neural_stream(self, ar_signal):
-        base = dict(predictor_kind=PredictorKind.MLP, epochs=2, restarts=2)
+        base = dict(predictor_kind=PredictorKind.MLP)
         a = encode(ar_signal, CodecConfig(seed=0, **base))
         b = encode(ar_signal, CodecConfig(seed=1, **base))
         assert serialize(a.bitstream) != serialize(b.bitstream)
@@ -758,7 +741,7 @@ class TestEncodeDecode:
             encode(Signal(np.array([0.0])[:0], 8000), CodecConfig())
 
     def test_frame_stats_reported(self, ar_signal):
-        config = CodecConfig(predictor_kind=PredictorKind.HYBRID, epochs=2, restarts=2)
+        config = CodecConfig(predictor_kind=PredictorKind.HYBRID)
         result = encode(ar_signal, config)
         assert len(result.frame_stats) == 10
         assert result.bitstream.payloads[0].candidate == 0  # bootstrap frame
@@ -787,7 +770,7 @@ class TestUntrustedStreams:
     """A stream that parses must decode to finite samples or raise
     BitstreamError naming the frame."""
 
-    HEADER_BYTES = 32
+    HEADER_BYTES = 30
 
     def encoded(self, signal, n=2000, **fields):
         head = Signal(signal.samples[:n], signal.sample_rate)
@@ -807,7 +790,7 @@ class TestUntrustedStreams:
 
     def test_encoder_names_non_finite_prediction(self, monkeypatch, ar_signal):
         monkeypatch.setattr(mlp, "INIT_SCALE", 1e300)
-        config = CodecConfig(predictor_kind=PredictorKind.MLP, epochs=2, restarts=2)
+        config = CodecConfig(predictor_kind=PredictorKind.MLP)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"prediction .* for sample \d+ is not finite"):
                 encode(Signal(ar_signal.samples[:600], ar_signal.sample_rate), config)

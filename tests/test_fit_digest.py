@@ -1,7 +1,7 @@
 """Fit digest: the parameters `multistart_fit` returns, beyond the golden config.
 
-`test_golden.py` pins the codec's output at the default epochs and
-restarts and 200-sample frames only. This test pins the fitted parameters
+`test_golden.py` pins the codec's output at its fixed epoch and restart
+counts (`mlp.EPOCHS`, `mlp.RESTARTS`) and 200-sample frames only. This test pins the fitted parameters
 themselves over the `conftest.py` corpus, read from
 `tests/data/fit_corpus.f64` (checked against its generators by
 `test_inputs.py`), at frame lengths 13, 40 and 200 and (restarts, epochs)

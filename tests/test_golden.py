@@ -31,59 +31,59 @@ SIGNAL_SHA256 = "2b83882caf48b1050e83433a16eb0878e0e6e5981c39433e5d03597b2824b58
 
 GOLDEN = {
     ("ADPCMF-LPC-10", 2): (
-        "282530b9b3ec9d6786e05f4715cf157dab9d2dfb83fa7f6f7754167eae557587",
+        "a90e12bc266066db9b169f76ed627d32e27f1b987cb48b3c060f12ccda586bf6",
         "eb5454cd82375a2ffdf4ca7571ad2a9443c23f76c6a9cf5ac741ed5e3b5a934c",
     ),
     ("ADPCMF-LPC-10", 5): (
-        "d21add375a4b7c07be8872dd5440dd4ce5efe128733e92cf47a8dd10685ae0c8",
+        "73f946120f35153a2e2b3eafa2ae3dd0ca2aaa0a43decb56ad731c098f9be27c",
         "7db033fbcfdee772b5ab60d7fbd629fe56b33beee1e836252fd00b496fee71b6",
     ),
     ("ADPCMF-LPC-25", 2): (
-        "a27cb51d65928b22339f05df6ecea3378eec1c07927c44bee74a66ca86c27b77",
+        "bb22467779481cc832c362ebf12271e78978c88f83b82fa3bc3236f8b6e03e57",
         "91ccc2547230cc7f9864bcab3ffdf9d369a9284927b6dcd04158a8c51ca0f781",
     ),
     ("ADPCMF-LPC-25", 5): (
-        "185342d9ac279a1587836aa17ec2e7cb3c73b26c945362cf2e7a9b575c8b9f38",
+        "5a2a889c8d459f01c231deaa093df698e19626c904aaa5d0a7fd728ef25c714b",
         "4c31b3d87373806ffaf08bff3421ed61057ce60224b74cf5219993901c83cdd0",
     ),
     ("ADPCMF-MLP", 2): (
-        "76a10539fc76851589ae3655f19e895b269d4d4d5e786f786816d9f86ea38970",
+        "7bba24cb567e1ef81e0dee1cec67463da284501ca4d239234bc08ee7bf910776",
         "e2029d0259b2ecc8084b0140639945ee06dfc76c07e23287436bad458a431f25",
     ),
     ("ADPCMF-MLP", 5): (
-        "fb674dfadce68cce20036ebe60e9d15ce666989adb56587ef301f536d887903b",
+        "8bab174f9eb6eb07f064182dac9f8684ca3987147a474a51bd05c72b3ed9db6a",
         "271b6d2664b104bfe32f180a4bcf69a2270a32560331d75f87cb0c5837f22c67",
     ),
     ("ADPCMB-LPC-10", 2): (
-        "e594a66e3dfc788925661196794797ff910d1ac292ab50ab7c938798b3add378",
+        "baac058ac59a197add62d35cc6c5e79e8e6ecb31cc83c8c004bbebc95295b9e6",
         "42024f12a00740bef1c033b26be99490a0036680e687cd5be42e06f73ab71228",
     ),
     ("ADPCMB-LPC-10", 5): (
-        "43648c6df7850471a2846c16b39a59fc1b413ce97d7b28ba0b20828aaf9ae1d4",
+        "d891814546abffed4b99ec027602c747b3c47b6cc6f4478a77e2a1697d757cb0",
         "fd896e7a84414f2a92cf133e8abb89710e69fe41886ff22d9b5b8e30d1960273",
     ),
     ("ADPCMB-LPC-25", 2): (
-        "c7882c2a7758a51a4edc9b3624d1093a8cb51f13a3bcf1a221212fa106d12834",
+        "12952dc8fcb5b3d51c611103ac1e57219502b3d7c95e447d87e67122fe012368",
         "b9d6fb641884c3dbedbd7056cfcaa2b7da907e0e4d0e7b16b727b6fcb1850583",
     ),
     ("ADPCMB-LPC-25", 5): (
-        "cb80c28efc48efd938da30db651fcd5c09058f01585bb743cc73d6101820d9e4",
+        "c8c9b5f7c5f2e331a206dd7472c731497a287adecd88f7096d78b626ecc305a3",
         "170eb6d3bc7953ce7145b6cfe9786eb3ef7dffc90665d1a74926312883c4b3c7",
     ),
     ("ADPCMB-MLP", 2): (
-        "3ae22f8c36a75e67d5ed20477c82efc0acf5ef2ae1144e18f408ffafc08d038e",
+        "a731749d97ac63dae067969e58b40603e3bd6e7d7e080c6041b6430edca79809",
         "185ac5f8bd9a331da2a95e42c6029bae16aa7b6bc6a2ebb8756a94a4f517962d",
     ),
     ("ADPCMB-MLP", 5): (
-        "7c67e61c518d8d3cc7796f1f68b4c910116a29cf73a55e5c5e174e71d033079f",
+        "e3e9abbd818cb40a5cc0b3f83247feba8b642a3cdb1c5ea61030e35e0ac3dc81",
         "15d9e61fa7054885166898757dce8ab999d1ec7f610a8e81ae8d8dd5b8dc460d",
     ),
     ("ADPCMB-HYBRID", 2): (
-        "56222deffcd75f3ce0574dbbf49f4d9f1072c272c5d7db4771a8c59f9a1f6806",
+        "a948d4732abef75698cea3548b72e95be1ac0030a64f32f182c1bc01c9f11802",
         "e1f45d599279b807805fa16adb6375dccf0aa17f06bd36564a7654d6e93ec108",
     ),
     ("ADPCMB-HYBRID", 5): (
-        "9bcb5a2f47a3f1176027df7b2a7e86ce580ff4c656cef1528f11f04ee47a5124",
+        "0cba1fd214580c9a7871a32791c638b7c40ec6b02151da9bf029b24ffa371580",
         "d65090ae150c8a6a26d8467cceb8c0d7877b178833fd16e2ff952bc529dbcd5a",
     ),
 }

@@ -34,9 +34,6 @@ from nadpcm.metrics import SILENCE_ENERGY_FLOOR
 from nadpcm.quantizer import MULTIPLIERS
 
 
-FAST_TRAIN = dict(epochs=2, restarts=2)
-
-
 class TestMethods:
     def test_seven_methods_registered(self):
         assert len(METHODS) == 7
@@ -331,7 +328,7 @@ class TestFrameLengthSweep:
     def test_short_lengths_skip_neural(self, ar_signal):
         records, skipped = frame_length_sweep(
             ar_signal, [8, 20], [3], ["ADPCMB-LPC-10", "ADPCMB-MLP"],
-            CodecConfig(**FAST_TRAIN))
+            CodecConfig())
         assert len(records) == 3
         assert skipped == [("ADPCMB-MLP", 3, 8, "frame_len 8 is below the 11-sample MLP minimum")]
         for rec in records:
@@ -346,7 +343,7 @@ class TestFrameLengthSweep:
 
 class TestPredictorUsage:
     def test_hybrid_percentages(self, ar_signal):
-        config = CodecConfig(predictor_kind=PredictorKind.HYBRID, **FAST_TRAIN)
+        config = CodecConfig(predictor_kind=PredictorKind.HYBRID)
         result = encode(ar_signal, config)
         pct_mlp, pct_lpc = predictor_usage(result.bitstream)
         assert pct_mlp + pct_lpc == pytest.approx(100.0)

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from nadpcm import CodecConfig, mlp as mlp_module
 from nadpcm.audio import split_frames
 from nadpcm.lpc import KERNEL_UNROLL
 from nadpcm.mlp import (
+    EPOCHS,
     GOLDEN_GAMMA,
     INIT_SCALE,
     LAMBDA_DOWN,
@@ -29,6 +30,7 @@ from nadpcm.mlp import (
     N_HIDDEN,
     N_INPUTS,
     N_PARAMS,
+    RESTARTS,
     SplitMix64,
     build_training_set,
     forward_batch,
@@ -997,31 +999,20 @@ class TestCarriedLm:
 
 
 class TestTrainConfig:
-    """The training part of the codec config: `CodecConfig.epochs` and
-    `restarts`. The damping schedule and the initial weight range are
-    `mlp` constants, as normative as the net's shape."""
+    """The codec's training recipe: EPOCHS LM epochs on RESTARTS seeded
+    starts, the damping schedule and the initial weight range are `mlp`
+    constants, as normative as the net's shape, and no config field."""
 
     def test_defaults(self):
-        config = CodecConfig()
-        assert config.epochs == 6
-        assert config.restarts == 4
+        assert (EPOCHS, RESTARTS) == (6, 4)
         assert (LAMBDA_INIT, LAMBDA_UP, LAMBDA_DOWN, INIT_SCALE) == (0.01, 10.0, 0.1, 0.5)
 
-    def test_validation(self):
-        for name in ("epochs", "restarts"):
-            with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
-                CodecConfig(**{name: 0})
-
-    @pytest.mark.parametrize("name", ["epochs", "restarts"])
-    @pytest.mark.parametrize("value", [2.5, True, 3.0, "3"])
-    def test_counts_must_be_integers(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-            CodecConfig(**{name: value})
-
-    @pytest.mark.parametrize("name", ["epochs", "restarts"])
-    def test_numpy_integer_counts_accepted(self, name):
-        value = getattr(CodecConfig(**{name: np.int64(3)}), name)
-        assert value == 3 and type(value) is int
+    def test_not_config_fields(self):
+        assert [f.name for f in fields(CodecConfig)] == [
+            "frame_len", "bits", "predictor_kind", "adaptation", "seed"]
+        for name, value in (("epochs", EPOCHS), ("restarts", RESTARTS)):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                CodecConfig(**{name: value})
 
 
 WITHOUT_SCIPY = """
@@ -1034,7 +1025,7 @@ from nadpcm import cli, harness
 cli.build_parser()
 signal = nadpcm.Signal(np.sin(np.arange(600) * 0.3) * 0.5, 8000)
 nadpcm.multistart_fit(signal.samples[:200], 2, 1, range(2))
-base = nadpcm.CodecConfig(epochs=2, restarts=2)
+base = nadpcm.CodecConfig()
 for method in harness.METHODS:
     encoded = nadpcm.encode(signal, harness.method_config(base, method, 2))
     decoded = nadpcm.decode(nadpcm.parse(nadpcm.serialize(encoded.bitstream)))

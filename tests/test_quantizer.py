@@ -143,7 +143,7 @@ class TestMultiplierTables:
         config = CodecConfig()
         assert (config.step_init, config.step_min, config.step_max) == (STEP_INIT, STEP_MIN,
                                                                         STEP_MAX)
-        assert len(fields(CodecConfig)) == 7 and config.multipliers == MULTIPLIERS[config.bits]
+        assert len(fields(CodecConfig)) == 5 and config.multipliers == MULTIPLIERS[config.bits]
         for name in ("step_init", "step_min", "step_max", "multipliers"):
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
                 CodecConfig(**{name: getattr(config, name)})
