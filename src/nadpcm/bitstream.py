@@ -1,6 +1,6 @@
 """Self-describing codec bitstream: header plus bit-packed frame payloads.
 
-The header is magic "NADP", a u8 version (7), then the integer fields
+The header is magic "NADP", a u8 version (8), then the integer fields
 of `HEADER_FIELDS` in table order, each little-endian with its struct
 code: one fixed struct (`HEADER`) that serialize and parse both use, so
 every header is 30 bytes. After sample_rate and true_sample_count the header is the
@@ -9,30 +9,33 @@ name (`config_from`), then `BitstreamHeader`, so a header is valid exactly
 when those are. Their construction also refuses a non-integer or
 too-large value in an integer field, so nothing the header cannot carry is coded.
 
-Frame payloads follow as one fixed-width bit row per frame (`frame_row`),
-MSB-first within each byte: the candidate field, 64 bits per forward
-predictor coefficient (forward only, little-endian IEEE-754 binary64),
-then frame_len codes of `bits` bits each (biased to unsigned by adding
-2^(bits-1)). The candidate field names the predictor the encoder chose
-among the frame's candidates in the fewest bits that hold every index;
-`frame_candidates` is the table of what each index names. Backward MLP
-sends restart i of R = `mlp.RESTARTS` (4) as i, in ceil(log2 R) = 2 bits;
-hybrid sends 0 for LPC-10 or i + 1 for restart i, in ceil(log2(R + 1))
-= 3 bits; other kinds send candidate 0 in no bits. Backward frame 0 always
-uses the zero predictor and carries candidate 0. The decoder refits only
-the named restart, so its work per frame is `mlp.EPOCHS` x
-(frame_len - 10) training pairs. Forward rows are zero-padded to a whole
-byte, so each frame's coefficients start on a byte boundary; other rows
-follow each other without padding. The rows are packed back to back and
-the final byte is zero-padded. Padding bits must be zero and a candidate
-must be in range; parse rejects a stream otherwise, so each stream has
-exactly one encoding. Older versions are refused: version 1 streams sent
-one hybrid flag bit and no restart index, version 2 streams summed their
-MLP predictions in BLAS, version 3 streams' MLP fits took their sigmoid
-from `expit`, version 4 streams carried the LM damping and initial weight
+Frame payloads follow as one fixed-width bit row per frame
+(`frame_row`), MSB-first within each byte: the candidate field, 64 bits
+per forward predictor coefficient (forward only, little-endian IEEE-754
+binary64), then frame_len codes of `bits` bits each (biased to unsigned
+by adding 2^(bits-1)). The candidate field names the predictor the
+encoder chose among the frame's candidates in the fewest bits that hold
+every index; `frame_candidates` is the table of what each index names.
+Backward MLP sends restart i of R = `mlp.RESTARTS` (1) as i, in
+ceil(log2 R) = 0 bits, so it sends no candidate bits; hybrid sends 0 for
+LPC-10 or i + 1 for restart i, in ceil(log2(R + 1)) = 1 bit; other kinds
+send candidate 0 in no bits. Backward frame 0 always uses the zero
+predictor and carries candidate 0. The decoder refits only the named
+restart, so its work per frame is `mlp.EPOCHS` (2) LM epochs and
+`mlp.EPOCHS` + 1 output-layer solves over the frame_len - 10 training
+pairs. Forward rows are zero-padded to a whole byte, so each frame's
+coefficients start on a byte boundary; other rows follow each other
+without padding. The rows are packed back to back and the final byte is
+zero-padded. Padding bits must be zero and a candidate must be in range;
+parse rejects a stream otherwise, so each stream has exactly one
+encoding. Older versions are refused: version 1 streams sent one hybrid
+flag bit and no restart index, version 2 streams summed their MLP
+predictions in BLAS, version 3 streams' MLP fits took their sigmoid from
+`expit`, version 4 streams carried the LM damping and initial weight
 range, version 5 streams carried the quantizer's steps and multiplier
-table, and version 6 streams carried the MLP fit's epoch and restart
-counts. Payload values are checked once, when a `Bitstream` is built.
+table, version 6 streams carried the MLP fit's epoch and restart counts,
+and version 7 streams fitted the MLP by plain LM, 6 epochs on 4
+restarts. Payload values are checked once, when a `Bitstream` is built.
 """
 
 import math
@@ -48,7 +51,7 @@ from .number import as_int, as_real, as_tuple
 from .quantizer import MULTIPLIERS, STEP_INIT, STEP_MAX, STEP_MIN, code_range
 
 MAGIC = b"NADP"
-VERSION = 7
+VERSION = 8
 
 # The header after magic and version: (field, struct code) in wire order.
 HEADER_FIELDS = (

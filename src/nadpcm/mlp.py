@@ -4,11 +4,32 @@ The network is fixed at 10 inputs, 2 sigmoid hidden units and 1 linear
 output (25 parameters). Everything here is deterministic given explicit
 seeds: the same frame, epoch count and seed always reproduce the same
 trained weights, which is what lets a decoder re-derive the encoder's
-predictor from decoded samples alone. The codec fits EPOCHS LM epochs on
-RESTARTS seeded starts; those counts, the initial weight range INIT_SCALE
-and Marquardt's damping schedule (LAMBDA_INIT, times LAMBDA_UP on a rejected
-step and LAMBDA_DOWN on an accepted one) are constants of the fit, as
-normative as the network's shape: the stream version names them.
+predictor from decoded samples alone. The codec fits EPOCHS (2) separable
+LM epochs on RESTARTS (1) seeded start; those counts, the initial weight
+range INIT_SCALE and Marquardt's damping schedule (LAMBDA_INIT, times
+LAMBDA_UP on a rejected step and LAMBDA_DOWN on an accepted one) are
+constants of the fit, as normative as the network's shape: the stream
+version names them.
+
+The fit is separable, in the alternating form of variable projection
+(Golub & Pereyra 1973; Sjoberg & Viberg 1997): the output is linear in
+the output layer (v0, v1, c), so for given hidden activations its
+least-squares value is one 3 x 3 solve. `solve_output_layer` replaces each
+row's output layer by that solve after `init_mlp`'s draw (in
+`lm_stack_iterations`) and after every LM candidate step (in `lm_epoch`),
+and the candidate is accepted or rejected on its SSE after the solve.
+The solve's arithmetic is normative and makes no BLAS or LAPACK call.
+With h0, h1 a pair's hidden activations and t its target, the products
+h0 h0, h1 h0, h1 h1, h0 t and h1 t are numpy float64 multiplies; each of
+the eight sums s00 = sum h0 h0, s01 = sum h1 h0, s11 = sum h1 h1,
+s0 = sum h0, s1 = sum h1, b0 = sum h0 t, b1 = sum h1 t and b2 = sum t is
+one `np.add.reduce` over the pair axis, which adds the N terms in pair
+order, one add each, starting from the first pair's term. Then, on Python
+floats, `_output_solve` factors [[s00, s01, s0], [s01, s11, s1],
+[s0, s1, N]] by Cholesky and solves for (v0, v1, c) = (b0, b1, b2) by
+forward and back substitution, each expression as written there. A pivot
+that is not positive (a singular system) or a solution that is not finite
+leaves that row's output layer as it was given.
 
 The parameter vector is the model: `Mlp` holds the 25 parameters as one
 array, `theta`, in the order that is normative for seeding and
@@ -97,8 +118,8 @@ LAMBDA_INIT = 0.01  # the fit's constants; see the module docstring
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 0.1
 INIT_SCALE = 0.5
-EPOCHS = 6  # the codec's fit: LM epochs on each of RESTARTS seeded starts
-RESTARTS = 4
+EPOCHS = 2  # the codec's fit: separable LM epochs on each of RESTARTS seeded starts
+RESTARTS = 1
 
 _EYE = np.eye(N_PARAMS)
 _EYE.flags.writeable = False
@@ -250,9 +271,64 @@ def forward_batch(theta: np.ndarray, x: np.ndarray):
     np.exp(z, out=z)
     z += 1.0
     h = np.reciprocal(z, out=z)
+    return h, output_batch(theta, h)
+
+
+def output_batch(theta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Outputs (..., N) of one net (25,) or a stack (R, 25) from its hidden
+    activations (..., N, 2): the output half of `forward_batch`."""
     y = (h @ theta[..., 22:24, None])[..., 0]
     y += theta[..., 24:25]
-    return h, y
+    return y
+
+
+def solve_output_layer(theta: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The stack (R, 25) with each row's output layer (v0, v1, c) replaced
+    by its least-squares fit to the targets t (N,), given that row's hidden
+    activations h (R, N, 2). A row whose 3 x 3 system is singular, or whose
+    solution is not finite, keeps the layer it was given. The sums and the
+    solve are the module docstring's, with no BLAS or LAPACK call."""
+    terms = np.empty(h.shape[:-1] + (8,))
+    np.multiply(h, h[..., :1], out=terms[..., 0:2])  # h0 h0, h1 h0
+    np.multiply(h[..., 1], h[..., 1], out=terms[..., 2])
+    terms[..., 3:5] = h
+    np.multiply(h, t[:, None], out=terms[..., 5:7])
+    terms[..., 7] = t
+    n = float(len(t))
+    theta = theta.copy()
+    for i, sums in enumerate(np.add.reduce(terms, axis=-2).tolist()):
+        layer = _output_solve(*sums, n)
+        if layer is not None:
+            theta[i, 22:25] = layer
+    return theta
+
+
+def _output_solve(s00, s01, s11, s0, s1, b0, b1, b2, n):
+    """(v0, v1, c) solving [[s00, s01, s0], [s01, s11, s1], [s0, s1, n]]
+    (v0, v1, c) = (b0, b1, b2) by Cholesky, on Python floats; None when a
+    pivot is not positive or the solution is not finite."""
+    if not s00 > 0.0:
+        return None
+    l00 = math.sqrt(s00)
+    l10 = s01 / l00
+    l20 = s0 / l00
+    d11 = s11 - l10 * l10
+    if not d11 > 0.0:
+        return None
+    l11 = math.sqrt(d11)
+    l21 = (s1 - l20 * l10) / l11
+    d22 = n - l20 * l20 - l21 * l21
+    if not d22 > 0.0:
+        return None
+    l22 = math.sqrt(d22)
+    z0 = b0 / l00
+    z1 = (b1 - l10 * z0) / l11
+    z2 = (b2 - l20 * z0 - l21 * z1) / l22
+    c = z2 / l22
+    v1 = (z1 - l21 * c) / l11
+    v0 = (z0 - l10 * v1 - l20 * c) / l00
+    layer = v0, v1, c
+    return layer if all(map(math.isfinite, layer)) else None
 
 
 def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray, forward=None):
@@ -308,8 +384,10 @@ def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray, carry=None):
-    """One full-batch Levenberg-Marquardt iteration with accept/reject
-    damping for each net of a stack (R, 25), with its damping lam (R,).
+    """One full-batch separable Levenberg-Marquardt iteration with
+    accept/reject damping for each net of a stack (R, 25), with its
+    damping lam (R,): the LM step on all 25 parameters, then
+    `solve_output_layer` on the candidate, which is scored after the solve.
 
     Returns (theta', lam', sse, accepted): the stack after the step, the
     damping after it, each row's SSE at its returned parameters, and the
@@ -351,7 +429,9 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray, c
         usable = np.isfinite(delta).all(axis=1)
         delta = np.where(usable[:, None], delta, 0.0)
     candidate = theta - delta
-    h, y = forward_batch(candidate, x)
+    h = forward_batch(candidate, x)[0]
+    candidate = solve_output_layer(candidate, h, t)
+    y = output_batch(candidate, h)
     sse1 = _row_sse(t - y)
     accept = sse1 < sse0
     if not every_usable:
@@ -376,11 +456,13 @@ def lm_stack_iterations(frame, seeds, epochs: int):
 
     Yields (theta, lam, sse) after each of `epochs` stacked LM
     iterations: the (R, 25) parameters, the (R,) damping and the (R,)
-    SSEs, row i drawn from seeds[i] with damping LAMBDA_INIT. Rejected
-    steps count as epochs, so each row's SSE sequence is non-increasing.
+    SSEs, row i drawn from seeds[i] and its output layer solved, with
+    damping LAMBDA_INIT. Rejected steps count as epochs, so each row's SSE
+    sequence is non-increasing.
     """
     x, t = build_training_set(frame)
     theta = init_mlp(seeds)
+    theta = solve_output_layer(theta, forward_batch(theta, x)[0], t)
     lam = np.full(len(seeds), LAMBDA_INIT)
     carry = {}
     for _ in range(epochs):

@@ -104,15 +104,16 @@ class TestPayloadRoundTrip:
         assert back.payloads == payloads
 
     def test_hybrid_flags_survive(self):
-        # hybrid candidates: 0 is LPC-10, i + 1 is restart i of 4
+        # hybrid candidates: 0 is LPC-10, i + 1 is restart i of RESTARTS
         header = make_header(predictor_kind=PredictorKind.HYBRID,
                              true_sample_count=800, frame_len=200, bits=3)
+        candidates = [0, 1, RESTARTS, 0]
         payloads = tuple(
             FramePayload(codes=codes_for(header), candidate=candidate)
-            for candidate in (0, 1, 4, 3)
+            for candidate in candidates
         )
         back = parse(serialize(Bitstream(header, payloads)))
-        assert [p.candidate for p in back.payloads] == [0, 1, 4, 3]
+        assert [p.candidate for p in back.payloads] == candidates
 
     def test_forward_coefficients_bit_exact(self):
         header = make_header(adaptation=Adaptation.FORWARD,
@@ -179,9 +180,9 @@ class TestBitAccounting:
                              true_sample_count=600, frame_len=200)
         payloads = tuple(FramePayload(codes=codes_for(header), candidate=0)
                          for _ in range(3))
-        # header, then 3 candidate bits (LPC-10 and 4 restarts) and
+        # header, then 1 candidate bit (LPC-10 and 1 restart) and
         # 600 code bits per frame, padded once
-        expected = self.HEADER_BYTES + math.ceil(3 * (3 + 200 * 3) / 8)
+        expected = self.HEADER_BYTES + math.ceil(3 * (1 + 200 * 3) / 8)
         assert len(serialize(Bitstream(header, payloads))) == expected
 
     def test_backward_codes_accounting(self):
@@ -211,7 +212,7 @@ class TestValidation:
         data = bytearray(serialize(Bitstream(
             header, tuple(FramePayload(codes=codes_for(header))
                           for _ in range(header.frame_count)))))
-        assert data[4] == 7
+        assert data[4] == 8
         parse(bytes(data))
         data[4] = version
         with pytest.raises(BitstreamError, match=f"unsupported version {version}"):
@@ -240,6 +241,11 @@ class TestValidation:
         # version 7 fixes them as `mlp` constants
         self.check_version_refused(6)
 
+    def test_version_7_refused(self):
+        # version 7 had the same layout at 4 restarts; its MLP fit was plain
+        # LM, 6 epochs on each, where version 8 solves the output layer
+        self.check_version_refused(7)
+
     def test_truncated_stream_names_frame(self):
         header = make_header(bits=4, true_sample_count=600, frame_len=200)
         data = serialize(Bitstream(
@@ -265,11 +271,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("cut, frame_index", [(75, 2), (76, 1)])
     def test_truncated_hybrid_stream_names_frame(self, cut, frame_index):
-        # a 3-bit candidate and 299 2-bit codes: 601-bit rows, 226 payload
+        # a 1-bit candidate and 300 2-bit codes: 601-bit rows, 226 payload
         # bytes: 150 bytes (1200 bits) end two bits short of frame 1, 151
         # bytes (1208 bits) hold it
         header = make_header(predictor_kind=PredictorKind.HYBRID, bits=2,
-                             true_sample_count=897, frame_len=299)
+                             true_sample_count=900, frame_len=300)
+        assert frame_row(header.config)[3] == 601
         payloads = tuple(FramePayload(codes=codes_for(header), candidate=1 if k else 0)
                          for k in range(3))
         data = serialize(Bitstream(header, payloads))
@@ -345,7 +352,7 @@ class TestValidation:
     ])
     def test_serialize_rejects_payload_header_mismatch(self, kind, adaptation, payload, match):
         # frames 0 and 2 are valid; frame 1 is `payload`, missing, or
-        # followed by a 4th; hybrid candidates are 0 to 4. An omitted
+        # followed by a 4th; hybrid candidates are 0 and 1. An omitted
         # field is candidate 0 or no coefficients, `()`.
         header = make_header(predictor_kind=kind, adaptation=adaptation,
                              true_sample_count=600, frame_len=200)
@@ -431,11 +438,15 @@ class TestValidation:
             parse(bytes(data))
 
 
+MLP_WIDTH = math.ceil(math.log2(RESTARTS))  # 0: backward MLP sends no candidate
+HYBRID_WIDTH = math.ceil(math.log2(RESTARTS + 1))  # 1
+
+
 class TestCandidateField:
-    """Backward MLP rows start with the winning restart in ceil(log2 R) = 2
+    """Backward MLP rows start with the winning restart in ceil(log2 R)
     bits, hybrid rows with 0 (LPC-10) or restart + 1 in ceil(log2(R + 1))
-    = 3 bits, at R = `RESTARTS` (4); every other value, and a nonzero one
-    on frame 0, is refused."""
+    bits, at R = `RESTARTS` (1: no bits and 1 bit); every other value, and
+    a nonzero one on frame 0, is refused."""
 
     @staticmethod
     def header(kind, frames, frame_len=11, bits=2):
@@ -447,8 +458,8 @@ class TestCandidateField:
         return tuple(FramePayload(codes=codes_for(header), candidate=c) for c in candidates)
 
     @pytest.mark.parametrize("kind, count, width", [
-        (PredictorKind.LPC10, 1, 0), (PredictorKind.MLP, RESTARTS, 2),
-        (PredictorKind.HYBRID, RESTARTS + 1, 3),
+        (PredictorKind.LPC10, 1, 0), (PredictorKind.MLP, RESTARTS, MLP_WIDTH),
+        (PredictorKind.HYBRID, RESTARTS + 1, HYBRID_WIDTH),
     ], ids=["lpc10", "mlp", "hybrid"])
     def test_every_candidate_round_trips_in_its_width(self, kind, count, width):
         header = self.header(kind, count + 1)
@@ -460,18 +471,21 @@ class TestCandidateField:
         assert parse(data) == stream
 
     def test_candidate_wire_format(self):
-        # hybrid: 3 candidate bits, MSB first, then the codes
+        # hybrid: the candidate field, MSB first, then the codes
         header = self.header(PredictorKind.HYBRID, 2)
-        data = serialize(Bitstream(header, self.payloads(header, [0, 3])))
-        rows = "000" + "10" * 11 + "011" + "10" * 11  # code 0 biased to 0b10
+        data = serialize(Bitstream(header, self.payloads(header, [0, RESTARTS])))
+        assert HYBRID_WIDTH == 1
+        rows = "0" + "10" * 11 + "1" + "10" * 11  # code 0 biased to 0b10
         rows += "0" * (-len(rows) % 8)
         expected = bytes(int(rows[i : i + 8], 2) for i in range(0, len(rows), 8))
         assert data[TestBitAccounting.HEADER_BYTES:] == expected
 
     @pytest.mark.parametrize("kind, candidate, match", [
-        (PredictorKind.MLP, 4, r"candidate 4 outside \[0, 3\]"),
-        (PredictorKind.MLP, -1, r"candidate -1 outside \[0, 3\]"),
-        (PredictorKind.HYBRID, 5, r"candidate 5 outside \[0, 4\]"),
+        (PredictorKind.MLP, 4, r"candidate 4 outside \[0, 0\]"),
+        (PredictorKind.MLP, 1, r"candidate 1 outside \[0, 0\]"),  # one past the last
+        (PredictorKind.MLP, -1, r"candidate -1 outside \[0, 0\]"),
+        (PredictorKind.HYBRID, 5, r"candidate 5 outside \[0, 1\]"),
+        (PredictorKind.HYBRID, 2, r"candidate 2 outside \[0, 1\]"),
         (PredictorKind.MLP, None, "candidate must be an integer, got None"),
         (PredictorKind.HYBRID, True, "candidate must be an integer, got True"),
         (PredictorKind.HYBRID, 1.0, "candidate must be an integer, got 1.0"),
@@ -485,7 +499,7 @@ class TestCandidateField:
     @pytest.mark.parametrize("kind, adaptation", [
         (PredictorKind.LPC10, Adaptation.BACKWARD), (PredictorKind.LPC25, Adaptation.BACKWARD),
         (PredictorKind.LPC10, Adaptation.FORWARD), (PredictorKind.LPC25, Adaptation.FORWARD),
-        (PredictorKind.MLP, Adaptation.FORWARD),
+        (PredictorKind.MLP, Adaptation.FORWARD), (PredictorKind.MLP, Adaptation.BACKWARD),
     ])
     def test_kinds_without_candidates_refuse_one(self, kind, adaptation):
         header = make_header(predictor_kind=kind, adaptation=adaptation,
@@ -502,25 +516,24 @@ class TestCandidateField:
     @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
     def test_nonzero_candidate_on_frame_0_refused(self, kind):
         # frame 0 always uses the zero predictor, so candidate 1 there
-        # would be a second encoding of the same stream
+        # would be a second encoding of the same stream; at one restart,
+        # backward MLP has no candidate 1 at all
         header = self.header(kind, 2)
-        with pytest.raises(BitstreamError,
-                           match="^frame 0: candidate 1 on frame 0, which has only "
-                                 "candidate 0$") as info:
+        match = ("candidate 1 on frame 0, which has only candidate 0"
+                 if len(frame_candidates(header.config)) > 1 else r"candidate 1 outside \[0, 0\]")
+        with pytest.raises(BitstreamError, match=f"^frame 0: {match}$") as info:
             Bitstream(header, self.payloads(header, [1, 1]))
         assert info.value.frame_index == 0
 
+    # every value of the 1-bit hybrid field is a candidate, so the one
+    # forgery left is candidate 1 on frame 0
     @pytest.mark.parametrize("kind, frame, value, frame_index, match", [
-        (PredictorKind.HYBRID, 1, 5, 1, r"candidate 5 outside \[0, 4\]"),
-        (PredictorKind.HYBRID, 1, 6, 1, r"candidate 6 outside \[0, 4\]"),
-        (PredictorKind.HYBRID, 2, 7, 2, r"candidate 7 outside \[0, 4\]"),
         (PredictorKind.HYBRID, 0, 1, 0, "candidate 1 on frame 0"),
-        (PredictorKind.MLP, 0, 3, 0, "candidate 3 on frame 0"),
     ])
     def test_parse_refuses_forged_candidate(self, kind, frame, value, frame_index, match):
         header = self.header(kind, 3)
         data = bytearray(serialize(Bitstream(header, self.payloads(header, [0, 0, 0]))))
-        width = 3 if kind is PredictorKind.HYBRID else 2
+        width = HYBRID_WIDTH if kind is PredictorKind.HYBRID else MLP_WIDTH
         start = 8 * TestBitAccounting.HEADER_BYTES + frame * (width + 22)
         for i in range(width):
             if value >> (width - 1 - i) & 1:
@@ -531,6 +544,6 @@ class TestCandidateField:
 
     def test_numpy_integer_candidate_stored_as_int(self):
         header = self.header(PredictorKind.HYBRID, 2)
-        stream = Bitstream(header, self.payloads(header, [np.int64(0), np.uint8(4)]))
+        stream = Bitstream(header, self.payloads(header, [np.int64(0), np.uint8(RESTARTS)]))
         assert [type(p.candidate) for p in stream.payloads] == [int, int]
-        assert [p.candidate for p in stream.payloads] == [0, 4]
+        assert [p.candidate for p in stream.payloads] == [0, RESTARTS]

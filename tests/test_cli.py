@@ -21,6 +21,7 @@ from nadpcm import (
     write_wav,
 )
 from nadpcm.cli import build_parser, main
+from nadpcm.mlp import RESTARTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -199,8 +200,8 @@ class TestEncode:
         code, stdout, _ = run(capsys, "encode", "--in", pcm_file, "--out", out,
                               "--predictor", "hybrid")
         assert code == 0
-        # 3 candidate bits per 200-sample frame (LPC-10 or one of 4 restarts)
-        assert "bit rate: 32.12 kbps" in stdout
+        # 1 candidate bit per 200-sample frame (LPC-10 or the one restart)
+        assert "bit rate: 32.04 kbps" in stdout
 
     def test_bits_out_of_range(self, capsys, tmp_path, pcm_file):
         code, _, stderr = run(capsys, "encode", "--in", pcm_file,
@@ -324,7 +325,7 @@ class TestDecode:
         stream = tmp_path / "s.nad"
         run(capsys, "encode", "--in", pcm_file, "--out", str(stream), "--predictor", "hybrid")
         data = bytearray(stream.read_bytes())
-        assert data[4] == 7
+        assert data[4] == 8
         data[4] = 1
         stream.write_bytes(bytes(data))
         out = tmp_path / "r.pcm"
@@ -527,14 +528,16 @@ class TestUsage:
         assert sum(pcts) == pytest.approx(100.0, abs=0.2)
 
     def test_percentages_count_every_restart_as_mlp(self, capsys, tmp_path, pcm_file):
-        # the same figures as with the one-bit hybrid flag of version 1
+        # every candidate index after 0 is an MLP frame (60.0% at version
+        # 7's 4 restarts, as with the one-bit hybrid flag of version 1)
         stream = str(tmp_path / "h.nad")
         run(capsys, "encode", "--in", pcm_file, "--out", stream,
             "--predictor", "hybrid")
-        assert {p.candidate for p in parse(Path(stream).read_bytes()).payloads} == {0, 1, 2, 3, 4}
+        candidates = {p.candidate for p in parse(Path(stream).read_bytes()).payloads}
+        assert candidates == set(range(RESTARTS + 1))
         code, stdout, _ = run(capsys, "usage", "--in", stream)
         assert code == 0
-        assert stdout == "frames: 10\nmlp: 60.0%\nlpc: 40.0%\n"
+        assert stdout == "frames: 10\nmlp: 30.0%\nlpc: 70.0%\n"
 
     def test_non_hybrid_stream_rejected(self, capsys, tmp_path, pcm_file):
         stream = str(tmp_path / "l.nad")

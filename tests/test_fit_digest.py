@@ -51,8 +51,8 @@ SATURATED_SCALE = 8.0
 CORPUS_SHA256 = "6580718340e8d3b890ae543cb992301ab0e2abfaf4a1b363d99db6115e7c5847"
 CORPUS_LENGTHS = (8000, 4000, 2000, 3000, 2000)
 
-FIT_DIGEST = "408249281c76c4704a131931bfe8353b2f3c168772edd86d8d42ef4bdd34d005"
-SATURATED_DIGEST = "fecd9d95e87c056536c9ff42ffdaff76cf171d71af44fbeeb7d95c8909b479f9"
+FIT_DIGEST = "d13a97acfa4b2571ef74e27acd98b603162c59a66262db82f8bf469048fe20fa"
+SATURATED_DIGEST = "05e737cc819c6690d567402945223de76fafd39bd37c2f1306e873a02a823f5e"
 
 
 def read_corpus():

@@ -31,60 +31,60 @@ SIGNAL_SHA256 = "2b83882caf48b1050e83433a16eb0878e0e6e5981c39433e5d03597b2824b58
 
 GOLDEN = {
     ("ADPCMF-LPC-10", 2): (
-        "a90e12bc266066db9b169f76ed627d32e27f1b987cb48b3c060f12ccda586bf6",
+        "a61f7188c7f058330a1641a9fd55daa2b18f1cbe76fbc73cd657ef427477f290",
         "eb5454cd82375a2ffdf4ca7571ad2a9443c23f76c6a9cf5ac741ed5e3b5a934c",
     ),
     ("ADPCMF-LPC-10", 5): (
-        "73f946120f35153a2e2b3eafa2ae3dd0ca2aaa0a43decb56ad731c098f9be27c",
+        "f39fede9b8942b755c2e0bbdc3cad77f92696eb861b784ce7b8f04c3041f29c7",
         "7db033fbcfdee772b5ab60d7fbd629fe56b33beee1e836252fd00b496fee71b6",
     ),
     ("ADPCMF-LPC-25", 2): (
-        "bb22467779481cc832c362ebf12271e78978c88f83b82fa3bc3236f8b6e03e57",
+        "614cceda8918d83d206a6b75581f3532024262ce7bbfee92c31ac0eb0f678833",
         "91ccc2547230cc7f9864bcab3ffdf9d369a9284927b6dcd04158a8c51ca0f781",
     ),
     ("ADPCMF-LPC-25", 5): (
-        "5a2a889c8d459f01c231deaa093df698e19626c904aaa5d0a7fd728ef25c714b",
+        "117505b093f47034a122d660cdbad40f5697680232aeb293f652a6e890052123",
         "4c31b3d87373806ffaf08bff3421ed61057ce60224b74cf5219993901c83cdd0",
     ),
     ("ADPCMF-MLP", 2): (
-        "7bba24cb567e1ef81e0dee1cec67463da284501ca4d239234bc08ee7bf910776",
-        "e2029d0259b2ecc8084b0140639945ee06dfc76c07e23287436bad458a431f25",
+        "987167f4aaca3714c3048eee8db3414a0c65a888111213ab78085b81156b9291",
+        "6eb684718d004fac8747c369b99bad03b397b281e8f98c2ca82d61899a1e9d76",
     ),
     ("ADPCMF-MLP", 5): (
-        "8bab174f9eb6eb07f064182dac9f8684ca3987147a474a51bd05c72b3ed9db6a",
-        "271b6d2664b104bfe32f180a4bcf69a2270a32560331d75f87cb0c5837f22c67",
+        "ccc7c133c4be3487a69b23110e973e528fe9e56b29488398becbedb724bb85ca",
+        "2dfba97acb901bfcbbe9e8ab124582cfb1820cd3a5395c797501bb6e3f9db297",
     ),
     ("ADPCMB-LPC-10", 2): (
-        "baac058ac59a197add62d35cc6c5e79e8e6ecb31cc83c8c004bbebc95295b9e6",
+        "c89add85d705ef5ed0b044318814c1188bb2bc91b124d07bbac7945c2f26e7d3",
         "42024f12a00740bef1c033b26be99490a0036680e687cd5be42e06f73ab71228",
     ),
     ("ADPCMB-LPC-10", 5): (
-        "d891814546abffed4b99ec027602c747b3c47b6cc6f4478a77e2a1697d757cb0",
+        "e1e0cd78da52ed39ca1b49d0617c8ea6813b41317ab5b61c340d6c8de44b9370",
         "fd896e7a84414f2a92cf133e8abb89710e69fe41886ff22d9b5b8e30d1960273",
     ),
     ("ADPCMB-LPC-25", 2): (
-        "12952dc8fcb5b3d51c611103ac1e57219502b3d7c95e447d87e67122fe012368",
+        "4167c1413674436ada5e65b9d4ebe8881a89ef15694740b7fd0ffe499cdf2f20",
         "b9d6fb641884c3dbedbd7056cfcaa2b7da907e0e4d0e7b16b727b6fcb1850583",
     ),
     ("ADPCMB-LPC-25", 5): (
-        "c8c9b5f7c5f2e331a206dd7472c731497a287adecd88f7096d78b626ecc305a3",
+        "18bd1487df55f1cf621e1af994b66613c32d97bcbe586ebe6c8a9a93af12ed11",
         "170eb6d3bc7953ce7145b6cfe9786eb3ef7dffc90665d1a74926312883c4b3c7",
     ),
     ("ADPCMB-MLP", 2): (
-        "a731749d97ac63dae067969e58b40603e3bd6e7d7e080c6041b6430edca79809",
-        "185ac5f8bd9a331da2a95e42c6029bae16aa7b6bc6a2ebb8756a94a4f517962d",
+        "7286bd60afe8133269e882e6664ae8e1203d3e6c81c22217e6402af2987ff784",
+        "855506b484b1d7bd92eb2416864c5cfdc7c0e49f4696ec7d394c52318bf3ce1e",
     ),
     ("ADPCMB-MLP", 5): (
-        "e3e9abbd818cb40a5cc0b3f83247feba8b642a3cdb1c5ea61030e35e0ac3dc81",
-        "15d9e61fa7054885166898757dce8ab999d1ec7f610a8e81ae8d8dd5b8dc460d",
+        "bb407b93caf3f81d97b1a449bec80a3e94d2cb909125ed41e1b48783fda1664f",
+        "cbfe77acd5405c80e4717ea31ef587cc4abb9e394da6b45a3419596f309b25ba",
     ),
     ("ADPCMB-HYBRID", 2): (
-        "a948d4732abef75698cea3548b72e95be1ac0030a64f32f182c1bc01c9f11802",
-        "e1f45d599279b807805fa16adb6375dccf0aa17f06bd36564a7654d6e93ec108",
+        "77f09ca5fea034dde95063d1ad5930aec29f763e3142feda00b611da98057b02",
+        "af8d6be5b73a9514e63430eefdabc5fcc491f1799b40553e306dab6bcdf56b16",
     ),
     ("ADPCMB-HYBRID", 5): (
-        "0cba1fd214580c9a7871a32791c638b7c40ec6b02151da9bf029b24ffa371580",
-        "d65090ae150c8a6a26d8467cceb8c0d7877b178833fd16e2ff952bc529dbcd5a",
+        "83c57d67b6ef836be44f2b7d53cf20321f118299fbee950cccfb278003fa305c",
+        "5520a8d9a6f2f53457d27658962ee106658671cedc19d9ead1b184b9c2f5b60f",
     ),
 }
 

@@ -18,6 +18,12 @@ The number rule is `number.as_int`, `number.as_real` and
 `number.as_tuple`, and no other package code tests for an integer, a real
 or a sequence itself: each name of `NUMBER_RULE`, as a `Name` or a dotted
 `Attribute`, may appear only in the one rule function it maps to.
+
+The MLP's output-layer solve (`mlp.solve_output_layer` and the
+`_output_solve` it calls) is portable by construction: its sums and its
+Cholesky solve are written in a stated order, so it may use no `@`, no
+`np.dot`, `np.matmul` or `np.einsum`, nothing of `np.linalg` and no
+`math.fsum`, whose order of operations the library chooses.
 """
 
 import ast
@@ -178,3 +184,45 @@ def test_number_tests_only_in_the_rule():
 ], ids=["function", "method", "module", "nested", "other-names"])
 def test_number_tests_found(source, expected):
     assert number_tests(source) == expected
+
+
+PORTABLE_SOLVE = {"solve_output_layer", "_output_solve"}
+UNORDERED = {"np.dot", "np.matmul", "np.einsum", "math.fsum"}
+
+
+def unordered_arithmetic(source: str, functions) -> list:
+    """(function, line, what) of each `@`, `UNORDERED` name or use of
+    `np.linalg` in the named top-level functions of `source`; a named
+    function that `source` does not define is reported as missing."""
+    defined = {node.name: node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    found = [(name, 0, "missing") for name in functions if name not in defined]
+    for name in functions & defined.keys():
+        for node in ast.walk(defined[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((name, node.lineno, "@"))
+            elif dotted(node) in UNORDERED:
+                found.append((name, node.lineno, dotted(node)))
+            elif dotted(node) == "np.linalg":
+                found.append((name, node.lineno, "np.linalg"))
+    return found
+
+
+def test_output_layer_solve_is_portable():
+    source = (ROOT / "src" / "nadpcm" / "mlp.py").read_text()
+    found = unordered_arithmetic(source, PORTABLE_SOLVE)
+    assert not found, "; ".join(f"mlp.{name}:{line} uses {what}" for name, line, what in found)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(a, b):\n    return a @ b\n", [("f", 2, "@")]),
+    ("def f(a, b):\n    a @= b\n", [("f", 2, "@")]),
+    ("def f(a):\n    return np.dot(a, a) + np.einsum('i,i', a, a)\n",
+     [("f", 2, "np.dot"), ("f", 2, "np.einsum")]),
+    ("def f(a):\n    return np.linalg.solve(a, a)\n", [("f", 2, "np.linalg")]),
+    ("def f(a):\n    return math.fsum(a)\n", [("f", 2, "math.fsum")]),
+    ("def f(a):\n    return np.add.reduce(a * a) / math.sqrt(2.0)\n", []),
+    ("def g(a):\n    return a @ a\n", [("f", 0, "missing")]),
+], ids=["matmul", "in-place-matmul", "dot-einsum", "linalg", "fsum", "ordered", "missing"])
+def test_unordered_arithmetic_found(source, expected):
+    assert unordered_arithmetic(source, {"f"}) == expected

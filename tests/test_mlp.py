@@ -39,8 +39,10 @@ from nadpcm.mlp import (
     lm_iterations,
     lm_stack_iterations,
     multistart_fit,
+    output_batch,
     residual_jacobian,
     restart_seed,
+    solve_output_layer,
 )
 
 
@@ -60,12 +62,19 @@ def batch_sse(net, x, t):
     return float(r @ r)
 
 
+def solved_draw(seeds, x, t):
+    """The starting stack of `lm_stack_iterations`: `init_mlp`'s draw with
+    each row's output layer solved on its hidden activations."""
+    theta = init_mlp(seeds)
+    return solve_output_layer(theta, forward_batch(theta, x)[0], t)
+
+
 def reference_run(frame, seed, epochs):
-    """(net, sse) after each LM epoch, chained by hand from init_mlp and
-    lm_epoch on a stack of one net, as an oracle for lm_iterations and
+    """(net, sse) after each LM epoch, chained by hand from the solved draw
+    and lm_epoch on a stack of one net, as an oracle for lm_iterations and
     multistart_fit."""
     x, t = build_training_set(frame)
-    theta = init_mlp([seed])
+    theta = solved_draw([seed], x, t)
     lam = np.array([mlp_module.LAMBDA_INIT])
     steps = []
     for _ in range(epochs):
@@ -696,6 +705,143 @@ class TestLevenbergMarquardt:
         assert len(list(lm_iterations(np.linspace(-0.3, 0.3, 11), 0, 3))) == 3
 
 
+def reference_output_layer(h, t):
+    """(v0, v1, c) of the `mlp` docstring's output-layer solve for one row's
+    activations h (N, 2), on Python floats: each sum adds its terms in pair
+    order from the first, then a Cholesky factor and the two substitutions
+    written as loops; None when a pivot is not positive or the solution is
+    not finite."""
+    h0, h1, t = h[:, 0].tolist(), h[:, 1].tolist(), t.tolist()
+
+    def total(terms):
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = acc + term
+        return acc
+
+    a = [[total([u * u for u in h0]), total([w * u for u, w in zip(h0, h1)]), total(h0)],
+         [None, total([w * w for w in h1]), total(h1)],
+         [None, None, float(len(t))]]
+    b = [total([u * y for u, y in zip(h0, t)]), total([w * y for w, y in zip(h1, t)]), total(t)]
+    low = [[0.0] * 3 for _ in range(3)]
+    for j in range(3):
+        pivot = a[j][j]
+        for k in range(j):
+            pivot = pivot - low[j][k] * low[j][k]
+        if not pivot > 0.0:
+            return None
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, 3):
+            value = a[j][i]
+            for k in range(j):
+                value = value - low[i][k] * low[j][k]
+            low[i][j] = value / low[j][j]
+    z = []
+    for i in range(3):
+        value = b[i]
+        for k in range(i):
+            value = value - low[i][k] * z[k]
+        z.append(value / low[i][i])
+    layer = [0.0] * 3
+    for i in (2, 1, 0):
+        value = z[i]
+        for k in range(i + 1, 3):
+            value = value - low[k][i] * layer[k]
+        layer[i] = value / low[i][i]
+    return tuple(layer) if all(map(math.isfinite, layer)) else None
+
+
+class TestOutputLayer:
+    """`solve_output_layer` sets each row's output layer to its least-squares
+    fit given the row's hidden activations, in the docstring's arithmetic."""
+
+    @staticmethod
+    def stacks():
+        """(theta, h, t): seeded stacks on corpus frames, and on random
+        inputs with start scales that drive some hidden units to saturate."""
+        for frame, k in digest_frames():
+            x, t = build_training_set(frame)
+            theta = init_mlp([restart_seed(k, i) for i in range(3)])
+            yield theta, forward_batch(theta, x)[0], t
+        rng = np.random.default_rng(40)
+        for scale in (0.5, 4.0, 40.0):
+            x = rng.uniform(-0.5, 0.5, size=(30, N_INPUTS))
+            theta = rng.uniform(-scale, scale, size=(4, N_PARAMS))
+            yield theta, forward_batch(theta, x)[0], rng.uniform(-0.5, 0.5, size=30)
+
+    def test_equals_reference_bit_for_bit(self):
+        solved = 0
+        for theta, h, t in self.stacks():
+            out = solve_output_layer(theta, h, t)
+            np.testing.assert_array_equal(out[:, :22], theta[:, :22])
+            for i in range(len(theta)):
+                layer = reference_output_layer(h[i], t)
+                expected = theta[i, 22:] if layer is None else np.array(layer)
+                assert out[i, 22:].tobytes() == expected.tobytes()
+                solved += layer is not None
+        assert solved > 50
+
+    def test_is_the_least_squares_fit(self):
+        for theta, h, t in self.stacks():
+            out = solve_output_layer(theta, h, t)
+            for i in range(len(theta)):
+                design = np.column_stack([h[i], np.ones(len(t))])
+                if np.linalg.cond(design) > 1e6:
+                    continue
+                best = np.linalg.lstsq(design, t, rcond=None)[0]
+                np.testing.assert_allclose(out[i, 22:], best, rtol=1e-7, atol=1e-9)
+
+    def test_does_not_touch_its_input(self):
+        theta, h, t = next(self.stacks())
+        before = theta.copy()
+        solve_output_layer(theta, h, t)
+        np.testing.assert_array_equal(theta, before)
+
+    @pytest.mark.parametrize("h0, h1", [(0.0, 0.5), (0.5, 0.0), (1.0, 1.0), (0.25, 0.75)],
+                             ids=["h0-zero", "h1-zero", "equal-units", "constant-units"])
+    def test_singular_system_keeps_the_layer(self, h0, h1):
+        # 16 pairs of constant activations: in exact binary arithmetic a
+        # zero unit gives a zero pivot, and two constant units are collinear
+        # with the bias, so a later pivot is zero
+        rng = np.random.default_rng(41)
+        theta = rng.uniform(-1.0, 1.0, size=(2, N_PARAMS))
+        h = np.empty((2, 16, 2))
+        h[0] = h0, h1
+        h[1] = rng.uniform(0.1, 0.9, size=(16, 2))
+        t = rng.uniform(-0.5, 0.5, size=16)
+        out = solve_output_layer(theta, h, t)
+        assert reference_output_layer(h[0], t) is None
+        np.testing.assert_array_equal(out[0], theta[0])
+        assert out[1].tobytes() != theta[1].tobytes()  # row 1 is solved
+
+    def test_non_finite_solution_keeps_the_layer(self):
+        rng = np.random.default_rng(42)
+        theta = rng.uniform(-1.0, 1.0, size=(1, N_PARAMS))
+        h = rng.uniform(0.1, 0.9, size=(1, 20, 2))
+        t = np.full(20, 1e308)  # the target sums overflow
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(solve_output_layer(theta, h, t), theta)
+
+    def test_lm_epoch_scores_the_solved_candidate(self):
+        # an accepted row's output layer is the solve on its own hidden
+        # activations, and its SSE is scored with that layer
+        accepted = 0
+        for frame, k in digest_frames():
+            x, t = build_training_set(frame)
+            theta = solved_draw([restart_seed(k, i) for i in range(3)], x, t)
+            lam = np.full(3, LAMBDA_INIT)
+            for _ in range(3):
+                moved, lam, sse, _ = lm_epoch(theta, x, t, lam)
+                h = forward_batch(moved, x)[0]
+                for i in np.flatnonzero((moved != theta).any(axis=1)):
+                    assert solve_output_layer(moved, h, t)[i].tobytes() == moved[i].tobytes()
+                    r = t - output_batch(moved[i], h[i])
+                    assert sse[i] == r @ r
+                    accepted += 1
+                theta = moved
+        assert accepted > 20
+
+
 class TestMultistart:
     def test_restart_seed_schedule(self):
         assert restart_seed(0, 0) == 0
@@ -925,7 +1071,7 @@ class TestCarriedLm:
         for frame, k in digest_frames():
             seeds = [restart_seed(k, i) for i in range(restarts)]
             x, t = build_training_set(frame)
-            start, lam = init_mlp(seeds), np.full(restarts, LAMBDA_INIT)
+            start, lam = solved_draw(seeds, x, t), np.full(restarts, LAMBDA_INIT)
             rows.clear()
             cold = self.assert_carry_matches_cold(start, lam, x, t, epochs)
             accepted = [step[3] for step in cold]
@@ -999,12 +1145,12 @@ class TestCarriedLm:
 
 
 class TestTrainConfig:
-    """The codec's training recipe: EPOCHS LM epochs on RESTARTS seeded
-    starts, the damping schedule and the initial weight range are `mlp`
+    """The codec's training recipe: EPOCHS separable LM epochs on RESTARTS
+    seeded starts, the damping schedule and the initial weight range are `mlp`
     constants, as normative as the net's shape, and no config field."""
 
     def test_defaults(self):
-        assert (EPOCHS, RESTARTS) == (6, 4)
+        assert (EPOCHS, RESTARTS) == (2, 1)
         assert (LAMBDA_INIT, LAMBDA_UP, LAMBDA_DOWN, INIT_SCALE) == (0.01, 10.0, 0.1, 0.5)
 
     def test_not_config_fields(self):
