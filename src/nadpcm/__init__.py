@@ -3,10 +3,9 @@
 Encoding quantizes per-sample prediction residuals with an adaptive
 Jayant quantizer at 2-5 bits per sample (16-40 kbps at 8 kHz). The
 predictor is refit every frame, either forward (coefficients sent in
-the stream) or backward (the decoder refits from its own output; a
-neural frame sends only the index of the encoder's chosen MLP restart);
-a hybrid mode picks the better of the linear and neural branches per
-frame and sends its choice in the same index.
+the stream) or backward (the decoder refits from its own output and
+no predictor bits are sent); a backward hybrid mode picks the better of
+the linear and neural branches per frame and sends its choice in one bit.
 """
 
 from .audio import Signal, load_pcm16, read_wav, save_pcm16, split_frames, write_wav

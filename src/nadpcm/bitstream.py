@@ -13,29 +13,24 @@ Frame payloads follow as one fixed-width bit row per frame
 (`frame_row`), MSB-first within each byte: the candidate field, 64 bits
 per forward predictor coefficient (forward only, little-endian IEEE-754
 binary64), then frame_len codes of `bits` bits each (biased to unsigned
-by adding 2^(bits-1)). The candidate field names the predictor the
-encoder chose among the frame's candidates in the fewest bits that hold
-every index; `frame_candidates` is the table of what each index names.
-Backward MLP sends restart i of R = `mlp.RESTARTS` (1) as i, in
-ceil(log2 R) = 0 bits, so it sends no candidate bits; hybrid sends 0 for
-LPC-10 or i + 1 for restart i, in ceil(log2(R + 1)) = 1 bit; other kinds
-send candidate 0 in no bits. Backward frame 0 always uses the zero
-predictor and carries candidate 0. The decoder refits only the named
-restart, so its work per frame is `mlp.EPOCHS` (2) LM epochs and
-`mlp.EPOCHS` + 1 output-layer solves over the frame_len - 10 training
-pairs. Forward rows are zero-padded to a whole byte, so each frame's
-coefficients start on a byte boundary; other rows follow each other
-without padding. The rows are packed back to back and the final byte is
-zero-padded. Padding bits must be zero and a candidate must be in range;
-parse rejects a stream otherwise, so each stream has exactly one
-encoding. Older versions are refused: version 1 streams sent one hybrid
-flag bit and no restart index, version 2 streams summed their MLP
-predictions in BLAS, version 3 streams' MLP fits took their sigmoid from
-`expit`, version 4 streams carried the LM damping and initial weight
-range, version 5 streams carried the quantizer's steps and multiplier
-table, version 6 streams carried the MLP fit's epoch and restart counts,
-and version 7 streams fitted the MLP by plain LM, 6 epochs on 4
-restarts. Payload values are checked once, when a `Bitstream` is built.
+by adding 2^(bits-1)). The candidate field names the predictor kind the
+encoder chose, in the fewest bits that hold every index of
+`frame_candidates`: hybrid sends 0 for LPC-10 or 1 for the MLP in 1 bit,
+every other kind candidate 0 in no bits. Backward frame 0 always uses
+the zero predictor and carries candidate 0. Forward rows are zero-padded
+to a whole byte, so each frame's coefficients start on a byte boundary;
+other rows follow each other without padding. The rows are packed back
+to back and the final byte is zero-padded. Padding bits must be zero and
+a candidate must be in range; parse rejects a stream otherwise, so each
+stream has exactly one encoding. Older versions are refused: version 1
+streams sent one hybrid flag bit and no restart index, version 2 streams
+summed their MLP predictions in BLAS, version 3 streams' MLP fits took
+their sigmoid from `expit`, version 4 streams carried the LM damping and
+initial weight range, version 5 streams carried the quantizer's steps
+and multiplier table, version 6 streams carried the MLP fit's epoch and
+restart counts, and version 7 streams fitted the MLP by plain LM, 6
+epochs on 4 restarts. Payload values are checked once, when a
+`Bitstream` is built.
 """
 
 import math
@@ -46,7 +41,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, RESTARTS, TOO_SHORT
+from .mlp import MASK64, MIN_FRAME_LEN, N_PARAMS, TOO_SHORT
 from .number import as_int, as_real, as_tuple
 from .quantizer import MULTIPLIERS, STEP_INIT, STEP_MAX, STEP_MIN, code_range
 
@@ -224,14 +219,12 @@ class Bitstream:
 
 
 def frame_candidates(config: CodecConfig) -> tuple:
-    """One (PredictorKind, restart) pair per candidate index, in index order:
-    (MLP, i) for each restart i in backward MLP mode; (LPC10, 0), then each
-    (MLP, i) for hybrid; one entry, (kind, 0), for every other kind and mode."""
+    """The PredictorKind each candidate index names, in index order:
+    (LPC10, MLP) for hybrid, (kind,) for every other kind and mode."""
     kind = config.predictor_kind
-    if config.adaptation is Adaptation.FORWARD or kind not in NEURAL_KINDS:
-        return ((kind, 0),)
-    nets = tuple((PredictorKind.MLP, i) for i in range(RESTARTS))
-    return ((PredictorKind.LPC10, 0), *nets) if kind is PredictorKind.HYBRID else nets
+    if kind is PredictorKind.HYBRID:
+        return (PredictorKind.LPC10, PredictorKind.MLP)
+    return (kind,)
 
 
 def frame_row(config: CodecConfig) -> tuple[int, int, slice, int]:

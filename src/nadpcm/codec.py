@@ -11,18 +11,14 @@ One rule, `frame_predictor(state, payload)`, gives every frame's
 predictor, and both sides call it, so they cannot drift. Forward frames
 rebuild the predictor from the coefficients in the payload (the encoder
 fits them on the current original frame). Backward frames refit on the
-state's previous reconstructed frame; frame 0 has none and uses the zero
-predictor. After frame 0 the payload's candidate names the refit, an
-entry of `bitstream.frame_candidates`; an MLP entry is one restart, which
-the decoder fits alone with the encoder's own call, `multistart_fit`,
-given just that restart's index.
+state's previous reconstructed frame, as the predictor kind the
+payload's candidate names in `bitstream.frame_candidates`; frame 0 has
+none and uses the zero predictor.
 
-The encoder lists the payloads it could send for a frame with their
-predictors, runs the loop from the same state with each, and commits the
-state of the one with the smallest squared error, ties going to the
-first. Its MLP candidate names the restart with the lowest training SSE
-of one `multistart_fit` over all restarts, so the encoder codes with the
-net it fitted and the decoder's fit of that restart alone reproduces it.
+The encoder lists the payloads it could send for a frame, takes each
+one's predictor from `frame_predictor`, runs the loop from the same
+state with each, and commits the state of the one with the smallest
+squared error, ties going to the first.
 
 Reconstructed history is continuous across frame boundaries; predictor
 training sets are not.
@@ -37,7 +33,6 @@ from . import lpc
 from .audio import Signal, split_frames
 from .bitstream import (
     FORWARD_COEFF_COUNT,
-    NEURAL_KINDS,
     Adaptation,
     Bitstream,
     BitstreamError,
@@ -73,14 +68,12 @@ def initial_state(config: CodecConfig) -> CodecState:
     return CodecState((0.0,) * HISTORY_LEN, config.step_init, 0, config, None)
 
 
-def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index: int,
-                  restarts=range(RESTARTS)):
+def fit_predictor(samples, kind: PredictorKind, config: CodecConfig, frame_index: int):
     """Fit a predictor on one frame of samples: the previous decoded frame in
     backward mode (decoder-reproducible), the current original frame in
-    forward mode (coefficients transmitted). An MLP fits the listed
-    `restarts`, all of them by default."""
+    forward mode (coefficients transmitted)."""
     if kind is PredictorKind.MLP:
-        return multistart_fit(samples, EPOCHS, config.seed ^ frame_index, restarts)
+        return multistart_fit(samples, EPOCHS, config.seed ^ frame_index, RESTARTS)
     return lpc.fit(samples, FORWARD_COEFF_COUNT[kind])
 
 
@@ -89,10 +82,8 @@ def frame_predictor(state: CodecState, payload: FramePayload):
 
     Forward frames build it from `payload.forward_coeffs` alone. Backward
     frame 0 has no previous reconstruction and uses ZERO; later backward
-    frames refit on `state.recon` as the `frame_candidates` entry
-    `payload.candidate` names. An MLP entry is the encoder's
-    `multistart_fit` call given only its restart, which gives the same
-    net as that restart of the encoder's fit.
+    frames fit the `frame_candidates` kind `payload.candidate` names on
+    `state.recon`.
     """
     config = state.config
     if config.adaptation is Adaptation.FORWARD:
@@ -100,34 +91,23 @@ def frame_predictor(state: CodecState, payload: FramePayload):
         return Mlp(coeffs) if config.predictor_kind is PredictorKind.MLP else lpc.LpcModel(coeffs)
     if state.recon is None:
         return ZERO
-    kind, restart = frame_candidates(config)[payload.candidate]
-    return fit_predictor(state.recon, kind, config, state.frame_index, (restart,))
+    kind = frame_candidates(config)[payload.candidate]
+    return fit_predictor(state.recon, kind, config, state.frame_index)
 
 
 def _candidates(state: CodecState, frame) -> list:
     """The (payload, predictor) pairs, codes still empty, the encoder may
     send for a frame: the coefficients fitted on `frame` in forward mode;
-    candidate 0 on backward frame 0; otherwise each non-MLP entry of
-    `frame_candidates`, then, for a neural kind, the `multistart_fit`
-    winner at its restart's entry. The winner is coded with the net
-    already fitted, which is the one `frame_predictor` rebuilds."""
+    in backward mode candidate 0 on frame 0 and every candidate of
+    `frame_candidates` after it. Each predictor is `frame_predictor`'s."""
     config = state.config
-    kind = config.predictor_kind
-    payload = FramePayload(())
     if config.adaptation is Adaptation.FORWARD:
-        fitted = fit_predictor(frame, kind, config, state.frame_index)
-        payload = FramePayload((), forward_coeffs=fitted.params)
-    elif state.recon is not None:
-        table = frame_candidates(config)
-        listed = (FramePayload((), candidate=i)
-                  for i, (entry, _) in enumerate(table) if entry is not PredictorKind.MLP)
-        tried = [(p, frame_predictor(state, p)) for p in listed]
-        if kind in NEURAL_KINDS:
-            net = fit_predictor(state.recon, PredictorKind.MLP, config, state.frame_index)
-            index = table.index((PredictorKind.MLP, net.restart))
-            tried.append((FramePayload((), candidate=index), net))
-        return tried
-    return [(payload, frame_predictor(state, payload))]
+        fitted = fit_predictor(frame, config.predictor_kind, config, state.frame_index)
+        payloads = [FramePayload((), forward_coeffs=fitted.params)]
+    else:
+        count = 1 if state.recon is None else len(frame_candidates(config))
+        payloads = [FramePayload((), candidate=i) for i in range(count)]
+    return [(p, frame_predictor(state, p)) for p in payloads]
 
 
 def _closed_loop(state: CodecState, frame, predictor, codes=None):
@@ -240,7 +220,7 @@ def encode(signal: Signal, config: CodecConfig) -> EncodeResult:
 
 def decode(bitstream: Bitstream) -> Signal:
     """Reconstruct the signal, getting each frame's predictor from
-    `frame_predictor` as the encoder did (an MLP frame trains one restart)."""
+    `frame_predictor` as the encoder did."""
     header = bitstream.header
     state = initial_state(header.config)
     parts = []

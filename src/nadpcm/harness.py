@@ -258,7 +258,7 @@ def predictor_usage(bitstream: Bitstream):
         raise ValueError("predictor usage is defined for hybrid bitstreams only")
     table = frame_candidates(bitstream.header.config)
     n = len(bitstream.payloads)
-    mlp_frames = sum(1 for p in bitstream.payloads if table[p.candidate][0] is PredictorKind.MLP)
+    mlp_frames = sum(1 for p in bitstream.payloads if table[p.candidate] is PredictorKind.MLP)
     return 100.0 * mlp_frames / n, 100.0 * (n - mlp_frames) / n
 
 

@@ -179,14 +179,11 @@ class Mlp(lpc.Predictor):
 
     `theta` holds the 25 parameters in the normative order and is the
     whole model; `params` holds them as Python floats, and `w_in` (2, 10)
-    is a read-only view of its input weights. `restart` is not a
-    parameter: it records which restart of a `multistart_fit` the net is,
-    so the encoder can send that index. Two nets are equal, and hash
-    alike, when their `theta` bytes and `restart` are.
+    is a read-only view of its input weights. Two nets are equal, and
+    hash alike, when their `theta` bytes are.
     """
 
     theta: np.ndarray
-    restart: int = 0
     order = N_INPUTS
 
     def __post_init__(self):
@@ -203,8 +200,8 @@ class Mlp(lpc.Predictor):
         """All-zero net; predicts 0.0 for any input (zero output weights)."""
         return cls(np.zeros(N_PARAMS))
 
-    def _key(self) -> tuple:
-        return self.theta.tobytes(), self.restart
+    def _key(self) -> bytes:
+        return self.theta.tobytes()
 
     def _kernel(self):
         return _forward_kernel()
@@ -485,27 +482,21 @@ def restart_seed(seed: int, restart_index: int) -> int:
     return (seed ^ ((restart_index * GOLDEN_GAMMA) & MASK64)) & MASK64
 
 
-def multistart_fit(frame, epochs: int, seed: int, restarts) -> Mlp:
-    """Train the listed restarts from seeded random initializations; keep the best.
+def multistart_fit(frame, epochs: int, seed: int, restarts: int) -> Mlp:
+    """Train `restarts` seeded random initializations; keep the best.
 
-    `restarts` is a non-empty sequence of restart indices. They run
-    `epochs` LM iterations as one stack, row j seeded
-    `restart_seed(seed, restarts[j])`; the winner is the row with the
-    lowest final SSE on the training frame (ties go to the first listed),
-    and its index is the returned net's `restart`. A row does not depend
-    on the others, so the decoder's fit of `(i,)` is restart i of the
-    encoder's fit of `range(RESTARTS)`. `epochs` goes through
-    `as_int(..., minimum=1)`, the seed and each index through `as_int`.
-    A frame shorter than MIN_FRAME_LEN is refused.
+    They run `epochs` LM iterations as one stack, row i seeded
+    `restart_seed(seed, i)`; the winner is the row with the lowest final
+    SSE on the training frame, ties going to the lowest row. `epochs` and
+    `restarts` go through `as_int(..., minimum=1)`, the seed through
+    `as_int`. A frame shorter than MIN_FRAME_LEN is refused.
     """
     epochs = as_int("epochs", epochs, minimum=1)
     seed = as_int("seed", seed)
-    restarts = [as_int("restart", i) for i in restarts]
-    if not restarts:
-        raise ValueError("restarts must list at least one restart index")
-    seeds = [restart_seed(seed, i) for i in restarts]
+    restarts = as_int("restarts", restarts, minimum=1)
+    seeds = [restart_seed(seed, i) for i in range(restarts)]
     for theta, _, sse in lm_stack_iterations(frame, seeds, epochs):
         pass
     finals = sse.tolist()
-    best = min(range(len(finals)), key=finals.__getitem__)
-    return Mlp(theta[best], restarts[best])
+    best = min(range(restarts), key=finals.__getitem__)
+    return Mlp(theta[best])

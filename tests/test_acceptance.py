@@ -206,7 +206,7 @@ def test_c07_hybrid_dominance(capsys, corpus):
         sse_l = encode_frame(state, frame, linear)[2]
         sse_n = encode_frame(state, frame, neural)[2]
         committed = sse_n if payload.candidate else sse_l
-        expected = neural.restart + 1 if sse_n < sse_l else 0  # ties stay linear
+        expected = 1 if sse_n < sse_l else 0  # ties stay linear
         if (committed != min(sse_l, sse_n) or payload.candidate != expected
                 or stat.branch_sses != (sse_l, sse_n) or stat.sse != committed):
             frame_failures += 1
@@ -248,7 +248,7 @@ def test_c09_nonlinear_advantage(capsys):
     prediction on held-out one-step residual energy."""
     x = nonlinear_ar_raw(seed=31, n=3000, sigma=0.25)
     train_seg, test_seg = x[:1500], x[1490:]
-    net = multistart_fit(train_seg, 40, seed=1, restarts=range(RESTARTS))
+    net = multistart_fit(train_seg, 40, seed=1, restarts=RESTARTS)
     linear = lpc_fit(train_seg, 10)
     e_mlp = e_lpc = 0.0
     for n in range(10, len(test_seg)):

@@ -22,7 +22,6 @@ from nadpcm.bitstream import (
     parse,
     serialize,
 )
-from nadpcm.mlp import RESTARTS
 
 
 def make_header(sample_rate=8000, true_sample_count=400, seed=1234567890123456789,
@@ -104,10 +103,10 @@ class TestPayloadRoundTrip:
         assert back.payloads == payloads
 
     def test_hybrid_flags_survive(self):
-        # hybrid candidates: 0 is LPC-10, i + 1 is restart i of RESTARTS
+        # hybrid candidates: 0 is LPC-10, 1 is the MLP
         header = make_header(predictor_kind=PredictorKind.HYBRID,
                              true_sample_count=800, frame_len=200, bits=3)
-        candidates = [0, 1, RESTARTS, 0]
+        candidates = [0, 1, 1, 0]
         payloads = tuple(
             FramePayload(codes=codes_for(header), candidate=candidate)
             for candidate in candidates
@@ -180,7 +179,7 @@ class TestBitAccounting:
                              true_sample_count=600, frame_len=200)
         payloads = tuple(FramePayload(codes=codes_for(header), candidate=0)
                          for _ in range(3))
-        # header, then 1 candidate bit (LPC-10 and 1 restart) and
+        # header, then 1 candidate bit (LPC-10 or the MLP) and
         # 600 code bits per frame, padded once
         expected = self.HEADER_BYTES + math.ceil(3 * (1 + 200 * 3) / 8)
         assert len(serialize(Bitstream(header, payloads))) == expected
@@ -438,15 +437,14 @@ class TestValidation:
             parse(bytes(data))
 
 
-MLP_WIDTH = math.ceil(math.log2(RESTARTS))  # 0: backward MLP sends no candidate
-HYBRID_WIDTH = math.ceil(math.log2(RESTARTS + 1))  # 1
+MLP_WIDTH = 0  # backward MLP sends no candidate
+HYBRID_WIDTH = 1
 
 
 class TestCandidateField:
-    """Backward MLP rows start with the winning restart in ceil(log2 R)
-    bits, hybrid rows with 0 (LPC-10) or restart + 1 in ceil(log2(R + 1))
-    bits, at R = `RESTARTS` (1: no bits and 1 bit); every other value, and
-    a nonzero one on frame 0, is refused."""
+    """Hybrid rows start with 0 (LPC-10) or 1 (the MLP) in one bit, and
+    backward MLP rows send no candidate; every other value, and a nonzero
+    one on frame 0, is refused."""
 
     @staticmethod
     def header(kind, frames, frame_len=11, bits=2):
@@ -457,9 +455,23 @@ class TestCandidateField:
     def payloads(header, candidates):
         return tuple(FramePayload(codes=codes_for(header), candidate=c) for c in candidates)
 
+    @pytest.mark.parametrize("kind, adaptation, table", [
+        (PredictorKind.LPC10, Adaptation.BACKWARD, (PredictorKind.LPC10,)),
+        (PredictorKind.LPC10, Adaptation.FORWARD, (PredictorKind.LPC10,)),
+        (PredictorKind.LPC25, Adaptation.BACKWARD, (PredictorKind.LPC25,)),
+        (PredictorKind.LPC25, Adaptation.FORWARD, (PredictorKind.LPC25,)),
+        (PredictorKind.MLP, Adaptation.BACKWARD, (PredictorKind.MLP,)),
+        (PredictorKind.MLP, Adaptation.FORWARD, (PredictorKind.MLP,)),
+        (PredictorKind.HYBRID, Adaptation.BACKWARD, (PredictorKind.LPC10, PredictorKind.MLP)),
+    ], ids=[f"{kind}-{mode}" for kind in ("lpc10", "lpc25", "mlp") for mode in ("b", "f")]
+       + ["hybrid-b"])
+    def test_each_candidate_names_a_kind(self, kind, adaptation, table):
+        config = CodecConfig(predictor_kind=kind, adaptation=adaptation)
+        assert frame_candidates(config) == table
+
     @pytest.mark.parametrize("kind, count, width", [
-        (PredictorKind.LPC10, 1, 0), (PredictorKind.MLP, RESTARTS, MLP_WIDTH),
-        (PredictorKind.HYBRID, RESTARTS + 1, HYBRID_WIDTH),
+        (PredictorKind.LPC10, 1, 0), (PredictorKind.MLP, 1, MLP_WIDTH),
+        (PredictorKind.HYBRID, 2, HYBRID_WIDTH),
     ], ids=["lpc10", "mlp", "hybrid"])
     def test_every_candidate_round_trips_in_its_width(self, kind, count, width):
         header = self.header(kind, count + 1)
@@ -473,8 +485,7 @@ class TestCandidateField:
     def test_candidate_wire_format(self):
         # hybrid: the candidate field, MSB first, then the codes
         header = self.header(PredictorKind.HYBRID, 2)
-        data = serialize(Bitstream(header, self.payloads(header, [0, RESTARTS])))
-        assert HYBRID_WIDTH == 1
+        data = serialize(Bitstream(header, self.payloads(header, [0, 1])))
         rows = "0" + "10" * 11 + "1" + "10" * 11  # code 0 biased to 0b10
         rows += "0" * (-len(rows) % 8)
         expected = bytes(int(rows[i : i + 8], 2) for i in range(0, len(rows), 8))
@@ -516,8 +527,8 @@ class TestCandidateField:
     @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
     def test_nonzero_candidate_on_frame_0_refused(self, kind):
         # frame 0 always uses the zero predictor, so candidate 1 there
-        # would be a second encoding of the same stream; at one restart,
-        # backward MLP has no candidate 1 at all
+        # would be a second encoding of the same stream; backward MLP has
+        # no candidate 1 at all
         header = self.header(kind, 2)
         match = ("candidate 1 on frame 0, which has only candidate 0"
                  if len(frame_candidates(header.config)) > 1 else r"candidate 1 outside \[0, 0\]")
@@ -544,6 +555,6 @@ class TestCandidateField:
 
     def test_numpy_integer_candidate_stored_as_int(self):
         header = self.header(PredictorKind.HYBRID, 2)
-        stream = Bitstream(header, self.payloads(header, [np.int64(0), np.uint8(RESTARTS)]))
+        stream = Bitstream(header, self.payloads(header, [np.int64(0), np.uint8(1)]))
         assert [type(p.candidate) for p in stream.payloads] == [int, int]
-        assert [p.candidate for p in stream.payloads] == [0, RESTARTS]
+        assert [p.candidate for p in stream.payloads] == [0, 1]

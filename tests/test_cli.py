@@ -21,7 +21,6 @@ from nadpcm import (
     write_wav,
 )
 from nadpcm.cli import build_parser, main
-from nadpcm.mlp import RESTARTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -200,7 +199,7 @@ class TestEncode:
         code, stdout, _ = run(capsys, "encode", "--in", pcm_file, "--out", out,
                               "--predictor", "hybrid")
         assert code == 0
-        # 1 candidate bit per 200-sample frame (LPC-10 or the one restart)
+        # 1 candidate bit per 200-sample frame (LPC-10 or the MLP)
         assert "bit rate: 32.04 kbps" in stdout
 
     def test_bits_out_of_range(self, capsys, tmp_path, pcm_file):
@@ -527,14 +526,13 @@ class TestUsage:
                 if l.startswith(("mlp:", "lpc:"))]
         assert sum(pcts) == pytest.approx(100.0, abs=0.2)
 
-    def test_percentages_count_every_restart_as_mlp(self, capsys, tmp_path, pcm_file):
-        # every candidate index after 0 is an MLP frame (60.0% at version
-        # 7's 4 restarts, as with the one-bit hybrid flag of version 1)
+    def test_percentages_count_candidate_1_as_mlp(self, capsys, tmp_path, pcm_file):
+        # candidate 1 is an MLP frame, candidate 0 an LPC-10 one
         stream = str(tmp_path / "h.nad")
         run(capsys, "encode", "--in", pcm_file, "--out", stream,
             "--predictor", "hybrid")
         candidates = {p.candidate for p in parse(Path(stream).read_bytes()).payloads}
-        assert candidates == set(range(RESTARTS + 1))
+        assert candidates == {0, 1}
         code, stdout, _ = run(capsys, "usage", "--in", stream)
         assert code == 0
         assert stdout == "frames: 10\nmlp: 30.0%\nlpc: 70.0%\n"

@@ -224,17 +224,14 @@ class TestHybridFrame:
         state = initial_state(config)
         for frame, payload, stat in zip(frames, result.bitstream.payloads, result.frame_stats):
             if state.recon is not None:
-                # re-simulate both branches from the same state, the neural
-                # one as the restart that wins the multistart fit
-                neural = multistart_fit(state.recon, EPOCHS, config.seed ^ state.frame_index,
-                                        range(RESTARTS)).restart + 1
+                # re-simulate both branches, LPC-10 (0) and MLP (1), from
+                # the same state
                 sses = tuple(
                     encode_frame(state, frame, frame_predictor(
                         state, FramePayload((), candidate=candidate)))[2]
-                    for candidate in (0, neural))
+                    for candidate in (0, 1))
                 assert stat.branch_sses == sses
-                expected = (0, neural)[int(np.argmin(sses))]
-                assert payload.candidate == expected
+                assert payload.candidate == int(np.argmin(sses))
                 assert stat.sse == min(sses)
             codes, state, _ = encode_frame(state, frame, frame_predictor(state, payload))
             assert tuple(codes) == payload.codes
@@ -508,35 +505,12 @@ class TestBackwardMode:
 
 
 class TestCandidate:
-    """Backward MLP and hybrid frames name the encoder's winning restart;
-    the decoder fits only that one."""
-
-    @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
-    def test_candidate_names_the_winning_restart(self, speech_like, kind):
-        config = CodecConfig(predictor_kind=kind, bits=3)
-        signal = Signal(speech_like.samples[:2000], speech_like.sample_rate)
-        result = encode(signal, config)
-        offset = int(kind is PredictorKind.HYBRID)
-        state = initial_state(config)
-        restarts = set()
-        for payload in result.bitstream.payloads:
-            rebuilt = frame_predictor(state, payload)
-            if state.recon is None:
-                assert payload.candidate == 0
-            elif payload.candidate or not offset:
-                winner = multistart_fit(state.recon, EPOCHS, config.seed ^ state.frame_index,
-                                        range(RESTARTS))
-                assert payload.candidate == winner.restart + offset
-                assert rebuilt.theta.tobytes() == winner.theta.tobytes()
-                assert rebuilt.restart == winner.restart
-                restarts.add(winner.restart)
-            state = decode_frame(state, payload.codes, rebuilt)
-        assert restarts == set(range(RESTARTS))  # every restart wins a frame
-        np.testing.assert_array_equal(decode(result.bitstream).samples,
-                                      result.reconstruction.samples)
+    """Backward MLP and hybrid frames name a predictor kind; the encoder
+    codes each candidate with the predictor `frame_predictor` gives, and
+    the decoder fits only the one the payload names."""
 
     @pytest.mark.parametrize("kind, width, used", [
-        # zero-width fields: LPC-10's, and backward MLP's at one restart
+        # zero-width fields: LPC-10's and backward MLP's
         pytest.param(PredictorKind.LPC10, 0, {0}, id="lpc10"),
         pytest.param(PredictorKind.MLP, 0, {0}, id="mlp"),
         # every value of the hybrid's full 1-bit field
@@ -553,46 +527,46 @@ class TestCandidate:
         assert decode(parsed).samples.tobytes() == result.reconstruction.samples.tobytes()
 
     @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
-    def test_encoder_fits_all_restarts_once_decoder_one(self, monkeypatch, speech_like, kind):
-        rows = []
-        lm_epoch = mlp.lm_epoch
+    def test_encoder_codes_frame_predictor_and_each_side_fits_once(
+            self, monkeypatch, speech_like, kind):
+        rows, coded = [], []
+        lm_epoch, candidates = mlp.lm_epoch, codec._candidates
 
-        def recording(theta, *args):
+        def recording_epoch(theta, *args):
             rows.append(len(theta))
             return lm_epoch(theta, *args)
 
-        monkeypatch.setattr(mlp, "lm_epoch", recording)
+        def recording_candidates(state, frame):
+            tried = candidates(state, frame)
+            coded.append((state, tried))
+            return tried
+
+        monkeypatch.setattr(mlp, "lm_epoch", recording_epoch)
+        monkeypatch.setattr(codec, "_candidates", recording_candidates)
         config = CodecConfig(predictor_kind=kind)
         signal = Signal(speech_like.samples[:1000], speech_like.sample_rate)
         result = encode(signal, config)
         # one RESTARTS-row stack per frame after frame 0, never a refit
         assert rows == [RESTARTS] * (4 * EPOCHS)
+        # the wire numbering, stated here apart from `frame_candidates`:
+        # hybrid sends LPC-10 as 0, and the MLP is the last candidate
+        net_candidate = {PredictorKind.MLP: 0, PredictorKind.HYBRID: 1}[kind]
+        for state, tried in coded:
+            count = 1 if state.recon is None else net_candidate + 1
+            assert [p.candidate for p, _ in tried] == list(range(count))
+            for payload, predictor in tried:
+                assert predictor == frame_predictor(state, payload)
+            if state.recon is not None:
+                seed = config.seed ^ state.frame_index
+                assert tried[-1][1] == multistart_fit(state.recon, EPOCHS, seed, RESTARTS)
+                if net_candidate:
+                    assert tried[0][1] == lpc.fit(state.recon, 10)
         rows.clear()
         np.testing.assert_array_equal(decode(result.bitstream).samples,
                                       result.reconstruction.samples)
-        neural = sum(1 for p in result.bitstream.payloads[1:]
-                     if p.candidate or kind is PredictorKind.MLP)
+        neural = sum(1 for p in result.bitstream.payloads[1:] if p.candidate == net_candidate)
         assert neural > 0
-        assert rows == [1] * (neural * EPOCHS)
-
-    # the wire numbering, stated here apart from `frame_candidates`: backward
-    # MLP sends restart i as i; hybrid sends LPC-10 as 0 and restart i as i + 1
-    @pytest.mark.parametrize("kind, first_net", [
-        pytest.param(PredictorKind.MLP, 0, id="mlp"),
-        pytest.param(PredictorKind.HYBRID, 1, id="hybrid"),
-    ])
-    def test_payload_picks_the_branch_and_restart(self, speech_like, kind, first_net):
-        config = CodecConfig(predictor_kind=kind)
-        prev = speech_like.samples[:200]
-        state = replace(initial_state(config), frame_index=3, recon=prev)
-        if first_net:
-            linear = frame_predictor(state, FramePayload((), candidate=0))
-            assert linear.coeffs.tolist() == fit_predictor(
-                prev, PredictorKind.LPC10, config, 3).coeffs.tolist()
-        for i in range(RESTARTS):
-            net = frame_predictor(state, FramePayload((), candidate=i + first_net))
-            alone = multistart_fit(prev, EPOCHS, config.seed ^ 3, (i,))
-            assert net.theta.tobytes() == alone.theta.tobytes() and net.restart == i
+        assert rows == [RESTARTS] * (neural * EPOCHS)
 
 
 class TestShortFrameStability:

@@ -1,8 +1,8 @@
 """Mutated backward-MLP and hybrid streams: decode or name the frame.
 
-Each case starts from a valid stream (4 frames of 40 samples; the codec
-fits 4 restarts, so a 2-bit candidate for backward MLP, a 3-bit one
-for the hybrid) at 2 and 5 bits, and changes its payload only.
+Each case starts from a valid stream (4 frames of 40 samples; backward
+MLP sends no candidate bits, the hybrid a 1-bit one) at 2 and 5 bits,
+and changes its payload only.
 The header stays valid, so the decode work per input stays that of the
 original stream. Every mutated input must decode to finite samples or
 raise BitstreamError with `frame_index` set. Bit flips are drawn over the

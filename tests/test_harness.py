@@ -31,7 +31,6 @@ from nadpcm.harness import (
     segsnr_report_csv,
 )
 from nadpcm.metrics import SILENCE_ENERGY_FLOOR
-from nadpcm.mlp import RESTARTS
 from nadpcm.quantizer import MULTIPLIERS
 
 
@@ -352,7 +351,7 @@ class TestPredictorUsage:
         assert pct_mlp == pytest.approx(100.0 * sum(neural) / len(neural))
 
     @pytest.mark.parametrize("bits, expected", [(2, (37.0, 63.0)), (5, (50.0, 50.0))])
-    def test_percentages_count_every_restart_as_mlp(self, bits, expected):
+    def test_percentages_count_candidate_1_as_mlp(self, bits, expected):
         # Version 7's plain LM fit on 4 restarts read 29/71 at 2 bits, the
         # same figures as with the one-bit hybrid flag of version 1. 5 bits
         # read 43/57 until version 3's BLAS-free forward pass moved the
@@ -361,7 +360,7 @@ class TestPredictorUsage:
         # until version 8's separable fit on one restart
         config = CodecConfig(bits=bits, frame_len=40, predictor_kind=PredictorKind.HYBRID)
         result = encode(formant_utterance(29, 4000), config)
-        assert {p.candidate for p in result.bitstream.payloads} == set(range(RESTARTS + 1))
+        assert {p.candidate for p in result.bitstream.payloads} == {0, 1}
         assert predictor_usage(result.bitstream) == expected
 
     def test_non_hybrid_rejected(self, ar_signal):

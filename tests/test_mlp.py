@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -264,12 +264,11 @@ class TestMlpEquality:
         assert net == same and hash(net) == hash(same)
         assert len({net, same, Mlp.zero()}) == 2
 
-    def test_any_bit_or_restart_differs(self):
+    def test_any_bit_differs(self):
         net = seeded_net(3)
         theta = net.theta.copy()
         theta[24] = np.nextafter(theta[24], np.inf)
         assert net != Mlp(theta)
-        assert net != replace(net, restart=1)
         assert Mlp.zero() != Mlp(-np.zeros(N_PARAMS))  # the bytes of -0.0 differ
 
     def test_other_types_are_not_equal(self):
@@ -851,14 +850,14 @@ class TestMultistart:
 
     def test_deterministic(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
-        a = multistart_fit(frame, 6, 77, range(4))
-        b = multistart_fit(frame, 6, 77, range(4))
+        a = multistart_fit(frame, 6, 77, 4)
+        b = multistart_fit(frame, 6, 77, 4)
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_selects_lowest_sse_restart(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
         x, t = build_training_set(frame)
-        best = multistart_fit(frame, 6, 21, range(4))
+        best = multistart_fit(frame, 6, 21, 4)
         finals = [reference_run(frame, restart_seed(21, i), 6)[-1] for i in range(4)]
         winner = int(np.argmin([err for _, err in finals]))
         np.testing.assert_array_equal(best.theta, finals[winner][0].theta)
@@ -866,15 +865,14 @@ class TestMultistart:
 
     def test_single_restart_equals_one_run(self):
         frame = np.sin(np.linspace(0, 12, 150)) * 0.4
-        via_multi = multistart_fit(frame, 6, 33, range(1))
+        via_multi = multistart_fit(frame, 6, 33, 1)
         via_run, _ = reference_run(frame, restart_seed(33, 0), 6)[-1]
         np.testing.assert_array_equal(via_multi.theta, via_run.theta)
 
     @staticmethod
-    def fit_with_final_sse(monkeypatch, final_sse, restarts=range(4)):
-        """multistart_fit of `restarts` over a faked LM whose row j is all j;
-        the first of two epochs would pick row 0, so only the last epoch may
-        count."""
+    def fit_with_final_sse(monkeypatch, final_sse):
+        """multistart_fit over a faked LM whose row i is all i; the first
+        of two epochs would pick row 0, so only the last epoch may count."""
         rows = len(final_sse)
         stack = np.repeat(np.arange(float(rows))[:, None], 25, axis=1)
         epoch_sse = [(0.5,) + (9.0,) * (rows - 1), final_sse]
@@ -884,7 +882,7 @@ class TestMultistart:
             return stack, lam, np.array(epoch_sse.pop(0)), 0
 
         monkeypatch.setattr(mlp_module, "lm_epoch", fake_epoch)
-        best = multistart_fit(np.zeros(50), 2, 5, restarts)
+        best = multistart_fit(np.zeros(50), 2, 5, rows)
         assert not epoch_sse
         return best
 
@@ -897,51 +895,20 @@ class TestMultistart:
         best = self.fit_with_final_sse(monkeypatch, (2.0, 1.0, float("nan"), 1.0))
         np.testing.assert_array_equal(best.theta, np.full(25, 1.0))
 
-    def test_winner_is_named_by_its_listed_index(self, monkeypatch):
-        best = self.fit_with_final_sse(monkeypatch, (2.0, 1.0), restarts=(3, 1))
-        np.testing.assert_array_equal(best.theta, np.full(25, 1.0))
-        assert best.restart == 1
-
-    def test_tie_goes_to_first_listed(self, monkeypatch):
-        best = self.fit_with_final_sse(monkeypatch, (1.0, 1.0), restarts=(3, 1))
-        np.testing.assert_array_equal(best.theta, np.zeros(25))
-        assert best.restart == 3
-
-    def test_subset_rows_are_solo_fits_and_rows_of_the_full_fit(self, monkeypatch):
-        frame = np.sin(np.linspace(0, 12, 200)) * 0.4
-        for full, _, _ in lm_stack_iterations(frame, [restart_seed(21, i) for i in range(4)], 6):
-            pass
-        stacks = []
-        real = mlp_module.lm_stack_iterations
-
-        def recording(*args):
-            for theta, lam, sse in real(*args):
-                yield theta, lam, sse
-            stacks.append(theta)
-
-        monkeypatch.setattr(mlp_module, "lm_stack_iterations", recording)
-        best = multistart_fit(frame, 6, 21, (3, 1))
-        solo = [multistart_fit(frame, 6, 21, (i,)) for i in (3, 1)]
-        subset = stacks[0]
-        assert subset.shape == (2, N_PARAMS)
-        for j, i in enumerate((3, 1)):
-            assert solo[j].restart == i
-            assert subset[j].tobytes() == solo[j].theta.tobytes() == full[i].tobytes()
-        assert best in solo
-
     @pytest.mark.parametrize("length", [5, 200])
     def test_empty_restarts_refused(self, length):
-        with pytest.raises(ValueError, match="at least one restart"):
-            multistart_fit(np.zeros(length), 6, 0, ())
+        # a fit of no restarts is refused before the frame is read
+        with pytest.raises(ValueError, match="^restarts must be >= 1, got 0$"):
+            multistart_fit(np.zeros(length), 6, 0, 0)
 
     def test_short_frame_zero_predictor(self):
-        for restarts in (range(4), (3, 1)):
+        for restarts in (1, 4):
             with pytest.raises(ValueError, match="^frame_len 5 is below the 11-sample MLP minimum$"):
                 multistart_fit(np.zeros(5), 6, 0, restarts)
 
     @pytest.mark.parametrize("seed, restarts, name", [
-        (2.5, range(4), "seed"), (True, range(4), "seed"), ("5", range(4), "seed"),
-        (5, (1.0,), "restart"), (5, (True,), "restart"), (5, (0, "1"), "restart"),
+        (2.5, 4, "seed"), (True, 4, "seed"), ("5", 4, "seed"),
+        (5, 1.0, "restarts"), (5, True, "restarts"), (5, "1", "restarts"),
     ], ids=["seed-2.5", "seed-True", "seed-str", "restart-1.0", "restart-True", "restart-str"])
     def test_non_integer_seed_or_restart_refused(self, seed, restarts, name):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
@@ -955,13 +922,12 @@ class TestMultistart:
     def test_epochs_refused(self, epochs, message):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
         with pytest.raises(ValueError, match=f"^epochs {message}$"):
-            multistart_fit(frame, epochs, 0, range(2))
+            multistart_fit(frame, epochs, 0, 2)
 
     def test_numpy_integer_seed_and_restarts(self):
         frame = np.sin(np.linspace(0, 12, 200)) * 0.4
-        net = multistart_fit(frame, np.int64(2), np.uint64(77), np.arange(3, dtype=np.int64))
-        assert type(net.restart) is int
-        assert net == multistart_fit(frame, 2, 77, range(3))
+        net = multistart_fit(frame, np.int64(2), np.uint64(77), np.int64(3))
+        assert net == multistart_fit(frame, 2, 77, 3)
 
 
 class TestStackedRun:
@@ -1170,7 +1136,7 @@ from nadpcm import cli, harness
 
 cli.build_parser()
 signal = nadpcm.Signal(np.sin(np.arange(600) * 0.3) * 0.5, 8000)
-nadpcm.multistart_fit(signal.samples[:200], 2, 1, range(2))
+nadpcm.multistart_fit(signal.samples[:200], 2, 1, 2)
 base = nadpcm.CodecConfig()
 for method in harness.METHODS:
     encoded = nadpcm.encode(signal, harness.method_config(base, method, 2))
