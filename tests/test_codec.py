@@ -526,47 +526,80 @@ class TestCandidate:
         assert parsed == result.bitstream
         assert decode(parsed).samples.tobytes() == result.reconstruction.samples.tobytes()
 
+    # the wire numbering, stated here apart from `frame_candidates`: backward
+    # MLP sends its net as 0; hybrid sends LPC-10 as 0 and the net as 1
+    NET_CANDIDATE = {PredictorKind.MLP: 0, PredictorKind.HYBRID: 1}
+
     @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
-    def test_encoder_codes_frame_predictor_and_each_side_fits_once(
-            self, monkeypatch, speech_like, kind):
-        rows, coded = [], []
-        lm_epoch, candidates = mlp.lm_epoch, codec._candidates
+    def test_candidate_names_the_winning_restart(self, monkeypatch, speech_like, kind):
+        # every (payload, predictor) the encoder codes is the predictor
+        # `frame_predictor` rebuilds from that payload, and the net is the
+        # winner of the RESTARTS-row fit
+        coded, candidates = [], codec._candidates
 
-        def recording_epoch(theta, *args):
-            rows.append(len(theta))
-            return lm_epoch(theta, *args)
-
-        def recording_candidates(state, frame):
+        def recording(state, frame):
             tried = candidates(state, frame)
             coded.append((state, tried))
             return tried
 
-        monkeypatch.setattr(mlp, "lm_epoch", recording_epoch)
-        monkeypatch.setattr(codec, "_candidates", recording_candidates)
-        config = CodecConfig(predictor_kind=kind)
-        signal = Signal(speech_like.samples[:1000], speech_like.sample_rate)
+        monkeypatch.setattr(codec, "_candidates", recording)
+        config = CodecConfig(predictor_kind=kind, bits=3)
+        signal = Signal(speech_like.samples[:2000], speech_like.sample_rate)
         result = encode(signal, config)
-        # one RESTARTS-row stack per frame after frame 0, never a refit
-        assert rows == [RESTARTS] * (4 * EPOCHS)
-        # the wire numbering, stated here apart from `frame_candidates`:
-        # hybrid sends LPC-10 as 0, and the MLP is the last candidate
-        net_candidate = {PredictorKind.MLP: 0, PredictorKind.HYBRID: 1}[kind]
+        net_candidate = self.NET_CANDIDATE[kind]
+        assert len(coded) == len(result.bitstream.payloads)
         for state, tried in coded:
             count = 1 if state.recon is None else net_candidate + 1
             assert [p.candidate for p, _ in tried] == list(range(count))
             for payload, predictor in tried:
                 assert predictor == frame_predictor(state, payload)
             if state.recon is not None:
-                seed = config.seed ^ state.frame_index
-                assert tried[-1][1] == multistart_fit(state.recon, EPOCHS, seed, RESTARTS)
+                winner = multistart_fit(state.recon, EPOCHS, config.seed ^ state.frame_index,
+                                        RESTARTS)
+                assert tried[-1][1] == winner
                 if net_candidate:
                     assert tried[0][1] == lpc.fit(state.recon, 10)
+        np.testing.assert_array_equal(decode(result.bitstream).samples,
+                                      result.reconstruction.samples)
+
+    @pytest.mark.parametrize("kind", [PredictorKind.MLP, PredictorKind.HYBRID])
+    def test_encoder_fits_all_restarts_once_decoder_one(self, monkeypatch, speech_like, kind):
+        rows = []
+        lm_epoch = mlp.lm_epoch
+
+        def recording(theta, *args):
+            rows.append(len(theta))
+            return lm_epoch(theta, *args)
+
+        monkeypatch.setattr(mlp, "lm_epoch", recording)
+        config = CodecConfig(predictor_kind=kind)
+        signal = Signal(speech_like.samples[:1000], speech_like.sample_rate)
+        result = encode(signal, config)
+        # one RESTARTS-row stack per frame after frame 0, never a refit
+        assert rows == [RESTARTS] * (4 * EPOCHS)
         rows.clear()
         np.testing.assert_array_equal(decode(result.bitstream).samples,
                                       result.reconstruction.samples)
+        # the decoder makes the same stack, once per neural frame
+        net_candidate = self.NET_CANDIDATE[kind]
         neural = sum(1 for p in result.bitstream.payloads[1:] if p.candidate == net_candidate)
         assert neural > 0
         assert rows == [RESTARTS] * (neural * EPOCHS)
+
+    @pytest.mark.parametrize("kind", [
+        pytest.param(PredictorKind.MLP, id="mlp"),
+        pytest.param(PredictorKind.HYBRID, id="hybrid"),
+    ])
+    def test_payload_picks_the_branch_and_restart(self, speech_like, kind):
+        config = CodecConfig(predictor_kind=kind)
+        prev = speech_like.samples[:200]
+        state = replace(initial_state(config), frame_index=3, recon=prev)
+        net_candidate = self.NET_CANDIDATE[kind]
+        if net_candidate:
+            linear = frame_predictor(state, FramePayload((), candidate=0))
+            assert linear.coeffs.tolist() == lpc.fit(prev, 10).coeffs.tolist()
+        net = frame_predictor(state, FramePayload((), candidate=net_candidate))
+        assert net == multistart_fit(prev, EPOCHS, config.seed ^ 3, RESTARTS)
 
 
 class TestShortFrameStability:
