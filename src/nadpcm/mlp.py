@@ -41,32 +41,29 @@ Training runs on a stack of nets. The R restarts of one fit are an
 Levenberg-Marquardt loop. `init_mlp` draws the whole starting stack in
 one pass of uint64 arithmetic (`SplitMix64.uniform_rows`): row i is, bit
 for bit, the first 25 `SplitMix64(seeds[i]).uniform(-INIT_SCALE, INIT_SCALE)`
-draws. For N training pairs, `residual_jacobian` gives
-the (R, N, 25) Jacobians and (R, N) residuals, and `lm_epoch` takes the
-stack with an (R,) damping vector and returns (theta', lambda', sse,
-accepted): the (R, 25) stack after the step, the (R,) damping after it,
-each row's (R,) SSE at its returned parameters, and the number of rows
-whose step was accepted, as an int. Accept/reject and the damping update
-are decided per row. numpy runs the matrix products and the solve slice
-by slice, so every row gets the same IEEE operations, in the same order,
-as it would in a stack of one: a row's result does not depend on the rows
-beside it, and `lm_iterations` is that stack of one.
+draws. For N training pairs, `residual_jacobian` gives the (R, N, 25)
+Jacobians and (R, N) residuals from the stack's forward pass, and
+`lm_epoch` takes the stack, an (R,) damping vector and that pass and
+returns (theta', lambda', sse, accepted, forward'): the stack and damping
+after the step, each row's SSE at its returned parameters, the number of
+accepted rows as an int, and the forward pass of theta'. Accept/reject
+and the damping update are decided per row. numpy runs the matrix
+products and the solve slice by slice, so every row gets the same IEEE
+operations, in the same order, as it would in a stack of one: a row's
+result does not depend on the rows beside it, and `lm_iterations` is
+that stack of one.
 
 The Jacobian's sign rule: dr/dtheta = -dy/dtheta is written in one pass,
 with each output weight v_j negated before it multiplies h_j (1 - h_j) and
 the output columns written as -h_j and -1.0. IEEE rounding is symmetric,
 so each entry is exactly -dy/dtheta, the sign of zero included.
 
-Consecutive epochs share work through a carry, a dict that `lm_epoch`
-fills and its next call on the same stack reads; like Madsen, Nielsen
-and Tingleff (2004), Alg. 3.16, it forms J^T J and J^T r only after an
-accepted step. A rejected row keeps its parameters, so its J^T J, J^T r
-and SSE are reused; an accepted row's new parameters were just scored
-by a forward pass, which the next call turns into its Jacobian instead
-of running the pass again. `lm_stack_iterations` threads one carry
-through its epochs, so the last epoch builds no Jacobian. The carry
-changes no bit: every BLAS and LAPACK call keeps its per-row operand
-shapes, and a carried epoch equals a cold one (`carry=None`).
+Consecutive epochs share the stack's forward pass (h, y), its (R, N, 2)
+hidden activations and (R, N) outputs: an accepted row's pass is the one
+that scored its step, and a rejected row keeps its parameters and its
+pass. `lm_stack_iterations` hands the draw's pass to the first epoch, so
+a fit of E epochs runs E + 1 hidden passes. No bit changes: the pass
+handed on is the one `hidden_batch` and `output_batch` give on the stack.
 
 The fitted nets are what the codec's closed loop evaluates once per
 sample, through `Mlp.predictions`, and its arithmetic is normative, on
@@ -79,7 +76,7 @@ one add per term; its activation is h_j = 1.0 / (1.0 + exp(-a_j)) with
 v1 * h1 + c, left to right. No BLAS call is made, so the predictions do
 not depend on the BLAS kernel; `math.exp` is still the host libm's.
 
-The fit's batch forward pass, `forward_batch`, computes the same sigmoid
+The fit's batch hidden pass, `hidden_batch`, computes the same sigmoid
 with numpy ufuncs, in place on the (R, N, 2) pre-activations: h = 1.0 /
 (1.0 + exp(min(-a, 709.0))) with `np.exp`. The clamp keeps exp finite,
 so no overflow warning is raised; below a = -709.0, h stays at about
@@ -254,11 +251,11 @@ def build_training_set(frame):
     return x, t
 
 
-def forward_batch(theta: np.ndarray, x: np.ndarray):
-    """Hidden activations (..., N, 2) and outputs (..., N) of one net (25,)
-    or a stack of nets (R, 25) on an (N, 10) input matrix.
+def hidden_batch(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Hidden activations (..., N, 2) of one net (25,) or a stack of nets
+    (R, 25) on an (N, 10) input matrix.
 
-    This is the one batch forward pass, for a single net and for the
+    This is the one batch hidden pass, for a single net and for the
     stacked fit alike. Its sigmoid is the module docstring's, clamped.
     """
     w_in = theta[..., :20].reshape(theta.shape[:-1] + (N_HIDDEN, N_INPUTS))
@@ -267,13 +264,12 @@ def forward_batch(theta: np.ndarray, x: np.ndarray):
     np.minimum(z, 709.0, out=z)  # exp(709.0) is finite
     np.exp(z, out=z)
     z += 1.0
-    h = np.reciprocal(z, out=z)
-    return h, output_batch(theta, h)
+    return np.reciprocal(z, out=z)
 
 
 def output_batch(theta: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Outputs (..., N) of one net (25,) or a stack (R, 25) from its hidden
-    activations (..., N, 2): the output half of `forward_batch`."""
+    activations (..., N, 2), as `hidden_batch` gives them."""
     y = (h @ theta[..., 22:24, None])[..., 0]
     y += theta[..., 24:25]
     return y
@@ -328,15 +324,16 @@ def _output_solve(s00, s01, s11, s0, s1, b0, b1, b2, n):
     return layer if all(map(math.isfinite, layer)) else None
 
 
-def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray, forward=None):
+def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray, forward):
     """Jacobians dr/dtheta (R, N, 25) and residuals r = t - y (R, N) of a
-    stack of nets (R, 25).
+    stack of nets (R, 25), given its forward pass `forward`, (h, y): the
+    hidden activations (R, N, 2) and outputs (R, N) of `theta` on x.
 
     Columns follow the normative parameter order. Hidden derivatives use
     the logistic identity sigma' = sigma (1 - sigma) and the module's sign
-    rule. `forward`, when given, is `forward_batch(theta, x)` already computed.
+    rule.
     """
-    h, y = forward_batch(theta, x) if forward is None else forward  # (R, N, 2), (R, N)
+    h, y = forward
     r = t - y
     dr_dz = h * (1.0 - h)                           # (R, N, 2)
     dr_dz *= -theta[:, None, 22:24]
@@ -353,12 +350,6 @@ def residual_jacobian(theta: np.ndarray, x: np.ndarray, t: np.ndarray, forward=N
 def _row_sse(r: np.ndarray) -> np.ndarray:
     """Sum of squares of each row of an (R, N) residual stack."""
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-
-
-def _normal_equations(jac: np.ndarray, r: np.ndarray):
-    """J^T J (R, 25, 25) and J^T r (R, 25, 1) of a Jacobian and residual stack."""
-    jac_t = jac.transpose(0, 2, 1)
-    return jac_t @ jac, jac_t @ r[:, :, None]
 
 
 def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -380,43 +371,27 @@ def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return delta
 
 
-def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray, carry=None):
+def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray, forward):
     """One full-batch separable Levenberg-Marquardt iteration with
     accept/reject damping for each net of a stack (R, 25), with its
     damping lam (R,): the LM step on all 25 parameters, then
     `solve_output_layer` on the candidate, which is scored after the solve.
 
-    Returns (theta', lam', sse, accepted): the stack after the step, the
-    damping after it, each row's SSE at its returned parameters, and the
-    number of accepted steps as an int. A rejected, singular or
-    non-finite step leaves that row's parameters unchanged and multiplies
-    its lambda by LAMBDA_UP; an accepted one multiplies it by LAMBDA_DOWN.
-
-    `carry` is None, or a dict that this call fills for the next call on
-    the stack it returns (an empty dict starts cold, like None). It holds
-    each row's J^T J, J^T r and SSE at its current parameters ("jtj",
-    "jtr", "sse"), except that for the rows whose step was accepted
-    ("moved", and their number, "accepted") it holds only the scoring
-    forward pass of the new parameters ("forward"); the next call builds
-    their normal equations from it. A rejected row's entries are reused
-    as they are. The results are the same bits as a cold call's.
+    `forward` is (h, y), the forward pass of `theta` on x, from which the
+    step's Jacobian is built. Returns (theta', lam', sse, accepted,
+    forward'): the stack after the step, the damping after it, each row's
+    SSE at its returned parameters, the number of accepted steps as an
+    int, and the forward pass of theta' on x, which is the next epoch's
+    `forward`. A rejected, singular or non-finite step leaves that row's
+    parameters and forward pass unchanged and multiplies its lambda by
+    LAMBDA_UP; an accepted one multiplies it by LAMBDA_DOWN.
     """
     if not all(value > 0 for value in lam.tolist()):
         raise ValueError(f"lambda must be > 0, got {lam}")
-    if not carry:
-        jac, r = residual_jacobian(theta, x, t)
-        sse0 = _row_sse(r)
-        jtj, jtr = _normal_equations(jac, r)
-    else:
-        jtj, jtr, sse0, moved = carry["jtj"], carry["jtr"], carry["sse"], carry["moved"]
-        h, y = carry["forward"]
-        if carry["accepted"] == len(moved):
-            jtj, jtr = _normal_equations(*residual_jacobian(theta, x, t, forward=(h, y)))
-        elif carry["accepted"]:
-            rows = np.flatnonzero(moved)
-            jac, r = residual_jacobian(theta[rows], x, t, forward=(h[rows], y[rows]))
-            jtj[rows], jtr[rows] = _normal_equations(jac, r)
-    delta = _solve_each(jtj + lam[:, None, None] * _EYE, jtr)[..., 0]
+    jac, r = residual_jacobian(theta, x, t, forward)
+    sse0 = _row_sse(r)
+    jac_t = jac.transpose(0, 2, 1)
+    delta = _solve_each(jac_t @ jac + lam[:, None, None] * _EYE, jac_t @ r[:, :, None])[..., 0]
     # one sum is finite exactly when every step is (short of overflow,
     # which only sends a finite stack down the per-row path)
     every_usable = math.isfinite(delta.sum())
@@ -426,7 +401,7 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray, c
         usable = np.isfinite(delta).all(axis=1)
         delta = np.where(usable[:, None], delta, 0.0)
     candidate = theta - delta
-    h = forward_batch(candidate, x)[0]
+    h = hidden_batch(candidate, x)
     candidate = solve_output_layer(candidate, h, t)
     y = output_batch(candidate, h)
     sse1 = _row_sse(t - y)
@@ -435,17 +410,16 @@ def lm_epoch(theta: np.ndarray, x: np.ndarray, t: np.ndarray, lam: np.ndarray, c
         accept &= usable
     accepted = int(np.count_nonzero(accept))
     if accepted == len(accept):
-        theta, lam, sse = candidate, lam * LAMBDA_DOWN, sse1
+        theta, lam, sse, forward = candidate, lam * LAMBDA_DOWN, sse1, (h, y)
     elif not accepted:
         lam, sse = lam * LAMBDA_UP, sse0
     else:
         theta = np.where(accept[:, None], candidate, theta)
         lam = np.where(accept, lam * LAMBDA_DOWN, lam * LAMBDA_UP)
         sse = np.where(accept, sse1, sse0)
-    if carry is not None:
-        carry.update(jtj=jtj, jtr=jtr, sse=sse, moved=accept, accepted=accepted,
-                     forward=(h, y))
-    return theta, lam, sse, accepted
+        forward = (np.where(accept[:, None, None], h, forward[0]),
+                   np.where(accept[:, None], y, forward[1]))
+    return theta, lam, sse, accepted, forward
 
 
 def lm_stack_iterations(frame, seeds, epochs: int):
@@ -459,11 +433,12 @@ def lm_stack_iterations(frame, seeds, epochs: int):
     """
     x, t = build_training_set(frame)
     theta = init_mlp(seeds)
-    theta = solve_output_layer(theta, forward_batch(theta, x)[0], t)
+    h = hidden_batch(theta, x)
+    theta = solve_output_layer(theta, h, t)
+    forward = h, output_batch(theta, h)
     lam = np.full(len(seeds), LAMBDA_INIT)
-    carry = {}
     for _ in range(epochs):
-        theta, lam, sse, _ = lm_epoch(theta, x, t, lam, carry)
+        theta, lam, sse, _, forward = lm_epoch(theta, x, t, lam, forward)
         yield theta, lam, sse
 
 

@@ -33,9 +33,10 @@ from nadpcm.harness import epoch_sweep
 from nadpcm.lpc import autocorrelation, fit as lpc_fit, levinson
 from nadpcm.mlp import (
     RESTARTS,
-    forward_batch,
+    hidden_batch,
     lm_stack_iterations,
     multistart_fit,
+    output_batch,
     residual_jacobian,
     restart_seed,
 )
@@ -114,9 +115,11 @@ def test_c03_jacobian_check(capsys):
         theta = rng.uniform(-1.0, 1.0, 25)
         x = rng.uniform(-1.0, 1.0, (3, 10))
         t = rng.uniform(-1.0, 1.0, 3)
-        analytic = residual_jacobian(theta[None], x, t)[0][0]
-        r_plus = t - forward_batch(theta + bumps, x)[1]    # (25, 3), one row per p
-        r_minus = t - forward_batch(theta - bumps, x)[1]
+        h = hidden_batch(theta[None], x)
+        analytic = residual_jacobian(theta[None], x, t, (h, output_batch(theta[None], h)))[0][0]
+        up, down = theta + bumps, theta - bumps
+        r_plus = t - output_batch(up, hidden_batch(up, x))    # (25, 3), one row per p
+        r_minus = t - output_batch(down, hidden_batch(down, x))
         fd = ((r_plus - r_minus) / (2.0 * step)).T
         mask = np.abs(fd) > 1e-8
         rel = np.abs(analytic[mask] - fd[mask]) / np.abs(fd[mask])

@@ -109,14 +109,14 @@ def test_saturated_fits_reach_unit_activations(monkeypatch):
     # the pinned saturated fits do run with hidden activations of exactly
     # 1.0, where h (1 - h) is a signed zero
     saturated = []
-    forward_batch = mlp.forward_batch
+    hidden_batch = mlp.hidden_batch
 
     def counting(theta, x):
-        h, y = forward_batch(theta, x)
+        h = hidden_batch(theta, x)
         saturated.append(int(np.count_nonzero(h == 1.0)))
-        return h, y
+        return h
 
-    monkeypatch.setattr(mlp, "forward_batch", counting)
+    monkeypatch.setattr(mlp, "hidden_batch", counting)
     with saturated_scale():
         fit_digest(saturated_fits)
     assert sum(saturated) > 100

@@ -33,7 +33,7 @@ from nadpcm.mlp import (
     RESTARTS,
     SplitMix64,
     build_training_set,
-    forward_batch,
+    hidden_batch,
     init_mlp,
     lm_epoch,
     lm_iterations,
@@ -57,8 +57,24 @@ def reference_splitmix64(seed):
         yield z ^ (z >> 31)
 
 
+def forward_pass(theta, x):
+    """(h, y): the hidden activations and outputs of `theta` on x."""
+    h = hidden_batch(theta, x)
+    return h, output_batch(theta, h)
+
+
+def cold_jacobian(theta, x, t):
+    """`residual_jacobian` on a forward pass computed afresh from `theta`."""
+    return residual_jacobian(theta, x, t, forward_pass(theta, x))
+
+
+def cold_epoch(theta, x, t, lam):
+    """`lm_epoch` on a forward pass computed afresh from `theta`."""
+    return lm_epoch(theta, x, t, lam, forward_pass(theta, x))
+
+
 def batch_sse(net, x, t):
-    r = t - forward_batch(net.theta, x)[1]
+    r = t - forward_pass(net.theta, x)[1]
     return float(r @ r)
 
 
@@ -66,19 +82,19 @@ def solved_draw(seeds, x, t):
     """The starting stack of `lm_stack_iterations`: `init_mlp`'s draw with
     each row's output layer solved on its hidden activations."""
     theta = init_mlp(seeds)
-    return solve_output_layer(theta, forward_batch(theta, x)[0], t)
+    return solve_output_layer(theta, hidden_batch(theta, x), t)
 
 
 def reference_run(frame, seed, epochs):
     """(net, sse) after each LM epoch, chained by hand from the solved draw
-    and lm_epoch on a stack of one net, as an oracle for lm_iterations and
-    multistart_fit."""
+    and `cold_epoch` on a stack of one net, as an oracle for lm_iterations
+    and multistart_fit."""
     x, t = build_training_set(frame)
     theta = solved_draw([seed], x, t)
     lam = np.array([mlp_module.LAMBDA_INIT])
     steps = []
     for _ in range(epochs):
-        theta, lam, err, _ = lm_epoch(theta, x, t, lam)
+        theta, lam, err, *_ = cold_epoch(theta, x, t, lam)
         steps.append((Mlp(theta[0]), float(err[0])))
     return steps
 
@@ -318,7 +334,7 @@ class TestForward:
     def test_forward_batch_matches_scalar(self):
         net = seeded_net(12)
         x = np.array([np.linspace(-0.2, 0.2, 10), np.linspace(0.3, -0.1, 10)])
-        h, batch = forward_batch(net.theta, x)
+        h, batch = forward_pass(net.theta, x)
         np.testing.assert_allclose(h, expit(x @ net.w_in.T + net.theta[20:22]), rtol=1e-15)
         assert batch[0] == pytest.approx(net.predict(x[0][::-1]), rel=1e-15)
         assert batch[1] == pytest.approx(net.predict(x[1][::-1]), rel=1e-15)
@@ -330,7 +346,7 @@ class TestForward:
                   np.linspace(-700.0, 700.0, 2801)]
         theta = np.zeros((len(a) // 2, N_PARAMS))
         theta[:, 20:22] = a.reshape(-1, 2)
-        h = forward_batch(theta, np.zeros((1, N_INPUTS)))[0][:, 0, :].ravel()
+        h = hidden_batch(theta, np.zeros((1, N_INPUTS)))[:, 0, :].ravel()
         number = ~np.isnan(a)
         assert np.isnan(h[~number]).all()
         assert ((h[number] >= 0.0) & (h[number] <= 1.0)).all()
@@ -446,11 +462,11 @@ class TestTrainingSet:
         assert np.all(t == 0.3)
 
 
-def negated_jacobian(theta, x, t, forward=None):
+def negated_jacobian(theta, x, t, forward):
     """The Jacobian built as dy/dtheta and then negated as a whole: the
     reference for the bits, signs of zero included, of the one-pass build.
     `forward` is (h, y), as for `residual_jacobian`."""
-    h, y = forward_batch(theta, x) if forward is None else forward
+    h, y = forward
     dy_dz = h * (1.0 - h) * theta[:, None, 22:24]
     jac = np.empty(y.shape + (N_PARAMS,))
     for j in range(N_HIDDEN):
@@ -487,15 +503,14 @@ def signed_zero_stack():
 class TestJacobian:
     def test_equals_negated_build_bit_for_bit(self):
         theta, x, t = signed_zero_stack()
-        h, y = forward_batch(theta, x)
+        h, y = forward_pass(theta, x)
         assert (h == 1.0).any() and (h > 0.0).all()
-        want_jac, want_r = negated_jacobian(theta, x, t)
-        for forward in (None, (h, y)):
-            jac, r = residual_jacobian(theta, x, t, forward)
-            assert jac.tobytes() == want_jac.tobytes()
-            assert r.tobytes() == want_r.tobytes()
+        want_jac, want_r = negated_jacobian(theta, x, t, (h, y))
+        jac, r = residual_jacobian(theta, x, t, (h, y))
+        assert jac.tobytes() == want_jac.tobytes()
+        assert r.tobytes() == want_r.tobytes()
         for i in range(len(theta)):  # each row as a stack of one
-            jac, _ = residual_jacobian(theta[i : i + 1], x, t)
+            jac, _ = cold_jacobian(theta[i : i + 1], x, t)
             assert jac.tobytes() == want_jac[i : i + 1].tobytes(), i
         # the batch pass never gives h = 0.0, so the rows that saturate low
         # are passed in by hand with the kernel's 0.0
@@ -517,27 +532,28 @@ class TestJacobian:
             for scale in (0.5, 8.0):
                 monkeypatch.setattr(mlp_module, "INIT_SCALE", scale)
                 theta = init_mlp([restart_seed(k, i) for i in range(4)])
-                assert residual_jacobian(theta, x, t)[0].tobytes() == \
-                    negated_jacobian(theta, x, t)[0].tobytes()
+                forward = forward_pass(theta, x)
+                assert residual_jacobian(theta, x, t, forward)[0].tobytes() == \
+                    negated_jacobian(theta, x, t, forward)[0].tobytes()
 
     def test_output_bias_column(self):
         net = seeded_net(8)
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
-        jac, r = residual_jacobian(net.theta[None], x, t)
+        jac, r = cold_jacobian(net.theta[None], x, t)
         assert jac.shape == (1, len(t), 25) and r.shape == (1, len(t))
         np.testing.assert_array_equal(jac[0, :, 24], -np.ones(len(t)))
 
     def test_zero_net_output_weight_columns(self):
         net = Mlp.zero()
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
-        jac, _ = residual_jacobian(net.theta[None], x, t)
+        jac, _ = cold_jacobian(net.theta[None], x, t)
         np.testing.assert_allclose(jac[0, :, 22:24], -0.5, rtol=1e-15)
 
     def test_residual_definition(self):
         net = seeded_net(9)
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
-        _, r = residual_jacobian(net.theta[None], x, t)
-        np.testing.assert_allclose(r[0], t - forward_batch(net.theta, x)[1], rtol=1e-15)
+        _, r = cold_jacobian(net.theta[None], x, t)
+        np.testing.assert_allclose(r[0], t - forward_pass(net.theta, x)[1], rtol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = SplitMix64(10)
@@ -547,15 +563,15 @@ class TestJacobian:
             x = np.array([[rng.uniform(-0.8, 0.8) for _ in range(10)]
                           for _ in range(3)])
             t = np.array([rng.uniform(-0.8, 0.8) for _ in range(3)])
-            jac = residual_jacobian(net.theta[None], x, t)[0][0]
+            jac = cold_jacobian(net.theta[None], x, t)[0][0]
             theta = net.theta
             for p in range(25):
                 up, dn = theta.copy(), theta.copy()
                 up[p] += step
                 dn[p] -= step
                 fd = (
-                    (t - forward_batch(up, x)[1])
-                    - (t - forward_batch(dn, x)[1])
+                    (t - forward_pass(up, x)[1])
+                    - (t - forward_pass(dn, x)[1])
                 ) / (2 * step)
                 mask = np.abs(fd) > 1e-8
                 np.testing.assert_allclose(jac[:, p][mask], fd[mask], rtol=1e-4)
@@ -564,9 +580,9 @@ class TestJacobian:
     def test_stack_rows_match_single_nets(self):
         thetas = init_mlp([21, 22, 23])
         x, t = build_training_set(np.sin(np.linspace(0, 6, 40)) * 0.4)
-        jac, r = residual_jacobian(thetas, x, t)
+        jac, r = cold_jacobian(thetas, x, t)
         for i, theta in enumerate(thetas):
-            one_jac, one_r = residual_jacobian(theta[None], x, t)
+            one_jac, one_r = cold_jacobian(theta[None], x, t)
             np.testing.assert_array_equal(jac[i], one_jac[0])
             np.testing.assert_array_equal(r[i], one_r[0])
 
@@ -576,7 +592,7 @@ class TestLevenbergMarquardt:
         thetas = init_mlp([11, 12, 13, 14])
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         before = [batch_sse(Mlp(theta), x, t) for theta in thetas]
-        thetas2, lam2, after, accepted = lm_epoch(thetas, x, t, np.full(4, 0.01))
+        thetas2, lam2, after, accepted, _ = cold_epoch(thetas, x, t, np.full(4, 0.01))
         assert type(accepted) is int
         assert accepted == sum(lam < 0.01 for lam in lam2) >= 1
         for theta, theta2, lam, b, a in zip(thetas, thetas2, lam2, before, after):
@@ -593,8 +609,8 @@ class TestLevenbergMarquardt:
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         # huge lambda forces a tiny step; near a minimum it cannot improve
         for _ in range(200):
-            thetas, _, _, _ = lm_epoch(thetas, x, t, np.array([1e-3]))
-        thetas2, _, _, accepted = lm_epoch(thetas, x, t, np.array([1e12]))
+            thetas, *_ = cold_epoch(thetas, x, t, np.array([1e-3]))
+        thetas2, _, _, accepted, _ = cold_epoch(thetas, x, t, np.array([1e12]))
         if not accepted:
             np.testing.assert_array_equal(thetas2, thetas)
 
@@ -609,7 +625,7 @@ class TestLevenbergMarquardt:
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         before = [batch_sse(Mlp(theta), x, t) for theta in thetas]
         monkeypatch.setattr(np.linalg, "solve", bad_solve)
-        thetas2, lam2, err, accepted = lm_epoch(thetas, x, t, np.full(2, 0.01))
+        thetas2, lam2, err, accepted, _ = cold_epoch(thetas, x, t, np.full(2, 0.01))
         np.testing.assert_array_equal(thetas2, thetas)
         assert accepted == 0
         np.testing.assert_allclose(lam2, 0.1)
@@ -621,7 +637,7 @@ class TestLevenbergMarquardt:
         thetas = init_mlp([30, 31, 32, 33])
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         lam = np.full(4, 1.0)
-        expected = lm_epoch(thetas, x, t, lam)
+        expected = cold_epoch(thetas, x, t, lam)
         assert expected[3] == 4
         real_solve = np.linalg.solve
         calls = []
@@ -633,7 +649,7 @@ class TestLevenbergMarquardt:
             return real_solve(lhs, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", solve_row_1_singular)
-        thetas2, lam2, err, accepted = lm_epoch(thetas, x, t, lam)
+        thetas2, lam2, err, accepted, _ = cold_epoch(thetas, x, t, lam)
         assert calls == [3, 2, 2, 2, 2] and accepted == 3
         np.testing.assert_array_equal(thetas2[1], thetas[1])
         assert lam2[1] == pytest.approx(10.0)
@@ -649,7 +665,7 @@ class TestLevenbergMarquardt:
         rng = np.random.default_rng(14)
         x = rng.uniform(-0.5, 0.5, size=(40, 10))
         t = rng.uniform(-0.5, 0.5, size=40)
-        _, _, err, accepted = lm_epoch(np.zeros((1, 25)), x, t, np.array([1e-12]))
+        _, _, err, accepted, _ = cold_epoch(np.zeros((1, 25)), x, t, np.array([1e-12]))
         assert accepted == 1
         optimum = float(np.sum((t - t.mean()) ** 2))
         assert err[0] == pytest.approx(optimum, abs=1e-8)
@@ -658,7 +674,7 @@ class TestLevenbergMarquardt:
     def test_nonpositive_lambda_refused(self, lam):
         x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
         with pytest.raises(ValueError, match="lambda must be > 0"):
-            lm_epoch(init_mlp([1, 2]), x, t, np.array([0.01, lam]))
+            cold_epoch(init_mlp([1, 2]), x, t, np.array([0.01, lam]))
 
     def test_sse_nonincreasing_across_epochs(self):
         x_sig = np.sin(np.linspace(0, 12, 120)) * 0.4
@@ -681,12 +697,12 @@ class TestLevenbergMarquardt:
         teacher = seeded_net(17, scale=1.0)
         rng = np.random.default_rng(18)
         x = rng.uniform(-0.8, 0.8, size=(60, 10))
-        t = forward_batch(teacher.theta, x)[1]
+        t = forward_pass(teacher.theta, x)[1]
         students = init_mlp([19])
         initial = batch_sse(Mlp(students[0]), x, t)
         lam = np.array([LAMBDA_INIT])
         for _ in range(60):
-            students, lam, final, _ = lm_epoch(students, x, t, lam)
+            students, lam, final, *_ = cold_epoch(students, x, t, lam)
         assert final[0] < 0.05 * initial
 
     def test_numpy_integer_seed(self, ar_signal):
@@ -761,12 +777,12 @@ class TestOutputLayer:
         for frame, k in digest_frames():
             x, t = build_training_set(frame)
             theta = init_mlp([restart_seed(k, i) for i in range(3)])
-            yield theta, forward_batch(theta, x)[0], t
+            yield theta, hidden_batch(theta, x), t
         rng = np.random.default_rng(40)
         for scale in (0.5, 4.0, 40.0):
             x = rng.uniform(-0.5, 0.5, size=(30, N_INPUTS))
             theta = rng.uniform(-scale, scale, size=(4, N_PARAMS))
-            yield theta, forward_batch(theta, x)[0], rng.uniform(-0.5, 0.5, size=30)
+            yield theta, hidden_batch(theta, x), rng.uniform(-0.5, 0.5, size=30)
 
     def test_equals_reference_bit_for_bit(self):
         solved = 0
@@ -830,8 +846,8 @@ class TestOutputLayer:
             theta = solved_draw([restart_seed(k, i) for i in range(3)], x, t)
             lam = np.full(3, LAMBDA_INIT)
             for _ in range(3):
-                moved, lam, sse, _ = lm_epoch(theta, x, t, lam)
-                h = forward_batch(moved, x)[0]
+                moved, lam, sse, *_ = cold_epoch(theta, x, t, lam)
+                h = hidden_batch(moved, x)
                 for i in np.flatnonzero((moved != theta).any(axis=1)):
                     assert solve_output_layer(moved, h, t)[i].tobytes() == moved[i].tobytes()
                     r = t - output_batch(moved[i], h[i])
@@ -877,9 +893,9 @@ class TestMultistart:
         stack = np.repeat(np.arange(float(rows))[:, None], 25, axis=1)
         epoch_sse = [(0.5,) + (9.0,) * (rows - 1), final_sse]
 
-        def fake_epoch(theta, x, t, lam, carry=None):
+        def fake_epoch(theta, x, t, lam, forward):
             assert len(theta) == rows
-            return stack, lam, np.array(epoch_sse.pop(0)), 0
+            return stack, lam, np.array(epoch_sse.pop(0)), 0, forward
 
         monkeypatch.setattr(mlp_module, "lm_epoch", fake_epoch)
         best = multistart_fit(np.zeros(50), 2, 5, rows)
@@ -996,62 +1012,71 @@ def digest_frames():
                 yield frames[k], k
 
 
-class TestCarriedLm:
-    """`lm_epoch` with a carry equals a chain of cold `lm_epoch` calls, bit
-    for bit and epoch by epoch, in theta, lambda, SSE and the accepted
-    count; the carry only removes work."""
+class TestThreadedForward:
+    """`lm_epoch` hands on the forward pass of the stack it returns, bit
+    for bit the pass `hidden_batch` and `output_batch` give on it, so the
+    next epoch builds its Jacobian from it without a pass of its own."""
 
     @staticmethod
-    def chain(theta, lam, x, t, epochs, carry):
-        steps = []
+    def chain(theta, lam, x, t, epochs):
+        """The accepted count of each of `epochs` epochs threaded from the
+        fresh pass of `theta`, checking every returned pass."""
+        forward = forward_pass(theta, x)
+        counts = []
         for _ in range(epochs):
-            theta, lam, sse, accepted = lm_epoch(theta, x, t, lam, carry)
-            steps.append((theta.tobytes(), lam.tobytes(), sse.tobytes(), accepted))
-        return steps
-
-    @classmethod
-    def assert_carry_matches_cold(cls, theta, lam, x, t, epochs):
-        cold = cls.chain(theta, lam, x, t, epochs, None)
-        carried = cls.chain(theta, lam, x, t, epochs, {})
-        assert carried == cold
-        return cold
-
-    @staticmethod
-    def jacobian_rows(monkeypatch):
-        """Record the row count of every `residual_jacobian` call."""
-        rows = []
-        real = mlp_module.residual_jacobian
-
-        def counting(theta, x, t, forward=None):
-            rows.append(len(theta))
-            return real(theta, x, t, forward)
-
-        monkeypatch.setattr(mlp_module, "residual_jacobian", counting)
-        return rows
+            result = lm_epoch(theta, x, t, lam, forward)
+            theta, lam, _, accepted, forward = result
+            assert accepted is result[3] and type(accepted) is int
+            h = hidden_batch(theta, x)
+            assert forward[0].tobytes() == h.tobytes()
+            assert forward[1].tobytes() == output_batch(theta, h).tobytes()
+            counts.append(accepted)
+        return counts
 
     @pytest.mark.parametrize("restarts", [1, 4, 7])
-    def test_carry_equals_cold_chain(self, monkeypatch, restarts):
+    def test_forward_is_the_pass_of_the_returned_stack(self, restarts):
         epochs = 9
-        rows = self.jacobian_rows(monkeypatch)
         partial = 0
         for frame, k in digest_frames():
             seeds = [restart_seed(k, i) for i in range(restarts)]
             x, t = build_training_set(frame)
             start, lam = solved_draw(seeds, x, t), np.full(restarts, LAMBDA_INIT)
-            rows.clear()
-            cold = self.assert_carry_matches_cold(start, lam, x, t, epochs)
-            accepted = [step[3] for step in cold]
-            cold_rows, carried_rows = rows[:epochs], rows[epochs:]
-            # a cold chain builds every row each epoch; the carry builds all
-            # rows once, then only the rows that moved, never after the last
-            assert cold_rows == [restarts] * epochs
-            assert carried_rows == [restarts] + [n for n in accepted[:-1] if n]
-            partial += sum(0 < n < restarts for n in accepted[:-1])
-            # lm_stack_iterations threads the same carry
-            stacked = [(theta.tobytes(), lam.tobytes(), sse.tobytes())
-                       for theta, lam, sse in lm_stack_iterations(frame, seeds, epochs)]
-            assert stacked == [step[:3] for step in cold]
-        assert partial > 0 or restarts == 1  # mixed accept/reject rows were rebuilt
+            accepted = self.chain(start, lam, x, t, epochs)
+            partial += sum(0 < n < restarts for n in accepted)
+        assert partial > 0 or restarts == 1  # some epochs took rows from both passes
+
+    def test_all_rejected_epoch_hands_back_its_forward(self, monkeypatch):
+        x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
+        theta, lam, _, _, forward = cold_epoch(init_mlp([13, 14]), x, t, np.full(2, 0.01))
+        # every step non-finite: all rejected
+        monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: np.full(np.shape(rhs), np.inf))
+        theta2, _, _, accepted, forward2 = lm_epoch(theta, x, t, lam, forward)
+        assert accepted == 0
+        assert theta2 is theta and forward2 is forward
+
+    @pytest.mark.parametrize("epochs", [1, 2, 5])
+    def test_fit_runs_one_hidden_pass_per_epoch_and_one_on_the_draw(self, monkeypatch, epochs):
+        calls = []
+        for name in ("hidden_batch", "residual_jacobian"):
+            real = getattr(mlp_module, name)
+
+            def counting(theta, *args, name=name, real=real):
+                calls.append((name, len(theta)))
+                return real(theta, *args)
+
+            monkeypatch.setattr(mlp_module, name, counting)
+        frame = formant_utterance(11, 8000).samples[1000:1200]
+        for _ in lm_stack_iterations(frame, [3, 4, 5], epochs):
+            pass
+        # the draw's pass, then each epoch's Jacobian and its candidate's pass
+        assert calls == [("hidden_batch", 3)] + [("residual_jacobian", 3),
+                                                 ("hidden_batch", 3)] * epochs
+
+
+class TestCarriedLm:
+    """An epoch chain that carries each epoch's returned forward pass into
+    the next equals, bit for bit, the cold chain that computes every
+    epoch's pass afresh, also when a row is unusable throughout."""
 
     @pytest.mark.parametrize("failure", ["singular", "non-finite"])
     def test_carry_equals_cold_chain_with_an_unusable_row(self, monkeypatch, failure):
@@ -1074,40 +1099,30 @@ class TestCarriedLm:
             return delta
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        rows = self.jacobian_rows(monkeypatch)
-        epochs = 8
         for frame, k in digest_frames():
             if len(frame) == 13:
                 continue
             x, t = build_training_set(frame)
             start = init_mlp([restart_seed(k, i) for i in range(4)])
             lam = np.array([0.01, 0.01, 1e30, 0.01])
-            rows.clear()
-            cold = self.assert_carry_matches_cold(start, lam, x, t, epochs)
-            accepted = [step[3] for step in cold]
+            accepted = TestThreadedForward.chain(start, lam, x, t, 8)
             assert max(accepted) <= 3
-            assert any(0 < n < 4 for n in accepted[:-1])
-            assert all(n < 4 for n in rows[epochs + 1:])  # partial rebuilds only
-            theta, lam_out, *_ = lm_epoch(start, x, t, lam, {})
+            assert any(0 < n < 4 for n in accepted)
+            carried, carried_lam, forward = start, lam, forward_pass(start, x)
+            cold, cold_lam = start, lam
+            for _ in range(8):
+                carried, carried_lam, sse, n, forward = lm_epoch(
+                    carried, x, t, carried_lam, forward)
+                cold, cold_lam, cold_sse, cold_n, _ = cold_epoch(cold, x, t, cold_lam)
+                assert carried.tobytes() == cold.tobytes()
+                assert carried_lam.tobytes() == cold_lam.tobytes()
+                assert np.asarray(sse).tobytes() == np.asarray(cold_sse).tobytes()
+                assert n == cold_n
+            theta, lam_out, *_ = cold_epoch(start, x, t, lam)
             np.testing.assert_array_equal(theta[2], start[2])
             assert lam_out[2] == 1e31
         if failure == "singular":
             assert (2, True) in calls and (3, True) in calls  # the per-matrix fallback ran
-
-    def test_epoch_after_an_all_rejected_one_builds_no_jacobian(self, monkeypatch):
-        x, t = build_training_set(np.sin(np.linspace(0, 6, 50)) * 0.4)
-        carry = {}
-        theta, lam, _, _ = lm_epoch(init_mlp([13, 14]), x, t, np.full(2, 0.01), carry)
-        with monkeypatch.context() as patch:  # every step non-finite: all rejected
-            patch.setattr(np.linalg, "solve", lambda lhs, rhs: np.full(np.shape(rhs), np.inf))
-            theta, lam, _, accepted = lm_epoch(theta, x, t, lam, carry)
-        assert accepted == 0
-        rows = self.jacobian_rows(monkeypatch)
-        carried = lm_epoch(theta, x, t, lam, carry)
-        assert rows == []
-        cold = lm_epoch(theta, x, t, lam)
-        for got, want in zip(carried, cold):
-            np.testing.assert_array_equal(got, want)
 
 
 class TestTrainConfig:
