@@ -35,7 +35,7 @@ from .harness import (
 )
 from .lpc import LpcModel
 from .metrics import SegsnrReport, mean_std, segsnr, z_score
-from .mlp import Mlp, SplitMix64, multistart_fit
+from .mlp import Mlp, multistart_fit
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "PredictorKind",
     "SegsnrReport",
     "Signal",
-    "SplitMix64",
     "SweepCurve",
     "decode",
     "encode",

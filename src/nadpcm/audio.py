@@ -31,10 +31,6 @@ class Signal:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def load_pcm16(data: bytes, sample_rate: int) -> Signal:
     """Decode 16-bit signed little-endian PCM bytes into a Signal.

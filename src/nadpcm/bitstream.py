@@ -22,15 +22,8 @@ to a whole byte, so each frame's coefficients start on a byte boundary;
 other rows follow each other without padding. The rows are packed back
 to back and the final byte is zero-padded. Padding bits must be zero and
 a candidate must be in range; parse rejects a stream otherwise, so each
-stream has exactly one encoding. Older versions are refused: version 1
-streams sent one hybrid flag bit and no restart index, version 2 streams
-summed their MLP predictions in BLAS, version 3 streams' MLP fits took
-their sigmoid from `expit`, version 4 streams carried the LM damping and
-initial weight range, version 5 streams carried the quantizer's steps
-and multiplier table, version 6 streams carried the MLP fit's epoch and
-restart counts, and version 7 streams fitted the MLP by plain LM, 6
-epochs on 4 restarts. Payload values are checked once, when a
-`Bitstream` is built.
+stream has exactly one encoding. Every version other than 8 is refused.
+Payload values are checked once, when a `Bitstream` is built.
 """
 
 import math

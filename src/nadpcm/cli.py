@@ -241,6 +241,9 @@ def cmd_decode(args) -> int:
         if reference.sample_rate != rate:
             raise CliError(f"reference is at {reference.sample_rate} Hz, "
                            f"the stream at {rate} Hz")
+        count = bitstream.header.true_sample_count
+        if len(reference) != count:
+            raise CliError(f"reference has {len(reference)} samples, the stream {count}")
     signal = decode(bitstream)
     _write_signal(args.out, signal, args.format)
     print(f"decoded: {len(signal)} samples at {signal.sample_rate} Hz")

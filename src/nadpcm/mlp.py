@@ -39,19 +39,21 @@ biases, output weights, output bias.
 Training runs on a stack of nets. The R restarts of one fit are an
 (R, 25) array, one parameter vector per row, trained together by one
 Levenberg-Marquardt loop. `init_mlp` draws the whole starting stack in
-one pass of uint64 arithmetic (`SplitMix64.uniform_rows`): row i is, bit
-for bit, the first 25 `SplitMix64(seeds[i]).uniform(-INIT_SCALE, INIT_SCALE)`
-draws. For N training pairs, `residual_jacobian` gives the (R, N, 25)
-Jacobians and (R, N) residuals from the stack's forward pass, and
-`lm_epoch` takes the stack, an (R,) damping vector and that pass and
-returns (theta', lambda', sse, accepted, forward'): the stack and damping
-after the step, each row's SSE at its returned parameters, the number of
-accepted rows as an int, and the forward pass of theta'. Accept/reject
-and the damping update are decided per row. numpy runs the matrix
-products and the solve slice by slice, so every row gets the same IEEE
-operations, in the same order, as it would in a stack of one: a row's
-result does not depend on the rows beside it, and `lm_iterations` is
-that stack of one.
+one pass of uint64 arithmetic (`uniform_rows`): row i holds the first 25
+outputs of SplitMix64 seeded with seeds[i] mod 2**64. Output k is z = seed
++ k * GOLDEN_GAMMA, then z ^= z >> 30, z *= MIX1, z ^= z >> 27, z *= MIX2,
+z ^= z >> 31, all mod 2**64; its draw is lo + (hi - lo) * ((z >> 11) *
+2**-53) with lo, hi = -INIT_SCALE, INIT_SCALE. For N training pairs,
+`residual_jacobian` gives the (R, N, 25) Jacobians and (R, N) residuals
+from the stack's forward pass, and `lm_epoch` takes the stack, an (R,)
+damping vector and that pass and returns (theta', lambda', sse, accepted,
+forward'): the stack and damping after the step, each row's SSE at its
+returned parameters, the number of accepted rows as an int, and the
+forward pass of theta'. Accept/reject and the damping update are decided
+per row. numpy runs the matrix products and the solve slice by slice, so
+every row gets the same IEEE operations, in the same order, as it would
+in a stack of one: a row's result does not depend on the rows beside it,
+and `lm_iterations` is that stack of one.
 
 The Jacobian's sign rule: dr/dtheta = -dy/dtheta is written in one pass,
 with each output weight v_j negated before it multiplies h_j (1 - h_j) and
@@ -127,47 +129,25 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """SplitMix64 generator; the full sequence is determined by the seed."""
-
-    def __init__(self, seed: int):
-        self.state = as_int("seed", seed) & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + GOLDEN_GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX2) & MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self, lo: float, hi: float) -> float:
-        """Uniform draw in [lo, hi) from the top 53 bits of the next output."""
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-        frac = (self.next_u64() >> 11) * 2.0**-53
-        return lo + (hi - lo) * frac
-
-    @staticmethod
-    def uniform_rows(seeds, lo: float, hi: float, n: int) -> np.ndarray:
-        """(len(seeds), n) array whose row i is the first n `uniform(lo, hi)`
-        draws of `SplitMix64(seeds[i])`: the same outputs, computed for all
-        seeds at once in uint64 arithmetic (which wraps mod 2**64), and the
-        same float operations on them."""
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-        z = np.array([as_int("seed", seed) & MASK64 for seed in seeds], dtype=np.uint64)[:, None]
-        z = z + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
-        z ^= z >> 30
-        z *= MIX1
-        z ^= z >> 27
-        z *= MIX2
-        z ^= z >> 31
-        z >>= 11
-        value = z.astype(np.float64)
-        value *= 2.0**-53   # exact: the top 53 bits as a fraction in [0, 1)
-        value *= hi - lo
-        value += lo
-        return value
+def uniform_rows(seeds, lo: float, hi: float, n: int) -> np.ndarray:
+    """(len(seeds), n) array whose row i is the first n SplitMix64 draws
+    in [lo, hi) of seeds[i], as the module docstring states them; each seed
+    goes through `as_int`, and the uint64 arithmetic wraps without a warning."""
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi})")
+    z = np.array([as_int("seed", seed) & MASK64 for seed in seeds], dtype=np.uint64)[:, None]
+    z = z + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    z ^= z >> 30
+    z *= MIX1
+    z ^= z >> 27
+    z *= MIX2
+    z ^= z >> 31
+    z >>= 11
+    value = z.astype(np.float64)
+    value *= 2.0**-53   # exact: the top 53 bits as a fraction in [0, 1)
+    value *= hi - lo
+    value += lo
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,11 +171,6 @@ class Mlp(lpc.Predictor):
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "w_in", theta[:20].reshape(N_HIDDEN, N_INPUTS))
         object.__setattr__(self, "params", tuple(theta.tolist()))
-
-    @classmethod
-    def zero(cls) -> "Mlp":
-        """All-zero net; predicts 0.0 for any input (zero output weights)."""
-        return cls(np.zeros(N_PARAMS))
 
     def _key(self) -> bytes:
         return self.theta.tobytes()
@@ -228,8 +203,10 @@ def _forward_kernel():
 
 def init_mlp(seeds) -> np.ndarray:
     """The (R, 25) starting stack of R seeds: row i is seeds[i]'s 25
-    parameters, in normative order, drawn uniformly in [-INIT_SCALE, INIT_SCALE)."""
-    return SplitMix64.uniform_rows(seeds, -INIT_SCALE, INIT_SCALE, N_PARAMS)
+    parameters, in normative order: its first 25 draws lo + (hi - lo) *
+    ((z >> 11) * 2**-53) in [-INIT_SCALE, INIT_SCALE), z the SplitMix64
+    outputs of the module docstring."""
+    return uniform_rows(seeds, -INIT_SCALE, INIT_SCALE, N_PARAMS)
 
 
 def build_training_set(frame):

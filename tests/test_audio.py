@@ -14,10 +14,9 @@ class TestSignal:
         sig = Signal(np.array([1, 2, 3], dtype=np.int16), 8000)
         assert sig.samples.dtype == np.float64
 
-    def test_length_and_duration(self):
+    def test_length(self):
         sig = Signal(np.zeros(4000), 8000)
         assert len(sig) == 4000
-        assert sig.duration == pytest.approx(0.5)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):

@@ -271,17 +271,23 @@ class TestDecode:
         assert lines[-1].startswith("mean,")
 
     def test_reference_at_another_rate_refused(self, capsys, tmp_path, ar_signal, pcm_file):
-        # the same samples at 16 kHz: scoring them against the 8 kHz decode
-        # would compare two different signals
-        stream, reference = tmp_path / "s.nad", tmp_path / "ref16k.wav"
+        # the same samples at 16 kHz, or half of them at 8 kHz: scoring either
+        # against the 8 kHz decode of 2000 samples would compare two different
+        # signals, so each is refused before anything is decoded or written
+        stream = tmp_path / "s.nad"
         run(capsys, "encode", "--in", pcm_file, "--out", str(stream))
-        write_wav(str(reference), Signal(ar_signal.samples, 16000))
-        out = tmp_path / "r.pcm"
-        code, stdout, stderr = run(capsys, "decode", "--in", str(stream), "--out", str(out),
-                                   "--reference", str(reference))
-        assert code == 1
-        assert stderr == "error: reference is at 16000 Hz, the stream at 8000 Hz\n"
-        assert stdout == "" and not out.exists()
+        for reference, error in [
+                (Signal(ar_signal.samples, 16000),
+                 "reference is at 16000 Hz, the stream at 8000 Hz"),
+                (Signal(ar_signal.samples[:1000], 8000),
+                 "reference has 1000 samples, the stream 2000")]:
+            path, out = tmp_path / "ref.wav", tmp_path / "r.pcm"
+            write_wav(str(path), reference)
+            code, stdout, stderr = run(capsys, "decode", "--in", str(stream), "--out", str(out),
+                                       "--reference", str(path))
+            assert code == 1
+            assert stderr == f"error: {error}\n"
+            assert stdout == "" and not out.exists()
 
     def test_no_scored_segments(self, capsys, tmp_path, wav_file):
         stream = tmp_path / "s.nad"

@@ -43,7 +43,7 @@ from nadpcm.harness import (
     method_config,
     significance_matrix,
 )
-from nadpcm.mlp import EPOCHS, RESTARTS, Mlp, SplitMix64, multistart_fit
+from nadpcm.mlp import EPOCHS, N_PARAMS, RESTARTS, Mlp, multistart_fit, uniform_rows
 from nadpcm.quantizer import AdaptiveQuantizer, code_range, dequantize, next_step, quantize
 
 
@@ -239,7 +239,7 @@ class TestHybridFrame:
     def test_tie_goes_to_linear(self, monkeypatch):
         # both branches fit the zero predictor, so they code every frame
         # alike and every frame ties
-        monkeypatch.setattr(codec, "multistart_fit", lambda *args: Mlp.zero())
+        monkeypatch.setattr(codec, "multistart_fit", lambda *args: Mlp(np.zeros(N_PARAMS)))
         monkeypatch.setattr(lpc, "fit", lambda frame, order: lpc.LpcModel.zero(order))
         config = CodecConfig(predictor_kind=PredictorKind.HYBRID, frame_len=20, bits=2)
         signal = Signal(np.random.default_rng(6).uniform(-0.3, 0.3, 100), 8000)
@@ -391,7 +391,8 @@ class TestNumberRule:
                      id="AdaptiveQuantizer-step-'0.1'"),
         pytest.param("multipliers", lambda x: AdaptiveQuantizer(4, 0.1, 0.01, 0.5, 5),
                      id="AdaptiveQuantizer-multipliers-5"),
-        pytest.param("seed", lambda x: SplitMix64(True), id="SplitMix64-seed-True"),
+        pytest.param("seed", lambda x: uniform_rows([True], -0.5, 0.5, N_PARAMS),
+                     id="uniform_rows-seed-True"),
         pytest.param("frame_len",
                      lambda x: frame_length_sweep(x, [2.5], [4], ["ADPCMB-MLP"], CodecConfig()),
                      id="frame_length_sweep-lengths-2.5"),

@@ -1,5 +1,6 @@
 """No module of the package or of the tests imports a name it never uses,
-and no module of the package defines a private name the package never reads.
+no module of the package defines a private name the package never reads,
+and no public name of the package is read by the tests alone.
 
 The check reads each file's syntax tree with the standard library's `ast`
 alone. A name counts as used when it appears anywhere in the module as a
@@ -13,6 +14,15 @@ package module binds at its top level by `def`, `class` or assignment. It
 counts as read when any package module loads it as a `Name`, reads it as
 an attribute (`mod._x`, or any other `._x`) or imports it; the tests are
 not readers, so code kept only for a test is reported.
+
+A public name is a top-level function or class of a package module, or a
+method or property of one of its classes, whose name has no leading
+underscore. It counts as read by the same rule, with the benchmark's
+`perfbench/run.py`, `tracing.py` and `workloads.py` as readers too, since
+they call the package as a user would; the tests still are not. Names
+are matched, not bound objects: a method is read when any reader reads an
+attribute of its name on anything, so `Mlp.zero` would pass the check on
+`LpcModel.zero`'s readers.
 
 The number rule is `number.as_int`, `number.as_real` and
 `number.as_tuple`, and no other package code tests for an integer, a real
@@ -35,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "nadpcm").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 MODULES = [path for path in MODULES if path.name != "__init__.py"]
 PACKAGE = sorted((ROOT / "src" / "nadpcm").glob("*.py"))
+BENCHMARK = [ROOT / "perfbench" / name for name in ("run.py", "tracing.py", "workloads.py")]
 
 
 def unused_imports(source: str) -> list:
@@ -102,20 +113,20 @@ def names_read(source: str) -> set:
     return read
 
 
-def unread_privates(sources: dict) -> list:
-    """(file, line, name) of each private name a source in `sources`
-    ({file: source}) binds at its top level and no source reads."""
-    read = set().union(*map(names_read, sources.values()))
+def unread(sources: dict, defined, readers=()) -> list:
+    """(file, line, name) of each name that `defined` finds in a source of
+    `sources` ({file: source}) and that no source and no reader reads."""
+    read = set().union(*map(names_read, [*sources.values(), *readers]))
     return [(file, line, name) for file, source in sources.items()
-            for line, name in module_privates(source) if name not in read]
+            for line, name in defined(source) if name not in read]
 
 
 def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert sum(len(module_privates(source)) for source in sources.values()) > 0
-    unread = unread_privates(sources)
-    assert not unread, "; ".join(f"{file}:{line} defines {name}, which no module reads"
-                                 for file, line, name in unread)
+    found = unread(sources, module_privates)
+    assert not found, "; ".join(f"{file}:{line} defines {name}, which no module reads"
+                                for file, line, name in found)
 
 
 @pytest.mark.parametrize("sources, expected", [
@@ -129,7 +140,47 @@ def test_every_private_name_is_read():
 ], ids=["unread-def", "called", "imported", "attribute", "assignments", "not-private",
         "stored-only"])
 def test_unread_privates_found(sources, expected):
-    assert unread_privates(sources) == expected
+    assert unread(sources, module_privates) == expected
+
+
+def module_publics(source: str) -> list:
+    """(line, name) of every public top-level function or class `source`
+    defines, and of every public method or property of its classes."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            defined += [(child.lineno, child.name) for child in node.body
+                        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(line, name) for line, name in defined if not name.startswith("_")]
+
+
+def test_every_public_name_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert sum(len(module_publics(source)) for source in sources.values()) > 0
+    found = unread(sources, module_publics, [path.read_text() for path in BENCHMARK])
+    assert not found, "; ".join(f"{file}:{line} defines {name}, which only the tests read"
+                                for file, line, name in found)
+
+
+@pytest.mark.parametrize("sources, readers, expected", [
+    ({"a.py": "def dead():\n    pass\n"}, [], [("a.py", 1, "dead")]),
+    ({"a.py": "def f():\n    pass\n", "b.py": "from a import f\n"}, [], []),
+    ({"a.py": "class C:\n    pass\n"}, ["import a\na.C()\n"], []),
+    ({"a.py": "class C:\n    def m(self):\n        pass\n\n"
+              "    @property\n    def p(self):\n        return 0\n"}, [],
+     [("a.py", 1, "C"), ("a.py", 2, "m"), ("a.py", 6, "p")]),
+    ({"a.py": "class C:\n    def m(self):\n        return self.p\n\n"
+              "    @property\n    def p(self):\n        return 0\nC().m()\n"}, [], []),
+    ({"a.py": "class C:\n    def zero(self):\n        pass\n\n"
+              "class D:\n    def zero(self):\n        pass\nD().zero()\nC\n"}, [], []),
+    ({"a.py": "X = 1\ndef _f():\n    pass\nclass C:\n    def __init__(self):\n"
+              "        pass\n    def _g(self):\n        pass\nC\n"}, [], []),
+], ids=["unread-def", "imported", "benchmark-reads", "method-and-property", "read-in-package",
+        "same-name", "not-public"])
+def test_unread_publics_found(sources, readers, expected):
+    assert unread(sources, module_publics, readers) == expected
 
 
 NUMBER_RULE = {"np.integer": "as_int", "operator.index": "as_int", "numbers.Real": "as_real",

@@ -22,7 +22,7 @@ from nadpcm.lpc import (
     fit,
     levinson,
 )
-from nadpcm.mlp import Mlp
+from nadpcm.mlp import N_PARAMS, Mlp
 
 
 def normal_equation_coeffs(r, order):
@@ -380,7 +380,7 @@ class TestPredictor:
     """`LpcModel` and `Mlp` are one prediction stream: its methods are
     written once, on `Predictor`."""
 
-    KINDS = [LpcModel.zero(10), LpcModel.zero(25), Mlp.zero()]
+    KINDS = [LpcModel.zero(10), LpcModel.zero(25), Mlp(np.zeros(N_PARAMS))]
     IDS = ["lpc10", "lpc25", "mlp"]
 
     @pytest.mark.parametrize("name", ["predictions", "predict", "__eq__", "__hash__"])
@@ -407,8 +407,9 @@ class TestPredictor:
 
     def test_kinds_never_equal(self):
         # ten zero taps and the zero net both predict 0.0 from ten samples
-        assert LpcModel.zero(10) != Mlp.zero() and Mlp.zero() != LpcModel.zero(10)
-        assert len({LpcModel.zero(10), Mlp.zero(), LpcModel.zero(10), Mlp.zero()}) == 2
+        taps, net = LpcModel.zero(10), Mlp(np.zeros(N_PARAMS))
+        assert taps != net and net != taps
+        assert len({taps, net, LpcModel.zero(10), Mlp(np.zeros(N_PARAMS))}) == 2
 
 
 class TestModel:

@@ -1,4 +1,4 @@
-"""SplitMix64 PRNG, the 10-2-1 net, and Levenberg-Marquardt training."""
+"""SplitMix64 draws, the 10-2-1 net, and Levenberg-Marquardt training."""
 
 import math
 import os
@@ -31,7 +31,6 @@ from nadpcm.mlp import (
     N_INPUTS,
     N_PARAMS,
     RESTARTS,
-    SplitMix64,
     build_training_set,
     hidden_batch,
     init_mlp,
@@ -43,18 +42,26 @@ from nadpcm.mlp import (
     residual_jacobian,
     restart_seed,
     solve_output_layer,
+    uniform_rows,
 )
 
 
 def reference_splitmix64(seed):
-    """Independent SplitMix64 for cross-checking the production PRNG."""
-    state = seed & MASK64
+    """Independent scalar SplitMix64 on Python ints, for cross-checking
+    `uniform_rows`'s uint64 arithmetic."""
+    state = int(seed) & MASK64
     while True:
         state = (state + 0x9E3779B97F4A7C15) & MASK64
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         yield z ^ (z >> 31)
+
+
+def reference_uniform(seed, lo, hi, n):
+    """The first n draws in [lo, hi) of `reference_splitmix64(seed)`."""
+    outputs = reference_splitmix64(seed)
+    return [lo + (hi - lo) * ((next(outputs) >> 11) * 2.0**-53) for _ in range(n)]
 
 
 def forward_pass(theta, x):
@@ -128,54 +135,55 @@ def same_bits(a, b):
 
 def seeded_net(seed, scale=0.5):
     """The net of a one-row `init_mlp` stack drawn with INIT_SCALE = scale."""
-    return Mlp(SplitMix64.uniform_rows([seed], -scale, scale, N_PARAMS)[0])
+    return Mlp(uniform_rows([seed], -scale, scale, N_PARAMS)[0])
 
 
 class TestSplitMix64:
+    """`uniform_rows` against `reference_splitmix64` and `reference_uniform`.
+    On [0, 2**53) a draw is the output's top 53 bits exactly, so that
+    interval compares the generator's outputs themselves."""
+
     def test_known_vectors_seed_zero(self):
-        rng = SplitMix64(0)
-        assert rng.next_u64() == 0xE220A8397B1DCDAF
-        assert rng.next_u64() == 0x6E789E6AA1B965F4
+        ref = reference_splitmix64(0)
+        assert [next(ref), next(ref)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        top = uniform_rows([0], 0.0, 2.0**53, 2)[0]
+        assert top.tolist() == [0xE220A8397B1DCDAF >> 11, 0x6E789E6AA1B965F4 >> 11]
 
     def test_matches_reference_for_random_seeds(self):
-        for seed in (1, 42, 2**63, 0xDEADBEEF, 2**64 - 1):
-            rng = SplitMix64(seed)
+        seeds = (1, 42, 2**63, 0xDEADBEEF, 2**64 - 1)
+        rows = uniform_rows(seeds, 0.0, 2.0**53, 100)
+        for seed, row in zip(seeds, rows.tolist()):
             ref = reference_splitmix64(seed)
-            for _ in range(100):
-                assert rng.next_u64() == next(ref)
+            assert row == [next(ref) >> 11 for _ in range(100)], seed
 
     def test_same_seed_same_sequence(self):
-        a, b = SplitMix64(9), SplitMix64(9)
-        assert [a.next_u64() for _ in range(8)] == [b.next_u64() for _ in range(8)]
+        a, b = uniform_rows([9, 9], 0.0, 1.0, 8)
+        assert a.tobytes() == b.tobytes() == uniform_rows([9], 0.0, 1.0, 8).tobytes()
 
     def test_seed_masked_to_64_bits(self):
-        assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
+        wrapped, zero = uniform_rows([2**64, 0], 0.0, 1.0, 8)
+        assert wrapped.tobytes() == zero.tobytes()
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
     def test_numpy_integer_seed(self, seed):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rng = SplitMix64(seed)
-            draws = [rng.next_u64() for _ in range(8)]
-        ref = SplitMix64(5)
-        assert draws == [ref.next_u64() for _ in range(8)]
+            draws = uniform_rows([seed], 0.0, 1.0, 8)
+        assert draws.tobytes() == uniform_rows([5], 0.0, 1.0, 8).tobytes()
 
     @pytest.mark.parametrize("seed", [5.0, "5"])
     def test_non_integer_seed_refused(self, seed):
         with pytest.raises(ValueError, match="^seed must be an integer, got "):
-            SplitMix64(seed)
+            uniform_rows([seed], 0.0, 1.0, 8)
 
     def test_uniform_range_and_mean(self):
-        rng = SplitMix64(7)
-        draws = np.array([rng.uniform(0.0, 1.0) for _ in range(20000)])
+        draws = uniform_rows([7], 0.0, 1.0, 20000)
         assert np.all((draws >= 0.0) & (draws < 1.0))
         assert abs(draws.mean() - 0.5) < 0.01
 
     def test_uniform_tight_interval(self):
-        rng = SplitMix64(1)
-        for _ in range(100):
-            v = rng.uniform(0.25, 0.25 + 1e-9)
-            assert 0.25 <= v < 0.25 + 1e-9
+        draws = uniform_rows([1], 0.25, 0.25 + 1e-9, 100)
+        assert np.all((draws >= 0.25) & (draws < 0.25 + 1e-9))
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -1, np.int64(5), np.uint64(2**63)],
                              ids=["0", "1", "2**64-1", "-1", "int64(5)", "uint64(2**63)"])
@@ -184,22 +192,21 @@ class TestSplitMix64:
     def test_block_draw_equals_scalar_draws(self, seed, lo, hi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # uint64 wraparound must not warn
-            values = SplitMix64.uniform_rows([seed], lo, hi, N_PARAMS)
-        scalar = SplitMix64(seed)
-        expected = [scalar.uniform(lo, hi) for _ in range(N_PARAMS)]
+            values = uniform_rows([seed], lo, hi, N_PARAMS)
+        expected = reference_uniform(seed, lo, hi, N_PARAMS)
         assert values.dtype == np.float64 and values.shape == (1, N_PARAMS)
         assert values.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (0.0, float("nan"))])
     def test_block_draw_refuses_empty_interval(self, lo, hi):
         with pytest.raises(ValueError, match="need lo < hi"):
-            SplitMix64.uniform_rows([3], lo, hi, 4)
+            uniform_rows([3], lo, hi, 4)
 
 
 class TestInitMlp:
     """`init_mlp(seeds)` draws the (R, 25) starting stack at once: row i
-    is, by `float.hex`, 25 calls of `SplitMix64(seeds[i]).uniform(
-    -INIT_SCALE, INIT_SCALE)`."""
+    is, by `float.hex`, `reference_uniform(seeds[i], -INIT_SCALE,
+    INIT_SCALE, 25)`."""
 
     SEEDS = (0, 2**64 - 1, np.int64(5), np.uint64(2**63), 1, -1, 0xDEADBEEF)
 
@@ -215,8 +222,7 @@ class TestInitMlp:
                 stack = init_mlp(seeds)
             assert stack.dtype == np.float64 and stack.shape == (rows, N_PARAMS)
             for seed, row in zip(seeds, stack.tolist()):
-                rng = SplitMix64(seed)
-                expected = [rng.uniform(-scale, scale) for _ in range(N_PARAMS)]
+                expected = reference_uniform(seed, -scale, scale, N_PARAMS)
                 assert [v.hex() for v in row] == [v.hex() for v in expected], (seed, rows)
 
     @pytest.mark.parametrize("seed", [True, 2.5, "5", None])
@@ -268,34 +274,34 @@ class TestMlpStructure:
         assert stack.shape == (40, N_PARAMS)
         assert np.all((stack >= -0.5) & (stack < 0.5))
         # each row is the first 25 draws of its seed's stream
-        rng = SplitMix64(39)
-        assert stack[-1].tolist() == [rng.uniform(-0.5, 0.5) for _ in range(N_PARAMS)]
+        assert stack[-1].tolist() == reference_uniform(39, -0.5, 0.5, N_PARAMS)
 
 
 class TestMlpEquality:
     def test_equal_parameters_equal_nets(self):
         net = seeded_net(3)
         same = Mlp(net.theta.tolist())
-        assert Mlp.zero() == Mlp.zero() and hash(Mlp.zero()) == hash(Mlp.zero())
+        zero, other_zero = Mlp(np.zeros(N_PARAMS)), Mlp(np.zeros(N_PARAMS))
+        assert zero == other_zero and hash(zero) == hash(other_zero)
         assert net == same and hash(net) == hash(same)
-        assert len({net, same, Mlp.zero()}) == 2
+        assert len({net, same, zero}) == 2
 
     def test_any_bit_differs(self):
         net = seeded_net(3)
         theta = net.theta.copy()
         theta[24] = np.nextafter(theta[24], np.inf)
         assert net != Mlp(theta)
-        assert Mlp.zero() != Mlp(-np.zeros(N_PARAMS))  # the bytes of -0.0 differ
+        assert Mlp(np.zeros(N_PARAMS)) != Mlp(-np.zeros(N_PARAMS))  # the bytes of -0.0 differ
 
     def test_other_types_are_not_equal(self):
-        net = Mlp.zero()
+        net = Mlp(np.zeros(N_PARAMS))
         assert net != net.theta.tobytes() and net != None  # noqa: E711
         assert (net == 0) is False
 
 
 class TestForward:
     def test_zero_net_outputs_zero(self):
-        net = Mlp.zero()
+        net = Mlp(np.zeros(N_PARAMS))
         assert net.predict(np.zeros(10)) == 0.0
 
     def test_unit_output_weights_on_zero_net(self):
@@ -430,11 +436,11 @@ class TestPredictions:
         # whether a numpy or BLAS call has entered the arithmetic
         kernel = mlp_module._forward_kernel()
         assert set(kernel.__code__.co_names) <= {"exp", "OverflowError"}
-        assert Mlp.zero().predictions([0.0] * 10).gi_code is kernel.__code__
+        assert Mlp(np.zeros(N_PARAMS)).predictions([0.0] * 10).gi_code is kernel.__code__
 
     def test_short_history_refused(self):
         with pytest.raises(ValueError, match="too short"):
-            Mlp.zero().predict([0.0] * 9)
+            Mlp(np.zeros(N_PARAMS)).predict([0.0] * 9)
 
 
 class TestTrainingSet:
@@ -544,7 +550,7 @@ class TestJacobian:
         np.testing.assert_array_equal(jac[0, :, 24], -np.ones(len(t)))
 
     def test_zero_net_output_weight_columns(self):
-        net = Mlp.zero()
+        net = Mlp(np.zeros(N_PARAMS))
         x, t = build_training_set(np.linspace(-0.5, 0.5, 30))
         jac, _ = cold_jacobian(net.theta[None], x, t)
         np.testing.assert_allclose(jac[0, :, 22:24], -0.5, rtol=1e-15)
@@ -556,13 +562,12 @@ class TestJacobian:
         np.testing.assert_allclose(r[0], t - forward_pass(net.theta, x)[1], rtol=1e-15)
 
     def test_matches_finite_differences(self):
-        rng = SplitMix64(10)
+        # each seed's 3 pairs are the next 33 draws of one stream
+        draws = uniform_rows([10], -0.8, 0.8, 10 * 33).reshape(10, 33)
         step = 1e-6
         for seed in range(10):
             net = seeded_net(seed)
-            x = np.array([[rng.uniform(-0.8, 0.8) for _ in range(10)]
-                          for _ in range(3)])
-            t = np.array([rng.uniform(-0.8, 0.8) for _ in range(3)])
+            x, t = draws[seed, :30].reshape(3, 10), draws[seed, 30:]
             jac = cold_jacobian(net.theta[None], x, t)[0][0]
             theta = net.theta
             for p in range(25):
