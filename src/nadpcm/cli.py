@@ -195,11 +195,13 @@ def build_parser() -> _Parser:
                     help="first frame of the train/test pair")
     hist = experiment("epoch-histogram", cmd_epoch_histogram,
                       "optimal-epoch histogram over frame pairs")
-    for p in (ep, hist):
+    for p in (ep, hist):  # they train the MLP, so their config is the MLP's
+        p.set_defaults(predictor_kind="mlp")
         p.add_argument("--max-epochs", type=_positive_int, default=100, help="LM epochs per net")
     fl = experiment("frame-length-sweep", cmd_frame_length_sweep,
                     "SEGSNR per coding frame length", "frame_len", "bits")
-    fl.add_argument("--lengths", type=_listed_once("lengths", _lengths, _positive_int),
+    fl.add_argument("--lengths", type=_listed_once("lengths", _lengths,
+                                                   lambda n: CodecConfig(frame_len=n)),
                     default="10:10:300", help="frame lengths as start:step:stop or a comma list")
     fl.add_argument("--bits-list", type=bits_list, default=str(CodecConfig.bits),
                     help="comma list of depths")
@@ -264,7 +266,8 @@ def _emit(table: str, out) -> None:
 
 def cmd_eval(args) -> int:
     config = _codec_config(args)
-    corpus = [_read_signal(p, args.format, args.sample_rate) for p in args.infiles]
+    # a generator: evaluate_methods builds every run's config before it reads a file
+    corpus = (_read_signal(p, args.format, args.sample_rate) for p in args.infiles)
     rows = harness.evaluate_methods(corpus, args.bits_list, args.methods, config)
     _emit(harness.method_rows_csv(rows), args.out)
     for bits in args.bits_list:

@@ -115,15 +115,16 @@ def evaluate_methods(corpus, bits_list, methods, base_config: CodecConfig):
 
     Per-segment SNRs (segment length = coding frame length) are pooled
     across the corpus into one row per pair. Rows for all-silent corpora
-    carry NaN means and zero frames. An empty corpus, method or bit-depth
-    list, or a list that repeats an entry, is refused before coding; a
-    codec refusal names the method, bit depth and signal.
+    carry NaN means and zero frames. An empty method or bit-depth list, a
+    list that repeats an entry and a bad config are refused before the
+    corpus is read (it may be a generator), an empty corpus before coding;
+    a codec refusal names the method, bit depth and signal.
     """
+    _require_listed_once(methods=methods, bits_list=bits_list)
+    runs = [(m, b, method_config(base_config, m, b)) for m in methods for b in bits_list]
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    _require_listed_once(methods=methods, bits_list=bits_list)
-    runs = [(m, b, method_config(base_config, m, b)) for m in methods for b in bits_list]
     rows = []
     for (method, bits, _), pooled in zip(runs, _coded_snrs(runs, corpus)):
         mean_db, std_db = mean_std(pooled) if pooled else (float("nan"), float("nan"))
@@ -275,9 +276,7 @@ def export_csv(columns, rows) -> str:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return f"{float(value):.6g}"
     return str(value)
 

@@ -8,14 +8,12 @@ in G.726; the stream's version names them. `quantize`, `dequantize` and
 `next_step` are the rule's reference, taking them as arguments;
 `codec._closed_loop` writes the same three steps inline, with the same
 operations in the same order, and a test replays these functions over its
-output bit for bit. `AdaptiveQuantizer` is only a benchmark shim over
-them; `check_params` validates its arguments.
+output bit for bit. `AdaptiveQuantizer` is a benchmark shim that only
+forwards to them.
 """
 
 import math
 from dataclasses import dataclass, replace
-
-from .number import as_int, as_real, as_tuple
 
 # Step multipliers per code magnitude rank, innermost first, per depth.
 MULTIPLIERS = {
@@ -29,25 +27,6 @@ MULTIPLIERS = {
 STEP_INIT = 0.02
 STEP_MIN = 2.0**-12
 STEP_MAX = 0.5
-
-
-def check_params(bits: int, step: float, step_min: float, step_max: float, multipliers) -> tuple:
-    """Validate quantizer parameters; return the multiplier table (default if empty)."""
-    if not 2 <= as_int("bits", bits) <= 5:
-        raise ValueError(f"bits must be in 2..5, got {bits}")
-    step, step_min, step_max = (as_real("step", step), as_real("step_min", step_min),
-                                as_real("step_max", step_max))
-    if not 0 < step_min <= step <= step_max:
-        raise ValueError(f"need 0 < step_min <= step <= step_max, got "
-                         f"{step_min}, {step}, {step_max}")
-    table = as_tuple("multipliers", multipliers)
-    multipliers = tuple(as_real("multipliers", m) for m in table) or MULTIPLIERS[bits]
-    if len(multipliers) != 2 ** (bits - 1):
-        raise ValueError(f"{bits}-bit coding needs {2 ** (bits - 1)} multipliers, "
-                         f"got {len(multipliers)}")
-    if not all(m > 0 for m in multipliers):
-        raise ValueError(f"multipliers must be > 0, got {multipliers}")
-    return multipliers
 
 
 def code_range(bits: int) -> tuple:
@@ -88,7 +67,8 @@ def next_step(step: float, code: int, multipliers, step_min: float, step_max: fl
 @dataclass(frozen=True)
 class AdaptiveQuantizer:
     """Benchmark shim over the rule functions, kept only for the import in
-    `perfbench/tracing.py`; the benchmark change in ROADMAP item 1 deletes it."""
+    `perfbench/tracing.py`; the benchmark change in ROADMAP item 1 deletes it.
+    It checks nothing: its caller passes the values of a built `CodecConfig`."""
 
     bits: int
     step: float
@@ -96,17 +76,10 @@ class AdaptiveQuantizer:
     step_max: float
     multipliers: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "multipliers", check_params(
-            self.bits, self.step, self.step_min, self.step_max, self.multipliers))
-
     def quantize(self, e: float) -> int:
         return quantize(e, self.step, self.bits)
 
     def dequantize(self, code: int) -> float:
-        code_min, code_max = code_range(self.bits)
-        if not code_min <= code <= code_max:
-            raise ValueError(f"code {code} outside [{code_min}, {code_max}]")
         return dequantize(code, self.step)
 
     def adapt(self, code: int) -> "AdaptiveQuantizer":

@@ -157,6 +157,7 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     "eval --methods FOO",
     "eval --bits-list 7",
     "frame-length-sweep --lengths 20,20",
+    "frame-length-sweep --lengths 20,65536",
     "frame-length-sweep --methods ADPCMB-MLP,ADPCMB-MLP",
 ])
 def test_malformed_list_refused_before_reading_audio(capsys, tmp_path, argv):
@@ -171,6 +172,9 @@ def test_malformed_list_refused_before_reading_audio(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv, message", [
     ("encode --frame-len 5 --predictor mlp", "frame_len 5 is below the 11-sample MLP minimum"),
+    ("eval --frame-len 5", "frame_len 5 is below the 11-sample MLP minimum"),
+    ("epoch-sweep --frame-len 5", "frame_len 5 is below the 11-sample MLP minimum"),
+    ("epoch-histogram --frame-len 5", "frame_len 5 is below the 11-sample MLP minimum"),
     ("eval --frame-len 0", "frame_len must be >= 1, got 0"),
     ("epoch-sweep --frame-len 0", "frame_len must be >= 1, got 0"),
     ("epoch-histogram --frame-len 65536", "frame_len 65536 not representable in header"),
@@ -386,6 +390,13 @@ class TestEval:
                           "ADPCMB-LPC-10,3,nan,nan,0\n"
                           "ADPCMF-LPC-10,3,nan,nan,0\n"
                           "z[3 bits]: no evaluated frames\n")
+
+    def test_linear_methods_take_a_frame_below_the_mlp_minimum(self, capsys, pcm_file):
+        # the MLP minimum binds only the methods that fit an MLP
+        code, stdout, stderr = run(capsys, "eval", "--in", pcm_file, "--frame-len", "5",
+                                   "--bits-list", "3", "--methods", "ADPCMB-LPC-10")
+        assert (code, stderr) == (0, "")
+        assert "ADPCMB-LPC-10,3," in stdout
 
     def test_unknown_method(self, capsys, tmp_path, pcm_file):
         out = tmp_path / "table.csv"

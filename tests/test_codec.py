@@ -44,7 +44,7 @@ from nadpcm.harness import (
     significance_matrix,
 )
 from nadpcm.mlp import EPOCHS, N_PARAMS, RESTARTS, Mlp, multistart_fit, uniform_rows
-from nadpcm.quantizer import AdaptiveQuantizer, code_range, dequantize, next_step, quantize
+from nadpcm.quantizer import code_range, dequantize, next_step, quantize
 
 
 def hand_trace_state():
@@ -380,17 +380,13 @@ class TestNumberRule:
         with pytest.raises(BitstreamError, match="^frame 0: forward_coeffs "):
             Bitstream(header, (payload,))
 
-    # Enum fields, quantizer parameters, the RNG seed, sweep arguments and a z-test row, as
+    # Enum fields, the RNG seed, sweep arguments and a z-test row, as
     # (the argument the refusal names, call on a signal x with one bad input).
     @pytest.mark.parametrize("name, call", [
         pytest.param("predictor_kind", lambda x: CodecConfig(predictor_kind=True),
                      id="CodecConfig-predictor_kind-True"),
         pytest.param("adaptation", lambda x: CodecConfig(adaptation=1.0),
                      id="CodecConfig-adaptation-1.0"),
-        pytest.param("step", lambda x: AdaptiveQuantizer(4, "0.1", 0.01, 0.5, ()),
-                     id="AdaptiveQuantizer-step-'0.1'"),
-        pytest.param("multipliers", lambda x: AdaptiveQuantizer(4, 0.1, 0.01, 0.5, 5),
-                     id="AdaptiveQuantizer-multipliers-5"),
         pytest.param("seed", lambda x: uniform_rows([True], -0.5, 0.5, N_PARAMS),
                      id="uniform_rows-seed-True"),
         pytest.param("frame_len",

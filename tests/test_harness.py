@@ -155,6 +155,20 @@ class TestEvaluateMethods:
         with pytest.raises(ValueError, match="^corpus must be non-empty$"):
             evaluate_methods([], [3], ["ADPCMB-LPC-10"], CodecConfig())
 
+    def test_bad_config_refused_before_the_corpus_is_read(self, ar_signal):
+        read = []
+
+        def corpus():
+            read.append(True)
+            yield ar_signal
+
+        with pytest.raises(ValueError, match="^frame_len 5 is below the 11-sample MLP minimum$"):
+            evaluate_methods(corpus(), [3], ["ADPCMB-LPC-10", "ADPCMB-MLP"],
+                             CodecConfig(frame_len=5))
+        assert not read
+        assert evaluate_methods(corpus(), [3], ["ADPCMB-LPC-10"], CodecConfig(frame_len=5))
+        assert read
+
     def test_codec_refusal_names_method_and_signal(self, ar_signal):
         empty = Signal(np.zeros(0), 8000)
         # the frame length sweep shares the loop and also names the run's frame length
@@ -374,8 +388,9 @@ class TestCsvExport:
         assert export_csv(["a", "b"], []) == "a,b\n"
 
     def test_six_significant_digits(self):
-        out = export_csv(["v"], [(0.123456789,), (np.float64(12345.6789),)])
-        assert out == "v\n0.123457\n12345.7\n"
+        out = export_csv(["v"], [(0.123456789,), (np.float64(12345.6789),),
+                                 (np.float32(1234.5678),)])
+        assert out == "v\n0.123457\n12345.7\n1234.57\n"
 
     def test_none_renders_empty(self):
         assert export_csv(["a", "b"], [(None, 1)]) == "a,b\n,1\n"

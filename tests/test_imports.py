@@ -22,7 +22,10 @@ underscore. It counts as read by the same rule, with the benchmark's
 they call the package as a user would; the tests still are not. Names
 are matched, not bound objects: a method is read when any reader reads an
 attribute of its name on anything, so `Mlp.zero` would pass the check on
-`LpcModel.zero`'s readers.
+`LpcModel.zero`'s readers. A method that a library calls for the package
+(argparse's `cli._Parser.error`) is exempt by file and name. The names
+that the benchmark alone reads are pinned as a set, so a benchmark-only
+hook cannot land unnoticed.
 
 The number rule is `number.as_int`, `number.as_real` and
 `number.as_tuple`, and no other package code tests for an integer, a real
@@ -156,12 +159,35 @@ def module_publics(source: str) -> list:
     return [(line, name) for line, name in defined if not name.startswith("_")]
 
 
-def test_every_public_name_is_read():
+# A public method that a library calls on the package's behalf, exempt by
+# (file, name): argparse calls `cli._Parser.error`, the hook it documents for
+# overriding. Without the exemption the check would pass only because
+# `perfbench/run.py` calls its own parser's `.error`, a name match.
+LIBRARY_HOOKS = {("cli.py", "error")}
+
+# The public names that only the benchmark reads: the shims ROADMAP item 1
+# and item 4 delete. A new name here is a benchmark-only hook landing in the
+# package; a name leaving it is one fewer to delete.
+BENCHMARK_ONLY = {"AdaptiveQuantizer", "adapt", "predict"}
+
+
+def publics_unread(readers=()) -> list:
+    """(file, line, name) of each public package name, library hooks aside,
+    that no package module and no source of `readers` reads."""
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert sum(len(module_publics(source)) for source in sources.values()) > 0
-    found = unread(sources, module_publics, [path.read_text() for path in BENCHMARK])
+    return [(file, line, name) for file, line, name in unread(sources, module_publics, readers)
+            if (file, name) not in LIBRARY_HOOKS]
+
+
+def test_every_public_name_is_read():
+    found = publics_unread([path.read_text() for path in BENCHMARK])
     assert not found, "; ".join(f"{file}:{line} defines {name}, which only the tests read"
                                 for file, line, name in found)
+
+
+def test_names_only_the_benchmark_reads():
+    assert {name for _, _, name in publics_unread()} == BENCHMARK_ONLY
 
 
 @pytest.mark.parametrize("sources, readers, expected", [

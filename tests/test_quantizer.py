@@ -12,19 +12,11 @@ from nadpcm.quantizer import (
     STEP_INIT,
     STEP_MAX,
     STEP_MIN,
-    check_params,
     code_range,
     dequantize,
     next_step,
     quantize,
 )
-
-
-def check(bits=2, step=0.1, step_min=0.01, step_max=0.5, multipliers=None):
-    """check_params with the defaults the tests below share."""
-    if multipliers is None:
-        multipliers = MULTIPLIERS[bits]
-    return check_params(bits, step, step_min, step_max, multipliers)
 
 
 class TestQuantize:
@@ -169,29 +161,13 @@ class TestMultiplierTables:
 class TestValidation:
     def test_bits_out_of_range(self):
         for bits in (1, 6):
-            with pytest.raises(ValueError):
-                check(bits=bits, multipliers=(0.9,) * 2 ** (bits - 1))
             with pytest.raises(ValueError, match=f"^bits must be in 2..5, got {bits}$"):
                 CodecConfig(bits=bits)
 
     @pytest.mark.parametrize("bits", [3.0, np.float64(3.0), "3", True])
     def test_bits_must_be_an_integer(self, bits):
         with pytest.raises(ValueError, match="bits must be an integer"):
-            check_params(bits, 0.1, 0.01, 0.5, ())
-        with pytest.raises(ValueError, match="bits must be an integer"):
             CodecConfig(bits=bits)
 
     def test_numpy_integer_bits_accepted(self):
-        assert check_params(np.int64(3), 0.1, 0.01, 0.5, ()) == MULTIPLIERS[3]
-
-    def test_wrong_multiplier_count(self):
-        with pytest.raises(ValueError):
-            check(bits=3, multipliers=(0.8, 1.6))
-
-    def test_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            check(step=0.0)
-
-    def test_step_outside_bounds(self):
-        with pytest.raises(ValueError):
-            check(step=0.6, step_max=0.5)
+        assert CodecConfig(bits=np.int64(3)).multipliers == MULTIPLIERS[3]
